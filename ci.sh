@@ -23,6 +23,16 @@ if [[ "${1:-}" != "quick" ]]; then
     echo "== benches compile (cargo bench --no-run) =="
     cargo bench --workspace --no-run
 
+    echo "== benchmark harness: builds against crates/*, quick suite is correct =="
+    # benchmarks/e2e is a cargo workspace of its own that compiles against
+    # the public API of crates/* and checks what it runs (determinism FNV,
+    # sample conservation, finite losses, predictions recomputed). A change
+    # under crates/ that breaks its build or trips one of its checks must
+    # fail here, not at the next benchmark run. Timings are not compared.
+    (cd benchmarks/e2e && cargo test --offline -q)
+    bash benchmarks/run.sh --quick >/dev/null
+    echo "benchmark harness: tests pass, --quick suite exits 0"
+
     echo "== fig2 trace determinism =="
     # The scheduler trace must be byte-for-byte reproducible: regenerate it
     # at the default scale into a scratch dir and diff against the

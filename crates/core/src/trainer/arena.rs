@@ -13,7 +13,12 @@
 //! [`Precision`] and every slot carries that tag, so managers fill a lent
 //! buffer at the right width without consulting the scheduler.
 
+use super::SampledSoftmax;
+use asgd_collective::SparseLayout;
+use asgd_model::Mlp;
+use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_tensor::{FlatVec, Precision};
+use std::sync::Arc;
 
 /// Per-replica flat buffers, recycled across merges.
 #[derive(Debug)]
@@ -161,6 +166,74 @@ impl DeltaArena {
     }
 }
 
+/// The sampled-softmax LSH index, built **once per model sync** by the
+/// scheduler and shared read-only with every manager.
+///
+/// Ownership rule: the scheduler owns two index buffers. Between syncs the
+/// *live* one is shared (`Arc`) with every surviving manager and the other
+/// sits idle; a sync rebuilds the idle buffer from the bytes the managers
+/// are about to import, makes it live, and ships a share inside each
+/// `SetModel`/`Blend`. Managers swap shares before they acknowledge, so once
+/// every `Redistributed` ack is in the previous buffer is uniquely owned
+/// again and the next sync rebuilds it in place — steady-state syncs
+/// allocate nothing index-sized.
+#[derive(Debug)]
+pub struct IndexArena {
+    bufs: [Arc<LshIndex>; 2],
+    live: usize,
+    /// Where `W₂` starts in the flat layout (after `W₁` and `b₁`).
+    w2_offset: usize,
+    classes: usize,
+    neg_samples: usize,
+}
+
+impl IndexArena {
+    /// Hashes the start-up model's `W₂` — what every replica begins from.
+    pub fn new(s: &SampledSoftmax, init: &Mlp) -> Self {
+        let c = init.config();
+        let index = || LshIndex::new(s.tables, s.k_bits, c.hidden, s.seed);
+        let mut first = index();
+        first.rebuild(init.w2());
+        Self {
+            bufs: [Arc::new(first), Arc::new(index())],
+            live: 0,
+            w2_offset: SparseLayout::new(c.num_features, c.hidden, c.num_classes).w2_off(),
+            classes: c.num_classes,
+            neg_samples: s.neg_samples,
+        }
+    }
+
+    /// A manager's sampler: a share of the live index plus its own
+    /// selection scratch.
+    pub fn sampler(&self) -> CandidateSampler {
+        CandidateSampler::with_index(self.live().clone(), self.neg_samples)
+    }
+
+    /// The index the managers currently select from.
+    pub fn live(&self) -> &Arc<LshIndex> {
+        &self.bufs[self.live]
+    }
+
+    /// Managers holding a share of the live index.
+    pub fn holders(&self) -> usize {
+        Arc::strong_count(self.live()) - 1
+    }
+
+    /// Rebuilds the idle buffer from `synced`'s `W₂` region (f32 verbatim,
+    /// bf16 widened exactly — the bits a replica holds after importing it),
+    /// makes it live and returns a share to send out.
+    ///
+    /// A manager lost since the last sync may not have dropped its share of
+    /// the idle buffer yet (its thread is still draining); `make_mut` then
+    /// rebuilds a private copy instead of writing under it.
+    pub fn sync(&mut self, synced: &FlatVec) -> Arc<LshIndex> {
+        self.live = 1 - self.live;
+        let index = &mut self.bufs[self.live];
+        Arc::make_mut(index).rebuild_flat(synced, self.w2_offset, self.classes);
+        Arc::clone(index)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +257,36 @@ mod tests {
         assert_eq!(rows.as_ptr() as usize, rp, "row buffer reallocated");
         assert_eq!(payload.as_ptr_addr(), pp, "payload buffer reallocated");
         arena.restore(1, rows, payload);
+    }
+
+    /// Steady-state syncs alternate between the same two index buffers:
+    /// once the managers have swapped shares, the idle one is rebuilt in
+    /// place.
+    #[test]
+    fn index_arena_alternates_two_buffers() {
+        use asgd_model::MlpConfig;
+        let config = MlpConfig {
+            num_features: 20,
+            hidden: 8,
+            num_classes: 300,
+        };
+        let init = Mlp::init(&config, 1);
+        let mut arena = IndexArena::new(&SampledSoftmax::defaults(8), &init);
+        let first = Arc::as_ptr(arena.live());
+        let mut manager_share = arena.live().clone();
+        let mut seen = vec![first];
+        for seed in 2..8 {
+            let synced = FlatVec::F32(Mlp::init(&config, seed).to_flat());
+            manager_share = arena.sync(&synced);
+            assert!(Arc::ptr_eq(&manager_share, arena.live()));
+            seen.push(Arc::as_ptr(arena.live()));
+        }
+        assert_ne!(seen[0], seen[1]);
+        for (i, p) in seen.iter().enumerate() {
+            assert_eq!(*p, seen[i % 2], "sync {i} left the two buffers");
+        }
+        drop(manager_share);
+        assert_eq!(arena.holders(), 0);
     }
 
     #[test]

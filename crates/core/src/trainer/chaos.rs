@@ -27,6 +27,7 @@ use super::{copy_to_global, MergeRule, SchedulerState};
 use crate::hyper::GpuHyper;
 use crate::merging::{
     apply_global_update_flat, compute_merge_weights, redistribute_global, MergeDecision,
+    MergeParams,
 };
 use asgd_collective::AllReduceTiming;
 use asgd_collective::{
@@ -599,36 +600,26 @@ impl SchedulerState<'_> {
         };
 
         match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                apply_global_update_flat(
-                    &bufs[0],
-                    &mut self.global,
-                    &mut self.prev_global,
-                    params.gamma,
-                );
-                redistribute_global(&self.global, &mut bufs);
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    to[g]
-                        .send(ToManager::SetModel(buf))
-                        .expect("manager channel closed");
-                }
-            }
-            MergeRule::Average { gamma } => {
+            MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
                 apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
                 redistribute_global(&self.global, &mut bufs);
+                let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
                 for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
+                    let index = index.clone();
                     to[g]
-                        .send(ToManager::SetModel(buf))
+                        .send(ToManager::SetModel { buf, index })
                         .expect("manager channel closed");
                 }
             }
             MergeRule::Crossbow { pull } => {
                 copy_to_global(&bufs[0], &mut self.global);
+                let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
                 for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
                     to[g]
                         .send(ToManager::Blend {
                             target: buf,
                             pull: pull as f32,
+                            index: index.clone(),
                         })
                         .expect("manager channel closed");
                 }
@@ -649,6 +640,11 @@ impl SchedulerState<'_> {
                 }
             }
         }
+
+        debug_assert!(
+            self.lsh.as_ref().is_none_or(|a| a.holders() == k),
+            "only survivors adopt the synced index"
+        );
 
         for &g in &alive_idx {
             self.devices[g].advance_to(timing.end);

@@ -9,42 +9,11 @@
 //! the host CPU happens to run a manager thread.
 
 use super::messages::{FromManager, ToManager};
-use super::SampledSoftmax;
 use asgd_data::XmlDataset;
 use asgd_model::{Mlp, Workspace};
-use asgd_slide::CandidateSampler;
-use asgd_tensor::{FlatVec, Matrix};
+use asgd_slide::{CandidateSampler, LshIndex};
 use std::sync::mpsc::{Receiver, Sender};
-
-/// The sampled-softmax state one manager owns: the candidate sampler plus a
-/// scratch `W₂` used to rebuild the LSH tables from a *blend target* (the
-/// merged global model) instead of the post-blend replica — blended replicas
-/// differ across managers, and candidate sets must not (see the determinism
-/// contract in `asgd_slide::sampler`).
-struct SampledState {
-    sampler: CandidateSampler,
-    /// Lazily sized `hidden × classes` scratch for blend-target rebuilds.
-    w2_scratch: Matrix,
-}
-
-impl SampledState {
-    /// Rebuilds the LSH tables from the global model carried in a `Blend`
-    /// target: the `W₂` region of the flat layout (bf16 widens exactly, so
-    /// every manager reads identical f32 bits).
-    fn rebuild_from_flat(&mut self, target: &FlatVec, model: &Mlp) {
-        let c = model.config();
-        let (h, classes) = (c.hidden, c.num_classes);
-        if self.w2_scratch.shape() != (h, classes) {
-            self.w2_scratch = Matrix::zeros(h, classes);
-        }
-        let w2_off = c.num_features * h + h;
-        let dst = self.w2_scratch.as_mut_slice();
-        for (i, v) in dst.iter_mut().enumerate() {
-            *v = target.get_f32(w2_off + i);
-        }
-        self.sampler.rebuild(&self.w2_scratch);
-    }
-}
+use std::sync::Arc;
 
 /// Tracks which sparse rows (W1 feature rows first, then output-class
 /// columns) this replica has dirtied since its last model sync — the
@@ -116,165 +85,178 @@ impl DirtyRows {
     }
 }
 
-/// Runs the manager loop until `Stop` (or a disconnected channel). Intended
-/// to run on a scoped thread borrowing the shared dataset.
+/// One device's numeric state: the replica plus everything a training step
+/// reuses — a [`Workspace`] owned for the replica's lifetime, so
+/// steady-state steps re-allocate no activation/gradient buffer.
 ///
-/// The manager owns one [`Workspace`] for its replica's lifetime, so
-/// steady-state training steps reuse every activation/gradient buffer
-/// instead of re-allocating them per batch.
-///
-/// With `sampled` set, training runs the LSH-sampled softmax: the manager
-/// owns a [`CandidateSampler`] whose tables are rebuilt at every model-sync
-/// point (startup, `SetModel`, `Blend`) from bytes identical on every
-/// replica, so a batch's candidate set depends only on
+/// With a `sampler`, training runs the LSH-sampled softmax. The manager
+/// never hashes: the scheduler builds one index per model-sync point (run
+/// start, `SetModel`, `Blend`) from bytes identical on every replica and the
+/// sampler adopts it, so a batch's candidate set depends only on
 /// `(LSH seed, synced model, batch labels, sample_seed)` — never on which
 /// manager trains it.
-pub(crate) fn run_manager(
+struct Manager<'a> {
     gpu: usize,
-    mut replica: Mlp,
-    dataset: &XmlDataset,
-    rx: Receiver<ToManager>,
-    tx: Sender<FromManager>,
-    sampled: Option<SampledSoftmax>,
-) {
-    let mut ws = Workspace::new(replica.config());
-    let mut sampled: Option<SampledState> = sampled.map(|s| {
-        let mut sampler = CandidateSampler::new(
-            s.tables,
-            s.k_bits,
-            replica.config().hidden,
-            s.neg_samples,
-            s.seed,
-        );
-        sampler.rebuild(replica.w2());
-        SampledState {
+    replica: Mlp,
+    dataset: &'a XmlDataset,
+    ws: Workspace,
+    sampler: Option<CandidateSampler>,
+    dirty: DirtyRows,
+    /// Dense training touches every `W₂` column, so a dirty-row delta after
+    /// a dense batch would silently under-report; the trainer only sends
+    /// `GetDelta` on the sampled path, and this flag turns a violation into
+    /// a loud failure instead of a wrong merge.
+    dense_trained: bool,
+    /// Reusable view of the batch's label slices: borrows from the shared
+    /// dataset instead of cloning every label vector per batch.
+    labels: Vec<&'a [u32]>,
+}
+
+impl<'a> Manager<'a> {
+    fn new(
+        gpu: usize,
+        replica: Mlp,
+        dataset: &'a XmlDataset,
+        sampler: Option<CandidateSampler>,
+    ) -> Self {
+        let c = *replica.config();
+        Manager {
+            gpu,
+            ws: Workspace::new(&c),
+            replica,
+            dataset,
             sampler,
-            w2_scratch: Matrix::zeros(0, 0),
+            dirty: DirtyRows::new(c.num_features, c.num_classes),
+            dense_trained: false,
+            labels: Vec::new(),
         }
-    });
-    let mut dirty = DirtyRows::new(replica.config().num_features, replica.config().num_classes);
-    // Dense training touches every `W₂` column, so a dirty-row delta after a
-    // dense batch would silently under-report; the trainer only sends
-    // `GetDelta` on the sampled path, and this flag turns a violation into a
-    // loud failure instead of a wrong merge.
-    let mut dense_trained = false;
-    // Reusable view of the batch's label slices: borrows from the shared
-    // dataset instead of cloning every label vector per batch.
-    let mut labels: Vec<&[u32]> = Vec::new();
-    while let Ok(msg) = rx.recv() {
-        match msg {
+    }
+
+    /// Executes one command and returns its reply; `None` on `Stop`.
+    fn handle(&mut self, msg: ToManager) -> Option<FromManager> {
+        let gpu = self.gpu;
+        Some(match msg {
             ToManager::Train {
                 batch_ids,
                 lr,
                 sample_seed,
             } => {
-                let x = dataset.train.features.select_rows(&batch_ids);
-                labels.clear();
-                labels.extend(
-                    batch_ids
-                        .iter()
-                        .map(|&i| dataset.train.labels[i].as_slice()),
-                );
-                let out = match sampled.as_mut() {
-                    Some(state) => {
-                        let cand = state.sampler.select(&labels, sample_seed);
+                let train = &self.dataset.train;
+                let x = train.features.select_rows(&batch_ids);
+                self.labels.clear();
+                self.labels
+                    .extend(batch_ids.iter().map(|&i| train.labels[i].as_slice()));
+                let out = match self.sampler.as_mut() {
+                    Some(sampler) => {
+                        let cand = sampler.select(&self.labels, sample_seed);
                         // The candidate set *is* the exact W₂ touched set:
                         // every candidate column gets an update write.
-                        dirty.mark_features(x.indices());
-                        dirty.mark_classes(cand);
-                        replica.train_batch_sampled_ws(&x, &labels, cand, lr, &mut ws)
+                        self.dirty.mark_features(x.indices());
+                        self.dirty.mark_classes(cand);
+                        self.replica.train_batch_sampled_ws(
+                            &x,
+                            &self.labels,
+                            cand,
+                            lr,
+                            &mut self.ws,
+                        )
                     }
                     None => {
-                        dense_trained = true;
-                        replica.train_batch_ws(&x, &labels, lr, &mut ws)
+                        self.dense_trained = true;
+                        self.replica
+                            .train_batch_ws(&x, &self.labels, lr, &mut self.ws)
                     }
                 };
-                if tx
-                    .send(FromManager::Trained {
-                        gpu,
-                        loss: out.loss,
-                        batch_size: out.batch_size,
-                    })
-                    .is_err()
-                {
-                    return;
+                FromManager::Trained {
+                    gpu,
+                    loss: out.loss,
+                    batch_size: out.batch_size,
                 }
             }
             ToManager::GetModel { mut buf } => {
-                replica.write_flat_buf(&mut buf);
-                let norm_per_param = replica.l2_norm_per_param();
-                if tx
-                    .send(FromManager::Model {
-                        gpu,
-                        flat: buf,
-                        norm_per_param,
-                    })
-                    .is_err()
-                {
-                    return;
+                self.replica.write_flat_buf(&mut buf);
+                FromManager::Model {
+                    gpu,
+                    flat: buf,
+                    norm_per_param: self.replica.l2_norm_per_param(),
                 }
             }
-            ToManager::SetModel(buf) => {
-                replica.read_flat_buf(&buf);
+            ToManager::SetModel { buf, index } => {
+                self.replica.read_flat_buf(&buf);
                 // A model sync is the delta baseline: nothing dirty yet.
-                dirty.clear();
-                if let Some(state) = sampled.as_mut() {
-                    // Every replica just became the same global model:
-                    // rebuilding here keeps the tables bit-identical
-                    // across managers.
-                    state.sampler.rebuild(replica.w2());
-                }
-                if tx.send(FromManager::Redistributed { gpu, buf }).is_err() {
-                    return;
-                }
+                self.dirty.clear();
+                self.adopt(index);
+                FromManager::Redistributed { gpu, buf }
             }
-            ToManager::Blend { target, pull } => {
-                if let Some(state) = sampled.as_mut() {
-                    // Blended replicas diverge per manager; hash the shared
-                    // blend *target* instead so candidate selection stays
-                    // replica-independent.
-                    state.rebuild_from_flat(&target, &replica);
-                }
-                replica.blend_from_flat_buf(&target, pull);
-                dirty.mark_all();
-                if tx
-                    .send(FromManager::Redistributed { gpu, buf: target })
-                    .is_err()
-                {
-                    return;
-                }
+            ToManager::Blend {
+                target,
+                pull,
+                index,
+            } => {
+                // Blended replicas diverge per manager; the index was hashed
+                // from the shared blend *target*, so candidate selection
+                // stays replica-independent.
+                self.adopt(index);
+                self.replica.blend_from_flat_buf(&target, pull);
+                self.dirty.mark_all();
+                FromManager::Redistributed { gpu, buf: target }
             }
             ToManager::GetDelta {
                 mut rows,
                 mut payload,
             } => {
                 assert!(
-                    !dense_trained,
+                    !self.dense_trained,
                     "sparse deltas require the sampled-softmax path \
                      (dense training dirties every W2 column)"
                 );
-                dirty.collect_into(&mut rows);
-                replica.write_delta_buf(&rows, &mut payload);
-                let norm_per_param = replica.l2_norm_per_param();
-                if tx
-                    .send(FromManager::Delta {
-                        gpu,
-                        rows,
-                        payload,
-                        norm_per_param,
-                    })
-                    .is_err()
-                {
-                    return;
+                self.dirty.collect_into(&mut rows);
+                self.replica.write_delta_buf(&rows, &mut payload);
+                FromManager::Delta {
+                    gpu,
+                    rows,
+                    payload,
+                    norm_per_param: self.replica.l2_norm_per_param(),
                 }
             }
-            ToManager::Stop => return,
+            ToManager::Stop => return None,
+        })
+    }
+
+    /// Switches the sampler to the index that came with a model sync,
+    /// releasing this manager's share of the previous one.
+    fn adopt(&mut self, index: Option<Arc<LshIndex>>) {
+        if let (Some(sampler), Some(index)) = (self.sampler.as_mut(), index) {
+            sampler.set_index(index);
+        }
+    }
+}
+
+/// Runs the manager loop until `Stop` (or a disconnected channel). Intended
+/// to run on a scoped thread borrowing the shared dataset.
+pub(crate) fn run_manager(
+    gpu: usize,
+    replica: Mlp,
+    dataset: &XmlDataset,
+    rx: Receiver<ToManager>,
+    tx: Sender<FromManager>,
+    sampler: Option<CandidateSampler>,
+) {
+    let mut manager = Manager::new(gpu, replica, dataset, sampler);
+    while let Ok(msg) = rx.recv() {
+        let Some(reply) = manager.handle(msg) else {
+            return;
+        };
+        if tx.send(reply).is_err() {
+            return;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::arena::IndexArena;
+    use super::super::SampledSoftmax;
     use super::*;
     use asgd_data::{generate, DatasetSpec};
     use asgd_model::MlpConfig;
@@ -301,7 +283,7 @@ mod tests {
         ds: &XmlDataset,
         model: Mlp,
         cmds: Vec<ToManager>,
-        sampled: Option<SampledSoftmax>,
+        sampled: Option<CandidateSampler>,
     ) -> Vec<FromManager> {
         let (to_tx, to_rx) = channel();
         let (from_tx, from_rx) = channel();
@@ -370,7 +352,7 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::SetModel(target.clone()),
+                set_model(&target, None),
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::F32),
                 },
@@ -399,7 +381,7 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::SetModel(target.clone()),
+                set_model(&target, None),
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::Bf16),
                 },
@@ -420,7 +402,11 @@ mod tests {
             &ds,
             model,
             vec![
-                ToManager::Blend { target, pull: 0.5 },
+                ToManager::Blend {
+                    target,
+                    pull: 0.5,
+                    index: None,
+                },
                 ToManager::GetModel {
                     buf: FlatVec::empty(Precision::F32),
                 },
@@ -464,7 +450,9 @@ mod tests {
             let ptr = buf.as_ptr_addr();
 
             // Redistribute and train, then gather again with the same buffer.
-            to_tx.send(ToManager::SetModel(buf)).unwrap();
+            to_tx
+                .send(ToManager::SetModel { buf, index: None })
+                .unwrap();
             let buf = match from_rx.recv().unwrap() {
                 FromManager::Redistributed { buf, .. } => buf,
                 other => panic!("unexpected {other:?}"),
@@ -528,6 +516,30 @@ mod tests {
         }
     }
 
+    /// The scheduler's side of a sampled run: the index arena over the
+    /// start-up model.
+    fn index_arena(model: &Mlp) -> IndexArena {
+        IndexArena::new(&sampled_cfg(), model)
+    }
+
+    /// A stand-alone sampler hashed from a dense `W₂` — what every manager
+    /// used to build for itself.
+    fn standalone(w2: &asgd_tensor::Matrix) -> CandidateSampler {
+        let c = sampled_cfg();
+        let mut s = CandidateSampler::new(c.tables, c.k_bits, w2.rows(), c.neg_samples, c.seed);
+        s.rebuild(w2);
+        s
+    }
+
+    /// The `SetModel` the scheduler sends: with an arena, the index synced
+    /// from exactly the buffer being shipped.
+    fn set_model(buf: &FlatVec, arena: Option<&mut IndexArena>) -> ToManager {
+        ToManager::SetModel {
+            buf: buf.clone(),
+            index: arena.map(|a| a.sync(buf)),
+        }
+    }
+
     /// Two managers given the same synced model and the same `Train` message
     /// must produce bit-identical losses and replicas — this is exactly the
     /// property the device-loss re-dispatch path relies on: the surviving
@@ -538,11 +550,13 @@ mod tests {
         let (ds, model) = setup();
         let synced = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
         let run = |model: Mlp| {
+            let mut arena = index_arena(&model);
+            let sampler = arena.sampler();
             drive_mode(
                 &ds,
                 model,
                 vec![
-                    ToManager::SetModel(synced.clone()),
+                    set_model(&synced, Some(&mut arena)),
                     ToManager::Train {
                         batch_ids: vec![0, 2, 4],
                         lr: 0.1,
@@ -552,7 +566,7 @@ mod tests {
                         buf: FlatVec::empty(Precision::F32),
                     },
                 ],
-                Some(sampled_cfg()),
+                Some(sampler),
             )
         };
         // Different pre-sync replicas: the sync point must erase the
@@ -582,11 +596,13 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let mut arena = index_arena(&model);
+        let sampler = arena.sampler();
         let replies = drive_mode(
             &ds,
             model,
             vec![
-                ToManager::SetModel(synced.clone()),
+                set_model(&synced, Some(&mut arena)),
                 ToManager::Train {
                     batch_ids: vec![0, 2, 4],
                     lr: 0.1,
@@ -600,7 +616,7 @@ mod tests {
                     buf: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            Some(sampler),
         );
         let (rows, payload) = match &replies[2] {
             FromManager::Delta { rows, payload, .. } => (rows, payload),
@@ -628,6 +644,8 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let mut arena = index_arena(&model);
+        let sampler = arena.sampler();
         let replies = drive_mode(
             &ds,
             model,
@@ -637,13 +655,13 @@ mod tests {
                     lr: 0.1,
                     sample_seed: 3,
                 },
-                ToManager::SetModel(synced.clone()),
+                set_model(&synced, Some(&mut arena)),
                 ToManager::GetDelta {
                     rows: Vec::new(),
                     payload: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            Some(sampler),
         );
         let (rows, payload) = match &replies[2] {
             FromManager::Delta { rows, payload, .. } => (rows, payload),
@@ -667,17 +685,24 @@ mod tests {
         let (ds, model) = setup();
         let config = *model.config();
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let mut arena = index_arena(&model);
+        let sampler = arena.sampler();
+        let index = Some(arena.sync(&target));
         let replies = drive_mode(
             &ds,
             model,
             vec![
-                ToManager::Blend { target, pull: 0.5 },
+                ToManager::Blend {
+                    target,
+                    pull: 0.5,
+                    index,
+                },
                 ToManager::GetDelta {
                     rows: Vec::new(),
                     payload: FlatVec::empty(Precision::F32),
                 },
             ],
-            Some(sampled_cfg()),
+            Some(sampler),
         );
         let rows = match &replies[1] {
             FromManager::Delta { rows, .. } => rows,
@@ -689,39 +714,25 @@ mod tests {
         assert_eq!(rows.last(), Some(&((total - 1) as u32)));
     }
 
-    /// A blend rebuild hashes the shared blend *target*'s `W₂` region of the
-    /// flat layout, not the per-manager blended replica: selecting after
-    /// [`SampledState::rebuild_from_flat`] must match selecting after a
-    /// direct rebuild from the target's dense `W₂` — for f32 and (exactly
-    /// widened) bf16 targets alike.
+    /// The scheduler-side build hashes the `W₂` region of the flat buffer it
+    /// is about to ship — for a `Blend`, the shared *target*, not any
+    /// per-manager blended replica: selecting through the synced index must
+    /// match selecting after a direct rebuild from the target's dense `W₂`,
+    /// for f32 and (exactly widened) bf16 targets alike.
     #[test]
     fn blend_rebuild_reads_the_target_w2_region() {
         let (_ds, model) = setup();
-        let config = *model.config();
-        let target_model = Mlp::init(&config, 99);
-        let cfg = sampled_cfg();
-        let mk = || {
-            CandidateSampler::new(
-                cfg.tables,
-                cfg.k_bits,
-                config.hidden,
-                cfg.neg_samples,
-                cfg.seed,
-            )
-        };
+        let target_model = Mlp::init(model.config(), 99);
+        let mut arena = index_arena(&model);
+        let mut synced = arena.sampler();
         let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
 
         // f32 target.
-        let mut state = SampledState {
-            sampler: mk(),
-            w2_scratch: Matrix::zeros(0, 0),
-        };
-        state.rebuild_from_flat(&FlatVec::F32(target_model.to_flat()), &model);
-        let mut reference = mk();
-        reference.rebuild(target_model.w2());
+        synced.set_index(arena.sync(&FlatVec::F32(target_model.to_flat())));
+        let mut reference = standalone(target_model.w2());
         for seed in [0u64, 42, 0xB00F] {
             assert_eq!(
-                state.sampler.select(&labels, seed).to_vec(),
+                synced.select(&labels, seed).to_vec(),
                 reference.select(&labels, seed),
                 "f32 target rebuild diverged at seed {seed}"
             );
@@ -731,15 +742,133 @@ mod tests {
         // rebuild from the widened replica's dense W₂.
         let mut bf16_target = FlatVec::empty(Precision::Bf16);
         target_model.write_flat_buf(&mut bf16_target);
-        state.rebuild_from_flat(&bf16_target, &model);
+        synced.set_index(arena.sync(&bf16_target));
         let mut widened = model.clone();
         widened.read_flat_buf(&bf16_target);
-        reference.rebuild(widened.w2());
+        let mut reference = standalone(widened.w2());
         for seed in [0u64, 42] {
             assert_eq!(
-                state.sampler.select(&labels, seed).to_vec(),
+                synced.select(&labels, seed).to_vec(),
                 reference.select(&labels, seed),
                 "bf16 target rebuild diverged at seed {seed}"
+            );
+        }
+    }
+
+    /// The shared-index contract of a `SetModel` sync: afterwards every
+    /// manager's sampler holds the scheduler's live index itself (not a
+    /// copy), the previous buffer is the scheduler's alone again, and
+    /// selection equals what a stand-alone rebuild from the manager's own
+    /// imported `W₂` would give — at both storage precisions.
+    #[test]
+    fn every_manager_adopts_the_schedulers_index() {
+        let (ds, model) = setup();
+        let n = 3;
+        let mut arena = index_arena(&model);
+        let mut managers: Vec<Manager> = (0..n)
+            .map(|g| Manager::new(g, model.clone(), &ds, Some(arena.sampler())))
+            .collect();
+        assert_eq!(arena.holders(), n);
+        let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
+        for (round, precision) in [Precision::F32, Precision::Bf16].into_iter().enumerate() {
+            let mut synced = FlatVec::empty(precision);
+            Mlp::init(model.config(), 99 + round as u64).write_flat_buf(&mut synced);
+            let previous = arena.live().clone();
+            let index = arena.sync(&synced);
+            for m in &mut managers {
+                let msg = ToManager::SetModel {
+                    buf: synced.clone(),
+                    index: Some(index.clone()),
+                };
+                assert!(matches!(
+                    m.handle(msg),
+                    Some(FromManager::Redistributed { .. })
+                ));
+            }
+            drop(index);
+            assert_eq!(arena.holders(), n, "{precision:?}: every manager adopted");
+            assert_eq!(
+                Arc::strong_count(&previous),
+                2,
+                "{precision:?}: the old buffer is back with the scheduler (+ this test)"
+            );
+            for m in &mut managers {
+                let mut reference = standalone(m.replica.w2());
+                let sampler = m.sampler.as_mut().unwrap();
+                assert!(Arc::ptr_eq(sampler.index(), arena.live()));
+                for seed in [0u64, 0xB00F] {
+                    assert_eq!(
+                        sampler.select(&labels, seed).to_vec(),
+                        reference.select(&labels, seed),
+                        "{precision:?} gpu {} seed {seed}",
+                        m.gpu
+                    );
+                }
+            }
+        }
+    }
+
+    /// Device loss between two merges: the lost manager keeps the index of
+    /// the sync it last saw, so a batch re-dispatched to a survivor inside
+    /// that mega-batch re-selects bit-identical candidates; the following
+    /// syncs reach survivors only, and rebuilding the buffer the lost
+    /// manager still holds never writes under it.
+    #[test]
+    fn lost_manager_keeps_its_index_and_survivors_reselect_identically() {
+        let (ds, model) = setup();
+        let mut arena = index_arena(&model);
+        let mut managers: Vec<Manager> = (0..3)
+            .map(|g| Manager::new(g, model.clone(), &ds, Some(arena.sampler())))
+            .collect();
+        let sync = |arena: &mut IndexArena, managers: &mut [Manager], seed: u64| {
+            let buf = FlatVec::F32(Mlp::init(model.config(), seed).to_flat());
+            let index = arena.sync(&buf);
+            for m in managers {
+                m.handle(ToManager::SetModel {
+                    buf: buf.clone(),
+                    index: Some(index.clone()),
+                });
+            }
+        };
+        sync(&mut arena, &mut managers, 50);
+
+        // Manager 2 trains a batch, then its device is lost; the scheduler
+        // re-dispatches the same ids (hence the same sample seed) to 0.
+        let labels: Vec<&[u32]> = [0usize, 2, 4]
+            .iter()
+            .map(|&i| ds.train.labels[i].as_slice())
+            .collect();
+        let mut lost = managers.pop().unwrap();
+        let on_lost = lost
+            .sampler
+            .as_mut()
+            .unwrap()
+            .select(&labels, 0xB00F)
+            .to_vec();
+        let survivor = managers[0].sampler.as_mut().unwrap();
+        assert_eq!(survivor.select(&labels, 0xB00F), on_lost);
+
+        // Next merge: survivors only. The lost manager's share stays on the
+        // buffer that just went idle.
+        sync(&mut arena, &mut managers, 51);
+        assert_eq!(arena.holders(), 2, "only survivors adopt");
+        let lost_index = lost.sampler.as_ref().unwrap().index().clone();
+        assert!(!Arc::ptr_eq(&lost_index, arena.live()));
+
+        // The merge after that rebuilds the buffer the lost manager still
+        // holds: it must get a private copy, not a rewrite.
+        sync(&mut arena, &mut managers, 52);
+        assert_eq!(arena.holders(), 2);
+        assert!(!Arc::ptr_eq(&lost_index, arena.live()));
+        let lost_sampler = lost.sampler.as_mut().unwrap();
+        assert_eq!(lost_sampler.select(&labels, 0xB00F), on_lost);
+        for m in &mut managers {
+            let mut reference = standalone(m.replica.w2());
+            let sampler = m.sampler.as_mut().unwrap();
+            assert!(Arc::ptr_eq(sampler.index(), arena.live()));
+            assert_eq!(
+                sampler.select(&labels, 7).to_vec(),
+                reference.select(&labels, 7)
             );
         }
     }

@@ -7,8 +7,15 @@
 //! redistribution, with `Redistributed` bringing it home. After the first
 //! merge no message allocates. Payloads are [`FlatVec`]s carrying the
 //! run's storage precision (f32 or bf16).
+//!
+//! On the sampled-softmax path the two model-sync messages also carry the
+//! LSH index the scheduler built from the synced bytes (see
+//! [`super::arena::IndexArena`]): a manager adopts the `Arc` before it
+//! acknowledges, dropping its share of the previous index.
 
+use asgd_slide::LshIndex;
 use asgd_tensor::FlatVec;
+use std::sync::Arc;
 
 /// Scheduler → GPU manager commands. Each manager processes its queue in
 /// FIFO order, so a `GetModel` enqueued after a run of `Train`s acts as a
@@ -35,7 +42,12 @@ pub(crate) enum ToManager {
     },
     /// Replace the replica with the given flat parameters; the buffer is
     /// returned via [`FromManager::Redistributed`].
-    SetModel(FlatVec),
+    SetModel {
+        /// The new global model.
+        buf: FlatVec,
+        /// The index hashed from `buf`'s `W₂` region (sampled runs only).
+        index: Option<Arc<LshIndex>>,
+    },
     /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`; the buffer
     /// is returned via [`FromManager::Redistributed`].
     Blend {
@@ -43,6 +55,9 @@ pub(crate) enum ToManager {
         target: FlatVec,
         /// Pull strength in `[0, 1]`.
         pull: f32,
+        /// The index hashed from `target`'s `W₂` region (sampled runs
+        /// only) — blended replicas differ per manager, candidates must not.
+        index: Option<Arc<LshIndex>>,
     },
     /// Sparse-merge alternative to `GetModel`: send the sorted set of rows
     /// dirtied since the last `SetModel` plus their delta payload (the

@@ -28,7 +28,7 @@ use crate::hyper::{GpuHyper, ScalingParams};
 use crate::merging::{apply_global_update_flat, compute_merge_weights, MergeDecision, MergeParams};
 use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
-use arena::{DeltaArena, MergeArena};
+use arena::{DeltaArena, IndexArena, MergeArena};
 use asgd_collective::{
     scatter_delta, sparse_merge_timing, Algorithm, AllReduceTiming, CollectiveContext, InterNode,
     SparseLayout, SparseMergePlan,
@@ -509,15 +509,23 @@ impl Trainer {
                 mconfig.num_classes,
             ),
             sparse_stats: SparseMergeStats::default(),
+            // Sampled mode hashes the start-up `W₂` once, here, for every
+            // manager about to spawn.
+            lsh: cfg
+                .sampled_softmax
+                .map(|s| IndexArena::new(&s, &init_model)),
         };
         if state.delta_arena.is_some() {
             // Sparse mode parks each manager's last-synced base in its arena
             // slot; seed every slot with the init model all replicas start
-            // from (`drive` sends no initial `SetModel`).
-            for g in 0..n {
-                let mut buf = state.arena.lend(g);
-                init_model.write_flat_buf(&mut buf);
-                state.arena.restore(g, buf);
+            // from (`drive` sends no initial `SetModel`) — one narrowing,
+            // the rest bit-copies.
+            let mut bases: Vec<FlatVec> = (0..n)
+                .map(|_| FlatVec::zeros(cfg.precision, param_len))
+                .collect();
+            crate::merging::redistribute_global(&state.global, &mut bases);
+            for (g, base) in bases.into_iter().enumerate() {
+                state.arena.restore(g, base);
             }
         }
 
@@ -531,8 +539,8 @@ impl Trainer {
                 let (tx, rx) = channel();
                 let replica = init_model.clone();
                 let ftx = from_tx.clone();
-                let sampled = cfg.sampled_softmax;
-                s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampled));
+                let sampler = state.lsh.as_ref().map(IndexArena::sampler);
+                s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampler));
                 to_managers.push(tx);
             }
             drop(from_tx);
@@ -613,6 +621,9 @@ struct SchedulerState<'a> {
     sparse_layout: SparseLayout,
     /// Sparse-merge accounting (untouched unless `delta_arena` is set).
     sparse_stats: SparseMergeStats,
+    /// `Some` iff the sampled softmax is on: the shared LSH index, rebuilt
+    /// here once per model sync (see [`IndexArena`]).
+    lsh: Option<IndexArena>,
 }
 
 impl SchedulerState<'_> {
@@ -944,8 +955,10 @@ impl SchedulerState<'_> {
     }
 
     /// Charges the per-sync LSH rebuild (sampled mode only) to every
-    /// surviving device: each manager re-hashes all output neurons after a
-    /// model sync (startup, redistribute, blend).
+    /// surviving device: the simulation models `n` GPUs that each re-hash
+    /// all output neurons, in parallel, after a model sync (startup,
+    /// redistribute, blend). The host computes those identical tables once
+    /// ([`IndexArena::sync`]); what the simulated fleet pays is unchanged.
     fn charge_lsh_rebuild(&mut self) {
         let Some(s) = self.cfg.sampled_softmax else {
             return;
@@ -1130,10 +1143,12 @@ impl SchedulerState<'_> {
                 // already holds it, so the blend targets ship with zero
                 // copies.
                 copy_to_global(self.arena.buffer(0), &mut self.global);
+                let index = self.lsh.as_mut().map(|a| a.sync(self.arena.buffer(0)));
                 for (g, tx) in to.iter().enumerate() {
                     tx.send(ToManager::Blend {
                         target: self.arena.lend(g),
                         pull: pull as f32,
+                        index: index.clone(),
                     })
                     .expect("manager channel closed");
                 }
@@ -1157,11 +1172,16 @@ impl SchedulerState<'_> {
             }
         }
 
+        debug_assert!(
+            self.lsh.as_ref().is_none_or(|a| a.holders() == n),
+            "every manager adopts the synced index before it acknowledges"
+        );
+
         let t0 = timing.start;
         for d in self.devices.iter_mut() {
             d.advance_to(timing.end);
         }
-        // Sampled mode: every manager re-hashes the output neurons against
+        // Sampled mode: every device re-hashes the output neurons against
         // the freshly synced model.
         self.charge_lsh_rebuild();
         self.trace.record(
@@ -1193,8 +1213,10 @@ impl SchedulerState<'_> {
         );
         let mut bufs: Vec<FlatVec> = (0..to.len()).map(|g| self.arena.lend(g)).collect();
         crate::merging::redistribute_global(&self.global, &mut bufs);
+        let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
         for (tx, buf) in to.iter().zip(bufs) {
-            tx.send(ToManager::SetModel(buf))
+            let index = index.clone();
+            tx.send(ToManager::SetModel { buf, index })
                 .expect("manager channel closed");
         }
     }
@@ -1748,6 +1770,38 @@ mod tests {
         let stats = sparse.sparse_merge.unwrap();
         assert_eq!(stats.fallbacks, stats.merges);
         assert_eq!(stats.sparse_bytes, stats.dense_bytes);
+    }
+
+    /// A device loss between two merges on the sampled + sparse path: the
+    /// merges after it sync the shared index to survivors only (the
+    /// scheduler's `holders` debug assertions run in this build), the
+    /// re-dispatched batches reselect from the index the lost replica used,
+    /// and the whole faulted run stays a pure function of its seeds — for
+    /// the `SetModel` and the `Blend` redistribution alike.
+    #[test]
+    fn sampled_device_loss_syncs_the_index_to_survivors_only() {
+        let ds = dataset();
+        // Fault plans need merge-per-mega-batch, which rules out
+        // `crossbow_sma`; its `Blend` redistribution does not.
+        let mut blend = algorithms::adaptive_sgd();
+        blend.merge_rule = MergeRule::Crossbow { pull: 0.5 };
+        for spec in [algorithms::adaptive_sgd(), blend] {
+            let mut config = quick_config();
+            config.sampled_softmax = Some(SampledSoftmax::defaults(12));
+            config.sparse_merge = true;
+            config.fault_plan = Some(FaultPlan::new().device_loss(1, 2, 1));
+            let run =
+                || Trainer::new(spec.clone(), heterogeneous_server(3), config.clone()).run(&ds);
+            let a = run();
+            assert_eq!(a.records.len(), 4);
+            assert_eq!(a.chaos.lost_gpus, vec![1]);
+            assert!(a.chaos.redispatched_batches >= 1, "{}", spec.name);
+            asgd_tensor::parallel::override_threads(8);
+            let b = run();
+            asgd_tensor::parallel::override_threads(0);
+            assert_eq!(a.final_model, b.final_model, "{}", spec.name);
+            assert_eq!(a.chaos.render(), b.chaos.render());
+        }
     }
 
     /// Sparse merge is a no-op request outside the sampled path or under

@@ -19,16 +19,19 @@
 //!   so any activation-dependent choice would make candidates depend on
 //!   *which* device trains the batch. Bucket membership is looked up through
 //!   the per-class signatures stored by [`LshIndex::rebuild`].
-//! * Rebuilds must happen only at model-sync points (manager start,
+//! * The index is rebuilt only at model-sync points (run start,
 //!   redistribute, blend target) from bytes that are identical on every
-//!   replica — then every manager holds bit-identical tables, and a batch
-//!   re-dispatched after a device loss reproduces its candidate set exactly.
+//!   replica — so one build serves them all: the trainer hashes once and
+//!   every manager [adopts](CandidateSampler::set_index) the same
+//!   `Arc<LshIndex>`, and a batch re-dispatched after a device loss
+//!   reproduces its candidate set exactly.
 //! * All randomness comes from the caller-supplied `sample_seed` through a
 //!   local [SplitMix64](splitmix64) stream — nothing is drawn from shared
 //!   RNG state, so dispatch order cannot leak into the selection.
 
 use crate::lsh::LshIndex;
 use asgd_tensor::Matrix;
+use std::sync::Arc;
 
 /// One step of the SplitMix64 stream — the sampler's only RNG. Small, fast,
 /// and stateless across batches: every batch reseeds from its own
@@ -44,11 +47,12 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// Selects the per-batch candidate label set for sampled-softmax training.
 ///
-/// Owns the [`LshIndex`] plus reusable scratch, so steady-state selection
-/// allocates nothing once the buffers have grown to the working size.
+/// Holds a read-only share of an [`LshIndex`] plus reusable scratch, so
+/// steady-state selection allocates nothing once the buffers have grown to
+/// the working size.
 #[derive(Debug, Clone)]
 pub struct CandidateSampler {
-    lsh: LshIndex,
+    lsh: Arc<LshIndex>,
     /// Negatives per batch (the candidate set is `positives + neg_samples`,
     /// clamped to the class count).
     neg_samples: usize,
@@ -63,8 +67,16 @@ impl CandidateSampler {
     /// `hidden`-dimensional output neurons and `neg_samples` negatives per
     /// batch. Call [`rebuild`](Self::rebuild) before the first selection.
     pub fn new(tables: usize, k_bits: usize, hidden: usize, neg_samples: usize, seed: u64) -> Self {
+        let lsh = LshIndex::new(tables, k_bits, hidden, seed);
+        Self::with_index(Arc::new(lsh), neg_samples)
+    }
+
+    /// Builds a sampler over an index someone else builds and shares — the
+    /// trainer's scheduler hashes once per model sync and every manager
+    /// selects from the same tables.
+    pub fn with_index(lsh: Arc<LshIndex>, neg_samples: usize) -> Self {
         CandidateSampler {
-            lsh: LshIndex::new(tables, k_bits, hidden, seed),
+            lsh,
             neg_samples,
             cand: Vec::new(),
             pool: Vec::new(),
@@ -73,9 +85,21 @@ impl CandidateSampler {
 
     /// Re-hashes every output neuron from `w2` (`hidden × classes`). Only
     /// call this at model-sync points with bytes identical across replicas —
-    /// see the module docs.
+    /// see the module docs. A shared index is copied first (copy-on-write);
+    /// owners of shared indices rebuild at the source and hand the result
+    /// out through [`set_index`](Self::set_index) instead.
     pub fn rebuild(&mut self, w2: &Matrix) {
-        self.lsh.rebuild(w2);
+        Arc::make_mut(&mut self.lsh).rebuild(w2);
+    }
+
+    /// Adopts a freshly built shared index, releasing the previous one.
+    pub fn set_index(&mut self, lsh: Arc<LshIndex>) {
+        self.lsh = lsh;
+    }
+
+    /// The index this sampler currently selects from.
+    pub fn index(&self) -> &Arc<LshIndex> {
+        &self.lsh
     }
 
     /// Classes currently indexed (0 before the first rebuild).
@@ -242,6 +266,50 @@ mod tests {
         let mut s = CandidateSampler::new(2, 4, 8, 4, 1);
         let labels: Vec<&[u32]> = vec![&[1]];
         let _ = s.select(&labels, 0);
+    }
+
+    proptest::proptest! {
+        /// Selection over the flat-bucket index returns the same sequence
+        /// as selection over the `HashMap` oracle build of the same `W₂`.
+        #[test]
+        fn select_matches_hashmap_oracle(
+            classes in proptest::prop_oneof![1usize..4, 60usize..70, 250usize..400],
+            k_pick in 0usize..4,
+            neg in 0usize..40,
+            seed in 0u64..1000,
+        ) {
+            let k = [1usize, 9, 17, 32][k_pick];
+            let w2 = w2(16, classes);
+            let mut fast = CandidateSampler::new(3, k, 16, neg, seed);
+            fast.rebuild(&w2);
+            let mut oracle = (**fast.index()).clone();
+            oracle.rebuild_oracle(&w2);
+            let mut oracle = CandidateSampler::with_index(Arc::new(oracle), neg);
+            let c = classes as u32;
+            let rows = [vec![seed as u32 % c, (seed as u32 / 7) % c], vec![c - 1], vec![]];
+            let labels: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+            for sample_seed in [seed, seed ^ 0xB00F] {
+                proptest::prop_assert_eq!(
+                    fast.select(&labels, sample_seed).to_vec(),
+                    oracle.select(&labels, sample_seed)
+                );
+            }
+        }
+    }
+
+    /// `rebuild` on a shared index copies before writing: the other holder
+    /// keeps selecting from the tables it adopted.
+    #[test]
+    fn rebuild_on_a_shared_index_is_copy_on_write() {
+        let mut a = sampler(200, 16);
+        let mut b = CandidateSampler::with_index(Arc::clone(a.index()), 16);
+        let labels: Vec<&[u32]> = vec![&[3, 17], &[90]];
+        let before = b.select(&labels, 7).to_vec();
+        a.rebuild(&Matrix::from_fn(16, 50, |i, j| (i + j) as f32 - 8.0));
+        assert!(!Arc::ptr_eq(a.index(), b.index()));
+        assert_eq!(a.num_classes(), 50);
+        assert_eq!(b.num_classes(), 200);
+        assert_eq!(b.select(&labels, 7), before);
     }
 
     #[test]

@@ -95,6 +95,15 @@ impl FlatVec {
         }
     }
 
+    /// A buffer of `len` zeros at the given precision (both encodings of
+    /// zero are all-zero bits, so the allocation comes back untouched).
+    pub fn zeros(precision: Precision, len: usize) -> Self {
+        match precision {
+            Precision::F32 => FlatVec::F32(vec![0.0; len]),
+            Precision::Bf16 => FlatVec::Bf16(vec![0; len]),
+        }
+    }
+
     /// Element count.
     pub fn len(&self) -> usize {
         match self {

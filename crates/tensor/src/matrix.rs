@@ -1,5 +1,38 @@
 //! Row-major dense `f32` matrix.
 
+use crate::parallel::par_chunks_mut;
+
+/// Side of the square tiles [`Matrix::transpose_into`] walks. A 32 × 32
+/// `f32` tile is 32 runs of 128 B on each side — 8 KB in flight, so the
+/// strided side is fetched once per tile instead of once per element.
+const TRANSPOSE_TILE: usize = 32;
+
+/// Element count from which [`Matrix::transpose_into`] forks onto the worker
+/// pool: 8 MB of `f32`, past any L2. Below it (the per-step `W₂ᵀ` refresh of
+/// the dense path at a few hundred thousand elements) the fork/join costs
+/// more than the copy.
+const MIN_PAR_TRANSPOSE: usize = 1 << 21;
+
+/// Transposes source columns `first..first + chunk.len() / rows` of the
+/// `rows × cols` matrix `src` into `chunk` (one `rows`-long output row per
+/// source column), tile by tile.
+fn transpose_columns(src: &[f32], rows: usize, cols: usize, first: usize, chunk: &mut [f32]) {
+    let n = chunk.len() / rows;
+    for c0 in (0..n).step_by(TRANSPOSE_TILE) {
+        let c1 = (c0 + TRANSPOSE_TILE).min(n);
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
+            for c in c0..c1 {
+                let dst = &mut chunk[c * rows + r0..c * rows + r1];
+                let col = &src[r0 * cols + first + c..];
+                for (i, d) in dst.iter_mut().enumerate() {
+                    *d = col[i * cols];
+                }
+            }
+        }
+    }
+}
+
 /// A dense, row-major `f32` matrix.
 ///
 /// This is the storage type for model parameters, activations, and gradients.
@@ -153,6 +186,12 @@ impl Matrix {
     /// `cols × rows`) without allocating — the workspace-friendly variant of
     /// [`Matrix::transposed`].
     ///
+    /// Walks [`TRANSPOSE_TILE`]-square tiles so both the strided and the
+    /// contiguous side of every tile stay in L1, and from
+    /// [`MIN_PAR_TRANSPOSE`] elements up splits `out`'s rows (source
+    /// columns) across the worker pool. Pure element copies: the result is
+    /// bit-identical for any tiling and any `ASGD_THREADS`.
+    ///
     /// # Panics
     /// Panics when `out` is not the transposed shape.
     pub fn transpose_into(&self, out: &mut Matrix) {
@@ -161,11 +200,16 @@ impl Matrix {
             (self.cols, self.rows),
             "transpose_into shape mismatch"
         );
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
+        if self.data.is_empty() {
+            return;
         }
+        let (rows, cols) = (self.rows, self.cols);
+        // `out` has `cols` rows: forking from this many is forking from
+        // `MIN_PAR_TRANSPOSE` elements.
+        let min_par_rows = MIN_PAR_TRANSPOSE.div_ceil(rows);
+        par_chunks_mut(&mut out.data, cols, rows, min_par_rows, |first, chunk| {
+            transpose_columns(&self.data, rows, cols, first, chunk);
+        });
     }
 
     /// Re-shapes `self` to `rows × cols` in place, reusing the backing
@@ -234,6 +278,74 @@ mod tests {
         let mut out = Matrix::zeros(3, 5);
         m.transpose_into(&mut out);
         assert_eq!(out, m.transposed());
+    }
+
+    /// The element-wise definition `transpose_into` must reproduce.
+    fn transpose_spec(m: &Matrix) -> Matrix {
+        Matrix::from_fn(m.cols(), m.rows(), |r, c| m.at(c, r))
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Distinct value per element, NaN/−0.0 included: a copy kernel must
+    /// move bit patterns, not numbers.
+    fn patterned(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 97 {
+            0 => -0.0,
+            1 => f32::NAN,
+            _ => (r * cols + c) as f32 - 40.0,
+        })
+    }
+
+    #[test]
+    fn tiled_transpose_handles_degenerate_and_ragged_shapes() {
+        let t = TRANSPOSE_TILE;
+        for (rows, cols) in [
+            (0, 7),
+            (7, 0),
+            (1, 100),
+            (100, 1),
+            (t, t),
+            (t - 1, t + 1),
+            (2 * t + 3, 3 * t - 5),
+        ] {
+            let m = patterned(rows, cols);
+            let mut out = Matrix::zeros(cols, rows);
+            m.transpose_into(&mut out);
+            assert_eq!(bits(&out), bits(&transpose_spec(&m)), "{rows}x{cols}");
+        }
+    }
+
+    /// The sampled path's `W₂ᵀ` shape (64 × 67,009 — above
+    /// `MIN_PAR_TRANSPOSE`, so the pool-parallel split runs): the definition
+    /// holds and the bits do not depend on the worker count.
+    #[test]
+    fn model_scale_transpose_is_thread_count_invariant() {
+        use crate::parallel::override_threads;
+        let m = patterned(64, 67_009);
+        assert!(m.len() >= MIN_PAR_TRANSPOSE);
+        let run = |threads: usize| {
+            override_threads(threads);
+            let mut out = Matrix::zeros(m.cols(), m.rows());
+            m.transpose_into(&mut out);
+            override_threads(0);
+            bits(&out)
+        };
+        let serial = run(1);
+        assert_eq!(serial, bits(&transpose_spec(&m)));
+        assert_eq!(serial, run(8));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn tiled_transpose_matches_definition(rows in 0usize..80, cols in 0usize..80) {
+            let m = patterned(rows, cols);
+            let mut out = Matrix::zeros(cols, rows);
+            m.transpose_into(&mut out);
+            proptest::prop_assert_eq!(bits(&out), bits(&transpose_spec(&m)));
+        }
     }
 
     #[test]
