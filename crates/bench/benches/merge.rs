@@ -3,13 +3,12 @@
 //! the full merge stage (gather + all-reduce + global update +
 //! redistribution) with and without the persistent merge arena.
 
-use asgd_collective::{allreduce, Algorithm, CollectiveContext};
-use asgd_core::merging::apply_global_update;
+use asgd_collective::{allreduce, allreduce_flat, Algorithm, CollectiveContext};
+use asgd_core::merging::{apply_global_update, apply_global_update_flat, redistribute_global};
 use asgd_core::{compute_merge_weights, scale_batch_sizes, GpuHyper, MergeParams, ScalingParams};
 use asgd_gpusim::{profile, SimTime, Topology};
 use asgd_model::{Mlp, MlpConfig};
-use asgd_tensor::parallel::par_copy;
-use asgd_tensor::{ops, Matrix};
+use asgd_tensor::{ops, FlatVec, Matrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn hypers(n: usize) -> Vec<GpuHyper> {
@@ -95,17 +94,17 @@ fn bench_merge_stage(c: &mut Criterion) {
     let mut group = c.benchmark_group("merge_stage");
     group.sample_size(10);
 
-    let mut bufs: Vec<Vec<f32>> = (0..n).map(|_| Vec::new()).collect();
+    let mut bufs: Vec<FlatVec> = (0..n).map(|_| FlatVec::default()).collect();
     group.bench_function("arena_4x_amazon", |b| {
         b.iter(|| {
             for (r, buf) in replicas.iter().zip(bufs.iter_mut()) {
-                r.write_flat_into(buf);
+                r.write_flat_buf(buf);
             }
-            allreduce(&mut bufs, &weights, algo, &ctx, &arrivals);
-            apply_global_update(&bufs[0], &mut global, &mut prev_global, 0.9);
-            for (r, buf) in replicas.iter_mut().zip(bufs.iter_mut()) {
-                par_copy(&global, buf, 1 << 14);
-                r.read_flat_from(buf);
+            allreduce_flat(&mut bufs, &weights, algo, &ctx, &arrivals);
+            apply_global_update_flat(&bufs[0], &mut global, &mut prev_global, 0.9);
+            redistribute_global(&global, &mut bufs);
+            for (r, buf) in replicas.iter_mut().zip(&bufs) {
+                r.read_flat_buf(buf);
             }
         });
     });

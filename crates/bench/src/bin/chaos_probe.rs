@@ -19,16 +19,9 @@ use asgd_stats::fnv1a;
 
 fn main() {
     let env = asgd_bench::Env::from_env();
-    let fault_seed: u64 = std::env::var("ASGD_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(7);
-    let n_gpus: usize = std::env::var("ASGD_FAULT_GPUS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(4);
-
-    let precision = asgd_tensor::Precision::from_env_or(asgd_tensor::Precision::F32);
+    let fault_seed: u64 = asgd_bench::env_knob("ASGD_FAULT_SEED", 7);
+    let n_gpus: usize = asgd_bench::env_knob("ASGD_FAULT_GPUS", 4);
+    let precision = asgd_bench::env_precision(asgd_tensor::Precision::F32);
 
     let dataset = env.dataset(&asgd_bench::Env::dataset_specs(&env)[0]);
     let plan = asgd_gpusim::FaultPlan::random(fault_seed, n_gpus, env.mega_limit);

@@ -22,28 +22,15 @@ use asgd_collective::InterNode;
 use asgd_core::ClusterConfig;
 use asgd_stats::fnv1a;
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let env = asgd_bench::Env::from_env();
-    let fault_seed: u64 = std::env::var("ASGD_FAULT_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(7);
-    let servers = env_usize("ASGD_SERVERS", 4);
-    let per = env_usize("ASGD_DEVICES_PER_SERVER", 4);
+    let fault_seed: u64 = asgd_bench::env_knob("ASGD_FAULT_SEED", 7);
+    let servers: usize = asgd_bench::env_knob("ASGD_SERVERS", 4);
+    let per: usize = asgd_bench::env_knob("ASGD_DEVICES_PER_SERVER", 4);
     let n_gpus = servers * per;
-    let inter = match std::env::var("ASGD_INTER").as_deref() {
-        Ok("tree") => InterNode::Tree,
-        _ => InterNode::Ring,
-    };
-
-    let precision = asgd_tensor::Precision::from_env_or(asgd_tensor::Precision::F32);
+    let shapes = [("ring", InterNode::Ring), ("tree", InterNode::Tree)];
+    let inter = asgd_bench::env_word("ASGD_INTER", InterNode::Ring, &shapes);
+    let precision = asgd_bench::env_precision(asgd_tensor::Precision::F32);
 
     let dataset = env.dataset(&asgd_bench::Env::dataset_specs(&env)[0]);
     let plan = asgd_gpusim::FaultPlan::random_cluster(fault_seed, servers, per, env.mega_limit);

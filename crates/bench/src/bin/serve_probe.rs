@@ -81,12 +81,7 @@ fn render(report: &mut String, label: &str, outcome: &ServeOutcome) {
 
 fn main() {
     let env = asgd_bench::Env::from_env();
-    fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(default)
-    }
+    use asgd_bench::env_knob as var;
     let serve_seed: u64 = var("ASGD_SERVE_SEED", 11);
     let slo_ms: f64 = var("ASGD_SLO_MS", 0.05);
     let fault_seed: u64 = var("ASGD_FAULT_SEED", 7);

@@ -25,24 +25,21 @@ use asgd_core::trainer::SampledSoftmax;
 use asgd_core::{ClusterConfig, RunResult};
 use asgd_stats::{fnv, fnv1a};
 
-fn env_usize(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let env = asgd_bench::Env::from_env();
-    let servers = env_usize("ASGD_SERVERS", 1);
-    let per = env_usize("ASGD_DEVICES_PER_SERVER", 4);
+    let servers: usize = asgd_bench::env_knob("ASGD_SERVERS", 1);
+    let per: usize = asgd_bench::env_knob("ASGD_DEVICES_PER_SERVER", 4);
     let n_gpus = servers.max(1) * per;
-    let fault_seed = match std::env::var("ASGD_FAULT_SEED").as_deref() {
-        Ok("none") => None,
-        Ok(v) => v.trim().parse().ok(),
-        Err(_) => Some(7u64),
-    };
-    let precision = asgd_tensor::Precision::from_env_or(asgd_tensor::Precision::F32);
+    let fault_seed = asgd_bench::knob(
+        "ASGD_FAULT_SEED",
+        asgd_bench::env_text("ASGD_FAULT_SEED").as_deref(),
+        Some(7u64),
+        |t| match t {
+            "none" => Some(None),
+            _ => t.parse().ok().map(Some),
+        },
+    );
+    let precision = asgd_bench::env_precision(asgd_tensor::Precision::F32);
 
     let dataset = env.dataset(&asgd_bench::Env::dataset_specs(&env)[0]);
     let mut config = env.run_config(0.2);

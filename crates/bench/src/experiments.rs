@@ -705,9 +705,8 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
     // The full amazon shape, NOT the `ASGD_SCALE` twin. At the scaled shape
     // (~180k params) a merge finishes inside its fixed overheads (pool
     // dispatch, simulated-timing bookkeeping), which is how an earlier
-    // artifact recorded the arena at parity with alloc-per-merge. This is
-    // the `examples/merge_probe.rs` methodology: hardcoded full shape,
-    // per-iteration timing, median of 20.
+    // artifact recorded the arena at parity with alloc-per-merge. Hence:
+    // hardcoded full shape, per-iteration timing, median of 20.
     let config = MlpConfig {
         num_features: 135_909,
         hidden: 128,

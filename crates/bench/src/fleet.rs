@@ -90,12 +90,7 @@ impl Default for FleetKnobs {
 impl FleetKnobs {
     /// Reads the `ASGD_*` overrides on top of [`FleetKnobs::default`].
     pub fn from_env() -> Self {
-        fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        }
+        use crate::env_knob as var;
         let d = Self::default();
         Self {
             serve_seed: var("ASGD_SERVE_SEED", d.serve_seed),
@@ -108,7 +103,7 @@ impl FleetKnobs {
             slo_ms: var("ASGD_SLO_MS", d.slo_ms),
             base_rps: var("ASGD_SERVE_RPS", d.base_rps),
             n_requests: var("ASGD_SERVE_REQUESTS", d.n_requests),
-            precision: Precision::from_env_or(d.precision),
+            precision: crate::env_precision(d.precision),
         }
     }
 

@@ -6,7 +6,11 @@
 //! under `results/` (created on demand).
 //!
 //! Experiment scale is controlled by environment variables so the same
-//! binaries serve quick CI smoke runs and full overnight sweeps:
+//! binaries serve quick CI smoke runs and full overnight sweeps. A variable
+//! that is set but does not parse — `ASGD_MEGA_LIMIT=4x`,
+//! `ASGD_SOFTMAX=smapled`, `ASGD_SPARSE_MERGE=true` — aborts the run naming
+//! the variable and the offending text (see [`knob`]); it never silently
+//! runs the default:
 //!
 //! | variable | default | meaning |
 //! |---|---|---|
@@ -30,6 +34,7 @@ use asgd_core::trainer::{RunConfig, SampledSoftmax, Trainer, TrainerSpec};
 use asgd_core::RunResult;
 use asgd_data::{generate, DatasetSpec, XmlDataset};
 use asgd_gpusim::profile::heterogeneous_server;
+use asgd_tensor::Precision;
 use std::io::Write;
 use std::path::PathBuf;
 
@@ -61,55 +66,110 @@ pub struct Env {
     pub sparse_merge: bool,
 }
 
+/// Resolves one `ASGD_*` knob from its raw text: `default` when unset, the
+/// parsed value when set. A knob that is set but does not parse is a hard
+/// error naming the variable and the offending text — a typo must never
+/// silently run the default and surface later as an unexplained golden diff.
+/// `parse` sees the trimmed text.
+///
+/// # Panics
+/// Panics when `text` is `Some` and `parse` rejects it.
+pub fn knob<T>(
+    name: &str,
+    text: Option<&str>,
+    default: T,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> T {
+    match text {
+        None => default,
+        Some(t) => parse(t.trim())
+            .unwrap_or_else(|| panic!("{name}={t:?} is not a valid value for {name}")),
+    }
+}
+
+/// [`knob`]'s parser for a closed vocabulary (case-insensitive).
+fn word<'a, T: Copy>(words: &'a [(&'a str, T)]) -> impl Fn(&str) -> Option<T> + 'a {
+    move |t| {
+        words
+            .iter()
+            .find(|(w, _)| w.eq_ignore_ascii_case(t))
+            .map(|&(_, v)| v)
+    }
+}
+
+/// The raw text of an environment variable (`None` when unset).
+///
+/// # Panics
+/// Panics when the variable is set to something that is not Unicode.
+pub fn env_text(name: &str) -> Option<String> {
+    match std::env::var(name) {
+        Ok(v) => Some(v),
+        Err(std::env::VarError::NotPresent) => None,
+        Err(std::env::VarError::NotUnicode(v)) => panic!("{name}={v:?} is not valid Unicode"),
+    }
+}
+
+/// [`knob`] over the process environment for anything `FromStr` (numbers).
+pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
+    knob(name, env_text(name).as_deref(), default, |t| t.parse().ok())
+}
+
+/// [`knob`] over the process environment for a closed vocabulary.
+pub fn env_word<T: Copy>(name: &str, default: T, words: &[(&str, T)]) -> T {
+    knob(name, env_text(name).as_deref(), default, word(words))
+}
+
+/// `ASGD_PRECISION` (`f32` / `bf16`), shared by every probe with a storage
+/// tier.
+pub fn env_precision(default: Precision) -> Precision {
+    let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
+    env_word("ASGD_PRECISION", default, &tiers)
+}
+
 /// Resolves the `ASGD_SOFTMAX`/`ASGD_LSH_TABLES`/`ASGD_NEG_SAMPLES` triple
-/// into a trainer-level sampled-softmax config. Any `mode` other than
-/// `"sampled"` (case-insensitive) means the dense path; tables/negatives
-/// apply on top of [`SampledSoftmax::defaults`], so the LSH seed and bit
-/// width stay at their pinned values.
+/// (raw texts) into a trainer-level sampled-softmax config: `dense` (the
+/// default) is `None`, `sampled` applies tables/negatives on top of
+/// [`SampledSoftmax::defaults`], so the LSH seed and bit width stay at their
+/// pinned values.
+///
+/// # Panics
+/// Panics on any other mode word or an unparsable count (see [`knob`]).
 pub fn parse_softmax(
     mode: Option<&str>,
-    tables: Option<usize>,
-    neg: Option<usize>,
+    tables: Option<&str>,
+    neg: Option<&str>,
 ) -> Option<SampledSoftmax> {
-    if !mode.is_some_and(|m| m.trim().eq_ignore_ascii_case("sampled")) {
+    let modes = [("dense", false), ("sampled", true)];
+    if !knob("ASGD_SOFTMAX", mode, false, word(&modes)) {
         return None;
     }
-    let mut s = SampledSoftmax::defaults(neg.unwrap_or(64));
-    if let Some(t) = tables {
-        s.tables = t.max(1);
-    }
+    let num = |t: &str| t.parse::<usize>().ok();
+    let mut s = SampledSoftmax::defaults(knob("ASGD_NEG_SAMPLES", neg, 64, num));
+    s.tables = knob("ASGD_LSH_TABLES", tables, s.tables, num).max(1);
     Some(s)
 }
 
 impl Env {
     /// Reads the environment (see module docs for the variables).
+    ///
+    /// # Panics
+    /// Panics when a variable is set but does not parse (see [`knob`]).
     pub fn from_env() -> Self {
-        fn var<T: std::str::FromStr>(name: &str, default: T) -> T {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(default)
-        }
+        let flag = [("0", false), ("1", true)];
         Env {
-            scale: var("ASGD_SCALE", 0.01),
-            b_max: var("ASGD_BMAX", 48),
-            batches_per_mega: var("ASGD_BATCHES_PER_MEGA", 24),
-            mega_limit: var("ASGD_MEGA_LIMIT", 24),
-            hidden: var("ASGD_HIDDEN", 64),
-            seed: var("ASGD_SEED", 42),
-            out_dir: PathBuf::from(
-                std::env::var("ASGD_OUT_DIR").unwrap_or_else(|_| "results".into()),
-            ),
+            scale: env_knob("ASGD_SCALE", 0.01),
+            b_max: env_knob("ASGD_BMAX", 48),
+            batches_per_mega: env_knob("ASGD_BATCHES_PER_MEGA", 24),
+            mega_limit: env_knob("ASGD_MEGA_LIMIT", 24),
+            hidden: env_knob("ASGD_HIDDEN", 64),
+            seed: env_knob("ASGD_SEED", 42),
+            out_dir: PathBuf::from(env_text("ASGD_OUT_DIR").unwrap_or_else(|| "results".into())),
             sampled: parse_softmax(
-                std::env::var("ASGD_SOFTMAX").ok().as_deref(),
-                std::env::var("ASGD_LSH_TABLES")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok()),
-                std::env::var("ASGD_NEG_SAMPLES")
-                    .ok()
-                    .and_then(|v| v.trim().parse().ok()),
+                env_text("ASGD_SOFTMAX").as_deref(),
+                env_text("ASGD_LSH_TABLES").as_deref(),
+                env_text("ASGD_NEG_SAMPLES").as_deref(),
             ),
-            sparse_merge: std::env::var("ASGD_SPARSE_MERGE").is_ok_and(|v| v.trim() == "1"),
+            sparse_merge: env_word("ASGD_SPARSE_MERGE", false, &flag),
         }
     }
 
@@ -215,13 +275,65 @@ mod tests {
     #[test]
     fn parse_softmax_resolves_the_env_triple() {
         assert_eq!(parse_softmax(None, None, None), None);
-        assert_eq!(parse_softmax(Some("dense"), Some(4), Some(9)), None);
+        assert_eq!(parse_softmax(Some("dense"), Some("4"), Some("9")), None);
         let s = parse_softmax(Some("sampled"), None, None).unwrap();
         assert_eq!(s, SampledSoftmax::defaults(64));
-        let s = parse_softmax(Some(" SAMPLED "), Some(4), Some(128)).unwrap();
+        let s = parse_softmax(Some(" SAMPLED "), Some("4"), Some("128")).unwrap();
         assert_eq!(s.tables, 4);
         assert_eq!(s.neg_samples, 128);
         assert_eq!(s.k_bits, SampledSoftmax::defaults(128).k_bits);
+    }
+
+    #[test]
+    fn knob_defaults_when_unset_and_parses_when_set() {
+        let num = |t: &str| t.parse::<usize>().ok();
+        assert_eq!(knob("ASGD_MEGA_LIMIT", None, 24, num), 24);
+        assert_eq!(knob("ASGD_MEGA_LIMIT", Some(" 4 "), 24, num), 4);
+        let flag = [("0", false), ("1", true)];
+        assert!(!knob("ASGD_SPARSE_MERGE", None, false, word(&flag)));
+        assert!(knob("ASGD_SPARSE_MERGE", Some("1"), false, word(&flag)));
+        assert!(!knob("ASGD_SPARSE_MERGE", Some("0"), true, word(&flag)));
+        let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
+        let tier = knob("ASGD_PRECISION", Some("BF16"), Precision::F32, word(&tiers));
+        assert_eq!(tier, Precision::Bf16);
+    }
+
+    /// Every knob that is set but unparsable must abort, naming the
+    /// variable and the offending text — never fall back to the default.
+    #[test]
+    fn unparsable_knobs_are_hard_errors() {
+        fn rejects<R>(name: &str, text: &str, f: impl FnOnce() -> R + std::panic::UnwindSafe) {
+            let err = std::panic::catch_unwind(f)
+                .err()
+                .expect("knob accepted garbage");
+            let m = err.downcast_ref::<String>().expect("panic message");
+            assert!(m.contains(name) && m.contains(text), "{m}");
+        }
+        let num = |t: &str| t.parse::<usize>().ok();
+        rejects("ASGD_MEGA_LIMIT", "4x", || {
+            knob("ASGD_MEGA_LIMIT", Some("4x"), 24, num)
+        });
+        rejects("ASGD_MEGA_LIMIT", "\"\"", || {
+            knob("ASGD_MEGA_LIMIT", Some(""), 24, num)
+        });
+        rejects("ASGD_SOFTMAX", "smapled", || {
+            parse_softmax(Some("smapled"), None, None)
+        });
+        rejects("ASGD_LSH_TABLES", "eight", || {
+            parse_softmax(Some("sampled"), Some("eight"), None)
+        });
+        let flag = [("0", false), ("1", true)];
+        rejects("ASGD_SPARSE_MERGE", "true", || {
+            knob("ASGD_SPARSE_MERGE", Some("true"), false, word(&flag))
+        });
+        let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
+        rejects("ASGD_PRECISION", "fp16", || {
+            knob("ASGD_PRECISION", Some("fp16"), Precision::F32, word(&tiers))
+        });
+        let inter = [("ring", 0), ("tree", 1)];
+        rejects("ASGD_INTER", "mesh", || {
+            knob("ASGD_INTER", Some("mesh"), 0, word(&inter))
+        });
     }
 
     #[test]

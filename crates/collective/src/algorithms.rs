@@ -1,9 +1,16 @@
-//! The all-reduce algorithm implementations.
+//! The all-reduce algorithms: each one's step walk, written once.
 //!
-//! Every variant performs the *real* weighted-sum arithmetic chunk-by-chunk,
+//! A *walk* is the step structure of an algorithm — who sends which range
+//! to whom in which round — together with its cost accounting (transfers of
+//! a round overlap: max within a round, sum across rounds). Every walk hands
+//! the payload of each step to a [`Payload`], and there are exactly two:
+//! [`Arith`] performs the *real* weighted-sum arithmetic chunk-by-chunk,
 //! following the exact data flow of the algorithm (so floating-point
 //! summation order matches what the hardware collective would produce), and
-//! simultaneously accounts simulated time step-by-step.
+//! [`CostOnly`] moves nothing, which makes the same walk the cost schedule
+//! of a collective at any length (`sparse::dense_schedule`). The real
+//! collective therefore computes and accounts in a single pass, and the two
+//! can never drift apart.
 //!
 //! Reduction arithmetic is applied **in place** on the destination buffers:
 //! within any single step of any algorithm here, the chunks written never
@@ -18,9 +25,10 @@ use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::bf16::ReduceElem;
 use asgd_tensor::parallel::{
-    par_add_assign_elem, par_copy_elem, par_scale_elem, par_tasks, split_ranges,
+    par_add_assign_elem, par_chunks_mut, par_copy_elem, par_scale_elem, split_ranges,
 };
 use asgd_tensor::FlatVec;
+use std::ops::Range;
 
 /// Reductions shorter than this stay serial — the fork/join on the worker
 /// pool only pays off for model-sized buffers. Element-wise addition is
@@ -91,7 +99,12 @@ pub fn allreduce_flat(
     allreduce_flat_with(buffers, weights, algo, ctx, arrivals, MIN_PAR_REDUCE)
 }
 
-/// [`allreduce_flat`] degraded to the serial path; see [`allreduce_serial`].
+/// [`allreduce_flat`] degraded to the serial (non-pooled) path: no work is
+/// ever submitted to the persistent worker pool, so the reduction succeeds
+/// even when pooled scratch can't be allocated (the trainer's merge-time OOM
+/// fallback). Per-element arithmetic order is identical to the pooled path —
+/// results AND timing are bit-identical to [`allreduce_flat`]; only
+/// wall-clock execution differs.
 pub fn allreduce_flat_serial(
     buffers: &mut [FlatVec],
     weights: &[f64],
@@ -140,23 +153,6 @@ fn allreduce_flat_with(
     }
 }
 
-/// [`allreduce`] degraded to the serial (non-pooled) path: no work is ever
-/// submitted to the persistent worker pool, so the reduction succeeds even
-/// when pooled scratch can't be allocated (the trainer's merge-time OOM
-/// fallback). Per-element arithmetic order is identical to the pooled path —
-/// results AND timing are bit-identical to [`allreduce`]; only wall-clock
-/// execution differs.
-pub fn allreduce_serial(
-    buffers: &mut [Vec<f32>],
-    weights: &[f64],
-    algo: Algorithm,
-    ctx: &CollectiveContext,
-    arrivals: &[SimTime],
-) -> AllReduceTiming {
-    let mut views: Vec<&mut [f32]> = buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-    allreduce_with(&mut views, weights, algo, ctx, arrivals, usize::MAX)
-}
-
 /// Shared implementation, generic over the storage element (`f32`
 /// reproduces the pre-generic code path bit for bit; `u16` runs the bf16
 /// rounding contract). `min_par` is the minimum element count at which
@@ -200,82 +196,12 @@ fn allreduce_with<E: ReduceElem>(
     // Barrier: the collective begins when the last participant is ready.
     let start = ready.iter().cloned().fold(SimTime::ZERO, SimTime::max);
 
-    if n == 1 {
-        return AllReduceTiming {
-            start,
-            end: start,
-            bytes_moved: 0,
-        };
-    }
-
-    let (elapsed, bytes) = match algo {
-        Algorithm::Naive => naive(views, ctx, min_par),
-        Algorithm::Tree => tree(views, ctx, min_par),
-        Algorithm::Ring => ring_slices(views, ctx, 0, min_par),
-        Algorithm::HalvingDoubling => {
-            if n.is_power_of_two() {
-                halving_doubling(views, ctx, min_par)
-            } else {
-                ring_slices(views, ctx, 0, min_par)
-            }
-        }
-        Algorithm::MultiStreamRing { partitions } => {
-            let partitions = partitions.clamp(1, len.max(1));
-            let ranges = split_ranges(len, partitions);
-            let nparts = ranges.len();
-            if min_par == usize::MAX {
-                // Serial fallback: run the partition rings one after another
-                // on the calling thread. Partition order matches the pooled
-                // path's result-combining order, and each partition touches a
-                // disjoint element range, so results and timing are
-                // bit-identical — only the simulated streams overlap, never
-                // the host-side arithmetic.
-                let mut worst = 0.0f64;
-                let mut total_bytes = 0usize;
-                for (p, r) in ranges.iter().enumerate() {
-                    let mut part: Vec<&mut [E]> =
-                        views.iter_mut().map(|v| &mut v[r.start..r.end]).collect();
-                    let (t, b) = ring_slices(&mut part, ctx, p % n, min_par);
-                    worst = worst.max(t);
-                    total_bytes += b;
-                }
-                (worst, total_bytes)
-            } else {
-                // Each partition's ring starts at a different GPU and runs on
-                // its own stream: the partitions are element-disjoint, so they
-                // map directly onto pool tasks. Durations overlap (take the
-                // max); bytes add. Results are written by partition index and
-                // combined in partition order, so the totals are deterministic.
-                let mut results: Vec<(f64, usize)> = vec![(0.0, 0); nparts];
-                let bases: Vec<usize> = views.iter_mut().map(|v| v.as_mut_ptr() as usize).collect();
-                let results_base = results.as_mut_ptr() as usize;
-                par_tasks(nparts, |p| {
-                    let r = &ranges[p];
-                    // SAFETY: partition ranges are disjoint sub-ranges of every
-                    // buffer, each task touches only its own partition `p`, and
-                    // `par_tasks` joins all tasks before returning — so the
-                    // reborrowed sub-slices (and the `results[p]` writes) never
-                    // alias across tasks and never outlive the borrow.
-                    let mut part: Vec<&mut [E]> = bases
-                        .iter()
-                        .map(|&b| unsafe {
-                            std::slice::from_raw_parts_mut((b as *mut E).add(r.start), r.len())
-                        })
-                        .collect();
-                    let out = ring_slices(&mut part, ctx, p % n, min_par);
-                    unsafe { *(results_base as *mut (f64, usize)).add(p) = out };
-                });
-                let mut worst = 0.0f64;
-                let mut total_bytes = 0usize;
-                for (t, b) in results {
-                    worst = worst.max(t);
-                    total_bytes += b;
-                }
-                (worst, total_bytes)
-            }
-        }
-    };
-
+    let (elapsed, bytes) = walk(algo, ctx, len, E::BYTES, min_par != usize::MAX, |ranges| {
+        split_streams(views, ranges)
+            .into_iter()
+            .map(|bufs| Arith { bufs, min_par })
+            .collect()
+    });
     AllReduceTiming {
         start,
         end: start + elapsed,
@@ -283,79 +209,183 @@ fn allreduce_with<E: ReduceElem>(
     }
 }
 
-/// Gather-to-root + broadcast. Sequential on the root's links.
-fn naive<E: ReduceElem>(
-    bufs: &mut [&mut [E]],
-    ctx: &CollectiveContext,
+/// The data side of a collective step. The walks below own the step
+/// structure and the cost accounting; a `Payload` only moves the elements.
+pub(crate) trait Payload {
+    /// `dst[range] += src[range]` (device indices, element range).
+    fn reduce(&mut self, dst: usize, src: usize, range: Range<usize>);
+    /// `dst[range] = src[range]`.
+    fn copy(&mut self, dst: usize, src: usize, range: Range<usize>);
+}
+
+/// The real arithmetic, in place on one stream's per-device slices.
+struct Arith<'a, E> {
+    bufs: Vec<&'a mut [E]>,
     min_par: usize,
+}
+
+impl<E: ReduceElem> Payload for Arith<'_, E> {
+    fn reduce(&mut self, dst: usize, src: usize, range: Range<usize>) {
+        let (d, s) = chunk_pair(&mut self.bufs, dst, src, range);
+        par_add_assign_elem(d, s, self.min_par);
+    }
+
+    fn copy(&mut self, dst: usize, src: usize, range: Range<usize>) {
+        let (d, s) = chunk_pair(&mut self.bufs, dst, src, range);
+        par_copy_elem(s, d, self.min_par);
+    }
+}
+
+/// No buffers: the walk's accounting alone.
+pub(crate) struct CostOnly;
+
+impl Payload for CostOnly {
+    fn reduce(&mut self, _: usize, _: usize, _: Range<usize>) {}
+    fn copy(&mut self, _: usize, _: usize, _: Range<usize>) {}
+}
+
+/// Post-barrier `(elapsed, bytes_moved)` of `algo` over `len` elements of
+/// width `elem_bytes`, applying every step to the payloads `make` builds.
+///
+/// The element range is cut into *streams* — one covering everything, except
+/// for [`Algorithm::MultiStreamRing`], whose partitions each run their own
+/// ring starting at a different GPU. `make` receives the stream ranges and
+/// returns one payload per stream. Streams are element-disjoint, so with
+/// `pooled` they run as worker-pool tasks; durations overlap (max) and bytes
+/// add, combined in stream order, so the totals are deterministic. Without
+/// `pooled` the streams run one after another on the calling thread — same
+/// order, same disjoint ranges, so results and timing are bit-identical.
+pub(crate) fn walk<P: Payload + Send>(
+    algo: Algorithm,
+    ctx: &CollectiveContext,
+    len: usize,
+    elem_bytes: usize,
+    pooled: bool,
+    make: impl FnOnce(&[Range<usize>]) -> Vec<P>,
 ) -> (f64, usize) {
-    let n = bufs.len();
-    let len = bufs[0].len();
+    let n = ctx.n_devices();
+    if n < 2 {
+        return (0.0, 0);
+    }
+    let ranges = match algo {
+        Algorithm::MultiStreamRing { partitions } => {
+            split_ranges(len, partitions.clamp(1, len.max(1)))
+        }
+        _ => std::iter::once(0..len).collect(),
+    };
+    let mut streams: Vec<(P, (f64, usize))> =
+        make(&ranges).into_iter().map(|p| (p, (0.0, 0))).collect();
+    assert_eq!(streams.len(), ranges.len(), "one payload per stream");
+    let nstreams = streams.len();
+    // A lone stream stays on the calling thread so its per-chunk arithmetic
+    // can use the pool itself (pool tasks run nested work inline).
+    let min_serial = if pooled && nstreams > 1 {
+        0
+    } else {
+        usize::MAX
+    };
+    par_chunks_mut(&mut streams, nstreams, 1, min_serial, |first, chunk| {
+        for (i, (p, out)) in chunk.iter_mut().enumerate() {
+            let len = ranges[first + i].len();
+            *out = match algo {
+                Algorithm::Naive => naive(p, ctx, elem_bytes, len),
+                Algorithm::Tree => tree(p, ctx, elem_bytes, len),
+                Algorithm::HalvingDoubling if n.is_power_of_two() => {
+                    halving_doubling(p, ctx, elem_bytes, len)
+                }
+                Algorithm::Ring | Algorithm::HalvingDoubling => ring(p, ctx, elem_bytes, len, 0),
+                Algorithm::MultiStreamRing { .. } => ring(p, ctx, elem_bytes, len, (first + i) % n),
+            };
+        }
+    });
+    streams
+        .iter()
+        .fold((0.0f64, 0usize), |(t, b), (_, (st, sb))| {
+            (t.max(*st), b + sb)
+        })
+}
+
+/// Cuts every device's buffer at the stream boundaries: `out[s][d]` is
+/// device `d`'s slice of stream `s`. `ranges` must tile `0..len` in
+/// ascending order (what `split_ranges` and the single-stream `0..len`
+/// produce), which makes this a chain of `split_at_mut`s.
+fn split_streams<'a, E>(
+    views: &'a mut [&mut [E]],
+    ranges: &[Range<usize>],
+) -> Vec<Vec<&'a mut [E]>> {
+    let mut streams: Vec<Vec<&mut [E]>> = ranges
+        .iter()
+        .map(|_| Vec::with_capacity(views.len()))
+        .collect();
+    for view in views.iter_mut() {
+        let mut rest: &mut [E] = view;
+        for (stream, r) in streams.iter_mut().zip(ranges) {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            stream.push(head);
+            rest = tail;
+        }
+    }
+    streams
+}
+
+/// Gather-to-root + broadcast. Sequential on the root's links.
+fn naive<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) -> (f64, usize) {
+    let n = ctx.n_devices();
     let mut t = 0.0;
     let mut bytes = 0usize;
     for src in 1..n {
-        let (root_slice, src_slice) = chunk_pair(bufs, 0, src, 0..len, 0..len);
-        par_add_assign_elem(root_slice, src_slice, min_par);
-        t += ctx.p2p_time_sized(src, 0, len, E::BYTES) + ctx.reduce_time_sized(0, len, E::BYTES);
-        bytes += E::BYTES * len;
+        p.reduce(0, src, 0..len);
+        t += ctx.p2p_time_sized(src, 0, len, b) + ctx.reduce_time_sized(0, len, b);
+        bytes += b * len;
     }
-    let (root, rest) = bufs.split_first_mut().expect("n >= 1");
-    for (i, dst) in rest.iter_mut().enumerate() {
-        par_copy_elem(root, dst, min_par);
-        t += ctx.p2p_time_sized(0, i + 1, len, E::BYTES);
-        bytes += E::BYTES * len;
+    for dst in 1..n {
+        p.copy(dst, 0, 0..len);
+        t += ctx.p2p_time_sized(0, dst, len, b);
+        bytes += b * len;
     }
     (t, bytes)
 }
 
 /// Binomial tree reduce + broadcast, single stream, whole-model transfers.
-fn tree<E: ReduceElem>(
-    bufs: &mut [&mut [E]],
-    ctx: &CollectiveContext,
-    min_par: usize,
-) -> (f64, usize) {
-    let n = bufs.len();
-    let len = bufs[0].len();
-    let mut t = 0.0;
+fn tree<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) -> (f64, usize) {
+    let n = ctx.n_devices();
     let mut bytes = 0usize;
-    // Reduce up: stride doubling. Active pairs in a round are concurrent.
+    // One round at `stride`: the pairs `(i, i + stride)`, `i = 0, 2·stride, …`
+    // are concurrent. `up` reduces into `i`, otherwise `i` broadcasts.
+    let mut round = |stride: usize, up: bool| -> f64 {
+        let mut round_t = 0.0f64;
+        let mut i = 0;
+        while i + stride < n {
+            let cost = if up {
+                p.reduce(i, i + stride, 0..len);
+                ctx.p2p_time_sized(i + stride, i, len, b) + ctx.reduce_time_sized(i, len, b)
+            } else {
+                p.copy(i + stride, i, 0..len);
+                ctx.p2p_time_sized(i, i + stride, len, b)
+            };
+            round_t = round_t.max(cost);
+            bytes += b * len;
+            i += stride * 2;
+        }
+        round_t
+    };
+    let mut t = 0.0;
+    // Reduce up: stride doubling. Broadcast down: reverse the strides.
     let mut stride = 1;
     while stride < n {
-        let mut round = 0.0f64;
-        let mut i = 0;
-        while i + stride < n {
-            let (dst, src) = chunk_pair(bufs, i, i + stride, 0..len, 0..len);
-            par_add_assign_elem(dst, src, min_par);
-            round = round.max(
-                ctx.p2p_time_sized(i + stride, i, len, E::BYTES)
-                    + ctx.reduce_time_sized(i, len, E::BYTES),
-            );
-            bytes += E::BYTES * len;
-            i += stride * 2;
-        }
-        t += round;
+        t += round(stride, true);
         stride *= 2;
     }
-    // Broadcast down: reverse the strides.
     while stride >= 1 {
-        let mut round = 0.0f64;
-        let mut i = 0;
-        while i + stride < n {
-            let (dst, src) = chunk_pair(bufs, i + stride, i, 0..len, 0..len);
-            par_copy_elem(src, dst, min_par);
-            round = round.max(ctx.p2p_time_sized(i, i + stride, len, E::BYTES));
-            bytes += E::BYTES * len;
-            i += stride * 2;
-        }
-        t += round;
+        t += round(stride, false);
         stride /= 2;
     }
     (t, bytes)
 }
 
-/// Ring all-reduce over equal-length per-device slices, with the ring
-/// starting role rotated by `rotate` (used by the multi-stream variant so
-/// each partition's traffic starts at a different GPU).
+/// Ring all-reduce over `len` elements, with the ring starting role rotated
+/// by `rotate` (used by the multi-stream variant so each partition's
+/// traffic starts at a different GPU).
 ///
 /// Payloads are applied directly, without staging: in reduce-scatter step
 /// `s`, device `i+1` receives chunk `i - s` while only chunk `i + 1 - s` of
@@ -363,77 +393,55 @@ fn tree<E: ReduceElem>(
 /// chunks never coincide within a step, so in-place application is
 /// bit-identical to a simultaneous exchange. The all-gather phase overwrites
 /// chunk `i + 1 - s` while chunk `i + 2 - s` is read: again disjoint.
-///
-/// Returns `(elapsed, bytes_moved)`.
-fn ring_slices<E: ReduceElem>(
-    bufs: &mut [&mut [E]],
+fn ring<P: Payload>(
+    p: &mut P,
     ctx: &CollectiveContext,
+    b: usize,
+    len: usize,
     rotate: usize,
-    min_par: usize,
 ) -> (f64, usize) {
-    let n = bufs.len();
-    let len = bufs[0].len();
-    if len == 0 || n < 2 {
+    let n = ctx.n_devices();
+    if len == 0 {
         return (0.0, 0);
     }
-    // Chunk the slice into n near-equal pieces (some may be empty when
-    // len < n; timing then charges only the setup of non-empty sends).
-    let mut chunks: Vec<std::ops::Range<usize>> = split_ranges(len, n);
-    // `split_ranges` emits fewer ranges when len < n; pad with empty chunks
-    // so every logical chunk index is addressable.
-    while chunks.len() < n {
-        chunks.push(len..len);
-    }
-    let chunk_of = |logical: usize| chunks[logical % n].clone();
+    // Chunk the range into n near-equal pieces; `split_ranges` emits fewer
+    // when len < n, so pad with empty chunks to keep every logical chunk
+    // index addressable (timing charges only non-empty sends).
+    let mut chunks = split_ranges(len, n);
+    chunks.resize(n, len..len);
     // Physical device playing logical role `i`.
     let dev = |i: usize| (i + rotate) % n;
 
     let mut t = 0.0f64;
     let mut bytes = 0usize;
-
-    // Phase 1: reduce-scatter. Step s: logical device i sends chunk
-    // (i - s) mod n to logical device i+1, which accumulates.
-    for s in 0..n - 1 {
-        let mut step_t = 0.0f64;
-        for i in 0..n {
-            let c = chunk_of((i + n - s) % n);
-            if c.is_empty() {
-                continue;
+    // Reduce-scatter, then all-gather. In step `s` logical device `i` sends
+    // chunk `(i - s) mod n` to `i + 1`, which accumulates; after that phase
+    // logical `i` owns the complete chunk `(i + 1) mod n`, so the gather
+    // sends chunk `(i + 1 - s) mod n` and the receiver overwrites.
+    for gather in [false, true] {
+        for s in 0..n - 1 {
+            let mut step_t = 0.0f64;
+            for i in 0..n {
+                let c = chunks[(i + usize::from(gather) + n - s) % n].clone();
+                if c.is_empty() {
+                    continue;
+                }
+                let elems = c.len();
+                let (src, dst) = (dev(i), dev((i + 1) % n));
+                let cost = if gather {
+                    p.copy(dst, src, c);
+                    ctx.p2p_time_sized(src, dst, elems, b)
+                } else {
+                    p.reduce(dst, src, c);
+                    ctx.p2p_time_sized(src, dst, elems, b) + ctx.reduce_time_sized(dst, elems, b)
+                };
+                bytes += b * elems;
+                // All transfers of a step run on disjoint ring links: take max.
+                step_t = step_t.max(cost);
             }
-            let elems = c.len();
-            let (src, dst) = (dev(i), dev((i + 1) % n));
-            let (dst_chunk, src_chunk) = chunk_pair(bufs, dst, src, c.clone(), c);
-            par_add_assign_elem(dst_chunk, src_chunk, min_par);
-            bytes += E::BYTES * elems;
-            // All transfers of a step run on disjoint ring links: take max.
-            step_t = step_t.max(
-                ctx.p2p_time_sized(src, dst, elems, E::BYTES)
-                    + ctx.reduce_time_sized(dst, elems, E::BYTES),
-            );
+            t += step_t;
         }
-        t += step_t;
     }
-
-    // Phase 2: all-gather. After reduce-scatter, logical device i owns the
-    // complete chunk (i + 1) mod n. Step s: logical i sends chunk
-    // (i + 1 - s) mod n to i+1, which overwrites.
-    for s in 0..n - 1 {
-        let mut step_t = 0.0f64;
-        for i in 0..n {
-            let c = chunk_of((i + 1 + n - s) % n);
-            if c.is_empty() {
-                continue;
-            }
-            let elems = c.len();
-            let (src, dst) = (dev(i), dev((i + 1) % n));
-            let (dst_chunk, src_chunk) = chunk_pair(bufs, dst, src, c.clone(), c);
-            par_copy_elem(src_chunk, dst_chunk, min_par);
-            bytes += E::BYTES * elems;
-            step_t = step_t.max(ctx.p2p_time_sized(src, dst, elems, E::BYTES));
-        }
-        t += step_t;
-    }
-
     (t, bytes)
 }
 
@@ -444,20 +452,20 @@ fn ring_slices<E: ReduceElem>(
 /// complementary halves of its shared active range (halving), or its two
 /// disjoint owned ranges (doubling), so within a step no written region is
 /// ever read.
-fn halving_doubling<E: ReduceElem>(
-    bufs: &mut [&mut [E]],
+fn halving_doubling<P: Payload>(
+    p: &mut P,
     ctx: &CollectiveContext,
-    min_par: usize,
+    b: usize,
+    len: usize,
 ) -> (f64, usize) {
-    let n = bufs.len();
+    let n = ctx.n_devices();
     debug_assert!(n.is_power_of_two() && n >= 2);
-    let len = bufs[0].len();
     let mut t = 0.0f64;
     let mut bytes = 0usize;
 
     // Active range per device; pairs always share identical ranges because
     // pairing follows the bit pattern of already-processed rounds.
-    let mut ranges: Vec<std::ops::Range<usize>> = vec![0..len; n];
+    let mut ranges: Vec<Range<usize>> = vec![0..len; n];
 
     // Phase 1: recursive halving. Partner distance n/2, n/4, …, 1.
     let mut d = n / 2;
@@ -465,10 +473,10 @@ fn halving_doubling<E: ReduceElem>(
         let mut step_t = 0.0f64;
         let mut new_ranges = ranges.clone();
         for i in 0..n {
-            let p = i ^ d;
+            let partner = i ^ d;
             let r = ranges[i].clone();
             let mid = r.start + r.len() / 2;
-            let (keep, send) = if i < p {
+            let (keep, send) = if i < partner {
                 (r.start..mid, mid..r.end)
             } else {
                 (mid..r.end, r.start..mid)
@@ -478,13 +486,12 @@ fn halving_doubling<E: ReduceElem>(
                 continue;
             }
             let elems = send.len();
-            let (dst_chunk, src_chunk) = chunk_pair(bufs, p, i, send.clone(), send);
-            par_add_assign_elem(dst_chunk, src_chunk, min_par);
-            bytes += E::BYTES * elems;
+            p.reduce(partner, i, send);
+            bytes += b * elems;
             // The pair's two transfers share one link; serialize them.
             step_t = step_t.max(
-                2.0 * ctx.p2p_time_sized(i, p, elems, E::BYTES)
-                    + ctx.reduce_time_sized(p, elems, E::BYTES),
+                2.0 * ctx.p2p_time_sized(i, partner, elems, b)
+                    + ctx.reduce_time_sized(partner, elems, b),
             );
         }
         ranges = new_ranges;
@@ -498,17 +505,14 @@ fn halving_doubling<E: ReduceElem>(
         let mut step_t = 0.0f64;
         let mut new_ranges = ranges.clone();
         for (i, r) in ranges.iter().enumerate() {
-            let p = i ^ d;
-            let r = r.clone();
+            let partner = i ^ d;
             if !r.is_empty() {
-                let elems = r.len();
-                let (dst_chunk, src_chunk) = chunk_pair(bufs, p, i, r.clone(), r.clone());
-                par_copy_elem(src_chunk, dst_chunk, min_par);
-                bytes += E::BYTES * elems;
-                step_t = step_t.max(2.0 * ctx.p2p_time_sized(i, p, elems, E::BYTES));
+                p.copy(partner, i, r.clone());
+                bytes += b * r.len();
+                step_t = step_t.max(2.0 * ctx.p2p_time_sized(i, partner, r.len(), b));
             }
             // The destination now owns the union of the two ranges.
-            let own = &mut new_ranges[p];
+            let own = &mut new_ranges[partner];
             *own = own.start.min(r.start)..own.end.max(r.end);
         }
         ranges = new_ranges;
@@ -518,22 +522,21 @@ fn halving_doubling<E: ReduceElem>(
     (t, bytes)
 }
 
-/// Borrows chunk `dst_range` of buffer `dst` mutably and chunk `src_range`
-/// of buffer `src` immutably (`dst != src`).
-fn chunk_pair<'a, E: ReduceElem>(
+/// Borrows `range` of buffer `dst` mutably and of buffer `src` immutably
+/// (`dst != src`).
+fn chunk_pair<'a, E>(
     bufs: &'a mut [&mut [E]],
     dst: usize,
     src: usize,
-    dst_range: std::ops::Range<usize>,
-    src_range: std::ops::Range<usize>,
+    range: Range<usize>,
 ) -> (&'a mut [E], &'a [E]) {
     assert_ne!(dst, src);
     if dst < src {
         let (lo, hi) = bufs.split_at_mut(src);
-        (&mut lo[dst][dst_range], &hi[0][src_range])
+        (&mut lo[dst][range.clone()], &hi[0][range])
     } else {
         let (lo, hi) = bufs.split_at_mut(dst);
-        (&mut hi[0][dst_range], &lo[src][src_range])
+        (&mut hi[0][range.clone()], &lo[src][range])
     }
 }
 
@@ -547,8 +550,12 @@ mod tests {
     }
 
     fn ring_on_vecs(bufs: &mut [Vec<f32>], ctx: &CollectiveContext, rotate: usize) -> (f64, usize) {
-        let mut views: Vec<&mut [f32]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
-        ring_slices(&mut views, ctx, rotate, MIN_PAR_REDUCE)
+        let len = bufs[0].len();
+        let mut p = Arith {
+            bufs: bufs.iter_mut().map(|b| b.as_mut_slice()).collect(),
+            min_par: MIN_PAR_REDUCE,
+        };
+        ring(&mut p, ctx, 4, len, rotate)
     }
 
     #[test]
@@ -693,16 +700,18 @@ mod tests {
         // host-side execution strategy: same bits, same simulated timing.
         let n = 4;
         let len = MIN_PAR_REDUCE * 2 + 11;
-        let make = || -> Vec<Vec<f32>> {
+        let make = || -> Vec<FlatVec> {
             let mut state = 0xDEAD_BEEF_u64;
             (0..n)
                 .map(|_| {
-                    (0..len)
-                        .map(|_| {
-                            state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
-                            ((state >> 33) as f32 / u32::MAX as f32) * 2.0 - 1.0
-                        })
-                        .collect()
+                    FlatVec::F32(
+                        (0..len)
+                            .map(|_| {
+                                state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
+                                ((state >> 33) as f32 / u32::MAX as f32) * 2.0 - 1.0
+                            })
+                            .collect(),
+                    )
                 })
                 .collect()
         };
@@ -717,11 +726,15 @@ mod tests {
         ] {
             let mut pooled = make();
             let mut serial = make();
-            let tp = allreduce(&mut pooled, &weights, algo, &ctx(n), &arrivals);
-            let ts = allreduce_serial(&mut serial, &weights, algo, &ctx(n), &arrivals);
+            let tp = allreduce_flat(&mut pooled, &weights, algo, &ctx(n), &arrivals);
+            let ts = allreduce_flat_serial(&mut serial, &weights, algo, &ctx(n), &arrivals);
+            let bits = |b: &FlatVec| -> Vec<u32> {
+                (0..b.len()).map(|i| b.get_f32(i).to_bits()).collect()
+            };
             for (a, b) in pooled.iter().zip(&serial) {
-                assert!(
-                    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                assert_eq!(
+                    bits(a),
+                    bits(b),
                     "{algo:?}: serial fallback changed result bits"
                 );
             }

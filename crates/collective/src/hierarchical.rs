@@ -116,48 +116,42 @@ pub(crate) fn server_groups(ctx: &CollectiveContext) -> Vec<Vec<usize>> {
     groups.into_iter().map(|(_, members)| members).collect()
 }
 
-/// Replaces the flat collective's post-barrier schedule with the two-level
-/// one. `flat.start` (barrier after pre-scale) is kept: arrival semantics do
-/// not change with the merge topology.
-fn hierarchical_timing(
-    buffers: &[FlatVec],
+/// Phases 1–2 of the two-level schedule, shared by the dense merge (every
+/// length is the model length) and the sparse merge (union lengths):
+///
+/// 1. every server reduces to its lead with `intra` at `server_len(g)`
+///    elements — servers are concurrent, the slowest bounds the phase;
+/// 2. the `S` leads reduce across the fabric with `inter` at `inter_len`
+///    elements, moving `2(S−1)·inter_len·B` bytes.
+///
+/// Returns `(intra seconds, inter seconds, bytes of both)`; the durations
+/// stay separate because the sparse schedule slots its id exchanges between
+/// them and floating-point sums must keep their order.
+pub(crate) fn reduce_phases(
+    ctx: &CollectiveContext,
+    groups: &[Vec<usize>],
     intra: Algorithm,
     inter: InterNode,
-    ctx: &CollectiveContext,
-    flat: AllReduceTiming,
-) -> AllReduceTiming {
-    let n = ctx.n_devices();
-    let len = buffers[0].len();
-    let elem_bytes = match &buffers[0] {
-        FlatVec::F32(_) => 4,
-        FlatVec::Bf16(_) => 2,
-    };
-    let groups = server_groups(ctx);
-    let servers = groups.len();
-    if n <= 1 || servers <= 1 || len == 0 {
-        // One device, one server, or nothing to move: the flat schedule IS
-        // the hierarchical one.
-        return flat;
-    }
-
+    elem_bytes: usize,
+    server_len: impl Fn(usize) -> usize,
+    inter_len: usize,
+) -> (f64, f64, usize) {
     let red_max = |members: &[usize], elems: usize| -> f64 {
         members
             .iter()
             .map(|&d| ctx.reduce_time_sized(d, elems, elem_bytes))
             .fold(0.0f64, f64::max)
     };
-
-    let mut elapsed = 0.0f64;
     let mut bytes = 0usize;
 
-    // Phase 1: intra-node reduce-to-lead, all servers concurrent.
-    let mut phase1 = 0.0f64;
-    for members in &groups {
+    let mut intra_t = 0.0f64;
+    for (g, members) in groups.iter().enumerate() {
         let m = members.len();
         if m < 2 {
             continue;
         }
         let lead = members[0];
+        let len = server_len(g);
         let p2p = |elems: usize| ctx.p2p_time_sized(members[0], members[1], elems, elem_bytes);
         let (t, b) = match intra {
             Algorithm::Naive => (
@@ -183,45 +177,75 @@ fn hierarchical_timing(
                 )
             }
         };
-        phase1 = phase1.max(t);
+        intra_t = intra_t.max(t);
         bytes += b;
     }
-    elapsed += phase1;
 
-    // Phase 2: inter-node reduction over the leads.
+    let servers = groups.len();
     let leads: Vec<usize> = groups.iter().map(|g| g[0]).collect();
-    let phase2 = match inter {
+    let inter_t = match inter {
         InterNode::Ring => {
-            let c = len.div_ceil(servers);
+            let c = inter_len.div_ceil(servers);
             (servers - 1) as f64 * (ctx.inter_time(c * elem_bytes) + red_max(&leads, c))
                 + (servers - 1) as f64 * ctx.inter_time(c * elem_bytes)
         }
         InterNode::Tree => {
             let rounds = ceil_log2(servers) as f64;
-            rounds * (ctx.inter_time(len * elem_bytes) + red_max(&leads, len))
-                + rounds * ctx.inter_time(len * elem_bytes)
+            rounds * (ctx.inter_time(inter_len * elem_bytes) + red_max(&leads, inter_len))
+                + rounds * ctx.inter_time(inter_len * elem_bytes)
         }
     };
-    elapsed += phase2;
-    bytes += 2 * (servers - 1) * len * elem_bytes;
+    bytes += 2 * (servers - 1) * inter_len * elem_bytes;
+    (intra_t, inter_t, bytes)
+}
 
-    // Phase 3: intra-node broadcast from each lead, all servers concurrent.
-    let mut phase3 = 0.0f64;
-    for members in &groups {
+/// Phase 3: every lead broadcasts inside its server in `⌈log₂M⌉` binomial
+/// rounds of `hop(from, to)` seconds (servers concurrent), each non-lead
+/// member receiving `member_bytes`. Returns `(seconds, bytes)`.
+pub(crate) fn broadcast_phase(
+    groups: &[Vec<usize>],
+    hop: impl Fn(usize, usize) -> f64,
+    member_bytes: usize,
+) -> (f64, usize) {
+    let mut t = 0.0f64;
+    let mut bytes = 0usize;
+    for members in groups.iter().filter(|g| g.len() >= 2) {
         let m = members.len();
-        if m < 2 {
-            continue;
-        }
-        let p2p = ctx.p2p_time_sized(members[0], members[1], len, elem_bytes);
-        phase3 = phase3.max(ceil_log2(m) as f64 * p2p);
-        bytes += (m - 1) * len * elem_bytes;
+        t = t.max(ceil_log2(m) as f64 * hop(members[0], members[1]));
+        bytes += (m - 1) * member_bytes;
     }
-    elapsed += phase3;
+    (t, bytes)
+}
 
+/// Replaces the flat collective's post-barrier schedule with the two-level
+/// one. `flat.start` (barrier after pre-scale) is kept: arrival semantics do
+/// not change with the merge topology.
+fn hierarchical_timing(
+    buffers: &[FlatVec],
+    intra: Algorithm,
+    inter: InterNode,
+    ctx: &CollectiveContext,
+    flat: AllReduceTiming,
+) -> AllReduceTiming {
+    let len = buffers[0].len();
+    let b = buffers[0].precision().bytes();
+    let groups = server_groups(ctx);
+    if ctx.n_devices() <= 1 || groups.len() <= 1 || len == 0 {
+        // One device, one server, or nothing to move: the flat schedule IS
+        // the hierarchical one.
+        return flat;
+    }
+    let (intra_t, inter_t, reduce_bytes) =
+        reduce_phases(ctx, &groups, intra, inter, b, |_| len, len);
+    let (bcast_t, bcast_bytes) = broadcast_phase(
+        &groups,
+        |from, to| ctx.p2p_time_sized(from, to, len, b),
+        len * b,
+    );
     AllReduceTiming {
         start: flat.start,
-        end: flat.start + elapsed,
-        bytes_moved: bytes,
+        end: flat.start + (intra_t + inter_t + bcast_t),
+        bytes_moved: reduce_bytes + bcast_bytes,
     }
 }
 

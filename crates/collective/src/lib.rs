@@ -41,9 +41,7 @@ pub mod hierarchical;
 pub mod sparse;
 pub mod timing;
 
-pub use algorithms::{
-    allreduce, allreduce_flat, allreduce_flat_serial, allreduce_serial, Algorithm,
-};
+pub use algorithms::{allreduce, allreduce_flat, allreduce_flat_serial, Algorithm};
 pub use hierarchical::{
     hierarchical_allreduce_flat, hierarchical_allreduce_flat_serial, InterNode,
 };

@@ -35,27 +35,30 @@
 //!    pre-scale barrier).
 //! 2. **Row-id all-gather** (ring): every id list makes `n−1` hops of
 //!    `4·|rows|` bytes; step time is the slowest link of the step.
-//! 3. **Union reduce**: the dense collective's post-barrier schedule
-//!    ([`dense_schedule`], an exact timing mirror of the algorithms in
-//!    [`crate::algorithms`]) at length `Uₑ` instead of the model length.
+//! 3. **Union reduce**: the dense collective's post-barrier schedule at
+//!    length `Uₑ` instead of the model length — [`dense_schedule`], which is
+//!    the algorithm's own step walk in [`crate::algorithms`] run without
+//!    buffers, so the price quoted here and the bill the real collective
+//!    presents come from the same loops.
 //! 4. **Scatter-back**: each device writes the reduced union into its
 //!    model copy — `2·B·Uₑ` bytes of local traffic, devices concurrent.
 //!
-//! The hierarchical variant replaces 2–3 with per-server phases (id
+//! The hierarchical variant replaces 2–3 with per-server phases: id
 //! gather-to-lead, per-server-union reduce-to-lead, inter-node id + value
-//! exchange over the leads at the global union, intra broadcast), mirroring
-//! the two-level cost model of [`crate::hierarchical`].
+//! exchange over the leads at the global union, intra broadcast. The value
+//! phases are [`crate::hierarchical`]'s own (`reduce_phases`,
+//! `broadcast_phase`), called here with union lengths where the dense merge
+//! passes the model length; only the id exchanges are local to this module.
 //!
 //! When the union grows dense (above [`SparseMergePlan::max_density`]) the
 //! id exchange and per-row bookkeeping would cost more than they save, so
 //! the planner *falls back* to the dense schedule — again timing-only: the
 //! arithmetic was dense all along.
 
-use crate::algorithms::Algorithm;
-use crate::hierarchical::{ceil_log2, server_groups, InterNode};
+use crate::algorithms::{walk, Algorithm, CostOnly};
+use crate::hierarchical::{broadcast_phase, reduce_phases, server_groups, InterNode};
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
-use asgd_tensor::parallel::split_ranges;
 use asgd_tensor::FlatVec;
 
 /// Default union-density threshold above which the sparse schedule falls
@@ -332,13 +335,6 @@ pub fn sparse_merge_timing(
     let hierarchical = plan.inter.is_some() && ctx.is_cluster() && groups.len() > 1;
     if hierarchical {
         let inter = plan.inter.expect("hierarchical implies inter shape");
-        let servers = groups.len();
-        let red_max = |members: &[usize], elems: usize| -> f64 {
-            members
-                .iter()
-                .map(|&d| ctx.reduce_time_sized(d, elems, b))
-                .fold(0.0f64, f64::max)
-        };
 
         // Per-server unions: what each lead holds after the intra phase.
         let server_unions: Vec<Vec<u32>> = groups
@@ -348,6 +344,19 @@ pub fn sparse_merge_timing(
                 union_rows(&member_sets)
             })
             .collect();
+        // The two-level value phases of `hierarchical`, evaluated at the
+        // union delta sizes instead of the model size: reduce-to-lead at
+        // each server's union, inter-lead reduce at the global union.
+        let (intra_t, inter_t, value_bytes) = reduce_phases(
+            ctx,
+            &groups,
+            plan.algo,
+            inter,
+            b,
+            |g| layout.delta_elems(&server_unions[g]),
+            union_elems,
+        );
+        bytes += value_bytes;
 
         // Phase 1a — intra id gather-to-lead (servers concurrent, the
         // lead's link serializes its members).
@@ -367,46 +376,8 @@ pub fn sparse_merge_timing(
         }
         elapsed += phase;
 
-        // Phase 1b — intra value reduce-to-lead at each server's union
-        // length (the two-level cost model of `hierarchical`, evaluated at
-        // the union delta size instead of the model size).
-        let mut phase = 0.0f64;
-        for (g, members) in groups.iter().enumerate() {
-            let m = members.len();
-            if m < 2 {
-                continue;
-            }
-            let lead = members[0];
-            let len = layout.delta_elems(&server_unions[g]);
-            let p2p = |elems: usize| ctx.p2p_time_sized(members[0], members[1], elems, b);
-            let (t, by) = match plan.algo {
-                Algorithm::Naive => (
-                    members
-                        .iter()
-                        .skip(1)
-                        .map(|&d| {
-                            ctx.p2p_time_sized(d, lead, len, b)
-                                + ctx.reduce_time_sized(lead, len, b)
-                        })
-                        .sum::<f64>(),
-                    (m - 1) * len * b,
-                ),
-                Algorithm::Tree | Algorithm::HalvingDoubling => (
-                    ceil_log2(m) as f64 * (p2p(len) + red_max(members, len)),
-                    (m - 1) * len * b,
-                ),
-                Algorithm::Ring | Algorithm::MultiStreamRing { .. } => {
-                    let c = len.div_ceil(m);
-                    (
-                        (m - 1) as f64 * (p2p(c) + red_max(members, c)) + (m - 1) as f64 * p2p(c),
-                        (m - 1) * m * c * b + (m - 1) * c * b,
-                    )
-                }
-            };
-            phase = phase.max(t);
-            bytes += by;
-        }
-        elapsed += phase;
+        // Phase 1b — intra value reduce-to-lead.
+        elapsed += intra_t;
 
         // Phase 2a — inter id ring all-gather over the leads (per-server
         // union id lists).
@@ -416,36 +387,20 @@ pub fn sparse_merge_timing(
         elapsed += t;
         bytes += by;
 
-        // Phase 2b — inter value reduce over the leads at the global union.
-        let phase = match inter {
-            InterNode::Ring => {
-                let c = union_elems.div_ceil(servers);
-                (servers - 1) as f64 * (ctx.inter_time(c * b) + red_max(&leads, c))
-                    + (servers - 1) as f64 * ctx.inter_time(c * b)
-            }
-            InterNode::Tree => {
-                let rounds = ceil_log2(servers) as f64;
-                rounds * (ctx.inter_time(union_elems * b) + red_max(&leads, union_elems))
-                    + rounds * ctx.inter_time(union_elems * b)
-            }
-        };
-        elapsed += phase;
-        bytes += 2 * (servers - 1) * union_elems * b;
+        // Phase 2b — inter value reduce over the leads.
+        elapsed += inter_t;
 
-        // Phase 3 — intra broadcast of the union ids + values (servers
-        // concurrent, binomial rounds).
-        let mut phase = 0.0f64;
-        for members in &groups {
-            let m = members.len();
-            if m < 2 {
-                continue;
-            }
-            let hop = ctx.p2p_time_sized(members[0], members[1], union_elems, b)
-                + ctx.p2p_time_sized(members[0], members[1], union.len(), 4);
-            phase = phase.max(ceil_log2(m) as f64 * hop);
-            bytes += (m - 1) * (union_elems * b + union.len() * 4);
-        }
-        elapsed += phase;
+        // Phase 3 — intra broadcast of the union ids + values.
+        let (t, by) = broadcast_phase(
+            &groups,
+            |from, to| {
+                ctx.p2p_time_sized(from, to, union_elems, b)
+                    + ctx.p2p_time_sized(from, to, union.len(), 4)
+            },
+            union_elems * b + union.len() * 4,
+        );
+        elapsed += t;
+        bytes += by;
     } else {
         // Flat: id all-gather, then the dense algorithm's own schedule at
         // the union length.
@@ -508,219 +463,27 @@ fn id_allgather_ring(ctx: &CollectiveContext, devs: &[usize], counts: &[usize]) 
 }
 
 /// Post-barrier `(elapsed, bytes)` of the dense collective at an arbitrary
-/// length — a pure *timing mirror* of [`crate::algorithms`]: every loop
-/// below reproduces, step by step and in the same floating-point order, the
-/// accounting the real algorithm performs alongside its arithmetic, so
-/// `dense_schedule(algo, ctx, len, B)` equals the real collective's
-/// `(duration − barrier, bytes_moved)` **exactly** (pinned by tests below).
-/// The sparse path uses it to price the union reduce without materializing
-/// union-length buffers.
+/// length: the algorithm's own step walk ([`crate::algorithms`]) run with no
+/// buffers, so it equals the real collective's
+/// `(duration − barrier, bytes_moved)` **exactly** — the accounting is the
+/// same code, not a copy of it. The sparse path uses it to price the union
+/// reduce without materializing union-length buffers.
 pub fn dense_schedule(
     algo: Algorithm,
     ctx: &CollectiveContext,
     len: usize,
     elem_bytes: usize,
 ) -> (f64, usize) {
-    let n = ctx.n_devices();
-    if n < 2 {
-        return (0.0, 0);
-    }
-    match algo {
-        Algorithm::Naive => naive_schedule(ctx, len, elem_bytes),
-        Algorithm::Tree => tree_schedule(ctx, len, elem_bytes),
-        Algorithm::Ring => ring_schedule(ctx, len, elem_bytes, 0),
-        Algorithm::HalvingDoubling => {
-            if n.is_power_of_two() {
-                hd_schedule(ctx, len, elem_bytes)
-            } else {
-                ring_schedule(ctx, len, elem_bytes, 0)
-            }
-        }
-        Algorithm::MultiStreamRing { partitions } => {
-            let partitions = partitions.clamp(1, len.max(1));
-            let ranges = split_ranges(len, partitions);
-            let mut worst = 0.0f64;
-            let mut total_bytes = 0usize;
-            for (p, r) in ranges.iter().enumerate() {
-                let (t, b) = ring_schedule(ctx, r.len(), elem_bytes, p % n);
-                worst = worst.max(t);
-                total_bytes += b;
-            }
-            (worst, total_bytes)
-        }
-    }
-}
-
-/// Timing mirror of `algorithms::naive`.
-fn naive_schedule(ctx: &CollectiveContext, len: usize, elem_bytes: usize) -> (f64, usize) {
-    let n = ctx.n_devices();
-    let mut t = 0.0;
-    let mut bytes = 0usize;
-    for src in 1..n {
-        t +=
-            ctx.p2p_time_sized(src, 0, len, elem_bytes) + ctx.reduce_time_sized(0, len, elem_bytes);
-        bytes += elem_bytes * len;
-    }
-    for dst in 1..n {
-        t += ctx.p2p_time_sized(0, dst, len, elem_bytes);
-        bytes += elem_bytes * len;
-    }
-    (t, bytes)
-}
-
-/// Timing mirror of `algorithms::tree`.
-fn tree_schedule(ctx: &CollectiveContext, len: usize, elem_bytes: usize) -> (f64, usize) {
-    let n = ctx.n_devices();
-    let mut t = 0.0;
-    let mut bytes = 0usize;
-    let mut stride = 1;
-    while stride < n {
-        let mut round = 0.0f64;
-        let mut i = 0;
-        while i + stride < n {
-            round = round.max(
-                ctx.p2p_time_sized(i + stride, i, len, elem_bytes)
-                    + ctx.reduce_time_sized(i, len, elem_bytes),
-            );
-            bytes += elem_bytes * len;
-            i += stride * 2;
-        }
-        t += round;
-        stride *= 2;
-    }
-    while stride >= 1 {
-        let mut round = 0.0f64;
-        let mut i = 0;
-        while i + stride < n {
-            round = round.max(ctx.p2p_time_sized(i, i + stride, len, elem_bytes));
-            bytes += elem_bytes * len;
-            i += stride * 2;
-        }
-        t += round;
-        stride /= 2;
-    }
-    (t, bytes)
-}
-
-/// Timing mirror of `algorithms::ring_slices` (including the empty-chunk
-/// padding when `len < n`).
-fn ring_schedule(
-    ctx: &CollectiveContext,
-    len: usize,
-    elem_bytes: usize,
-    rotate: usize,
-) -> (f64, usize) {
-    let n = ctx.n_devices();
-    if len == 0 || n < 2 {
-        return (0.0, 0);
-    }
-    let mut chunks: Vec<std::ops::Range<usize>> = split_ranges(len, n);
-    while chunks.len() < n {
-        chunks.push(len..len);
-    }
-    let chunk_of = |logical: usize| chunks[logical % n].clone();
-    let dev = |i: usize| (i + rotate) % n;
-
-    let mut t = 0.0f64;
-    let mut bytes = 0usize;
-    for s in 0..n - 1 {
-        let mut step_t = 0.0f64;
-        for i in 0..n {
-            let c = chunk_of((i + n - s) % n);
-            if c.is_empty() {
-                continue;
-            }
-            let elems = c.len();
-            let (src, dst) = (dev(i), dev((i + 1) % n));
-            bytes += elem_bytes * elems;
-            step_t = step_t.max(
-                ctx.p2p_time_sized(src, dst, elems, elem_bytes)
-                    + ctx.reduce_time_sized(dst, elems, elem_bytes),
-            );
-        }
-        t += step_t;
-    }
-    for s in 0..n - 1 {
-        let mut step_t = 0.0f64;
-        for i in 0..n {
-            let c = chunk_of((i + 1 + n - s) % n);
-            if c.is_empty() {
-                continue;
-            }
-            let elems = c.len();
-            let (src, dst) = (dev(i), dev((i + 1) % n));
-            bytes += elem_bytes * elems;
-            step_t = step_t.max(ctx.p2p_time_sized(src, dst, elems, elem_bytes));
-        }
-        t += step_t;
-    }
-    (t, bytes)
-}
-
-/// Timing mirror of `algorithms::halving_doubling` (power-of-two n only;
-/// the caller routes other sizes to the ring, as the real code does).
-fn hd_schedule(ctx: &CollectiveContext, len: usize, elem_bytes: usize) -> (f64, usize) {
-    let n = ctx.n_devices();
-    debug_assert!(n.is_power_of_two() && n >= 2);
-    let mut t = 0.0f64;
-    let mut bytes = 0usize;
-    let mut ranges: Vec<std::ops::Range<usize>> = vec![0..len; n];
-
-    let mut d = n / 2;
-    while d >= 1 {
-        let mut step_t = 0.0f64;
-        let mut new_ranges = ranges.clone();
-        for i in 0..n {
-            let p = i ^ d;
-            let r = ranges[i].clone();
-            let mid = r.start + r.len() / 2;
-            let (keep, send) = if i < p {
-                (r.start..mid, mid..r.end)
-            } else {
-                (mid..r.end, r.start..mid)
-            };
-            new_ranges[i] = keep;
-            if send.is_empty() {
-                continue;
-            }
-            let elems = send.len();
-            bytes += elem_bytes * elems;
-            step_t = step_t.max(
-                2.0 * ctx.p2p_time_sized(i, p, elems, elem_bytes)
-                    + ctx.reduce_time_sized(p, elems, elem_bytes),
-            );
-        }
-        ranges = new_ranges;
-        t += step_t;
-        d /= 2;
-    }
-
-    let mut d = 1;
-    while d < n {
-        let mut step_t = 0.0f64;
-        let mut new_ranges = ranges.clone();
-        for (i, r) in ranges.iter().enumerate() {
-            let p = i ^ d;
-            let r = r.clone();
-            if !r.is_empty() {
-                let elems = r.len();
-                bytes += elem_bytes * elems;
-                step_t = step_t.max(2.0 * ctx.p2p_time_sized(i, p, elems, elem_bytes));
-            }
-            let own = &mut new_ranges[p];
-            *own = own.start.min(r.start)..own.end.max(r.end);
-        }
-        ranges = new_ranges;
-        t += step_t;
-        d *= 2;
-    }
-    (t, bytes)
+    walk(algo, ctx, len, elem_bytes, false, |streams| {
+        streams.iter().map(|_| CostOnly).collect()
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::allreduce_flat;
+    use crate::hierarchical::hierarchical_allreduce_flat;
     use asgd_gpusim::{profile, ClusterTopology, Topology};
 
     fn layout() -> SparseLayout {
@@ -811,52 +574,76 @@ mod tests {
         assert_eq!(union_rows(&[&[], &[]]), Vec::<u32>::new());
     }
 
-    /// The heart of the cost model: `dense_schedule` must equal the real
-    /// collective's post-barrier accounting exactly — duration AND bytes —
-    /// for every algorithm, heterogeneous profiles and both precisions.
+    /// With every row dirty on every replica the union delta *is* the model
+    /// (`delta_elems(all rows) == param_len`), so the sparse schedule's value
+    /// traffic must equal the dense collective's byte for byte — flat (the
+    /// shared walk at the union length) and two-level (the shared
+    /// `reduce_phases` / `broadcast_phase` at the union lengths) alike. What
+    /// is left over is exactly the id exchange.
     #[test]
-    fn dense_schedule_is_an_exact_timing_mirror() {
-        for n in [2usize, 3, 4, 6] {
+    fn full_union_value_bytes_equal_the_dense_collective() {
+        let l = layout();
+        let all_rows: Vec<u32> = (0..l.num_rows() as u32).collect();
+        assert_eq!(l.delta_elems(&all_rows), l.param_len());
+        let ids = all_rows.len();
+        for (servers, m, inter) in [
+            (1usize, 4usize, None),
+            (1, 7, None),
+            (2, 2, Some(InterNode::Ring)),
+            (4, 4, Some(InterNode::Ring)),
+            (4, 4, Some(InterNode::Tree)),
+        ] {
+            let n = servers * m;
             let profiles = profile::heterogeneous_server(n);
-            let ctx = CollectiveContext::new(Topology::pcie(n), &profiles);
-            for len in [1usize, 3, n, 257, 1 << 12] {
-                for bf16 in [false, true] {
-                    for algo in [
-                        Algorithm::Naive,
-                        Algorithm::Tree,
-                        Algorithm::Ring,
-                        Algorithm::HalvingDoubling,
-                        Algorithm::MultiStreamRing { partitions: n },
-                    ] {
-                        let mut bufs: Vec<FlatVec> = (0..n)
-                            .map(|d| random_flat(len, d as u64 + 5, bf16))
-                            .collect();
-                        let weights: Vec<f64> = (0..n).map(|i| 1.0 / (i + 2) as f64).collect();
-                        let arrivals: Vec<SimTime> =
-                            (0..n).map(|d| SimTime(d as f64 * 3e-4)).collect();
-                        let real = allreduce_flat(&mut bufs, &weights, algo, &ctx, &arrivals);
-                        let b = if bf16 { 2 } else { 4 };
-                        // Reproduce the barrier with the same formula.
-                        let mut start = SimTime::ZERO;
-                        for (d, &arrival) in arrivals.iter().enumerate() {
-                            let p = &ctx.profiles()[d];
-                            let scale_t = (2 * b) as f64 * len as f64
-                                / (p.mem_bandwidth_gbs * 1e9)
-                                / p.speed_factor;
-                            start = start.max(arrival + scale_t);
-                        }
-                        let (elapsed, bytes) = dense_schedule(algo, &ctx, len, b);
-                        assert_eq!(real.start, start, "{algo:?} n={n} len={len}: barrier");
-                        assert_eq!(
-                            real.end,
-                            start + elapsed,
-                            "{algo:?} n={n} len={len} bf16={bf16}: end"
-                        );
-                        assert_eq!(
-                            real.bytes_moved, bytes,
-                            "{algo:?} n={n} len={len} bf16={bf16}: bytes"
-                        );
-                    }
+            let ctx = match inter {
+                None => CollectiveContext::new(Topology::pcie(n), &profiles),
+                Some(_) => {
+                    CollectiveContext::cluster(&ClusterTopology::ethernet(servers, m), &profiles)
+                }
+            };
+            // Every id list holds all `ids` row ids. Flat: each of the n
+            // lists makes n−1 ring hops. Two-level: m−1 members hand theirs
+            // to the lead, the S lead lists make S−1 hops, and the broadcast
+            // carries the union ids to the m−1 non-leads of every server.
+            let id_hops = match inter {
+                None => n * (n - 1),
+                Some(_) => 2 * servers * (m - 1) + servers * (servers - 1),
+            };
+            let row_sets = vec![all_rows.clone(); n];
+            let weights = vec![1.0 / n as f64; n];
+            let arrivals = vec![SimTime::ZERO; n];
+            for bf16 in [false, true] {
+                for algo in [
+                    Algorithm::Naive,
+                    Algorithm::Tree,
+                    Algorithm::Ring,
+                    Algorithm::HalvingDoubling,
+                    Algorithm::MultiStreamRing { partitions: n },
+                ] {
+                    let mut bufs: Vec<FlatVec> = (0..n)
+                        .map(|d| random_flat(l.param_len(), d as u64 + 5, bf16))
+                        .collect();
+                    let dense = match inter {
+                        None => allreduce_flat(&mut bufs, &weights, algo, &ctx, &arrivals),
+                        Some(i) => hierarchical_allreduce_flat(
+                            &mut bufs, &weights, algo, i, &ctx, &arrivals,
+                        ),
+                    };
+                    let plan = SparseMergePlan {
+                        algo,
+                        inter,
+                        elem_bytes: if bf16 { 2 } else { 4 },
+                        max_density: 1.0,
+                    };
+                    let s =
+                        sparse_merge_timing(&l, &refs(&row_sets), &plan, &ctx, &arrivals, dense);
+                    assert!(!s.fell_back);
+                    assert_eq!(s.union_elems, l.param_len());
+                    assert_eq!(
+                        s.timing.bytes_moved - 4 * ids * id_hops,
+                        dense.bytes_moved,
+                        "{algo:?} {servers}x{m} {inter:?} bf16={bf16}"
+                    );
                 }
             }
         }
@@ -1094,8 +881,9 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `dense_schedule` is an exact mirror over random shapes, lengths,
-        /// algorithms, precisions and arrival skews.
+        /// The one pin that the buffer-less walk (`dense_schedule`) and the
+        /// arithmetic walk report the same `(elapsed, bytes)` — over random
+        /// shapes, lengths, algorithms, precisions and arrival skews.
         #[test]
         fn schedule_mirror_is_exact(
             n in 2usize..7,

@@ -17,29 +17,22 @@
 //! * **Device loss** — the replica's un-merged batches are re-dispatched to
 //!   survivors (no sample lost, none double-counted), the dead replica is
 //!   evicted from Algorithm 2 merging with `α_i` renormalized over the
-//!   survivors, and batch-size scaling re-targets the surviving set.
+//!   survivors, and batch-size scaling re-targets the surviving set. The
+//!   merge stage itself is not forked: `SchedulerState::merge` runs over
+//!   the live set, and a loss only shrinks that set.
 //! * **Merge OOM** — the pooled reduction's scratch allocation fails and the
 //!   merge falls back to the serial (non-pooled) all-reduce, which is
 //!   bit-identical in results and simulated timing.
 
 use super::messages::ToManager;
-use super::{copy_to_global, MergeRule, SchedulerState};
-use crate::hyper::GpuHyper;
-use crate::merging::{
-    apply_global_update_flat, compute_merge_weights, redistribute_global, MergeDecision,
-    MergeParams,
-};
-use asgd_collective::AllReduceTiming;
+use super::SchedulerState;
 use asgd_collective::{
     allreduce_flat, allreduce_flat_serial, hierarchical_allreduce_flat,
-    hierarchical_allreduce_flat_serial, Algorithm, CollectiveContext, InterNode,
+    hierarchical_allreduce_flat_serial, AllReduceTiming, CollectiveContext, InterNode,
 };
-use asgd_gpusim::memory::MemoryTracker;
-use asgd_gpusim::{DeviceId, DeviceProfile, FaultKind, FaultPlan, SimTime, Topology};
+use asgd_gpusim::{FaultKind, SimTime};
 use asgd_tensor::FlatVec;
-use std::sync::mpsc::{Receiver, Sender};
-
-use super::messages::FromManager;
+use std::sync::mpsc::Sender;
 
 /// One fault the scheduler actually applied (the plan's events resolved to
 /// concrete sim times and reactions). The log is deterministic for a fixed
@@ -214,68 +207,66 @@ impl ChaosStats {
     }
 }
 
-/// Runs the all-reduce through the merge memory tracker: the pooled path
-/// needs a scratch allocation; when it fails (an OOM fault hogged the
-/// capacity) the merge degrades to [`allreduce_serial`] instead of aborting.
-/// Free function over disjoint scheduler fields so callers can split borrows.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn reduce_with_oom_fallback(
-    memory: &mut MemoryTracker,
-    chaos: &mut ChaosStats,
-    plan: Option<&FaultPlan>,
-    algo: Algorithm,
-    inter: Option<InterNode>,
-    bufs: &mut [FlatVec],
-    weights: &[f64],
-    ctx: &CollectiveContext,
-    arrivals: &[SimTime],
-    mega: usize,
-) -> AllReduceTiming {
-    // Scratch at the buffers' storage width: bf16 merges request half the
-    // bytes of f32 ones, so an identically-sized tracker OOMs later.
-    let scratch_bytes = (bufs.len() * bufs[0].byte_len()) as u64;
-    // A scheduled MergeOom manifests as a co-tenant burst eating the whole
-    // remaining capacity, so the pooled scratch request below genuinely
-    // fails through the memory tracker.
-    let hog = plan.filter(|p| p.merge_oom_at(mega)).map(|_| {
-        memory
-            .alloc("chaos-oom-cotenant", memory.available())
-            .expect("hogging the available bytes cannot fail")
-    });
-    // Cluster runs reduce through the hierarchical schedule; bits are
-    // identical to the flat path either way (the reduction contract), only
-    // the simulated timing differs.
-    let timing = match memory.alloc("merge-pool-scratch", scratch_bytes) {
-        Ok(scratch) => {
-            let t = match inter {
-                Some(i) => hierarchical_allreduce_flat(bufs, weights, algo, i, ctx, arrivals),
-                None => allreduce_flat(bufs, weights, algo, ctx, arrivals),
-            };
-            memory.free(scratch);
-            t
-        }
-        Err(oom) => {
-            chaos.serial_fallback_merges += 1;
-            chaos.faults.push(AppliedFault::MergeOomFallback {
-                mega,
-                requested: oom.requested,
-                available: oom.available,
-            });
-            match inter {
-                Some(i) => {
-                    hierarchical_allreduce_flat_serial(bufs, weights, algo, i, ctx, arrivals)
-                }
-                None => allreduce_flat_serial(bufs, weights, algo, ctx, arrivals),
-            }
-        }
-    };
-    if let Some(h) = hog {
-        memory.free(h);
-    }
-    timing
-}
-
 impl SchedulerState<'_> {
+    /// Runs the all-reduce through the merge memory tracker: the pooled path
+    /// needs a scratch allocation; when it fails (an OOM fault hogged the
+    /// capacity) the merge degrades to the serial reduction instead of
+    /// aborting.
+    pub(super) fn reduce_with_oom_fallback(
+        &mut self,
+        inter: Option<InterNode>,
+        bufs: &mut [FlatVec],
+        weights: &[f64],
+        ctx: &CollectiveContext,
+        arrivals: &[SimTime],
+        mega: usize,
+    ) -> AllReduceTiming {
+        let (memory, algo) = (&mut self.merge_memory, self.spec.allreduce);
+        // Scratch at the buffers' storage width: bf16 merges request half the
+        // bytes of f32 ones, so an identically-sized tracker OOMs later.
+        let scratch_bytes = (bufs.len() * bufs[0].byte_len()) as u64;
+        // A scheduled MergeOom manifests as a co-tenant burst eating the whole
+        // remaining capacity, so the pooled scratch request below genuinely
+        // fails through the memory tracker.
+        let plan = self.cfg.fault_plan.as_ref();
+        let hog = plan.filter(|p| p.merge_oom_at(mega)).map(|_| {
+            memory
+                .alloc("chaos-oom-cotenant", memory.available())
+                .expect("hogging the available bytes cannot fail")
+        });
+        // Cluster runs reduce through the hierarchical schedule; bits are
+        // identical to the flat path either way (the reduction contract), only
+        // the simulated timing differs.
+        let timing = match memory.alloc("merge-pool-scratch", scratch_bytes) {
+            Ok(scratch) => {
+                let t = match inter {
+                    Some(i) => hierarchical_allreduce_flat(bufs, weights, algo, i, ctx, arrivals),
+                    None => allreduce_flat(bufs, weights, algo, ctx, arrivals),
+                };
+                memory.free(scratch);
+                t
+            }
+            Err(oom) => {
+                self.chaos.serial_fallback_merges += 1;
+                self.chaos.faults.push(AppliedFault::MergeOomFallback {
+                    mega,
+                    requested: oom.requested,
+                    available: oom.available,
+                });
+                match inter {
+                    Some(i) => {
+                        hierarchical_allreduce_flat_serial(bufs, weights, algo, i, ctx, arrivals)
+                    }
+                    None => allreduce_flat_serial(bufs, weights, algo, ctx, arrivals),
+                }
+            }
+        };
+        if let Some(h) = hog {
+            memory.free(h);
+        }
+        timing
+    }
+
     /// The dispatch frontier: the earliest point the scheduler can still
     /// influence — the minimum virtual clock over surviving devices.
     fn frontier(&self) -> SimTime {
@@ -467,213 +458,5 @@ impl SchedulerState<'_> {
             seconds,
             at,
         });
-    }
-
-    /// The merge stage after one or more device losses: gathers only from
-    /// survivors, renormalizes `α_i` over them (Σα = 1 by construction),
-    /// reduces over a survivor-sized collective context, and redistributes
-    /// to survivors only. Dead devices' clocks freeze and their slots report
-    /// weight 0 in the record.
-    pub(super) fn merge_survivors(
-        &mut self,
-        to: &[Sender<ToManager>],
-        from: &Receiver<FromManager>,
-        mega: usize,
-    ) -> MergeDecision {
-        let alive_idx: Vec<usize> = (0..self.n()).filter(|&g| self.alive[g]).collect();
-        let k = alive_idx.len();
-        assert!(k >= 1, "no surviving device to merge");
-
-        if let Some(arena) = self.delta_arena.as_mut() {
-            // Sparse gather from survivors only: the union (and thus the
-            // charged schedule) is over the survivor subset's row sets.
-            for &g in &alive_idx {
-                let (rows, payload) = arena.lend(g);
-                to[g]
-                    .send(ToManager::GetDelta { rows, payload })
-                    .expect("manager channel closed");
-            }
-        } else {
-            for &g in &alive_idx {
-                to[g]
-                    .send(ToManager::GetModel {
-                        buf: self.arena.lend(g),
-                    })
-                    .expect("manager channel closed");
-            }
-        }
-        let mut norms_full = vec![0.0f64; self.n()];
-        let mut received = 0usize;
-        while received < k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Model {
-                    gpu,
-                    flat,
-                    norm_per_param,
-                } => {
-                    self.arena.restore(gpu, flat);
-                    norms_full[gpu] = norm_per_param;
-                    received += 1;
-                }
-                FromManager::Delta {
-                    gpu,
-                    rows,
-                    payload,
-                    norm_per_param,
-                } => {
-                    let mut base = self.arena.lend(gpu);
-                    asgd_collective::scatter_delta(&self.sparse_layout, &rows, &payload, &mut base);
-                    self.arena.restore(gpu, base);
-                    self.delta_arena
-                        .as_mut()
-                        .expect("Delta reply without a delta arena")
-                        .restore(gpu, rows, payload);
-                    norms_full[gpu] = norm_per_param;
-                    received += 1;
-                }
-                FromManager::Trained { .. } | FromManager::Redistributed { .. } => {
-                    unreachable!("non-gather reply during the merge gather")
-                }
-            }
-        }
-
-        // The merge sub-problem over survivors, in device-index order.
-        let sub_hypers: Vec<GpuHyper> = alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
-        let sub_norms: Vec<f64> = alive_idx.iter().map(|&g| norms_full[g]).collect();
-        let decision = match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                compute_merge_weights(&sub_hypers, &sub_norms, &params)
-            }
-            MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
-                weights: vec![1.0 / k as f64; k],
-                by_updates: false,
-                perturbed: false,
-            },
-        };
-        // Cluster runs subset the cluster context (survivors keep their
-        // original server assignments, so cross-server hops still pay the
-        // inter-node link); single-server runs keep the pre-cluster
-        // construction bit for bit.
-        let sub_ctx = if self.cfg.cluster.is_some() {
-            self.ctx.subset(&alive_idx)
-        } else {
-            let sub_profiles: Vec<DeviceProfile> = alive_idx
-                .iter()
-                .map(|&g| self.profiles[g].clone())
-                .collect();
-            CollectiveContext::new(
-                Topology::pcie(k).with_setup_scale(self.cfg.overhead_scale),
-                &sub_profiles,
-            )
-        };
-        let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
-        let mut bufs: Vec<FlatVec> = alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
-        let timing = reduce_with_oom_fallback(
-            &mut self.merge_memory,
-            &mut self.chaos,
-            self.cfg.fault_plan.as_ref(),
-            self.spec.allreduce,
-            self.cfg.cluster.as_ref().map(|cl| cl.inter),
-            &mut bufs,
-            &decision.weights,
-            &sub_ctx,
-            &arrivals,
-            mega,
-        );
-        let timing = match &self.delta_arena {
-            None => timing,
-            Some(da) => super::sparse_timing_or_dense(
-                da,
-                &self.sparse_layout,
-                &mut self.sparse_stats,
-                &asgd_collective::SparseMergePlan {
-                    algo: self.spec.allreduce,
-                    inter: self.cfg.cluster.as_ref().map(|cl| cl.inter),
-                    elem_bytes: self.cfg.precision.bytes(),
-                    max_density: self.cfg.sparse_max_density,
-                },
-                &alive_idx,
-                &sub_ctx,
-                &arrivals,
-                timing,
-            ),
-        };
-
-        match self.spec.merge_rule {
-            MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
-                apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
-                redistribute_global(&self.global, &mut bufs);
-                let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    let index = index.clone();
-                    to[g]
-                        .send(ToManager::SetModel { buf, index })
-                        .expect("manager channel closed");
-                }
-            }
-            MergeRule::Crossbow { pull } => {
-                copy_to_global(&bufs[0], &mut self.global);
-                let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
-                for (&g, buf) in alive_idx.iter().zip(bufs.drain(..)) {
-                    to[g]
-                        .send(ToManager::Blend {
-                            target: buf,
-                            pull: pull as f32,
-                            index: index.clone(),
-                        })
-                        .expect("manager channel closed");
-                }
-            }
-        }
-
-        let mut returned = 0usize;
-        while returned < k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Redistributed { gpu, buf } => {
-                    self.arena.restore(gpu, buf);
-                    returned += 1;
-                }
-                FromManager::Trained { .. }
-                | FromManager::Model { .. }
-                | FromManager::Delta { .. } => {
-                    unreachable!("non-Redistributed reply during redistribution")
-                }
-            }
-        }
-
-        debug_assert!(
-            self.lsh.as_ref().is_none_or(|a| a.holders() == k),
-            "only survivors adopt the synced index"
-        );
-
-        for &g in &alive_idx {
-            self.devices[g].advance_to(timing.end);
-        }
-        // Sampled mode: survivors re-hash the output neurons post-sync.
-        self.charge_lsh_rebuild();
-        // Full-length weights for the record: dead slots carry weight 0.
-        let mut weights_full = vec![0.0f64; self.n()];
-        for (&g, &w) in alive_idx.iter().zip(&decision.weights) {
-            weights_full[g] = w;
-        }
-        self.trace.record(
-            DeviceId(alive_idx[0]),
-            timing.start,
-            timing.end,
-            format!(
-                "merge (survivors {:?}, weights {:?}, perturbed {})",
-                alive_idx,
-                weights_full
-                    .iter()
-                    .map(|w| (w * 1000.0).round() / 1000.0)
-                    .collect::<Vec<_>>(),
-                decision.perturbed
-            ),
-        );
-        MergeDecision {
-            weights: weights_full,
-            by_updates: decision.by_updates,
-            perturbed: decision.perturbed,
-        }
     }
 }

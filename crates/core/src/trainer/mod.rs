@@ -30,8 +30,8 @@ use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
 use arena::{DeltaArena, IndexArena, MergeArena};
 use asgd_collective::{
-    scatter_delta, sparse_merge_timing, Algorithm, AllReduceTiming, CollectiveContext, InterNode,
-    SparseLayout, SparseMergePlan,
+    scatter_delta, sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout,
+    SparseMergePlan,
 };
 use asgd_data::{batching::MegaBatchBudget, SampleStream, XmlDataset};
 use asgd_gpusim::device::build_server;
@@ -62,35 +62,6 @@ pub(crate) fn copy_to_global(buf: &FlatVec, global: &mut [f32]) {
         FlatVec::F32(v) => par_copy(v, global, MIN_PAR_MERGE),
         FlatVec::Bf16(v) => par_widen(v, global, MIN_PAR_MERGE),
     }
-}
-
-/// Replaces the dense merge timing with the sparse-schedule timing when the
-/// sparse delta merge is active. The reduction arithmetic already ran over
-/// full reconstructed buffers (the reduction contract), so sparsity only
-/// changes what the simulated wire carries; the dense timing doubles as the
-/// density-threshold fallback. Free function over disjoint scheduler fields
-/// so callers can split borrows (same pattern as
-/// [`chaos::reduce_with_oom_fallback`]).
-#[allow(clippy::too_many_arguments)]
-fn sparse_timing_or_dense(
-    delta_arena: &DeltaArena,
-    layout: &SparseLayout,
-    stats: &mut SparseMergeStats,
-    plan: &SparseMergePlan,
-    gpus: &[usize],
-    ctx: &CollectiveContext,
-    arrivals: &[SimTime],
-    dense: AllReduceTiming,
-) -> AllReduceTiming {
-    let row_sets: Vec<&[u32]> = gpus.iter().map(|&g| delta_arena.slot(g).0).collect();
-    let s = sparse_merge_timing(layout, &row_sets, plan, ctx, arrivals, dense);
-    stats.merges += 1;
-    if s.fell_back {
-        stats.fallbacks += 1;
-    }
-    stats.sparse_bytes += s.timing.bytes_moved as u64;
-    stats.dense_bytes += dense.bytes_moved as u64;
-    s.timing
 }
 
 /// Sample seed of a batch: an FNV-1a fold of its sample ids mixed with the
@@ -498,7 +469,6 @@ impl Trainer {
             // at the run's storage precision) plus slack; an OOM fault hogs
             // the capacity so the scratch request genuinely fails.
             merge_memory: MemoryTracker::new((n * param_len * cfg.precision.bytes()) as u64 + 4096),
-            profiles: profiles.clone(),
             delta_arena: (cfg.sparse_merge
                 && cfg.sampled_softmax.is_some()
                 && !matches!(self.spec.merge_rule, MergeRule::Crossbow { .. }))
@@ -608,9 +578,6 @@ struct SchedulerState<'a> {
     chaos: ChaosStats,
     /// Memory budget of the merge stage's pooled scratch.
     merge_memory: MemoryTracker,
-    /// Overhead-scaled device profiles (kept for rebuilding a survivor-sized
-    /// collective context after a device loss).
-    profiles: Vec<DeviceProfile>,
     /// `Some` iff the sparse delta merge is active: recycled per-replica
     /// `(rows, payload)` pairs. When active, [`Self::arena`] slots double as
     /// each manager's *base* — the payload of its last `SetModel` — between
@@ -1002,8 +969,15 @@ impl SchedulerState<'_> {
         }
     }
 
-    /// One full model-merging stage: collect replicas, compute weights,
+    /// One full model-merging stage over the live replicas: gather, weights,
     /// all-reduce, global update, redistribute, advance clocks.
+    ///
+    /// The stage is written once over `alive_idx`; the clean run is the case
+    /// where that is the whole fleet. After a device loss it gathers only
+    /// from survivors, renormalizes `α_i` over them (Σα = 1 by construction),
+    /// reduces over a survivor-sized collective context and redistributes to
+    /// survivors only; dead devices' clocks freeze and their slots report
+    /// weight 0 in the record.
     ///
     /// Model-sized payloads live in the scheduler's [`MergeArena`]: every
     /// buffer is lent to its manager for the gather (`GetModel` → `Model`),
@@ -1016,27 +990,31 @@ impl SchedulerState<'_> {
         from: &Receiver<FromManager>,
         mega_index: usize,
     ) -> MergeDecision {
-        if self.alive.iter().any(|&a| !a) {
-            return self.merge_survivors(to, from, mega_index);
-        }
         let n = self.n();
-        if let Some(arena) = self.delta_arena.as_mut() {
-            for (g, tx) in to.iter().enumerate() {
-                let (rows, payload) = arena.lend(g);
-                tx.send(ToManager::GetDelta { rows, payload })
-                    .expect("manager channel closed");
-            }
-        } else {
-            for (g, tx) in to.iter().enumerate() {
-                tx.send(ToManager::GetModel {
-                    buf: self.arena.lend(g),
-                })
-                .expect("manager channel closed");
-            }
+        let alive_idx: Vec<usize> = (0..n).filter(|&g| self.alive[g]).collect();
+        let k = alive_idx.len();
+        assert!(k >= 1, "no surviving device to merge");
+        let send = |g: usize, msg: ToManager| to[g].send(msg).expect("manager channel closed");
+
+        // Gather: the dense replica, or (sparse merge) the rows dirtied
+        // since the last sync — the union, and thus the charged schedule,
+        // is over the live replicas' row sets.
+        for &g in &alive_idx {
+            send(
+                g,
+                match self.delta_arena.as_mut() {
+                    Some(arena) => {
+                        let (rows, payload) = arena.lend(g);
+                        ToManager::GetDelta { rows, payload }
+                    }
+                    None => ToManager::GetModel {
+                        buf: self.arena.lend(g),
+                    },
+                },
+            );
         }
         let mut norms = vec![0.0f64; n];
-        let mut received = 0usize;
-        while received < n {
+        for _ in 0..k {
             match from.recv().expect("manager channel closed") {
                 FromManager::Model {
                     gpu,
@@ -1045,7 +1023,6 @@ impl SchedulerState<'_> {
                 } => {
                     self.arena.restore(gpu, flat);
                     norms[gpu] = norm_per_param;
-                    received += 1;
                 }
                 FromManager::Delta {
                     gpu,
@@ -1064,7 +1041,6 @@ impl SchedulerState<'_> {
                         .expect("Delta reply without a delta arena")
                         .restore(gpu, rows, payload);
                     norms[gpu] = norm_per_param;
-                    received += 1;
                 }
                 FromManager::Trained { .. } | FromManager::Redistributed { .. } => {
                     unreachable!("non-gather reply during the merge gather")
@@ -1072,10 +1048,16 @@ impl SchedulerState<'_> {
             }
         }
 
+        // The merge sub-problem over the live replicas, in device order.
         let decision = match self.spec.merge_rule {
-            MergeRule::Normalized(params) => compute_merge_weights(&self.hypers, &norms, &params),
+            MergeRule::Normalized(params) => {
+                let live_hypers: Vec<GpuHyper> =
+                    alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
+                let live_norms: Vec<f64> = alive_idx.iter().map(|&g| norms[g]).collect();
+                compute_merge_weights(&live_hypers, &live_norms, &params)
+            }
             MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
-                weights: vec![1.0 / n as f64; n],
+                weights: vec![1.0 / k as f64; k],
                 by_updates: false,
                 perturbed: false,
             },
@@ -1086,7 +1068,7 @@ impl SchedulerState<'_> {
         // the band the batch-size clamps imply (§III-A) — the staleness
         // bound over the full fleet pins that here. Injected faults
         // (stalls, node losses) break the symmetry on purpose, so the bound
-        // is a clean-run contract only.
+        // is a clean-run contract only (and a clean run loses no device).
         if self.cfg.cluster.is_some() && self.cfg.fault_plan.is_none() {
             let bound =
                 StalenessBound::derive(&self.cfg.scaling_params, self.cfg.mega_batch_size, n);
@@ -1096,74 +1078,86 @@ impl SchedulerState<'_> {
                 "staleness bound violated at merge {mega_index}: {updates:?} vs {bound:?}"
             );
         }
-        let arrivals: Vec<SimTime> = self.devices.iter().map(|d| d.now()).collect();
-        let timing = chaos::reduce_with_oom_fallback(
-            &mut self.merge_memory,
-            &mut self.chaos,
-            self.cfg.fault_plan.as_ref(),
-            self.spec.allreduce,
-            self.cfg.cluster.as_ref().map(|cl| cl.inter),
-            self.arena.buffers_mut(),
+
+        // Survivors keep their link parameters, profiles and — in a cluster
+        // — their original server assignments, so cross-server hops still
+        // pay the inter-node link after partial losses.
+        let ctx = self.ctx.subset(&alive_idx);
+        let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
+        let mut bufs: Vec<FlatVec> = alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
+        let inter = self.cfg.cluster.as_ref().map(|cl| cl.inter);
+        let mut timing = self.reduce_with_oom_fallback(
+            inter,
+            &mut bufs,
             &decision.weights,
-            &self.ctx,
+            &ctx,
             &arrivals,
             mega_index,
         );
-        let timing = match &self.delta_arena {
-            None => timing,
-            Some(da) => {
-                let gpus: Vec<usize> = (0..n).collect();
-                sparse_timing_or_dense(
-                    da,
-                    &self.sparse_layout,
-                    &mut self.sparse_stats,
-                    &SparseMergePlan {
-                        algo: self.spec.allreduce,
-                        inter: self.cfg.cluster.as_ref().map(|cl| cl.inter),
-                        elem_bytes: self.cfg.precision.bytes(),
-                        max_density: self.cfg.sparse_max_density,
-                    },
-                    &gpus,
-                    &self.ctx,
-                    &arrivals,
-                    timing,
-                )
-            }
-        };
-
-        match self.spec.merge_rule {
-            MergeRule::Normalized(params) => {
-                self.redistribute_set_model(to, params.gamma);
-            }
-            MergeRule::Average { gamma } => {
-                self.redistribute_set_model(to, gamma);
-            }
-            MergeRule::Crossbow { pull } => {
-                // The merged model becomes the new global; each buffer
-                // already holds it, so the blend targets ship with zero
-                // copies.
-                copy_to_global(self.arena.buffer(0), &mut self.global);
-                let index = self.lsh.as_mut().map(|a| a.sync(self.arena.buffer(0)));
-                for (g, tx) in to.iter().enumerate() {
-                    tx.send(ToManager::Blend {
-                        target: self.arena.lend(g),
-                        pull: pull as f32,
-                        index: index.clone(),
-                    })
-                    .expect("manager channel closed");
-                }
-            }
+        if let Some(da) = &self.delta_arena {
+            // The reduction above already ran over full reconstructed
+            // buffers (the reduction contract), so sparsity only changes
+            // what the simulated wire carries; the dense timing doubles as
+            // the density-threshold fallback.
+            let row_sets: Vec<&[u32]> = alive_idx.iter().map(|&g| da.slot(g).0).collect();
+            let plan = SparseMergePlan {
+                algo: self.spec.allreduce,
+                inter,
+                elem_bytes: self.cfg.precision.bytes(),
+                max_density: self.cfg.sparse_max_density,
+            };
+            let s = sparse_merge_timing(
+                &self.sparse_layout,
+                &row_sets,
+                &plan,
+                &ctx,
+                &arrivals,
+                timing,
+            );
+            self.sparse_stats.merges += 1;
+            self.sparse_stats.fallbacks += u64::from(s.fell_back);
+            self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
+            self.sparse_stats.dense_bytes += timing.bytes_moved as u64;
+            timing = s.timing;
         }
 
-        // Drain the redistribution acks, bringing every buffer home for the
-        // next merge.
-        let mut returned = 0usize;
-        while returned < n {
+        // Redistribute. Every buffer holds the merged model, so the new
+        // global (momentum update) or the blend targets ship through the
+        // same recycled buffers with no further allocation.
+        let pull = match self.spec.merge_rule {
+            MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
+                apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
+                crate::merging::redistribute_global(&self.global, &mut bufs);
+                None
+            }
+            MergeRule::Crossbow { pull } => {
+                copy_to_global(&bufs[0], &mut self.global);
+                Some(pull as f32)
+            }
+        };
+        {
+            // Scoped: the scheduler's share of the new index is dropped once
+            // every manager has been sent its own.
+            let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
+            for (&g, buf) in alive_idx.iter().zip(bufs) {
+                let index = index.clone();
+                send(
+                    g,
+                    match pull {
+                        None => ToManager::SetModel { buf, index },
+                        Some(pull) => ToManager::Blend {
+                            target: buf,
+                            pull,
+                            index,
+                        },
+                    },
+                );
+            }
+        }
+        // Drain the acks, bringing every buffer home for the next merge.
+        for _ in 0..k {
             match from.recv().expect("manager channel closed") {
-                FromManager::Redistributed { gpu, buf } => {
-                    self.arena.restore(gpu, buf);
-                    returned += 1;
-                }
+                FromManager::Redistributed { gpu, buf } => self.arena.restore(gpu, buf),
                 FromManager::Trained { .. }
                 | FromManager::Model { .. }
                 | FromManager::Delta { .. } => {
@@ -1171,53 +1165,43 @@ impl SchedulerState<'_> {
                 }
             }
         }
-
         debug_assert!(
-            self.lsh.as_ref().is_none_or(|a| a.holders() == n),
-            "every manager adopts the synced index before it acknowledges"
+            self.lsh.as_ref().is_none_or(|a| a.holders() == k),
+            "every live manager adopts the synced index before it acknowledges"
         );
 
-        let t0 = timing.start;
-        for d in self.devices.iter_mut() {
-            d.advance_to(timing.end);
+        for &g in &alive_idx {
+            self.devices[g].advance_to(timing.end);
         }
-        // Sampled mode: every device re-hashes the output neurons against
-        // the freshly synced model.
+        // Sampled mode: every live device re-hashes the output neurons
+        // against the freshly synced model.
         self.charge_lsh_rebuild();
+        // Full-length weights for the record: dead slots carry weight 0.
+        let mut weights = vec![0.0f64; n];
+        for (&g, &w) in alive_idx.iter().zip(&decision.weights) {
+            weights[g] = w;
+        }
+        let rounded: Vec<f64> = weights
+            .iter()
+            .map(|w| (w * 1000.0).round() / 1000.0)
+            .collect();
+        let who = if k == n {
+            String::new()
+        } else {
+            format!("survivors {alive_idx:?}, ")
+        };
         self.trace.record(
-            DeviceId(0),
-            t0,
+            DeviceId(alive_idx[0]),
+            timing.start,
             timing.end,
             format!(
-                "merge (weights {:?}, perturbed {})",
-                decision
-                    .weights
-                    .iter()
-                    .map(|w| (w * 1000.0).round() / 1000.0)
-                    .collect::<Vec<_>>(),
+                "merge ({who}weights {rounded:?}, perturbed {})",
                 decision.perturbed
             ),
         );
-        decision
-    }
-
-    /// Applies the momentum global update from the merged model (held by
-    /// every arena buffer after the all-reduce) and redistributes the new
-    /// global through the recycled buffers.
-    fn redistribute_set_model(&mut self, to: &[Sender<ToManager>], gamma: f64) {
-        apply_global_update_flat(
-            self.arena.buffer(0),
-            &mut self.global,
-            &mut self.prev_global,
-            gamma,
-        );
-        let mut bufs: Vec<FlatVec> = (0..to.len()).map(|g| self.arena.lend(g)).collect();
-        crate::merging::redistribute_global(&self.global, &mut bufs);
-        let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
-        for (tx, buf) in to.iter().zip(bufs) {
-            let index = index.clone();
-            tx.send(ToManager::SetModel { buf, index })
-                .expect("manager channel closed");
+        MergeDecision {
+            weights,
+            ..decision
         }
     }
 

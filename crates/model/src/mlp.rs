@@ -121,79 +121,60 @@ impl Mlp {
         self.config.param_len()
     }
 
+    /// The four parameter blocks in flat-layout order (`W₁ ‖ b₁ ‖ W₂ ‖ b₂`).
+    fn blocks(&self) -> [&[f32]; 4] {
+        [self.w1.as_slice(), &self.b1, self.w2.as_slice(), &self.b2]
+    }
+
+    /// Hands `f` every parameter block, mutably, together with the range it
+    /// occupies in the flat layout — the one walk behind import, blend and
+    /// quantization. Bumps the `W₂` version stamp: every caller rewrites it.
+    fn for_each_block_mut(&mut self, mut f: impl FnMut(&mut [f32], std::ops::Range<usize>)) {
+        self.w2_epoch = next_w2_epoch();
+        let mut off = 0;
+        for block in [
+            self.w1.as_mut_slice(),
+            &mut self.b1,
+            self.w2.as_mut_slice(),
+            &mut self.b2,
+        ] {
+            let range = off..off + block.len();
+            off = range.end;
+            f(block, range);
+        }
+    }
+
     /// Flattens all parameters into one contiguous vector
     /// (`W₁ ‖ b₁ ‖ W₂ ‖ b₂`) — the wire format of model merging.
     pub fn to_flat(&self) -> Vec<f32> {
-        let mut out = Vec::new();
-        self.write_flat_into(&mut out);
-        out
+        self.blocks().concat()
     }
 
-    /// Writes the flat parameter layout of [`Mlp::to_flat`] into a
-    /// caller-owned buffer, reusing its allocation — the zero-alloc path
-    /// for the merge arena (steady-state calls on a recycled buffer never
-    /// touch the heap).
-    pub fn write_flat_into(&self, out: &mut Vec<f32>) {
-        out.clear();
-        out.reserve(self.param_len());
-        out.extend_from_slice(self.w1.as_slice());
-        out.extend_from_slice(&self.b1);
-        out.extend_from_slice(self.w2.as_slice());
-        out.extend_from_slice(&self.b2);
-    }
-
-    /// Loads parameters from the flat format — the read counterpart of
-    /// [`Mlp::write_flat_into`], identical to [`Mlp::load_flat`].
-    pub fn read_flat_from(&mut self, flat: &[f32]) {
-        self.load_flat(flat);
-    }
-
-    /// Pulls every parameter a fraction `pull` toward `target` (flat
-    /// layout): `θ ← θ + pull·(target − θ)` — CROSSBOW's central-model
-    /// blend, applied in place without materializing the replica's own
-    /// flat vector.
-    ///
-    /// # Panics
-    /// Panics when the length does not match the architecture.
-    pub fn blend_from_flat(&mut self, target: &[f32], pull: f32) {
-        assert_eq!(target.len(), self.param_len(), "flat parameter length");
-        let mut off = 0usize;
-        let mut blend = |params: &mut [f32]| {
-            let t = &target[off..off + params.len()];
-            off += params.len();
-            for (w, &z) in params.iter_mut().zip(t) {
-                *w += pull * (z - *w);
-            }
-        };
-        blend(self.w1.as_mut_slice());
-        blend(&mut self.b1);
-        blend(self.w2.as_mut_slice());
-        blend(&mut self.b2);
-        self.w2_epoch = next_w2_epoch();
-    }
-
-    /// Precision-tagged twin of [`Mlp::write_flat_into`]: exports the flat
-    /// parameter layout into a [`FlatVec`], reusing its allocation and
-    /// **keeping its storage precision** (an empty default buffer is f32).
-    /// The bf16 export narrows each parameter exactly once
-    /// (round-to-nearest-even) — the model itself stays f32.
+    /// Exports the flat parameter layout of [`Mlp::to_flat`] into a
+    /// caller-owned [`FlatVec`], reusing its allocation and **keeping its
+    /// storage precision** (an empty default buffer is f32) — the zero-alloc
+    /// path for the merge arena: steady-state calls on a recycled buffer
+    /// never touch the heap. The bf16 export narrows each parameter exactly
+    /// once (round-to-nearest-even) — the model itself stays f32.
     pub fn write_flat_buf(&self, out: &mut FlatVec) {
         match out {
-            FlatVec::F32(v) => self.write_flat_into(v),
+            FlatVec::F32(v) => {
+                v.clear();
+                v.reserve(self.param_len());
+                for block in self.blocks() {
+                    v.extend_from_slice(block);
+                }
+            }
             FlatVec::Bf16(v) => {
                 // Size once; on a recycled buffer this is a no-op, so the
                 // steady state never re-zero-fills (or reallocates) the
                 // arena — every element is overwritten by the narrows below.
                 v.resize(self.param_len(), 0);
                 let mut off = 0usize;
-                let mut append = |src: &[f32]| {
-                    bf16::narrow_slice(src, &mut v[off..off + src.len()]);
-                    off += src.len();
-                };
-                append(self.w1.as_slice());
-                append(&self.b1);
-                append(self.w2.as_slice());
-                append(&self.b2);
+                for block in self.blocks() {
+                    bf16::narrow_slice(block, &mut v[off..off + block.len()]);
+                    off += block.len();
+                }
             }
         }
     }
@@ -256,64 +237,42 @@ impl Mlp {
         }
     }
 
-    /// Precision-tagged twin of [`Mlp::read_flat_from`]: imports a flat
-    /// buffer of either precision. bf16 values widen exactly; no rounding
+    /// Imports a flat buffer of either precision — the read counterpart of
+    /// [`Mlp::write_flat_buf`]. bf16 values widen exactly; no rounding
     /// occurs on import.
     ///
     /// # Panics
     /// Panics when the length does not match the architecture.
     pub fn read_flat_buf(&mut self, flat: &FlatVec) {
+        assert_eq!(flat.len(), self.param_len(), "flat parameter length");
         match flat {
-            FlatVec::F32(v) => self.load_flat(v),
-            FlatVec::Bf16(v) => {
-                assert_eq!(v.len(), self.param_len(), "flat parameter length");
-                let c = &self.config;
-                let mut off = 0;
-                let take = |off: &mut usize, n: usize| {
-                    let s = *off;
-                    *off += n;
-                    s..*off
-                };
-                bf16::widen_slice(
-                    &v[take(&mut off, c.num_features * c.hidden)],
-                    self.w1.as_mut_slice(),
-                );
-                bf16::widen_slice(&v[take(&mut off, c.hidden)], &mut self.b1);
-                bf16::widen_slice(
-                    &v[take(&mut off, c.hidden * c.num_classes)],
-                    self.w2.as_mut_slice(),
-                );
-                bf16::widen_slice(&v[take(&mut off, c.num_classes)], &mut self.b2);
-                self.w2_epoch = next_w2_epoch();
-            }
+            FlatVec::F32(v) => self.for_each_block_mut(|p, r| p.copy_from_slice(&v[r])),
+            FlatVec::Bf16(v) => self.for_each_block_mut(|p, r| bf16::widen_slice(&v[r], p)),
         }
     }
 
-    /// Precision-tagged twin of [`Mlp::blend_from_flat`]: the blend math
-    /// runs in f32 on exactly-widened targets (`θ ← θ + pull·(widen(z) − θ)`);
-    /// the model parameters stay f32, so no narrowing round point exists.
+    /// Pulls every parameter a fraction `pull` toward `target` (flat
+    /// layout): `θ ← θ + pull·(target − θ)` — CROSSBOW's central-model
+    /// blend, applied in place without materializing the replica's own
+    /// flat vector. The blend math runs in f32 on exactly-widened targets
+    /// (`θ ← θ + pull·(widen(z) − θ)` for bf16); the model parameters stay
+    /// f32, so no narrowing round point exists.
     ///
     /// # Panics
     /// Panics when the length does not match the architecture.
     pub fn blend_from_flat_buf(&mut self, target: &FlatVec, pull: f32) {
+        assert_eq!(target.len(), self.param_len(), "flat parameter length");
         match target {
-            FlatVec::F32(v) => self.blend_from_flat(v, pull),
-            FlatVec::Bf16(v) => {
-                assert_eq!(v.len(), self.param_len(), "flat parameter length");
-                let mut off = 0usize;
-                let mut blend = |params: &mut [f32]| {
-                    let t = &v[off..off + params.len()];
-                    off += params.len();
-                    for (w, &z) in params.iter_mut().zip(t) {
-                        *w += pull * (bf16::widen(z) - *w);
-                    }
-                };
-                blend(self.w1.as_mut_slice());
-                blend(&mut self.b1);
-                blend(self.w2.as_mut_slice());
-                blend(&mut self.b2);
-                self.w2_epoch = next_w2_epoch();
-            }
+            FlatVec::F32(v) => self.for_each_block_mut(|p, r| {
+                for (w, &z) in p.iter_mut().zip(&v[r]) {
+                    *w += pull * (z - *w);
+                }
+            }),
+            FlatVec::Bf16(v) => self.for_each_block_mut(|p, r| {
+                for (w, &z) in p.iter_mut().zip(&v[r]) {
+                    *w += pull * (bf16::widen(z) - *w);
+                }
+            }),
         }
     }
 
@@ -324,16 +283,11 @@ impl Mlp {
     pub fn quantized(&self, precision: Precision) -> Mlp {
         let mut m = self.clone();
         if precision == Precision::Bf16 {
-            let quantize = |params: &mut [f32]| {
-                for w in params.iter_mut() {
+            m.for_each_block_mut(|p, _| {
+                for w in p.iter_mut() {
                     *w = bf16::widen(bf16::narrow(*w));
                 }
-            };
-            quantize(m.w1.as_mut_slice());
-            quantize(&mut m.b1);
-            quantize(m.w2.as_mut_slice());
-            quantize(&mut m.b2);
-            m.w2_epoch = next_w2_epoch();
+            });
         }
         m
     }
@@ -344,23 +298,7 @@ impl Mlp {
     /// Panics when the length does not match the architecture.
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_len(), "flat parameter length");
-        let c = &self.config;
-        let mut off = 0;
-        let take = |off: &mut usize, n: usize| {
-            let s = *off;
-            *off += n;
-            s..*off
-        };
-        self.w1
-            .as_mut_slice()
-            .copy_from_slice(&flat[take(&mut off, c.num_features * c.hidden)]);
-        self.b1.copy_from_slice(&flat[take(&mut off, c.hidden)]);
-        self.w2
-            .as_mut_slice()
-            .copy_from_slice(&flat[take(&mut off, c.hidden * c.num_classes)]);
-        self.b2
-            .copy_from_slice(&flat[take(&mut off, c.num_classes)]);
-        self.w2_epoch = next_w2_epoch();
+        self.for_each_block_mut(|p, r| p.copy_from_slice(&flat[r]));
     }
 
     /// L2 norm of all parameters divided by the parameter count — the
@@ -1222,30 +1160,30 @@ mod tests {
     }
 
     #[test]
-    fn write_flat_into_reuses_the_buffer_and_matches_to_flat() {
+    fn write_flat_buf_f32_reuses_the_buffer_and_matches_to_flat() {
         let config = tiny_config();
         let a = Mlp::init(&config, 5);
         let b = Mlp::init(&config, 6);
-        let mut buf = Vec::new();
-        a.write_flat_into(&mut buf);
-        assert_eq!(buf, a.to_flat());
-        let ptr = buf.as_ptr();
-        b.write_flat_into(&mut buf);
-        assert_eq!(buf, b.to_flat());
-        assert_eq!(buf.as_ptr(), ptr, "recycled write must not reallocate");
+        let mut buf = FlatVec::default();
+        a.write_flat_buf(&mut buf);
+        assert_eq!(buf, FlatVec::F32(a.to_flat()));
+        let ptr = buf.as_ptr_addr();
+        b.write_flat_buf(&mut buf);
+        assert_eq!(buf, FlatVec::F32(b.to_flat()));
+        assert_eq!(buf.as_ptr_addr(), ptr, "recycled write must not reallocate");
         let mut m2 = Mlp::zeros(&config);
-        m2.read_flat_from(&buf);
+        m2.read_flat_buf(&buf);
         assert_eq!(m2, b);
     }
 
     #[test]
-    fn blend_from_flat_matches_flat_space_blend() {
+    fn blend_from_flat_buf_f32_matches_flat_space_blend() {
         let config = tiny_config();
         let mut direct = Mlp::init(&config, 5);
         let reference = direct.clone();
         let target = Mlp::init(&config, 6).to_flat();
         let pull = 0.37f32;
-        direct.blend_from_flat(&target, pull);
+        direct.blend_from_flat_buf(&FlatVec::F32(target.clone()), pull);
         let mut flat = reference.to_flat();
         for (w, &z) in flat.iter_mut().zip(&target) {
             *w += pull * (z - *w);
@@ -1253,23 +1191,6 @@ mod tests {
         let mut expect = Mlp::zeros(&config);
         expect.load_flat(&flat);
         assert_eq!(direct, expect);
-    }
-
-    #[test]
-    fn flat_buf_f32_matches_untagged_path_exactly() {
-        let config = tiny_config();
-        let a = Mlp::init(&config, 5);
-        let mut buf = FlatVec::default();
-        a.write_flat_buf(&mut buf);
-        assert_eq!(buf, FlatVec::F32(a.to_flat()));
-        let mut m2 = Mlp::zeros(&config);
-        m2.read_flat_buf(&buf);
-        assert_eq!(m2, a);
-        let mut blended_buf = Mlp::init(&config, 7);
-        let mut blended_flat = blended_buf.clone();
-        blended_buf.blend_from_flat_buf(&buf, 0.41);
-        blended_flat.blend_from_flat(&a.to_flat(), 0.41);
-        assert_eq!(blended_buf, blended_flat);
     }
 
     #[test]
@@ -1310,7 +1231,7 @@ mod tests {
             _ => unreachable!(),
         };
         let mut expect = reference.clone();
-        expect.blend_from_flat(&widened, 0.37);
+        expect.blend_from_flat_buf(&FlatVec::F32(widened), 0.37);
         assert_eq!(direct, expect);
     }
 
@@ -1826,9 +1747,9 @@ mod tests {
 
         // A wholesale W₂ mutation (model blend) must invalidate the cache:
         // the next step through the long-lived workspace still matches.
-        let target = Mlp::init(&config, 15).to_flat();
-        reused.blend_from_flat(&target, 0.5);
-        fresh.blend_from_flat(&target, 0.5);
+        let target = FlatVec::F32(Mlp::init(&config, 15).to_flat());
+        reused.blend_from_flat_buf(&target, 0.5);
+        fresh.blend_from_flat_buf(&target, 0.5);
         let (x, labels) = &batches[0];
         let cand = cand_for(labels, &config, 3);
         let a = reused.train_batch_sampled_ws(x, labels, &cand, 0.1, &mut ws);

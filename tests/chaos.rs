@@ -17,6 +17,7 @@ use adaptive_sgd::core::{
 use adaptive_sgd::data::{generate, DatasetSpec, XmlDataset};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
 use adaptive_sgd::gpusim::FaultPlan;
+use adaptive_sgd::tensor::Precision;
 
 const MEGAS: usize = 4;
 
@@ -34,10 +35,38 @@ fn config(megas: usize) -> RunConfig {
 }
 
 fn run(n_gpus: usize, plan: Option<FaultPlan>) -> RunResult {
+    run_with(n_gpus, plan, MergePath::DenseF32)
+}
+
+/// The merge-stage inputs the random-plan tests sweep: the paper-default
+/// dense f32 gather, and the sampled-softmax + sparse-merge path through the
+/// bf16 arena — the `GetDelta` gather, reconstructed over the parked base,
+/// under whatever survivor subset the plan leaves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum MergePath {
+    DenseF32,
+    SparseBf16,
+}
+
+impl MergePath {
+    fn apply(self, cfg: &mut RunConfig) {
+        if self == MergePath::SparseBf16 {
+            cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
+            cfg.sparse_merge = true;
+            // The tiny label space makes every union dense; keep the sparse
+            // schedule under test instead of the density fallback.
+            cfg.sparse_max_density = 1.0;
+            cfg.precision = Precision::Bf16;
+        }
+    }
+}
+
+fn run_with(n_gpus: usize, plan: Option<FaultPlan>, path: MergePath) -> RunResult {
     let ds = dataset();
     let mut cfg = config(MEGAS);
     cfg.trace = true;
     cfg.fault_plan = plan;
+    path.apply(&mut cfg);
     Trainer::new(
         algorithms::adaptive_sgd(),
         heterogeneous_server(n_gpus),
@@ -60,6 +89,26 @@ fn assert_weight_sum(r: &adaptive_sgd::core::MergeRecord) {
     );
 }
 
+/// The survivor-merge contract at every recorded merge: Σα = 1 over the
+/// participating replicas and weight exactly 0 in every slot whose device
+/// was lost at or before that mega-batch.
+fn assert_survivor_weights(result: &RunResult) {
+    for r in &result.records {
+        assert_weight_sum(r);
+        for f in &result.chaos.faults {
+            if let AppliedFault::DeviceLoss { mega, gpu, .. } = f {
+                if *mega <= r.merge_index {
+                    assert_eq!(
+                        r.merge_weights[*gpu], 0.0,
+                        "dead gpu {gpu} carries weight at merge {}",
+                        r.merge_index
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Total committed samples must equal the dispatched mega-batches exactly —
 /// chaos or not, every granted sample is trained on a surviving replica
 /// exactly once.
@@ -77,6 +126,33 @@ fn assert_balanced_accounting(result: &RunResult, megas: usize, mega_batch_size:
     assert_eq!(
         result.chaos.batches_committed, recorded_updates,
         "committed batches disagree with the per-merge records"
+    );
+}
+
+/// What every random fault plan must leave intact, whichever gather the
+/// merge stage runs: the run completes, samples balance, survivors carry
+/// Σα = 1 with dead slots at 0, weights stay finite, and every merge went
+/// through the requested path.
+fn assert_random_plan_contract(result: &RunResult, seed: u64, path: MergePath) {
+    assert_eq!(
+        result.records.len(),
+        MEGAS,
+        "seed {seed} {path:?} aborted the run"
+    );
+    assert_balanced_accounting(result, MEGAS, 512);
+    assert_survivor_weights(result);
+    assert!(
+        result.final_model.iter().all(|w| w.is_finite()),
+        "seed {seed} {path:?} produced non-finite weights"
+    );
+    assert!(
+        !result.chaos.is_quiet(),
+        "seed {seed}: a random plan must apply something"
+    );
+    assert_eq!(
+        result.sparse_merge.as_ref().map(|s| s.merges),
+        (path == MergePath::SparseBf16).then_some(MEGAS as u64),
+        "seed {seed} {path:?}: every merge must take the requested gather"
     );
 }
 
@@ -253,18 +329,11 @@ fn faulted_runs_are_bit_identical_across_re_runs() {
 #[test]
 fn random_plans_always_complete_with_balanced_accounting() {
     for seed in [1u64, 13, 99] {
-        let plan = FaultPlan::random(seed, 3, MEGAS);
-        let result = run(3, Some(plan.clone()));
-        assert_eq!(result.records.len(), MEGAS, "seed {seed} aborted the run");
-        assert_balanced_accounting(&result, MEGAS, 512);
-        assert!(
-            result.final_model.iter().all(|w| w.is_finite()),
-            "seed {seed} produced non-finite weights"
-        );
-        assert!(
-            !result.chaos.is_quiet(),
-            "seed {seed}: a random plan must apply something"
-        );
+        for path in [MergePath::DenseF32, MergePath::SparseBf16] {
+            let plan = FaultPlan::random(seed, 3, MEGAS);
+            let result = run_with(3, Some(plan), path);
+            assert_random_plan_contract(&result, seed, path);
+        }
     }
 }
 
@@ -333,10 +402,20 @@ fn sampled_device_loss_redispatch_reproduces_candidate_sets() {
 /// fleet is `servers × per` and merges go through the two-level hierarchical
 /// schedule over the slow inter-node link.
 fn cluster_run(servers: usize, per: usize, plan: Option<FaultPlan>) -> RunResult {
+    cluster_run_with(servers, per, plan, MergePath::DenseF32)
+}
+
+fn cluster_run_with(
+    servers: usize,
+    per: usize,
+    plan: Option<FaultPlan>,
+    path: MergePath,
+) -> RunResult {
     let ds = dataset();
     let mut cfg = config(MEGAS);
     cfg.trace = true;
     cfg.fault_plan = plan;
+    path.apply(&mut cfg);
     cfg.cluster = Some(ClusterConfig {
         servers,
         devices_per_server: per,
@@ -423,18 +502,11 @@ fn cluster_faulted_runs_are_bit_identical_across_re_runs() {
 #[test]
 fn random_cluster_plans_always_complete_with_balanced_accounting() {
     for seed in [1u64, 13, 99] {
-        let plan = FaultPlan::random_cluster(seed, 3, 2, MEGAS);
-        let result = cluster_run(3, 2, Some(plan));
-        assert_eq!(result.records.len(), MEGAS, "seed {seed} aborted the run");
-        assert_balanced_accounting(&result, MEGAS, 512);
-        assert!(
-            result.final_model.iter().all(|w| w.is_finite()),
-            "seed {seed} produced non-finite weights"
-        );
-        assert!(
-            !result.chaos.is_quiet(),
-            "seed {seed}: a random cluster plan must apply something"
-        );
+        for path in [MergePath::DenseF32, MergePath::SparseBf16] {
+            let plan = FaultPlan::random_cluster(seed, 3, 2, MEGAS);
+            let result = cluster_run_with(3, 2, Some(plan), path);
+            assert_random_plan_contract(&result, seed, path);
+        }
     }
 }
 
