@@ -122,6 +122,14 @@ if [[ "${1:-}" != "quick" ]]; then
     gate sparse_merge_probe sparse_merge_probe_7.txt ASGD_MEGA_LIMIT=4
     gate sparse_merge_probe sparse_merge_probe_7_bf16.txt ASGD_MEGA_LIMIT=4 ASGD_PRECISION=bf16
     gate --debug sparse_merge_probe sparse_merge_probe_7.txt ASGD_MEGA_LIMIT=4
+    # The fused sparse pass under the two-level schedule on a 2x2 cluster
+    # (plan 7 there: merge OOM, a device loss that leaves server 1 one
+    # survivor, an inter-node stall); the probe itself exits non-zero unless
+    # sparse == dense.
+    gate --no-golden sparse_merge_probe sparse_merge_probe_7_2x2.txt ASGD_MEGA_LIMIT=4 \
+        ASGD_SERVERS=2 ASGD_DEVICES_PER_SERVER=2
+    gate --no-golden sparse_merge_probe sparse_merge_probe_7_2x2_bf16.txt ASGD_MEGA_LIMIT=4 \
+        ASGD_SERVERS=2 ASGD_DEVICES_PER_SERVER=2 ASGD_PRECISION=bf16
     gate kernel_probe kernel_probe.txt
     gate --debug kernel_probe kernel_probe.txt
     gate sampled_probe sampled_probe.txt ASGD_MEGA_LIMIT=4

@@ -1,14 +1,16 @@
 //! Model-merging microbenchmarks: Algorithm 2's weight computation, the
 //! weighted model sum, the momentum update, Algorithm 1's scaling step, and
 //! the full merge stage (gather + all-reduce + global update +
-//! redistribution) with and without the persistent merge arena.
+//! redistribution) as the trainer runs it — persistent arena, one fused
+//! pass — against allocate-per-merge over the step-by-step functions.
 
-use asgd_collective::{allreduce, allreduce_flat, Algorithm, CollectiveContext};
-use asgd_core::merging::{apply_global_update, apply_global_update_flat, redistribute_global};
+use asgd_bench::experiments::arena_merge;
+use asgd_collective::{allreduce, Algorithm, CollectiveContext};
+use asgd_core::merging::apply_global_update;
 use asgd_core::{compute_merge_weights, scale_batch_sizes, GpuHyper, MergeParams, ScalingParams};
 use asgd_gpusim::{profile, SimTime, Topology};
 use asgd_model::{Mlp, MlpConfig};
-use asgd_tensor::{ops, FlatVec, Matrix};
+use asgd_tensor::{ops, FlatVec, Matrix, Precision};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn hypers(n: usize) -> Vec<GpuHyper> {
@@ -70,46 +72,59 @@ fn bench_merge(c: &mut Criterion) {
     });
 }
 
-/// One full scheduler-side merge at the amazon-like shape (hot_path bench's
-/// shape), 4 replicas: gather every replica flat, weighted all-reduce
-/// (multi-stream ring), momentum global update, redistribute + load. The
-/// `arena` variant recycles persistent buffers (the trainer's steady
-/// state); `alloc_per_merge` allocates the flats and redistribution clones
-/// fresh every merge — quantifying what the arena saves.
+/// One full scheduler-side merge with 4 replicas at the two shapes the
+/// wall-clock benchmark merges: 13.1 M parameters in f32
+/// (`train_sampled_merge`) and 6.1 M in bf16 (`train_cluster_bf16_chaos`).
+/// The `arena` variants run the trainer's steady state
+/// ([`asgd_bench::experiments::arena_merge`]: recycled buffers, one fused
+/// reduce/update/payload pass, one shared payload); `alloc_per_merge`
+/// allocates the flats and redistribution clones fresh every merge and
+/// walks the step-by-step library functions — what the arena and the fused
+/// pass save.
 fn bench_merge_stage(c: &mut Criterion) {
     let n = 4;
+    let ctx = CollectiveContext::new(Topology::pcie(n), &profile::heterogeneous_server(n));
+    let mut group = c.benchmark_group("merge_stage");
+    group.sample_size(10);
+
+    for (name, precision, (features, hidden, classes)) in [
+        ("arena_4x_13.1M_f32", Precision::F32, (135_909, 64, 67_009)),
+        ("arena_4x_6.1M_bf16", Precision::Bf16, (40_773, 128, 6_701)),
+    ] {
+        let config = MlpConfig {
+            num_features: features,
+            hidden,
+            num_classes: classes,
+        };
+        let mut replicas: Vec<Mlp> = (0..n).map(|g| Mlp::init(&config, 3 + g as u64)).collect();
+        let mut global = replicas[0].to_flat();
+        let mut prev_global = global.clone();
+        let mut bufs: Vec<FlatVec> = (0..n).map(|_| FlatVec::empty(precision)).collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                arena_merge(
+                    &mut replicas,
+                    &mut bufs,
+                    &mut global,
+                    &mut prev_global,
+                    &ctx,
+                )
+            });
+        });
+    }
+
     let config = MlpConfig {
         num_features: 135_909,
-        hidden: 128,
-        num_classes: 6_701,
+        hidden: 64,
+        num_classes: 67_009,
     };
     let mut replicas: Vec<Mlp> = (0..n).map(|g| Mlp::init(&config, 3 + g as u64)).collect();
     let mut global = replicas[0].to_flat();
     let mut prev_global = global.clone();
     let weights = vec![1.0 / n as f64; n];
-    let ctx = CollectiveContext::new(Topology::pcie(n), &profile::heterogeneous_server(n));
     let arrivals = vec![SimTime::ZERO; n];
     let algo = Algorithm::MultiStreamRing { partitions: 4 };
-
-    let mut group = c.benchmark_group("merge_stage");
-    group.sample_size(10);
-
-    let mut bufs: Vec<FlatVec> = (0..n).map(|_| FlatVec::default()).collect();
-    group.bench_function("arena_4x_amazon", |b| {
-        b.iter(|| {
-            for (r, buf) in replicas.iter().zip(bufs.iter_mut()) {
-                r.write_flat_buf(buf);
-            }
-            allreduce_flat(&mut bufs, &weights, algo, &ctx, &arrivals);
-            apply_global_update_flat(&bufs[0], &mut global, &mut prev_global, 0.9);
-            redistribute_global(&global, &mut bufs);
-            for (r, buf) in replicas.iter_mut().zip(&bufs) {
-                r.read_flat_buf(buf);
-            }
-        });
-    });
-
-    group.bench_function("alloc_per_merge_4x_amazon", |b| {
+    group.bench_function("alloc_per_merge_4x_13.1M_f32", |b| {
         b.iter(|| {
             let mut fresh: Vec<Vec<f32>> = replicas.iter().map(|r| r.to_flat()).collect();
             allreduce(&mut fresh, &weights, algo, &ctx, &arrivals);

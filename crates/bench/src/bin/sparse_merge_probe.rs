@@ -18,7 +18,8 @@
 //!   ASGD_FAULT_SEED          seed for `FaultPlan::random[_cluster]`
 //!                            (default 7; `none` disables faults)
 //!   ASGD_PRECISION           merge-arena storage tier, `f32` (default) or
-//!                            `bf16`; bf16 artifacts get a `_bf16` suffix
+//!                            `bf16`; bf16 artifacts get a `_bf16` suffix,
+//!                            cluster artifacts an `_SxM` shape tag before it
 
 use asgd_collective::InterNode;
 use asgd_core::trainer::SampledSoftmax;
@@ -130,8 +131,14 @@ fn main() {
         _ => format!("_{}", precision.name()),
     };
     let seed_tag = fault_seed.map_or_else(|| "none".into(), |s| s.to_string());
+    // A cluster run names its shape, so it never lands on the flat golden.
+    let shape = if servers > 1 {
+        format!("_{servers}x{per}")
+    } else {
+        String::new()
+    };
     let path = env.write_artifact(
-        &format!("sparse_merge_probe_{seed_tag}{suffix}.txt"),
+        &format!("sparse_merge_probe_{seed_tag}{shape}{suffix}.txt"),
         &report,
     );
     eprintln!("wrote {path:?}");

@@ -5,7 +5,7 @@
 
 use crate::{grid_learning_rate, Env};
 use asgd_core::slide::{SlideConfig, SlideTrainer};
-use asgd_core::trainer::Trainer;
+use asgd_core::trainer::{MergeRule, Trainer};
 use asgd_core::{algorithms, RunResult};
 use asgd_data::{DatasetSpec, DatasetStats};
 use asgd_gpusim::device::build_server;
@@ -643,11 +643,14 @@ pub fn bench_full_scale_json(env: &Env) -> String {
 
 /// **Merge-stage throughput** — the scheduler-side merge (gather every
 /// replica's flat model, weighted all-reduce, momentum global update,
-/// redistribute + load) at the full amazon shape with 4 replicas: the
-/// persistent f32 arena against the allocate-per-merge path it replaced,
-/// plus the bf16 arena (half the bytes through gather/reduce/redistribute,
-/// f32 accumulation, one round point per store). Median of 20 individually
-/// timed merges; the `merges` column records that iteration count.
+/// redistribute + load) at the 13.1 M-parameter shape of the wall-clock
+/// benchmark's `train_sampled_merge` with 4 replicas: the trainer's path
+/// ([`arena_merge`]: persistent f32 arena, one fused tile pass, one shared
+/// payload) against the allocate-per-merge path over the step-by-step
+/// library functions, plus the bf16 arena (half the bytes through
+/// gather/reduce/redistribute, f32 accumulation, one round point per
+/// store). Median of 20 individually timed merges; the `merges` column
+/// records that iteration count.
 pub fn merge_stage(env: &Env) -> String {
     let mut out = String::from(
         "variant,params,replicas,merges,ms_per_merge,mparams_per_s,sim_collective_ms,sim_mb_moved\n",
@@ -695,22 +698,55 @@ fn measured_merge_rows(env: &Env) -> &'static [MergeStageRow] {
     ROWS.get_or_init(|| measure_merge_stage(env))
 }
 
+/// One scheduler-side merge the way the trainer runs it: every replica
+/// exports into its recycled buffer, one fused pass reduces them, applies
+/// the momentum update and leaves the redistribution payload in `bufs[0]`,
+/// and every replica imports that one payload.
+pub fn arena_merge(
+    replicas: &mut [asgd_model::Mlp],
+    bufs: &mut [asgd_tensor::FlatVec],
+    global: &mut [f32],
+    prev_global: &mut [f32],
+    ctx: &asgd_collective::CollectiveContext,
+) -> asgd_collective::AllReduceTiming {
+    use asgd_core::merging::{FusedMerge, MergeInput};
+    let n = replicas.len();
+    for (r, buf) in replicas.iter().zip(bufs.iter_mut()) {
+        r.write_flat_buf(buf);
+    }
+    let timing = FusedMerge {
+        weights: &vec![1.0 / n as f64; n],
+        gamma: Some(0.9),
+        algo: asgd_collective::Algorithm::MultiStreamRing { partitions: 4 },
+        inter: None,
+        ctx,
+        arrivals: &vec![asgd_gpusim::SimTime::ZERO; n],
+        pooled: true,
+    }
+    .run(MergeInput::Dense(bufs), global, prev_global);
+    for r in replicas.iter_mut() {
+        r.read_flat_buf(&bufs[0]);
+    }
+    timing
+}
+
 fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
     use asgd_collective::{allreduce_flat, Algorithm, CollectiveContext};
-    use asgd_core::merging::{apply_global_update_flat, redistribute_global};
+    use asgd_core::merging::apply_global_update_flat;
     use asgd_gpusim::{SimTime, Topology};
     use asgd_model::Mlp;
     use asgd_tensor::{FlatVec, Precision};
 
-    // The full amazon shape, NOT the `ASGD_SCALE` twin. At the scaled shape
+    // The shape `train_sampled_merge` of the wall-clock benchmark runs
+    // (13.1 M parameters), NOT the `ASGD_SCALE` twin. At the scaled shape
     // (~180k params) a merge finishes inside its fixed overheads (pool
     // dispatch, simulated-timing bookkeeping), which is how an earlier
     // artifact recorded the arena at parity with alloc-per-merge. Hence:
     // hardcoded full shape, per-iteration timing, median of 20.
     let config = MlpConfig {
         num_features: 135_909,
-        hidden: 128,
-        num_classes: 6_701,
+        hidden: 64,
+        num_classes: 67_009,
     };
     let n = 4;
     let params = config.param_len();
@@ -718,10 +754,7 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
         "{}x{}x{} x{n}",
         config.num_features, config.hidden, config.num_classes
     );
-    let weights = vec![1.0 / n as f64; n];
     let ctx = CollectiveContext::new(Topology::pcie(n), &heterogeneous_server(n));
-    let arrivals = vec![SimTime::ZERO; n];
-    let algo = Algorithm::MultiStreamRing { partitions: 4 };
     let iters = 20;
 
     let mut rows = Vec::new();
@@ -744,7 +777,13 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
             if variant == "alloc_per_merge" {
                 let mut fresh: Vec<FlatVec> =
                     replicas.iter().map(|r| FlatVec::F32(r.to_flat())).collect();
-                let timing = allreduce_flat(&mut fresh, &weights, algo, &ctx, &arrivals);
+                let timing = allreduce_flat(
+                    &mut fresh,
+                    &vec![1.0 / n as f64; n],
+                    Algorithm::MultiStreamRing { partitions: 4 },
+                    &ctx,
+                    &vec![SimTime::ZERO; n],
+                );
                 apply_global_update_flat(&fresh[0], global, prev_global, 0.9);
                 for r in replicas.iter_mut() {
                     let flat = global.clone();
@@ -752,16 +791,7 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
                 }
                 timing
             } else {
-                for (r, buf) in replicas.iter().zip(bufs.iter_mut()) {
-                    r.write_flat_buf(buf);
-                }
-                let timing = allreduce_flat(bufs, &weights, algo, &ctx, &arrivals);
-                apply_global_update_flat(&bufs[0], global, prev_global, 0.9);
-                redistribute_global(global, bufs);
-                for (r, buf) in replicas.iter_mut().zip(bufs.iter()) {
-                    r.read_flat_buf(buf);
-                }
-                timing
+                arena_merge(replicas, bufs, global, prev_global, &ctx)
             }
         };
         // Warm up (and capture the simulated collective timing, which is a
@@ -1334,6 +1364,9 @@ pub fn fig4(env: &Env) -> String {
                     continue;
                 }
                 let mut config = env.run_config(lr);
+                // CROSSBOW's blend dirties every row: its baseline merges
+                // dense whatever `ASGD_SPARSE_MERGE` asks of the others.
+                config.sparse_merge &= !matches!(algo.merge_rule, MergeRule::Crossbow { .. });
                 config.mega_batch_limit = Some(env.mega_limit * 40);
                 config.time_limit = Some(budget);
                 let result = Trainer::new(algo, heterogeneous_server(gpus), config).run(&ds);

@@ -27,8 +27,9 @@
 //! | `ASGD_LSH_TABLES` | `8` | SimHash tables when `ASGD_SOFTMAX=sampled` |
 //! | `ASGD_NEG_SAMPLES` | `64` | negative candidates per batch when
 //!   `ASGD_SOFTMAX=sampled` |
-//! | `ASGD_SPARSE_MERGE` | `0` | `1` = charge merges through the sparse
-//!   delta all-reduce (timing-only; requires `ASGD_SOFTMAX=sampled`) |
+//! | `ASGD_SPARSE_MERGE` | `0` | `1` = merge through the sparse delta
+//!   all-reduce (bit-identical model; requires `ASGD_SOFTMAX=sampled` —
+//!   without it `Trainer::new` refuses the config by name) |
 
 use asgd_core::trainer::{RunConfig, SampledSoftmax, Trainer, TrainerSpec};
 use asgd_core::RunResult;

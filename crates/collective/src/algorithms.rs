@@ -3,38 +3,31 @@
 //! A *walk* is the step structure of an algorithm — who sends which range
 //! to whom in which round — together with its cost accounting (transfers of
 //! a round overlap: max within a round, sum across rounds). Every walk hands
-//! the payload of each step to a [`Payload`], and there are exactly two:
-//! [`Arith`] performs the *real* weighted-sum arithmetic chunk-by-chunk,
-//! following the exact data flow of the algorithm (so floating-point
-//! summation order matches what the hardware collective would produce), and
-//! [`CostOnly`] moves nothing, which makes the same walk the cost schedule
-//! of a collective at any length (`sparse::dense_schedule`). The real
-//! collective therefore computes and accounts in a single pass, and the two
-//! can never drift apart.
+//! the payload of each step to a [`Payload`], and there are exactly two: the
+//! recorder of [`crate::tiles`], which keeps the step list so the *real*
+//! weighted-sum arithmetic can be replayed tile by tile in the exact data
+//! flow of the algorithm (so floating-point summation order matches what the
+//! hardware collective would produce), and [`CostOnly`], which moves nothing
+//! and makes the same walk the cost schedule of a collective at any length
+//! (`sparse::dense_schedule`). The bill a collective presents and the
+//! arithmetic it performs therefore come from a single pass over the same
+//! loops, and the two can never drift apart.
 //!
-//! Reduction arithmetic is applied **in place** on the destination buffers:
-//! within any single step of any algorithm here, the chunks written never
+//! Within any single step of any algorithm here, the chunks written never
 //! alias the chunks read (the ring forwards chunk `i - s` while reading
-//! `i + 1 - s`; halving/doubling partners exchange disjoint halves), so no
-//! staging copies of the payloads are needed and the result is bit-identical
-//! to a fully simultaneous exchange. Per-chunk arithmetic routes through the
-//! persistent worker pool (`asgd_tensor::parallel`), which partitions
-//! deterministically — results are bit-identical for any `ASGD_THREADS`.
+//! `i + 1 - s`; halving/doubling partners exchange disjoint halves), so
+//! applying the steps one after another in place is bit-identical to a fully
+//! simultaneous exchange. The step-at-a-time execution survives as `Arith`,
+//! the `#[cfg(test)]` oracle the tile replay is pinned against.
 
+use crate::hierarchical::InterNode;
+use crate::tiles::{allreduce_tiled, split_shares, tile_shares, InPlace};
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::bf16::ReduceElem;
-use asgd_tensor::parallel::{
-    par_add_assign_elem, par_chunks_mut, par_copy_elem, par_scale_elem, split_ranges,
-};
-use asgd_tensor::FlatVec;
+use asgd_tensor::parallel::split_ranges;
+use asgd_tensor::{FlatVec, Precision};
 use std::ops::Range;
-
-/// Reductions shorter than this stay serial — the fork/join on the worker
-/// pool only pays off for model-sized buffers. Element-wise addition is
-/// order-independent per element, so the pooled and serial paths are
-/// bit-identical.
-const MIN_PAR_REDUCE: usize = 1 << 14;
 
 /// The collective algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,8 +69,8 @@ pub fn allreduce(
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
 ) -> AllReduceTiming {
-    let mut views: Vec<&mut [f32]> = buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
-    allreduce_with(&mut views, weights, algo, ctx, arrivals, MIN_PAR_REDUCE)
+    let views = buffers.iter_mut().map(|b| b.as_mut_slice()).collect();
+    allreduce_in_place(views, weights, algo, None, ctx, arrivals, true)
 }
 
 /// [`allreduce`] over precision-tagged flat buffers: every algorithm runs
@@ -96,7 +89,7 @@ pub fn allreduce_flat(
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
 ) -> AllReduceTiming {
-    allreduce_flat_with(buffers, weights, algo, ctx, arrivals, MIN_PAR_REDUCE)
+    allreduce_flat_with(buffers, weights, algo, None, ctx, arrivals, true)
 }
 
 /// [`allreduce_flat`] degraded to the serial (non-pooled) path: no work is
@@ -112,101 +105,87 @@ pub fn allreduce_flat_serial(
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
 ) -> AllReduceTiming {
-    allreduce_flat_with(buffers, weights, algo, ctx, arrivals, usize::MAX)
+    allreduce_flat_with(buffers, weights, algo, None, ctx, arrivals, false)
 }
 
-/// Dispatches [`allreduce_with`] on the storage precision of the flat
+/// Dispatches [`allreduce_in_place`] on the storage precision of the flat
 /// buffers (which must all match).
-fn allreduce_flat_with(
+pub(crate) fn allreduce_flat_with(
     buffers: &mut [FlatVec],
     weights: &[f64],
     algo: Algorithm,
+    inter: Option<InterNode>,
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
-    min_par: usize,
+    pooled: bool,
 ) -> AllReduceTiming {
+    fn views<E: ReduceElem>(buffers: &mut [FlatVec]) -> Vec<&mut [E]> {
+        let view = |b| E::slice_mut(b).expect("mixed-precision allreduce");
+        buffers.iter_mut().map(view).collect()
+    }
     assert!(
         !buffers.is_empty(),
         "allreduce needs at least one participant"
     );
-    match buffers[0] {
-        FlatVec::F32(_) => {
-            let mut views: Vec<&mut [f32]> = buffers
-                .iter_mut()
-                .map(|b| match b {
-                    FlatVec::F32(v) => v.as_mut_slice(),
-                    FlatVec::Bf16(_) => panic!("mixed-precision allreduce"),
-                })
-                .collect();
-            allreduce_with(&mut views, weights, algo, ctx, arrivals, min_par)
-        }
-        FlatVec::Bf16(_) => {
-            let mut views: Vec<&mut [u16]> = buffers
-                .iter_mut()
-                .map(|b| match b {
-                    FlatVec::Bf16(v) => v.as_mut_slice(),
-                    FlatVec::F32(_) => panic!("mixed-precision allreduce"),
-                })
-                .collect();
-            allreduce_with(&mut views, weights, algo, ctx, arrivals, min_par)
-        }
+    match buffers[0].precision() {
+        Precision::F32 => allreduce_in_place(
+            views::<f32>(buffers),
+            weights,
+            algo,
+            inter,
+            ctx,
+            arrivals,
+            pooled,
+        ),
+        Precision::Bf16 => allreduce_in_place(
+            views::<u16>(buffers),
+            weights,
+            algo,
+            inter,
+            ctx,
+            arrivals,
+            pooled,
+        ),
     }
 }
 
-/// Shared implementation, generic over the storage element (`f32`
+/// The in-place collective, generic over the storage element (`f32`
 /// reproduces the pre-generic code path bit for bit; `u16` runs the bf16
-/// rounding contract). `min_par` is the minimum element count at which
-/// per-chunk arithmetic is handed to the worker pool (`usize::MAX` keeps
-/// everything on the calling thread).
-fn allreduce_with<E: ReduceElem>(
-    views: &mut [&mut [E]],
+/// rounding contract): every buffer is cut at the tile-pass shares, and each
+/// share's tiles are loaded from and stored back to the buffers themselves.
+fn allreduce_in_place<E: ReduceElem>(
+    views: Vec<&mut [E]>,
     weights: &[f64],
     algo: Algorithm,
+    inter: Option<InterNode>,
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
-    min_par: usize,
+    pooled: bool,
 ) -> AllReduceTiming {
-    let n = views.len();
-    assert!(n > 0, "allreduce needs at least one participant");
-    assert_eq!(weights.len(), n, "weights/buffers mismatch");
-    assert_eq!(arrivals.len(), n, "arrivals/buffers mismatch");
-    assert_eq!(ctx.n_devices(), n, "context device count mismatch");
+    assert!(
+        !views.is_empty(),
+        "allreduce needs at least one participant"
+    );
+    assert_eq!(weights.len(), views.len(), "weights/buffers mismatch");
     let len = views[0].len();
     assert!(
         views.iter().all(|b| b.len() == len),
         "replica size mismatch"
     );
-
-    // Pre-scale each replica by its merge weight on its own device. The
-    // scale pass overlaps nothing — it delays that device's arrival. It must
-    // stay a separate pass (not fused into the ring's adds): ring chunks
-    // forward partial sums, so fusing would re-scale them. Cost model: one
-    // read + one write of the stored payload (`2 · BYTES` bytes/element).
-    let mut ready = Vec::with_capacity(n);
-    for (d, buf) in views.iter_mut().enumerate() {
-        let w = weights[d] as f32;
-        if w != 1.0 {
-            par_scale_elem(w, buf, min_par);
+    let shares = tile_shares(len, pooled);
+    let mut parts: Vec<(Range<usize>, InPlace<E>)> = shares
+        .iter()
+        .map(|r| {
+            let (start, bufs) = (r.start, Vec::with_capacity(views.len()));
+            (r.clone(), InPlace { start, bufs })
+        })
+        .collect();
+    for view in views {
+        for ((_, part), slice) in parts.iter_mut().zip(split_shares(view, &shares)) {
+            part.bufs.push(slice);
         }
-        let scale_t = (2 * E::BYTES) as f64 * len as f64
-            / (ctx.profiles()[d].mem_bandwidth_gbs * 1e9)
-            / ctx.profiles()[d].speed_factor;
-        ready.push(arrivals[d] + scale_t);
     }
-    // Barrier: the collective begins when the last participant is ready.
-    let start = ready.iter().cloned().fold(SimTime::ZERO, SimTime::max);
-
-    let (elapsed, bytes) = walk(algo, ctx, len, E::BYTES, min_par != usize::MAX, |ranges| {
-        split_streams(views, ranges)
-            .into_iter()
-            .map(|bufs| Arith { bufs, min_par })
-            .collect()
-    });
-    AllReduceTiming {
-        start,
-        end: start + elapsed,
-        bytes_moved: bytes,
-    }
+    allreduce_tiled(&mut parts, len, weights, algo, inter, ctx, arrivals)
 }
 
 /// The data side of a collective step. The walks below own the step
@@ -218,24 +197,6 @@ pub(crate) trait Payload {
     fn copy(&mut self, dst: usize, src: usize, range: Range<usize>);
 }
 
-/// The real arithmetic, in place on one stream's per-device slices.
-struct Arith<'a, E> {
-    bufs: Vec<&'a mut [E]>,
-    min_par: usize,
-}
-
-impl<E: ReduceElem> Payload for Arith<'_, E> {
-    fn reduce(&mut self, dst: usize, src: usize, range: Range<usize>) {
-        let (d, s) = chunk_pair(&mut self.bufs, dst, src, range);
-        par_add_assign_elem(d, s, self.min_par);
-    }
-
-    fn copy(&mut self, dst: usize, src: usize, range: Range<usize>) {
-        let (d, s) = chunk_pair(&mut self.bufs, dst, src, range);
-        par_copy_elem(s, d, self.min_par);
-    }
-}
-
 /// No buffers: the walk's accounting alone.
 pub(crate) struct CostOnly;
 
@@ -245,110 +206,80 @@ impl Payload for CostOnly {
 }
 
 /// Post-barrier `(elapsed, bytes_moved)` of `algo` over `len` elements of
-/// width `elem_bytes`, applying every step to the payloads `make` builds.
+/// width `elem_bytes`, handing every step to `p`.
 ///
 /// The element range is cut into *streams* — one covering everything, except
 /// for [`Algorithm::MultiStreamRing`], whose partitions each run their own
-/// ring starting at a different GPU. `make` receives the stream ranges and
-/// returns one payload per stream. Streams are element-disjoint, so with
-/// `pooled` they run as worker-pool tasks; durations overlap (max) and bytes
-/// add, combined in stream order, so the totals are deterministic. Without
-/// `pooled` the streams run one after another on the calling thread — same
-/// order, same disjoint ranges, so results and timing are bit-identical.
-pub(crate) fn walk<P: Payload + Send>(
+/// ring starting at a different GPU. Streams are element-disjoint and run
+/// concurrently on the simulated fabric: durations overlap (max) and bytes
+/// add, combined in stream order, so the totals are deterministic.
+pub(crate) fn walk<P: Payload>(
     algo: Algorithm,
     ctx: &CollectiveContext,
     len: usize,
     elem_bytes: usize,
-    pooled: bool,
-    make: impl FnOnce(&[Range<usize>]) -> Vec<P>,
+    p: &mut P,
 ) -> (f64, usize) {
     let n = ctx.n_devices();
     if n < 2 {
         return (0.0, 0);
     }
-    let ranges = match algo {
+    let streams = match algo {
         Algorithm::MultiStreamRing { partitions } => {
             split_ranges(len, partitions.clamp(1, len.max(1)))
         }
         _ => std::iter::once(0..len).collect(),
     };
-    let mut streams: Vec<(P, (f64, usize))> =
-        make(&ranges).into_iter().map(|p| (p, (0.0, 0))).collect();
-    assert_eq!(streams.len(), ranges.len(), "one payload per stream");
-    let nstreams = streams.len();
-    // A lone stream stays on the calling thread so its per-chunk arithmetic
-    // can use the pool itself (pool tasks run nested work inline).
-    let min_serial = if pooled && nstreams > 1 {
-        0
-    } else {
-        usize::MAX
-    };
-    par_chunks_mut(&mut streams, nstreams, 1, min_serial, |first, chunk| {
-        for (i, (p, out)) in chunk.iter_mut().enumerate() {
-            let len = ranges[first + i].len();
-            *out = match algo {
-                Algorithm::Naive => naive(p, ctx, elem_bytes, len),
-                Algorithm::Tree => tree(p, ctx, elem_bytes, len),
-                Algorithm::HalvingDoubling if n.is_power_of_two() => {
-                    halving_doubling(p, ctx, elem_bytes, len)
-                }
-                Algorithm::Ring | Algorithm::HalvingDoubling => ring(p, ctx, elem_bytes, len, 0),
-                Algorithm::MultiStreamRing { .. } => ring(p, ctx, elem_bytes, len, (first + i) % n),
-            };
-        }
-    });
-    streams
-        .iter()
-        .fold((0.0f64, 0usize), |(t, b), (_, (st, sb))| {
-            (t.max(*st), b + sb)
-        })
-}
-
-/// Cuts every device's buffer at the stream boundaries: `out[s][d]` is
-/// device `d`'s slice of stream `s`. `ranges` must tile `0..len` in
-/// ascending order (what `split_ranges` and the single-stream `0..len`
-/// produce), which makes this a chain of `split_at_mut`s.
-fn split_streams<'a, E>(
-    views: &'a mut [&mut [E]],
-    ranges: &[Range<usize>],
-) -> Vec<Vec<&'a mut [E]>> {
-    let mut streams: Vec<Vec<&mut [E]>> = ranges
-        .iter()
-        .map(|_| Vec::with_capacity(views.len()))
-        .collect();
-    for view in views.iter_mut() {
-        let mut rest: &mut [E] = view;
-        for (stream, r) in streams.iter_mut().zip(ranges) {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            stream.push(head);
-            rest = tail;
-        }
+    let mut total = (0.0f64, 0usize);
+    for (i, r) in streams.into_iter().enumerate() {
+        let (t, bytes) = match algo {
+            Algorithm::Naive => naive(p, ctx, elem_bytes, r),
+            Algorithm::Tree => tree(p, ctx, elem_bytes, r),
+            Algorithm::HalvingDoubling if n.is_power_of_two() => {
+                halving_doubling(p, ctx, elem_bytes, r)
+            }
+            Algorithm::Ring | Algorithm::HalvingDoubling => ring(p, ctx, elem_bytes, r, 0),
+            Algorithm::MultiStreamRing { .. } => ring(p, ctx, elem_bytes, r, i % n),
+        };
+        total = (total.0.max(t), total.1 + bytes);
     }
-    streams
+    total
 }
 
-/// Gather-to-root + broadcast. Sequential on the root's links.
-fn naive<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) -> (f64, usize) {
+/// Gather-to-root + broadcast over `range`. Sequential on the root's links.
+fn naive<P: Payload>(
+    p: &mut P,
+    ctx: &CollectiveContext,
+    b: usize,
+    range: Range<usize>,
+) -> (f64, usize) {
     let n = ctx.n_devices();
+    let len = range.len();
     let mut t = 0.0;
     let mut bytes = 0usize;
     for src in 1..n {
-        p.reduce(0, src, 0..len);
+        p.reduce(0, src, range.clone());
         t += ctx.p2p_time_sized(src, 0, len, b) + ctx.reduce_time_sized(0, len, b);
         bytes += b * len;
     }
     for dst in 1..n {
-        p.copy(dst, 0, 0..len);
+        p.copy(dst, 0, range.clone());
         t += ctx.p2p_time_sized(0, dst, len, b);
         bytes += b * len;
     }
     (t, bytes)
 }
 
-/// Binomial tree reduce + broadcast, single stream, whole-model transfers.
-fn tree<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) -> (f64, usize) {
+/// Binomial tree reduce + broadcast over `range`, single stream,
+/// whole-range transfers.
+fn tree<P: Payload>(
+    p: &mut P,
+    ctx: &CollectiveContext,
+    b: usize,
+    range: Range<usize>,
+) -> (f64, usize) {
     let n = ctx.n_devices();
+    let len = range.len();
     let mut bytes = 0usize;
     // One round at `stride`: the pairs `(i, i + stride)`, `i = 0, 2·stride, …`
     // are concurrent. `up` reduces into `i`, otherwise `i` broadcasts.
@@ -357,10 +288,10 @@ fn tree<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) ->
         let mut i = 0;
         while i + stride < n {
             let cost = if up {
-                p.reduce(i, i + stride, 0..len);
+                p.reduce(i, i + stride, range.clone());
                 ctx.p2p_time_sized(i + stride, i, len, b) + ctx.reduce_time_sized(i, len, b)
             } else {
-                p.copy(i + stride, i, 0..len);
+                p.copy(i + stride, i, range.clone());
                 ctx.p2p_time_sized(i, i + stride, len, b)
             };
             round_t = round_t.max(cost);
@@ -383,32 +314,35 @@ fn tree<P: Payload>(p: &mut P, ctx: &CollectiveContext, b: usize, len: usize) ->
     (t, bytes)
 }
 
-/// Ring all-reduce over `len` elements, with the ring starting role rotated
-/// by `rotate` (used by the multi-stream variant so each partition's
-/// traffic starts at a different GPU).
+/// Ring all-reduce over `range`, with the ring starting role rotated by
+/// `rotate` (used by the multi-stream variant so each partition's traffic
+/// starts at a different GPU).
 ///
-/// Payloads are applied directly, without staging: in reduce-scatter step
-/// `s`, device `i+1` receives chunk `i - s` while only chunk `i + 1 - s` of
-/// its buffer is read (as the source of the next hop) — written and read
-/// chunks never coincide within a step, so in-place application is
-/// bit-identical to a simultaneous exchange. The all-gather phase overwrites
-/// chunk `i + 1 - s` while chunk `i + 2 - s` is read: again disjoint.
+/// In reduce-scatter step `s`, device `i+1` receives chunk `i - s` while
+/// only chunk `i + 1 - s` of its buffer is read (as the source of the next
+/// hop) — written and read chunks never coincide within a step, so applying
+/// the steps in sequence is bit-identical to a simultaneous exchange. The
+/// all-gather phase overwrites chunk `i + 1 - s` while chunk `i + 2 - s` is
+/// read: again disjoint.
 fn ring<P: Payload>(
     p: &mut P,
     ctx: &CollectiveContext,
     b: usize,
-    len: usize,
+    range: Range<usize>,
     rotate: usize,
 ) -> (f64, usize) {
     let n = ctx.n_devices();
-    if len == 0 {
+    if range.is_empty() {
         return (0.0, 0);
     }
     // Chunk the range into n near-equal pieces; `split_ranges` emits fewer
-    // when len < n, so pad with empty chunks to keep every logical chunk
-    // index addressable (timing charges only non-empty sends).
-    let mut chunks = split_ranges(len, n);
-    chunks.resize(n, len..len);
+    // when it is shorter than n, so pad with empty chunks to keep every
+    // logical chunk index addressable (timing charges only non-empty sends).
+    let mut chunks: Vec<Range<usize>> = split_ranges(range.len(), n)
+        .into_iter()
+        .map(|c| range.start + c.start..range.start + c.end)
+        .collect();
+    chunks.resize(n, range.end..range.end);
     // Physical device playing logical role `i`.
     let dev = |i: usize| (i + rotate) % n;
 
@@ -445,18 +379,17 @@ fn ring<P: Payload>(
     (t, bytes)
 }
 
-/// Recursive halving reduce-scatter + recursive doubling all-gather.
-/// Requires `n` to be a power of two (the caller guarantees it).
+/// Recursive halving reduce-scatter + recursive doubling all-gather over
+/// `range`. Requires `n` to be a power of two (the caller guarantees it).
 ///
-/// Like the ring, payloads are applied in place: a pair exchanges the two
+/// Like the ring, steps never read what they write: a pair exchanges the two
 /// complementary halves of its shared active range (halving), or its two
-/// disjoint owned ranges (doubling), so within a step no written region is
-/// ever read.
+/// disjoint owned ranges (doubling).
 fn halving_doubling<P: Payload>(
     p: &mut P,
     ctx: &CollectiveContext,
     b: usize,
-    len: usize,
+    range: Range<usize>,
 ) -> (f64, usize) {
     let n = ctx.n_devices();
     debug_assert!(n.is_power_of_two() && n >= 2);
@@ -465,7 +398,7 @@ fn halving_doubling<P: Payload>(
 
     // Active range per device; pairs always share identical ranges because
     // pairing follows the bit pattern of already-processed rounds.
-    let mut ranges: Vec<Range<usize>> = vec![0..len; n];
+    let mut ranges: Vec<Range<usize>> = vec![range; n];
 
     // Phase 1: recursive halving. Partner distance n/2, n/4, …, 1.
     let mut d = n / 2;
@@ -522,27 +455,31 @@ fn halving_doubling<P: Payload>(
     (t, bytes)
 }
 
-/// Borrows `range` of buffer `dst` mutably and of buffer `src` immutably
-/// (`dst != src`).
-fn chunk_pair<'a, E>(
-    bufs: &'a mut [&mut [E]],
-    dst: usize,
-    src: usize,
-    range: Range<usize>,
-) -> (&'a mut [E], &'a [E]) {
-    assert_ne!(dst, src);
-    if dst < src {
-        let (lo, hi) = bufs.split_at_mut(src);
-        (&mut lo[dst][range.clone()], &hi[0][range])
-    } else {
-        let (lo, hi) = bufs.split_at_mut(dst);
-        (&mut hi[0][range.clone()], &lo[src][range])
+/// The step-at-a-time arithmetic, in place on whole per-device buffers —
+/// what the collectives executed before the tile replay, kept as the oracle
+/// the replay is pinned against.
+#[cfg(test)]
+pub(crate) struct Arith<'a, E> {
+    pub(crate) bufs: Vec<&'a mut [E]>,
+}
+
+#[cfg(test)]
+impl<E: ReduceElem> Payload for Arith<'_, E> {
+    fn reduce(&mut self, dst: usize, src: usize, range: Range<usize>) {
+        let (d, s) = crate::tiles::pair(&mut self.bufs, dst, src);
+        E::add_slice(&mut d[range.clone()], &s[range]);
+    }
+
+    fn copy(&mut self, dst: usize, src: usize, range: Range<usize>) {
+        let (d, s) = crate::tiles::pair(&mut self.bufs, dst, src);
+        d[range.clone()].copy_from_slice(&s[range]);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tiles::MIN_PAR_REDUCE;
     use asgd_gpusim::{profile, Topology};
 
     fn ctx(n: usize) -> CollectiveContext {
@@ -553,9 +490,8 @@ mod tests {
         let len = bufs[0].len();
         let mut p = Arith {
             bufs: bufs.iter_mut().map(|b| b.as_mut_slice()).collect(),
-            min_par: MIN_PAR_REDUCE,
         };
-        ring(&mut p, ctx, 4, len, rotate)
+        ring(&mut p, ctx, 4, 0..len, rotate)
     }
 
     #[test]

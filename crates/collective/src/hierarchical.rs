@@ -13,10 +13,11 @@
 //! (`(a₀+a₁)+(a₂+a₃)` vs the flat algorithm's order) and therefore the bits
 //! of the merged model — every golden trace would fork on the fleet shape.
 //! This module deliberately keeps the **arithmetic pinned to the single-level
-//! all-reduce**: the weighted sum is produced by [`allreduce_flat`] (same
-//! pooled/serial machinery, same per-element order, bit-identical for any
-//! `ASGD_THREADS`), while the cluster topology shapes only the *simulated*
-//! two-level schedule — barrier, per-phase durations and byte accounting.
+//! all-reduce**: the weighted sum is produced by the flat collective's own
+//! tile pass ([`crate::allreduce_flat`] — same pooled/serial machinery, same
+//! per-element order, bit-identical for any `ASGD_THREADS`), while the
+//! cluster topology shapes only the *simulated* two-level schedule —
+//! barrier, per-phase durations and byte accounting.
 //! Merging topology is a scheduling optimization, not an arithmetic one:
 //! trajectories are invariant under flat↔hierarchical and ring↔tree
 //! switches, which is exactly the property the determinism test suite pins.
@@ -40,7 +41,7 @@
 //! timing included — so the 1×M row of a scaling curve is the flat baseline
 //! by construction.
 
-use crate::algorithms::{allreduce_flat, allreduce_flat_serial, Algorithm};
+use crate::algorithms::{allreduce_flat_with, Algorithm};
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::FlatVec;
@@ -57,12 +58,12 @@ pub enum InterNode {
 
 /// Hierarchical weighted all-reduce over precision-tagged flat buffers.
 ///
-/// Result bits are **identical** to [`allreduce_flat`] with the same
+/// Result bits are **identical** to [`crate::allreduce_flat`] with the same
 /// `buffers`/`weights`/`intra` (see the module docs); the returned timing is
 /// the two-level schedule derived from the cluster links in `ctx`.
 ///
 /// # Panics
-/// Panics on the same inconsistencies as [`allreduce_flat`].
+/// Panics on the same inconsistencies as [`crate::allreduce_flat`].
 pub fn hierarchical_allreduce_flat(
     buffers: &mut [FlatVec],
     weights: &[f64],
@@ -71,8 +72,7 @@ pub fn hierarchical_allreduce_flat(
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
 ) -> AllReduceTiming {
-    let flat = allreduce_flat(buffers, weights, intra, ctx, arrivals);
-    hierarchical_timing(buffers, intra, inter, ctx, flat)
+    allreduce_flat_with(buffers, weights, intra, Some(inter), ctx, arrivals, true)
 }
 
 /// [`hierarchical_allreduce_flat`] degraded to the serial (non-pooled)
@@ -86,8 +86,7 @@ pub fn hierarchical_allreduce_flat_serial(
     ctx: &CollectiveContext,
     arrivals: &[SimTime],
 ) -> AllReduceTiming {
-    let flat = allreduce_flat_serial(buffers, weights, intra, ctx, arrivals);
-    hierarchical_timing(buffers, intra, inter, ctx, flat)
+    allreduce_flat_with(buffers, weights, intra, Some(inter), ctx, arrivals, false)
 }
 
 /// `⌈log₂ m⌉` (0 for `m ≤ 1`): the round count of a binomial tree over `m`
@@ -217,18 +216,18 @@ pub(crate) fn broadcast_phase(
     (t, bytes)
 }
 
-/// Replaces the flat collective's post-barrier schedule with the two-level
-/// one. `flat.start` (barrier after pre-scale) is kept: arrival semantics do
-/// not change with the merge topology.
-fn hierarchical_timing(
-    buffers: &[FlatVec],
+/// Replaces the flat collective's post-barrier schedule over `len` elements
+/// of width `b` with the two-level one. `flat.start` (barrier after
+/// pre-scale) is kept: arrival semantics do not change with the merge
+/// topology.
+pub(crate) fn hierarchical_timing(
+    len: usize,
+    b: usize,
     intra: Algorithm,
     inter: InterNode,
     ctx: &CollectiveContext,
     flat: AllReduceTiming,
 ) -> AllReduceTiming {
-    let len = buffers[0].len();
-    let b = buffers[0].precision().bytes();
     let groups = server_groups(ctx);
     if ctx.n_devices() <= 1 || groups.len() <= 1 || len == 0 {
         // One device, one server, or nothing to move: the flat schedule IS
@@ -252,6 +251,7 @@ fn hierarchical_timing(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::allreduce_flat;
     use asgd_gpusim::{profile, ClusterTopology};
 
     fn cluster_ctx(servers: usize, m: usize) -> CollectiveContext {
@@ -461,6 +461,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::algorithms::allreduce_flat;
     use asgd_gpusim::{profile, ClusterTopology};
     use proptest::prelude::*;
 

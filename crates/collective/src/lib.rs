@@ -39,6 +39,7 @@
 pub mod algorithms;
 pub mod hierarchical;
 pub mod sparse;
+pub mod tiles;
 pub mod timing;
 
 pub use algorithms::{allreduce, allreduce_flat, allreduce_flat_serial, Algorithm};
@@ -46,9 +47,10 @@ pub use hierarchical::{
     hierarchical_allreduce_flat, hierarchical_allreduce_flat_serial, InterNode,
 };
 pub use sparse::{
-    dense_schedule, gather_delta, scatter_delta, sparse_merge_timing, union_rows, SparseLayout,
-    SparseMergePlan, SparseMergeTiming, DEFAULT_MAX_DENSITY,
+    dense_schedule, gather_delta, scatter_delta, sparse_merge_timing, union_rows, Delta,
+    SparseLayout, SparseMergePlan, SparseMergeTiming, DEFAULT_MAX_DENSITY,
 };
+pub use tiles::{allreduce_tiled, split_shares, tile_shares, TilePart, TILE_ELEMS};
 pub use timing::{AllReduceTiming, CollectiveContext};
 
 #[cfg(test)]

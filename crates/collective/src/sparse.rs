@@ -12,14 +12,16 @@
 //! # The reduction contract
 //!
 //! Exactly like [`crate::hierarchical`], sparsity here is a *communication
-//! schedule*, never an arithmetic change. The weighted sum is still
-//! produced by [`crate::allreduce_flat`] over full flat buffers — each
-//! replica's buffer is reconstructed bit-for-bit by scattering its delta
-//! over the shared base model (the payload of the last `SetModel`), so for
-//! every touched row the summation order matches the dense path exactly and
-//! untouched rows are bit-unchanged (`base + 0·anything` never executes:
-//! untouched elements are simply the identical base bits in every replica).
-//! The merged model is therefore **bit-identical** to the dense path at any
+//! schedule*, never an arithmetic change. The weighted sum is what
+//! [`crate::allreduce_flat`] computes over every replica's full flat buffer,
+//! and a replica's buffer is its delta over the shared base model (the
+//! payload of the last `SetModel`) — reconstructed whole by
+//! [`scatter_delta`], or tile by tile by [`Delta::overlay`] inside the tile
+//! pass ([`crate::tiles`]), which is how the trainer merges without ever
+//! holding a replica buffer. Either way every touched row sees the dense
+//! path's exact summation order and untouched rows are the identical base
+//! bits in every replica (`base + 0·anything` never executes). The merged
+//! model is therefore **bit-identical** to the dense path at any
 //! `ASGD_THREADS`, for both precisions, flat and hierarchical. What changes
 //! is the *simulated* schedule: bytes and time are charged for the id
 //! exchange plus a union-sized reduce instead of a model-sized one.
@@ -60,6 +62,7 @@ use crate::hierarchical::{broadcast_phase, reduce_phases, server_groups, InterNo
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::FlatVec;
+use std::ops::Range;
 
 /// Default union-density threshold above which the sparse schedule falls
 /// back to the dense one. At 0.5 the sparse path pays at most half the
@@ -237,6 +240,104 @@ pub fn scatter_delta(layout: &SparseLayout, rows: &[u32], payload: &FlatVec, bas
             });
         }
         _ => unreachable!("precision equality was just asserted"),
+    }
+}
+
+/// One replica's delta, checked against its layout once and ready to be
+/// overlaid tile by tile — [`scatter_delta`] restricted to an element range,
+/// which is what lets the merge reconstruct a replica's tile from the shared
+/// base without ever materializing its full flat buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Delta<'a, E> {
+    layout: &'a SparseLayout,
+    /// The touched W1 feature rows, ascending.
+    w1_rows: &'a [u32],
+    /// The touched classes (`row − features`), as rows, ascending.
+    class_rows: &'a [u32],
+    payload: &'a [E],
+}
+
+impl<'a, E: Copy> Delta<'a, E> {
+    /// Views `(rows, payload)` — the wire format of
+    /// [`SparseLayout::for_each_delta_index`] — as a delta over `layout`.
+    ///
+    /// # Panics
+    /// Panics when `rows` is not strictly ascending inside the layout or
+    /// `payload` is not the delta's length.
+    pub fn new(layout: &'a SparseLayout, rows: &'a [u32], payload: &'a [E]) -> Self {
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "delta rows must be strictly ascending"
+        );
+        assert!(
+            rows.last()
+                .is_none_or(|&r| (r as usize) < layout.num_rows()),
+            "row outside layout"
+        );
+        assert_eq!(
+            payload.len(),
+            layout.delta_elems(rows),
+            "payload/rows length mismatch"
+        );
+        let (w1_rows, class_rows) =
+            rows.split_at(rows.partition_point(|&r| (r as usize) < layout.features));
+        Self {
+            layout,
+            w1_rows,
+            class_rows,
+            payload,
+        }
+    }
+
+    /// Overwrites, in `tile` — the elements `range` of a flat buffer — every
+    /// element this delta carries; the rest of `tile` is left as it is.
+    pub fn overlay(&self, range: Range<usize>, tile: &mut [E]) {
+        debug_assert_eq!(tile.len(), range.len());
+        let l = self.layout;
+        let (h, classes) = (l.hidden, l.classes);
+        let (a, b) = (range.start, range.end);
+        // `from` sits at flat index `at`: copy the part inside the tile.
+        let mut put = |at: usize, from: &[E]| {
+            let (lo, hi) = (at.max(a), (at + from.len()).min(b));
+            if lo < hi {
+                tile[lo - a..hi - a].copy_from_slice(&from[lo - at..hi - at]);
+            }
+        };
+        put(l.b1_off(), &self.payload[..h]);
+        let first = self.w1_rows.partition_point(|&r| (r as usize + 1) * h <= a);
+        for (j, &r) in self.w1_rows.iter().enumerate().skip(first) {
+            if r as usize * h >= b {
+                break;
+            }
+            put(r as usize * h, &self.payload[(1 + j) * h..(2 + j) * h]);
+        }
+
+        // Class row `j` carries its W2 column (one element per `k`-row of
+        // W2, `classes` apart in the flat layout) followed by its b2 entry.
+        let values = &self.payload[(1 + self.w1_rows.len()) * h..];
+        let class_of = |r: u32| r as usize - l.features;
+        // The classes `c_lo..c_hi` of this delta, as indices into `class_rows`.
+        let span = |c_lo: usize, c_hi: usize| {
+            self.class_rows.partition_point(|&r| class_of(r) < c_lo)
+                ..self.class_rows.partition_point(|&r| class_of(r) < c_hi)
+        };
+        let (w2, b2) = (l.w2_off(), l.b2_off());
+        if a < b2 && w2 < b {
+            let (lo, hi) = (a.max(w2) - w2, b.min(b2) - w2);
+            for k in lo / classes..=(hi - 1) / classes {
+                let row = k * classes;
+                for j in span(lo.max(row) - row, hi.min(row + classes) - row) {
+                    let c = class_of(self.class_rows[j]);
+                    tile[w2 + row + c - a] = values[j * (h + 1) + k];
+                }
+            }
+        }
+        if b2 < b {
+            for j in span(a.max(b2) - b2, b - b2) {
+                let c = class_of(self.class_rows[j]);
+                tile[b2 + c - a] = values[j * (h + 1) + h];
+            }
+        }
     }
 }
 
@@ -474,9 +575,7 @@ pub fn dense_schedule(
     len: usize,
     elem_bytes: usize,
 ) -> (f64, usize) {
-    walk(algo, ctx, len, elem_bytes, false, |streams| {
-        streams.iter().map(|_| CostOnly).collect()
-    })
+    walk(algo, ctx, len, elem_bytes, &mut CostOnly)
 }
 
 #[cfg(test)]
@@ -555,6 +654,64 @@ mod tests {
             let mut rebuilt = base.clone();
             scatter_delta(&l, &rows, &delta, &mut rebuilt);
             assert_eq!(rebuilt, replica, "bf16={bf16}: reconstruction diverged");
+        }
+    }
+
+    /// `base[range]` overlaid with the delta vs the same range of
+    /// `scatter_delta` over the whole base, for every tile of every length.
+    pub(super) fn assert_overlay_matches_scatter(l: &SparseLayout, rows: &[u32], bf16: bool) {
+        let base = random_flat(l.param_len(), 42, bf16);
+        let mut replica = random_flat(l.param_len(), 43, bf16);
+        let mut delta = FlatVec::default();
+        gather_delta(l, rows, &replica, &mut delta);
+        replica = base.clone();
+        scatter_delta(l, rows, &delta, &mut replica);
+        fn check<E: asgd_tensor::bf16::ReduceElem>(
+            l: &SparseLayout,
+            rows: &[u32],
+            delta: &FlatVec,
+            base: &FlatVec,
+            want: &FlatVec,
+        ) {
+            let d = Delta::new(l, rows, E::slice(delta).unwrap());
+            let (base, want) = (E::slice(base).unwrap(), E::slice(want).unwrap());
+            for tile_len in 1..=l.param_len() {
+                for a in (0..l.param_len()).step_by(tile_len) {
+                    let range = a..(a + tile_len).min(l.param_len());
+                    let mut tile = base[range.clone()].to_vec();
+                    d.overlay(range.clone(), &mut tile);
+                    assert_eq!(tile, want[range.clone()], "rows {rows:?} tile {range:?}");
+                }
+            }
+        }
+        if bf16 {
+            check::<u16>(l, rows, &delta, &base, &replica);
+        } else {
+            check::<f32>(l, rows, &delta, &base, &replica);
+        }
+    }
+
+    /// The sparse source of the tile pass: overlaying a delta on a tile of
+    /// the base is `scatter_delta` restricted to that tile — for the empty
+    /// set, every row, and every tile boundary: inside a W1 row (tile
+    /// lengths not a multiple of `hidden`), across `k`-rows of W2 (tiles
+    /// longer than `classes`), across the W1/b1/W2/b2 seams.
+    #[test]
+    fn overlay_is_scatter_restricted_to_the_tile() {
+        let l = layout(); // 7 features, hidden 3, 5 classes
+        let all: Vec<u32> = (0..l.num_rows() as u32).collect();
+        for rows in [
+            &[][..],
+            &[0, 6, 7, 11],
+            &[2, 3, 8, 10],
+            &[6],
+            &[7],
+            &[11],
+            &all,
+        ] {
+            for bf16 in [false, true] {
+                assert_overlay_matches_scatter(&l, rows, bf16);
+            }
         }
     }
 
@@ -933,6 +1090,23 @@ mod proptests {
             prop_assert_eq!(real.start, start);
             prop_assert_eq!(real.end, start + elapsed);
             prop_assert_eq!(real.bytes_moved, bytes);
+        }
+
+        /// Overlaying a delta tile by tile equals scattering it whole, over
+        /// random shapes, row sets and precisions (every tile length).
+        #[test]
+        fn overlay_matches_scatter_over_random_shapes(
+            features in 1usize..12,
+            hidden in 1usize..6,
+            classes in 1usize..12,
+            bf16_sel in 0usize..2,
+            row_mask in 0u64..u64::MAX,
+        ) {
+            let l = SparseLayout::new(features, hidden, classes);
+            let rows: Vec<u32> = (0..l.num_rows() as u32)
+                .filter(|r| row_mask & (1u64 << (r % 64)) != 0)
+                .collect();
+            super::tests::assert_overlay_matches_scatter(&l, &rows, bf16_sel == 1);
         }
 
         /// Gather → scatter over a shared base reconstructs any replica

@@ -1,6 +1,14 @@
 //! Algorithm 2 (Normalized Model Merging) and the global-model update.
 
 use crate::hyper::GpuHyper;
+use asgd_collective::{
+    allreduce_tiled, split_shares, tile_shares, Algorithm, AllReduceTiming, CollectiveContext,
+    Delta, InterNode, SparseLayout, TilePart,
+};
+use asgd_gpusim::SimTime;
+use asgd_tensor::bf16::ReduceElem;
+use asgd_tensor::{FlatVec, Precision};
+use std::ops::Range;
 
 /// Parameters of Algorithm 2.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -137,12 +145,11 @@ pub fn apply_global_update(
 /// merged element exactly and runs the same momentum formula in f32 (the
 /// global and momentum memory always stay f32 — only *storage* narrows).
 pub fn apply_global_update_flat(
-    merged: &asgd_tensor::FlatVec,
+    merged: &FlatVec,
     global: &mut [f32],
     prev_global: &mut [f32],
     gamma: f64,
 ) {
-    use asgd_tensor::FlatVec;
     match merged {
         FlatVec::F32(m) => apply_global_update(m, global, prev_global, gamma),
         FlatVec::Bf16(m) => {
@@ -173,8 +180,7 @@ const MIN_PAR_GLOBAL: usize = 1 << 14;
 ///
 /// # Panics
 /// Panics when a buffer's length does not match the global model's.
-pub fn redistribute_global(global: &[f32], bufs: &mut [asgd_tensor::FlatVec]) {
-    use asgd_tensor::FlatVec;
+pub fn redistribute_global(global: &[f32], bufs: &mut [FlatVec]) {
     let mut first_bf16: Option<usize> = None;
     for i in 0..bufs.len() {
         match first_bf16 {
@@ -192,6 +198,231 @@ pub fn redistribute_global(global: &[f32], bufs: &mut [asgd_tensor::FlatVec]) {
                     first_bf16 = Some(i);
                 }
             },
+        }
+    }
+}
+
+/// What one [`FusedMerge`] reduces, one entry per live replica in device
+/// order.
+pub enum MergeInput<'a> {
+    /// The gathered replicas, one full flat buffer each. `bufs[0]` doubles
+    /// as the payload: a tile of every buffer is read before that tile of
+    /// `bufs[0]` is overwritten. The other buffers are left as gathered.
+    Dense(&'a mut [FlatVec]),
+    /// Each replica's `(rows, delta payload)` over `layout`. The base the
+    /// deltas apply to is the global model at the payload's precision —
+    /// bit for bit the last payload every replica imported — so no replica
+    /// buffer exists at all.
+    Sparse {
+        /// Row space of the deltas.
+        layout: &'a SparseLayout,
+        /// `(rows, delta payload)` per live replica.
+        deltas: &'a [(&'a [u32], &'a FlatVec)],
+        /// Where the redistribution payload goes (model length).
+        payload: &'a mut FlatVec,
+    },
+}
+
+/// The merge stage's arithmetic as one streaming pass: the weighted
+/// all-reduce of the live replicas ([`allreduce_tiled`]), and per reduced
+/// tile the global-model update plus the redistribution payload — what
+/// `allreduce_flat` → [`apply_global_update_flat`] → [`redistribute_global`]
+/// compute in one model-sized sweep each, bit for bit.
+pub struct FusedMerge<'a> {
+    /// Merge weights `α_i` of the live replicas.
+    pub weights: &'a [f64],
+    /// `Some(γ)`: Algorithm 2's momentum update (lines 8–9), the payload is
+    /// the new global model. `None`: the average becomes the global model
+    /// as it is (the momentum memory stays untouched) and is the payload.
+    pub gamma: Option<f64>,
+    /// The collective whose summation order and bill the reduce follows.
+    pub algo: Algorithm,
+    /// Two-level schedule shape (timing only) for cluster contexts.
+    pub inter: Option<InterNode>,
+    /// Links and profiles of the live replicas.
+    pub ctx: &'a CollectiveContext,
+    /// When each live replica reached the merge.
+    pub arrivals: &'a [SimTime],
+    /// Run on the worker pool; off is the merge-time OOM fallback (same
+    /// bits, same timing, calling thread only).
+    pub pooled: bool,
+}
+
+impl FusedMerge<'_> {
+    /// Reduces `input` and updates `global` (and, with momentum,
+    /// `prev_global`) in place; the payload is left in `input`.
+    ///
+    /// # Panics
+    /// Panics when buffers disagree on length or precision.
+    pub fn run(
+        &self,
+        input: MergeInput<'_>,
+        global: &mut [f32],
+        prev_global: &mut [f32],
+    ) -> AllReduceTiming {
+        fn view<E: ReduceElem>(flat: &FlatVec) -> &[E] {
+            E::slice(flat).expect("mixed-precision merge")
+        }
+        fn typed<'a, E: ReduceElem>(input: MergeInput<'a>) -> (&'a mut [E], Source<'a, E>) {
+            match input {
+                MergeInput::Dense(bufs) => {
+                    let (first, rest) = bufs.split_first_mut().expect("no replica to merge");
+                    let first = E::slice_mut(first).expect("mixed-precision merge");
+                    (first, Source::Dense(rest.iter().map(view).collect()))
+                }
+                MergeInput::Sparse {
+                    layout,
+                    deltas,
+                    payload,
+                } => {
+                    let payload = E::slice_mut(payload).expect("mixed-precision merge");
+                    let delta = |&(rows, values)| Delta::new(layout, rows, view(values));
+                    (payload, Source::Sparse(deltas.iter().map(delta).collect()))
+                }
+            }
+        }
+        let precision = match &input {
+            MergeInput::Dense(bufs) => bufs.first().expect("no replica to merge").precision(),
+            MergeInput::Sparse { payload, .. } => payload.precision(),
+        };
+        match precision {
+            Precision::F32 => {
+                let (payload, source) = typed::<f32>(input);
+                self.run_typed(payload, &source, global, prev_global)
+            }
+            Precision::Bf16 => {
+                let (payload, source) = typed::<u16>(input);
+                self.run_typed(payload, &source, global, prev_global)
+            }
+        }
+    }
+
+    fn run_typed<E: ReduceElem>(
+        &self,
+        payload: &mut [E],
+        source: &Source<'_, E>,
+        global: &mut [f32],
+        prev: &mut [f32],
+    ) -> AllReduceTiming {
+        let len = global.len();
+        assert_eq!(payload.len(), len, "payload/global length");
+        assert_eq!(prev.len(), len, "global/prev length");
+        if let Source::Dense(rest) = source {
+            assert!(rest.iter().all(|r| r.len() == len), "replica size mismatch");
+        }
+        assert_eq!(
+            self.weights.len(),
+            source.replicas(),
+            "weights/replicas mismatch"
+        );
+        let shares = tile_shares(len, self.pooled);
+        let mut parts: Vec<(Range<usize>, MergePart<'_, E>)> = shares
+            .iter()
+            .cloned()
+            .zip(split_shares(payload, &shares))
+            .zip(split_shares(global, &shares))
+            .zip(split_shares(prev, &shares))
+            .map(|(((share, payload), global), prev)| {
+                let part = MergePart {
+                    start: share.start,
+                    source,
+                    payload,
+                    global,
+                    prev,
+                    gamma: self.gamma.map(|g| g as f32),
+                };
+                (share, part)
+            })
+            .collect();
+        allreduce_tiled(
+            &mut parts,
+            len,
+            self.weights,
+            self.algo,
+            self.inter,
+            self.ctx,
+            self.arrivals,
+        )
+    }
+}
+
+/// Where the fused pass reads the replicas from (shared by all its tasks).
+enum Source<'a, E> {
+    /// Replicas `1..` (replica 0 sits in the payload buffer).
+    Dense(Vec<&'a [E]>),
+    /// Every replica's delta over the narrowed global model.
+    Sparse(Vec<Delta<'a, E>>),
+}
+
+impl<E> Source<'_, E> {
+    fn replicas(&self) -> usize {
+        match self {
+            Source::Dense(rest) => 1 + rest.len(),
+            Source::Sparse(deltas) => deltas.len(),
+        }
+    }
+}
+
+/// One task's share of the fused pass: the matching slices of the payload,
+/// the global model and its momentum memory, all starting at `start`.
+struct MergePart<'a, E> {
+    start: usize,
+    source: &'a Source<'a, E>,
+    payload: &'a mut [E],
+    global: &'a mut [f32],
+    prev: &'a mut [f32],
+    gamma: Option<f32>,
+}
+
+impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
+    fn load(&mut self, range: Range<usize>, tiles: &mut [Vec<E>]) {
+        let rel = range.start - self.start..range.end - self.start;
+        let (first, others) = tiles.split_first_mut().expect("no replica to merge");
+        match self.source {
+            Source::Dense(rest) => {
+                first.copy_from_slice(&self.payload[rel]);
+                for (t, r) in others.iter_mut().zip(rest) {
+                    t.copy_from_slice(&r[range.clone()]);
+                }
+            }
+            Source::Sparse(deltas) => {
+                // The base every replica imported at the last sync, then
+                // each replica's own rows on top — what scattering its delta
+                // over a parked copy of that payload would reconstruct.
+                E::narrow_slice(&self.global[rel], first);
+                for t in others.iter_mut() {
+                    t.copy_from_slice(first);
+                }
+                for (t, d) in tiles.iter_mut().zip(deltas) {
+                    d.overlay(range.clone(), t);
+                }
+            }
+        }
+    }
+
+    fn store(&mut self, range: Range<usize>, tiles: &[Vec<E>]) {
+        let rel = range.start - self.start..range.end - self.start;
+        let merged = &tiles[0];
+        let (global, payload) = (
+            &mut self.global[rel.clone()],
+            &mut self.payload[rel.clone()],
+        );
+        match self.gamma {
+            Some(gamma) => {
+                let prev = &mut self.prev[rel];
+                for ((&m, w), wp) in merged.iter().zip(global.iter_mut()).zip(prev) {
+                    let w_new = m.widen() + gamma * (*w - *wp);
+                    *wp = *w;
+                    *w = w_new;
+                }
+                E::narrow_slice(global, payload);
+            }
+            None => {
+                for (w, &m) in global.iter_mut().zip(merged) {
+                    *w = m.widen();
+                }
+                payload.copy_from_slice(merged);
+            }
         }
     }
 }
@@ -301,6 +532,147 @@ mod tests {
         assert_eq!(global, vec![5.0]);
     }
 
+    /// The fused pass against the stage it replaced — `allreduce_flat`, then
+    /// `apply_global_update_flat` (or plain adoption), then
+    /// `redistribute_global` — from the gathered replicas AND from their
+    /// sparse deltas over the last payload: same global, momentum memory,
+    /// payload and timing, bit for bit, for both precisions, both update
+    /// rules, pooled and serial, and survivor subsets of every size. Row
+    /// sets include the empty set, every row, and random ones; the model
+    /// spans many tiles, so tile boundaries fall inside W1 rows and across
+    /// `k`-rows of W2.
+    #[test]
+    fn fused_merge_matches_the_step_by_step_stage() {
+        use asgd_collective::{allreduce_flat, gather_delta, hierarchical_allreduce_flat};
+        use asgd_gpusim::{profile, ClusterTopology, Topology};
+
+        let layout = SparseLayout::new(900, 16, 1_200);
+        let len = layout.param_len();
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as f32 / (1u64 << 31) as f32 * 2.0 - 1.0
+        };
+        let global: Vec<f32> = (0..len).map(|_| next()).collect();
+        let prev: Vec<f32> = (0..len).map(|_| next()).collect();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let algo = Algorithm::MultiStreamRing { partitions: 4 };
+
+        for precision in [Precision::F32, Precision::Bf16] {
+            // The base every replica imported at the last sync.
+            let mut base = vec![FlatVec::zeros(precision, len)];
+            redistribute_global(&global, &mut base);
+            let base = base.pop().unwrap();
+            for (k, cluster) in [(1, false), (3, false), (4, false), (4, true)] {
+                let ctx = if cluster {
+                    CollectiveContext::cluster(
+                        &ClusterTopology::ethernet(2, 2),
+                        &profile::heterogeneous_server(k),
+                    )
+                } else {
+                    CollectiveContext::new(Topology::pcie(k), &profile::heterogeneous_server(k))
+                };
+                let inter = cluster.then_some(InterNode::Ring);
+                let weights: Vec<f64> = (0..k).map(|d| 1.0 / (d + 1) as f64).collect();
+                let arrivals: Vec<SimTime> = (0..k).map(|d| SimTime(d as f64 * 1e-4)).collect();
+                // Replica d = base, re-drawn on its own rows: none for
+                // replica 0, all for replica 1, a random third otherwise.
+                let row_sets: Vec<Vec<u32>> = (0..k)
+                    .map(|d| {
+                        (0..layout.num_rows() as u32)
+                            .filter(|_| match d {
+                                0 => false,
+                                1 => true,
+                                _ => next() > 1.0 / 3.0,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let replicas: Vec<FlatVec> = row_sets
+                    .iter()
+                    .map(|rows| {
+                        let mut r = base.clone();
+                        layout.for_each_delta_index(rows, |i| match &mut r {
+                            FlatVec::F32(v) => v[i] = next(),
+                            FlatVec::Bf16(v) => v[i] = asgd_tensor::bf16::narrow(next()),
+                        });
+                        r
+                    })
+                    .collect();
+                let deltas: Vec<FlatVec> = row_sets
+                    .iter()
+                    .zip(&replicas)
+                    .map(|(rows, r)| {
+                        let mut d = FlatVec::empty(precision);
+                        gather_delta(&layout, rows, r, &mut d);
+                        d
+                    })
+                    .collect();
+                let delta_refs: Vec<(&[u32], &FlatVec)> =
+                    row_sets.iter().map(|r| r.as_slice()).zip(&deltas).collect();
+
+                for gamma in [Some(0.9), None] {
+                    // The stage, one model-sized sweep per step.
+                    let mut want = replicas.clone();
+                    let (mut want_g, mut want_p) = (global.clone(), prev.clone());
+                    let want_t = match inter {
+                        Some(i) => hierarchical_allreduce_flat(
+                            &mut want, &weights, algo, i, &ctx, &arrivals,
+                        ),
+                        None => allreduce_flat(&mut want, &weights, algo, &ctx, &arrivals),
+                    };
+                    match gamma {
+                        Some(g) => {
+                            apply_global_update_flat(&want[0], &mut want_g, &mut want_p, g);
+                            redistribute_global(&want_g, &mut want[..1]);
+                        }
+                        None => want[0].widen_into(&mut want_g),
+                    }
+
+                    for pooled in [true, false] {
+                        let fused = FusedMerge {
+                            weights: &weights,
+                            gamma,
+                            algo,
+                            inter,
+                            ctx: &ctx,
+                            arrivals: &arrivals,
+                            pooled,
+                        };
+                        let what = format!("{precision:?} k={k} {inter:?} {gamma:?} {pooled}");
+
+                        let mut bufs = replicas.clone();
+                        let (mut g, mut p) = (global.clone(), prev.clone());
+                        let t = fused.run(MergeInput::Dense(&mut bufs), &mut g, &mut p);
+                        assert_eq!(t, want_t, "dense timing, {what}");
+                        assert_eq!(bits(&g), bits(&want_g), "dense global, {what}");
+                        assert_eq!(bits(&p), bits(&want_p), "dense prev, {what}");
+                        assert_eq!(bufs[0], want[0], "dense payload, {what}");
+                        assert_eq!(bufs[1..], replicas[1..], "gathered replicas, {what}");
+
+                        let mut payload = FlatVec::zeros(precision, len);
+                        let (mut g, mut p) = (global.clone(), prev.clone());
+                        let t = fused.run(
+                            MergeInput::Sparse {
+                                layout: &layout,
+                                deltas: &delta_refs,
+                                payload: &mut payload,
+                            },
+                            &mut g,
+                            &mut p,
+                        );
+                        assert_eq!(t, want_t, "sparse timing, {what}");
+                        assert_eq!(bits(&g), bits(&want_g), "sparse global, {what}");
+                        assert_eq!(bits(&p), bits(&want_p), "sparse prev, {what}");
+                        assert_eq!(payload, want[0], "sparse payload, {what}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "no replicas")]
     fn empty_merge_panics() {
@@ -315,7 +687,7 @@ mod tests {
         let mut g2 = g1.clone();
         let mut p2 = p1.clone();
         apply_global_update(&merged, &mut g1, &mut p1, 0.9);
-        apply_global_update_flat(&asgd_tensor::FlatVec::F32(merged), &mut g2, &mut p2, 0.9);
+        apply_global_update_flat(&FlatVec::F32(merged), &mut g2, &mut p2, 0.9);
         assert_eq!(g1, g2);
         assert_eq!(p1, p2);
     }
@@ -332,12 +704,7 @@ mod tests {
         // Reference: widen exactly, then the f32 formula.
         let widened: Vec<f32> = merged.iter().map(|&b| bf16::widen(b)).collect();
         apply_global_update(&widened, &mut want_g, &mut want_p, 0.9);
-        apply_global_update_flat(
-            &asgd_tensor::FlatVec::Bf16(merged),
-            &mut global,
-            &mut prev,
-            0.9,
-        );
+        apply_global_update_flat(&FlatVec::Bf16(merged), &mut global, &mut prev, 0.9);
         assert_eq!(global, want_g);
         assert_eq!(prev, want_p);
     }

@@ -2,12 +2,15 @@
 //! and recycled across merges.
 //!
 //! Ownership rule: **the scheduler owns the arena; a manager borrows at most
-//! one buffer at a time** (lent out inside a `GetModel`, `SetModel`, or
-//! `Blend` message and always sent back in the reply). Between merges every
-//! buffer is home, so the whole merge stage — gather, all-reduce,
-//! redistribution — reuses the same `n` allocations for the run's lifetime:
-//! after the first merge sizes them, no model-sized allocation ever happens
-//! again.
+//! one buffer at a time** (lent out inside a `GetModel` and always sent back
+//! in the `Model` reply). Once the gather is drained every buffer is home;
+//! the fused merge pass reads them all and leaves the redistribution payload
+//! in the first live one, which the managers then read through a shared
+//! `Arc` and release before they acknowledge. So the whole dense merge stage
+//! reuses the same `n` allocations for the run's lifetime: after the first
+//! merge sizes them, no model-sized allocation ever happens again. Under the
+//! sparse delta merge no replica buffer exists and the slots stay unsized
+//! (see [`DeltaArena`]).
 //!
 //! Buffers are [`FlatVec`]s: the arena is constructed at the run's storage
 //! [`Precision`] and every slot carries that tag, so managers fill a lent

@@ -21,17 +21,13 @@
 //!   merge stage itself is not forked: `SchedulerState::merge` runs over
 //!   the live set, and a loss only shrinks that set.
 //! * **Merge OOM** — the pooled reduction's scratch allocation fails and the
-//!   merge falls back to the serial (non-pooled) all-reduce, which is
-//!   bit-identical in results and simulated timing.
+//!   merge's tile pass stays on the scheduler thread (nothing is submitted
+//!   to the worker pool), which is bit-identical in results and simulated
+//!   timing.
 
 use super::messages::ToManager;
 use super::SchedulerState;
-use asgd_collective::{
-    allreduce_flat, allreduce_flat_serial, hierarchical_allreduce_flat,
-    hierarchical_allreduce_flat_serial, AllReduceTiming, CollectiveContext, InterNode,
-};
 use asgd_gpusim::{FaultKind, SimTime};
-use asgd_tensor::FlatVec;
 use std::sync::mpsc::Sender;
 
 /// One fault the scheduler actually applied (the plan's events resolved to
@@ -208,23 +204,17 @@ impl ChaosStats {
 }
 
 impl SchedulerState<'_> {
-    /// Runs the all-reduce through the merge memory tracker: the pooled path
-    /// needs a scratch allocation; when it fails (an OOM fault hogged the
-    /// capacity) the merge degrades to the serial reduction instead of
-    /// aborting.
-    pub(super) fn reduce_with_oom_fallback(
-        &mut self,
-        inter: Option<InterNode>,
-        bufs: &mut [FlatVec],
-        weights: &[f64],
-        ctx: &CollectiveContext,
-        arrivals: &[SimTime],
-        mega: usize,
-    ) -> AllReduceTiming {
-        let (memory, algo) = (&mut self.merge_memory, self.spec.allreduce);
-        // Scratch at the buffers' storage width: bf16 merges request half the
-        // bytes of f32 ones, so an identically-sized tracker OOMs later.
-        let scratch_bytes = (bufs.len() * bufs[0].byte_len()) as u64;
+    /// Asks the merge memory tracker for the pooled reduction's scratch —
+    /// `k` replica-sized buffers at the storage width, so a bf16 merge
+    /// requests half the bytes of an f32 one and an identically-sized
+    /// tracker OOMs later. (The request is the simulated device-side cost of
+    /// a pooled merge; the host's tile pass needs no such buffers.) When it
+    /// fails — an OOM fault hogged the capacity — the merge degrades to the
+    /// serial reduction instead of aborting; returns whether the pool may be
+    /// used.
+    pub(super) fn pooled_merge_fits(&mut self, k: usize, mega: usize) -> bool {
+        let memory = &mut self.merge_memory;
+        let scratch_bytes = (k * self.global.len() * self.cfg.precision.bytes()) as u64;
         // A scheduled MergeOom manifests as a co-tenant burst eating the whole
         // remaining capacity, so the pooled scratch request below genuinely
         // fails through the memory tracker.
@@ -234,17 +224,10 @@ impl SchedulerState<'_> {
                 .alloc("chaos-oom-cotenant", memory.available())
                 .expect("hogging the available bytes cannot fail")
         });
-        // Cluster runs reduce through the hierarchical schedule; bits are
-        // identical to the flat path either way (the reduction contract), only
-        // the simulated timing differs.
-        let timing = match memory.alloc("merge-pool-scratch", scratch_bytes) {
+        let fits = match memory.alloc("merge-pool-scratch", scratch_bytes) {
             Ok(scratch) => {
-                let t = match inter {
-                    Some(i) => hierarchical_allreduce_flat(bufs, weights, algo, i, ctx, arrivals),
-                    None => allreduce_flat(bufs, weights, algo, ctx, arrivals),
-                };
                 memory.free(scratch);
-                t
+                true
             }
             Err(oom) => {
                 self.chaos.serial_fallback_merges += 1;
@@ -253,18 +236,13 @@ impl SchedulerState<'_> {
                     requested: oom.requested,
                     available: oom.available,
                 });
-                match inter {
-                    Some(i) => {
-                        hierarchical_allreduce_flat_serial(bufs, weights, algo, i, ctx, arrivals)
-                    }
-                    None => allreduce_flat_serial(bufs, weights, algo, ctx, arrivals),
-                }
+                false
             }
         };
         if let Some(h) = hog {
             memory.free(h);
         }
-        timing
+        fits
     }
 
     /// The dispatch frontier: the earliest point the scheduler can still

@@ -183,10 +183,12 @@ impl<'a> Manager<'a> {
             }
             ToManager::SetModel { buf, index } => {
                 self.replica.read_flat_buf(&buf);
+                // The acknowledgement promises the payload is released.
+                drop(buf);
                 // A model sync is the delta baseline: nothing dirty yet.
                 self.dirty.clear();
                 self.adopt(index);
-                FromManager::Redistributed { gpu, buf }
+                FromManager::Redistributed
             }
             ToManager::Blend {
                 target,
@@ -198,8 +200,9 @@ impl<'a> Manager<'a> {
                 // stays replica-independent.
                 self.adopt(index);
                 self.replica.blend_from_flat_buf(&target, pull);
+                drop(target);
                 self.dirty.mark_all();
-                FromManager::Redistributed { gpu, buf: target }
+                FromManager::Redistributed
             }
             ToManager::GetDelta {
                 mut rows,
@@ -358,10 +361,7 @@ mod tests {
                 },
             ],
         );
-        match &replies[0] {
-            FromManager::Redistributed { buf, .. } => assert_eq!(buf, &target),
-            other => panic!("unexpected {other:?}"),
-        }
+        assert!(matches!(replies[0], FromManager::Redistributed));
         match &replies[1] {
             FromManager::Model { flat, .. } => assert_eq!(flat, &target),
             other => panic!("unexpected {other:?}"),
@@ -397,7 +397,7 @@ mod tests {
     fn blend_moves_halfway() {
         let (ds, model) = setup();
         let start = model.to_flat();
-        let target = FlatVec::F32(vec![0.0f32; start.len()]);
+        let target = Arc::new(FlatVec::F32(vec![0.0f32; start.len()]));
         let replies = drive(
             &ds,
             model,
@@ -423,9 +423,10 @@ mod tests {
     }
 
     /// The merge-protocol buffer cycle reuses one heap allocation: lend via
-    /// `GetModel`, get it back via `Model`, lend via `SetModel`, get it back
-    /// via `Redistributed` — pointer-stable after the first fill, and the
-    /// contents stay bit-identical to a freshly allocated `to_flat`.
+    /// `GetModel`, get it back via `Model`, share it via `SetModel` — by the
+    /// time `Redistributed` arrives the manager's share is gone and the
+    /// buffer is uniquely owned again — pointer-stable after the first fill,
+    /// and the contents stay bit-identical to a freshly allocated `to_flat`.
     #[test]
     fn merge_protocol_recycles_one_buffer_without_reallocating() {
         let (ds, model) = setup();
@@ -450,18 +451,19 @@ mod tests {
             let ptr = buf.as_ptr_addr();
 
             // Redistribute and train, then gather again with the same buffer.
+            let shared = Arc::new(buf);
             to_tx
-                .send(ToManager::SetModel { buf, index: None })
+                .send(ToManager::SetModel {
+                    buf: Arc::clone(&shared),
+                    index: None,
+                })
                 .unwrap();
-            let buf = match from_rx.recv().unwrap() {
-                FromManager::Redistributed { buf, .. } => buf,
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(
-                buf.as_ptr_addr(),
-                ptr,
-                "SetModel must return the same buffer"
-            );
+            assert!(matches!(
+                from_rx.recv().unwrap(),
+                FromManager::Redistributed
+            ));
+            let buf = Arc::try_unwrap(shared).expect("share dropped before the acknowledgement");
+            assert_eq!(buf.as_ptr_addr(), ptr);
             let batch_ids = vec![0usize, 1, 2];
             to_tx
                 .send(ToManager::Train {
@@ -535,7 +537,7 @@ mod tests {
     /// from exactly the buffer being shipped.
     fn set_model(buf: &FlatVec, arena: Option<&mut IndexArena>) -> ToManager {
         ToManager::SetModel {
-            buf: buf.clone(),
+            buf: Arc::new(buf.clone()),
             index: arena.map(|a| a.sync(buf)),
         }
     }
@@ -684,7 +686,7 @@ mod tests {
     fn blend_dirties_every_row() {
         let (ds, model) = setup();
         let config = *model.config();
-        let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
+        let target = Arc::new(FlatVec::F32(Mlp::init(&config, 99).to_flat()));
         let mut arena = index_arena(&model);
         let sampler = arena.sampler();
         let index = Some(arena.sync(&target));
@@ -777,13 +779,10 @@ mod tests {
             let index = arena.sync(&synced);
             for m in &mut managers {
                 let msg = ToManager::SetModel {
-                    buf: synced.clone(),
+                    buf: Arc::new(synced.clone()),
                     index: Some(index.clone()),
                 };
-                assert!(matches!(
-                    m.handle(msg),
-                    Some(FromManager::Redistributed { .. })
-                ));
+                assert!(matches!(m.handle(msg), Some(FromManager::Redistributed)));
             }
             drop(index);
             assert_eq!(arena.holders(), n, "{precision:?}: every manager adopted");
@@ -825,7 +824,7 @@ mod tests {
             let index = arena.sync(&buf);
             for m in managers {
                 m.handle(ToManager::SetModel {
-                    buf: buf.clone(),
+                    buf: Arc::new(buf.clone()),
                     index: Some(index.clone()),
                 });
             }

@@ -1,17 +1,19 @@
 //! Event messages between the dynamic scheduler and the GPU managers
 //! (the "event messages" of the HeteroGPU architecture, Fig. 3).
 //!
-//! Model-sized payloads travel in scheduler-owned arena buffers (see
-//! [`super::arena::MergeArena`]): `GetModel` lends a buffer out, `Model`
-//! returns it filled, and `SetModel`/`Blend` lend it out again for
-//! redistribution, with `Redistributed` bringing it home. After the first
-//! merge no message allocates. Payloads are [`FlatVec`]s carrying the
-//! run's storage precision (f32 or bf16).
+//! Model-sized payloads travel in scheduler-owned buffers: `GetModel` lends
+//! an arena buffer out (see [`super::arena::MergeArena`]) and `Model`
+//! returns it filled; `SetModel`/`Blend` hand every live manager a share of
+//! the ONE redistribution payload, read-only, and a manager drops its share
+//! before it answers `Redistributed` — so once every acknowledgement is in
+//! the buffer is the scheduler's alone again. After the first merge no
+//! message allocates. Payloads are [`FlatVec`]s carrying the run's storage
+//! precision (f32 or bf16).
 //!
 //! On the sampled-softmax path the two model-sync messages also carry the
 //! LSH index the scheduler built from the synced bytes (see
-//! [`super::arena::IndexArena`]): a manager adopts the `Arc` before it
-//! acknowledges, dropping its share of the previous index.
+//! [`super::arena::IndexArena`]), under the same rule: a manager adopts the
+//! `Arc` before it acknowledges, dropping its share of the previous index.
 
 use asgd_slide::LshIndex;
 use asgd_tensor::FlatVec;
@@ -40,19 +42,20 @@ pub(crate) enum ToManager {
         /// via [`FromManager::Model`].
         buf: FlatVec,
     },
-    /// Replace the replica with the given flat parameters; the buffer is
-    /// returned via [`FromManager::Redistributed`].
+    /// Replace the replica with the given flat parameters; acknowledged via
+    /// [`FromManager::Redistributed`] once the share of `buf` is dropped.
     SetModel {
-        /// The new global model.
-        buf: FlatVec,
+        /// The new global model (shared, read-only).
+        buf: Arc<FlatVec>,
         /// The index hashed from `buf`'s `W₂` region (sampled runs only).
         index: Option<Arc<LshIndex>>,
     },
-    /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`; the buffer
-    /// is returned via [`FromManager::Redistributed`].
+    /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`;
+    /// acknowledged via [`FromManager::Redistributed`] once the share of
+    /// `target` is dropped.
     Blend {
-        /// The central average model.
-        target: FlatVec,
+        /// The central average model (shared, read-only).
+        target: Arc<FlatVec>,
         /// Pull strength in `[0, 1]`.
         pull: f32,
         /// The index hashed from `target`'s `W₂` region (sampled runs
@@ -97,13 +100,8 @@ pub(crate) enum FromManager {
         norm_per_param: f64,
     },
     /// Reply to `SetModel`/`Blend`: the replica was updated and the
-    /// borrowed arena buffer comes back to the scheduler.
-    Redistributed {
-        /// Manager/device index.
-        gpu: usize,
-        /// The arena buffer being returned.
-        buf: FlatVec,
-    },
+    /// manager no longer holds a share of the payload.
+    Redistributed,
     /// Reply to `GetDelta`.
     Delta {
         /// Manager/device index.

@@ -25,13 +25,12 @@ mod messages;
 
 use crate::checkpoint::TrainingState;
 use crate::hyper::{GpuHyper, ScalingParams};
-use crate::merging::{apply_global_update_flat, compute_merge_weights, MergeDecision, MergeParams};
+use crate::merging::{compute_merge_weights, FusedMerge, MergeDecision, MergeInput, MergeParams};
 use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
 use arena::{DeltaArena, IndexArena, MergeArena};
 use asgd_collective::{
-    scatter_delta, sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout,
-    SparseMergePlan,
+    sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout, SparseMergePlan,
 };
 use asgd_data::{batching::MegaBatchBudget, SampleStream, XmlDataset};
 use asgd_gpusim::device::build_server;
@@ -45,24 +44,11 @@ use asgd_model::workload::{
     sampled_epoch_kernels,
 };
 use asgd_model::{eval, Mlp, MlpConfig};
-use asgd_tensor::parallel::{par_copy, par_widen};
 use asgd_tensor::{FlatVec, Precision};
 use chaos::ChaosStats;
 use messages::{FromManager, ToManager};
 use std::sync::mpsc::{channel, Receiver, Sender};
-
-/// Redistribution copies shorter than this stay serial (same rationale as
-/// the collective's reduction threshold).
-const MIN_PAR_MERGE: usize = 1 << 14;
-
-/// Copies a merged buffer into the f32 global model (bf16 widens exactly,
-/// so this direction never rounds).
-pub(crate) fn copy_to_global(buf: &FlatVec, global: &mut [f32]) {
-    match buf {
-        FlatVec::F32(v) => par_copy(v, global, MIN_PAR_MERGE),
-        FlatVec::Bf16(v) => par_widen(v, global, MIN_PAR_MERGE),
-    }
-}
+use std::sync::Arc;
 
 /// Sample seed of a batch: an FNV-1a fold of its sample ids mixed with the
 /// LSH seed. A pure function of the ids, so a batch re-dispatched after a
@@ -285,12 +271,11 @@ pub struct RunConfig {
     /// rows they dirtied since the last sync (the sampled softmax's
     /// candidate sets make the dirty set exact and free) and the merge
     /// charges a union-sized schedule instead of a model-sized one.
-    /// Effective only with [`RunConfig::sampled_softmax`] set and a
-    /// `SetModel`-redistributing merge rule (Normalized/Average); Crossbow
-    /// blends every parameter, so it silently stays on the dense path.
-    /// Results are **bit-identical** to the dense merge — the reduction
-    /// arithmetic is unchanged, only the simulated wire traffic shrinks
-    /// (see `asgd_collective::sparse`).
+    /// Requires [`RunConfig::sampled_softmax`] and a `SetModel`-
+    /// redistributing merge rule (Normalized/Average) — anything else is a
+    /// [`ConfigError`]. Results are **bit-identical** to the dense merge —
+    /// the reduction arithmetic is unchanged, only the simulated wire
+    /// traffic shrinks (see `asgd_collective::sparse`).
     pub sparse_merge: bool,
     /// Union-density threshold (`union elems / param_len`) above which a
     /// sparse merge falls back to the dense schedule (timing-only).
@@ -324,7 +309,63 @@ impl RunConfig {
             sparse_max_density: asgd_collective::DEFAULT_MAX_DENSITY,
         }
     }
+
+    /// Checks the settings against each other and against the algorithm
+    /// they are to run, so a contradiction is an error with a name instead
+    /// of a run that silently does something else.
+    pub fn validate(&self, spec: &TrainerSpec) -> Result<(), ConfigError> {
+        if self.time_limit.is_none() && self.mega_batch_limit.is_none() {
+            return Err(ConfigError::NoLimit);
+        }
+        if self.fault_plan.is_some() && spec.merge_interval != MergeInterval::MegaBatch {
+            return Err(ConfigError::FaultPlanNeedsMegaBatchMerge);
+        }
+        if self.sparse_merge && self.sampled_softmax.is_none() {
+            return Err(ConfigError::SparseMergeNeedsSampledSoftmax);
+        }
+        if self.sparse_merge && matches!(spec.merge_rule, MergeRule::Crossbow { .. }) {
+            return Err(ConfigError::SparseMergeUnderCrossbow);
+        }
+        Ok(())
+    }
 }
+
+/// A [`RunConfig`] that contradicts itself or the [`TrainerSpec`] it was
+/// paired with.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Neither `time_limit` nor `mega_batch_limit` is set: the run would
+    /// never end.
+    NoLimit,
+    /// `fault_plan` with [`MergeInterval::EveryRound`]: faults are scheduled
+    /// against mega-batch dispatch ordinals.
+    FaultPlanNeedsMegaBatchMerge,
+    /// `sparse_merge` without `sampled_softmax`: dense training dirties
+    /// every `W₂` column, so there is no sparse delta to ship.
+    SparseMergeNeedsSampledSoftmax,
+    /// `sparse_merge` under [`MergeRule::Crossbow`]: the blend moves every
+    /// parameter of every replica, so every row is dirty at every merge.
+    SparseMergeUnderCrossbow,
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            ConfigError::NoLimit => "set a time limit or a mega-batch limit",
+            ConfigError::FaultPlanNeedsMegaBatchMerge => {
+                "fault injection requires merge-per-mega-batch"
+            }
+            ConfigError::SparseMergeNeedsSampledSoftmax => {
+                "sparse_merge requires sampled_softmax: dense training dirties every W2 column"
+            }
+            ConfigError::SparseMergeUnderCrossbow => {
+                "sparse_merge cannot run under MergeRule::Crossbow: the blend dirties every row"
+            }
+        })
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// The training engine: couples a [`TrainerSpec`] with a simulated server.
 #[derive(Debug, Clone)]
@@ -336,16 +377,15 @@ pub struct Trainer {
 
 impl Trainer {
     /// Creates a trainer over the given device profiles.
+    ///
+    /// # Panics
+    /// Panics on an empty fleet, a cluster shape that does not match it, or
+    /// a [`ConfigError`] from [`RunConfig::validate`].
     pub fn new(spec: TrainerSpec, profiles: Vec<DeviceProfile>, config: RunConfig) -> Self {
         assert!(!profiles.is_empty(), "need at least one device");
-        assert!(
-            config.time_limit.is_some() || config.mega_batch_limit.is_some(),
-            "set a time limit or a mega-batch limit"
-        );
-        assert!(
-            config.fault_plan.is_none() || spec.merge_interval == MergeInterval::MegaBatch,
-            "fault injection requires merge-per-mega-batch"
-        );
+        if let Err(e) = config.validate(&spec) {
+            panic!("{e}");
+        }
         if let Some(cl) = &config.cluster {
             assert_eq!(
                 cl.servers * cl.devices_per_server,
@@ -380,6 +420,38 @@ impl Trainer {
     }
 
     fn run_with_state(&self, dataset: &XmlDataset, resume: Option<&TrainingState>) -> RunResult {
+        let state = self.drive_to_end(dataset, resume);
+        let sparse_merge = state
+            .delta_arena
+            .is_some()
+            .then(|| state.sparse_stats.clone());
+        let megas_run = state.recorder.records().len() as u64;
+        // The global model leaves twice (final model, resumable state); the
+        // momentum memory only once, so it moves.
+        let final_state = TrainingState {
+            global: state.global.clone(),
+            prev_global: state.prev_global,
+            hypers: state.hypers.clone(),
+            megas_done: state.start_index as u64 + megas_run,
+        };
+        RunResult {
+            name: self.spec.name.clone(),
+            records: state.recorder.into_records(),
+            final_model: state.global,
+            trace: state.trace.render(),
+            final_state: Some(final_state),
+            chaos: state.chaos,
+            sparse_merge,
+        }
+    }
+
+    /// Builds the scheduler state, spawns the managers and runs the training
+    /// loop until a limit is hit; the finished state is all that is left.
+    fn drive_to_end<'a>(
+        &'a self,
+        dataset: &'a XmlDataset,
+        resume: Option<&TrainingState>,
+    ) -> SchedulerState<'a> {
         let n = self.profiles.len();
         let cfg = &self.config;
         let mconfig = MlpConfig {
@@ -417,6 +489,26 @@ impl Trainer {
         launch_model.base_overhead_s *= cfg.overhead_scale;
         let track_in_flight = cfg.fault_plan.as_ref().is_some_and(|p| p.has_device_loss());
         let param_len = mconfig.param_len();
+        // Every manager's replica is a copy of the start-up model, and the
+        // copies are page-fault-bound: the buffers are allocated here (zero
+        // pages nobody has touched yet, and one allocator arena whichever
+        // thread frees them) and filled on `n` threads, while this one
+        // copies the momentum memory and (sampled mode) hashes the start-up
+        // `W₂` once for every manager about to spawn. Nothing needs
+        // `init_model` by value, so it *becomes* the evaluation model
+        // instead of being copied once more.
+        let global = init_model.to_flat();
+        let mut replicas: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
+        let (prev_global, lsh) = std::thread::scope(|s| {
+            for replica in &mut replicas {
+                s.spawn(|| replica.load_flat(&global));
+            }
+            let prev_global = resume.map_or_else(|| global.clone(), |r| r.prev_global.clone());
+            let lsh = cfg
+                .sampled_softmax
+                .map(|s| IndexArena::new(&s, &init_model));
+            (prev_global, lsh)
+        });
         let mut state = SchedulerState {
             spec: &self.spec,
             cfg,
@@ -448,12 +540,11 @@ impl Trainer {
             ),
             budget: MegaBatchBudget::new(cfg.mega_batch_size),
             hypers,
-            arena: MergeArena::new(n, mconfig.param_len(), cfg.precision),
-            global: init_model.to_flat(),
-            prev_global: resume
-                .map(|s| s.prev_global.clone())
-                .unwrap_or_else(|| init_model.to_flat()),
-            eval_model: init_model.clone(),
+            arena: MergeArena::new(n, param_len, cfg.precision),
+            payload: FlatVec::empty(cfg.precision),
+            global,
+            prev_global,
+            eval_model: init_model,
             recorder: RunRecorder::new(),
             rr_cursor: 0,
             batches_dispatched: 0,
@@ -469,35 +560,15 @@ impl Trainer {
             // at the run's storage precision) plus slack; an OOM fault hogs
             // the capacity so the scratch request genuinely fails.
             merge_memory: MemoryTracker::new((n * param_len * cfg.precision.bytes()) as u64 + 4096),
-            delta_arena: (cfg.sparse_merge
-                && cfg.sampled_softmax.is_some()
-                && !matches!(self.spec.merge_rule, MergeRule::Crossbow { .. }))
-            .then(|| DeltaArena::new(n, cfg.precision)),
+            delta_arena: cfg.sparse_merge.then(|| DeltaArena::new(n, cfg.precision)),
             sparse_layout: SparseLayout::new(
                 mconfig.num_features,
                 mconfig.hidden,
                 mconfig.num_classes,
             ),
             sparse_stats: SparseMergeStats::default(),
-            // Sampled mode hashes the start-up `W₂` once, here, for every
-            // manager about to spawn.
-            lsh: cfg
-                .sampled_softmax
-                .map(|s| IndexArena::new(&s, &init_model)),
+            lsh,
         };
-        if state.delta_arena.is_some() {
-            // Sparse mode parks each manager's last-synced base in its arena
-            // slot; seed every slot with the init model all replicas start
-            // from (`drive` sends no initial `SetModel`) — one narrowing,
-            // the rest bit-copies.
-            let mut bases: Vec<FlatVec> = (0..n)
-                .map(|_| FlatVec::zeros(cfg.precision, param_len))
-                .collect();
-            crate::merging::redistribute_global(&state.global, &mut bases);
-            for (g, base) in bases.into_iter().enumerate() {
-                state.arena.restore(g, base);
-            }
-        }
 
         // std scoped threads: a panicking manager propagates out of the
         // scope when it joins, same observable behavior as the crossbeam
@@ -505,9 +576,8 @@ impl Trainer {
         std::thread::scope(|s| {
             let (from_tx, from_rx) = channel();
             let mut to_managers: Vec<Sender<ToManager>> = Vec::with_capacity(n);
-            for g in 0..n {
+            for (g, replica) in replicas.into_iter().enumerate() {
                 let (tx, rx) = channel();
-                let replica = init_model.clone();
                 let ftx = from_tx.clone();
                 let sampler = state.lsh.as_ref().map(IndexArena::sampler);
                 s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampler));
@@ -519,27 +589,7 @@ impl Trainer {
                 let _ = tx.send(ToManager::Stop);
             }
         });
-
-        let sparse_merge = state
-            .delta_arena
-            .is_some()
-            .then(|| state.sparse_stats.clone());
-        let megas_run = state.recorder.records().len() as u64;
-        let final_state = TrainingState {
-            global: state.global.clone(),
-            prev_global: state.prev_global.clone(),
-            hypers: state.hypers.clone(),
-            megas_done: start_index as u64 + megas_run,
-        };
-        RunResult {
-            name: self.spec.name.clone(),
-            records: state.recorder.into_records(),
-            final_model: state.global,
-            trace: state.trace.render(),
-            final_state: Some(final_state),
-            chaos: state.chaos,
-            sparse_merge,
-        }
+        state
     }
 }
 
@@ -556,8 +606,13 @@ struct SchedulerState<'a> {
     stream: SampleStream,
     budget: MegaBatchBudget,
     hypers: Vec<GpuHyper>,
-    /// Persistent flat-model buffers recycled across merges (see [`arena`]).
+    /// Persistent flat-model buffers the dense gather recycles across merges
+    /// (see [`arena`]); never sized under the sparse delta merge.
     arena: MergeArena,
+    /// The sparse delta merge's one model-sized buffer: the redistribution
+    /// payload, home here between merges (the dense merge reuses the first
+    /// live arena slot instead and leaves this empty).
+    payload: FlatVec,
     global: Vec<f32>,
     prev_global: Vec<f32>,
     eval_model: Mlp,
@@ -579,10 +634,9 @@ struct SchedulerState<'a> {
     /// Memory budget of the merge stage's pooled scratch.
     merge_memory: MemoryTracker,
     /// `Some` iff the sparse delta merge is active: recycled per-replica
-    /// `(rows, payload)` pairs. When active, [`Self::arena`] slots double as
-    /// each manager's *base* — the payload of its last `SetModel` — between
-    /// merges, so scattering a delta over the slot reconstructs the
-    /// replica's flat buffer bit-for-bit.
+    /// `(rows, payload)` pairs. The base they apply to is never stored: it
+    /// is `global` at the storage precision, the payload of the last
+    /// `SetModel` (and, before the first merge, the start-up model).
     delta_arena: Option<DeltaArena>,
     /// Row space of the sparse wire format.
     sparse_layout: SparseLayout,
@@ -961,7 +1015,7 @@ impl SchedulerState<'_> {
                     loss_counts[gpu] += 1;
                 }
                 FromManager::Model { .. }
-                | FromManager::Redistributed { .. }
+                | FromManager::Redistributed
                 | FromManager::Delta { .. } => {
                     unreachable!("merge-phase reply outside a merge phase")
                 }
@@ -970,7 +1024,7 @@ impl SchedulerState<'_> {
     }
 
     /// One full model-merging stage over the live replicas: gather, weights,
-    /// all-reduce, global update, redistribute, advance clocks.
+    /// one fused reduce-update-payload pass, redistribute, advance clocks.
     ///
     /// The stage is written once over `alive_idx`; the clean run is the case
     /// where that is the whole fleet. After a device loss it gathers only
@@ -979,11 +1033,14 @@ impl SchedulerState<'_> {
     /// survivors only; dead devices' clocks freeze and their slots report
     /// weight 0 in the record.
     ///
-    /// Model-sized payloads live in the scheduler's [`MergeArena`]: every
-    /// buffer is lent to its manager for the gather (`GetModel` → `Model`),
-    /// all-reduced in place — after which **all** buffers hold the merged
-    /// model — then lent again for redistribution (`SetModel`/`Blend` →
-    /// `Redistributed`). Steady-state merges allocate nothing model-sized.
+    /// Model-sized buffers: the dense gather lends every live replica its
+    /// [`MergeArena`] slot (`GetModel` → `Model`); the sparse gather moves
+    /// only `(rows, payload)` deltas and no replica buffer exists. Either
+    /// way [`FusedMerge`] streams the replicas once and leaves the new
+    /// `global`/`prev_global` and ONE redistribution payload (in the first
+    /// live slot, or in [`Self::payload`]), which every live manager reads
+    /// through a shared `Arc` (`SetModel`/`Blend` → `Redistributed`).
+    /// Steady-state merges allocate nothing model-sized.
     fn merge(
         &mut self,
         to: &[Sender<ToManager>],
@@ -1030,19 +1087,13 @@ impl SchedulerState<'_> {
                     payload,
                     norm_per_param,
                 } => {
-                    // Scattering the delta over the replica's parked base
-                    // (its last `SetModel` payload) reconstructs exactly the
-                    // buffer a dense gather would have produced.
-                    let mut base = self.arena.lend(gpu);
-                    scatter_delta(&self.sparse_layout, &rows, &payload, &mut base);
-                    self.arena.restore(gpu, base);
                     self.delta_arena
                         .as_mut()
                         .expect("Delta reply without a delta arena")
                         .restore(gpu, rows, payload);
                     norms[gpu] = norm_per_param;
                 }
-                FromManager::Trained { .. } | FromManager::Redistributed { .. } => {
+                FromManager::Trained { .. } | FromManager::Redistributed => {
                     unreachable!("non-gather reply during the merge gather")
                 }
             }
@@ -1084,63 +1135,92 @@ impl SchedulerState<'_> {
         // pay the inter-node link after partial losses.
         let ctx = self.ctx.subset(&alive_idx);
         let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
-        let mut bufs: Vec<FlatVec> = alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
         let inter = self.cfg.cluster.as_ref().map(|cl| cl.inter);
-        let mut timing = self.reduce_with_oom_fallback(
-            inter,
-            &mut bufs,
-            &decision.weights,
-            &ctx,
-            &arrivals,
-            mega_index,
-        );
-        if let Some(da) = &self.delta_arena {
-            // The reduction above already ran over full reconstructed
-            // buffers (the reduction contract), so sparsity only changes
-            // what the simulated wire carries; the dense timing doubles as
-            // the density-threshold fallback.
-            let row_sets: Vec<&[u32]> = alive_idx.iter().map(|&g| da.slot(g).0).collect();
-            let plan = SparseMergePlan {
-                algo: self.spec.allreduce,
-                inter,
-                elem_bytes: self.cfg.precision.bytes(),
-                max_density: self.cfg.sparse_max_density,
-            };
-            let s = sparse_merge_timing(
-                &self.sparse_layout,
-                &row_sets,
-                &plan,
-                &ctx,
-                &arrivals,
-                timing,
-            );
-            self.sparse_stats.merges += 1;
-            self.sparse_stats.fallbacks += u64::from(s.fell_back);
-            self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
-            self.sparse_stats.dense_bytes += timing.bytes_moved as u64;
-            timing = s.timing;
-        }
-
-        // Redistribute. Every buffer holds the merged model, so the new
-        // global (momentum update) or the blend targets ship through the
-        // same recycled buffers with no further allocation.
-        let pull = match self.spec.merge_rule {
+        // Algorithm 2's momentum update redistributes the new global model;
+        // CROSSBOW adopts the average as it is and blends replicas toward it.
+        let (gamma, pull) = match self.spec.merge_rule {
             MergeRule::Normalized(MergeParams { gamma, .. }) | MergeRule::Average { gamma } => {
-                apply_global_update_flat(&bufs[0], &mut self.global, &mut self.prev_global, gamma);
-                crate::merging::redistribute_global(&self.global, &mut bufs);
-                None
+                (Some(gamma), None)
             }
-            MergeRule::Crossbow { pull } => {
-                copy_to_global(&bufs[0], &mut self.global);
-                Some(pull as f32)
+            MergeRule::Crossbow { pull } => (None, Some(pull as f32)),
+        };
+        let pooled = self.pooled_merge_fits(k, mega_index);
+        let fused = FusedMerge {
+            weights: &decision.weights,
+            gamma,
+            algo: self.spec.allreduce,
+            inter,
+            ctx: &ctx,
+            arrivals: &arrivals,
+            pooled,
+        };
+        let (timing, payload) = match &self.delta_arena {
+            None => {
+                let mut bufs: Vec<FlatVec> =
+                    alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
+                let timing = fused.run(
+                    MergeInput::Dense(&mut bufs),
+                    &mut self.global,
+                    &mut self.prev_global,
+                );
+                let payload = bufs.remove(0);
+                for (&g, buf) in alive_idx[1..].iter().zip(bufs) {
+                    self.arena.restore(g, buf);
+                }
+                (timing, payload)
+            }
+            Some(da) => {
+                let mut payload = std::mem::take(&mut self.payload);
+                if payload.is_empty() {
+                    payload = FlatVec::zeros(self.cfg.precision, self.global.len());
+                }
+                let deltas: Vec<(&[u32], &FlatVec)> =
+                    alive_idx.iter().map(|&g| da.slot(g)).collect();
+                let dense = fused.run(
+                    MergeInput::Sparse {
+                        layout: &self.sparse_layout,
+                        deltas: &deltas,
+                        payload: &mut payload,
+                    },
+                    &mut self.global,
+                    &mut self.prev_global,
+                );
+                // The arithmetic above is the dense collective's, element
+                // for element (the reduction contract), so sparsity only
+                // changes what the simulated wire carries; the dense timing
+                // doubles as the density-threshold fallback.
+                let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
+                let plan = SparseMergePlan {
+                    algo: self.spec.allreduce,
+                    inter,
+                    elem_bytes: self.cfg.precision.bytes(),
+                    max_density: self.cfg.sparse_max_density,
+                };
+                let s = sparse_merge_timing(
+                    &self.sparse_layout,
+                    &row_sets,
+                    &plan,
+                    &ctx,
+                    &arrivals,
+                    dense,
+                );
+                self.sparse_stats.merges += 1;
+                self.sparse_stats.fallbacks += u64::from(s.fell_back);
+                self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
+                self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
+                (s.timing, payload)
             }
         };
+
+        // Redistribute: one read-only payload, shared by the LSH sync and
+        // every live manager.
+        let payload = Arc::new(payload);
         {
             // Scoped: the scheduler's share of the new index is dropped once
             // every manager has been sent its own.
-            let index = self.lsh.as_mut().map(|a| a.sync(&bufs[0]));
-            for (&g, buf) in alive_idx.iter().zip(bufs) {
-                let index = index.clone();
+            let index = self.lsh.as_mut().map(|a| a.sync(&payload));
+            for &g in &alive_idx {
+                let (buf, index) = (Arc::clone(&payload), index.clone());
                 send(
                     g,
                     match pull {
@@ -1154,16 +1234,23 @@ impl SchedulerState<'_> {
                 );
             }
         }
-        // Drain the acks, bringing every buffer home for the next merge.
         for _ in 0..k {
             match from.recv().expect("manager channel closed") {
-                FromManager::Redistributed { gpu, buf } => self.arena.restore(gpu, buf),
+                FromManager::Redistributed => {}
                 FromManager::Trained { .. }
                 | FromManager::Model { .. }
                 | FromManager::Delta { .. } => {
                     unreachable!("non-Redistributed reply during redistribution")
                 }
             }
+        }
+        // Managers drop their share before they acknowledge, so the buffer
+        // is the scheduler's alone again and goes home for the next merge.
+        let payload = Arc::try_unwrap(payload)
+            .expect("every live manager releases the payload before it acknowledges");
+        match self.delta_arena {
+            None => self.arena.restore(alive_idx[0], payload),
+            Some(_) => self.payload = payload,
         }
         debug_assert!(
             self.lsh.as_ref().is_none_or(|a| a.holders() == k),
@@ -1756,7 +1843,8 @@ mod tests {
         assert_eq!(stats.sparse_bytes, stats.dense_bytes);
     }
 
-    /// A device loss between two merges on the sampled + sparse path: the
+    /// A device loss between two merges on the sampled path (sparse merge
+    /// under `SetModel`, dense under `Blend`): the
     /// merges after it sync the shared index to survivors only (the
     /// scheduler's `holders` debug assertions run in this build), the
     /// re-dispatched batches reselect from the index the lost replica used,
@@ -1772,7 +1860,8 @@ mod tests {
         for spec in [algorithms::adaptive_sgd(), blend] {
             let mut config = quick_config();
             config.sampled_softmax = Some(SampledSoftmax::defaults(12));
-            config.sparse_merge = true;
+            // Sparse where the rule allows it; a blend dirties every row.
+            config.sparse_merge = !matches!(spec.merge_rule, MergeRule::Crossbow { .. });
             config.fault_plan = Some(FaultPlan::new().device_loss(1, 2, 1));
             let run =
                 || Trainer::new(spec.clone(), heterogeneous_server(3), config.clone()).run(&ds);
@@ -1788,25 +1877,56 @@ mod tests {
         }
     }
 
-    /// Sparse merge is a no-op request outside the sampled path or under
-    /// Crossbow: the run silently stays dense and reports no stats.
+    /// Sparse merge outside the sampled path or under Crossbow is a named
+    /// configuration error, not a run that silently stays dense.
     #[test]
     fn sparse_merge_gates_off_dense_softmax_and_crossbow() {
-        let ds = dataset();
         let mut cfg = quick_config();
         cfg.sparse_merge = true;
-        cfg.mega_batch_limit = Some(1);
-        let dense_softmax = Trainer::new(
-            algorithms::adaptive_sgd(),
-            heterogeneous_server(2),
-            cfg.clone(),
-        )
-        .run(&ds);
-        assert!(dense_softmax.sparse_merge.is_none());
+        assert_eq!(
+            cfg.validate(&algorithms::adaptive_sgd()),
+            Err(ConfigError::SparseMergeNeedsSampledSoftmax)
+        );
         cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
-        let crossbow =
-            Trainer::new(algorithms::crossbow_sma(), heterogeneous_server(2), cfg).run(&ds);
-        assert!(crossbow.sparse_merge.is_none());
+        assert_eq!(
+            cfg.validate(&algorithms::crossbow_sma()),
+            Err(ConfigError::SparseMergeUnderCrossbow)
+        );
+        assert_eq!(cfg.validate(&algorithms::adaptive_sgd()), Ok(()));
+        // `Trainer::new` refuses by the same name.
+        let refused = std::panic::catch_unwind(|| {
+            Trainer::new(algorithms::crossbow_sma(), heterogeneous_server(2), cfg)
+        });
+        let message = *refused.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(message, ConfigError::SparseMergeUnderCrossbow.to_string());
+    }
+
+    /// The sparse merge parks nothing model-sized per replica: after a whole
+    /// run every `MergeArena` slot is still unsized and the one
+    /// redistribution payload is home. The dense merge is the mirror image:
+    /// `n` sized slots (the first doubles as the payload), no extra buffer.
+    #[test]
+    fn sparse_merge_holds_one_payload_and_no_replica_buffers() {
+        let ds = dataset();
+        let mut cfg = quick_config();
+        cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
+        for sparse in [true, false] {
+            cfg.sparse_merge = sparse;
+            let trainer = Trainer::new(
+                algorithms::adaptive_sgd(),
+                heterogeneous_server(3),
+                cfg.clone(),
+            );
+            let mut state = trainer.drive_to_end(&ds, None);
+            let slots: Vec<usize> = (0..3).map(|g| state.arena.lend(g).capacity()).collect();
+            if sparse {
+                assert_eq!(slots, [0; 3]);
+                assert_eq!(state.payload.len(), state.global.len());
+            } else {
+                assert!(slots.iter().all(|&c| c >= state.global.len()), "{slots:?}");
+                assert_eq!(state.payload.capacity(), 0);
+            }
+        }
     }
 
     #[test]

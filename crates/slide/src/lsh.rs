@@ -233,21 +233,22 @@ impl LshIndex {
         out
     }
 
-    /// Appends every neuron sharing a bucket with `class` (in any table) to
-    /// `out`, duplicates and the class itself included — callers sort/dedup
-    /// once over the whole union. Activation-free: lookups go through the
-    /// signatures stored at the last rebuild.
+    /// The bucket `class` falls into in each table, in table order: every
+    /// neuron sharing a bucket with `class`, duplicates across tables and
+    /// the class itself included — callers take the union. Activation-free:
+    /// lookups go through the signatures stored at the last rebuild.
     ///
     /// # Panics
     /// Panics when `class` is outside the indexed range (or before the
     /// first rebuild).
-    pub fn extend_with_neighbors(&self, class: u32, out: &mut Vec<u32>) {
+    pub fn neighbor_buckets(&self, class: u32) -> impl Iterator<Item = &[u32]> {
         let j = class as usize;
         assert!(j < self.len(), "class {class} not indexed");
         let l = self.buckets.len();
-        for (b, &sig) in self.buckets.iter().zip(&self.sigs[j * l..(j + 1) * l]) {
-            out.extend_from_slice(b.bucket(sig));
-        }
+        self.buckets
+            .iter()
+            .zip(&self.sigs[j * l..(j + 1) * l])
+            .map(|(b, &sig)| b.bucket(sig))
     }
 
     /// Neurons currently indexed.
@@ -322,13 +323,11 @@ mod tests {
         oracle.rebuild_oracle(w2);
         assert_eq!(fast.len(), oracle.len());
         assert_eq!(fast.sigs, oracle.sigs, "sweep signatures diverged");
-        let (mut a, mut b) = (Vec::new(), Vec::new());
         for c in 0..fast.len() as u32 {
-            a.clear();
-            b.clear();
-            fast.extend_with_neighbors(c, &mut a);
-            oracle.extend_with_neighbors(c, &mut b);
-            assert_eq!(a, b, "neighbor sequence of class {c}");
+            assert!(
+                fast.neighbor_buckets(c).eq(oracle.neighbor_buckets(c)),
+                "neighbor sequence of class {c}"
+            );
         }
         for j in 0..w2.cols().min(8) {
             let q: Vec<f32> = (0..w2.rows()).map(|r| w2.at(r, j) + 0.25).collect();

@@ -60,6 +60,9 @@ pub struct CandidateSampler {
     cand: Vec<u32>,
     /// Scratch: the bucket-union negative pool.
     pool: Vec<u32>,
+    /// Scratch: one bit per class, all zero between selections — the bucket
+    /// union as a set.
+    members: Vec<u64>,
 }
 
 impl CandidateSampler {
@@ -80,6 +83,7 @@ impl CandidateSampler {
             neg_samples,
             cand: Vec::new(),
             pool: Vec::new(),
+            members: Vec::new(),
         }
     }
 
@@ -135,17 +139,31 @@ impl CandidateSampler {
         let want = self.neg_samples.min(classes - n_pos);
 
         // Negative pool: every neuron sharing an LSH bucket with a positive,
-        // minus the positives themselves. Sorted + deduped, so the pool
-        // order is canonical before any random draw touches it.
+        // minus the positives themselves, ascending — so the pool order is
+        // canonical before any random draw touches it. The union has far
+        // more entries than classes (hot buckets repeat), so it is collected
+        // as a class bitmap rather than sorted: set the members, clear the
+        // positives, read the set bits back in order (zeroing as they go).
         self.pool.clear();
         if want > 0 {
-            for i in 0..n_pos {
-                self.lsh.extend_with_neighbors(self.cand[i], &mut self.pool);
+            self.members.resize(classes.div_ceil(64), 0);
+            for &p in &self.cand {
+                for bucket in self.lsh.neighbor_buckets(p) {
+                    for &c in bucket {
+                        self.members[c as usize / 64] |= 1 << (c % 64);
+                    }
+                }
             }
-            self.pool.sort_unstable();
-            self.pool.dedup();
-            let cand = &self.cand;
-            self.pool.retain(|c| cand.binary_search(c).is_err());
+            for &p in &self.cand {
+                self.members[p as usize / 64] &= !(1 << (p % 64));
+            }
+            for (w, word) in self.members.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    self.pool.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
         }
 
         let mut rng = sample_seed;
@@ -173,6 +191,50 @@ impl CandidateSampler {
             }
         }
         &self.cand
+    }
+}
+
+#[cfg(test)]
+impl CandidateSampler {
+    /// The selection the class bitmap replaced, kept as the test oracle: the
+    /// bucket union as a list, `sort_unstable + dedup`, positives removed by
+    /// binary search — then the same seeded draw.
+    fn select_oracle(&self, labels: &[&[u32]], sample_seed: u64) -> Vec<u32> {
+        let classes = self.lsh.len();
+        let mut cand: Vec<u32> = labels.iter().flat_map(|row| row.iter().copied()).collect();
+        cand.sort_unstable();
+        cand.dedup();
+        let n_pos = cand.len();
+        let want = self.neg_samples.min(classes - n_pos);
+        let mut pool = Vec::new();
+        if want > 0 {
+            for &p in &cand {
+                pool.extend(self.lsh.neighbor_buckets(p).flatten());
+            }
+            pool.sort_unstable();
+            pool.dedup();
+            pool.retain(|c| cand.binary_search(c).is_err());
+        }
+        let mut rng = sample_seed;
+        if pool.len() > want {
+            for i in 0..want {
+                let j = i + (splitmix64(&mut rng) % (pool.len() - i) as u64) as usize;
+                pool.swap(i, j);
+            }
+            pool.truncate(want);
+        }
+        for c in pool {
+            if let Err(pos) = cand.binary_search(&c) {
+                cand.insert(pos, c);
+            }
+        }
+        while cand.len() < n_pos + want {
+            let c = (splitmix64(&mut rng) % classes as u64) as u32;
+            if let Err(pos) = cand.binary_search(&c) {
+                cand.insert(pos, c);
+            }
+        }
+        cand
     }
 }
 
@@ -297,6 +359,35 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// The bitmap selection returns the same sequence as the
+        /// sort-and-dedup oracle — tiny, bucket-sized and many-word class
+        /// spaces, 1–4 tables, duplicate and empty label rows, quotas from
+        /// none to more than there are classes — and leaves its bitmap clean
+        /// (two seeds per sampler, so the second call sees the first's
+        /// leftovers if there were any).
+        #[test]
+        fn select_matches_sort_dedup_oracle(
+            classes in proptest::prop_oneof![1usize..4, 60usize..71, 250usize..401],
+            tables in 1usize..5,
+            neg_pick in 0usize..5,
+            seed in 0u64..1000,
+        ) {
+            let neg = [0, 7, 64, classes, classes + 9][neg_pick];
+            let mut s = CandidateSampler::new(tables, 4, 16, neg, seed);
+            s.rebuild(&w2(16, classes));
+            let c = classes as u32;
+            let a = seed as u32 % c;
+            let rows = [vec![a, a, (seed as u32 / 7) % c], vec![], vec![c - 1, a], vec![]];
+            let labels: Vec<&[u32]> = rows.iter().map(|r| r.as_slice()).collect();
+            for sample_seed in [seed, seed ^ 0xB00F] {
+                let want = s.select_oracle(&labels, sample_seed);
+                proptest::prop_assert_eq!(s.select(&labels, sample_seed), want);
+                proptest::prop_assert!(s.members.iter().all(|&w| w == 0));
+            }
+        }
+    }
+
     /// `rebuild` on a shared index copies before writing: the other holder
     /// keeps selecting from the tables it adopted.
     #[test]
@@ -317,11 +408,12 @@ mod tests {
         let mut s = sampler(500, 64);
         let labels: Vec<&[u32]> = vec![&[3, 8], &[200, 301]];
         let _ = s.select(&labels, 1);
-        let (cap_c, cap_p) = (s.cand.capacity(), s.pool.capacity());
+        let (cap_c, cap_p, cap_m) = (s.cand.capacity(), s.pool.capacity(), s.members.capacity());
         for seed in 2..20 {
             let _ = s.select(&labels, seed);
         }
         assert_eq!(s.cand.capacity(), cap_c);
         assert_eq!(s.pool.capacity(), cap_p);
+        assert_eq!(s.members.capacity(), cap_m);
     }
 }

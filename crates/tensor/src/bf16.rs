@@ -527,14 +527,26 @@ unsafe fn axpy_slice_avx2(a: f32, src: &[u16], dst: &mut [f32]) {
 pub trait ReduceElem: Copy + Send + Sync + std::fmt::Debug + PartialEq + 'static {
     /// Bytes per stored element — drives every byte/time accounting line.
     const BYTES: usize;
+    /// The stored zero (all-zero bits in both encodings).
+    const ZERO: Self;
     /// `buf[i] = round(buf[i] * a)` (one round point per store).
     fn scale_slice(a: f32, buf: &mut [Self]);
     /// `dst[i] = round(dst[i] + src[i])` (one round point per store).
     fn add_slice(dst: &mut [Self], src: &[Self]);
+    /// `out[i] = round(src[i])`: f32 values into this storage type — a copy
+    /// for f32, the one round point of [`narrow_slice`] for bf16.
+    fn narrow_slice(src: &[f32], out: &mut [Self]);
+    /// The stored value as f32 (exact for both types).
+    fn widen(self) -> f32;
+    /// `flat`'s elements, if it stores this type.
+    fn slice(flat: &FlatVec) -> Option<&[Self]>;
+    /// `flat`'s elements, mutably, if it stores this type.
+    fn slice_mut(flat: &mut FlatVec) -> Option<&mut [Self]>;
 }
 
 impl ReduceElem for f32 {
     const BYTES: usize = 4;
+    const ZERO: f32 = 0.0;
     #[inline(always)]
     fn scale_slice(a: f32, buf: &mut [f32]) {
         for v in buf.iter_mut() {
@@ -547,11 +559,32 @@ impl ReduceElem for f32 {
             *d += s;
         }
     }
+    #[inline(always)]
+    fn narrow_slice(src: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(src);
+    }
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+    fn slice(flat: &FlatVec) -> Option<&[f32]> {
+        match flat {
+            FlatVec::F32(v) => Some(v),
+            FlatVec::Bf16(_) => None,
+        }
+    }
+    fn slice_mut(flat: &mut FlatVec) -> Option<&mut [f32]> {
+        match flat {
+            FlatVec::F32(v) => Some(v),
+            FlatVec::Bf16(_) => None,
+        }
+    }
 }
 
 /// `u16` carries bf16 bit patterns (as in [`FlatVec::Bf16`]).
 impl ReduceElem for u16 {
     const BYTES: usize = 2;
+    const ZERO: u16 = 0;
     #[inline(always)]
     fn scale_slice(a: f32, buf: &mut [u16]) {
         scale_slice(a, buf);
@@ -559,6 +592,26 @@ impl ReduceElem for u16 {
     #[inline(always)]
     fn add_slice(dst: &mut [u16], src: &[u16]) {
         add_assign_slice(dst, src);
+    }
+    #[inline(always)]
+    fn narrow_slice(src: &[f32], out: &mut [u16]) {
+        narrow_slice(src, out);
+    }
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        widen(self)
+    }
+    fn slice(flat: &FlatVec) -> Option<&[u16]> {
+        match flat {
+            FlatVec::Bf16(v) => Some(v),
+            FlatVec::F32(_) => None,
+        }
+    }
+    fn slice_mut(flat: &mut FlatVec) -> Option<&mut [u16]> {
+        match flat {
+            FlatVec::Bf16(v) => Some(v),
+            FlatVec::F32(_) => None,
+        }
     }
 }
 

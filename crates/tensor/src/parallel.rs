@@ -229,44 +229,6 @@ pub fn par_momentum_update(
     });
 }
 
-/// Generic twin of [`par_add_assign`] over a [`crate::bf16::ReduceElem`]:
-/// `dst[i] = round(dst[i] + src[i])` with the element's one-round-per-store
-/// arithmetic. For `f32` this is bit- and partition-identical to
-/// [`par_add_assign`]; for bf16 bits (`u16`) each store narrows once.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn par_add_assign_elem<E: crate::bf16::ReduceElem>(
-    dst: &mut [E],
-    src: &[E],
-    min_serial: usize,
-) {
-    assert_eq!(dst.len(), src.len(), "par_add_assign_elem length mismatch");
-    par_chunks_mut(dst, dst.len(), 1, min_serial, |first, chunk| {
-        E::add_slice(chunk, &src[first..first + chunk.len()]);
-    });
-}
-
-/// Generic twin of [`par_scale`]: `buf[i] = round(buf[i] * a)` with the
-/// element's one-round-per-store arithmetic.
-pub fn par_scale_elem<E: crate::bf16::ReduceElem>(a: f32, buf: &mut [E], min_serial: usize) {
-    par_chunks_mut(buf, buf.len(), 1, min_serial, |_, chunk| {
-        E::scale_slice(a, chunk);
-    });
-}
-
-/// Generic twin of [`par_copy`] for any element type (bf16 bits included):
-/// a parallel `copy_from_slice`, bit-identical for any thread count.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn par_copy_elem<T: Copy + Send + Sync>(src: &[T], dst: &mut [T], min_serial: usize) {
-    assert_eq!(dst.len(), src.len(), "par_copy_elem length mismatch");
-    par_chunks_mut(dst, dst.len(), 1, min_serial, |first, chunk| {
-        chunk.copy_from_slice(&src[first..first + chunk.len()]);
-    });
-}
-
 /// `dst[i] += a * widen(src[i])` over the worker pool — the bf16-reading
 /// twin of [`par_weighted_axpy`]: exact widen, then the same separate
 /// multiply and add into the f32 accumulator.
