@@ -93,8 +93,9 @@ if [[ "${1:-}" != "quick" ]]; then
     #   cluster_probe       the hierarchical multi-node merge (256 replicas at
     #                       64x4; whole-server losses and inter-node stalls in
     #                       the plan) — "Cluster topology & hierarchical merge"
-    #   serve_probe         train -> checkpoint -> serve, faulted and clean —
-    #                       "Serving subsystem"
+    #   serve_probe         train -> checkpoint -> serve, faulted and clean:
+    #                       `serve` as the one-tenant configuration of the one
+    #                       serving loop — "Serving subsystem"
     #   autoscale_probe     the multi-tenant fleet (registry dedup, cache,
     #                       hedging, autoscaling, faults) — "Serving subsystem"
     #   sparse_merge_probe  sparse delta merge == dense merge, bit for bit,
@@ -115,6 +116,7 @@ if [[ "${1:-}" != "quick" ]]; then
     gate --no-golden cluster_probe cluster_probe_23_4x4_bf16.txt "${cluster[@]}" \
         ASGD_SERVERS=4 ASGD_PRECISION=bf16 ASGD_FAULT_SEED=23
     gate serve_probe serve_probe_11_7.txt ASGD_SERVE_SEED=11 ASGD_FAULT_SEED=7
+    gate --debug serve_probe serve_probe_11_7.txt ASGD_SERVE_SEED=11 ASGD_FAULT_SEED=7
     gate autoscale_probe autoscale_probe_7_7.txt ASGD_SERVE_SEED=7 ASGD_FAULT_SEED=7
     gate autoscale_probe autoscale_probe_23_5.txt ASGD_SERVE_SEED=23 ASGD_FAULT_SEED=5
     gate autoscale_probe autoscale_probe_7_7_bf16.txt ASGD_SERVE_SEED=7 ASGD_FAULT_SEED=7 \
@@ -149,6 +151,16 @@ if [[ "${1:-}" != "quick" ]]; then
             || { echo "autoscale acceptance claim $claim failed"; exit 1; }
     done
     echo "autoscale acceptance: reproduced byte-for-byte, all four claims hold"
+
+    echo "== serve acceptance =="
+    # BENCH_serve.json is the single-model engine's sweep (adaptive vs fixed
+    # micro-batching over a two-tier server) — `serve` runs the fleet's loop,
+    # so its numbers move with any change to that loop. Regenerate and
+    # byte-diff against the checked-in artifact.
+    ASGD_OUT_DIR="$tmp_out/servejson" \
+        cargo run --release -p asgd-bench --bin run_all BENCH_serve >/dev/null
+    diff -u results/BENCH_serve.json "$tmp_out/servejson/BENCH_serve.json"
+    echo "serve acceptance: BENCH_serve.json reproduced byte-for-byte"
 
     echo "== sparse-merge acceptance =="
     # BENCH_sparse_merge.json carries the subsystem's headline claims as

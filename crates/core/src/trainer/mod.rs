@@ -33,7 +33,7 @@ use asgd_collective::{
     sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout, SparseMergePlan,
 };
 use asgd_data::{batching::MegaBatchBudget, SampleStream, XmlDataset};
-use asgd_gpusim::device::build_server;
+use asgd_gpusim::device::{build_server, earliest_free};
 use asgd_gpusim::fusion::{FusionPolicy, LaunchModel};
 use asgd_gpusim::memory::MemoryTracker;
 use asgd_gpusim::{
@@ -888,16 +888,12 @@ impl SchedulerState<'_> {
             DispatchPolicy::Dynamic => {
                 // First-available = smallest virtual clock; ties (exact f64
                 // equality, e.g. at t = 0) break by id for determinism.
-                (0..self.n())
-                    .filter(|&g| self.alive[g])
-                    .min_by(|&a, &b| {
-                        self.devices[a]
-                            .now()
-                            .partial_cmp(&self.devices[b].now())
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.cmp(&b))
-                    })
-                    .expect("at least one device alive")
+                let alive = self
+                    .devices
+                    .iter()
+                    .enumerate()
+                    .filter(|&(g, _)| self.alive[g]);
+                earliest_free(alive).expect("at least one device alive")
             }
             DispatchPolicy::Static => {
                 let mut g = self.rr_cursor;

@@ -228,6 +228,21 @@ pub fn build_server(profiles: &[DeviceProfile], seed: u64) -> Vec<Device> {
         .collect()
 }
 
+/// The paper's dispatch rule (§III, "the next batch goes to whichever GPU
+/// frees first"): among the eligible `(index, device)` pairs, the index of
+/// the smallest virtual clock, exact ties to the lowest index. `None` when
+/// nothing is eligible — every caller filters (alive, commissioned, not the
+/// primary) and decides itself what an empty set means.
+pub fn earliest_free<'a>(eligible: impl IntoIterator<Item = (usize, &'a Device)>) -> Option<usize> {
+    let mut best: Option<(SimTime, usize)> = None;
+    for (i, d) in eligible {
+        if best.is_none_or(|b| (d.now(), i) < b) {
+            best = Some((d.now(), i));
+        }
+    }
+    best.map(|(_, i)| i)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -498,6 +513,23 @@ mod tests {
             n: 64,
         };
         assert!((slow.execute(k) / fast.execute(k) - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn earliest_free_takes_the_smallest_clock_and_breaks_ties_low() {
+        let mut devices: Vec<Device> = (0..4).map(|i| quiet(i, 1.0)).collect();
+        assert_eq!(earliest_free(devices.iter().enumerate()), Some(0));
+        // Ties break to the lowest index whatever order the pairs come in.
+        assert_eq!(earliest_free(devices.iter().enumerate().rev()), Some(0));
+        devices[0].advance_to(SimTime(2.0));
+        devices[1].advance_to(SimTime(1.0));
+        devices[2].advance_to(SimTime(1.0));
+        assert_eq!(earliest_free(devices.iter().enumerate()), Some(3));
+        let busy = |skip: usize| {
+            earliest_free(devices.iter().enumerate().filter(move |&(i, _)| i != skip))
+        };
+        assert_eq!(busy(3), Some(1));
+        assert_eq!(earliest_free(devices.iter().enumerate().take(0)), None);
     }
 }
 

@@ -42,7 +42,7 @@ pub mod topology;
 pub mod trace;
 
 pub use cost::KernelKind;
-pub use device::{Device, DeviceId};
+pub use device::{earliest_free, Device, DeviceId};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use profile::{DeviceProfile, JitterModel};
 pub use topology::{ClusterTopology, DeviceLocation, Topology};

@@ -32,7 +32,6 @@
 //! assert!(loss1 < loss0, "one SGD step must reduce loss on the same batch");
 //! ```
 
-pub mod adam;
 pub mod checkpoint;
 pub mod eval;
 pub mod gradients;
@@ -40,7 +39,6 @@ pub mod mlp;
 pub mod workload;
 pub mod workspace;
 
-pub use adam::{train_batch_adam, AdamParams, AdamState};
 pub use gradients::Gradients;
 pub use mlp::{Mlp, MlpConfig, TrainOutput};
 pub use workspace::Workspace;

@@ -335,8 +335,8 @@ impl Mlp {
     /// The transpose copies bits verbatim, so whether a given call hits or
     /// misses the cache can never change results. Both training backward
     /// passes and the sampled forward pass call this implicitly; it is
-    /// public so optimizers applying external sampled gradients (e.g.
-    /// [`crate::AdamState::apply_sampled`]) can establish coherence first.
+    /// public so optimizers applying external sampled gradients can
+    /// establish coherence first.
     pub fn sync_w2t(&self, ws: &mut Workspace) {
         if ws.w2t_epoch != Some(self.w2_epoch) {
             self.w2.transpose_into(&mut ws.w2t);
@@ -763,8 +763,8 @@ impl Mlp {
     ///
     /// Output-layer gradients land *sparsely* in `ws.grads.w2_updates` /
     /// `ws.grads.b2_updates` (the dense `w2`/`b2` buffers are untouched);
-    /// apply them with [`Mlp::apply_gradients_sampled`] or
-    /// [`crate::AdamState::apply_sampled`]. `dW₂` active columns come from
+    /// apply them with [`Mlp::apply_gradients_sampled`]. `dW₂` active
+    /// columns come from
     /// the existing `gemm_tn` on the compact dlogits, `dh` flows through
     /// [`asgd_tensor::ops::gemm_nn_gather`] over the cached `W₂ᵀ`, and the
     /// forward logits come from [`asgd_tensor::ops::gemm_nt_gather_bias`] —

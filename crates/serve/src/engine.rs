@@ -1,47 +1,23 @@
-//! The serving engine: dynamic dispatch + adaptive micro-batching over
-//! simulated heterogeneous devices.
+//! The single-model serving engine: [`serve`] and its public types.
 //!
-//! One model replica runs per simulated GPU. A single scheduler loop owns
-//! every *decision*: it admits arrivals into a central FIFO queue, hands the
-//! next micro-batch to whichever replica's virtual clock frees first (the
-//! paper's one-batch-at-a-time dynamic dispatch, repurposed for inference),
-//! charges the batch's forward kernels to that device, and records
-//! per-request latency. Decisions consume only virtual clocks and seeded
-//! state, so the entire schedule — every dispatch, latency, and fault
-//! reaction — is a pure function of `(request seed, fault seed)` regardless
-//! of `ASGD_THREADS`.
-//!
-//! The *math* runs for real off the decision path: each replica has a worker
-//! thread owning a reused [`Workspace`], sharing the read-only model, and
-//! predictions land in an id-indexed buffer — so the numeric results are
-//! independent of worker completion order, and bit-identical at any thread
-//! count because every tensor kernel is.
-//!
-//! Degradation: requests wait in the central queue, never on a device. A
-//! [`FaultKind::DeviceLoss`] therefore loses nothing — the dead replica
-//! simply stops being dispatched to and the queue drains through survivors.
-//! Its worker drains already-shipped batches before exiting (the channel is
-//! FIFO), so even in-flight results are kept. Loss of the last survivor is
-//! refused, as in the chaos trainer.
+//! There is no scheduler here. [`serve`] is the one-tenant configuration of
+//! the crate's one serving loop ([`crate::fleet`]) and only adapts its inputs
+//! and outputs; dispatch, adaptive micro-batching, fault reactions and the
+//! worker threads are described there.
 
-use crate::slo::SloController;
+use crate::fleet::{run_session, FaultEffect, FleetConfig, ServedFault, Tenant};
+use crate::loadgen::TenantRequest;
 use crate::stream::Request;
 use asgd_core::ScalingParams;
 use asgd_gpusim::device::build_server;
-use asgd_gpusim::{DeviceProfile, FaultEvent, FaultKind, FaultPlan, SimTime};
-use asgd_model::workload::inference_kernels;
-use asgd_model::{Mlp, Workspace};
+use asgd_gpusim::{ClusterTopology, DeviceProfile, FaultPlan};
+use asgd_model::Mlp;
 use asgd_sparse::CsrMatrix;
-use asgd_stats::{percentile, Histogram, P2Quantile};
+use asgd_stats::{Histogram, P2Quantile};
 use asgd_tensor::Precision;
-use std::collections::VecDeque;
-use std::sync::mpsc;
 
 /// Histogram bins of the latency distribution (per replica and fleet).
 const HIST_BINS: usize = 64;
-/// Histogram upper bound, in SLO multiples (tail beyond it lands in the
-/// saturating overflow bucket).
-const HIST_SLO_SPAN: f64 = 8.0;
 
 /// Serving-run parameters.
 #[derive(Debug, Clone)]
@@ -255,98 +231,29 @@ impl ServeOutcome {
     }
 }
 
-/// One replica's scheduler-side state.
-struct ReplicaState {
-    device: asgd_gpusim::Device,
-    controller: SloController,
-    alive: bool,
-    served: usize,
-    batches: usize,
-    window_lat: Vec<f64>,
-    trajectory: Vec<usize>,
-    stats: LatencyStats,
-    tx: Option<mpsc::Sender<WorkItem>>,
-}
-
-/// A micro-batch shipped to a replica worker.
-struct WorkItem {
-    x: CsrMatrix,
-    ids: Vec<u32>,
-}
-
-/// Applies one due fault event. `anchor` is the scheduler's current virtual
-/// time — speed changes take effect from there, never retroactively.
-fn apply_fault(
-    replicas: &mut [ReplicaState],
-    e: FaultEvent,
-    anchor: f64,
-    queued: usize,
-    log: &mut Vec<String>,
-) {
-    let at = format!("w{}+{}", e.at_mega, e.after_batches);
-    match e.kind {
-        FaultKind::SpeedChange { factor } => {
-            if replicas[e.gpu].alive {
-                replicas[e.gpu]
-                    .device
-                    .schedule_speed_factor(SimTime(anchor), factor);
-                log.push(format!("{at}: gpu{} speed -> {factor:.2}", e.gpu));
-            }
+/// The engine's wording of a session's fault: devices are `gpu`s, and a
+/// loss says on the same line where the queue went.
+fn fault_line(fault: &ServedFault) -> String {
+    let line = fault.line("gpu");
+    match fault.effect {
+        FaultEffect::Lost(Some((queued, survivors))) => {
+            format!("{line}; {queued} queued re-dispatched to {survivors} survivors")
         }
-        FaultKind::Stall { seconds } => {
-            if replicas[e.gpu].alive {
-                let now = replicas[e.gpu].device.now();
-                replicas[e.gpu].device.advance_to(now + seconds);
-                log.push(format!("{at}: gpu{} stalled {seconds:.3}s", e.gpu));
-            }
-        }
-        FaultKind::DeviceLoss => {
-            let survivors = replicas.iter().filter(|r| r.alive).count();
-            if !replicas[e.gpu].alive {
-                // Already dead — nothing to do.
-            } else if survivors <= 1 {
-                log.push(format!("{at}: gpu{} loss REFUSED (last survivor)", e.gpu));
-            } else {
-                replicas[e.gpu].alive = false;
-                // Dropping the sender lets the worker drain its in-flight
-                // batches (channel is FIFO) and exit; results are kept.
-                replicas[e.gpu].tx = None;
-                log.push(format!(
-                    "{at}: gpu{} lost; {queued} queued re-dispatched to {} survivors",
-                    e.gpu,
-                    survivors - 1
-                ));
-            }
-        }
-        // Merge-OOM is a training-merge fault; `FaultPlan::due` never
-        // returns it and serving has no merge phase to degrade.
-        FaultKind::MergeOom => {}
-        // Cluster faults come only from `FaultPlan::random_cluster`, which
-        // the serving engine never uses: a serving fleet is a flat replica
-        // pool with no server grouping to lose or inter-node link to stall.
-        FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => {}
+        _ => line,
     }
-}
-
-/// The alive replica whose virtual clock frees first (ties to the lowest
-/// index — the same deterministic rule as the training dispatcher).
-fn pick_replica(replicas: &[ReplicaState]) -> usize {
-    let mut best = usize::MAX;
-    let mut best_t = f64::INFINITY;
-    for (i, r) in replicas.iter().enumerate() {
-        if r.alive && r.device.now().secs() < best_t {
-            best_t = r.device.now().secs();
-            best = i;
-        }
-    }
-    assert!(best != usize::MAX, "no alive replica to dispatch to");
-    best
 }
 
 /// Runs a serving session: drains `requests` (rows of `pool`) through one
 /// replica of `model` per device in `profiles`, under `plan`'s faults
 /// (reinterpreted at `(window, dispatch ordinal)` points), with adaptive
 /// micro-batching per `config`.
+///
+/// This is the fleet session ([`crate::fleet`]) pinned to one tenant, cache
+/// capacity 0, hedging off, every device commissioned from the start, and
+/// one server (so no cross-server RTT), on devices seeded by
+/// [`build_server`]. A plan event naming a device the server does not have
+/// is skipped; `ServerLoss` of the only server is refused and logged, and an
+/// `InterNodeStall` of it stalls every device.
 ///
 /// The returned outcome — every latency, trajectory entry, and prediction —
 /// is a pure function of the inputs, bit-identical at any `ASGD_THREADS`.
@@ -362,23 +269,10 @@ pub fn serve(
     plan: &FaultPlan,
     config: &ServeConfig,
 ) -> ServeOutcome {
-    assert!(!profiles.is_empty(), "need at least one device");
-    assert!(config.k >= 1, "k must be at least 1");
-    assert!(config.window_dispatches >= 1, "window must be non-empty");
-    assert_eq!(
-        pool.cols(),
-        model.config().num_features,
-        "pool/model architecture mismatch"
-    );
-    assert!(
-        requests.iter().all(|r| r.pool_row < pool.rows()),
-        "request outside the pool"
-    );
-
     // Serve the weights at the configured streaming precision. The f32 path
     // borrows the caller's model untouched (golden outputs hold bit-exactly);
     // bf16 rounds every weight once up front — the checkpoint the replicas
-    // "received" — and all the per-request math below stays f32.
+    // "received" — and all the per-request math stays f32.
     let quantized_model;
     let model = match config.precision {
         Precision::F32 => model,
@@ -387,191 +281,64 @@ pub fn serve(
             &quantized_model
         }
     };
-
-    let n = requests.len();
-    let k_eff = config.k.min(model.config().num_classes);
-    let hist_hi = config.slo_s * HIST_SLO_SPAN;
-    let mut records: Vec<Option<RequestRecord>> = vec![None; n];
-    let mut predictions = vec![0u32; n * k_eff];
-    let mut fault_log: Vec<String> = Vec::new();
-
-    let mut replicas: Vec<ReplicaState> = build_server(profiles, config.device_seed)
-        .into_iter()
-        .map(|device| ReplicaState {
-            device,
-            controller: SloController::new(config.scaling, config.slo_s),
-            alive: true,
-            served: 0,
-            batches: 0,
-            window_lat: Vec::new(),
-            trajectory: Vec::new(),
-            stats: LatencyStats::new(hist_hi),
-            tx: None,
-        })
-        .collect();
-
-    std::thread::scope(|scope| {
-        // One inference worker per replica: owns a workspace, shares the
-        // read-only model, writes nothing the scheduler reads.
-        let (res_tx, res_rx) = mpsc::channel::<(Vec<u32>, Vec<u32>)>();
-        for rep in replicas.iter_mut() {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            rep.tx = Some(tx);
-            let res = res_tx.clone();
-            scope.spawn(move || {
-                let mut ws = Workspace::new(model.config());
-                let mut out: Vec<u32> = Vec::new();
-                for item in rx {
-                    let got = model.predict_topk_ws(&item.x, k_eff, &mut ws, &mut out);
-                    debug_assert_eq!(got, k_eff);
-                    // Receiver outlives senders; a send can only fail if the
-                    // whole scope is unwinding already.
-                    let _ = res.send((item.ids, out.clone()));
-                }
-            });
-        }
-        drop(res_tx);
-
-        // The scheduler loop: single-threaded, virtual-time only.
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut next_arr = 0usize;
-        let mut window = 0usize;
-        let mut in_window = 0usize;
-        let mut batch: Vec<usize> = Vec::new();
-        let mut pool_rows: Vec<usize> = Vec::new();
-
-        loop {
-            if queue.is_empty() && next_arr >= n {
-                break;
-            }
-            // Fault events due before this dispatch.
-            let anchor = replicas[pick_replica(&replicas)].device.now().secs();
-            for e in plan.due(window, in_window, false) {
-                apply_fault(&mut replicas, e, anchor, queue.len(), &mut fault_log);
-            }
-
-            // Dispatch to whichever alive replica frees first, no earlier
-            // than the first pending request's arrival (open loop: devices
-            // idle until there is work).
-            let r = pick_replica(&replicas);
-            let free = replicas[r].device.now().secs();
-            let first_pending = match queue.front() {
-                Some(&q) => requests[q].arrival,
-                None => requests[next_arr].arrival,
-            };
-            let t = free.max(first_pending);
-            replicas[r].device.advance_to(SimTime(t));
-            while next_arr < n && requests[next_arr].arrival <= t {
-                queue.push_back(next_arr);
-                next_arr += 1;
-            }
-
-            // Cut the micro-batch: up to the replica's adaptive size, only
-            // requests that have actually arrived by `t`.
-            let b = replicas[r].controller.micro_batch();
-            batch.clear();
-            while batch.len() < b {
-                match queue.front() {
-                    Some(&q) if requests[q].arrival <= t => {
-                        batch.push(q);
-                        queue.pop_front();
-                    }
-                    _ => break,
-                }
-            }
-            debug_assert!(!batch.is_empty(), "dispatch with nothing arrived");
-
-            // Charge the device the forward kernels this batch costs.
-            pool_rows.clear();
-            pool_rows.extend(batch.iter().map(|&q| requests[q].pool_row));
-            let x = pool.select_rows(&pool_rows);
-            let kernels = inference_kernels(model.config(), x.rows(), x.nnz(), k_eff);
-            replicas[r].device.execute_all(&kernels);
-            let done = replicas[r].device.now().secs();
-
-            for &q in &batch {
-                let rec = RequestRecord {
-                    arrival: requests[q].arrival,
-                    dispatched: t,
-                    completed: done,
-                    replica: r,
-                    batch: batch.len(),
-                };
-                records[q] = Some(rec);
-                replicas[r].window_lat.push(rec.latency());
-                replicas[r].stats.record(rec.latency());
-            }
-            replicas[r].served += batch.len();
-            replicas[r].batches += 1;
-
-            // Ship the real math to the replica's worker.
-            let ids: Vec<u32> = batch.iter().map(|&q| requests[q].id).collect();
-            if let Some(tx) = &replicas[r].tx {
-                let _ = tx.send(WorkItem { x, ids });
-            }
-
-            in_window += 1;
-            if in_window == config.window_dispatches {
-                // Boundary sweep: never-reached ordinals fire here, exactly
-                // like the trainer's merge-boundary sweep.
-                let anchor = replicas[pick_replica(&replicas)].device.now().secs();
-                for e in plan.due(window, in_window, true) {
-                    apply_fault(&mut replicas, e, anchor, queue.len(), &mut fault_log);
-                }
-                for rep in replicas.iter_mut().filter(|r| r.alive) {
-                    if config.adaptive && !rep.window_lat.is_empty() {
-                        let p99 =
-                            percentile(&rep.window_lat, 0.99).expect("non-empty window latencies");
-                        rep.controller.observe_window(p99);
-                    }
-                    rep.trajectory.push(rep.controller.micro_batch());
-                    rep.window_lat.clear();
-                }
-                window += 1;
-                in_window = 0;
-            }
-        }
-
-        // Close every worker channel, then drain all results into the
-        // id-indexed prediction buffer (order-independent by construction).
-        for rep in replicas.iter_mut() {
-            rep.tx = None;
-        }
-        for (ids, out) in res_rx {
-            for (j, &id) in ids.iter().enumerate() {
-                predictions[id as usize * k_eff..(id as usize + 1) * k_eff]
-                    .copy_from_slice(&out[j * k_eff..(j + 1) * k_eff]);
-            }
-        }
-    });
-
-    let served = records.iter().filter(|r| r.is_some()).count();
-    let makespan_s = records
+    let requests: Vec<TenantRequest> = requests
         .iter()
-        .flatten()
-        .map(|r| r.completed)
-        .fold(0.0f64, f64::max);
-    let replicas = replicas
-        .into_iter()
-        .map(|rep| ReplicaReport {
-            name: rep.device.profile().name.clone(),
-            alive: rep.alive,
-            served: rep.served,
-            batches: rep.batches,
-            final_b: rep.controller.micro_batch(),
-            trajectory: rep.trajectory,
-            stats: rep.stats,
+        .map(|r| TenantRequest {
+            id: r.id,
+            arrival: r.arrival,
+            tenant: 0,
+            pool_row: r.pool_row,
         })
         .collect();
+    let fleet_config = FleetConfig {
+        k: config.k,
+        scaling: config.scaling,
+        adaptive: config.adaptive,
+        window_dispatches: config.window_dispatches,
+        ..FleetConfig::paper_defaults(config.scaling.b_max as usize, config.slo_s)
+    };
+    let tenant = Tenant {
+        model,
+        sig: 0,
+        queue: 0,
+    };
+    let (out, faults) = run_session(
+        &[tenant],
+        build_server(profiles, config.device_seed),
+        &ClusterTopology::ethernet(1, profiles.len()),
+        pool,
+        &requests,
+        plan,
+        &fleet_config,
+    );
+
+    let records = out.records.iter().map(|rec| {
+        rec.map(|r| RequestRecord {
+            arrival: r.arrival,
+            dispatched: r.dispatched,
+            completed: r.completed,
+            replica: r.replica.expect("cache off: every request is computed"),
+            batch: r.batch,
+        })
+    });
+    let replicas = out.replicas.into_iter().map(|rep| ReplicaReport {
+        name: rep.name,
+        alive: rep.alive,
+        served: rep.served,
+        batches: rep.batches,
+        final_b: rep.final_b,
+        trajectory: rep.batch_trajectory,
+        stats: rep.stats,
+    });
     ServeOutcome {
-        records,
-        predictions,
-        k_eff,
-        replicas,
-        fault_log,
-        makespan_s,
-        served,
-        lost: n - served,
+        records: records.collect(),
+        predictions: out.predictions,
+        k_eff: out.k_eff,
+        replicas: replicas.collect(),
+        fault_log: faults.iter().map(fault_line).collect(),
+        makespan_s: out.makespan_s,
+        served: out.served,
+        lost: out.lost,
     }
 }
 

@@ -1,16 +1,27 @@
-//! The multi-tenant fleet engine: registry-backed replicas, prediction
-//! cache, hedged requests, and elastic autoscaling in one virtual-time
-//! scheduler.
+//! The serving loop: registry-backed replicas, prediction cache, hedged
+//! requests, and elastic autoscaling in one virtual-time scheduler.
 //!
-//! This is [`crate::engine::serve`] grown to internet scale. The same
-//! architecture invariant holds — a **single scheduler loop owns every
+//! This module holds the crate's **only** scheduler loop (`run_session`).
+//! [`serve_fleet`] is registry look-ups around it; [`crate::engine::serve`]
+//! is its one-tenant, cache-off, hedge-off, fully-provisioned, one-server
+//! configuration. The architecture invariant: that **single loop owns every
 //! decision** (admission, cache lookups, version selection, dispatch,
 //! hedging, scaling, faults) and consumes only virtual device clocks and
-//! seeded state, while the real forward math runs on worker threads that
-//! write id-indexed buffers nobody schedules against. The outcome is
-//! therefore a pure function of `(load seed, fault seed, config)` at any
-//! `ASGD_THREADS`. What's new:
+//! seeded state, while the real forward math runs on worker threads — one
+//! per slot, each owning a reused [`Workspace`] and sharing the read-only
+//! models — that write id-indexed buffers nobody schedules against. The
+//! outcome is therefore a pure function of `(load seed, fault seed, config)`
+//! at any `ASGD_THREADS`.
 //!
+//! - **Dynamic dispatch.** The next micro-batch goes to whichever
+//!   commissioned replica's virtual clock frees first (the paper's
+//!   one-batch-at-a-time rule, [`earliest_free`]), no earlier than the
+//!   oldest pending arrival; its forward kernels are charged to that device.
+//! - **Zero-loss degradation.** Requests wait in central queues, never on a
+//!   device. A [`FaultKind::DeviceLoss`] therefore loses nothing — the dead
+//!   slot stops being dispatched to, its worker still computes the batches
+//!   already shipped, and the queue drains through survivors.
+//!   Loss of the last survivor is refused, as in the chaos trainer.
 //! - **Many models.** Requests carry a tenant; tenants map to registry
 //!   versions; each version has its own FIFO so a micro-batch is always
 //!   single-model. Dispatch serves the version whose queue head has waited
@@ -45,7 +56,8 @@ use crate::registry::{DedupStats, ModelRegistry, VersionId};
 use crate::slo::SloController;
 use asgd_core::ScalingParams;
 use asgd_gpusim::{
-    ClusterTopology, Device, DeviceId, DeviceProfile, FaultEvent, FaultKind, FaultPlan, SimTime,
+    earliest_free, ClusterTopology, Device, DeviceId, DeviceProfile, FaultEvent, FaultKind,
+    FaultPlan, SimTime,
 };
 use asgd_model::workload::inference_kernels;
 use asgd_model::{Mlp, Workspace};
@@ -53,10 +65,9 @@ use asgd_sparse::CsrMatrix;
 use asgd_stats::percentile;
 use std::collections::VecDeque;
 use std::sync::mpsc;
-use std::sync::Arc;
 
-/// Histogram span of per-replica latency stats, in SLO multiples (matches
-/// the single-model engine).
+/// Histogram span of per-replica latency stats, in SLO multiples (the tail
+/// beyond it lands in the saturating overflow bucket).
 const HIST_SLO_SPAN: f64 = 8.0;
 
 /// Fleet-run parameters.
@@ -203,6 +214,9 @@ pub struct FleetReplicaReport {
     pub batches: usize,
     /// Micro-batch size at end of run.
     pub final_b: usize,
+    /// Micro-batch size after each controller window this slot was
+    /// dispatchable at the end of.
+    pub batch_trajectory: Vec<usize>,
     /// Commissioned wall-time paid for, device-seconds.
     pub device_seconds: f64,
     /// Latency statistics of the requests this slot completed.
@@ -280,10 +294,10 @@ struct Slot {
     served: usize,
     batches: usize,
     window_lat: Vec<f64>,
+    batch_trajectory: Vec<usize>,
     stats: LatencyStats,
     /// Commissioned `(start, end)` intervals; `None` end = still open.
     intervals: Vec<(f64, Option<f64>)>,
-    tx: Option<mpsc::Sender<WorkItem>>,
 }
 
 impl Slot {
@@ -302,99 +316,155 @@ impl Slot {
             open.1 = Some(at.max(open.0));
         }
     }
+
+    /// A lost slot: out of dispatch and no longer paid for. Nothing is ever
+    /// queued on a device, and its worker still computes what was already
+    /// shipped, so nothing is lost with it.
+    fn kill(&mut self, at: f64) {
+        self.alive = false;
+        if self.commissioned {
+            self.decommission(at);
+        }
+    }
 }
 
 /// A micro-batch shipped to a slot worker (the model rides along — slots
-/// serve whichever version the scheduler picked).
-struct WorkItem {
-    model: Arc<Mlp>,
+/// serve whichever tenant's version the scheduler picked).
+struct WorkItem<'a> {
+    model: &'a Mlp,
     x: CsrMatrix,
     ids: Vec<u32>,
 }
 
-/// The dispatchable slot whose clock frees first (ties to the lowest slot
-/// index).
+/// The dispatchable slot whose clock frees first.
 fn pick_slot(slots: &[Slot]) -> usize {
-    let mut best = usize::MAX;
-    let mut best_t = f64::INFINITY;
-    for (i, s) in slots.iter().enumerate() {
-        if s.dispatchable() && s.device.now().secs() < best_t {
-            best_t = s.device.now().secs();
-            best = i;
-        }
-    }
-    assert!(best != usize::MAX, "no dispatchable replica");
-    best
+    let up = slots.iter().enumerate().filter(|(_, s)| s.dispatchable());
+    earliest_free(up.map(|(i, s)| (i, &s.device))).expect("no dispatchable replica")
 }
 
-/// Applies one due fault event to the fleet. Device indices address slots;
-/// `ServerLoss`/`InterNodeStall` address servers of the cluster topology.
+/// The unit a fault named.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Unit {
+    Slot(usize),
+    Server(usize),
+}
+
+/// What a fault did to the unit it named.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum FaultEffect {
+    Speed(f64),
+    Stalled(f64),
+    Unreachable(f64),
+    /// A device lost on its own hands over `(requests queued, dispatchable
+    /// slots left)`; the members of a lost server do not.
+    Lost(Option<(usize, usize)>),
+    /// Refused, and why.
+    LossRefused(&'static str),
+}
+
+/// One fault a session applied or refused, in firing order — data, not
+/// prose, because the two entry points word their logs differently (`gpu1
+/// lost; 17 queued re-dispatched to 3 survivors` vs `slot1 lost` + `17
+/// queued drain through survivors`) and the loop must not know who called.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ServedFault {
+    /// The plan point it was scheduled at: `w{window}+{ordinal}`.
+    pub at: String,
+    pub unit: Unit,
+    pub effect: FaultEffect,
+}
+
+impl ServedFault {
+    /// `{at}: {unit} {effect}`, a slot being called `slot_noun`.
+    pub(crate) fn line(&self, slot_noun: &str) -> String {
+        let unit = match self.unit {
+            Unit::Slot(i) => format!("{slot_noun}{i}"),
+            Unit::Server(s) => format!("server{s}"),
+        };
+        let effect = match self.effect {
+            FaultEffect::Speed(factor) => format!("speed -> {factor:.2}"),
+            FaultEffect::Stalled(seconds) => format!("stalled {seconds:.3}s"),
+            FaultEffect::Unreachable(seconds) => format!("unreachable {seconds:.3}s"),
+            FaultEffect::Lost(_) => "lost".to_string(),
+            FaultEffect::LossRefused(why) => format!("loss REFUSED ({why})"),
+        };
+        format!("{}: {unit} {effect}", self.at)
+    }
+
+    /// The fleet's wording: a hand-over gets a line of its own.
+    fn fleet_lines(&self) -> Vec<String> {
+        let mut lines = vec![self.line("slot")];
+        if let FaultEffect::Lost(Some((queued, _))) = self.effect {
+            let at = &self.at;
+            lines.push(format!("{at}: {queued} queued drain through survivors"));
+        }
+        lines
+    }
+}
+
+/// Applies one due fault event and logs what it did (nothing, when the
+/// target is unknown to this session or already dead). Device indices
+/// address slots; `ServerLoss`/`InterNodeStall` address servers of the
+/// cluster topology. `anchor` is the scheduler's current virtual time —
+/// speed changes take effect from there, never retroactively.
 fn apply_fault(
     slots: &mut [Slot],
     e: FaultEvent,
     anchor: f64,
     queued: usize,
-    log: &mut Vec<String>,
+    log: &mut Vec<ServedFault>,
 ) {
     let at = format!("w{}+{}", e.at_mega, e.after_batches);
-    let kill = |slots: &mut [Slot], i: usize, at: &str, anchor: f64, log: &mut Vec<String>| {
-        slots[i].alive = false;
-        if slots[i].commissioned {
-            slots[i].decommission(anchor);
-        }
-        slots[i].tx = None;
-        log.push(format!("{at}: slot{i} lost"));
+    let mut note = |unit, effect| {
+        log.push(ServedFault {
+            at: at.clone(),
+            unit,
+            effect,
+        })
     };
+    let up = |slots: &[Slot]| slots.iter().filter(|s| s.dispatchable()).count();
     match e.kind {
         FaultKind::SpeedChange { factor } => {
             if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
                 s.device.schedule_speed_factor(SimTime(anchor), factor);
-                log.push(format!("{at}: slot{} speed -> {factor:.2}", e.gpu));
+                note(Unit::Slot(e.gpu), FaultEffect::Speed(factor));
             }
         }
         FaultKind::Stall { seconds } => {
             if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
                 let now = s.device.now();
                 s.device.advance_to(now + seconds);
-                log.push(format!("{at}: slot{} stalled {seconds:.3}s", e.gpu));
+                note(Unit::Slot(e.gpu), FaultEffect::Stalled(seconds));
             }
         }
         FaultKind::DeviceLoss => {
-            let Some(s) = slots.get(e.gpu) else { return };
-            if !s.alive {
+            let Some(s) = slots.get(e.gpu).filter(|s| s.alive) else {
                 return;
-            }
-            let survivors = slots.iter().filter(|s| s.dispatchable()).count();
-            if s.commissioned && survivors <= 1 {
-                log.push(format!("{at}: slot{} loss REFUSED (last survivor)", e.gpu));
+            };
+            if s.commissioned && up(slots) <= 1 {
+                note(Unit::Slot(e.gpu), FaultEffect::LossRefused("last survivor"));
             } else {
-                kill(slots, e.gpu, &at, anchor, log);
-                log.push(format!("{at}: {queued} queued drain through survivors"));
+                slots[e.gpu].kill(anchor);
+                let handover = Some((queued, up(slots)));
+                note(Unit::Slot(e.gpu), FaultEffect::Lost(handover));
             }
         }
         FaultKind::ServerLoss => {
-            let victims: Vec<usize> = slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.server == e.gpu && s.alive)
-                .map(|(i, _)| i)
+            let on_server = |s: &Slot| s.server == e.gpu;
+            let victims: Vec<usize> = (0..slots.len())
+                .filter(|&i| on_server(&slots[i]) && slots[i].alive)
                 .collect();
-            let outside = slots
-                .iter()
-                .filter(|s| s.dispatchable() && s.server != e.gpu)
-                .count();
             if victims.is_empty() {
                 // Nothing alive there — nothing to do.
-            } else if outside == 0 {
-                log.push(format!(
-                    "{at}: server{} loss REFUSED (no survivor outside)",
-                    e.gpu
-                ));
+            } else if !slots.iter().any(|s| s.dispatchable() && !on_server(s)) {
+                let refused = FaultEffect::LossRefused("no survivor outside");
+                note(Unit::Server(e.gpu), refused);
             } else {
                 for i in victims {
-                    kill(slots, i, &at, anchor, log);
+                    slots[i].kill(anchor);
+                    note(Unit::Slot(i), FaultEffect::Lost(None));
                 }
-                log.push(format!("{at}: server{} lost", e.gpu));
+                note(Unit::Server(e.gpu), FaultEffect::Lost(None));
             }
         }
         FaultKind::InterNodeStall { seconds } => {
@@ -405,11 +475,22 @@ fn apply_fault(
                 let now = s.device.now();
                 s.device.advance_to(now + seconds);
             }
-            log.push(format!("{at}: server{} unreachable {seconds:.3}s", e.gpu));
+            note(Unit::Server(e.gpu), FaultEffect::Unreachable(seconds));
         }
-        // Training-merge fault; serving has no merge phase.
+        // Merge-OOM is a training-merge fault; `FaultPlan::due` never
+        // returns it and serving has no merge phase to degrade.
         FaultKind::MergeOom => {}
     }
+}
+
+/// One tenant of a session: the model it is served, that model's content
+/// signature (the cache-key prefix, shared across deduped versions) and the
+/// FIFO its requests wait in (one per distinct version, so a micro-batch is
+/// always single-model).
+pub(crate) struct Tenant<'a> {
+    pub model: &'a Mlp,
+    pub sig: u64,
+    pub queue: usize,
 }
 
 /// Runs a multi-tenant fleet session.
@@ -439,45 +520,77 @@ pub fn serve_fleet(
     plan: &FaultPlan,
     config: &FleetConfig,
 ) -> FleetOutcome {
-    assert!(!profiles.is_empty(), "need at least one replica slot");
-    assert!(
-        profiles.len() <= topo.n_devices(),
-        "more replica slots than cluster devices"
-    );
-    assert!(config.k >= 1, "k must be at least 1");
-    assert!(config.window_dispatches >= 1, "window must be non-empty");
-    assert!(!tenant_versions.is_empty(), "need at least one tenant");
     assert!(
         tenant_versions.iter().all(|v| v.0 < registry.len()),
         "tenant mapped to unknown version"
     );
+    let tenants: Vec<Tenant> = tenant_versions
+        .iter()
+        .map(|&v| Tenant {
+            model: registry.model(v),
+            sig: registry.version(v).sig,
+            queue: v.0,
+        })
+        .collect();
+    let devices = profiles
+        .iter()
+        .enumerate()
+        .map(|(i, p)| Device::new(DeviceId(i), p.clone(), config.device_seed ^ i as u64))
+        .collect();
+    let (out, faults) = run_session(&tenants, devices, topo, pool, requests, plan, config);
+    FleetOutcome {
+        fault_log: faults.iter().flat_map(ServedFault::fleet_lines).collect(),
+        dedup: registry.dedup_stats(),
+        ..out
+    }
+}
+
+/// The serving loop — the only one in the crate. [`serve_fleet`] and
+/// [`crate::engine::serve`] both end here; nothing below knows which. Slot
+/// `i` runs on `devices[i]` — built by the entry point, because the two seed
+/// them differently — placed on server `i % topo.servers()`. The outcome
+/// comes back with `fault_log` and `dedup` empty and the faults as data:
+/// their wording and the registry's accounting are the entry point's.
+///
+/// # Panics
+/// Panics on an empty fleet or tenant list, more slots than cluster
+/// devices, an architecture/pool mismatch, or a request referencing a row
+/// outside the pool or a tenant outside the list.
+pub(crate) fn run_session(
+    tenants: &[Tenant],
+    devices: Vec<Device>,
+    topo: &ClusterTopology,
+    pool: &CsrMatrix,
+    requests: &[TenantRequest],
+    plan: &FaultPlan,
+    config: &FleetConfig,
+) -> (FleetOutcome, Vec<ServedFault>) {
+    assert!(!devices.is_empty(), "need at least one device");
+    assert!(
+        devices.len() <= topo.n_devices(),
+        "more replica slots than cluster devices"
+    );
+    assert!(config.k >= 1, "k must be at least 1");
+    assert!(config.window_dispatches >= 1, "window must be non-empty");
+    assert!(!tenants.is_empty(), "need at least one tenant");
+    let arch = tenants[0].model.config();
     assert_eq!(
         pool.cols(),
-        registry.config().num_features,
-        "pool/registry architecture mismatch"
+        arch.num_features,
+        "pool/model architecture mismatch"
     );
     assert!(
         requests
             .iter()
-            .all(|r| r.pool_row < pool.rows() && (r.tenant as usize) < tenant_versions.len()),
+            .all(|r| r.pool_row < pool.rows() && (r.tenant as usize) < tenants.len()),
         "request outside the pool or tenant map"
     );
 
     let n = requests.len();
-    let k_eff = config.k.min(registry.config().num_classes);
+    let n_slots = devices.len();
+    let k_eff = config.k.min(arch.num_classes);
     let hist_hi = config.slo_s * HIST_SLO_SPAN;
-    let n_versions = registry.len();
-    // Per-tenant shortcuts: the served model and its content signature
-    // (shared across deduped versions — the cache key prefix).
-    let tenant_model: Vec<Arc<Mlp>> = tenant_versions
-        .iter()
-        .map(|&v| registry.model(v).clone())
-        .collect();
-    let tenant_sig: Vec<u64> = tenant_versions
-        .iter()
-        .map(|&v| registry.version(v).sig)
-        .collect();
-    let tenant_queue: Vec<usize> = tenant_versions.iter().map(|&v| v.0).collect();
+    let n_queues = tenants.iter().map(|t| t.queue + 1).max().unwrap_or(0);
 
     // Cross-server RTT charged on completions a non-frontend server
     // produces (the frontend lives on server 0): one result payload each
@@ -487,7 +600,7 @@ pub fn serve_fleet(
 
     let mut records: Vec<Option<FleetRecord>> = vec![None; n];
     let mut predictions = vec![0u32; n * k_eff];
-    let mut fault_log: Vec<String> = Vec::new();
+    let mut faults: Vec<ServedFault> = Vec::new();
     let mut trajectory: Vec<AutoscaleDecision> = Vec::new();
     let mut cache = PredictionCache::new(config.cache_capacity);
     // id of a cache hit → id of the computed request whose predictions it
@@ -499,25 +612,21 @@ pub fn serve_fleet(
     };
     let mut hedge_stats = HedgeStats::default();
 
-    let mut autoscaler = match config.provisioning {
-        Provisioning::Auto => Some(AutoscaleController::new(
-            config.r_min.min(profiles.len()).max(1),
-            profiles.len(),
-            config.autoscale_beta,
-            config.autoscale_target_depth,
-        )),
-        Provisioning::Static(_) => None,
-    };
-    let initial = match config.provisioning {
-        Provisioning::Auto => config.r_min.min(profiles.len()).max(1),
-        Provisioning::Static(s) => s.clamp(1, profiles.len()),
+    let floor = config.r_min.min(n_slots).max(1);
+    let (mut autoscaler, initial) = match config.provisioning {
+        Provisioning::Auto => {
+            let (beta, depth) = (config.autoscale_beta, config.autoscale_target_depth);
+            let ctl = AutoscaleController::new(floor, n_slots, beta, depth);
+            (Some(ctl), floor)
+        }
+        Provisioning::Static(s) => (None, s.clamp(1, n_slots)),
     };
 
-    let mut slots: Vec<Slot> = profiles
-        .iter()
+    let mut slots: Vec<Slot> = devices
+        .into_iter()
         .enumerate()
-        .map(|(i, p)| Slot {
-            device: Device::new(DeviceId(i), p.clone(), config.device_seed ^ i as u64),
+        .map(|(i, device)| Slot {
+            device,
             server: i % topo.servers(),
             controller: SloController::new(config.scaling, config.slo_s),
             alive: true,
@@ -525,9 +634,9 @@ pub fn serve_fleet(
             served: 0,
             batches: 0,
             window_lat: Vec::new(),
+            batch_trajectory: Vec::new(),
             stats: LatencyStats::new(hist_hi),
             intervals: Vec::new(),
-            tx: None,
         })
         .collect();
     for s in slots.iter_mut().take(initial) {
@@ -535,72 +644,89 @@ pub fn serve_fleet(
     }
 
     std::thread::scope(|scope| {
-        // One inference worker per slot, spawned up front — spare slots just
-        // idle on an empty channel until commissioned. Workers own reused
-        // workspaces and write nothing the scheduler reads.
+        // One inference worker per slot, spawned up front — spare slots
+        // just idle on an empty channel until commissioned. Workers own
+        // reused workspaces, share the read-only models, and write
+        // nothing the scheduler reads.
         let (res_tx, res_rx) = mpsc::channel::<(Vec<u32>, Vec<u32>)>();
-        let ws_config = *registry.config();
-        for slot in slots.iter_mut() {
+        let spawn_worker = |_| {
             let (tx, rx) = mpsc::channel::<WorkItem>();
-            slot.tx = Some(tx);
             let res = res_tx.clone();
             scope.spawn(move || {
-                let mut ws = Workspace::new(&ws_config);
+                let mut ws = Workspace::new(arch);
                 let mut out: Vec<u32> = Vec::new();
-                for item in rx {
-                    let got = item
-                        .model
-                        .predict_topk_ws(&item.x, k_eff, &mut ws, &mut out);
+                for WorkItem { model, x, ids } in rx {
+                    let got = model.predict_topk_ws(&x, k_eff, &mut ws, &mut out);
                     debug_assert_eq!(got, k_eff);
-                    let _ = res.send((item.ids, out.clone()));
+                    // Receiver outlives senders; a send can only fail if
+                    // the whole scope is unwinding already.
+                    let _ = res.send((ids, out.clone()));
                 }
             });
-        }
+            tx
+        };
+        // Owned by this closure, so a panic below closes every channel and
+        // the scope can join its workers instead of hanging on them.
+        let txs: Vec<mpsc::Sender<WorkItem>> = (0..n_slots).map(spawn_worker).collect();
         drop(res_tx);
 
         // The scheduler loop: single-threaded, virtual-time only.
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_versions];
+        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_queues];
         let mut queued = 0usize;
         let mut next_arr = 0usize;
         let mut window = 0u64;
         let mut in_window = 0usize;
+        // A plan point `(window, in_window)` fires once, however many
+        // all-cache-hit admission rounds pass before its dispatch.
+        let mut point_fired = false;
         let mut batch: Vec<usize> = Vec::new();
         let mut pool_rows: Vec<usize> = Vec::new();
+        // The events due at plan point `at` (`sweep`: every ordinal of the
+        // window the run never reached), anchored at the dispatch frontier.
+        let mut fire = |slots: &mut [Slot], queued: usize, at: (u64, usize), sweep: bool| {
+            let anchor = slots[pick_slot(slots)].device.now().secs();
+            for e in plan.due(at.0 as usize, at.1, sweep) {
+                apply_fault(slots, e, anchor, queued, &mut faults);
+            }
+        };
+        // The oldest queue head `(arrival, queue)`, ties to the lowest queue.
+        let oldest_head = |queues: &[VecDeque<usize>]| {
+            queues
+                .iter()
+                .enumerate()
+                .filter_map(|(i, q)| q.front().map(|&h| (requests[h].arrival, i)))
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+        };
 
         loop {
             if queued == 0 && next_arr >= n {
                 break;
             }
             // Fault events due before this dispatch.
-            let anchor = slots[pick_slot(&slots)].device.now().secs();
-            for e in plan.due(window as usize, in_window, false) {
-                apply_fault(&mut slots, e, anchor, queued, &mut fault_log);
+            if !point_fired {
+                fire(&mut slots, queued, (window, in_window), false);
+                point_fired = true;
             }
 
             // Dispatch to whichever commissioned replica frees first, no
-            // earlier than the oldest pending request.
+            // earlier than the oldest pending request (open loop: devices
+            // idle until there is work).
             let r = pick_slot(&slots);
             let free = slots[r].device.now().secs();
-            let first_pending = queues
-                .iter()
-                .filter_map(|q| q.front())
-                .map(|&q| requests[q].arrival)
-                .fold(f64::INFINITY, f64::min)
-                .min(if next_arr < n {
-                    requests[next_arr].arrival
-                } else {
-                    f64::INFINITY
-                });
+            let first_pending = match oldest_head(&queues) {
+                Some((arrival, _)) => arrival,
+                None => requests[next_arr].arrival,
+            };
             let t = free.max(first_pending);
             slots[r].device.advance_to(SimTime(t));
 
-            // Admit arrivals up to `t`. Admission is where the cache acts:
-            // a ready hit completes immediately at the frontend and never
-            // queues.
+            // Admit arrivals up to `t`. Admission is where the cache
+            // acts: a ready hit completes immediately at the frontend and
+            // never queues.
             while next_arr < n && requests[next_arr].arrival <= t {
                 let req = &requests[next_arr];
-                let key = (tenant_sig[req.tenant as usize], req.pool_row as u32);
-                if let Some(rep) = cache.lookup(key, req.arrival) {
+                let tenant = &tenants[req.tenant as usize];
+                if let Some(rep) = cache.lookup((tenant.sig, req.pool_row as u32), req.arrival) {
                     records[next_arr] = Some(FleetRecord {
                         arrival: req.arrival,
                         dispatched: req.arrival,
@@ -614,27 +740,21 @@ pub fn serve_fleet(
                     });
                     replays.push((req.id, rep));
                 } else {
-                    queues[tenant_queue[req.tenant as usize]].push_back(next_arr);
+                    queues[tenant.queue].push_back(next_arr);
                     queued += 1;
                 }
                 next_arr += 1;
             }
             if queued == 0 {
-                // Everything admitted this round hit the cache; nothing to
-                // dispatch yet.
+                // Everything admitted this round hit the cache; nothing
+                // to dispatch yet.
                 continue;
             }
 
-            // Serve the version whose head has waited longest (ties to the
-            // lowest version index), cutting up to the replica's adaptive
-            // micro-batch of already-arrived requests.
-            let v = queues
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| q.front().map(|&h| (i, requests[h].arrival)))
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(a.0.cmp(&b.0)))
-                .map(|(i, _)| i)
-                .expect("queued > 0");
+            // Serve the version whose head has waited longest (ties to
+            // the lowest version index), cutting up to the replica's
+            // adaptive micro-batch of already-arrived requests.
+            let (_, v) = oldest_head(&queues).expect("queued > 0");
             let b = slots[r].controller.micro_batch();
             batch.clear();
             while batch.len() < b {
@@ -653,54 +773,50 @@ pub fn serve_fleet(
             pool_rows.clear();
             pool_rows.extend(batch.iter().map(|&q| requests[q].pool_row));
             let x = pool.select_rows(&pool_rows);
-            let model = &tenant_model[requests[batch[0]].tenant as usize];
-            let kernels = inference_kernels(model.config(), x.rows(), x.nnz(), k_eff);
+            let tenant = &tenants[requests[batch[0]].tenant as usize];
+            let kernels = inference_kernels(arch, x.rows(), x.nnz(), k_eff);
             slots[r].device.execute_all(&kernels);
             let done = slots[r].device.now().secs();
 
-            // Hedge the stragglers: requests whose wait crossed the policy
-            // threshold race a singleton batch on the earliest-free other
-            // replica; the loser's clock is rolled back from the moment the
-            // winner finished.
+            // Hedge the stragglers: requests whose wait crossed the
+            // policy threshold race a singleton batch on the earliest-free
+            // other replica; the loser's clock is rolled back from the
+            // moment the winner finished.
             for &q in &batch {
                 let wait = t - requests[q].arrival;
                 let mut completed = done + rtt(slots[r].server);
                 let mut winner = r;
                 let mut hedged = false;
                 let mut hedge_won = false;
-                if hedge_policy.should_hedge(wait) {
-                    let mut best = usize::MAX;
-                    let mut best_t = f64::INFINITY;
-                    for (i, s) in slots.iter().enumerate() {
-                        if i != r && s.dispatchable() && s.device.now().secs() < best_t {
-                            best_t = s.device.now().secs();
-                            best = i;
-                        }
-                    }
-                    if best != usize::MAX {
-                        hedged = true;
-                        hedge_stats.issued += 1;
-                        let h = best;
-                        let t2 = slots[h].device.now().secs().max(t);
-                        slots[h].device.advance_to(SimTime(t2));
-                        let x1 = pool.select_rows(&[requests[q].pool_row]);
-                        let k1 = inference_kernels(model.config(), 1, x1.nnz(), k_eff);
-                        slots[h].device.execute_all(&k1);
-                        let h_done = slots[h].device.now().secs();
-                        let h_completed = h_done + rtt(slots[h].server);
-                        if h_completed < completed {
-                            hedge_won = true;
-                            hedge_stats.wins += 1;
-                            completed = h_completed;
-                            winner = h;
-                        } else {
-                            // Cancelled when the primary's completion
-                            // reaches the frontend; work past that point is
-                            // reclaimed in virtual time.
-                            hedge_stats.losses += 1;
-                            let cancel = completed.max(t2);
-                            hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
-                        }
+                let spare = if hedge_policy.should_hedge(wait) {
+                    let others = slots.iter().enumerate();
+                    let others = others.filter(|&(i, s)| i != r && s.dispatchable());
+                    earliest_free(others.map(|(i, s)| (i, &s.device)))
+                } else {
+                    None
+                };
+                if let Some(h) = spare {
+                    hedged = true;
+                    hedge_stats.issued += 1;
+                    let t2 = slots[h].device.now().secs().max(t);
+                    slots[h].device.advance_to(SimTime(t2));
+                    let x1 = pool.select_rows(&[requests[q].pool_row]);
+                    let k1 = inference_kernels(arch, 1, x1.nnz(), k_eff);
+                    slots[h].device.execute_all(&k1);
+                    let h_done = slots[h].device.now().secs();
+                    let h_completed = h_done + rtt(slots[h].server);
+                    if h_completed < completed {
+                        hedge_won = true;
+                        hedge_stats.wins += 1;
+                        completed = h_completed;
+                        winner = h;
+                    } else {
+                        // Cancelled when the primary's completion reaches
+                        // the frontend; work past that point is reclaimed
+                        // in virtual time.
+                        hedge_stats.losses += 1;
+                        let cancel = completed.max(t2);
+                        hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
                     }
                 }
                 let rec = FleetRecord {
@@ -722,37 +838,33 @@ pub fn serve_fleet(
                 // Fill the cache at the frontend-visible completion; the
                 // first computation of a key wins, so replays never alias
                 // through another hit.
-                let key = (
-                    tenant_sig[requests[q].tenant as usize],
-                    requests[q].pool_row as u32,
-                );
+                let key = (tenant.sig, requests[q].pool_row as u32);
                 cache.insert(key, requests[q].id, rec.completed);
             }
             slots[r].batches += 1;
 
-            // Ship the real math to the primary's worker (hedges re-time a
-            // request, they never recompute it).
+            // Ship the real math to the primary's worker (hedges re-time
+            // a request, they never recompute it).
             let ids: Vec<u32> = batch.iter().map(|&q| requests[q].id).collect();
-            if let Some(tx) = &slots[r].tx {
-                let _ = tx.send(WorkItem {
-                    model: model.clone(),
-                    x,
-                    ids,
-                });
-            }
+            let work = WorkItem {
+                model: tenant.model,
+                x,
+                ids,
+            };
+            let _ = txs[r].send(work);
 
             in_window += 1;
+            point_fired = false;
             if in_window == config.window_dispatches {
-                // Boundary sweep: never-reached fault ordinals fire here.
-                let anchor = slots[pick_slot(&slots)].device.now().secs();
-                for e in plan.due(window as usize, in_window, true) {
-                    apply_fault(&mut slots, e, anchor, queued, &mut fault_log);
-                }
+                // Boundary sweep: never-reached fault ordinals fire here,
+                // exactly like the trainer's merge-boundary sweep.
+                fire(&mut slots, queued, (window, in_window), true);
                 for s in slots.iter_mut().filter(|s| s.dispatchable()) {
                     if config.adaptive && !s.window_lat.is_empty() {
                         let p99 = percentile(&s.window_lat, 0.99).expect("non-empty window");
                         s.controller.observe_window(p99);
                     }
+                    s.batch_trajectory.push(s.controller.micro_batch());
                     s.window_lat.clear();
                 }
                 if let Some(ctl) = autoscaler.as_mut() {
@@ -772,7 +884,8 @@ pub fn serve_fleet(
                         slots[i].device.advance_to(SimTime(now.max(boot)));
                         up += 1;
                     }
-                    // Scale in: decommission LIFO, never below one replica.
+                    // Scale in: decommission LIFO, never below one
+                    // replica.
                     while up > decision.replicas && up > 1 {
                         let i = slots
                             .iter()
@@ -789,10 +902,9 @@ pub fn serve_fleet(
         }
 
         // Close every worker channel, then drain all results into the
-        // id-indexed prediction buffer (order-independent by construction).
-        for s in slots.iter_mut() {
-            s.tx = None;
-        }
+        // id-indexed prediction buffer (order-independent by
+        // construction).
+        drop(txs);
         for (ids, out) in res_rx {
             for (j, &id) in ids.iter().enumerate() {
                 predictions[id as usize * k_eff..(id as usize + 1) * k_eff]
@@ -805,8 +917,7 @@ pub fn serve_fleet(
     // copy deep — reps are never hits themselves).
     for &(id, rep) in &replays {
         let (dst, src) = (id as usize * k_eff, rep as usize * k_eff);
-        let row: Vec<u32> = predictions[src..src + k_eff].to_vec();
-        predictions[dst..dst + k_eff].copy_from_slice(&row);
+        predictions.copy_within(src..src + k_eff, dst);
     }
 
     let served = records.iter().filter(|r| r.is_some()).count();
@@ -831,23 +942,25 @@ pub fn serve_fleet(
                 served: s.served,
                 batches: s.batches,
                 final_b: s.controller.micro_batch(),
+                batch_trajectory: s.batch_trajectory,
                 device_seconds,
                 stats: s.stats,
             }
         })
         .collect();
-    FleetOutcome {
+    let outcome = FleetOutcome {
         records,
         predictions,
         k_eff,
         replicas,
-        fault_log,
+        fault_log: Vec::new(),
         trajectory,
         cache: cache.stats(),
         hedge: hedge_stats,
-        dedup: registry.dedup_stats(),
+        dedup: DedupStats::default(),
         makespan_s,
         served,
         lost: n - served,
-    }
+    };
+    (outcome, faults)
 }

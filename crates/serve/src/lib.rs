@@ -20,24 +20,27 @@
 //! `ASGD_THREADS`; the real forward math runs on worker threads off the
 //! decision path and lands in id-indexed buffers.
 //!
-//! Entry point: [`serve`]. See DESIGN.md, "Serving subsystem".
+//! ## One loop, two entry points
 //!
-//! ## The multi-tenant fleet
-//!
-//! Layered on the single-model engine, [`serve_fleet`] scales the same
-//! virtual-time discipline to internet shape: a [`ModelRegistry`] holds N
-//! checkpoint versions with content-addressed per-layer weight dedup
-//! (versions sharing a layer share one allocation, f32 and bf16 tiers
-//! alike), [`fleet_stream`] generates diurnal/bursty Zipf-skewed
-//! multi-tenant load, a [`PredictionCache`] replays the Zipf head without
-//! touching a device, [`HedgePolicy`]-driven hedged requests race a second
-//! replica and cancel the loser in virtual time
+//! The crate holds exactly one scheduler loop — the fleet session in
+//! [`fleet`]. [`serve_fleet`] drives it at internet shape: a
+//! [`ModelRegistry`] holds N checkpoint versions with content-addressed
+//! per-layer weight dedup (versions sharing a layer share one allocation,
+//! f32 and bf16 tiers alike), [`fleet_stream`] generates diurnal/bursty
+//! Zipf-skewed multi-tenant load, a [`PredictionCache`] replays the Zipf
+//! head without touching a device, [`HedgePolicy`]-driven hedged requests
+//! race a second replica and cancel the loser in virtual time
 //! ([`asgd_gpusim::Device::rollback_to`]), and an [`AutoscaleController`]
 //! commissions/decommissions replica slots on admission-queue depth —
 //! Algorithm 1 pointed at provisioning, placed round-robin across a
-//! [`asgd_gpusim::ClusterTopology`]'s servers. The full outcome stays a
-//! pure function of `(load seed, fault seed, config)` at any
-//! `ASGD_THREADS`.
+//! [`asgd_gpusim::ClusterTopology`]'s servers.
+//!
+//! [`serve`], the single-model engine, is layered on that session, not the
+//! other way round: it is the one-tenant configuration — cache capacity 0,
+//! hedging off, every device commissioned from the start, one server — and
+//! only adapts inputs and outputs ([`engine`]). Either way the full outcome
+//! is a pure function of `(load seed, fault seed, config)` at any
+//! `ASGD_THREADS`. See DESIGN.md, "Serving subsystem".
 
 pub mod autoscale;
 pub mod cache;

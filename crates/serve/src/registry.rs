@@ -110,7 +110,7 @@ pub struct ModelVersion {
 }
 
 /// Storage accounting of the registry's dedup store.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DedupStats {
     /// Registered versions.
     pub versions: usize,

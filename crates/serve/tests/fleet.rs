@@ -383,3 +383,47 @@ fn device_loss_in_a_fleet_loses_zero_requests() {
         assert_eq!(outcome.prediction(r.id).unwrap(), &direct[..]);
     }
 }
+
+#[test]
+fn a_fault_point_fires_once_however_many_all_hit_rounds_precede_its_dispatch() {
+    let ds = tiny_dataset();
+    let config = mlp_config(&ds);
+    let mut reg = ModelRegistry::new(config);
+    let v0 = reg.register("base/v1", &Mlp::init(&config, 7), Precision::F32);
+    let pool = &ds.test.features;
+    // A warm Zipf head at a trickle of load: most admission rounds are all
+    // cache hits, so the loop comes back to the same `(window, ordinal)`
+    // point many times before it dispatches anything there.
+    let spec = FleetLoadSpec::steady(1500, 800.0, 1, 1.1, pool.rows());
+    let requests = fleet_stream(21, &spec);
+    let mut plan = FaultPlan::new();
+    for w in 0..20 {
+        for o in 0..16 {
+            plan = plan.stall(w, o, 0, 1e-6);
+        }
+    }
+    let outcome = serve_fleet(
+        &reg,
+        &[v0],
+        &scaled(homogeneous_server(2)),
+        &ClusterTopology::ethernet(1, 2),
+        pool,
+        &requests,
+        &plan,
+        &FleetConfig::paper_defaults(32, 0.050).with_cache(256),
+    );
+    assert_eq!(outcome.lost, 0);
+    assert!(
+        outcome.cache.hit_rate() > 0.5,
+        "the all-hit rounds this test needs never happened: hit rate {}",
+        outcome.cache.hit_rate()
+    );
+    // One stall per point, one log line per stall: every line is distinct.
+    let distinct: std::collections::BTreeSet<&String> = outcome.fault_log.iter().collect();
+    assert!(!distinct.is_empty(), "no stall ever fired");
+    assert_eq!(
+        outcome.fault_log.len(),
+        distinct.len(),
+        "a stall scheduled once was served more than once"
+    );
+}

@@ -4,8 +4,8 @@
 
 use asgd_core::{algorithms, load_model, trainer::RunConfig, trainer::Trainer};
 use asgd_data::{generate, DatasetSpec, XmlDataset};
-use asgd_gpusim::profile::{homogeneous_server, two_tier_server};
-use asgd_gpusim::{DeviceProfile, FaultPlan};
+use asgd_gpusim::profile::{heterogeneous_server, homogeneous_server, two_tier_server};
+use asgd_gpusim::{DeviceProfile, FaultKind, FaultPlan};
 use asgd_model::{Mlp, MlpConfig};
 use asgd_serve::{open_loop_stream, serve, Request, ServeConfig, ServeOutcome};
 use asgd_sparse::CsrMatrix;
@@ -344,4 +344,193 @@ fn adaptive_micro_batching_shrinks_p99_on_a_two_tier_fleet() {
         .replicas
         .iter()
         .all(|r| r.trajectory.iter().all(|&b| b == 64)));
+}
+
+/// FNV-1a over everything a `serve` run produced: every record bit, each
+/// replica's report fields and trajectory, the fault log, and the
+/// predictions.
+fn outcome_fnv(o: &ServeOutcome) -> u64 {
+    let mut bytes: Vec<u8> = Vec::new();
+    let mut word = |w: u64| bytes.extend_from_slice(&w.to_le_bytes());
+    for rec in &o.records {
+        match rec {
+            None => word(u64::MAX),
+            Some(r) => {
+                word(r.arrival.to_bits());
+                word(r.dispatched.to_bits());
+                word(r.completed.to_bits());
+                word(r.replica as u64);
+                word(r.batch as u64);
+            }
+        }
+    }
+    for rep in &o.replicas {
+        word(rep.alive as u64);
+        word(rep.served as u64);
+        word(rep.batches as u64);
+        word(rep.final_b as u64);
+        word(rep.trajectory.len() as u64);
+        rep.trajectory.iter().for_each(|&b| word(b as u64));
+        word(rep.stats.p99.value().map_or(0, f64::to_bits));
+    }
+    o.predictions.iter().for_each(|&p| word(p as u64));
+    word(o.k_eff as u64);
+    word(o.makespan_s.to_bits());
+    word(o.served as u64);
+    word(o.lost as u64);
+    for name in o.replicas.iter().map(|r| &r.name).chain(&o.fault_log) {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(b'\n');
+    }
+    asgd_stats::fnv1a(bytes)
+}
+
+/// One pinned session: `(request seed, fault seed)` on `profiles`, a
+/// backlog-forming rate so the controller, the queue and every fault kind
+/// of `FaultPlan::random` are actually exercised.
+fn golden_case(seeds: (u64, u64), profiles: Vec<DeviceProfile>, config: &ServeConfig) -> u64 {
+    let ds = tiny_dataset();
+    let model = Mlp::init(&mlp_config(&ds), 21);
+    let pool = &ds.test.features;
+    let profiles: Vec<_> = profiles
+        .into_iter()
+        .map(|p| p.with_overhead_scale(0.05))
+        .collect();
+    let requests = open_loop_stream(seeds.0, 1500, 4.0e7, pool.rows());
+    let plan = FaultPlan::random(seeds.1, profiles.len(), 3);
+    let outcome = run(&model, &profiles, pool, &requests, &plan, config);
+    assert_eq!(outcome.lost, 0);
+    assert!(!outcome.fault_log.is_empty(), "the plan never fired");
+    outcome_fnv(&outcome)
+}
+
+#[test]
+fn pinned_sessions_match_their_checked_in_checksums() {
+    // Cut from the engine's own scheduler loop before `serve` became the
+    // one-tenant configuration of the fleet session: the adapter must
+    // reproduce every bit of it. If a change is *supposed* to move a serving
+    // schedule, re-derive the constants from the printed values.
+    let adaptive = ServeConfig::paper_defaults(32, 0.000_004);
+    let fixed = adaptive.clone().fixed_batch();
+    let cases: [(&str, u64, u64); 6] = [
+        (
+            "11/7 adaptive, two-tier 2+2",
+            golden_case((11, 7), two_tier_server(2, 2, 0.25), &adaptive),
+            0x588c_b52d_57a2_f150,
+        ),
+        (
+            "11/7 fixed, heterogeneous 4",
+            golden_case((11, 7), heterogeneous_server(4), &fixed),
+            0xbde7_5e67_b7f9_e5d1,
+        ),
+        (
+            "23/5 adaptive bf16, heterogeneous 4",
+            golden_case((23, 5), heterogeneous_server(4), &adaptive.clone().bf16()),
+            0xdb6e_a5ed_2594_eaf0,
+        ),
+        (
+            "23/5 fixed, homogeneous 3",
+            golden_case((23, 5), homogeneous_server(3), &fixed),
+            0xcade_b6cd_b2a7_cfac,
+        ),
+        (
+            "3/99 adaptive, heterogeneous 5",
+            golden_case((3, 99), heterogeneous_server(5), &adaptive),
+            0x580a_4fe0_7c60_ddf6,
+        ),
+        (
+            "3/99 fixed, two-tier 1+2",
+            golden_case((3, 99), two_tier_server(1, 2, 0.5), &fixed),
+            0x9eae_38d6_b0ed_7738,
+        ),
+    ];
+    let report: Vec<String> = cases
+        .iter()
+        .map(|(name, got, want)| format!("{name}: got {got:#018x}, want {want:#018x}"))
+        .collect();
+    assert!(
+        cases.iter().all(|(_, got, want)| got == want),
+        "pinned serve checksums diverged:\n  {}",
+        report.join("\n  ")
+    );
+}
+
+#[test]
+fn faults_naming_a_device_the_server_lacks_are_skipped() {
+    let ds = tiny_dataset();
+    let model = Mlp::init(&mlp_config(&ds), 14);
+    let pool = &ds.test.features;
+    let requests = open_loop_stream(8, 300, 600.0, pool.rows());
+    let profiles = scaled(homogeneous_server(2));
+    // A plan cut for a 4-device server, plus one of each kind aimed past the
+    // end of this 2-device one.
+    let plan = FaultPlan::random(9, 4, 3)
+        .speed_change(0, 1, 2, 0.5)
+        .stall(0, 2, 3, 0.01)
+        .device_loss(0, 3, 7);
+    let config = ServeConfig::paper_defaults(32, 0.020);
+    let outcome = run(&model, &profiles, pool, &requests, &plan, &config);
+    assert_eq!(outcome.lost, 0);
+    assert_eq!(outcome.served, requests.len());
+    // The events that do name gpu0/gpu1 still apply.
+    let in_range = |e: &&asgd_gpusim::FaultEvent| e.gpu < 2 && e.kind != FaultKind::MergeOom;
+    assert_eq!(
+        outcome.fault_log.len(),
+        plan.events().iter().filter(in_range).count(),
+        "{:?}",
+        outcome.fault_log
+    );
+    assert!(!outcome.fault_log.is_empty(), "nothing in range: {plan:?}");
+    for gone in ["gpu2", "gpu3", "gpu7"] {
+        assert!(
+            !outcome.fault_log.iter().any(|l| l.contains(gone)),
+            "{gone} does not exist: {:?}",
+            outcome.fault_log
+        );
+    }
+}
+
+#[test]
+fn cluster_fault_kinds_act_on_the_engines_one_server() {
+    let ds = tiny_dataset();
+    let model = Mlp::init(&mlp_config(&ds), 15);
+    let pool = &ds.test.features;
+    let requests = open_loop_stream(9, 200, 600.0, pool.rows());
+    let profiles = scaled(homogeneous_server(3));
+    let config = ServeConfig::paper_defaults(32, 0.020);
+    // Losing the only server would lose every replica: refused. Stalling its
+    // uplink stalls every replica. Server 1 does not exist: nothing to lose.
+    let plan = FaultPlan::new()
+        .server_loss(0, 2, 0)
+        .server_loss(0, 3, 1)
+        .inter_node_stall(0, 4, 0, 0.5);
+    let outcome = run(&model, &profiles, pool, &requests, &plan, &config);
+    let clean = run(
+        &model,
+        &profiles,
+        pool,
+        &requests,
+        &FaultPlan::new(),
+        &config,
+    );
+    assert_eq!(outcome.lost, 0);
+    assert!(outcome.replicas.iter().all(|r| r.alive));
+    assert_eq!(
+        outcome.fault_log,
+        [
+            "w0+2: server0 loss REFUSED (no survivor outside)",
+            "w0+4: server0 unreachable 0.500s",
+        ]
+    );
+    // Every replica sat out the stall, so the requests that arrived during
+    // it waited for its end.
+    assert!(outcome.makespan_s >= 0.5);
+    let waited = |o: &ServeOutcome| {
+        o.records
+            .iter()
+            .flatten()
+            .filter(|r| r.queueing() > 0.1)
+            .count()
+    };
+    assert!(waited(&outcome) > 0 && waited(&clean) == 0);
 }
