@@ -1,41 +1,22 @@
-//! Runs the complete evaluation (Table I + Figures 1-6 + ablations) and
-//! writes every artifact under `results/`.
+//! Runs the complete evaluation (Table I, Figures 1-6, ablations, §IV
+//! claims, `BENCH_*.json`) and writes every artifact under `results/`.
 //!
-//! With arguments, runs only the experiments whose artifact name contains
-//! one of them: `run_all BENCH_kernels` regenerates just
-//! `results/BENCH_kernels.json`.
+//! With arguments, runs only the artifacts whose name contains one of them:
+//! `run_all fig2_trace` regenerates just `results/fig2_trace.txt`. An
+//! argument that matches no artifact is an error.
 use asgd_bench::experiments as ex;
 use asgd_bench::Env;
 
 fn main() {
     let filters: Vec<String> = std::env::args().skip(1).collect();
+    let selected = ex::select(&filters).unwrap_or_else(|e| {
+        eprintln!("run_all: {e}");
+        std::process::exit(2);
+    });
     let env = Env::from_env();
     println!("experiment environment: {env:?}\n");
     let t0 = std::time::Instant::now();
-    type Exp = (&'static str, fn(&Env) -> String);
-    let experiments: [Exp; 17] = [
-        ("table1.csv", ex::table1),
-        ("hot_path.csv", ex::hot_path),
-        ("merge_stage.csv", ex::merge_stage),
-        ("BENCH_hot_path.json", ex::bench_hot_path_json),
-        ("BENCH_kernels.json", ex::bench_kernels_json),
-        ("BENCH_full_scale.json", ex::bench_full_scale_json),
-        ("BENCH_merge.json", ex::bench_merge_json),
-        ("BENCH_cluster.json", ex::bench_cluster_json),
-        ("BENCH_sparse_merge.json", ex::bench_sparse_merge_json),
-        ("BENCH_serve.json", ex::bench_serve_json),
-        ("BENCH_autoscale.json", ex::bench_autoscale_json),
-        ("fig1.csv", ex::fig1),
-        ("fig2_trace.txt", ex::fig2_trace),
-        ("fig4.csv", ex::fig4),
-        ("fig5.csv", ex::fig5),
-        ("fig6.csv", ex::fig6),
-        ("ablations.csv", ex::ablations),
-    ];
-    for (name, run) in experiments {
-        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
-            continue;
-        }
+    for (name, run) in selected {
         let csv = run(&env);
         let path = env.write_artifact(name, &csv);
         println!(

@@ -1,7 +1,10 @@
-//! One function per paper artifact (Table I, Figures 1–6, ablations).
+//! One function per artifact `run_all` regenerates (Table I, Figures 1–6,
+//! ablations, §IV's simulated claims, the `BENCH_*.json` rows), and the
+//! table of them.
 //!
-//! Every function returns the CSV (or trace text) it generates so the
-//! binaries can both print it and persist it under `results/`.
+//! Every function returns the CSV / JSON / trace text it generates, so
+//! `run_all` can both print it and persist it under `results/` and the tests
+//! can read it.
 
 use crate::{grid_learning_rate, Env};
 use asgd_core::slide::{SlideConfig, SlideTrainer};
@@ -15,6 +18,67 @@ use asgd_model::MlpConfig;
 use asgd_stats::StreamingSummary;
 use std::fmt::Write as _;
 
+/// One artifact: its file name under the output directory and the function
+/// that generates its contents.
+pub type Artifact = (&'static str, fn(&Env) -> String);
+
+/// Everything `run_all` regenerates, in run order.
+pub const ARTIFACTS: [Artifact; 15] = [
+    ("table1.csv", table1),
+    ("merge_stage.csv", merge_stage),
+    ("BENCH_full_scale.json", bench_full_scale_json),
+    ("BENCH_merge.json", bench_merge_json),
+    ("BENCH_cluster.json", bench_cluster_json),
+    ("BENCH_sparse_merge.json", bench_sparse_merge_json),
+    ("BENCH_serve.json", bench_serve_json),
+    ("BENCH_autoscale.json", bench_autoscale_json),
+    ("sec4_claims.csv", sec4_claims),
+    ("fig1.csv", fig1),
+    ("fig2_trace.txt", fig2_trace),
+    ("fig4.csv", fig4),
+    ("fig5.csv", fig5),
+    ("fig6.csv", fig6),
+    ("ablations.csv", ablations),
+];
+
+/// The artifacts whose name contains one of `filters` (all of them when
+/// there are none).
+///
+/// # Errors
+/// A filter that matches no artifact — a typo must not run nothing and exit
+/// 0 — listing the valid names.
+pub fn select(filters: &[String]) -> Result<Vec<Artifact>, String> {
+    let matches = |f: &String, name: &str| name.contains(f.as_str());
+    if let Some(f) = filters
+        .iter()
+        .find(|f| !ARTIFACTS.iter().any(|(name, _)| matches(f, name)))
+    {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        return Err(format!(
+            "{f:?} matches no artifact; the artifacts are: {}",
+            names.join(", ")
+        ));
+    }
+    Ok(ARTIFACTS
+        .into_iter()
+        .filter(|(name, _)| filters.is_empty() || filters.iter().any(|f| matches(f, name)))
+        .collect())
+}
+
+/// The members of a JSON array, one object per line.
+fn json_rows(rows: impl IntoIterator<Item = String>) -> String {
+    let rows: Vec<String> = rows.into_iter().map(|r| format!("    {r}")).collect();
+    rows.join(",\n") + "\n"
+}
+
+/// A `BENCH_*.json` document that is its name and one array of row objects.
+fn bench_json(bench: &str, rows: impl IntoIterator<Item = String>) -> String {
+    format!(
+        "{{\n  \"bench\": \"{bench}\",\n  \"rows\": [\n{}  ]\n}}\n",
+        json_rows(rows)
+    )
+}
+
 /// **Table I** — dataset statistics of the synthetic twins next to the
 /// paper's full-scale reference values.
 pub fn table1(env: &Env) -> String {
@@ -25,14 +89,8 @@ pub fn table1(env: &Env) -> String {
         let _ = writeln!(out, "{}", DatasetStats::compute(&ds).csv_row());
     }
     // The paper's reference rows for shape comparison.
-    let _ = writeln!(
-        out,
-        "amazon-670k@1.0 (paper),135909,670091,490449,153025,76.0,5.0"
-    );
-    let _ = writeln!(
-        out,
-        "delicious-200k@1.0 (paper),782585,205443,196606,100095,302.0,75.0"
-    );
+    out.push_str("amazon-670k@1.0 (paper),135909,670091,490449,153025,76.0,5.0\n");
+    out.push_str("delicious-200k@1.0 (paper),782585,205443,196606,100095,302.0,75.0\n");
     out
 }
 
@@ -101,338 +159,60 @@ pub fn fig2_trace(env: &Env) -> String {
     result.trace
 }
 
-/// **Hot path** — wall-clock training throughput of one replica's
-/// `train_batch_ws` steps at both dataset shapes: the quantity the
-/// persistent worker pool + reusable workspace optimize. (The Criterion
-/// variant lives in `benches/hot_path.rs`; this row makes the number part of
-/// every full evaluation run so regressions show up in the artifact
-/// trajectory.)
-pub fn hot_path(env: &Env) -> String {
-    let mut out = String::from("dataset,batch,steps,ms_per_batch,samples_per_s\n");
-    for r in measure_hot_path(env) {
-        let _ = writeln!(
-            out,
-            "{},{},{},{:.3},{:.0}",
-            r.dataset,
-            r.batch,
-            r.steps,
-            r.ns_per_iter / 1e6,
-            r.throughput
-        );
+/// **§IV claims** (`sec4_claims.csv`) — the two *simulated* tables behind the
+/// paper's implementation section, both pure cost-model outputs.
+///
+/// `allreduce` rows: the simulated duration of one model merge on 4
+/// homogeneous PCIe GPUs per algorithm and model size (elements) — the claim
+/// is that the multi-stream partitioned ring merges at least 2× faster than
+/// the single-stream tree once the model is bandwidth-bound. `fusion` rows:
+/// per-epoch kernel-launch overhead at the full Amazon-670k shape with and
+/// without kernel fusion as the number of concurrently launching GPU
+/// managers grows — the saving grows with the contention.
+pub fn sec4_claims(_env: &Env) -> String {
+    use asgd_collective::{dense_schedule, Algorithm, CollectiveContext};
+    use asgd_gpusim::fusion::{epoch_launch_overhead, FusionPolicy, LaunchModel};
+    use asgd_gpusim::profile::homogeneous_server;
+    use asgd_gpusim::Topology;
+
+    let mut out = String::from("claim,size,variant,sim_us\n");
+    let n = 4;
+    let ctx = CollectiveContext::new(Topology::pcie(n), &homogeneous_server(n));
+    let algorithms = [
+        ("naive", Algorithm::Naive),
+        ("tree", Algorithm::Tree),
+        ("ring", Algorithm::Ring),
+        (
+            "multi_stream_ring",
+            Algorithm::MultiStreamRing { partitions: n },
+        ),
+    ];
+    for len in [1usize << 16, 1 << 20, 1 << 22] {
+        for (name, algo) in algorithms {
+            // The collective's own step walk, run without buffers: exactly
+            // the duration `allreduce` reports for f32 models of this length.
+            let (secs, _bytes) = dense_schedule(algo, &ctx, len, 4);
+            let _ = writeln!(out, "allreduce,{len},{name},{:.3}", secs * 1e6);
+        }
+    }
+
+    let config = MlpConfig {
+        num_features: 135_909,
+        hidden: 128,
+        num_classes: 670_091,
+    };
+    let kernels = epoch_kernels(&config, 256, 256 * 76);
+    let model = LaunchModel::default_cuda();
+    for managers in [1usize, 2, 4, 8] {
+        for (name, policy) in [
+            ("unfused", FusionPolicy::Unfused),
+            ("fused", FusionPolicy::Fused),
+        ] {
+            let t = epoch_launch_overhead(&kernels, policy, &model, managers);
+            let _ = writeln!(out, "fusion,{managers},{name},{:.3}", t * 1e6);
+        }
     }
     out
-}
-
-/// One timed hot-path shape, shared by the CSV row and `BENCH_hot_path.json`.
-struct HotPathRow {
-    dataset: String,
-    shape: String,
-    batch: usize,
-    steps: usize,
-    ns_per_iter: f64,
-    /// samples/s
-    throughput: f64,
-}
-
-fn measure_hot_path(env: &Env) -> Vec<HotPathRow> {
-    use asgd_model::{Mlp, Workspace};
-    let mut rows = Vec::new();
-    for spec in env.dataset_specs() {
-        let ds = env.dataset(&spec);
-        let config = MlpConfig {
-            num_features: ds.num_features,
-            hidden: env.hidden,
-            num_classes: ds.num_labels,
-        };
-        let batch = env.b_max.min(ds.train.len());
-        let ids: Vec<usize> = (0..batch).collect();
-        let x = ds.train.features.select_rows(&ids);
-        let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
-        let mut model = Mlp::init(&config, env.seed);
-        let mut ws = Workspace::new(&config);
-        model.train_batch_ws(&x, &labels, 1e-3, &mut ws); // warm up buffers
-        let steps = 10;
-        let t0 = std::time::Instant::now();
-        for _ in 0..steps {
-            model.train_batch_ws(&x, &labels, 1e-3, &mut ws);
-        }
-        let elapsed = t0.elapsed().as_secs_f64();
-        rows.push(HotPathRow {
-            dataset: spec.name.clone(),
-            shape: format!(
-                "{}x{}x{}",
-                config.num_features, config.hidden, config.num_classes
-            ),
-            batch,
-            steps,
-            ns_per_iter: elapsed * 1e9 / steps as f64,
-            throughput: (batch * steps) as f64 / elapsed,
-        });
-    }
-    rows
-}
-
-/// Machine-readable twin of the `hot_path` CSV: one JSON object per shape
-/// with `ns_per_iter` (one training step) and samples/s throughput.
-pub fn bench_hot_path_json(env: &Env) -> String {
-    let mut out = String::from("{\n  \"bench\": \"hot_path\",\n  \"rows\": [\n");
-    let rows = measure_hot_path(env);
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"dataset\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \
-             \"ns_per_iter\": {:.0}, \"throughput\": {:.1}, \
-             \"throughput_unit\": \"samples_per_s\"}}",
-            r.dataset, r.shape, r.batch, r.ns_per_iter, r.throughput
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One timed kernel variant, shared by the rows of `BENCH_kernels.json`.
-struct KernelRow {
-    kernel: &'static str,
-    variant: &'static str,
-    ns_per_iter: f64,
-    gflops: f64,
-}
-
-/// Median wall-clock nanoseconds of `iters` single calls (one warm-up call
-/// first). Medians keep one slow outlier from hiding a 2x kernel win.
-fn median_ns(mut f: impl FnMut(), iters: usize) -> f64 {
-    f(); // warm up (page in buffers, wake the pool)
-    let mut samples: Vec<f64> = (0..iters)
-        .map(|_| {
-            let t0 = std::time::Instant::now();
-            f();
-            t0.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[samples.len() / 2]
-}
-
-/// **Kernel micro-benchmarks** (`BENCH_kernels.json`) — the blocked /
-/// vectorized GEMM and SpMM micro-kernels against the verbatim scalar
-/// kernels they replaced (preserved in [`asgd_tensor::reference`]), at the
-/// amazon hot-path shape: `batch = 256`, `hidden = 128`, and the label
-/// space of `amazon_670k(scale / 2)` — at the default `ASGD_SCALE = 0.01`
-/// that is exactly the `256 × 128 × ~3350` shape of `benches/kernels.rs`
-/// and `benches/hot_path.rs`. Tiled rows carry `speedup_vs_scalar` so the
-/// artifact shows the before/after ratio directly.
-pub fn bench_kernels_json(env: &Env) -> String {
-    use asgd_data::generate;
-    use asgd_tensor::parallel::{par_chunks_mut, MIN_PAR_ROWS};
-    use asgd_tensor::{ops, reference, Matrix};
-
-    fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
-        let mut state = seed | 1;
-        let data: Vec<f32> = (0..rows * cols)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    }
-
-    let batch = 256usize;
-    let hidden = 128usize;
-    let spec = DatasetSpec::amazon_670k(env.scale / 2.0);
-    let classes = spec.num_labels;
-    let ds = generate(&spec, env.seed ^ 0xD5);
-    let ids: Vec<usize> = (0..batch).map(|i| i % ds.train.len()).collect();
-    let x = ds.train.features.select_rows(&ids);
-    let iters = 5;
-
-    let h = filled(batch, hidden, 1);
-    let w1 = filled(x.cols(), hidden, 5);
-    let w2 = filled(hidden, classes, 2);
-    let d = filled(batch, classes, 3);
-    let mut out = Matrix::zeros(batch, classes);
-    let mut grad = Matrix::zeros(hidden, classes);
-    let mut dh = Matrix::zeros(batch, hidden);
-    let mut act = Matrix::zeros(batch, hidden);
-    let gemm_flops = (2 * batch * hidden * classes) as f64;
-    let spmm_flops = (2 * x.nnz() * hidden) as f64;
-
-    // The pre-tiling SpMM, verbatim: per-row scalar j-loop with zero-skip,
-    // same row partition (kept here because `asgd_tensor::reference` is
-    // dense-only).
-    let spmm_scalar = |c: &mut Matrix| {
-        let n = hidden;
-        let (indptr, indices, values) = (x.indptr(), x.indices(), x.values());
-        let bdata = w1.as_slice();
-        par_chunks_mut(c.as_mut_slice(), batch, n, MIN_PAR_ROWS, |first, chunk| {
-            for (r, crow) in chunk.chunks_mut(n).enumerate() {
-                crow.fill(0.0);
-                let row = first + r;
-                for p in indptr[row]..indptr[row + 1] {
-                    let v = values[p];
-                    if v == 0.0 {
-                        continue;
-                    }
-                    let brow = &bdata[indices[p] as usize * n..indices[p] as usize * n + n];
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += v * bv;
-                    }
-                }
-            }
-        });
-    };
-
-    let mut rows: Vec<KernelRow> = Vec::new();
-    let pair = |kernel: &'static str,
-                flops: f64,
-                scalar_ns: f64,
-                tiled_ns: f64,
-                rows: &mut Vec<KernelRow>| {
-        rows.push(KernelRow {
-            kernel,
-            variant: "scalar",
-            ns_per_iter: scalar_ns,
-            gflops: flops / scalar_ns,
-        });
-        rows.push(KernelRow {
-            kernel,
-            variant: "tiled",
-            ns_per_iter: tiled_ns,
-            gflops: flops / tiled_ns,
-        });
-    };
-
-    let s = median_ns(
-        || reference::gemm_scalar(1.0, &h, &w2, 0.0, &mut out),
-        iters,
-    );
-    let t = median_ns(|| ops::gemm(1.0, &h, &w2, 0.0, &mut out), iters);
-    pair("gemm", gemm_flops, s, t, &mut rows);
-    let s = median_ns(
-        || reference::gemm_tn_scalar(1.0, &h, &d, 0.0, &mut grad),
-        iters,
-    );
-    let t = median_ns(|| ops::gemm_tn(1.0, &h, &d, 0.0, &mut grad), iters);
-    pair("gemm_tn", gemm_flops, s, t, &mut rows);
-    let s = median_ns(
-        || reference::gemm_nt_scalar(1.0, &d, &w2, 0.0, &mut dh),
-        iters,
-    );
-    let t = median_ns(|| ops::gemm_nt(1.0, &d, &w2, 0.0, &mut dh), iters);
-    pair("gemm_nt", gemm_flops, s, t, &mut rows);
-    let s = median_ns(|| spmm_scalar(&mut act), iters);
-    let t = median_ns(|| asgd_sparse::ops::spmm(&x, &w1, &mut act), iters);
-    pair("spmm", spmm_flops, s, t, &mut rows);
-
-    // bf16 storage-tier conversions at the output-layer size: the SIMD
-    // slice dispatchers vs a per-element loop over the scalar spec. One
-    // converted element counts as one op, so `gflops` reads as Gelem/s.
-    let conv_elems = (batch * classes) as f64;
-    let mut half = vec![0u16; batch * classes];
-    let mut wide = vec![0.0f32; batch * classes];
-    let s = median_ns(
-        || {
-            for (o, &v) in half.iter_mut().zip(d.as_slice()) {
-                *o = asgd_tensor::bf16::narrow(v);
-            }
-        },
-        iters,
-    );
-    let t = median_ns(
-        || asgd_tensor::bf16::narrow_slice(d.as_slice(), &mut half),
-        iters,
-    );
-    pair("bf16_narrow", conv_elems, s, t, &mut rows);
-    let s = median_ns(
-        || {
-            for (o, &v) in wide.iter_mut().zip(half.iter()) {
-                *o = asgd_tensor::bf16::widen(v);
-            }
-        },
-        iters,
-    );
-    let t = median_ns(|| asgd_tensor::bf16::widen_slice(&half, &mut wide), iters);
-    pair("bf16_widen", conv_elems, s, t, &mut rows);
-
-    // Sampled-softmax output kernels: the gathered-row GEMMs the LSH-sampled
-    // path runs at candidate width `c`, against the full-label-width dense
-    // kernels they replace. `dense`/`sampled` rows pair up like
-    // `scalar`/`tiled` ones; the sampled row carries `speedup_vs_dense`.
-    let cand_n = 512.min(classes);
-    let cand: Vec<u32> = (0..cand_n).map(|i| (i * classes / cand_n) as u32).collect();
-    let w2t = filled(classes, hidden, 4);
-    let mut out_c = Matrix::zeros(batch, cand_n);
-    let d_c = filled(batch, cand_n, 6);
-    let s = median_ns(|| ops::gemm_nt(1.0, &h, &w2t, 0.0, &mut out), iters);
-    let t = median_ns(
-        || ops::gemm_nt_gather(1.0, &h, &w2t, &cand, 0.0, &mut out_c),
-        iters,
-    );
-    rows.push(KernelRow {
-        kernel: "sampled_forward",
-        variant: "dense",
-        ns_per_iter: s,
-        gflops: gemm_flops / s,
-    });
-    rows.push(KernelRow {
-        kernel: "sampled_forward",
-        variant: "sampled",
-        ns_per_iter: t,
-        gflops: (2 * batch * hidden * cand_n) as f64 / t,
-    });
-    let s = median_ns(|| ops::gemm_nt(1.0, &d, &w2, 0.0, &mut dh), iters);
-    let t = median_ns(
-        || ops::gemm_nn_gather(1.0, &d_c, &w2t, &cand, 0.0, &mut dh),
-        iters,
-    );
-    rows.push(KernelRow {
-        kernel: "sampled_input_grad",
-        variant: "dense",
-        ns_per_iter: s,
-        gflops: gemm_flops / s,
-    });
-    rows.push(KernelRow {
-        kernel: "sampled_input_grad",
-        variant: "sampled",
-        ns_per_iter: t,
-        gflops: (2 * batch * hidden * cand_n) as f64 / t,
-    });
-
-    let mut out_json = format!(
-        "{{\n  \"bench\": \"kernels\",\n  \"shape\": \"{batch}x{hidden}x{classes}\", \
-         \"spmm_nnz\": {},\n  \"rows\": [\n",
-        x.nnz()
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out_json,
-            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"ns_per_iter\": {:.0}, \
-             \"gflops\": {:.3}",
-            r.kernel, r.variant, r.ns_per_iter, r.gflops
-        );
-        if r.variant == "tiled" {
-            let scalar = &rows[i - 1];
-            let _ = write!(
-                out_json,
-                ", \"speedup_vs_scalar\": {:.2}",
-                scalar.ns_per_iter / r.ns_per_iter
-            );
-        } else if r.variant == "sampled" {
-            let dense = &rows[i - 1];
-            let _ = write!(
-                out_json,
-                ", \"speedup_vs_dense\": {:.2}",
-                dense.ns_per_iter / r.ns_per_iter
-            );
-        }
-        out_json.push('}');
-        out_json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out_json.push_str("  ]\n}\n");
-    out_json
 }
 
 /// **Full-label-scale training step** (`BENCH_full_scale.json`) — the
@@ -501,79 +281,55 @@ pub fn bench_full_scale_json(env: &Env) -> String {
         steps: usize,
         ns_per_iter: f64,
     }
-    let mut out_rows: Vec<Row> = Vec::new();
 
-    let time_steps = |steps: usize, mut f: Box<dyn FnMut() + '_>| -> f64 {
+    fn time_steps(steps: usize, mut f: impl FnMut()) -> f64 {
         f(); // warm up buffers and the worker pool
         let t0 = std::time::Instant::now();
         for _ in 0..steps {
             f();
         }
         t0.elapsed().as_secs_f64() * 1e9 / steps as f64
+    }
+    let config_at = |num_classes| MlpConfig {
+        num_features: features,
+        hidden,
+        num_classes,
+    };
+    let dense_row = |classes: usize, labels: &[Vec<u32>], steps: usize| {
+        let config = config_at(classes);
+        let mut model = Mlp::init(&config, env.seed);
+        let mut ws = Workspace::new(&config);
+        let ns_per_iter = time_steps(steps, || {
+            model.train_batch_ws(&x, labels, 1e-3, &mut ws);
+        });
+        Row {
+            mode: "dense",
+            classes,
+            candidates: None,
+            steps,
+            ns_per_iter,
+        }
     };
 
     // Dense step at the 1/100 label space: the shape every other artifact
     // trains at, included as the cost yardstick.
-    {
-        let config = MlpConfig {
-            num_features: features,
-            hidden,
-            num_classes: small_classes,
-        };
-        let labels: Vec<Vec<u32>> = raw_labels
-            .iter()
-            .map(|l| {
-                let mut s: Vec<u32> = l.iter().map(|&v| v % small_classes as u32).collect();
-                s.sort_unstable();
-                s.dedup();
-                s
-            })
-            .collect();
-        let mut model = Mlp::init(&config, env.seed);
-        let mut ws = Workspace::new(&config);
-        let steps = 8;
-        let ns = time_steps(
-            steps,
-            Box::new(|| {
-                model.train_batch_ws(&x, &labels, 1e-3, &mut ws);
-            }),
-        );
-        out_rows.push(Row {
-            mode: "dense",
-            classes: small_classes,
-            candidates: None,
-            steps,
-            ns_per_iter: ns,
-        });
-    }
+    let small_labels: Vec<Vec<u32>> = raw_labels
+        .iter()
+        .map(|l| {
+            let mut s: Vec<u32> = l.iter().map(|&v| v % small_classes as u32).collect();
+            s.sort_unstable();
+            s.dedup();
+            s
+        })
+        .collect();
+    let mut out_rows = vec![dense_row(small_classes, &small_labels, 8)];
 
     // Dense and sampled steps at the full 670k label space. The dense arm is
     // the path being replaced — a few steps are enough for a stable median
     // and keep the row affordable.
-    let config = MlpConfig {
-        num_features: features,
-        hidden,
-        num_classes: full_classes,
-    };
+    out_rows.push(dense_row(full_classes, &raw_labels, 3));
     {
-        let mut model = Mlp::init(&config, env.seed);
-        let mut ws = Workspace::new(&config);
-        let steps = 3;
-        let ns = time_steps(
-            steps,
-            Box::new(|| {
-                model.train_batch_ws(&x, &raw_labels, 1e-3, &mut ws);
-            }),
-        );
-        out_rows.push(Row {
-            mode: "dense",
-            classes: full_classes,
-            candidates: None,
-            steps,
-            ns_per_iter: ns,
-        });
-    }
-    {
+        let config = config_at(full_classes);
         let mut model = Mlp::init(&config, env.seed);
         let mut ws = Workspace::new(&config);
         let mut sampler = CandidateSampler::new(
@@ -588,20 +344,17 @@ pub fn bench_full_scale_json(env: &Env) -> String {
         let candidates = sampler.select(&label_views, env.seed).len();
         let steps = 8;
         let mut step_seed = env.seed;
-        let ns = time_steps(
-            steps,
-            Box::new(|| {
-                let cand = sampler.select(&label_views, step_seed).to_vec();
-                step_seed = step_seed.wrapping_add(1);
-                model.train_batch_sampled_ws(&x, &raw_labels, &cand, 1e-3, &mut ws);
-            }),
-        );
+        let ns_per_iter = time_steps(steps, || {
+            let cand = sampler.select(&label_views, step_seed).to_vec();
+            step_seed = step_seed.wrapping_add(1);
+            model.train_batch_sampled_ws(&x, &raw_labels, &cand, 1e-3, &mut ws);
+        });
         out_rows.push(Row {
             mode: "sampled",
             classes: full_classes,
             candidates: Some(candidates),
             steps,
-            ns_per_iter: ns,
+            ns_per_iter,
         });
     }
 
@@ -609,11 +362,9 @@ pub fn bench_full_scale_json(env: &Env) -> String {
         .iter()
         .find(|r| r.mode == "dense" && r.classes == full_classes)
         .map(|r| r.ns_per_iter);
-    let mut out = String::from("{\n  \"bench\": \"full_scale\",\n  \"rows\": [\n");
-    for (i, r) in out_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"mode\": \"{}\", \"shape\": \"{features}x{hidden}x{}\", \
+    let rows = out_rows.iter().map(|r| {
+        let mut row = format!(
+            "{{\"mode\": \"{}\", \"shape\": \"{features}x{hidden}x{}\", \
              \"batch\": {batch}, \"steps\": {}, \"ns_per_iter\": {:.0}, \
              \"samples_per_s\": {:.1}",
             r.mode,
@@ -623,22 +374,20 @@ pub fn bench_full_scale_json(env: &Env) -> String {
             batch as f64 / (r.ns_per_iter / 1e9)
         );
         if let Some(c) = r.candidates {
-            let _ = write!(out, ", \"candidates\": {c}");
+            let _ = write!(row, ", \"candidates\": {c}");
         }
         if r.mode == "sampled" {
             if let Some(dense_ns) = dense_full_ns {
                 let _ = write!(
-                    out,
+                    row,
                     ", \"speedup_vs_dense_full\": {:.2}",
                     dense_ns / r.ns_per_iter
                 );
             }
         }
-        out.push('}');
-        out.push_str(if i + 1 < out_rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        row + "}"
+    });
+    bench_json("full_scale", rows)
 }
 
 /// **Merge-stage throughput** — the scheduler-side merge (gather every
@@ -702,7 +451,7 @@ fn measured_merge_rows(env: &Env) -> &'static [MergeStageRow] {
 /// exports into its recycled buffer, one fused pass reduces them, applies
 /// the momentum update and leaves the redistribution payload in `bufs[0]`,
 /// and every replica imports that one payload.
-pub fn arena_merge(
+fn arena_merge(
     replicas: &mut [asgd_model::Mlp],
     bufs: &mut [asgd_tensor::FlatVec],
     global: &mut [f32],
@@ -825,15 +574,11 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
 /// replica-parameters/s throughput. The `arena_bf16` row carries its
 /// speedup over the f32 arena — the mixed-precision acceptance ratio.
 pub fn bench_merge_json(env: &Env) -> String {
-    let mut out = String::from("{\n  \"bench\": \"merge_stage\",\n  \"rows\": [\n");
     let rows = measured_merge_rows(env);
     let arena_f32 = rows.iter().find(|r| r.variant == "arena");
-    let arena_f32_ns = arena_f32.map(|r| r.ns_per_iter);
-    let arena_f32_sim_ms = arena_f32.map(|r| r.sim_collective_ms);
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"variant\": \"{}\", \"shape\": \"{}\", \"params\": {}, \
+    let json = rows.iter().map(|r| {
+        let mut row = format!(
+            "{{\"variant\": \"{}\", \"shape\": \"{}\", \"params\": {}, \
              \"replicas\": {}, \"ns_per_iter\": {:.0}, \"throughput\": {:.0}, \
              \"throughput_unit\": \"replica_params_per_s\", \
              \"sim_collective_ms\": {:.3}, \"sim_bytes_moved\": {}",
@@ -846,27 +591,18 @@ pub fn bench_merge_json(env: &Env) -> String {
             r.sim_collective_ms,
             r.sim_bytes_moved
         );
-        if r.variant == "arena_bf16" {
-            if let Some(f32_ns) = arena_f32_ns {
-                let _ = write!(
-                    out,
-                    ", \"speedup_vs_arena_f32\": {:.2}",
-                    f32_ns / r.ns_per_iter
-                );
-            }
-            if let Some(f32_sim) = arena_f32_sim_ms {
-                let _ = write!(
-                    out,
-                    ", \"sim_collective_speedup_vs_arena_f32\": {:.2}",
-                    f32_sim / r.sim_collective_ms
-                );
-            }
+        if let Some(f32) = arena_f32.filter(|_| r.variant == "arena_bf16") {
+            let _ = write!(
+                row,
+                ", \"speedup_vs_arena_f32\": {:.2}, \
+                 \"sim_collective_speedup_vs_arena_f32\": {:.2}",
+                f32.ns_per_iter / r.ns_per_iter,
+                f32.sim_collective_ms / r.sim_collective_ms
+            );
         }
-        out.push('}');
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        row + "}"
+    });
+    bench_json("merge_stage", json)
 }
 
 /// **Cluster merge scaling** (`BENCH_cluster.json`) — the simulated
@@ -892,24 +628,13 @@ pub fn bench_cluster_json(env: &Env) -> String {
 
     // Deterministic pseudo-random buffers, seeded per (replica, element).
     let fill = |n: usize| -> Vec<FlatVec> {
+        let seed = |d| env.seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(d as u64 + 1);
         (0..n)
-            .map(|d| {
-                let mut state = env.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(d as u64 + 1));
-                let v: Vec<f32> = (0..len)
-                    .map(|_| {
-                        state = state
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add(1442695040888963407);
-                        ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-                    })
-                    .collect();
-                FlatVec::F32(v)
-            })
+            .map(|d| FlatVec::F32(crate::lcg_fill(seed(d), len)))
             .collect()
     };
 
-    let mut out = String::from("{\n  \"bench\": \"cluster_merge\",\n  \"rows\": [\n");
-    for (i, &(servers, per)) in shapes.iter().enumerate() {
+    let rows = shapes.iter().map(|&(servers, per)| {
         let n = servers * per;
         let profiles = heterogeneous_server(n);
         let ctx = CollectiveContext::cluster(&ClusterTopology::ethernet(servers, per), &profiles);
@@ -918,47 +643,32 @@ pub fn bench_cluster_json(env: &Env) -> String {
         let algo = Algorithm::MultiStreamRing {
             partitions: per.min(4),
         };
-
-        let mut flat_bufs = fill(n);
-        let flat = allreduce_flat(&mut flat_bufs, &weights, algo, &ctx, &arrivals);
-        let mut ring_bufs = fill(n);
-        let ring = hierarchical_allreduce_flat(
-            &mut ring_bufs,
-            &weights,
-            algo,
-            InterNode::Ring,
-            &ctx,
-            &arrivals,
-        );
-        let mut tree_bufs = fill(n);
-        let tree = hierarchical_allreduce_flat(
-            &mut tree_bufs,
-            &weights,
-            algo,
-            InterNode::Tree,
-            &ctx,
-            &arrivals,
-        );
-        let bits = |bufs: &[FlatVec]| -> Vec<u32> {
-            match &bufs[0] {
-                FlatVec::F32(v) => v.iter().map(|w| w.to_bits()).collect(),
-                FlatVec::Bf16(v) => v.iter().map(|&w| w as u32).collect(),
-            }
+        // One merge per schedule over identical inputs: its timing and the
+        // merged bits device 0 ends up with.
+        let merge = |inter: Option<InterNode>| {
+            let mut bufs = fill(n);
+            let timing = match inter {
+                None => allreduce_flat(&mut bufs, &weights, algo, &ctx, &arrivals),
+                Some(inter) => {
+                    hierarchical_allreduce_flat(&mut bufs, &weights, algo, inter, &ctx, &arrivals)
+                }
+            };
+            let bits: Vec<u32> = (0..len).map(|i| bufs[0].get_f32(i).to_bits()).collect();
+            (timing, bits)
         };
+        let (flat, flat_bits) = merge(None);
+        let (ring, ring_bits) = merge(Some(InterNode::Ring));
+        let (tree, tree_bits) = merge(Some(InterNode::Tree));
         assert_eq!(
-            bits(&flat_bufs),
-            bits(&ring_bufs),
+            flat_bits, ring_bits,
             "hierarchical ring changed merge bits at {servers}x{per}"
         );
         assert_eq!(
-            bits(&flat_bufs),
-            bits(&tree_bufs),
+            flat_bits, tree_bits,
             "hierarchical tree changed merge bits at {servers}x{per}"
         );
-
-        let _ = write!(
-            out,
-            "    {{\"servers\": {servers}, \"devices_per_server\": {per}, \"replicas\": {n}, \
+        format!(
+            "{{\"servers\": {servers}, \"devices_per_server\": {per}, \"replicas\": {n}, \
              \"elems\": {len}, \"flat_ms\": {:.3}, \"hier_ring_ms\": {:.3}, \
              \"hier_tree_ms\": {:.3}, \"flat_bytes\": {}, \"hier_ring_bytes\": {}, \
              \"hier_tree_bytes\": {}, \"ring_speedup_vs_flat\": {:.2}, \
@@ -971,11 +681,9 @@ pub fn bench_cluster_json(env: &Env) -> String {
             tree.bytes_moved,
             flat.duration() / ring.duration(),
             flat.duration() / tree.duration(),
-        );
-        out.push_str(if i + 1 < shapes.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    bench_json("cluster_merge", rows)
 }
 
 /// **Sparse delta merge** (`BENCH_sparse_merge.json`) — the headline traffic
@@ -1065,10 +773,10 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
         rows
     };
 
-    let mut out = String::from("{\n  \"bench\": \"sparse_merge\",\n  \"full_scale\": [\n");
     let shapes: [(&str, usize, usize); 2] = [("flat", 1, 8), ("cluster", 4, 4)];
     let mut first_ratio = None;
-    for (i, &(name, servers, per)) in shapes.iter().enumerate() {
+    let mut full_scale = Vec::new();
+    for (name, servers, per) in shapes {
         let n = servers * per;
         let profiles = heterogeneous_server(n);
         let ctx = if servers == 1 {
@@ -1080,7 +788,7 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
         let refs: Vec<&[u32]> = sets.iter().map(|s| s.as_slice()).collect();
         let arrivals = vec![SimTime::ZERO; n];
         let algo = Algorithm::MultiStreamRing { partitions: 4 };
-        for (j, &elem_bytes) in [4usize, 2].iter().enumerate() {
+        for elem_bytes in [4usize, 2] {
             let (dense_secs, dense_bytes) = dense_schedule(algo, &ctx, flat_len, elem_bytes);
             let dense = AllReduceTiming {
                 start: SimTime::ZERO,
@@ -1097,9 +805,8 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
             assert!(!s.fell_back, "full-scale unions must stay sparse");
             let ratio = dense_bytes as f64 / s.timing.bytes_moved as f64;
             first_ratio.get_or_insert(ratio);
-            let _ = write!(
-                out,
-                "    {{\"topology\": \"{name}\", \"replicas\": {n}, \
+            full_scale.push(format!(
+                "{{\"topology\": \"{name}\", \"replicas\": {n}, \
                  \"elem_bytes\": {elem_bytes}, \"flat_elems\": {flat_len}, \
                  \"union_rows\": {}, \"density\": {:.4}, \
                  \"dense_bytes\": {dense_bytes}, \"sparse_bytes\": {}, \
@@ -1109,9 +816,7 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
                 s.timing.bytes_moved,
                 dense_secs * 1e3,
                 s.timing.duration() * 1e3,
-            );
-            let last = i + 1 == shapes.len() && j == 1;
-            out.push_str(if last { "\n" } else { ",\n" });
+            ));
         }
     }
     assert!(
@@ -1120,17 +825,21 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
          shape, got {:.1}x",
         first_ratio.unwrap()
     );
-    out.push_str("  ],\n  \"runs\": [\n");
 
     // Paired real runs: the bit-identity gate at the env's scale.
-    let dataset = env.dataset(&spec_at_env_scale(env));
+    let dataset = env.dataset(&DatasetSpec::amazon_670k(env.scale.clamp(0.0005, 0.02)));
+    let cluster_2x2 = Some(ClusterConfig {
+        servers: 2,
+        devices_per_server: 2,
+        inter: InterNode::Ring,
+    });
     let combos: [(&str, Precision, Option<ClusterConfig>, usize); 4] = [
         ("flat", Precision::F32, None, 3),
         ("flat", Precision::Bf16, None, 3),
-        ("cluster2x2", Precision::F32, Some(cluster_2x2()), 4),
-        ("cluster2x2", Precision::Bf16, Some(cluster_2x2()), 4),
+        ("cluster2x2", Precision::F32, cluster_2x2, 4),
+        ("cluster2x2", Precision::Bf16, cluster_2x2, 4),
     ];
-    for (i, (name, precision, cluster, n)) in combos.into_iter().enumerate() {
+    let runs = combos.into_iter().map(|(name, precision, cluster, n)| {
         let mut cfg = env.run_config(0.1);
         cfg.mega_batch_limit = Some(env.mega_limit.min(6));
         cfg.precision = precision;
@@ -1155,9 +864,8 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
             .as_ref()
             .expect("sparse run must report stats");
         let sim_time = |r: &RunResult| r.records.last().map_or(0.0, |rec| rec.sim_time);
-        let _ = write!(
-            out,
-            "    {{\"topology\": \"{name}\", \"precision\": \"{precision:?}\", \
+        format!(
+            "{{\"topology\": \"{name}\", \"precision\": \"{precision:?}\", \
              \"replicas\": {n}, \"merges\": {}, \"fallbacks\": {}, \
              \"dense_bytes\": {}, \"sparse_bytes\": {}, \"bytes_ratio\": {:.2}, \
              \"dense_sim_s\": {:.6}, \"sparse_sim_s\": {:.6}, \
@@ -1169,23 +877,13 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
             stats.bytes_ratio(),
             sim_time(&dense),
             sim_time(&sparse),
-        );
-        out.push_str(if i + 1 < combos.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn spec_at_env_scale(env: &Env) -> DatasetSpec {
-    DatasetSpec::amazon_670k(env.scale.clamp(0.0005, 0.02))
-}
-
-fn cluster_2x2() -> asgd_core::ClusterConfig {
-    asgd_core::ClusterConfig {
-        servers: 2,
-        devices_per_server: 2,
-        inter: asgd_collective::InterNode::Ring,
-    }
+        )
+    });
+    format!(
+        "{{\n  \"bench\": \"sparse_merge\",\n  \"full_scale\": [\n{}  ],\n  \"runs\": [\n{}  ]\n}}\n",
+        json_rows(full_scale),
+        json_rows(runs)
+    )
 }
 
 /// **Serving tail latency** (`BENCH_serve.json`) — the online-inference twin
@@ -1228,15 +926,13 @@ pub fn bench_serve_json(env: &Env) -> String {
         ("fixed", adaptive_cfg.fixed_batch()),
     ];
 
-    let mut out = String::from("{\n  \"bench\": \"serve\",\n  \"rows\": [\n");
-    for (i, (mode, cfg)) in sessions.iter().enumerate() {
+    let rows = sessions.iter().map(|(mode, cfg)| {
         let o = serve(&model, &profiles, pool, &requests, &FaultPlan::new(), cfg);
         let stats = o.fleet_latency();
         let us = |q: &asgd_stats::P2Quantile| q.value().unwrap_or(0.0) * 1e6;
         let final_b: Vec<usize> = o.replicas.iter().map(|r| r.final_b).collect();
-        let _ = write!(
-            out,
-            "    {{\"mode\": \"{mode}\", \"dataset\": \"{}\", \"requests\": {}, \
+        format!(
+            "{{\"mode\": \"{mode}\", \"dataset\": \"{}\", \"requests\": {}, \
              \"p50_us\": {:.3}, \"p95_us\": {:.3}, \"p99_us\": {:.3}, \
              \"throughput_rps\": {:.1}, \"throughput_unit\": \"requests_per_sim_s\", \
              \"final_b\": {final_b:?}, \"served\": {}, \"lost\": {}}}",
@@ -1248,11 +944,9 @@ pub fn bench_serve_json(env: &Env) -> String {
             o.throughput_rps(),
             o.served,
             o.lost
-        );
-        out.push_str(if i + 1 < sessions.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
+        )
+    });
+    bench_json("serve", rows)
 }
 
 /// **BENCH_autoscale** — the multi-tenant fleet scenario (weight-dedup
@@ -1265,22 +959,12 @@ pub fn bench_serve_json(env: &Env) -> String {
 /// hitting the cache more than half the time. Everything is simulated time,
 /// so every row — and the acceptance booleans — is deterministic.
 pub fn bench_autoscale_json(env: &Env) -> String {
-    use crate::fleet::{FleetKnobs, FleetScenario, FLEET_SLOTS};
-    use asgd_gpusim::FaultPlan;
+    use crate::fleet::{FleetKnobs, FleetScenario};
 
-    let knobs = FleetKnobs::default();
-    let scenario = FleetScenario::build(env.seed, knobs.clone());
+    let scenario = FleetScenario::build(env.seed, FleetKnobs::default());
     let slo_s = scenario.slo_s();
-    let sessions = [
-        ("elastic", scenario.auto_config()),
-        ("static-min", scenario.static_config(knobs.r_min)),
-        ("static-max", scenario.static_config(FLEET_SLOTS)),
-    ];
-
-    let mut out = String::from("{\n  \"bench\": \"autoscale\",\n  \"rows\": [\n");
-    let mut summary = Vec::new();
-    for (i, (mode, cfg)) in sessions.iter().enumerate() {
-        let o = scenario.run(cfg, &FaultPlan::new());
+    let sessions = scenario.baselines();
+    let rows = sessions.iter().map(|(mode, o)| {
         let p = |q: f64| o.latency_percentile(q).unwrap_or(0.0) * 1e6;
         let peak = o
             .trajectory
@@ -1288,9 +972,8 @@ pub fn bench_autoscale_json(env: &Env) -> String {
             .map(|d| d.replicas)
             .max()
             .unwrap_or(o.replicas.iter().filter(|r| r.commissioned).count());
-        let _ = write!(
-            out,
-            "    {{\"mode\": \"{mode}\", \"requests\": {}, \"p50_us\": {:.3}, \
+        format!(
+            "{{\"mode\": \"{mode}\", \"requests\": {}, \"p50_us\": {:.3}, \
              \"p99_us\": {:.3}, \"slo_met\": {}, \"device_seconds\": {:.9}, \
              \"peak_replicas\": {peak}, \"cache_hit_rate\": {:.4}, \
              \"hedges\": {}, \"served\": {}, \"lost\": {}}}",
@@ -1303,27 +986,25 @@ pub fn bench_autoscale_json(env: &Env) -> String {
             o.hedge.issued,
             o.served,
             o.lost
-        );
-        out.push_str(if i + 1 < sessions.len() { ",\n" } else { "\n" });
-        summary.push(o);
-    }
+        )
+    });
     let p99 = |o: &asgd_serve::FleetOutcome| o.latency_percentile(0.99).unwrap_or(0.0);
-    let (auto, smin, smax) = (&summary[0], &summary[1], &summary[2]);
+    let [(_, auto), (_, smin), (_, smax)] = &sessions;
     let cost_ratio = smax.device_seconds() / auto.device_seconds();
-    let _ = write!(
-        out,
-        "  ],\n  \"slo_us\": {:.3},\n  \"dedup_ratio\": {:.4},\n  \
+    format!(
+        "{{\n  \"bench\": \"autoscale\",\n  \"rows\": [\n{}  ],\n  \
+         \"slo_us\": {:.3},\n  \"dedup_ratio\": {:.4},\n  \
          \"cost_ratio_staticmax_over_elastic\": {cost_ratio:.4},\n  \
          \"elastic_meets_slo\": {},\n  \"staticmin_misses_slo\": {},\n  \
          \"cost_ratio_ok\": {},\n  \"cache_hit_ok\": {}\n}}\n",
+        json_rows(rows),
         slo_s * 1e6,
         scenario.registry.dedup_stats().ratio(),
         p99(auto) <= slo_s,
         p99(smin) > slo_s,
         cost_ratio >= 1.3,
         auto.cache.hit_rate() > 0.5
-    );
-    out
+    )
 }
 
 /// Formats one run's curve as CSV rows tagged with dataset/gpus/algorithm.
@@ -1573,31 +1254,63 @@ mod tests {
         assert!(csv.contains("perturbation frequency"));
     }
 
+    /// `(size, variant) -> sim_us` of one claim's rows.
+    fn claim_rows(csv: &str, claim: &str) -> std::collections::HashMap<(u64, String), f64> {
+        csv.lines()
+            .filter_map(|l| l.strip_prefix(claim)?.strip_prefix(','))
+            .map(|l| {
+                let f: Vec<&str> = l.split(',').collect();
+                (
+                    (f[0].parse().unwrap(), f[1].to_string()),
+                    f[2].parse().unwrap(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
-    fn bench_kernels_pairs_every_kernel_with_a_scalar_baseline() {
-        let env = Env::smoke();
-        let json = bench_kernels_json(&env);
-        for kernel in [
-            "gemm",
-            "gemm_tn",
-            "gemm_nt",
-            "spmm",
-            "bf16_narrow",
-            "bf16_widen",
-        ] {
-            assert!(json.contains(&format!(
-                "\"kernel\": \"{kernel}\", \"variant\": \"scalar\""
-            )));
-            assert!(json.contains(&format!("\"kernel\": \"{kernel}\", \"variant\": \"tiled\"")));
+    fn sec4_claims_hold() {
+        let csv = sec4_claims(&Env::smoke());
+        assert_eq!(csv.lines().count(), 1 + 3 * 4 + 4 * 2);
+        // §IV: the multi-stream ring merges a bandwidth-bound model at least
+        // twice as fast as the single-stream tree.
+        let merge = claim_rows(&csv, "allreduce");
+        let at = |variant: &str| merge[&(1 << 22, variant.to_string())];
+        assert!(at("multi_stream_ring") * 2.0 <= at("tree"), "{csv}");
+        assert!(at("ring") < at("tree") && at("tree") < at("naive"), "{csv}");
+        // Fusion always saves, and saves more the more managers contend.
+        let launch = claim_rows(&csv, "fusion");
+        let saving = |m: u64| {
+            let at = |variant: &str| launch[&(m, variant.to_string())];
+            1.0 - at("fused") / at("unfused")
+        };
+        assert!(saving(1) > 0.0, "{csv}");
+        for (few, many) in [(1, 2), (2, 4), (4, 8)] {
+            assert!(
+                saving(few) < saving(many),
+                "{few} vs {many} managers: {csv}"
+            );
         }
-        assert_eq!(json.matches("speedup_vs_scalar").count(), 6);
-        for kernel in ["sampled_forward", "sampled_input_grad"] {
-            assert!(json.contains(&format!("\"kernel\": \"{kernel}\", \"variant\": \"dense\"")));
-            assert!(json.contains(&format!(
-                "\"kernel\": \"{kernel}\", \"variant\": \"sampled\""
-            )));
-        }
-        assert_eq!(json.matches("speedup_vs_dense").count(), 2);
+    }
+
+    #[test]
+    fn select_filters_by_substring_and_refuses_a_filter_matching_nothing() {
+        let names = |filters: &[&str]| -> Result<Vec<&str>, String> {
+            let filters: Vec<String> = filters.iter().map(|f| f.to_string()).collect();
+            Ok(select(&filters)?
+                .into_iter()
+                .map(|(name, _)| name)
+                .collect())
+        };
+        assert_eq!(names(&[]).unwrap().len(), ARTIFACTS.len());
+        assert_eq!(names(&["fig2_trace"]).unwrap(), ["fig2_trace.txt"]);
+        assert_eq!(
+            names(&["merge_stage", "BENCH_merge"]).unwrap(),
+            ["merge_stage.csv", "BENCH_merge.json"]
+        );
+        let err = names(&["fig4", "BENCH_autoscal_"]).unwrap_err();
+        assert!(err.contains("\"BENCH_autoscal_\""), "{err}");
+        assert!(err.contains("BENCH_autoscale.json") && err.contains("sec4_claims.csv"));
     }
 
     #[test]

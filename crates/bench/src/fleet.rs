@@ -1,11 +1,11 @@
-//! Shared multi-tenant fleet scenario for the autoscale probe and
-//! `BENCH_autoscale`.
+//! The serving testbed: the trained serving twin the `serve` probe serves,
+//! and the multi-tenant fleet scenario the `autoscale` probe and
+//! `BENCH_autoscale` share.
 //!
-//! One place defines the testbed so the CI determinism gate
-//! (`autoscale_probe`) and the cost/latency benchmark row
-//! (`BENCH_autoscale.json`) measure the *same* fleet: the serving twin of
-//! `serve_probe` (amazon-670k at scale 0.1, hidden width 8 — wide head,
-//! per-request cost dominates) registered six times into a weight-dedup
+//! One place defines the testbed so the CI determinism gates and the
+//! cost/latency benchmark row (`BENCH_autoscale.json`) measure the *same*
+//! fleet: the serving twin (amazon-670k at scale 0.1, hidden width 8 — wide
+//! head, per-request cost dominates) registered six times into a weight-dedup
 //! [`ModelRegistry`] (one base + five adapter variants sharing the big
 //! layers), twelve tenants mapped many-to-one onto the versions, and a
 //! diurnal/bursty Zipf-skewed open-loop load over eight homogeneous replica
@@ -20,7 +20,7 @@ use asgd_core::{algorithms, load_model};
 use asgd_data::{generate, DatasetSpec, XmlDataset};
 use asgd_gpusim::profile::homogeneous_server;
 use asgd_gpusim::{ClusterTopology, DeviceProfile, FaultPlan};
-use asgd_model::MlpConfig;
+use asgd_model::{Mlp, MlpConfig};
 use asgd_serve::{
     adapter_variant, fleet_stream, serve_fleet, FleetConfig, FleetLoadSpec, FleetOutcome,
     ModelRegistry, TenantRequest, VersionId,
@@ -41,7 +41,7 @@ pub const FLEET_B_MAX: usize = 64;
 pub const FLEET_VERSIONS: usize = 6;
 
 /// Scenario knobs, all overridable from the environment (see
-/// [`FleetKnobs::from_env`]).
+/// [`FleetKnobs::read`]).
 #[derive(Debug, Clone)]
 pub struct FleetKnobs {
     /// Load-stream seed (`ASGD_SERVE_SEED`).
@@ -69,51 +69,55 @@ pub struct FleetKnobs {
     pub precision: Precision,
 }
 
-impl Default for FleetKnobs {
-    fn default() -> Self {
+impl FleetKnobs {
+    /// The scenario's defaults with whatever `ASGD_*` overrides `k` finds on
+    /// top.
+    pub fn read(k: crate::Knobs) -> Self {
         Self {
-            serve_seed: 11,
-            fault_seed: 7,
-            tenants: 12,
-            zipf_s: 1.1,
-            cache_cap: 1024,
-            hedge_q: 0.95,
-            r_min: 2,
-            slo_ms: 0.4,
-            base_rps: 2.0e6,
-            n_requests: 6000,
-            precision: Precision::F32,
+            serve_seed: k.get("ASGD_SERVE_SEED", 11),
+            fault_seed: k.get("ASGD_FAULT_SEED", 7),
+            tenants: k.get("ASGD_TENANTS", 12),
+            zipf_s: k.get("ASGD_ZIPF_S", 1.1),
+            cache_cap: k.get("ASGD_CACHE_CAP", 1024),
+            hedge_q: k.get("ASGD_HEDGE_Q", 0.95),
+            r_min: k.get("ASGD_AUTOSCALE", 2),
+            slo_ms: k.get("ASGD_SLO_MS", 0.4),
+            base_rps: k.get("ASGD_SERVE_RPS", 2.0e6),
+            n_requests: k.get("ASGD_SERVE_REQUESTS", 6000),
+            precision: k.get("ASGD_PRECISION", Precision::F32),
         }
     }
 }
 
-impl FleetKnobs {
-    /// Reads the `ASGD_*` overrides on top of [`FleetKnobs::default`].
-    pub fn from_env() -> Self {
-        use crate::env_knob as var;
-        let d = Self::default();
-        Self {
-            serve_seed: var("ASGD_SERVE_SEED", d.serve_seed),
-            fault_seed: var("ASGD_FAULT_SEED", d.fault_seed),
-            tenants: var("ASGD_TENANTS", d.tenants),
-            zipf_s: var("ASGD_ZIPF_S", d.zipf_s),
-            cache_cap: var("ASGD_CACHE_CAP", d.cache_cap),
-            hedge_q: var("ASGD_HEDGE_Q", d.hedge_q),
-            r_min: var("ASGD_AUTOSCALE", d.r_min),
-            slo_ms: var("ASGD_SLO_MS", d.slo_ms),
-            base_rps: var("ASGD_SERVE_RPS", d.base_rps),
-            n_requests: var("ASGD_SERVE_REQUESTS", d.n_requests),
-            precision: crate::env_precision(d.precision),
-        }
+impl Default for FleetKnobs {
+    /// The scenario with no override set.
+    fn default() -> Self {
+        Self::read(crate::Knobs(&|_| None))
     }
+}
 
-    /// Artifact-name suffix of the precision tier (`""` or `"_bf16"`).
-    pub fn suffix(&self) -> &'static str {
-        match self.precision {
-            Precision::F32 => "",
-            Precision::Bf16 => "_bf16",
-        }
-    }
+/// Trains the serving twin for two mega-batches and hands the model over
+/// exactly as production would: `TrainingState` → serveable checkpoint bytes
+/// at `precision` → `load_model`. `seed` is the master (dataset/training)
+/// seed.
+pub fn serving_twin(seed: u64, precision: Precision) -> (XmlDataset, MlpConfig, Mlp) {
+    let ds = generate(&DatasetSpec::amazon_670k(FLEET_SCALE), seed ^ 0xD5);
+    let mconfig = MlpConfig {
+        num_features: ds.num_features,
+        hidden: FLEET_HIDDEN,
+        num_classes: ds.num_labels,
+    };
+    let mut tconfig = RunConfig::paper_defaults(48, 24);
+    tconfig.hidden = FLEET_HIDDEN;
+    tconfig.base_lr = 0.1;
+    tconfig.seed = seed;
+    tconfig.mega_batch_limit = Some(2);
+    tconfig.overhead_scale = FLEET_SCALE;
+    let trained = Trainer::new(algorithms::adaptive_sgd(), homogeneous_server(2), tconfig).run(&ds);
+    let state = trained.final_state.expect("gpu trainer keeps a snapshot");
+    let model = load_model(state.export_model_with(&mconfig, precision))
+        .expect("serveable checkpoint decodes");
+    (ds, mconfig, model)
 }
 
 /// The built testbed: registry, tenants, fleet shape, and request stream.
@@ -128,8 +132,6 @@ pub struct FleetScenario {
     pub profiles: Vec<DeviceProfile>,
     /// Cluster the slots round-robin onto.
     pub topo: ClusterTopology,
-    /// Load shape the stream was drawn from.
-    pub spec: FleetLoadSpec,
     /// The materialized request stream.
     pub requests: Vec<TenantRequest>,
     /// Knobs the scenario was built with.
@@ -137,28 +139,11 @@ pub struct FleetScenario {
 }
 
 impl FleetScenario {
-    /// Trains the serving twin (2 mega-batches, exactly like `serve_probe`),
-    /// round-trips it through a serveable checkpoint at the knobs'
-    /// precision, registers base + adapter versions, and draws the request
-    /// stream. `seed` is the master (dataset/training) seed.
+    /// Trains the [`serving_twin`] at the knobs' precision, registers base +
+    /// adapter versions, and draws the request stream. `seed` is the master
+    /// (dataset/training) seed.
     pub fn build(seed: u64, knobs: FleetKnobs) -> Self {
-        let ds = generate(&DatasetSpec::amazon_670k(FLEET_SCALE), seed ^ 0xD5);
-        let mconfig = MlpConfig {
-            num_features: ds.num_features,
-            hidden: FLEET_HIDDEN,
-            num_classes: ds.num_labels,
-        };
-        let mut tconfig = RunConfig::paper_defaults(48, 24);
-        tconfig.hidden = FLEET_HIDDEN;
-        tconfig.base_lr = 0.1;
-        tconfig.seed = seed;
-        tconfig.mega_batch_limit = Some(2);
-        tconfig.overhead_scale = FLEET_SCALE;
-        let trained =
-            Trainer::new(algorithms::adaptive_sgd(), homogeneous_server(2), tconfig).run(&ds);
-        let state = trained.final_state.expect("gpu trainer keeps a snapshot");
-        let base = load_model(state.export_model_with(&mconfig, knobs.precision))
-            .expect("serveable checkpoint decodes");
+        let (ds, mconfig, base) = serving_twin(seed, knobs.precision);
 
         // Base + adapters: each adapter perturbs the small hidden layers and
         // shares the wide embedding/output blocks, so the registry dedups
@@ -205,7 +190,6 @@ impl FleetScenario {
             tenant_versions,
             profiles,
             topo,
-            spec,
             requests,
             knobs,
         }
@@ -237,6 +221,19 @@ impl FleetScenario {
     /// A static session pinned at `n` replicas.
     pub fn static_config(&self, n: usize) -> FleetConfig {
         self.base_config().static_replicas(n)
+    }
+
+    /// The three fault-free sessions the autoscaler is judged by, labelled:
+    /// `elastic`, `static-min` (pinned at the elastic floor) and
+    /// `static-max` (pinned at every slot).
+    pub fn baselines(&self) -> [(&'static str, FleetOutcome); 3] {
+        let calm = FaultPlan::new();
+        [
+            ("elastic", self.auto_config()),
+            ("static-min", self.static_config(self.knobs.r_min)),
+            ("static-max", self.static_config(FLEET_SLOTS)),
+        ]
+        .map(|(label, config)| (label, self.run(&config, &calm)))
     }
 
     /// Runs one fleet session over the scenario's stream.

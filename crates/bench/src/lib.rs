@@ -1,9 +1,15 @@
 //! Experiment harness regenerating every table and figure of the paper.
 //!
-//! Each `fig*`/`table*` binary is a thin wrapper over a function in
-//! [`experiments`], so `run_all` can execute the full evaluation in-process
-//! and the functions can be smoke-tested. Output is CSV on stdout plus files
-//! under `results/` (created on demand).
+//! Three binaries, everything else is library code they call and the tests
+//! exercise: `run_all [artifact…]` regenerates the evaluation artifacts
+//! under `results/` (one function of [`experiments`] each — Table I,
+//! Figures 1–6, ablations, §IV's simulated claims, the `BENCH_*.json`
+//! rows), `probe <scenario>` renders one determinism probe of [`probe`]
+//! (the reports ci.sh byte-diffs across thread counts, build profiles and
+//! checked-in goldens), and `sweep` is the lr × b_max grid. Wall-clock
+//! numbers are not this crate's business: `benchmarks/e2e` is the one
+//! stopwatch; only the merge-stage and full-label-scale rows are timed here
+//! because no `benchmarks/e2e` row isolates them yet.
 //!
 //! Experiment scale is controlled by environment variables so the same
 //! binaries serve quick CI smoke runs and full overnight sweeps. A variable
@@ -30,17 +36,19 @@
 //! | `ASGD_SPARSE_MERGE` | `0` | `1` = merge through the sparse delta
 //!   all-reduce (bit-identical model; requires `ASGD_SOFTMAX=sampled` —
 //!   without it `Trainer::new` refuses the config by name) |
+//!
+//! The probe scenarios read their own knobs on top (see [`probe`]).
 
 use asgd_core::trainer::{RunConfig, SampledSoftmax, Trainer, TrainerSpec};
 use asgd_core::RunResult;
 use asgd_data::{generate, DatasetSpec, XmlDataset};
 use asgd_gpusim::profile::heterogeneous_server;
-use asgd_tensor::Precision;
 use std::io::Write;
 use std::path::PathBuf;
 
 pub mod experiments;
 pub mod fleet;
+pub mod probe;
 
 /// Scale/size knobs shared by every experiment.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,21 +118,26 @@ pub fn env_text(name: &str) -> Option<String> {
     }
 }
 
-/// [`knob`] over the process environment for anything `FromStr` (numbers).
-pub fn env_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
-    knob(name, env_text(name).as_deref(), default, |t| t.parse().ok())
-}
+/// Typed knob reads, every one through [`knob`], over wherever the texts
+/// come from: [`env_text`] in the binaries, a table in tests.
+#[derive(Clone, Copy)]
+pub struct Knobs<'a>(pub &'a dyn Fn(&str) -> Option<String>);
 
-/// [`knob`] over the process environment for a closed vocabulary.
-pub fn env_word<T: Copy>(name: &str, default: T, words: &[(&str, T)]) -> T {
-    knob(name, env_text(name).as_deref(), default, word(words))
-}
+impl Knobs<'_> {
+    /// A knob with its own grammar.
+    pub fn parse<T>(&self, name: &str, default: T, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        knob(name, (self.0)(name).as_deref(), default, parse)
+    }
 
-/// `ASGD_PRECISION` (`f32` / `bf16`), shared by every probe with a storage
-/// tier.
-pub fn env_precision(default: Precision) -> Precision {
-    let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
-    env_word("ASGD_PRECISION", default, &tiers)
+    /// A knob that is anything `FromStr`: numbers, `asgd_tensor::Precision`.
+    pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.parse(name, default, |t| t.parse().ok())
+    }
+
+    /// A knob over a closed vocabulary.
+    pub fn word<T: Copy>(&self, name: &str, default: T, words: &[(&str, T)]) -> T {
+        self.parse(name, default, word(words))
+    }
 }
 
 /// Resolves the `ASGD_SOFTMAX`/`ASGD_LSH_TABLES`/`ASGD_NEG_SAMPLES` triple
@@ -156,21 +169,22 @@ impl Env {
     /// # Panics
     /// Panics when a variable is set but does not parse (see [`knob`]).
     pub fn from_env() -> Self {
+        let k = Knobs(&env_text);
         let flag = [("0", false), ("1", true)];
         Env {
-            scale: env_knob("ASGD_SCALE", 0.01),
-            b_max: env_knob("ASGD_BMAX", 48),
-            batches_per_mega: env_knob("ASGD_BATCHES_PER_MEGA", 24),
-            mega_limit: env_knob("ASGD_MEGA_LIMIT", 24),
-            hidden: env_knob("ASGD_HIDDEN", 64),
-            seed: env_knob("ASGD_SEED", 42),
+            scale: k.get("ASGD_SCALE", 0.01),
+            b_max: k.get("ASGD_BMAX", 48),
+            batches_per_mega: k.get("ASGD_BATCHES_PER_MEGA", 24),
+            mega_limit: k.get("ASGD_MEGA_LIMIT", 24),
+            hidden: k.get("ASGD_HIDDEN", 64),
+            seed: k.get("ASGD_SEED", 42),
             out_dir: PathBuf::from(env_text("ASGD_OUT_DIR").unwrap_or_else(|| "results".into())),
             sampled: parse_softmax(
                 env_text("ASGD_SOFTMAX").as_deref(),
                 env_text("ASGD_LSH_TABLES").as_deref(),
                 env_text("ASGD_NEG_SAMPLES").as_deref(),
             ),
-            sparse_merge: env_word("ASGD_SPARSE_MERGE", false, &flag),
+            sparse_merge: k.word("ASGD_SPARSE_MERGE", false, &flag),
         }
     }
 
@@ -237,6 +251,20 @@ impl Env {
     }
 }
 
+/// `len` deterministic pseudo-random values in `[-0.5, 0.5)` from an LCG
+/// started at `state` — the fill of the kernel probe's operands and the
+/// simulated cluster merge's buffers.
+pub(crate) fn lcg_fill(mut state: u64, len: usize) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+        })
+        .collect()
+}
+
 /// The paper's learning-rate selection (§V-A): grid the rate at `b_max` in
 /// powers of 10 and keep the one with the best accuracy after a short
 /// Adaptive SGD probe; rates for other batch sizes follow linear scaling
@@ -265,6 +293,7 @@ pub fn grid_learning_rate(env: &Env, dataset: &XmlDataset) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_tensor::Precision;
 
     #[test]
     fn env_defaults_parse() {
@@ -294,9 +323,10 @@ mod tests {
         assert!(!knob("ASGD_SPARSE_MERGE", None, false, word(&flag)));
         assert!(knob("ASGD_SPARSE_MERGE", Some("1"), false, word(&flag)));
         assert!(!knob("ASGD_SPARSE_MERGE", Some("0"), true, word(&flag)));
-        let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
-        let tier = knob("ASGD_PRECISION", Some("BF16"), Precision::F32, word(&tiers));
-        assert_eq!(tier, Precision::Bf16);
+        let table = |name: &str| (name == "ASGD_PRECISION").then(|| " BF16".to_string());
+        let k = Knobs(&table);
+        assert_eq!(k.get("ASGD_PRECISION", Precision::F32), Precision::Bf16);
+        assert_eq!(k.get("ASGD_FAULT_SEED", 7u64), 7);
     }
 
     /// Every knob that is set but unparsable must abort, naming the
@@ -327,9 +357,8 @@ mod tests {
         rejects("ASGD_SPARSE_MERGE", "true", || {
             knob("ASGD_SPARSE_MERGE", Some("true"), false, word(&flag))
         });
-        let tiers = [("f32", Precision::F32), ("bf16", Precision::Bf16)];
         rejects("ASGD_PRECISION", "fp16", || {
-            knob("ASGD_PRECISION", Some("fp16"), Precision::F32, word(&tiers))
+            Knobs(&|_| Some("fp16".into())).get("ASGD_PRECISION", Precision::F32)
         });
         let inter = [("ring", 0), ("tree", 1)];
         rejects("ASGD_INTER", "mesh", || {

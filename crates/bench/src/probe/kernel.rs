@@ -1,18 +1,13 @@
-//! Kernel determinism probe: every blocked/vectorized compute kernel run at
-//! awkward shapes, rendered to a deterministic report.
-//!
-//! The CI gate runs this binary under different `ASGD_THREADS` settings (in
-//! separate processes, so each gets its own worker pool) and byte-diffs the
-//! reports against each other and against the checked-in
-//! `results/kernel_probe.txt`: the kernel layer's reduction contract
-//! (DESIGN.md, "Kernel layer") promises results are a pure function of the
-//! inputs, independent of host parallelism. A diff is a contract
-//! regression.
+//! The `kernel` scenario: every blocked/vectorized compute kernel run at
+//! awkward shapes. The kernel layer's reduction contract (DESIGN.md, "Kernel
+//! layer") promises results are a pure function of the inputs, independent
+//! of host parallelism, build profile and SIMD path.
 //!
 //! Shapes are chosen to hit every code path: full MR×LANES tiles, row and
 //! column remainders, single rows, empty CSR rows, and both the streaming
 //! and materialized top-k paths.
 
+use super::fnv_line;
 use asgd_sparse::{ops as sops, CsrMatrix};
 use asgd_stats::fnv::{fnv1a_f32 as fnv_f32, fnv1a_u16 as fnv_u16, fnv1a_u32 as fnv_u32};
 use asgd_tensor::{ops, Matrix};
@@ -20,20 +15,15 @@ use std::fmt::Write as _;
 
 /// Deterministic pseudo-random fill in [-0.5, 0.5).
 fn filled(rows: usize, cols: usize, seed: u64) -> Matrix {
-    let mut state = seed | 1;
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 40) as f32 / (1u64 << 24) as f32) - 0.5
-        })
-        .collect();
-    Matrix::from_vec(rows, cols, data)
+    Matrix::from_vec(rows, cols, crate::lcg_fill(seed | 1, rows * cols))
 }
 
-fn main() {
-    let env = asgd_bench::Env::from_env();
+/// One `<kernel> <shape> fnv 0x…` line over a result matrix.
+fn matrix_line(report: &mut String, what: String, result: &Matrix) {
+    fnv_line(report, &what, fnv_f32(result.as_slice()));
+}
+
+pub(super) fn report() -> String {
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -52,44 +42,24 @@ fn main() {
         let bt = filled(n, k, 0xC3C3 ^ ((k as u64) << 6) ^ m as u64);
         let mut c = filled(m, n, 0xD00D ^ (m * n) as u64);
         ops::gemm(1.0, &a, &b, 0.0, &mut c);
-        let _ = writeln!(
-            report,
-            "gemm_nn {m}x{k}x{n} fnv {:#018x}",
-            fnv_f32(c.as_slice())
-        );
+        matrix_line(&mut report, format!("gemm_nn {m}x{k}x{n}"), &c);
         ops::gemm(0.5, &a, &b, 0.25, &mut c);
-        let _ = writeln!(
-            report,
-            "gemm_nn_ab {m}x{k}x{n} fnv {:#018x}",
-            fnv_f32(c.as_slice())
-        );
+        matrix_line(&mut report, format!("gemm_nn_ab {m}x{k}x{n}"), &c);
         ops::gemm_tn(1.0, &at, &b, 0.0, &mut c);
-        let _ = writeln!(
-            report,
-            "gemm_tn {m}x{k}x{n} fnv {:#018x}",
-            fnv_f32(c.as_slice())
-        );
+        matrix_line(&mut report, format!("gemm_tn {m}x{k}x{n}"), &c);
         ops::gemm_nt(1.0, &a, &bt, 0.0, &mut c);
-        let _ = writeln!(
-            report,
-            "gemm_nt {m}x{k}x{n} fnv {:#018x}",
-            fnv_f32(c.as_slice())
-        );
+        matrix_line(&mut report, format!("gemm_nt {m}x{k}x{n}"), &c);
 
         let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.37).sin()).collect();
         ops::gemm_bias_relu(&a, &b, &bias, &mut c);
-        let _ = writeln!(
-            report,
-            "gemm_bias_relu {m}x{k}x{n} fnv {:#018x}",
-            fnv_f32(c.as_slice())
-        );
+        matrix_line(&mut report, format!("gemm_bias_relu {m}x{k}x{n}"), &c);
         let kk = 3.min(n);
         let mut topk = vec![0u32; m * kk];
         ops::gemm_bias_topk(&a, &b, &bias, kk, &mut topk);
-        let _ = writeln!(
-            report,
-            "gemm_bias_topk {m}x{k}x{n} k{kk} fnv {:#018x}",
-            fnv_u32(&topk)
+        fnv_line(
+            &mut report,
+            &format!("gemm_bias_topk {m}x{k}x{n} k{kk}"),
+            fnv_u32(&topk),
         );
     }
 
@@ -110,25 +80,24 @@ fn main() {
         let bias: Vec<f32> = (0..c_n).map(|j| (j as f32 * 0.29).sin()).collect();
         let mut out = filled(m, c_n, 0xF00D ^ (m * c_n) as u64);
         ops::gemm_nt_gather(1.0, &a, &bt, &idx, 0.0, &mut out);
-        let _ = writeln!(
-            report,
-            "gemm_nt_gather {m}x{k}x{c_n}of{big_n} fnv {:#018x}",
-            fnv_f32(out.as_slice())
+        matrix_line(
+            &mut report,
+            format!("gemm_nt_gather {m}x{k}x{c_n}of{big_n}"),
+            &out,
         );
         ops::gemm_nt_gather_bias(&a, &bt, &idx, &bias, &mut out);
-        let _ = writeln!(
-            report,
-            "gemm_nt_gather_bias {m}x{k}x{c_n}of{big_n} fnv {:#018x}",
-            fnv_f32(out.as_slice())
+        matrix_line(
+            &mut report,
+            format!("gemm_nt_gather_bias {m}x{k}x{c_n}of{big_n}"),
+            &out,
         );
         let ac = filled(m, c_n, 0xBA11 ^ (m + c_n) as u64);
         let mut dh = Matrix::zeros(m, bn.cols());
         ops::gemm_nn_gather(1.0, &ac, &bn, &idx, 0.0, &mut dh);
-        let _ = writeln!(
-            report,
-            "gemm_nn_gather {m}x{c_n}of{big_n}x{} fnv {:#018x}",
-            bn.cols(),
-            fnv_f32(dh.as_slice())
+        matrix_line(
+            &mut report,
+            format!("gemm_nn_gather {m}x{c_n}of{big_n}x{}", bn.cols()),
+            &dh,
         );
     }
 
@@ -153,21 +122,13 @@ fn main() {
         let bias: Vec<f32> = (0..n).map(|j| (j as f32 * 0.21).cos()).collect();
         let mut h = Matrix::zeros(23, n);
         sops::spmm(&x, &w, &mut h);
-        let _ = writeln!(report, "spmm 23x40x{n} fnv {:#018x}", fnv_f32(h.as_slice()));
+        matrix_line(&mut report, format!("spmm 23x40x{n}"), &h);
         sops::spmm_bias_relu(&x, &w, &bias, &mut h);
-        let _ = writeln!(
-            report,
-            "spmm_bias_relu 23x40x{n} fnv {:#018x}",
-            fnv_f32(h.as_slice())
-        );
+        matrix_line(&mut report, format!("spmm_bias_relu 23x40x{n}"), &h);
         let mut grad = Matrix::zeros(40, n);
         let g = filled(23, n, 0xCAFE ^ n as u64);
         sops::spmm_tn_acc(1.0, &x, &g, &mut grad);
-        let _ = writeln!(
-            report,
-            "spmm_tn_acc 40x23x{n} fnv {:#018x}",
-            fnv_f32(grad.as_slice())
-        );
+        matrix_line(&mut report, format!("spmm_tn_acc 40x23x{n}"), &grad);
     }
 
     // bf16 conversion kernels — the storage tier's only rounding operation
@@ -196,21 +157,18 @@ fn main() {
         ];
         let mut half = vec![0u16; edges.len()];
         bf16::narrow_slice(&edges, &mut half);
-        let _ = writeln!(report, "bf16_narrow edges fnv {:#018x}", fnv_u16(&half));
+        fnv_line(&mut report, "bf16_narrow edges", fnv_u16(&half));
         let mut wide = vec![0.0f32; half.len()];
         bf16::widen_slice(&half, &mut wide);
-        let _ = writeln!(report, "bf16_widen edges fnv {:#018x}", fnv_f32(&wide));
+        fnv_line(&mut report, "bf16_widen edges", fnv_f32(&wide));
 
         let bulk = filled(1, 1013, 0xB16);
         let mut half = vec![0u16; 1013];
         bf16::narrow_slice(bulk.as_slice(), &mut half);
-        let _ = writeln!(report, "bf16_narrow 1x1013 fnv {:#018x}", fnv_u16(&half));
+        fnv_line(&mut report, "bf16_narrow 1x1013", fnv_u16(&half));
         let mut wide = vec![0.0f32; 1013];
         bf16::widen_slice(&half, &mut wide);
-        let _ = writeln!(report, "bf16_widen 1x1013 fnv {:#018x}", fnv_f32(&wide));
+        fnv_line(&mut report, "bf16_widen 1x1013", fnv_f32(&wide));
     }
-
-    print!("{report}");
-    let path = env.write_artifact("kernel_probe.txt", &report);
-    eprintln!("wrote {path:?}");
+    report
 }

@@ -15,10 +15,10 @@
 //!
 //! Within any single step of any algorithm here, the chunks written never
 //! alias the chunks read (the ring forwards chunk `i - s` while reading
-//! `i + 1 - s`; halving/doubling partners exchange disjoint halves), so
-//! applying the steps one after another in place is bit-identical to a fully
-//! simultaneous exchange. The step-at-a-time execution survives as `Arith`,
-//! the `#[cfg(test)]` oracle the tile replay is pinned against.
+//! `i + 1 - s`), so applying the steps one after another in place is
+//! bit-identical to a fully simultaneous exchange. The step-at-a-time
+//! execution survives as `Arith`, the `#[cfg(test)]` oracle the tile replay
+//! is pinned against.
 
 use crate::hierarchical::InterNode;
 use crate::tiles::{allreduce_tiled, split_shares, tile_shares, InPlace};
@@ -40,11 +40,6 @@ pub enum Algorithm {
     /// Classic single-stream ring: reduce-scatter + all-gather over
     /// `n` model chunks.
     Ring,
-    /// Recursive halving (reduce-scatter) + recursive doubling (all-gather):
-    /// `2·log₂(n)` rounds moving half the previous payload each round. The
-    /// classic latency/bandwidth compromise for power-of-two groups; falls
-    /// back to [`Algorithm::Ring`] for non-power-of-two server sizes.
-    HalvingDoubling,
     /// The paper's algorithm: the model is split into `partitions`
     /// partitions, each running its own ring on a dedicated stream starting
     /// at a different GPU, overlapping transfer and reduction completely.
@@ -235,10 +230,7 @@ pub(crate) fn walk<P: Payload>(
         let (t, bytes) = match algo {
             Algorithm::Naive => naive(p, ctx, elem_bytes, r),
             Algorithm::Tree => tree(p, ctx, elem_bytes, r),
-            Algorithm::HalvingDoubling if n.is_power_of_two() => {
-                halving_doubling(p, ctx, elem_bytes, r)
-            }
-            Algorithm::Ring | Algorithm::HalvingDoubling => ring(p, ctx, elem_bytes, r, 0),
+            Algorithm::Ring => ring(p, ctx, elem_bytes, r, 0),
             Algorithm::MultiStreamRing { .. } => ring(p, ctx, elem_bytes, r, i % n),
         };
         total = (total.0.max(t), total.1 + bytes);
@@ -375,82 +367,6 @@ fn ring<P: Payload>(
             }
             t += step_t;
         }
-    }
-    (t, bytes)
-}
-
-/// Recursive halving reduce-scatter + recursive doubling all-gather over
-/// `range`. Requires `n` to be a power of two (the caller guarantees it).
-///
-/// Like the ring, steps never read what they write: a pair exchanges the two
-/// complementary halves of its shared active range (halving), or its two
-/// disjoint owned ranges (doubling).
-fn halving_doubling<P: Payload>(
-    p: &mut P,
-    ctx: &CollectiveContext,
-    b: usize,
-    range: Range<usize>,
-) -> (f64, usize) {
-    let n = ctx.n_devices();
-    debug_assert!(n.is_power_of_two() && n >= 2);
-    let mut t = 0.0f64;
-    let mut bytes = 0usize;
-
-    // Active range per device; pairs always share identical ranges because
-    // pairing follows the bit pattern of already-processed rounds.
-    let mut ranges: Vec<Range<usize>> = vec![range; n];
-
-    // Phase 1: recursive halving. Partner distance n/2, n/4, …, 1.
-    let mut d = n / 2;
-    while d >= 1 {
-        let mut step_t = 0.0f64;
-        let mut new_ranges = ranges.clone();
-        for i in 0..n {
-            let partner = i ^ d;
-            let r = ranges[i].clone();
-            let mid = r.start + r.len() / 2;
-            let (keep, send) = if i < partner {
-                (r.start..mid, mid..r.end)
-            } else {
-                (mid..r.end, r.start..mid)
-            };
-            new_ranges[i] = keep;
-            if send.is_empty() {
-                continue;
-            }
-            let elems = send.len();
-            p.reduce(partner, i, send);
-            bytes += b * elems;
-            // The pair's two transfers share one link; serialize them.
-            step_t = step_t.max(
-                2.0 * ctx.p2p_time_sized(i, partner, elems, b)
-                    + ctx.reduce_time_sized(partner, elems, b),
-            );
-        }
-        ranges = new_ranges;
-        t += step_t;
-        d /= 2;
-    }
-
-    // Phase 2: recursive doubling all-gather. Distances 1, 2, …, n/2.
-    let mut d = 1;
-    while d < n {
-        let mut step_t = 0.0f64;
-        let mut new_ranges = ranges.clone();
-        for (i, r) in ranges.iter().enumerate() {
-            let partner = i ^ d;
-            if !r.is_empty() {
-                p.copy(partner, i, r.clone());
-                bytes += b * r.len();
-                step_t = step_t.max(2.0 * ctx.p2p_time_sized(i, partner, r.len(), b));
-            }
-            // The destination now owns the union of the two ranges.
-            let own = &mut new_ranges[partner];
-            *own = own.start.min(r.start)..own.end.max(r.end);
-        }
-        ranges = new_ranges;
-        t += step_t;
-        d *= 2;
     }
     (t, bytes)
 }
@@ -598,7 +514,6 @@ mod tests {
             Algorithm::Naive,
             Algorithm::Tree,
             Algorithm::Ring,
-            Algorithm::HalvingDoubling,
             Algorithm::MultiStreamRing { partitions: n },
         ];
         for algo in algos {
@@ -657,7 +572,6 @@ mod tests {
             Algorithm::Naive,
             Algorithm::Tree,
             Algorithm::Ring,
-            Algorithm::HalvingDoubling,
             Algorithm::MultiStreamRing { partitions: n },
         ] {
             let mut pooled = make();
@@ -709,7 +623,6 @@ mod tests {
             Algorithm::Naive,
             Algorithm::Tree,
             Algorithm::Ring,
-            Algorithm::HalvingDoubling,
             Algorithm::MultiStreamRing { partitions: n },
         ] {
             let mut one = bf16_buffers(n, len, 7);
@@ -836,7 +749,7 @@ mod proptests {
             n in 2usize..5,
             len in 1usize..40,
             seed in 0u64..1000,
-            algo_idx in 0usize..5,
+            algo_idx in 0usize..4,
         ) {
             let ctx = CollectiveContext::new(
                 Topology::pcie(n),
@@ -862,7 +775,6 @@ mod proptests {
                 0 => Algorithm::Naive,
                 1 => Algorithm::Tree,
                 2 => Algorithm::Ring,
-                3 => Algorithm::HalvingDoubling,
                 _ => Algorithm::MultiStreamRing { partitions: n },
             };
             let timing = allreduce(&mut bufs, &weights, algo, &ctx, &vec![SimTime::ZERO; n]);

@@ -27,8 +27,8 @@
 //! With `S` servers of `M` devices, model length `L` (elements of width `B`):
 //!
 //! 1. **Intra reduce-to-lead** (servers concurrent, slowest bounds the
-//!    phase): Naive `(M−1)·(p2p(L)+red(L))` sequential on the lead; Tree /
-//!    HalvingDoubling `⌈log₂M⌉·(p2p(L)+red(L))`; Ring / MultiStreamRing
+//!    phase): Naive `(M−1)·(p2p(L)+red(L))` sequential on the lead; Tree
+//!    `⌈log₂M⌉·(p2p(L)+red(L))`; Ring / MultiStreamRing
 //!    `(M−1)·(p2p(C)+red(C)) + (M−1)·p2p(C)` with `C = ⌈L/M⌉`.
 //! 2. **Inter reduction over the `S` leads**: Ring
 //!    `(S−1)·(inter(C·B)+red(C)) + (S−1)·inter(C·B)` with `C = ⌈L/S⌉`;
@@ -164,7 +164,7 @@ pub(crate) fn reduce_phases(
                     .sum::<f64>(),
                 (m - 1) * len * elem_bytes,
             ),
-            Algorithm::Tree | Algorithm::HalvingDoubling => (
+            Algorithm::Tree => (
                 ceil_log2(m) as f64 * (p2p(len) + red_max(members, len)),
                 (m - 1) * len * elem_bytes,
             ),
@@ -480,7 +480,7 @@ mod proptests {
             seed in 0u64..1000,
             bf16_sel in 0usize..2,
             tree_sel in 0usize..2,
-            algo_idx in 0usize..5,
+            algo_idx in 0usize..4,
         ) {
             let (bf16, tree_inter) = (bf16_sel == 1, tree_sel == 1);
             let n = servers * m;
@@ -514,7 +514,6 @@ mod proptests {
                 0 => Algorithm::Naive,
                 1 => Algorithm::Tree,
                 2 => Algorithm::Ring,
-                3 => Algorithm::HalvingDoubling,
                 _ => Algorithm::MultiStreamRing { partitions: m.max(1) },
             };
             let inter = if tree_inter { InterNode::Tree } else { InterNode::Ring };

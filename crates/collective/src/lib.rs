@@ -91,7 +91,6 @@ mod integration_tests {
                 Algorithm::Naive,
                 Algorithm::Tree,
                 Algorithm::Ring,
-                Algorithm::HalvingDoubling,
                 Algorithm::MultiStreamRing {
                     partitions: n.max(1),
                 },

@@ -774,7 +774,6 @@ mod tests {
                     Algorithm::Naive,
                     Algorithm::Tree,
                     Algorithm::Ring,
-                    Algorithm::HalvingDoubling,
                     Algorithm::MultiStreamRing { partitions: n },
                 ] {
                     let mut bufs: Vec<FlatVec> = (0..n)
@@ -1047,7 +1046,7 @@ mod proptests {
             len in 1usize..600,
             seed in 0u64..1000,
             bf16_sel in 0usize..2,
-            algo_idx in 0usize..5,
+            algo_idx in 0usize..4,
             skew in 0u64..50,
         ) {
             let bf16 = bf16_sel == 1;
@@ -1057,7 +1056,6 @@ mod proptests {
                 0 => Algorithm::Naive,
                 1 => Algorithm::Tree,
                 2 => Algorithm::Ring,
-                3 => Algorithm::HalvingDoubling,
                 _ => Algorithm::MultiStreamRing { partitions: (seed as usize % 8) + 1 },
             };
             let mut state = seed.wrapping_mul(747796405).wrapping_add(1);

@@ -114,7 +114,9 @@ impl TrainingState {
         model_checkpoint::encode_with(&model, precision)
     }
 
-    /// Deserializes a state produced by [`TrainingState::encode`].
+    /// Deserializes a state produced by [`TrainingState::encode`]. Malformed
+    /// input of any kind is an error, never a panic or an allocation sized
+    /// by the header alone.
     pub fn decode(mut data: Bytes) -> Result<Self, StateError> {
         if data.remaining() < 8 + 24 {
             return Err(StateError::Truncated);
@@ -129,11 +131,18 @@ impl TrainingState {
             return Err(StateError::BadVersion(version));
         }
         let megas_done = data.get_u64_le();
-        let n_gpus = data.get_u64_le() as usize;
-        let param_len = data.get_u64_le() as usize;
-        if data.remaining() < 8 * param_len + 24 * n_gpus {
+        // Header counts are untrusted: size the payload in checked
+        // arithmetic and hold it against what is actually there before
+        // anything is allocated for it.
+        let n_gpus = data.get_u64_le();
+        let param_len = data.get_u64_le();
+        let payload = param_len
+            .checked_mul(8)
+            .and_then(|params| params.checked_add(n_gpus.checked_mul(24)?));
+        if payload.is_none_or(|p| p > data.remaining() as u64) {
             return Err(StateError::Truncated);
         }
+        let (n_gpus, param_len) = (n_gpus as usize, param_len as usize);
         let mut read_vec = |n: usize| -> Vec<f32> {
             let mut v = Vec::with_capacity(n);
             for _ in 0..n {
@@ -216,6 +225,39 @@ mod tests {
             TrainingState::decode(Bytes::from(raw)),
             Err(StateError::BadVersion(_))
         ));
+    }
+
+    /// A 64-byte input whose header counts overflow the payload size (or
+    /// merely dwarf the input) is truncated, not a panic.
+    #[test]
+    fn hostile_counts_are_truncated_not_a_panic() {
+        for (n_gpus, param_len) in [
+            (0u64, 1u64 << 61),
+            (1 << 61, 0),
+            (u64::MAX / 24, u64::MAX / 8),
+            (2, 1 << 40),
+        ] {
+            let mut raw = MAGIC.to_vec();
+            raw.extend(VERSION.to_le_bytes());
+            raw.extend([0, n_gpus, param_len].iter().flat_map(|v| v.to_le_bytes()));
+            raw.resize(64, 0);
+            assert_eq!(
+                TrainingState::decode(Bytes::from(raw)),
+                Err(StateError::Truncated),
+                "n_gpus {n_gpus} param_len {param_len}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_is_an_error() {
+        let raw = sample().encode();
+        for cut in 0..raw.len() {
+            assert!(
+                TrainingState::decode(raw.slice(0..cut)).is_err(),
+                "cut {cut}"
+            );
+        }
     }
 
     #[test]

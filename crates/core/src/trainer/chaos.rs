@@ -363,13 +363,14 @@ impl SchedulerState<'_> {
         redispatched as usize
     }
 
-    /// `(servers, devices_per_server)` of the run — `(1, n)` when no cluster
-    /// is configured, so server-indexed faults still resolve sensibly.
-    fn cluster_shape(&self) -> (usize, usize) {
-        match &self.cfg.cluster {
-            Some(cl) => (cl.servers, cl.devices_per_server),
-            None => (1, self.n()),
-        }
+    /// The devices of `server` — every device when no cluster is configured
+    /// (`RunConfig::validate` has checked the index against the shape).
+    fn server_members(&self, server: usize) -> std::ops::Range<usize> {
+        let m = self
+            .cfg
+            .cluster
+            .map_or(self.n(), |cl| cl.devices_per_server);
+        server * m..(server + 1) * m
     }
 
     /// Kills every device of server `server`, in ascending local order: each
@@ -385,13 +386,9 @@ impl SchedulerState<'_> {
         interval_updates: &mut [u64],
         interval_samples: &mut [u64],
     ) -> usize {
-        let (servers, m) = self.cluster_shape();
-        if server >= servers {
-            return 0;
-        }
         let mut redispatched = 0usize;
         let mut lost = Vec::new();
-        for g in server * m..(server + 1) * m {
+        for g in self.server_members(server) {
             let was_alive = self.alive[g];
             redispatched += self.lose_device(g, mega, to, interval_updates, interval_samples);
             if was_alive && !self.alive[g] {
@@ -412,11 +409,8 @@ impl SchedulerState<'_> {
     /// dispatched to or drained from the node until it heals). Dynamic
     /// dispatch routes batches to other servers until the clocks catch up.
     fn inter_node_stall(&mut self, server: usize, seconds: f64, mega: usize) {
-        let (servers, m) = self.cluster_shape();
-        if server >= servers {
-            return;
-        }
-        let members: Vec<usize> = (server * m..(server + 1) * m)
+        let members: Vec<usize> = self
+            .server_members(server)
             .filter(|&g| self.alive[g])
             .collect();
         if members.is_empty() {

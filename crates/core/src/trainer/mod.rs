@@ -37,7 +37,8 @@ use asgd_gpusim::device::{build_server, earliest_free};
 use asgd_gpusim::fusion::{FusionPolicy, LaunchModel};
 use asgd_gpusim::memory::MemoryTracker;
 use asgd_gpusim::{
-    ClusterTopology, Device, DeviceId, DeviceProfile, FaultPlan, SimTime, Topology, TraceLog,
+    ClusterTopology, Device, DeviceId, DeviceProfile, FaultKind, FaultPlan, SimTime, Topology,
+    TraceLog,
 };
 use asgd_model::workload::{
     epoch_kernels, lsh_rebuild_kernels, model_transfer_kernels_sized, overhead_delta_for,
@@ -310,10 +311,11 @@ impl RunConfig {
         }
     }
 
-    /// Checks the settings against each other and against the algorithm
-    /// they are to run, so a contradiction is an error with a name instead
-    /// of a run that silently does something else.
-    pub fn validate(&self, spec: &TrainerSpec) -> Result<(), ConfigError> {
+    /// Checks the settings against each other, against the algorithm they
+    /// are to run and against the `n_devices` fleet they are to run on, so
+    /// a contradiction is an error with a name instead of a run that
+    /// silently does something else (or dies mid-run, managers spawned).
+    pub fn validate(&self, spec: &TrainerSpec, n_devices: usize) -> Result<(), ConfigError> {
         if self.time_limit.is_none() && self.mega_batch_limit.is_none() {
             return Err(ConfigError::NoLimit);
         }
@@ -325,6 +327,25 @@ impl RunConfig {
         }
         if self.sparse_merge && matches!(spec.merge_rule, MergeRule::Crossbow { .. }) {
             return Err(ConfigError::SparseMergeUnderCrossbow);
+        }
+        // Server-level faults index the cluster shape — one server holding
+        // every device when no cluster is configured.
+        let servers = self.cluster.map_or(1, |cl| cl.servers);
+        for e in self.fault_plan.iter().flat_map(|p| p.events()) {
+            let (server_level, have) = match e.kind {
+                FaultKind::MergeOom => continue,
+                FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => (true, servers),
+                FaultKind::SpeedChange { .. } | FaultKind::Stall { .. } | FaultKind::DeviceLoss => {
+                    (false, n_devices)
+                }
+            };
+            if e.gpu >= have {
+                return Err(ConfigError::FaultTargetMissing {
+                    server_level,
+                    target: e.gpu,
+                    have,
+                });
+            }
         }
         Ok(())
     }
@@ -346,11 +367,22 @@ pub enum ConfigError {
     /// `sparse_merge` under [`MergeRule::Crossbow`]: the blend moves every
     /// parameter of every replica, so every row is dirty at every merge.
     SparseMergeUnderCrossbow,
+    /// A `fault_plan` event names a device — or, for
+    /// [`FaultKind::ServerLoss`] / [`FaultKind::InterNodeStall`], a server —
+    /// the fleet does not have.
+    FaultTargetMissing {
+        /// Whether `target` indexes servers rather than devices.
+        server_level: bool,
+        /// The index the event names.
+        target: usize,
+        /// How many devices (servers) the fleet has.
+        have: usize,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+        f.write_str(match *self {
             ConfigError::NoLimit => "set a time limit or a mega-batch limit",
             ConfigError::FaultPlanNeedsMegaBatchMerge => {
                 "fault injection requires merge-per-mega-batch"
@@ -360,6 +392,17 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::SparseMergeUnderCrossbow => {
                 "sparse_merge cannot run under MergeRule::Crossbow: the blend dirties every row"
+            }
+            ConfigError::FaultTargetMissing {
+                server_level,
+                target,
+                have,
+            } => {
+                let unit = if server_level { "server" } else { "gpu" };
+                return write!(
+                    f,
+                    "fault plan targets {unit} {target}; the fleet has {have}"
+                );
             }
         })
     }
@@ -383,7 +426,7 @@ impl Trainer {
     /// a [`ConfigError`] from [`RunConfig::validate`].
     pub fn new(spec: TrainerSpec, profiles: Vec<DeviceProfile>, config: RunConfig) -> Self {
         assert!(!profiles.is_empty(), "need at least one device");
-        if let Err(e) = config.validate(&spec) {
+        if let Err(e) = config.validate(&spec, profiles.len()) {
             panic!("{e}");
         }
         if let Some(cl) = &config.cluster {
@@ -1880,21 +1923,80 @@ mod tests {
         let mut cfg = quick_config();
         cfg.sparse_merge = true;
         assert_eq!(
-            cfg.validate(&algorithms::adaptive_sgd()),
+            cfg.validate(&algorithms::adaptive_sgd(), 2),
             Err(ConfigError::SparseMergeNeedsSampledSoftmax)
         );
         cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
         assert_eq!(
-            cfg.validate(&algorithms::crossbow_sma()),
+            cfg.validate(&algorithms::crossbow_sma(), 2),
             Err(ConfigError::SparseMergeUnderCrossbow)
         );
-        assert_eq!(cfg.validate(&algorithms::adaptive_sgd()), Ok(()));
+        assert_eq!(cfg.validate(&algorithms::adaptive_sgd(), 2), Ok(()));
         // `Trainer::new` refuses by the same name.
         let refused = std::panic::catch_unwind(|| {
             Trainer::new(algorithms::crossbow_sma(), heterogeneous_server(2), cfg)
         });
         let message = *refused.unwrap_err().downcast::<String>().unwrap();
         assert_eq!(message, ConfigError::SparseMergeUnderCrossbow.to_string());
+    }
+
+    /// A fault plan naming a device or server the fleet lacks is refused by
+    /// name at construction, for every fault kind — not an index panic
+    /// mid-run with the managers already spawned.
+    #[test]
+    fn fault_plans_naming_a_missing_target_are_refused_by_name() {
+        let missing = |server_level, target, have| ConfigError::FaultTargetMissing {
+            server_level,
+            target,
+            have,
+        };
+        let flat = quick_config();
+        let mut clustered = quick_config();
+        clustered.cluster = Some(ClusterConfig {
+            servers: 2,
+            devices_per_server: 1,
+            inter: InterNode::Ring,
+        });
+        let plan = FaultPlan::new;
+        for (base, plan, want) in [
+            (
+                &flat,
+                plan().speed_change(0, 1, 5, 0.5),
+                missing(false, 5, 2),
+            ),
+            (&flat, plan().stall(0, 1, 5, 0.1), missing(false, 5, 2)),
+            (&flat, plan().device_loss(0, 1, 2), missing(false, 2, 2)),
+            (&flat, plan().server_loss(0, 1, 1), missing(true, 1, 1)),
+            (
+                &flat,
+                plan().inter_node_stall(0, 1, 1, 0.1),
+                missing(true, 1, 1),
+            ),
+            (&clustered, plan().server_loss(0, 1, 2), missing(true, 2, 2)),
+            (
+                &clustered,
+                plan().inter_node_stall(0, 1, 2, 0.1),
+                missing(true, 2, 2),
+            ),
+        ] {
+            let mut cfg = base.clone();
+            cfg.fault_plan = Some(plan);
+            assert_eq!(cfg.validate(&algorithms::adaptive_sgd(), 2), Err(want));
+            let refused = std::panic::catch_unwind(|| {
+                Trainer::new(algorithms::adaptive_sgd(), heterogeneous_server(2), cfg)
+            });
+            let message = *refused.unwrap_err().downcast::<String>().unwrap();
+            assert_eq!(message, want.to_string());
+        }
+        // In range — the last device, the only server, and a merge OOM
+        // (which names no device) — is accepted.
+        let mut cfg = flat.clone();
+        cfg.fault_plan = Some(plan().stall(0, 1, 1, 0.1).server_loss(1, 0, 0).merge_oom(0));
+        assert_eq!(cfg.validate(&algorithms::adaptive_sgd(), 2), Ok(()));
+        assert_eq!(
+            missing(false, 5, 2).to_string(),
+            "fault plan targets gpu 5; the fleet has 2"
+        );
     }
 
     /// The sparse merge parks nothing model-sized per replica: after a whole

@@ -25,13 +25,11 @@
 //! * [`batching`] — seeded shuffled sample streams and mega-batch
 //!   accounting.
 
-pub mod analysis;
 pub mod batching;
 pub mod spec;
 pub mod statistics;
 pub mod synthetic;
 
-pub use analysis::{LabelProfile, NnzProfile};
 pub use batching::SampleStream;
 pub use spec::DatasetSpec;
 pub use statistics::DatasetStats;

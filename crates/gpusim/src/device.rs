@@ -184,11 +184,6 @@ impl Device {
         reclaimed
     }
 
-    /// Resets the virtual clock to zero (jitter state is preserved).
-    pub fn reset_clock(&mut self) {
-        self.clock = SimTime::ZERO;
-    }
-
     /// Changes the device's speed factor at runtime — models thermal
     /// throttling, DVFS state changes, or co-tenant interference. Takes
     /// effect for every subsequently charged kernel, **from the device's

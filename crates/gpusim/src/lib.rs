@@ -15,8 +15,6 @@
 //!   every kernel executed on it, perturbed by a *seeded* jitter process
 //!   (slow sinusoidal drift × per-kernel log-normal noise), so heterogeneity
 //!   is reproducible bit-for-bit;
-//! * [`stream`] — per-device execution streams with events, used by the
-//!   multi-stream all-reduce to model transfer/compute overlap;
 //! * [`fusion`] — kernel-launch accounting with and without kernel fusion,
 //!   including the CUDA-environment contention the paper observes when many
 //!   GPU managers launch kernels concurrently;
@@ -37,7 +35,6 @@ pub mod faults;
 pub mod fusion;
 pub mod memory;
 pub mod profile;
-pub mod stream;
 pub mod topology;
 pub mod trace;
 

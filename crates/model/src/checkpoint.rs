@@ -87,7 +87,19 @@ pub fn encode_with(model: &Mlp, precision: Precision) -> Bytes {
     buf.freeze()
 }
 
-/// Deserializes a model.
+/// Payload bytes a header's dimensions claim (`param_len` elements of
+/// `elem` bytes); `None` when the count does not fit in 64 bits.
+fn payload_bytes(features: u64, hidden: u64, classes: u64, elem: u64) -> Option<u64> {
+    features
+        .checked_mul(hidden)?
+        .checked_add(hidden)?
+        .checked_add(hidden.checked_mul(classes)?)?
+        .checked_add(classes)?
+        .checked_mul(elem)
+}
+
+/// Deserializes a model. Malformed input of any kind is an error, never a
+/// panic or an allocation sized by the header alone.
 pub fn decode(mut data: Bytes) -> Result<Mlp, CheckpointError> {
     if data.remaining() < 8 + 24 {
         return Err(CheckpointError::Truncated);
@@ -115,15 +127,20 @@ pub fn decode(mut data: Bytes) -> Result<Mlp, CheckpointError> {
     if data.remaining() < 24 {
         return Err(CheckpointError::Truncated);
     }
-    let config = MlpConfig {
-        num_features: data.get_u64_le() as usize,
-        hidden: data.get_u64_le() as usize,
-        num_classes: data.get_u64_le() as usize,
-    };
-    let n = config.param_len();
-    if data.remaining() < precision.bytes() * n {
+    // The dimensions are untrusted: size the payload in checked arithmetic
+    // and hold it against what is actually there before anything is
+    // allocated for it (`MlpConfig::param_len` would overflow first).
+    let (features, hidden, classes) = (data.get_u64_le(), data.get_u64_le(), data.get_u64_le());
+    let payload = payload_bytes(features, hidden, classes, precision.bytes() as u64);
+    if payload.is_none_or(|p| p > data.remaining() as u64) {
         return Err(CheckpointError::Truncated);
     }
+    let config = MlpConfig {
+        num_features: features as usize,
+        hidden: hidden as usize,
+        num_classes: classes as usize,
+    };
+    let n = config.param_len();
     let mut flat = Vec::with_capacity(n);
     match precision {
         Precision::F32 => {
@@ -204,6 +221,48 @@ mod tests {
         let raw = encode_with(&model, Precision::Bf16);
         let cut = raw.slice(0..raw.len() - 1);
         assert_eq!(decode(cut), Err(CheckpointError::Truncated));
+    }
+
+    /// A 64-byte input whose header claims dimensions that overflow
+    /// `param_len` (or merely dwarf the input) is truncated, not a panic.
+    #[test]
+    fn hostile_dimensions_are_truncated_not_a_panic() {
+        for (version, dims) in [
+            (VERSION, [1u64 << 40, 1 << 40, 1]),
+            (VERSION, [1, 1 << 40, 1 << 40]),
+            (VERSION, [u64::MAX, 1, 1]),
+            (VERSION, [1, 1, u64::MAX]),
+            (VERSION_PRECISION, [1 << 31, 1 << 31, 1 << 31]),
+            (VERSION, [1 << 20, 1 << 20, 0]),
+        ] {
+            let mut raw = MAGIC.to_vec();
+            raw.extend(version.to_le_bytes());
+            if version == VERSION_PRECISION {
+                raw.extend(1u32.to_le_bytes());
+            }
+            raw.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+            raw.resize(64, 0);
+            assert_eq!(
+                decode(Bytes::from(raw)),
+                Err(CheckpointError::Truncated),
+                "{dims:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_proper_prefix_is_an_error() {
+        let model = Mlp::init(&config(), 1);
+        for precision in [Precision::F32, Precision::Bf16] {
+            let raw = encode_with(&model, precision);
+            for cut in 0..raw.len() {
+                assert!(
+                    decode(raw.slice(0..cut)).is_err(),
+                    "{precision:?} cut {cut}"
+                );
+            }
+            assert!(decode(raw).is_ok());
+        }
     }
 
     #[test]

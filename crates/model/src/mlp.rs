@@ -344,24 +344,9 @@ impl Mlp {
         }
     }
 
-    /// Mutable access to one input-layer weight row (optimizers).
-    pub fn w1_row_mut(&mut self, feature: usize) -> &mut [f32] {
-        self.w1.row_mut(feature)
-    }
-
     /// The hidden bias.
     pub fn b1(&self) -> &[f32] {
         &self.b1
-    }
-
-    /// Mutable access to the hidden bias (optimizers).
-    pub fn b1_mut(&mut self) -> &mut [f32] {
-        &mut self.b1
-    }
-
-    /// Mutable access to the output bias (optimizers).
-    pub fn b2_mut(&mut self) -> &mut [f32] {
-        &mut self.b2
     }
 
     /// The output-layer bias.

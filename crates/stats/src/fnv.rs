@@ -1,6 +1,6 @@
 //! FNV-1a checksums for byte-exact determinism probes.
 //!
-//! Every determinism gate in the repo (the `*_probe` bins, the golden
+//! Every determinism gate in the repo (the `probe` scenarios, the golden
 //! integration tests, the CI byte-diff checks) fingerprints traces and model
 //! buffers with the same 64-bit FNV-1a hash. This module is the single
 //! definition; the constants follow Fowler–Noll–Vo exactly, so goldens are

@@ -48,13 +48,19 @@ impl Precision {
         }
     }
 
-    /// Reads `ASGD_PRECISION` (`f32` / `bf16`, case-insensitive), falling
-    /// back to `default` when unset or unrecognised.
+    /// Reads `ASGD_PRECISION` (see the [`std::str::FromStr`] impl for the
+    /// vocabulary); `default` when the variable is unset.
+    ///
+    /// # Panics
+    /// Panics when the variable is set to anything else — `fp16` must not
+    /// silently run the default tier.
     pub fn from_env_or(default: Precision) -> Precision {
-        match std::env::var("ASGD_PRECISION") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("bf16") => Precision::Bf16,
-            Ok(v) if v.trim().eq_ignore_ascii_case("f32") => Precision::F32,
-            _ => default,
+        match std::env::var_os("ASGD_PRECISION") {
+            Some(v) => v
+                .to_string_lossy()
+                .parse()
+                .unwrap_or_else(|e| panic!("{e}")),
+            None => default,
         }
     }
 
@@ -64,6 +70,23 @@ impl Precision {
             Precision::F32 => "f32",
             Precision::Bf16 => "bf16",
         }
+    }
+}
+
+/// The text of `ASGD_PRECISION`: `f32` or `bf16`, case-insensitive,
+/// surrounding whitespace ignored. The error names the variable and the text.
+impl std::str::FromStr for Precision {
+    type Err = String;
+
+    fn from_str(text: &str) -> Result<Self, String> {
+        [Precision::F32, Precision::Bf16]
+            .into_iter()
+            .find(|p| text.trim().eq_ignore_ascii_case(p.name()))
+            .ok_or_else(|| {
+                format!(
+                    "ASGD_PRECISION={text:?} is not a valid value for ASGD_PRECISION (f32 or bf16)"
+                )
+            })
     }
 }
 
@@ -739,11 +762,20 @@ mod tests {
 
     #[test]
     fn precision_env_parse() {
-        // Uses the _or fallback only (env mutation would race other tests).
+        // The parser on strings (env mutation would race other tests).
         assert_eq!(Precision::default(), Precision::F32);
         assert_eq!(Precision::F32.bytes(), 4);
         assert_eq!(Precision::Bf16.bytes(), 2);
         assert_eq!(Precision::Bf16.name(), "bf16");
+        assert_eq!("f32".parse(), Ok(Precision::F32));
+        assert_eq!(" BF16 ".parse(), Ok(Precision::Bf16));
+        for bad in ["fp16", "", "bf16x", "16"] {
+            let e = bad.parse::<Precision>().unwrap_err();
+            assert!(
+                e.contains("ASGD_PRECISION") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
     }
 
     proptest! {

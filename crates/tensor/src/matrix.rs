@@ -145,11 +145,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its backing vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Sets every element to `v`.
     pub fn fill(&mut self, v: f32) {
         self.data.fill(v);

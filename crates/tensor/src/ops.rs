@@ -344,20 +344,6 @@ pub fn weighted_sum(mats: &[&Matrix], weights: &[f64], out: &mut Matrix) {
 /// fork/join only pays off for model-sized buffers.
 const MIN_PAR_ELEMS: usize = 1 << 14;
 
-/// Adds `delta * (cur - prev)` into `out` — the momentum term of Algorithm 2.
-pub fn add_momentum(out: &mut Matrix, cur: &Matrix, prev: &Matrix, gamma: f32) {
-    assert_eq!(out.shape(), cur.shape(), "momentum shape mismatch");
-    assert_eq!(out.shape(), prev.shape(), "momentum shape mismatch");
-    for ((o, &c), &p) in out
-        .as_mut_slice()
-        .iter_mut()
-        .zip(cur.as_slice())
-        .zip(prev.as_slice())
-    {
-        *o += gamma * (c - p);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,15 +540,6 @@ mod tests {
         let mut out = Matrix::zeros(1, 2);
         weighted_sum(&[&a, &b], &[0.25, 0.75], &mut out);
         assert_eq!(out.as_slice(), &[2.5, 3.5]);
-    }
-
-    #[test]
-    fn momentum_term() {
-        let cur = Matrix::from_vec(1, 2, vec![2.0, 2.0]);
-        let prev = Matrix::from_vec(1, 2, vec![1.0, 3.0]);
-        let mut out = Matrix::from_vec(1, 2, vec![10.0, 10.0]);
-        add_momentum(&mut out, &cur, &prev, 0.9);
-        assert_eq!(out.as_slice(), &[10.9, 9.1]);
     }
 
     #[test]

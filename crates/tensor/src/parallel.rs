@@ -13,16 +13,17 @@
 //! count, including 1.
 //!
 //! The thread count is resolved once per process: the `ASGD_THREADS`
-//! environment variable wins, otherwise `std::thread::available_parallelism`.
+//! environment variable wins (set but not a positive integer is a hard
+//! error), otherwise `std::thread::available_parallelism`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Row counts below this stay serial — the fork/join (a lock and a condvar
 /// notify per call) costs more than the work. One named threshold shared by
-/// every row-parallel kernel (dense GEMM, sparse SpMM, softmax); see the
-/// `min_par_rows` sweep in the kernel bench for the measurement behind the
-/// value.
+/// every row-parallel kernel (dense GEMM, sparse SpMM, softmax). The value
+/// was swept when the tiled kernels landed (EXPERIMENTS.md, "Kernel layer"):
+/// below ~16 rows the pool wake-ups cost more than the split recovers.
 pub const MIN_PAR_ROWS: usize = 16;
 
 static THREADS: OnceLock<usize> = OnceLock::new();
@@ -31,26 +32,36 @@ static THREADS: OnceLock<usize> = OnceLock::new();
 /// `0` means "no override".
 static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
+/// Parses the text of `ASGD_THREADS`: a positive integer. Anything else is
+/// an error naming the variable and the text — a typo must not silently run
+/// on every core (two gate rows meant to differ in thread count would then
+/// compare default against default and pass vacuously).
+pub fn parse_threads(text: &str) -> Result<usize, String> {
+    match text.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "ASGD_THREADS={text:?} is not a valid value for ASGD_THREADS (a positive integer)"
+        )),
+    }
+}
+
 /// The number of worker threads kernels will fork.
 ///
-/// Resolved once from `ASGD_THREADS` (if set to a positive integer) or the
-/// machine's available parallelism; at least 1.
+/// Resolved once from `ASGD_THREADS` when it is set, else the machine's
+/// available parallelism; at least 1.
+///
+/// # Panics
+/// Panics when `ASGD_THREADS` is set to anything [`parse_threads`] rejects.
 pub fn num_threads() -> usize {
     let forced = THREADS_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
     }
-    *THREADS.get_or_init(|| {
-        if let Ok(v) = std::env::var("ASGD_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n >= 1 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism()
+    *THREADS.get_or_init(|| match std::env::var_os("ASGD_THREADS") {
+        Some(v) => parse_threads(&v.to_string_lossy()).unwrap_or_else(|e| panic!("{e}")),
+        None => std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1)
+            .unwrap_or(1),
     })
 }
 
@@ -169,16 +180,6 @@ pub fn par_weighted_axpy(a: f32, src: &[f32], dst: &mut [f32], min_serial: usize
         let src_part = &src[first..first + chunk.len()];
         for (d, &s) in chunk.iter_mut().zip(src_part) {
             *d += a * s;
-        }
-    });
-}
-
-/// `buf[i] *= a` over the worker pool — the merge-weight pre-scale of the
-/// collective algorithms. Element-wise, bit-identical for any thread count.
-pub fn par_scale(a: f32, buf: &mut [f32], min_serial: usize) {
-    par_chunks_mut(buf, buf.len(), 1, min_serial, |_, chunk| {
-        for v in chunk.iter_mut() {
-            *v *= a;
         }
     });
 }
@@ -417,13 +418,22 @@ mod tests {
     }
 
     #[test]
-    fn par_scale_and_copy_match_serial() {
-        let src: Vec<f32> = (0..3000).map(|i| i as f32 * 0.25 - 100.0).collect();
-        let mut a = src.clone();
-        let mut b = src.clone();
-        par_scale(1.7, &mut a, 1);
-        par_scale(1.7, &mut b, usize::MAX);
-        assert_eq!(a, b);
+    fn parse_threads_takes_positive_integers_only() {
+        assert_eq!(parse_threads("1"), Ok(1));
+        assert_eq!(parse_threads(" 8 "), Ok(8));
+        assert_eq!(parse_threads("512"), Ok(512));
+        for bad in ["8x", "0", "", "-1", "four", "1.5"] {
+            let e = parse_threads(bad).unwrap_err();
+            assert!(
+                e.contains("ASGD_THREADS") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_copy_matches_serial() {
+        let a: Vec<f32> = (0..3000).map(|i| i as f32 * 0.25 - 100.0).collect();
         let mut dst_par = vec![0.0f32; 3000];
         let mut dst_ser = vec![0.0f32; 3000];
         par_copy(&a, &mut dst_par, 1);

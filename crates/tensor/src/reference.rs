@@ -1,20 +1,12 @@
-//! Reference GEMM implementations: perf baselines and the executable spec.
+//! Reference GEMM implementations: the executable spec, on no hot path.
 //!
-//! Two families live here, neither on any hot path:
-//!
-//! * `*_scalar` — the pre-blocking scalar kernels (the exact inner loops and
-//!   epilogues this workspace shipped before the register-tiled micro-kernels
-//!   of [`crate::kernels`]), kept under the same `par_chunks_mut` row split.
-//!   They are the honest "before" rows of the kernel benchmarks: comparing
-//!   against them isolates the inner-kernel change from the threading model.
-//! * `*_ordered` — a naive, serial, line-by-line transcription of the
-//!   lane-width-8 reduction contract documented in [`crate::kernels`]. The
-//!   proptests assert the tiled kernels match these **bit for bit**
-//!   (`f32::to_bits`) on every tile/remainder path: the references are the
-//!   spec, the tiled kernels are the implementation.
+//! `*_ordered` is a naive, serial, line-by-line transcription of the
+//! lane-width-8 reduction contract documented in [`crate::kernels`]. The
+//! proptests assert the tiled kernels match these **bit for bit**
+//! (`f32::to_bits`) on every tile/remainder path: the references are the
+//! spec, the tiled kernels are the implementation.
 
 use crate::kernels::{fused, LANES};
-use crate::parallel::{par_chunks_mut, MIN_PAR_ROWS};
 use crate::Matrix;
 
 /// The unified epilogue of the contract, transcribed independently of
@@ -163,143 +155,9 @@ pub fn gemm_nn_gather_ordered(
     }
 }
 
-/// The pre-blocking scalar NN kernel: `i-k-j` loop, zero-skip on `a`, beta
-/// pre-scale of the output row. Benchmark baseline only.
-pub fn gemm_scalar(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "gemm_scalar inner dimension mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    par_chunks_mut(c.as_mut_slice(), m, n, MIN_PAR_ROWS, |first_row, chunk| {
-        for (i, crow) in chunk.chunks_mut(n).enumerate() {
-            let ai = first_row + i;
-            if beta == 0.0 {
-                crow.fill(0.0);
-            } else if beta != 1.0 {
-                for x in crow.iter_mut() {
-                    *x *= beta;
-                }
-            }
-            let arow = &a_data[ai * k..(ai + 1) * k];
-            for (kk, &aik) in arow.iter().enumerate() {
-                if aik == 0.0 {
-                    continue;
-                }
-                let s = alpha * aik;
-                let brow = &b_data[kk * n..(kk + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += s * bv;
-                }
-            }
-        }
-    });
-}
-
-/// The pre-blocking scalar NT kernel: serial dot per element, per-element
-/// `beta * c`. Benchmark baseline only.
-pub fn gemm_nt_scalar(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    assert_eq!(
-        a.cols(),
-        b.cols(),
-        "gemm_nt_scalar inner dimension mismatch"
-    );
-    let (m, k) = a.shape();
-    let n = b.rows();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    par_chunks_mut(c.as_mut_slice(), m, n, MIN_PAR_ROWS, |first_row, chunk| {
-        for (i, crow) in chunk.chunks_mut(n).enumerate() {
-            let ai = first_row + i;
-            let arow = &a_data[ai * k..(ai + 1) * k];
-            for (j, cv) in crow.iter_mut().enumerate() {
-                let brow = &b_data[j * k..(j + 1) * k];
-                let mut dot = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow) {
-                    dot += av * bv;
-                }
-                *cv = alpha * dot + if beta == 0.0 { 0.0 } else { beta * *cv };
-            }
-        }
-    });
-}
-
-/// The pre-blocking scalar TN kernel: `kk`-outer streaming with zero-skip
-/// and chunk-level beta pre-scale. Benchmark baseline only.
-pub fn gemm_tn_scalar(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    assert_eq!(
-        a.rows(),
-        b.rows(),
-        "gemm_tn_scalar inner dimension mismatch"
-    );
-    let (k, m) = a.shape();
-    let n = b.cols();
-    let a_data = a.as_slice();
-    let b_data = b.as_slice();
-    par_chunks_mut(c.as_mut_slice(), m, n, MIN_PAR_ROWS, |first_row, chunk| {
-        let rows_here = chunk.len() / n;
-        if beta == 0.0 {
-            chunk.fill(0.0);
-        } else if beta != 1.0 {
-            for x in chunk.iter_mut() {
-                *x *= beta;
-            }
-        }
-        for kk in 0..k {
-            let brow = &b_data[kk * n..(kk + 1) * n];
-            let arow = &a_data[kk * m..(kk + 1) * m];
-            for i in 0..rows_here {
-                let aik = arow[first_row + i];
-                if aik == 0.0 {
-                    continue;
-                }
-                let s = alpha * aik;
-                let crow = &mut chunk[i * n..(i + 1) * n];
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += s * bv;
-                }
-            }
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn test_mat(rows: usize, cols: usize, seed: usize) -> Matrix {
-        Matrix::from_fn(rows, cols, |r, c| {
-            ((r * 31 + c * 17 + seed) % 13) as f32 / 7.0 - 0.9
-        })
-    }
-
-    #[test]
-    fn scalar_baselines_agree_with_specs_numerically() {
-        // Scalar baselines use different association orders than the specs,
-        // so equality here is approximate — they compute the same product.
-        let a = test_mat(10, 17, 1);
-        let b = test_mat(17, 23, 2);
-        let mut s = Matrix::zeros(10, 23);
-        gemm_scalar(1.0, &a, &b, 0.0, &mut s);
-        let mut o = Matrix::zeros(10, 23);
-        gemm_ordered(1.0, &a, &b, 0.0, &mut o);
-        assert!(s.max_abs_diff(&o) < 1e-4);
-
-        let bt = test_mat(23, 17, 3);
-        let mut snt = Matrix::zeros(10, 23);
-        gemm_nt_scalar(1.0, &a, &bt, 0.0, &mut snt);
-        let mut ont = Matrix::zeros(10, 23);
-        gemm_nt_ordered(1.0, &a, &bt, 0.0, &mut ont);
-        assert!(snt.max_abs_diff(&ont) < 1e-4);
-
-        let at = test_mat(17, 10, 4);
-        let bn = test_mat(17, 23, 5);
-        let mut stn = Matrix::zeros(10, 23);
-        gemm_tn_scalar(1.0, &at, &bn, 0.0, &mut stn);
-        let mut otn = Matrix::zeros(10, 23);
-        gemm_tn_ordered(1.0, &at, &bn, 0.0, &mut otn);
-        assert!(stn.max_abs_diff(&otn) < 1e-4);
-    }
 
     #[test]
     fn dot_spec_round_robin_assignment() {

@@ -90,9 +90,10 @@ COMMANDS:
              --scale <f64> (default 0.004)  --reps <n> (default 200)
 
 ENVIRONMENT:
-  ASGD_THREADS     worker-pool size (default: CPU count); output is
-                   bit-identical for any value
-  ASGD_PRECISION   f32|bf16 model/merge storage for train (default f32)"
+  ASGD_THREADS     worker-pool size, a positive integer (default: CPU
+                   count); output is bit-identical for any value
+  ASGD_PRECISION   f32|bf16 model/merge storage for train (default f32)
+                   (either one set to anything else aborts the run)"
     );
 }
 

@@ -92,7 +92,7 @@ fn cluster_fixed_seed_run_matches_checked_in_checksums() {
 
 #[test]
 fn cluster_golden_run_is_thread_invariant() {
-    // The in-process twin of ci.sh's 64×4 `cluster_probe` gate: the worker
+    // The in-process twin of ci.sh's 64×4 `probe cluster` gate: the worker
     // pool size must never leak into a clustered run, however the intra-node
     // and inter-node phases interleave on the host.
     adaptive_sgd::tensor::parallel::override_threads(1);
