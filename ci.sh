@@ -12,6 +12,21 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== unsafe invariants: crates/tensor/src/{pool,parallel,kernels}.rs =="
+# Every `unsafe` in the three files that hold the pool, the raw-pointer
+# carves and the SIMD leaves states what keeps it sound: a `// SAFETY:`
+# comment or a `# Safety` doc section within the six lines above it.
+awk '
+    FNR == 1 { marked = -99 }
+    /SAFETY|# Safety/ { marked = FNR }
+    /^[[:space:]]*\/\// { next }
+    /(^|[^[:alnum:]_])unsafe([^[:alnum:]_]|$)/ && FNR - marked > 6 {
+        printf "%s:%d: unsafe with no SAFETY comment in the six lines above\n", FILENAME, FNR
+        bad = 1
+    }
+    END { exit bad }
+' crates/tensor/src/pool.rs crates/tensor/src/parallel.rs crates/tensor/src/kernels.rs
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -19,6 +34,18 @@ cargo test -q
 if [[ "${1:-}" != "quick" ]]; then
     echo "== workspace tests =="
     cargo test --workspace -q
+
+    echo "== worker pool: concurrent submitters, debug and release, 2 and 8 threads =="
+    # The pool takes jobs from any number of threads at once; its tests
+    # (overlap, panic isolation, wake-ups, 8 submitters x 2,000 jobs) run
+    # with and without optimization — the interleavings differ — at a
+    # process default of as many and of more threads than this host has
+    # cores. The 64x4 `cluster` gate row below (256 manager threads on one
+    # pool) is the standing stress at 1 and 8.
+    for t in 2 8; do
+        ASGD_THREADS="$t" cargo test -q -p asgd-tensor --lib -- pool:: parallel::
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor --lib -- pool:: parallel::
+    done
 
     echo "== benchmark harness: builds against crates/*, quick suite is correct =="
     # benchmarks/e2e is a cargo workspace of its own that compiles against

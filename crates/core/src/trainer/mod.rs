@@ -410,6 +410,56 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+/// A [`TrainingState`] that does not fit the trainer and dataset it is to
+/// resume on. `have` is what the state holds, `want` what the run needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeError {
+    /// `state.global` is not one flat model of the run's architecture.
+    Architecture {
+        /// Parameters in the checkpointed model.
+        have: usize,
+        /// Parameters of the dataset's feature × hidden × label shape.
+        want: usize,
+    },
+    /// `state.hypers` was written by a fleet of another size.
+    GpuCount {
+        /// Per-GPU hyperparameter records in the checkpoint.
+        have: usize,
+        /// Devices this trainer drives.
+        want: usize,
+    },
+    /// `state.prev_global` (the momentum memory) is not as long as the model.
+    MomentumLength {
+        /// Elements in the checkpointed momentum memory.
+        have: usize,
+        /// Parameters of the model it must pair with.
+        want: usize,
+    },
+}
+
+impl std::fmt::Display for ResumeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ResumeError::Architecture { have, want } => write!(
+                f,
+                "checkpoint does not match the model architecture: \
+                 it holds {have} parameters, the run needs {want}"
+            ),
+            ResumeError::GpuCount { have, want } => write!(
+                f,
+                "checkpoint does not match the GPU count: \
+                 written by {have} GPUs, the run has {want}"
+            ),
+            ResumeError::MomentumLength { have, want } => write!(
+                f,
+                "checkpoint momentum memory holds {have} elements, its model {want}"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ResumeError {}
+
 /// The training engine: couples a [`TrainerSpec`] with a simulated server.
 #[derive(Debug, Clone)]
 pub struct Trainer {
@@ -448,6 +498,15 @@ impl Trainer {
         &self.spec
     }
 
+    /// The architecture this trainer builds for `dataset`.
+    fn mlp_config(&self, dataset: &XmlDataset) -> MlpConfig {
+        MlpConfig {
+            num_features: dataset.num_features,
+            hidden: self.config.hidden,
+            num_classes: dataset.num_labels,
+        }
+    }
+
     /// Trains on `dataset` until a limit is hit; returns the full record.
     pub fn run(&self, dataset: &XmlDataset) -> RunResult {
         self.run_with_state(dataset, None)
@@ -458,8 +517,36 @@ impl Trainer {
     /// the snapshot left off; merge indices continue from
     /// `state.megas_done`. Device clocks restart at zero (a resumed run
     /// continues the *optimization*, not the timing trace).
-    pub fn run_resumed(&self, dataset: &XmlDataset, state: &TrainingState) -> RunResult {
-        self.run_with_state(dataset, Some(state))
+    ///
+    /// # Errors
+    /// A [`ResumeError`] when the state was written for another
+    /// architecture or fleet size, or is inconsistent in itself — decided
+    /// before any thread is started.
+    pub fn run_resumed(
+        &self,
+        dataset: &XmlDataset,
+        state: &TrainingState,
+    ) -> Result<RunResult, ResumeError> {
+        let want = self.mlp_config(dataset).param_len();
+        if state.global.len() != want {
+            return Err(ResumeError::Architecture {
+                have: state.global.len(),
+                want,
+            });
+        }
+        if state.hypers.len() != self.profiles.len() {
+            return Err(ResumeError::GpuCount {
+                have: state.hypers.len(),
+                want: self.profiles.len(),
+            });
+        }
+        if state.prev_global.len() != want {
+            return Err(ResumeError::MomentumLength {
+                have: state.prev_global.len(),
+                want,
+            });
+        }
+        Ok(self.run_with_state(dataset, Some(state)))
     }
 
     fn run_with_state(&self, dataset: &XmlDataset, resume: Option<&TrainingState>) -> RunResult {
@@ -497,27 +584,14 @@ impl Trainer {
     ) -> SchedulerState<'a> {
         let n = self.profiles.len();
         let cfg = &self.config;
-        let mconfig = MlpConfig {
-            num_features: dataset.num_features,
-            hidden: cfg.hidden,
-            num_classes: dataset.num_labels,
-        };
+        let mconfig = self.mlp_config(dataset);
         let mut init_model = Mlp::init(&mconfig, cfg.seed);
         let mut start_index = 0usize;
         let mut hypers: Vec<GpuHyper> = (0..n)
             .map(|_| GpuHyper::initial(cfg.b_max, cfg.base_lr))
             .collect();
         if let Some(state) = resume {
-            assert_eq!(
-                state.global.len(),
-                mconfig.param_len(),
-                "checkpoint does not match the model architecture"
-            );
-            assert_eq!(
-                state.hypers.len(),
-                n,
-                "checkpoint does not match the GPU count"
-            );
+            // Shapes were checked by `run_resumed`.
             init_model.load_flat(&state.global);
             hypers = state.hypers.clone();
             start_index = state.megas_done as usize;

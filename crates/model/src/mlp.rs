@@ -1580,6 +1580,68 @@ mod tests {
     }
 
     #[test]
+    fn predict_topk_is_independent_of_batch_composition() {
+        // The streaming kernel scores blocks of 16–32 rows panel by panel
+        // and what is left of a batch below 16 rows with a strided walk in
+        // groups of 4; a row's ids must not show which one scored it, nor
+        // where in a block or group it sat. Two columns of `W₂` on either
+        // side of the first panel boundary (of a lane boundary at 15
+        // classes) are exact duplicates with the highest bias: every row's
+        // top two, lower id first. With `nan`, class 3 has a NaN logit in
+        // every row — at k = 1 a rejected candidate, at larger k an entry
+        // that blocks the list behind it; either way the same list whatever
+        // the batch.
+        let rows = 300;
+        for (classes, nan) in [15usize, 257, 6701]
+            .into_iter()
+            .flat_map(|c| [(c, false), (c, true)])
+        {
+            let config = MlpConfig {
+                num_features: 40,
+                hidden: 8,
+                num_classes: classes,
+            };
+            let mut m = Mlp::init(&config, 61);
+            let (lo, hi) = if classes > 256 { (255, 256) } else { (7, 8) };
+            for r in 0..config.hidden {
+                let v = m.w2.at(r, lo);
+                m.w2.set(r, hi, v);
+            }
+            m.b2[lo] = 50.0;
+            m.b2[hi] = 50.0;
+            if nan {
+                m.b2[3] = f32::NAN;
+            }
+            let (x, _) = wide_batch(&config, rows, 23);
+            for k in [1usize, 5, 32] {
+                let k_eff = k.min(classes);
+                let whole = m.predict_topk(&x, k);
+                assert_eq!(whole.len(), rows * k_eff);
+                for ids in whole.chunks(k_eff).filter(|_| !nan) {
+                    assert_eq!(ids[0], lo as u32, "tie must resolve to the lower id");
+                    if k_eff > 1 {
+                        assert_eq!(ids[1], hi as u32);
+                    }
+                }
+                let mut ws = Workspace::new(&config);
+                let mut out = Vec::new();
+                for batch in [1usize, 4, 5, 15, 16, 31, 32, 33] {
+                    let mut pieced = Vec::with_capacity(whole.len());
+                    for start in (0..rows).step_by(batch) {
+                        let ids: Vec<usize> = (start..(start + batch).min(rows)).collect();
+                        m.predict_topk_ws(&x.select_rows(&ids), k, &mut ws, &mut out);
+                        pieced.extend_from_slice(&out);
+                    }
+                    assert_eq!(
+                        pieced, whole,
+                        "classes {classes} nan {nan} k {k} batches of {batch}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn predict_topk_bit_identical_across_thread_counts() {
         let config = MlpConfig {
             num_features: 80,

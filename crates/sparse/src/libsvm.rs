@@ -75,6 +75,9 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// Samples the reader reserves room for on the header's word alone.
+const MAX_RESERVED_SAMPLES: usize = 1 << 16;
+
 /// Reads an XC-format dataset from a buffered reader.
 ///
 /// Streaming, single pass: one reusable line buffer, each sample appended
@@ -86,6 +89,11 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
 /// (Amazon-670k, Delicious-200k — tens of millions of non-zeros) load
 /// without a multiple-of-dataset-size allocation spike. [`read_file`] wraps
 /// this in a wide-buffered file reader for the chunked on-disk path.
+///
+/// Untrusted input: whatever the bytes, the result is `Ok` or a
+/// [`ParseError`] naming the line — a header whose sample count is absurd
+/// costs nothing up front, feature/label counts beyond the `u32` id space
+/// and non-finite values are refused.
 pub fn read<R: BufRead>(mut reader: R) -> Result<LibsvmDataset, ParseError> {
     let mut line = String::new();
     if reader
@@ -109,11 +117,25 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<LibsvmDataset, ParseError> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| err(1, "bad label count"))?;
 
-    let mut indptr: Vec<usize> = Vec::with_capacity(n + 1);
+    // Column and label ids are stored as `u32`; a count beyond that index
+    // space would let an id pass its `< count` check and then truncate.
+    for (count, what) in [(d, "feature"), (l, "label")] {
+        if u32::try_from(count).is_err() {
+            return Err(err(
+                1,
+                format!("{what} count {count} exceeds the u32 index space"),
+            ));
+        }
+    }
+
+    // The header is a claim, not a fact: reserve for what a small file could
+    // hold and let the vectors grow as lines actually arrive.
+    let reserve = n.min(MAX_RESERVED_SAMPLES);
+    let mut indptr: Vec<usize> = Vec::with_capacity(reserve + 1);
     indptr.push(0);
     let mut indices: Vec<u32> = Vec::new();
     let mut values: Vec<f32> = Vec::new();
-    let mut labels: Vec<Vec<u32>> = Vec::with_capacity(n);
+    let mut labels: Vec<Vec<u32>> = Vec::with_capacity(reserve);
     let mut row_scratch: Vec<(u32, f32)> = Vec::new();
     let mut lineno = 1usize;
     while labels.len() < n {
@@ -163,6 +185,9 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<LibsvmDataset, ParseError> {
                 .map_err(|_| err(lineno, format!("bad feature value '{v}'")))?;
             if f >= d {
                 return Err(err(lineno, format!("feature {f} >= feature count {d}")));
+            }
+            if !v.is_finite() {
+                return Err(err(lineno, format!("non-finite feature value '{tok}'")));
             }
             row_scratch.push((f as u32, v));
         }
@@ -283,6 +308,64 @@ mod tests {
     fn rejects_malformed_feature_token() {
         let e = read(BufReader::new("1 3 2\n0 nonsense\n".as_bytes())).unwrap_err();
         assert!(e.message.contains("bad feature token"));
+    }
+
+    #[test]
+    fn hostile_sample_counts_cost_nothing_up_front() {
+        // 2^62 and usize::MAX samples claimed, one line present: the reader
+        // must get as far as noticing the file is short.
+        for n in ["4611686018427387904", "18446744073709551615"] {
+            let text = format!("{n} 3 3\n0 1:1\n");
+            let e = read(BufReader::new(text.as_bytes())).unwrap_err();
+            assert!(e.message.contains("samples, found 1"), "{e}");
+        }
+    }
+
+    #[test]
+    fn counts_beyond_the_u32_index_space_are_rejected() {
+        // Feature 2^32 would pass `f < d` and be stored as column 0.
+        let e = read(BufReader::new(
+            "1 4294967297 3\n0 4294967296:1\n".as_bytes(),
+        ))
+        .unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("feature count 4294967297"), "{e}");
+        let e = read(BufReader::new("1 3 4294967297\n0 1:1\n".as_bytes())).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("label count 4294967297"), "{e}");
+        // The largest counts that still index as u32 are fine.
+        let ds = read(BufReader::new(
+            "1 4294967295 4294967295\n4294967294 4294967294:1\n".as_bytes(),
+        ))
+        .unwrap();
+        assert_eq!(ds.features.row(0).0, &[u32::MAX - 1]);
+        assert_eq!(ds.labels[0], vec![u32::MAX - 1]);
+    }
+
+    #[test]
+    fn non_finite_values_are_rejected() {
+        for tok in ["1:nan", "2:inf", "0:-inf", "1:NaN", "2:infinity", "1:1e39"] {
+            let text = format!("2 3 2\n0 0:1\n1 {tok}\n");
+            let e = read(BufReader::new(text.as_bytes())).unwrap_err();
+            assert_eq!(e.line, 3, "{tok}");
+            assert!(e.message.contains("non-finite"), "{tok}: {e}");
+        }
+    }
+
+    #[test]
+    fn every_prefix_of_a_valid_file_is_ok_or_an_error() {
+        let text = "3 7 3\n0 6:1 2:4 2:1 0:0\n1,2 3:2.5e-1\n 5:9 5:-9 1:1\n";
+        assert_eq!(read(BufReader::new(text.as_bytes())).unwrap().len(), 3);
+        // Any panic fails the test; the outcomes themselves only need to be
+        // well-formed. A cut at a token boundary of the last line is a valid
+        // (shorter) third sample, every other cut an error.
+        let last_line = text.trim_end().rfind('\n').unwrap() + 1;
+        for cut in 0..text.len() {
+            match read(BufReader::new(&text.as_bytes()[..cut])) {
+                Ok(ds) => assert!(cut >= last_line && ds.len() == 3, "cut {cut}"),
+                Err(e) => assert!(e.line <= 4, "cut {cut}: {e}"),
+            }
+        }
     }
 
     #[test]

@@ -76,12 +76,37 @@
 #![allow(clippy::too_many_arguments)]
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
     /// Per-thread scratch for packed `B` panels ([`with_b_panel`]). Grows to
-    /// `k × NB` floats on first use and is then reused — the training hot
-    /// path stays allocation-free after warmup.
+    /// `k × NB` floats (plus [`PANEL_ALIGN`] of slack) on first use and is
+    /// then reused — the training hot path stays allocation-free after
+    /// warmup.
     static PANEL_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Byte alignment of every packed panel: one cache line. The allocator only
+/// promises 16, and *which* 16 a thread's scratch lands on depends on the
+/// malloc arena it was handed — a lottery every short-lived thread (a serving
+/// worker lives for one `serve` call) draws again. The panel kernels' 32-byte
+/// loads split a cache line at every other step when the base is 16 or 48
+/// mod 64; measured on the packed top-k path that is 6–13 % of its time,
+/// differing from thread to thread and run to run (EXPERIMENTS.md). Starting
+/// the panel on a line takes the draw out.
+const PANEL_ALIGN: usize = 64;
+
+/// Empties `buf`, reserves `len` floats behind the first [`PANEL_ALIGN`]
+/// boundary of its storage and pads up to that boundary. Returns the pad
+/// length: the panel is `buf[pad..]` once `len` floats have been appended,
+/// which the reservation guarantees happens without moving the storage.
+#[inline(always)]
+fn pad_to_panel_align(buf: &mut Vec<f32>, len: usize) -> usize {
+    buf.clear();
+    buf.reserve(len + PANEL_ALIGN / 4);
+    let pad = (buf.as_ptr() as usize).wrapping_neg() % PANEL_ALIGN / 4;
+    buf.resize(pad, 0.0);
+    pad
 }
 
 /// Runs `f` on the `w`-wide `B` panel at column `j0`, packed contiguously
@@ -109,12 +134,11 @@ fn with_b_panel<R>(
     }
     PANEL_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
-        buf.clear();
-        buf.reserve(k * w);
+        let pad = pad_to_panel_align(&mut buf, k * w);
         for kk in 0..k {
             buf.extend_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
         }
-        f(&buf)
+        f(&buf[pad..])
     })
 }
 
@@ -136,13 +160,12 @@ fn with_gathered_b_panel<R>(
 ) -> R {
     PANEL_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
-        buf.clear();
-        buf.reserve(idx.len() * w);
+        let pad = pad_to_panel_align(&mut buf, idx.len() * w);
         for &row in idx {
             let base = row as usize * n + j0;
             buf.extend_from_slice(&b[base..base + w]);
         }
-        f(&buf)
+        f(&buf[pad..])
     })
 }
 
@@ -269,11 +292,26 @@ pub fn axpy_lanes(s: f32, src: &[f32], dst: &mut [f32]) {
 /// the k-loop runs with **zero** accumulator memory traffic.
 const NR: usize = 16;
 
+/// Set by [`force_portable`]: [`avx2_available`] answers "no".
+static PORTABLE_ONLY: AtomicBool = AtomicBool::new(false);
+
+/// In-process override of the AVX2+FMA detection: while `on`, every kernel
+/// dispatch in this module takes its portable twin. Test-only, like
+/// [`crate::parallel::override_threads`] — lets one process run the
+/// `#[target_feature]` leaves and their twins on the same inputs and compare
+/// bits, on the one host CI has.
+#[doc(hidden)]
+pub fn force_portable(on: bool) {
+    PORTABLE_ONLY.store(on, Ordering::Relaxed);
+}
+
 /// Cached runtime AVX2+FMA check (atomic loads after the first call).
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    !PORTABLE_ONLY.load(Ordering::Relaxed)
+        && std::arch::is_x86_feature_detected!("avx2")
+        && std::arch::is_x86_feature_detected!("fma")
 }
 
 /// The contract's fused multiply-add, guaranteed correctly rounded on every
@@ -475,9 +513,8 @@ unsafe fn nn_tail_avx2<const M: usize>(
 
 /// One strided NN panel (panel row `kk` at
 /// `b[kk * n + j0]`). Bit-identical per element — only the operand address
-/// differs. Used by the streaming top-k path, whose per-row selection state
-/// must persist across panels and therefore keeps rows as the outer loop
-/// (packing per row group would re-copy `B` with no reuse).
+/// differs. Used by the streaming top-k path for the `MR`-row groups of
+/// blocks too short to pack for ([`TOPK_PACK_MIN_ROWS`]).
 #[inline(always)]
 fn nn_panel_strided<const M: usize>(
     a_rows: &[&[f32]; M],
@@ -560,6 +597,36 @@ fn nn_rows_panel<const M: usize>(
     }
 }
 
+/// Every row of a chunk × one packed panel: [`nn_rows_panel`] over the
+/// chunk's `MR`-row groups, the last of which may hold 1–3 rows. `out` holds
+/// the chunk's full output rows at stride `n`.
+#[inline(always)]
+fn nn_chunk_panel(
+    a: &[f32],
+    k: usize,
+    bp: &[f32],
+    n: usize,
+    j0: usize,
+    w: usize,
+    first_row: usize,
+    out: &mut [f32],
+    ep: Epilogue,
+) {
+    let rows = out.len() / n;
+    let mut i = 0;
+    while i < rows {
+        let block = &mut out[i * n..];
+        let first = first_row + i;
+        match rows - i {
+            1 => nn_rows_panel::<1>(a, k, bp, n, j0, w, first, &mut block[..n], ep),
+            2 => nn_rows_panel::<2>(a, k, bp, n, j0, w, first, &mut block[..2 * n], ep),
+            3 => nn_rows_panel::<3>(a, k, bp, n, j0, w, first, &mut block[..3 * n], ep),
+            _ => nn_rows_panel::<MR>(a, k, bp, n, j0, w, first, &mut block[..MR * n], ep),
+        }
+        i += (rows - i).min(MR);
+    }
+}
+
 /// NN GEMM body over one contiguous row chunk of `C` (as partitioned by
 /// `par_chunks_mut`): `C[i] = epilogue(Σ_k A[i][k]·B[k][·])` for the rows in
 /// `chunk`. Panels are the outer loop so each packed `B` panel is reused by
@@ -578,23 +645,11 @@ pub fn gemm_nn_chunk(
     ep: Epilogue,
 ) {
     debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    let rows = chunk.len() / n;
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NB);
         with_b_panel(b, n, k, j0, w, |bp| {
-            let mut i = 0;
-            while i < rows {
-                let block = &mut chunk[i * n..];
-                let first = first_row + i;
-                match rows - i {
-                    1 => nn_rows_panel::<1>(a, k, bp, n, j0, w, first, &mut block[..n], ep),
-                    2 => nn_rows_panel::<2>(a, k, bp, n, j0, w, first, &mut block[..2 * n], ep),
-                    3 => nn_rows_panel::<3>(a, k, bp, n, j0, w, first, &mut block[..3 * n], ep),
-                    _ => nn_rows_panel::<MR>(a, k, bp, n, j0, w, first, &mut block[..MR * n], ep),
-                }
-                i += (rows - i).min(MR);
-            }
+            nn_chunk_panel(a, k, bp, n, j0, w, first_row, chunk, ep)
         });
         j0 += w;
     }
@@ -619,23 +674,11 @@ pub fn gemm_nn_gather_chunk(
 ) {
     debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
     let k = idx.len();
-    let rows = chunk.len() / n;
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NB);
         with_gathered_b_panel(b, n, idx, j0, w, |bp| {
-            let mut i = 0;
-            while i < rows {
-                let block = &mut chunk[i * n..];
-                let first = first_row + i;
-                match rows - i {
-                    1 => nn_rows_panel::<1>(a, k, bp, n, j0, w, first, &mut block[..n], ep),
-                    2 => nn_rows_panel::<2>(a, k, bp, n, j0, w, first, &mut block[..2 * n], ep),
-                    3 => nn_rows_panel::<3>(a, k, bp, n, j0, w, first, &mut block[..3 * n], ep),
-                    _ => nn_rows_panel::<MR>(a, k, bp, n, j0, w, first, &mut block[..MR * n], ep),
-                }
-                i += (rows - i).min(MR);
-            }
+            nn_chunk_panel(a, k, bp, n, j0, w, first_row, chunk, ep)
         });
         j0 += w;
     }
@@ -686,9 +729,8 @@ fn tn_tile<const M: usize>(
 /// and for the bit-exactness argument (one fused multiply-add per term).
 ///
 /// # Safety
-/// Caller must have verified AVX2+FMA support and `jt + NR <= w` with `bp`
-/// a whole number of `w`-float panel rows; `a` must hold `k×m` elements
-/// with `cols0 + M <= m`.
+/// Caller must have verified AVX2+FMA support and `jt + NR <= w`; `bp` is
+/// whole `w`-float panel rows, `a` holds `k×m` floats, `cols0 + M <= m`.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)] // inlining past the feature boundary under LTO splits the FMAs
 #[target_feature(enable = "avx2,fma")]
@@ -1027,7 +1069,7 @@ impl TopList {
     }
 
     /// Offers one candidate. Ids must arrive in ascending order.
-    #[inline]
+    #[inline(always)] // called once per logit by the strided walk
     pub fn offer(&mut self, v: f32, id: u32) {
         // `!(v > last)` — not `v <= last` — so a NaN candidate is rejected
         // once the list is full, matching the select+sort fallback's order.
@@ -1051,6 +1093,28 @@ impl TopList {
         self.len = (self.len + 1).min(self.k);
     }
 
+    /// Offers `vals[l]` as candidate `first_id + l` for every `l`, in order
+    /// — exactly [`TopList::offer`] per element, except that once the list
+    /// is full a whole `LANES`-wide run is dropped on one vector compare
+    /// when none of it is `>` the current `k`-th value: `offer`'s own
+    /// early-out (NaN on either side compares false there as here), taken
+    /// for 8 candidates at a time. Almost every run of a wide logit row
+    /// leaves this way.
+    #[inline]
+    pub fn offer_run(&mut self, vals: &[f32], first_id: u32) {
+        for (c, run) in vals.chunks(LANES).enumerate() {
+            if self.len == self.k {
+                let kth = self.vals[self.k - 1];
+                if !run.iter().fold(false, |any, &v| any | (v > kth)) {
+                    continue;
+                }
+            }
+            for (l, &v) in run.iter().enumerate() {
+                self.offer(v, first_id + (c * LANES + l) as u32);
+            }
+        }
+    }
+
     /// The selected ids, best first. Shorter than `k` only when fewer
     /// candidates were offered.
     pub fn ids(&self) -> &[u32] {
@@ -1065,7 +1129,10 @@ impl TopList {
 /// offered in ascending column order (panels left to right, ascending
 /// within each panel), as the `TopList` contract requires. `out` receives
 /// `M` rows of `k` ids each.
-#[inline(always)]
+// Out of line: each instance is a whole walk over `B`, and its offer loop
+// measurably lost throughput (1 row × 6,701: 19 → 16 GFLOP/s) when it was
+// inlined next to the packed path and laid out with it.
+#[inline(never)]
 fn nn_rows_topk<const M: usize>(
     a: &[f32],
     kdim: usize,
@@ -1097,10 +1164,79 @@ fn nn_rows_topk<const M: usize>(
     }
 }
 
+/// Rows whose [`TopList`]s stay alive while the panels of `B` go by in
+/// [`topk_rows_packed`] (8.5 KB of selection state on the stack).
+const TOPK_ROW_BLOCK: usize = 32;
+
+/// Fewest rows [`gemm_bias_topk_chunk`] packs panels for; what is left of a
+/// chunk below this walks `B` strided in `MR`-row groups. The value is
+/// [`crate::parallel::MIN_PAR_ROWS`]: a call too small to fork is too small
+/// to pack. On a quiet host packing wins from 5 rows up (1.3–2.3× at 5–12
+/// rows × 67,009 classes), but calls that small are serving micro-batches,
+/// scored by one short-lived worker thread per replica on oversubscribed
+/// cores, and what one pass over `B` saves there swings with what the host's
+/// memory system is doing: packing from `MR + 1` rows, `serve_engine_forward`
+/// (a third of its rows sit in 5–15-row batches) came out at 0.90× to 1.34×
+/// the parent from one pair of runs to the next and its run-to-run spread
+/// was 1.5–1.7× the parent's, more than the benchmark resolves on a noisy
+/// hour (EXPERIMENTS.md, "Run-to-run spread on `serve_engine_forward`").
+/// Serving therefore keeps the walk; ROADMAP item 3 (the skinny-batch
+/// kernel) is where 5–15 rows get measured on their own.
+const TOPK_PACK_MIN_ROWS: usize = crate::parallel::MIN_PAR_ROWS;
+
+/// Streaming fused logits→top-k for a block of
+/// `TOPK_PACK_MIN_ROWS ≤ rows ≤ TOPK_ROW_BLOCK`
+/// rows of `A`, panels outermost: each `NB`-column panel of `B` is packed
+/// once for the whole block ([`with_b_panel`], as [`gemm_nn_chunk`] does)
+/// and reduced group by group through the [`nn_rows_panel`] register tiles
+/// into an `MR × NB` stack tile of finished logits (`s + bias[j]`, the same
+/// reduction and epilogue as the materializing path), which goes straight
+/// into the rows' [`TopList`]s — so every list sees its candidates in
+/// ascending column order, as its contract requires, and no logit leaves
+/// the stack.
+fn topk_rows_packed(
+    a: &[f32],
+    kdim: usize,
+    b: &[f32],
+    n: usize,
+    bias: &[f32],
+    a_first: usize,
+    k: usize,
+    out: &mut [u32],
+) {
+    let rows = out.len() / k;
+    let mut lists: [TopList; TOPK_ROW_BLOCK] = std::array::from_fn(|_| TopList::new(k));
+    let mut tile = [0.0f32; MR * NB];
+    let mut j0 = 0;
+    while j0 < n {
+        let w = (n - j0).min(NB);
+        // The tile is a `w`-wide matrix of its own: column 0 is class `j0`.
+        let ep = Epilogue::Bias(&bias[j0..j0 + w]);
+        with_b_panel(b, n, kdim, j0, w, |bp| {
+            for (g, group) in lists[..rows].chunks_mut(MR).enumerate() {
+                let logits = &mut tile[..group.len() * w];
+                nn_chunk_panel(a, kdim, bp, w, 0, w, a_first + g * MR, logits, ep);
+                for (row, list) in logits.chunks_exact(w).zip(group) {
+                    list.offer_run(row, j0 as u32);
+                }
+            }
+        });
+        j0 += w;
+    }
+    for (list, ids) in lists.iter().zip(out.chunks_exact_mut(k)) {
+        ids[..list.ids().len()].copy_from_slice(list.ids());
+    }
+}
+
 /// Fused logits→top-k over one contiguous row chunk: `out` holds
-/// `k`-id rows for the chunk's rows. The logit reduction dispatches to its
-/// AVX2+FMA leaf inside [`nn_panel_strided`]; the selection layer
-/// ([`TopList`]) is feature-agnostic integer code.
+/// `k`-id rows for the chunk's rows. Blocks of up to `TOPK_ROW_BLOCK` rows
+/// go through [`topk_rows_packed`] (GEMM loop order, packed panels, register
+/// tiles); once fewer than [`TOPK_PACK_MIN_ROWS`] rows remain — a serving
+/// micro-batch, or a chunk's tail — they take the strided walk of
+/// [`nn_rows_topk`] in groups of `MR`. Both offer the same logits in the
+/// same order: which path scored a row never shows in its ids. The
+/// reductions dispatch to their AVX2+FMA leaves at the tile layer; the
+/// selection layer ([`TopList`]) is feature-agnostic.
 pub fn gemm_bias_topk_chunk(
     a: &[f32],
     kdim: usize,
@@ -1115,14 +1251,22 @@ pub fn gemm_bias_topk_chunk(
     let rows = out.len() / k;
     let mut i = 0;
     while i < rows {
-        let block = &mut out[i * k..];
-        match rows - i {
-            1 => nn_rows_topk::<1>(a, kdim, b, n, bias, first_row + i, k, &mut block[..k]),
-            2 => nn_rows_topk::<2>(a, kdim, b, n, bias, first_row + i, k, &mut block[..2 * k]),
-            3 => nn_rows_topk::<3>(a, kdim, b, n, bias, first_row + i, k, &mut block[..3 * k]),
-            _ => nn_rows_topk::<MR>(a, kdim, b, n, bias, first_row + i, k, &mut block[..MR * k]),
+        let left = rows - i;
+        let block = left.min(if left < TOPK_PACK_MIN_ROWS {
+            MR
+        } else {
+            TOPK_ROW_BLOCK
+        });
+        let ids = &mut out[i * k..(i + block) * k];
+        let first = first_row + i;
+        match block {
+            1 => nn_rows_topk::<1>(a, kdim, b, n, bias, first, k, ids),
+            2 => nn_rows_topk::<2>(a, kdim, b, n, bias, first, k, ids),
+            3 => nn_rows_topk::<3>(a, kdim, b, n, bias, first, k, ids),
+            MR => nn_rows_topk::<MR>(a, kdim, b, n, bias, first, k, ids),
+            _ => topk_rows_packed(a, kdim, b, n, bias, first, k, ids),
         }
-        i += (rows - i).min(MR);
+        i += block;
     }
 }
 
@@ -1135,6 +1279,40 @@ mod tests {
         let acc = [1.0f32, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
         let want = ((1.0 + 16.0) + (4.0 + 64.0)) + ((2.0 + 32.0) + (8.0 + 128.0));
         assert_eq!(lane_tree(acc).to_bits(), (want as f32).to_bits());
+    }
+
+    #[test]
+    fn packed_panels_start_on_a_cache_line_and_copy_b_verbatim() {
+        // Fresh threads, each of which first takes a differently sized block
+        // from its allocator so the scratch lands on a different offset;
+        // the second panel of each pair reuses (and outgrows) the scratch.
+        let (n, k) = (40usize, 7usize);
+        let b: Vec<f32> = (0..k * n).map(|i| i as f32 * 0.5 - 3.0).collect();
+        let idx = [5u32, 0, 6, 2];
+        std::thread::scope(|s| {
+            for skew in 0..8usize {
+                let b = &b;
+                s.spawn(move || {
+                    let _skew = vec![0u8; 16 * skew + 1];
+                    for (j0, w) in [(0usize, 16usize), (16, 24)] {
+                        with_b_panel(b, n, k, j0, w, |bp| {
+                            assert_eq!(bp.as_ptr() as usize % PANEL_ALIGN, 0, "skew {skew}");
+                            assert_eq!(bp.len(), k * w);
+                            for kk in 0..k {
+                                assert_eq!(bp[kk * w..][..w], b[kk * n + j0..][..w]);
+                            }
+                        });
+                        with_gathered_b_panel(b, n, &idx, j0, w, |bp| {
+                            assert_eq!(bp.as_ptr() as usize % PANEL_ALIGN, 0, "skew {skew}");
+                            assert_eq!(bp.len(), idx.len() * w);
+                            for (kk, &row) in idx.iter().enumerate() {
+                                assert_eq!(bp[kk * w..][..w], b[row as usize * n + j0..][..w]);
+                            }
+                        });
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -1211,6 +1389,35 @@ mod tests {
         l.offer(2.0, 7);
         l.offer(3.0, 9);
         assert_eq!(l.ids(), &[9, 7]);
+    }
+
+    #[test]
+    fn offer_run_is_offer_per_element() {
+        let mut state = 0x0DDB_1A5E_5BAD_5EEDu64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match (state >> 33) % 40 {
+                0 => f32::NAN,
+                v => (v % 13) as f32 / 4.0 - 1.5, // few distinct values: many ties
+            }
+        };
+        for k in [1usize, 2, 5, 32] {
+            for len in [0usize, 1, 7, 8, 9, 64, 250] {
+                let runs: Vec<Vec<f32>> =
+                    (0..3).map(|_| (0..len).map(|_| next()).collect()).collect();
+                let (mut by_run, mut by_element) = (TopList::new(k), TopList::new(k));
+                for (p, run) in runs.iter().enumerate() {
+                    let first = (p * len) as u32;
+                    by_run.offer_run(run, first);
+                    for (l, &v) in run.iter().enumerate() {
+                        by_element.offer(v, first + l as u32);
+                    }
+                }
+                assert_eq!(by_run.ids(), by_element.ids(), "k {k} len {len}");
+            }
+        }
     }
 
     #[test]

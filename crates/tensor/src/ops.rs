@@ -499,26 +499,69 @@ mod tests {
 
     #[test]
     fn gemm_bias_topk_matches_materialized_sort() {
-        let a = test_mat(11, 8, 5);
-        let b = test_mat(8, 37, 6);
-        let bias: Vec<f32> = (0..37).map(|j| (j % 5) as f32 * 0.3 - 0.6).collect();
-        let mut logits = Matrix::zeros(11, 37);
-        gemm_bias(&a, &b, &bias, &mut logits);
-        for k in [1usize, 3, 10, 32] {
-            let mut out = vec![0u32; 11 * k];
-            gemm_bias_topk(&a, &b, &bias, k, &mut out);
-            for r in 0..11 {
-                let row = logits.row(r);
-                let mut order: Vec<u32> = (0..37u32).collect();
-                order.sort_by(|&x, &y| {
-                    row[y as usize]
-                        .partial_cmp(&row[x as usize])
-                        .unwrap()
-                        .then(x.cmp(&y))
-                });
-                assert_eq!(&out[r * k..(r + 1) * k], &order[..k], "row {r} k {k}");
+        // However the pool splits the rows: 11 × 37 is one panel and too few
+        // rows to pack for (strided groups of 4 + 4 + 3); 70 × 600 is three
+        // panels with a tail, packed blocks of 32 and a strided rest; 33 × 300
+        // leaves an odd row out; 50 × 530 has a packed block of 16–31 rows.
+        for (m, n) in [(11usize, 37usize), (70, 600), (33, 300), (50, 530)] {
+            let a = test_mat(m, 8, 5);
+            let b = test_mat(8, n, 6);
+            let bias: Vec<f32> = (0..n).map(|j| (j % 5) as f32 * 0.3 - 0.6).collect();
+            let mut logits = Matrix::zeros(m, n);
+            gemm_bias(&a, &b, &bias, &mut logits);
+            for k in [1usize, 3, 10, 32] {
+                let mut out = vec![0u32; m * k];
+                gemm_bias_topk(&a, &b, &bias, k, &mut out);
+                for r in 0..m {
+                    let row = logits.row(r);
+                    let mut order: Vec<u32> = (0..n as u32).collect();
+                    order.sort_by(|&x, &y| {
+                        row[y as usize]
+                            .partial_cmp(&row[x as usize])
+                            .unwrap()
+                            .then(x.cmp(&y))
+                    });
+                    assert_eq!(
+                        &out[r * k..(r + 1) * k],
+                        &order[..k],
+                        "{m}x{n} row {r} k {k}"
+                    );
+                }
             }
         }
+    }
+
+    #[test]
+    fn avx2_leaves_and_portable_twins_agree_bit_for_bit() {
+        // Shapes reach full register tiles, the `w % NR` tail, 1–3-row
+        // remainder groups, several panels, and both top-k paths (packed
+        // blocks inside the 37 rows; the strided walk at 7 and 3 rows).
+        let run = |portable: bool| {
+            kernels::force_portable(portable);
+            let mut bits = Vec::new();
+            for (m, k, n) in [(7usize, 9usize, 300usize), (37, 16, 530), (3, 5, 21)] {
+                let a = test_mat(m, k, 11);
+                let b = test_mat(k, n, 12);
+                let bias: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.11 - 0.3).collect();
+                let mut nn = Matrix::from_fn(m, n, |r, c| (r + c) as f32 * 0.01);
+                gemm(0.7, &a, &b, 0.3, &mut nn);
+                let at = test_mat(k, m, 13);
+                let mut tn = Matrix::zeros(m, n);
+                gemm_tn(1.0, &at, &b, 0.0, &mut tn);
+                let mut ids = vec![0u32; m * 5];
+                gemm_bias_topk(&a, &b, &bias, 5, &mut ids);
+                bits.extend(
+                    nn.as_slice()
+                        .iter()
+                        .chain(tn.as_slice())
+                        .map(|v| v.to_bits()),
+                );
+                bits.extend(ids);
+            }
+            kernels::force_portable(false);
+            bits
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -1,16 +1,22 @@
 //! Fork/join row-range parallelism over the persistent worker pool.
 //!
 //! The kernels in this workspace parallelize over *disjoint row ranges* of an
-//! output buffer. Each parallel call splits its index space with
-//! [`split_ranges`] — deterministic, contiguous, near-equal chunks — and
-//! hands one task per range to the process-wide pool ([`crate::pool`]).
-//! Workers are spawned once and parked between jobs, so the per-call cost is
-//! a lock and a condvar notify instead of `num_threads` thread spawns.
+//! output buffer. Each parallel call enters a region of the process-wide
+//! pool ([`crate::pool`]), splits its index space with [`split_ranges`] —
+//! deterministic, contiguous, near-equal chunks — into as many ranges as the
+//! region's fair share allows, and runs one task per range. Any number of
+//! threads may do so at once: the share is `max(1, num_threads() / threads
+//! currently inside a parallel region)`, so a caller that has the pool to
+//! itself forks [`num_threads`] ways (workers are spawned once and parked
+//! between jobs; the per-call cost is two short critical sections and one
+//! wake-up per helper), and a caller that arrives while as many threads as
+//! the pool has are already mid-kernel runs its whole range inline as one
+//! chunk, at no synchronization cost beyond one counter.
 //!
 //! Determinism: every output row is computed in full by exactly one task,
 //! with the same inner loop order regardless of how ranges are partitioned
 //! or which worker claims them — results are bit-identical for any thread
-//! count, including 1.
+//! count, including 1, and for any reading of the occupancy counter.
 //!
 //! The thread count is resolved once per process: the `ASGD_THREADS`
 //! environment variable wins (set but not a positive integer is a hard
@@ -19,10 +25,12 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// Row counts below this stay serial — the fork/join (a lock and a condvar
-/// notify per call) costs more than the work. One named threshold shared by
-/// every row-parallel kernel (dense GEMM, sparse SpMM, softmax). The value
-/// was swept when the tiled kernels landed (EXPERIMENTS.md, "Kernel layer"):
+/// Row counts below this stay serial — the fork/join (listing the job, one
+/// futex wake per helper, the join barrier) costs more than the work — and
+/// such a call never enters a pool region, so it is not counted as
+/// occupying the pool either. One named threshold shared by every
+/// row-parallel kernel (dense GEMM, sparse SpMM, softmax). The value was
+/// swept when the tiled kernels landed (EXPERIMENTS.md, "Kernel layer"):
 /// below ~16 rows the pool wake-ups cost more than the split recovers.
 pub const MIN_PAR_ROWS: usize = 16;
 
@@ -111,8 +119,9 @@ where
         }
         return;
     }
-    let ranges = split_ranges(n, threads);
-    crate::pool::run(ranges.len(), threads, &|i| f(ranges[i].clone()));
+    let region = crate::pool::POOL.enter(threads);
+    let ranges = split_ranges(n, region.lanes());
+    region.run(ranges.len(), &|i| f(ranges[i].clone()));
 }
 
 /// Partitions `data` (logically `rows` rows of `row_len` elements) into
@@ -134,13 +143,16 @@ where
         }
         return;
     }
-    let ranges = split_ranges(rows, threads);
-    // Tasks carve disjoint row ranges out of `data`; the raw-pointer share
-    // is sound because ranges never overlap and the pool joins before
-    // returning.
+    let region = crate::pool::POOL.enter(threads);
+    let ranges = split_ranges(rows, region.lanes());
     let base = data.as_mut_ptr() as usize;
-    crate::pool::run(ranges.len(), threads, &|i| {
+    region.run(ranges.len(), &|i| {
         let r = &ranges[i];
+        // SAFETY: `split_ranges` partitions `0..rows`, each index runs
+        // exactly once, so the tasks carve disjoint row ranges out of
+        // `data` (length checked above); `Region::run` joins every helper
+        // before it returns, so no chunk outlives the `&mut` borrow. The
+        // usize round-trip keeps the closure `Sync`.
         let chunk = unsafe {
             std::slice::from_raw_parts_mut(
                 (base as *mut T).add(r.start * row_len),
@@ -212,12 +224,11 @@ pub fn par_momentum_update(
 ) {
     assert_eq!(merged.len(), global.len(), "par_momentum_update length");
     assert_eq!(merged.len(), prev.len(), "par_momentum_update length");
-    // `global` is chunked by the pool; `prev` is carved into the same
-    // disjoint ranges through a raw base pointer (sound: ranges never
-    // overlap and the pool joins before returning — same pattern as
-    // `par_chunks_mut` itself).
     let prev_base = prev.as_mut_ptr() as usize;
     par_chunks_mut(global, global.len(), 1, min_serial, |first, chunk| {
+        // SAFETY: `prev` is as long as `global` (asserted above) and is
+        // carved at the very ranges `par_chunks_mut` carves `global` at —
+        // disjoint across tasks, joined before `par_chunks_mut` returns.
         let prev_part = unsafe {
             std::slice::from_raw_parts_mut((prev_base as *mut f32).add(first), chunk.len())
         };
@@ -288,6 +299,8 @@ pub fn par_momentum_update_bf16(
     assert_eq!(merged.len(), prev.len(), "par_momentum_update length");
     let prev_base = prev.as_mut_ptr() as usize;
     par_chunks_mut(global, global.len(), 1, min_serial, |first, chunk| {
+        // SAFETY: as in `par_momentum_update` — same lengths (asserted
+        // above), same disjoint ranges, same join.
         let prev_part = unsafe {
             std::slice::from_raw_parts_mut((prev_base as *mut f32).add(first), chunk.len())
         };
@@ -303,12 +316,13 @@ pub fn par_momentum_update_bf16(
 /// Runs `f(0), …, f(ntasks-1)` on the worker pool, one task per index —
 /// coarse-grained fork/join for jobs that are already partitioned by the
 /// caller (e.g. the multi-stream ring's per-partition rings). Tasks must
-/// touch disjoint state. Calls from inside a pool task run serially inline.
+/// touch disjoint state. Calls from inside a parallel region, and calls that
+/// find the pool fully occupied, run every task inline in index order.
 pub fn par_tasks<F>(ntasks: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    crate::pool::run(ntasks, num_threads().min(ntasks.max(1)), &f);
+    crate::pool::POOL.enter(num_threads()).run(ntasks, &f);
 }
 
 #[cfg(test)]
@@ -473,6 +487,43 @@ mod tests {
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
         par_tasks(0, |_| panic!("must not run"));
+    }
+
+    #[test]
+    fn concurrent_submitters_execute_every_index_exactly_once() {
+        // 8 threads submit at once — fewer, as many, and more submitters
+        // than the pool has threads — so jobs run inline, forked, and
+        // helped by workers that just left another submitter's job.
+        let _guard = OVERRIDE_LOCK.lock().unwrap();
+        for threads in [1usize, 2, 8] {
+            override_threads(threads);
+            std::thread::scope(|s| {
+                for submitter in 0..8u64 {
+                    s.spawn(move || {
+                        let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+                        let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(submitter + 1);
+                        for job in 0..2000 {
+                            state = state
+                                .wrapping_mul(6364136223846793005)
+                                .wrapping_add(1442695040888963407);
+                            let ntasks = 1 + (state >> 33) as usize % 64;
+                            par_tasks(ntasks, |i| {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                            });
+                            for (i, h) in hits.iter().enumerate() {
+                                let want = usize::from(i < ntasks);
+                                assert_eq!(
+                                    h.swap(0, Ordering::Relaxed),
+                                    want,
+                                    "threads {threads} submitter {submitter} job {job} index {i} of {ntasks}"
+                                );
+                            }
+                        }
+                    });
+                }
+            });
+        }
+        override_threads(0);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 use adaptive_sgd::core::checkpoint::TrainingState;
 use adaptive_sgd::core::{
     algorithms,
-    trainer::{RunConfig, Trainer},
+    trainer::{ResumeError, RunConfig, Trainer},
 };
-use adaptive_sgd::data::{generate, DatasetSpec};
+use adaptive_sgd::data::{generate, DatasetSpec, XmlDataset};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
 
 fn config(megas: usize) -> RunConfig {
@@ -32,7 +32,7 @@ fn resume_continues_from_snapshot() {
 
     // Serialize through the binary format, as a real pause/restart would.
     let restored = TrainingState::decode(state.encode()).unwrap();
-    let second = trainer.run_resumed(&ds, &restored);
+    let second = trainer.run_resumed(&ds, &restored).unwrap();
 
     // Merge indices continue where the first run stopped.
     assert_eq!(second.records.first().unwrap().merge_index, 4);
@@ -59,7 +59,7 @@ fn resumed_hyperparameters_carry_over() {
     let adapted_sizes: Vec<f64> = state.hypers.iter().map(|h| h.batch_size).collect();
     assert_ne!(adapted_sizes[0], adapted_sizes[1], "sizes never adapted");
 
-    let second = trainer.run_resumed(&ds, &state);
+    let second = trainer.run_resumed(&ds, &state).unwrap();
     // The resumed run's first record reflects the carried-over sizes (it
     // does not reset to b_max for everyone).
     let first_record = &second.records[0];
@@ -87,8 +87,8 @@ fn resume_is_deterministic_through_recycled_arena_merges() {
     let state = trainer.run(&ds).final_state.unwrap();
     let snapshot = TrainingState::decode(state.encode()).unwrap();
 
-    let a = trainer.run_resumed(&ds, &snapshot);
-    let b = trainer.run_resumed(&ds, &snapshot);
+    let a = trainer.run_resumed(&ds, &snapshot).unwrap();
+    let b = trainer.run_resumed(&ds, &snapshot).unwrap();
     assert!(a.records.len() >= 2, "need multiple merges to recycle");
     let bits = |m: &[f32]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&a.final_model), bits(&b.final_model));
@@ -102,8 +102,7 @@ fn resume_is_deterministic_through_recycled_arena_merges() {
 }
 
 #[test]
-#[should_panic(expected = "checkpoint does not match the GPU count")]
-fn resume_with_wrong_gpu_count_panics() {
+fn resume_with_wrong_gpu_count_is_an_error() {
     let ds = generate(&DatasetSpec::tiny("resume3"), 13);
     let two = Trainer::new(
         algorithms::adaptive_sgd(),
@@ -116,19 +115,49 @@ fn resume_with_wrong_gpu_count_panics() {
         heterogeneous_server(4),
         config(2),
     );
-    let _ = four.run_resumed(&ds, &state);
+    let e = four.run_resumed(&ds, &state).unwrap_err();
+    assert_eq!(e, ResumeError::GpuCount { have: 2, want: 4 });
+    assert!(e.to_string().contains("does not match the GPU count"));
 }
 
-#[test]
-#[should_panic(expected = "does not match the model architecture")]
-fn resume_with_wrong_architecture_panics() {
-    let ds = generate(&DatasetSpec::tiny("resume4"), 14);
+/// A finished two-GPU run: the trainer, its dataset and its final state.
+fn trained_pair(name: &str, seed: u64) -> (Trainer, XmlDataset, TrainingState) {
+    let ds = generate(&DatasetSpec::tiny(name), seed);
     let trainer = Trainer::new(
         algorithms::adaptive_sgd(),
         heterogeneous_server(2),
         config(2),
     );
-    let mut state = trainer.run(&ds).final_state.unwrap();
+    let state = trainer.run(&ds).final_state.unwrap();
+    (trainer, ds, state)
+}
+
+#[test]
+fn resume_with_wrong_architecture_is_an_error() {
+    let (trainer, ds, mut state) = trained_pair("resume4", 14);
+    let want = state.global.len();
     state.global.truncate(10);
-    let _ = trainer.run_resumed(&ds, &state);
+    let e = trainer.run_resumed(&ds, &state).unwrap_err();
+    assert_eq!(e, ResumeError::Architecture { have: 10, want });
+    assert!(e
+        .to_string()
+        .contains("does not match the model architecture"));
+}
+
+#[test]
+fn resume_with_short_momentum_memory_is_an_error() {
+    // A hand-built state: the model fits, its momentum memory does not. This
+    // used to reach the first merge — managers spawned — before an
+    // `assert_eq!` deep in the fused pass noticed.
+    let (trainer, ds, mut state) = trained_pair("resume6", 16);
+    let want = state.global.len();
+    state.prev_global.truncate(want - 1);
+    let e = trainer.run_resumed(&ds, &state).unwrap_err();
+    assert_eq!(
+        e,
+        ResumeError::MomentumLength {
+            have: want - 1,
+            want
+        }
+    );
 }

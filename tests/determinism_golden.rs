@@ -21,6 +21,10 @@ use adaptive_sgd::gpusim::profile::heterogeneous_server;
 use adaptive_sgd::stats::fnv1a;
 
 fn golden_run() -> adaptive_sgd::core::metrics::RunResult {
+    golden_run_on(3)
+}
+
+fn golden_run_on(managers: usize) -> adaptive_sgd::core::metrics::RunResult {
     let ds = generate(&DatasetSpec::tiny("golden"), 5);
     let mut cfg = RunConfig::paper_defaults(64, 8);
     cfg.hidden = 16;
@@ -29,7 +33,12 @@ fn golden_run() -> adaptive_sgd::core::metrics::RunResult {
     cfg.mega_batch_limit = Some(3);
     cfg.overhead_scale = 0.001;
     cfg.trace = true;
-    Trainer::new(algorithms::adaptive_sgd(), heterogeneous_server(3), cfg).run(&ds)
+    Trainer::new(
+        algorithms::adaptive_sgd(),
+        heterogeneous_server(managers),
+        cfg,
+    )
+    .run(&ds)
 }
 
 const GOLDEN_TRACE_FNV: u64 = 0x63a8_f15d_ffcb_a276;
@@ -105,6 +114,38 @@ fn cluster_golden_run_is_thread_invariant() {
         a.final_model, b.final_model,
         "cluster model bits depend on thread count"
     );
+}
+
+#[test]
+fn run_is_thread_invariant_with_fewer_as_many_and_more_managers_than_threads() {
+    // The managers share one kernel pool and split it by how many of them
+    // are mid-kernel at that instant — a race by design. Whatever it hands
+    // each of them (every lane, a share, one inline chunk), and however
+    // 1, 2, 4 or 6 managers compare to 1, 2 or 8 pool threads, the run is
+    // the same run.
+    for managers in [1usize, 2, 4, 6] {
+        let run = |threads: usize| {
+            adaptive_sgd::tensor::parallel::override_threads(threads);
+            let r = golden_run_on(managers);
+            adaptive_sgd::tensor::parallel::override_threads(0);
+            r
+        };
+        let one = run(1);
+        for threads in [2usize, 8] {
+            let other = run(threads);
+            assert_eq!(
+                one.trace, other.trace,
+                "{managers} managers, {threads} threads"
+            );
+            assert!(
+                one.final_model
+                    .iter()
+                    .zip(&other.final_model)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{managers} managers: model bits differ between 1 and {threads} threads"
+            );
+        }
+    }
 }
 
 #[test]
