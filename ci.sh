@@ -12,11 +12,12 @@ cargo fmt --all -- --check
 echo "== cargo clippy (workspace, -D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== unsafe invariants: crates/tensor/src/{pool,parallel,kernels}.rs =="
-# Every `unsafe` in the three files that hold the pool, the raw-pointer
-# carves and the SIMD leaves states what keeps it sound: a `// SAFETY:`
-# comment or a `# Safety` doc section within the six lines above it.
-awk '
+echo "== unsafe invariants: every .rs under crates/ that says unsafe =="
+# Every `unsafe` — the pool, the raw-pointer carves, the SIMD leaves of the
+# dense, bf16 and sparse kernels — states what keeps it sound: a
+# `// SAFETY:` comment or a `# Safety` doc section within the six lines
+# above it.
+grep -rlw --include='*.rs' unsafe crates | xargs awk '
     FNR == 1 { marked = -99 }
     /SAFETY|# Safety/ { marked = FNR }
     /^[[:space:]]*\/\// { next }
@@ -25,7 +26,14 @@ awk '
         bad = 1
     }
     END { exit bad }
-' crates/tensor/src/pool.rs crates/tensor/src/parallel.rs crates/tensor/src/kernels.rs
+'
+
+echo "== one ISA detection site =="
+# The CPU is asked in one function of this workspace
+# (kernels::avx2_fma_available), which is what lets kernels::force_portable
+# switch every AVX2 leaf off at once. (benchmarks/e2e, a workspace of its
+# own, asks again for its host roofline; it dispatches no kernel.)
+[ "$(grep -rl --include='*.rs' 'is_x86_feature_detected!(' crates src tests examples | xargs awk '/fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); f = FILENAME ":" substr($0, RSTART, RLENGTH) } /is_x86_feature_detected!\(/ { print f }' | sort -u)" = "crates/tensor/src/kernels.rs:fn avx2_fma_available" ]
 
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release

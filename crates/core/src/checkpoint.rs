@@ -179,6 +179,7 @@ pub fn load_model(data: Bytes) -> Result<Mlp, model_checkpoint::CheckpointError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> TrainingState {
         TrainingState {
@@ -329,5 +330,52 @@ mod tests {
             megas_done: 0,
         };
         assert_eq!(TrainingState::decode(s.encode()).unwrap(), s);
+    }
+    /// A decoded state never holds more than the input supplied: what a
+    /// resumed run sizes by it is bounded by the bytes actually read.
+    fn assert_decodes_cleanly(raw: Vec<u8>) -> Result<(), TestCaseError> {
+        let len = raw.len();
+        if let Ok(state) = TrainingState::decode(Bytes::from(raw)) {
+            prop_assert_eq!(state.global.len(), state.prev_global.len());
+            prop_assert!(8 * state.global.len() + 24 * state.hypers.len() <= len);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A valid encoding with 1–8 bytes overwritten decodes or is an
+        /// error, never a panic.
+        #[test]
+        fn overwritten_states_decode_or_fail_cleanly(
+            hits in proptest::collection::vec(
+                // Boundary bytes as often as arbitrary ones.
+                (0usize..1 << 20, prop_oneof![Just(0u8), Just(255u8), 0u8..=255]),
+                1..=8,
+            ),
+        ) {
+            let mut raw = sample().encode().to_vec();
+            for (at, byte) in hits {
+                // Half the hits land in the header, where the structure is.
+                let span = if at % 2 == 0 { 32 } else { raw.len() };
+                raw[(at / 2) % span] = byte;
+            }
+            assert_decodes_cleanly(raw)?;
+        }
+
+        /// Random bytes — bare, or behind the valid magic and version so the
+        /// header counts are what is random — decode or are an error.
+        #[test]
+        fn random_bytes_decode_or_fail_cleanly(
+            stamped in 0u8..2,
+            mut raw in proptest::collection::vec(0u8..=255, 0..=4096),
+        ) {
+            if stamped == 1 && raw.len() >= 8 {
+                raw[..4].copy_from_slice(MAGIC);
+                raw[4..8].copy_from_slice(&VERSION.to_le_bytes());
+            }
+            assert_decodes_cleanly(raw)?;
+        }
     }
 }

@@ -242,11 +242,6 @@ pub struct RunConfig {
     /// grows up to `(tolerance, max_interval)`. `None` (the paper default)
     /// scales after every mega-batch.
     pub scaling_schedule: Option<(f64, usize)>,
-    /// Mid-training device speed changes, `(mega_batch_index, gpu, factor)`
-    /// — applied before the given mega-batch begins. Models thermal
-    /// throttling / DVFS / co-tenant interference and exercises Adaptive
-    /// SGD's ability to re-balance at runtime.
-    pub speed_events: Vec<(usize, usize, f64)>,
     /// Optional seeded fault plan (straggler spikes, stalls, device loss,
     /// merge-time OOM) injected against the deterministic scheduling loop;
     /// the trainer degrades gracefully (see [`chaos`]). Requires
@@ -301,7 +296,6 @@ impl RunConfig {
             trace: false,
             overhead_scale: 1.0,
             scaling_schedule: None,
-            speed_events: Vec::new(),
             fault_plan: None,
             precision: Precision::F32,
             sampled_softmax: None,
@@ -784,12 +778,6 @@ impl SchedulerState<'_> {
 
         let mut mega_index = 0usize;
         loop {
-            for &(at, gpu, factor) in &self.cfg.speed_events {
-                if at == mega_index {
-                    assert!(gpu < self.devices.len(), "speed event gpu out of range");
-                    self.devices[gpu].set_speed_factor(factor);
-                }
-            }
             self.budget.refill();
             let mega = self.run_mega_batch(to, from, mega_index);
             let sim_time = self.max_clock().secs();
@@ -2150,13 +2138,13 @@ mod tests {
     }
 
     #[test]
-    fn speed_event_rebalances_batch_sizes() {
+    fn speed_change_rebalances_batch_sizes() {
         // GPU 1 throttles hard at mega-batch 3: afterwards the scaler should
         // push its batch size well below GPU 0's.
         let ds = dataset();
         let mut config = quick_config();
         config.mega_batch_limit = Some(12);
-        config.speed_events = vec![(3, 1, 0.3)];
+        config.fault_plan = Some(FaultPlan::new().speed_change(3, 0, 1, 0.3));
         let result =
             Trainer::new(algorithms::adaptive_sgd(), homogeneous_server(2), config).run(&ds);
         let before = &result.records[2].batch_sizes;

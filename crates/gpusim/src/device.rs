@@ -184,20 +184,8 @@ impl Device {
         reclaimed
     }
 
-    /// Changes the device's speed factor at runtime — models thermal
-    /// throttling, DVFS state changes, or co-tenant interference. Takes
-    /// effect for every subsequently charged kernel, **from the device's
-    /// current sim time**: work already charged keeps its price. Callers
-    /// whose "now" is not this device's clock (e.g. a scheduler whose
-    /// decision time lags the device's last charge) should use
-    /// [`Device::schedule_speed_factor`] instead, which anchors the change
-    /// to an explicit sim time.
-    pub fn set_speed_factor(&mut self, factor: f64) {
-        assert!(factor > 0.0, "speed factor must be positive");
-        self.profile.speed_factor = factor;
-    }
-
-    /// Schedules a speed-factor change at sim time `at`.
+    /// Schedules a speed-factor change at sim time `at` — models thermal
+    /// throttling, DVFS state changes, or co-tenant interference.
     ///
     /// The change takes effect for the first kernel *starting* at or after
     /// `at` — never retroactively: a kernel (or epoch portion) already in
@@ -424,7 +412,7 @@ mod tests {
         assert_eq!(dt, 0.0);
     }
 
-    /// Regression for the `set_speed_factor`/`advance_to` audit: a speed
+    /// Regression for the speed-factor/`advance_to` audit: a speed
     /// change scheduled mid-epoch must apply from its sim time onward, not
     /// retroactively to kernels already charged (the in-flight work).
     #[test]

@@ -121,11 +121,6 @@ impl MemoryTracker {
         debug_assert_eq!(bytes, allocation.bytes);
         self.used -= bytes;
     }
-
-    /// Live allocations as `(label, bytes)` pairs (diagnostics).
-    pub fn live_allocations(&self) -> Vec<(&'static str, u64)> {
-        self.live.iter().map(|&(_, l, b)| (l, b)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -162,14 +157,6 @@ mod tests {
         let _c = m.alloc("c", 100).unwrap();
         m.free(b);
         assert_eq!(m.peak(), 800);
-    }
-
-    #[test]
-    fn live_allocations_are_labelled() {
-        let mut m = MemoryTracker::new(1000);
-        let _a = m.alloc("model", 10).unwrap();
-        let _b = m.alloc("batch", 20).unwrap();
-        assert_eq!(m.live_allocations(), vec![("model", 10), ("batch", 20)]);
     }
 
     #[test]

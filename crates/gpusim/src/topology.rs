@@ -1,4 +1,4 @@
-//! Interconnect topology: host↔device and peer-to-peer link timing.
+//! Interconnect topology: peer-to-peer and inter-node link timing.
 
 use crate::device::DeviceId;
 
@@ -6,12 +6,11 @@ use crate::device::DeviceId;
 ///
 /// The paper's scope is a single server (its all-reduce explicitly rejects
 /// NCCL's multi-server optimizations), so the topology is flat: every GPU has
-/// one host link and direct peer links of uniform bandwidth. Per-transfer
-/// latency is modelled as a fixed setup cost.
+/// direct peer links of uniform bandwidth. Per-transfer latency is modelled
+/// as a fixed setup cost.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     n_devices: usize,
-    h2d_gbs: f64,
     p2p_gbs: f64,
     setup_s: f64,
 }
@@ -21,7 +20,6 @@ impl Topology {
     pub fn pcie(n_devices: usize) -> Self {
         Self {
             n_devices,
-            h2d_gbs: 12.0,
             p2p_gbs: 9.0,
             setup_s: 8e-6,
         }
@@ -31,7 +29,6 @@ impl Topology {
     pub fn nvlink(n_devices: usize) -> Self {
         Self {
             n_devices,
-            h2d_gbs: 12.0,
             p2p_gbs: 45.0,
             setup_s: 5e-6,
         }
@@ -49,18 +46,6 @@ impl Topology {
         assert!(s > 0.0, "setup scale must be positive");
         self.setup_s *= s;
         self
-    }
-
-    /// Seconds to move `bytes` from host to device `dst`.
-    pub fn h2d_time(&self, dst: DeviceId, bytes: usize) -> f64 {
-        self.check(dst);
-        self.setup_s + bytes as f64 / (self.h2d_gbs * 1e9)
-    }
-
-    /// Seconds to move `bytes` from device `src` to host.
-    pub fn d2h_time(&self, src: DeviceId, bytes: usize) -> f64 {
-        self.check(src);
-        self.setup_s + bytes as f64 / (self.h2d_gbs * 1e9)
     }
 
     /// Seconds to move `bytes` from device `src` to device `dst`.
@@ -130,19 +115,6 @@ impl ClusterTopology {
         )
     }
 
-    /// NVLink servers joined by an HDR InfiniBand-class fabric: intra-node
-    /// links from [`Topology::nvlink`], inter-node at 12.5 GB/s with 6 µs
-    /// setup.
-    pub fn infiniband(servers: usize, devices_per_server: usize) -> Self {
-        Self::new(
-            Topology::nvlink(devices_per_server),
-            servers,
-            devices_per_server,
-            12.5,
-            6e-6,
-        )
-    }
-
     /// A cluster from explicit parts.
     pub fn new(
         intra: Topology,
@@ -165,15 +137,6 @@ impl ClusterTopology {
             inter_gbs,
             inter_setup_s,
         }
-    }
-
-    /// Overrides the inter-node link (builder-style).
-    pub fn with_inter_link(mut self, gbs: f64, setup_s: f64) -> Self {
-        assert!(gbs > 0.0, "inter-node bandwidth must be positive");
-        assert!(setup_s >= 0.0, "inter-node setup must be non-negative");
-        self.inter_gbs = gbs;
-        self.inter_setup_s = setup_s;
-        self
     }
 
     /// Scales every per-transfer setup latency — intra and inter — by `s`
@@ -287,17 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn h2d_and_d2h_symmetric() {
-        let t = Topology::pcie(2);
-        let b = 10 << 20;
-        assert_eq!(t.h2d_time(DeviceId(0), b), t.d2h_time(DeviceId(0), b));
-    }
-
-    #[test]
     #[should_panic(expected = "outside topology")]
     fn out_of_range_device_panics() {
         let t = Topology::pcie(2);
-        let _ = t.h2d_time(DeviceId(5), 1);
+        let _ = t.p2p_time(DeviceId(0), DeviceId(5), 1);
     }
 
     #[test]
@@ -336,13 +292,6 @@ mod tests {
         // Zero-byte transfers expose the pure setup latency.
         assert!(scaled.inter_time(0) < base.inter_time(0));
         assert!(scaled.p2p_time_flat(0, 1, 0) < base.p2p_time_flat(0, 1, 0));
-    }
-
-    #[test]
-    fn cluster_inter_link_override() {
-        let c = ClusterTopology::ethernet(2, 2).with_inter_link(10.0, 1e-6);
-        assert_eq!(c.inter_gbs(), 10.0);
-        assert_eq!(c.inter_setup_s(), 1e-6);
     }
 
     #[test]

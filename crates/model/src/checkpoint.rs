@@ -34,6 +34,9 @@ pub enum CheckpointError {
     BadVersion(u32),
     /// Payload shorter than the header claims.
     Truncated,
+    /// A dimension of zero: no such model exists, and the other dimensions
+    /// of one would be bounded by nothing.
+    EmptyDimension,
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -42,6 +45,7 @@ impl std::fmt::Display for CheckpointError {
             CheckpointError::BadMagic => write!(f, "bad checkpoint magic"),
             CheckpointError::BadVersion(v) => write!(f, "unsupported checkpoint version {v}"),
             CheckpointError::Truncated => write!(f, "truncated checkpoint"),
+            CheckpointError::EmptyDimension => write!(f, "checkpoint with an empty dimension"),
         }
     }
 }
@@ -135,6 +139,13 @@ pub fn decode(mut data: Bytes) -> Result<Mlp, CheckpointError> {
     if payload.is_none_or(|p| p > data.remaining() as u64) {
         return Err(CheckpointError::Truncated);
     }
+    // With every dimension at least 1 the parameter count just checked
+    // bounds each of them; a zero `hidden` passes that check with any
+    // `num_features` at all, and the first `Workspace` built for such a
+    // model sizes a table by it.
+    if features == 0 || hidden == 0 || classes == 0 {
+        return Err(CheckpointError::EmptyDimension);
+    }
     let config = MlpConfig {
         num_features: features as usize,
         hidden: hidden as usize,
@@ -164,6 +175,7 @@ pub fn decode(mut data: Bytes) -> Result<Mlp, CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn config() -> MlpConfig {
         MlpConfig {
@@ -294,5 +306,77 @@ mod tests {
             decode(Bytes::from_static(b"AS")),
             Err(CheckpointError::Truncated)
         );
+    }
+    /// Found by `overwritten_checkpoints_decode_or_fail_cleanly`: with
+    /// `hidden == 0` the payload is `num_classes` elements whatever
+    /// `num_features` says, so a 300-byte input decoded to a model claiming
+    /// 2⁶⁰ features.
+    #[test]
+    fn a_zero_dimension_is_an_error_not_an_unbounded_model() {
+        for dims in [[1u64 << 60, 0, 7], [0, 5, 7], [12, 5, 0]] {
+            let mut raw = MAGIC.to_vec();
+            raw.extend(VERSION.to_le_bytes());
+            raw.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+            raw.resize(300, 0); // room for every payload these claim
+            assert_eq!(
+                decode(Bytes::from(raw)),
+                Err(CheckpointError::EmptyDimension),
+                "{dims:?}"
+            );
+        }
+    }
+
+    /// What "never an allocation larger than the input justifies" means for
+    /// a decoder's *result*: nothing a caller later sizes by the decoded
+    /// model — its parameters, a workspace's per-feature table — can exceed
+    /// the bytes that were actually supplied.
+    fn assert_decodes_cleanly(raw: Vec<u8>) -> Result<(), TestCaseError> {
+        let len = raw.len();
+        if let Ok(model) = decode(Bytes::from(raw)) {
+            let c = model.config();
+            for dim in [c.num_features, c.hidden, c.num_classes] {
+                prop_assert!((1..=len).contains(&dim), "dimension {dim} from {len} bytes");
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A valid encoding of either version with 1–8 bytes overwritten
+        /// decodes or is an error, never a panic.
+        #[test]
+        fn overwritten_checkpoints_decode_or_fail_cleanly(
+            bf16 in 0u8..2,
+            hits in proptest::collection::vec(
+                // Boundary bytes as often as arbitrary ones.
+                (0usize..1 << 20, prop_oneof![Just(0u8), Just(255u8), 0u8..=255]),
+                1..=8,
+            ),
+        ) {
+            let precision = [Precision::F32, Precision::Bf16][bf16 as usize];
+            let mut raw = encode_with(&Mlp::init(&config(), 5), precision).to_vec();
+            for (at, byte) in hits {
+                // Half the hits land in the header, where the structure is.
+                let span = if at % 2 == 0 { 36 } else { raw.len() };
+                raw[(at / 2) % span] = byte;
+            }
+            assert_decodes_cleanly(raw)?;
+        }
+
+        /// Random bytes — bare, or behind a valid magic and version so the
+        /// header fields are what is random — decode or are an error.
+        #[test]
+        fn random_bytes_decode_or_fail_cleanly(
+            version in 0u32..3,
+            mut raw in proptest::collection::vec(0u8..=255, 0..=4096),
+        ) {
+            if version > 0 && raw.len() >= 8 {
+                raw[..4].copy_from_slice(MAGIC);
+                raw[4..8].copy_from_slice(&version.to_le_bytes());
+            }
+            assert_decodes_cleanly(raw)?;
+        }
     }
 }

@@ -1,4 +1,11 @@
-//! Gradient buffers shaped like the model.
+//! Gradient buffers shaped like the model — plain storage, no arithmetic.
+//!
+//! One representation per layer. The input layer's gradient is a list of
+//! sparse rows on both training paths. The output layer's gradient is the
+//! dense `w2` / `b2` pair here on the dense path; on the sampled-softmax path
+//! it never leaves the compact `|candidates| × hidden` block the kernels
+//! wrote it into (`Workspace::gt` / `b2_scratch`), and the update step reads
+//! it there — see `Mlp::apply_gradients_sampled`.
 
 use crate::mlp::MlpConfig;
 use asgd_tensor::Matrix;
@@ -15,19 +22,10 @@ pub struct Gradients {
     pub w1_updates: Vec<(u32, Vec<f32>)>,
     /// `∇b₁`.
     pub b1: Vec<f32>,
-    /// `∇W₂` (dense path only; stays zero on the sampled path).
+    /// `∇W₂` (dense path only; the sampled path leaves it untouched).
     pub w2: Matrix,
-    /// `∇b₂` (dense path only; stays zero on the sampled path).
+    /// `∇b₂` (dense path only; the sampled path leaves it untouched).
     pub b2: Vec<f32>,
-    /// Sparse `∇W₂` of the sampled-softmax path as `(class, column)` pairs
-    /// sorted by class id; each column gradient is laid out contiguously
-    /// (length `hidden`, i.e. a `∇W₂ᵀ` row). Empty on the dense path —
-    /// the two output-layer representations are mutually exclusive, and
-    /// each backward pass clears the other's leftovers.
-    pub w2_updates: Vec<(u32, Vec<f32>)>,
-    /// Sparse `∇b₂` of the sampled-softmax path, `(class, grad)` sorted by
-    /// class id. Empty on the dense path.
-    pub b2_updates: Vec<(u32, f32)>,
 }
 
 impl Gradients {
@@ -38,250 +36,6 @@ impl Gradients {
             b1: vec![0.0; config.hidden],
             w2: Matrix::zeros(config.hidden, config.num_classes),
             b2: vec![0.0; config.num_classes],
-            w2_updates: Vec::new(),
-            b2_updates: Vec::new(),
         }
-    }
-
-    /// A shapeless placeholder that allocates nothing — used to move
-    /// gradients out of a workspace temporarily without paying for a
-    /// class-sized dense buffer.
-    pub(crate) fn hollow() -> Self {
-        Self {
-            w1_updates: Vec::new(),
-            b1: Vec::new(),
-            w2: Matrix::zeros(0, 0),
-            b2: Vec::new(),
-            w2_updates: Vec::new(),
-            b2_updates: Vec::new(),
-        }
-    }
-
-    /// Accumulates another gradient into this one (used by synchronous
-    /// gradient aggregation): `self += other`.
-    pub fn accumulate(&mut self, other: &Gradients) {
-        merge_sparse_rows(&mut self.w1_updates, &other.w1_updates, 1.0);
-        for (a, &b) in self.b1.iter_mut().zip(&other.b1) {
-            *a += b;
-        }
-        for (a, &b) in self.w2.as_mut_slice().iter_mut().zip(other.w2.as_slice()) {
-            *a += b;
-        }
-        for (a, &b) in self.b2.iter_mut().zip(&other.b2) {
-            *a += b;
-        }
-        merge_sparse_rows(&mut self.w2_updates, &other.w2_updates, 1.0);
-        merge_scalar_entries(&mut self.b2_updates, &other.b2_updates, 1.0);
-    }
-
-    /// Scales every gradient by `s` (averaging after aggregation).
-    pub fn scale(&mut self, s: f32) {
-        for (_, row) in &mut self.w1_updates {
-            for v in row {
-                *v *= s;
-            }
-        }
-        for v in &mut self.b1 {
-            *v *= s;
-        }
-        for v in self.w2.as_mut_slice() {
-            *v *= s;
-        }
-        for v in &mut self.b2 {
-            *v *= s;
-        }
-        for (_, row) in &mut self.w2_updates {
-            for v in row {
-                *v *= s;
-            }
-        }
-        for (_, v) in &mut self.b2_updates {
-            *v *= s;
-        }
-    }
-
-    /// Squared L2 norm across all gradient entries.
-    pub fn norm_sq(&self) -> f64 {
-        let mut s: f64 = self
-            .w1_updates
-            .iter()
-            .flat_map(|(_, row)| row.iter())
-            .map(|&x| (x as f64).powi(2))
-            .sum();
-        s += self.b1.iter().map(|&x| (x as f64).powi(2)).sum::<f64>();
-        s += self.w2.norm_sq();
-        s += self.b2.iter().map(|&x| (x as f64).powi(2)).sum::<f64>();
-        s += self
-            .w2_updates
-            .iter()
-            .flat_map(|(_, row)| row.iter())
-            .map(|&x| (x as f64).powi(2))
-            .sum::<f64>();
-        s += self
-            .b2_updates
-            .iter()
-            .map(|&(_, x)| (x as f64).powi(2))
-            .sum::<f64>();
-        s
-    }
-}
-
-/// Merges sorted `(id, value)` scalar entries of `src` into `dst`,
-/// scaling src by `alpha` — the `b2_updates` counterpart of
-/// [`merge_sparse_rows`].
-fn merge_scalar_entries(dst: &mut Vec<(u32, f32)>, src: &[(u32, f32)], alpha: f32) {
-    let mut out: Vec<(u32, f32)> = Vec::with_capacity(dst.len() + src.len());
-    let mut i = 0;
-    let mut j = 0;
-    while i < dst.len() && j < src.len() {
-        match dst[i].0.cmp(&src[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(dst[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push((src[j].0, alpha * src[j].1));
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push((dst[i].0, dst[i].1 + alpha * src[j].1));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&dst[i..]);
-    out.extend(src[j..].iter().map(|&(c, v)| (c, alpha * v)));
-    *dst = out;
-}
-
-/// Merges `src` (sorted by feature) into `dst` (sorted by feature),
-/// scaling src rows by `alpha`.
-fn merge_sparse_rows(dst: &mut Vec<(u32, Vec<f32>)>, src: &[(u32, Vec<f32>)], alpha: f32) {
-    let mut out: Vec<(u32, Vec<f32>)> = Vec::with_capacity(dst.len() + src.len());
-    let mut i = 0;
-    let mut j = 0;
-    while i < dst.len() && j < src.len() {
-        match dst[i].0.cmp(&src[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(std::mem::take(&mut dst[i]));
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                let (f, row) = &src[j];
-                out.push((*f, row.iter().map(|&v| alpha * v).collect()));
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let (f, mut row) = std::mem::take(&mut dst[i]);
-                for (a, &b) in row.iter_mut().zip(&src[j].1) {
-                    *a += alpha * b;
-                }
-                out.push((f, row));
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    for item in dst.drain(i..) {
-        out.push(item);
-    }
-    for (f, row) in &src[j..] {
-        out.push((*f, row.iter().map(|&v| alpha * v).collect()));
-    }
-    *dst = out;
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn config() -> MlpConfig {
-        MlpConfig {
-            num_features: 6,
-            hidden: 2,
-            num_classes: 3,
-        }
-    }
-
-    #[test]
-    fn accumulate_merges_sparse_rows() {
-        let mut a = Gradients::new(&config());
-        a.w1_updates = vec![(1, vec![1.0, 2.0]), (4, vec![3.0, 4.0])];
-        let mut b = Gradients::new(&config());
-        b.w1_updates = vec![(0, vec![0.5, 0.5]), (4, vec![1.0, 1.0])];
-        b.b2 = vec![1.0, 2.0, 3.0];
-        a.accumulate(&b);
-        assert_eq!(
-            a.w1_updates,
-            vec![
-                (0, vec![0.5, 0.5]),
-                (1, vec![1.0, 2.0]),
-                (4, vec![4.0, 5.0])
-            ]
-        );
-        assert_eq!(a.b2, vec![1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn scale_hits_all_buffers() {
-        let mut g = Gradients::new(&config());
-        g.w1_updates = vec![(2, vec![2.0, 4.0])];
-        g.b1 = vec![1.0, 1.0];
-        g.w2.fill(2.0);
-        g.b2 = vec![3.0, 3.0, 3.0];
-        g.scale(0.5);
-        assert_eq!(g.w1_updates[0].1, vec![1.0, 2.0]);
-        assert_eq!(g.b1, vec![0.5, 0.5]);
-        assert!(g.w2.as_slice().iter().all(|&v| v == 1.0));
-        assert_eq!(g.b2, vec![1.5, 1.5, 1.5]);
-    }
-
-    #[test]
-    fn norm_sq_counts_everything() {
-        let mut g = Gradients::new(&config());
-        g.w1_updates = vec![(0, vec![3.0, 0.0])];
-        g.b2[0] = 4.0;
-        assert!((g.norm_sq() - 25.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn accumulate_merges_sampled_output_entries() {
-        let mut a = Gradients::new(&config());
-        a.w2_updates = vec![(1, vec![1.0, 2.0]), (3, vec![0.5, 0.5])];
-        a.b2_updates = vec![(1, 1.0), (3, 2.0)];
-        let mut b = Gradients::new(&config());
-        b.w2_updates = vec![(0, vec![1.0, 1.0]), (3, vec![1.0, 1.0])];
-        b.b2_updates = vec![(0, 0.5), (3, 1.0)];
-        a.accumulate(&b);
-        assert_eq!(
-            a.w2_updates,
-            vec![
-                (0, vec![1.0, 1.0]),
-                (1, vec![1.0, 2.0]),
-                (3, vec![1.5, 1.5])
-            ]
-        );
-        assert_eq!(a.b2_updates, vec![(0, 0.5), (1, 1.0), (3, 3.0)]);
-    }
-
-    #[test]
-    fn scale_and_norm_cover_sampled_output_entries() {
-        let mut g = Gradients::new(&config());
-        g.w2_updates = vec![(2, vec![3.0, 0.0])];
-        g.b2_updates = vec![(2, 4.0)];
-        assert!((g.norm_sq() - 25.0).abs() < 1e-9);
-        g.scale(0.5);
-        assert_eq!(g.w2_updates[0].1, vec![1.5, 0.0]);
-        assert_eq!(g.b2_updates, vec![(2, 2.0)]);
-    }
-
-    #[test]
-    fn accumulate_into_empty() {
-        let mut a = Gradients::new(&config());
-        let mut b = Gradients::new(&config());
-        b.w1_updates = vec![(5, vec![1.0, -1.0])];
-        a.accumulate(&b);
-        assert_eq!(a.w1_updates, b.w1_updates);
     }
 }

@@ -511,7 +511,9 @@ impl Mlp {
     /// the `batch × num_classes` memory round-trip that dominated this path.
     /// Larger `k` falls back to materialized logits in `ws.probs` plus a
     /// partial sort through `ws.order`; both paths apply the same total
-    /// order, so they agree exactly on overlapping `k`.
+    /// order, so they agree exactly on overlapping `k`. A NaN logit (a
+    /// diverged model) ranks below every number on the fallback path, and
+    /// never panics either path.
     ///
     /// In steady state (workspace reused across batches of bounded size)
     /// this allocates nothing: `ws.h` (and on the fallback path `ws.probs` /
@@ -552,10 +554,15 @@ impl Mlp {
             ops::gemm_bias(&ws.h, &self.w2, &self.b2, &mut ws.probs);
             for r in 0..batch {
                 let row = ws.probs.row(r);
+                // A total order even over NaN logits (a diverged model):
+                // numbers first, by value descending; NaN after every
+                // number; ids ascending within a tie. `partial_cmp` alone
+                // calls NaN equal to everything, which is not an order, and
+                // the std selection and sort panic on one.
                 let cmp = |a: &u32, b: &u32| {
-                    row[*b as usize]
-                        .partial_cmp(&row[*a as usize])
-                        .unwrap_or(std::cmp::Ordering::Equal)
+                    let (va, vb) = (row[*a as usize], row[*b as usize]);
+                    (va.is_nan().cmp(&vb.is_nan()))
+                        .then(vb.partial_cmp(&va).unwrap_or(std::cmp::Ordering::Equal))
                         .then(a.cmp(b))
                 };
                 ws.order.clear();
@@ -618,42 +625,11 @@ impl Mlp {
             arena,
             ..
         } = ws;
-        // Clear any sampled-path leftovers so a gradient consumer never
-        // sees both output-layer representations at once.
-        for (_, mut row) in grads.w2_updates.drain(..) {
-            row.clear();
-            arena.push(row);
-        }
-        grads.b2_updates.clear();
 
         // Forward into the workspace.
         self.forward_into(x, h, probs);
 
-        // Loss, then convert `probs` into dlogits = (probs - target)/batch.
-        let mut loss = 0.0f64;
-        let mut contributing = 0usize;
-        for (r, labs) in labels.iter().enumerate() {
-            let labs = labs.as_ref();
-            let row = probs.row_mut(r);
-            if labs.is_empty() {
-                row.fill(0.0);
-                continue;
-            }
-            contributing += 1;
-            let w = 1.0 / labs.len() as f32;
-            for &y in labs {
-                let p = row[y as usize].max(1e-30);
-                loss -= (w as f64) * (p as f64).ln();
-                row[y as usize] -= w;
-            }
-        }
-        let scale = 1.0 / batch as f32;
-        ops::scale(scale, probs.as_mut_slice());
-        let loss = if contributing == 0 {
-            0.0
-        } else {
-            loss / contributing as f64
-        };
+        let loss = loss_and_dlogits(probs, labels, |y| y as usize);
 
         // Backward. dW2 = hᵀ·dlogits ; db2 = Σ_rows dlogits.
         ops::gemm_tn(1.0, h, probs, 0.0, &mut grads.w2);
@@ -688,10 +664,11 @@ impl Mlp {
         loss
     }
 
-    /// Applies one SGD step: `θ ← θ − lr·∇θ`.
-    pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
-        // W1 receives a *sparse* update: only features present in the batch
-        // have non-zero gradient rows.
+    /// The input-layer half of an SGD step, `W₁ ← W₁ − lr·∇W₁` and
+    /// `b₁ ← b₁ − lr·∇b₁` — the same on the dense and the sampled path, so
+    /// both update routines call this one. `W₁` receives a *sparse* update:
+    /// only features present in the batch have non-zero gradient rows.
+    fn apply_hidden_gradients(&mut self, grads: &Gradients, lr: f32) {
         for &(feature, ref grow) in &grads.w1_updates {
             let wrow = self.w1.row_mut(feature as usize);
             for (w, &g) in wrow.iter_mut().zip(grow) {
@@ -699,6 +676,11 @@ impl Mlp {
             }
         }
         ops::axpy(-lr, &grads.b1, &mut self.b1);
+    }
+
+    /// Applies one SGD step: `θ ← θ − lr·∇θ`.
+    pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
+        self.apply_hidden_gradients(grads, lr);
         ops::axpy(-lr, grads.w2.as_slice(), self.w2.as_mut_slice());
         ops::axpy(-lr, &grads.b2, &mut self.b2);
         self.w2_epoch = next_w2_epoch();
@@ -746,9 +728,11 @@ impl Mlp {
     /// `|cand|` instead of `num_classes`, which is what makes full
     /// label-scale training tractable.
     ///
-    /// Output-layer gradients land *sparsely* in `ws.grads.w2_updates` /
-    /// `ws.grads.b2_updates` (the dense `w2`/`b2` buffers are untouched);
-    /// apply them with [`Mlp::apply_gradients_sampled`]. `dW₂` active
+    /// Output-layer gradients stay *compact*, where the kernels write them:
+    /// row `i` of the workspace's `|cand| × hidden` `gt` block is `∇W₂ᵀ` of
+    /// class `cand[i]`, `b2_scratch[i]` its `∇b₂` (the dense `ws.grads.w2` /
+    /// `b2` buffers are untouched); apply them with
+    /// [`Mlp::apply_gradients_sampled`] and the same `cand`. `dW₂` active
     /// columns come from
     /// the existing `gemm_tn` on the compact dlogits, `dh` flows through
     /// [`asgd_tensor::ops::gemm_nn_gather`] over the cached `W₂ᵀ`, and the
@@ -812,35 +796,12 @@ impl Mlp {
         ops::gemm_nt_gather_bias(h, w2t, cand, gathered_b2, logits_s);
         numerics::softmax_rows_inplace(logits_s);
 
-        // Loss, then convert `logits_s` in place into the compact
-        // dlogits = (p − target)/batch — the same per-row math as the dense
-        // path, with label positions found in the sorted candidate list.
-        let mut loss = 0.0f64;
-        let mut contributing = 0usize;
-        for (r, labs) in labels.iter().enumerate() {
-            let labs = labs.as_ref();
-            let row = logits_s.row_mut(r);
-            if labs.is_empty() {
-                row.fill(0.0);
-                continue;
-            }
-            contributing += 1;
-            let w = 1.0 / labs.len() as f32;
-            for &y in labs {
-                let pos = cand
-                    .binary_search(&y)
-                    .expect("label missing from candidate set");
-                let p = row[pos].max(1e-30);
-                loss -= (w as f64) * (p as f64).ln();
-                row[pos] -= w;
-            }
-        }
-        ops::scale(1.0 / batch as f32, logits_s.as_mut_slice());
-        let loss = if contributing == 0 {
-            0.0
-        } else {
-            loss / contributing as f64
-        };
+        // The same per-row loss/dlogits math as the dense path, with label
+        // positions found in the sorted candidate list.
+        let loss = loss_and_dlogits(logits_s, labels, |y| {
+            cand.binary_search(&y)
+                .expect("label missing from candidate set")
+        });
 
         // Backward. Compact ∇W₂ᵀ rows: dlogitsᵀ·h (the compact dlogits is
         // dense, so the plain kernel applies); compact ∇b₂: column sums.
@@ -848,20 +809,6 @@ impl Mlp {
         ops::gemm_tn(1.0, logits_s, h, 0.0, gt);
         b2_scratch.resize(s, 0.0);
         col_sums(logits_s, b2_scratch);
-        // Scatter into the sparse output-layer gradient, recycling last
-        // batch's rows through the shared hidden-width arena. `cand` is
-        // ascending, so the update lists are born sorted.
-        for (_, mut row) in grads.w2_updates.drain(..) {
-            row.clear();
-            arena.push(row);
-        }
-        grads.b2_updates.clear();
-        for (i, &c) in cand.iter().enumerate() {
-            let mut row = arena.pop().unwrap_or_default();
-            row.extend_from_slice(gt.row(i));
-            grads.w2_updates.push((c, row));
-            grads.b2_updates.push((c, b2_scratch[i]));
-        }
         // dh = dlogitsₛ·gather(W₂ᵀ, cand), masked by ReLU.
         dh.reshape_in_place(batch, hidden);
         ops::gemm_nn_gather(1.0, logits_s, w2t, cand, 0.0, dh);
@@ -872,9 +819,12 @@ impl Mlp {
         loss
     }
 
-    /// Applies one SGD step from *sampled* gradients: sparse `W₁` rows and
-    /// dense `b₁` exactly as [`Mlp::apply_gradients`]; the output layer as
-    /// a sparse column update over `grads.w2_updates` / `grads.b2_updates`.
+    /// Applies one SGD step from the *sampled* gradients `ws` holds after
+    /// [`Mlp::loss_and_gradients_sampled_ws`] over the same `cand`: sparse
+    /// `W₁` rows and dense `b₁` exactly as [`Mlp::apply_gradients`]; the
+    /// output layer as a sparse column update read straight from the compact
+    /// `gt` / `b2_scratch` blocks the backward kernels wrote, row `i`
+    /// belonging to class `cand[i]`.
     ///
     /// Each touched `W₂` column and its cached `W₂ᵀ` row in `ws` are
     /// written coherently from one computed value, so the cache stays valid
@@ -883,33 +833,27 @@ impl Mlp {
     ///
     /// # Panics
     /// Panics when `ws`'s cached `W₂ᵀ` is stale (run the sampled forward —
-    /// or [`Mlp::sync_w2t`] — against this model first).
-    pub fn apply_gradients_sampled(&mut self, grads: &Gradients, lr: f32, ws: &mut Workspace) {
+    /// or [`Mlp::sync_w2t`] — against this model first) or its compact
+    /// gradient was not computed over a candidate set of `cand`'s length.
+    pub fn apply_gradients_sampled(&mut self, cand: &[u32], lr: f32, ws: &mut Workspace) {
         assert_eq!(
             ws.w2t_epoch,
             Some(self.w2_epoch),
             "stale W2ᵀ cache: sync the workspace against this model first"
         );
-        for &(feature, ref grow) in &grads.w1_updates {
-            let wrow = self.w1.row_mut(feature as usize);
-            for (w, &g) in wrow.iter_mut().zip(grow) {
-                *w -= lr * g;
-            }
-        }
-        ops::axpy(-lr, &grads.b1, &mut self.b1);
+        assert_eq!(ws.gt.rows(), cand.len(), "gradient/candidate set mismatch");
+        self.apply_hidden_gradients(&ws.grads, lr);
         let classes = self.config.num_classes;
         let w2 = self.w2.as_mut_slice();
-        for &(c, ref grow) in &grads.w2_updates {
+        for (i, &c) in cand.iter().enumerate() {
             let c = c as usize;
             let trow = ws.w2t.row_mut(c);
-            for (k, (t, &g)) in trow.iter_mut().zip(grow).enumerate() {
+            for (k, (t, &g)) in trow.iter_mut().zip(ws.gt.row(i)).enumerate() {
                 let nv = *t - lr * g;
                 *t = nv;
                 w2[k * classes + c] = nv;
             }
-        }
-        for &(c, g) in &grads.b2_updates {
-            self.b2[c as usize] -= lr * g;
+            self.b2[c] -= lr * ws.b2_scratch[i];
         }
         self.w2_epoch = next_w2_epoch();
         ws.w2t_epoch = Some(self.w2_epoch);
@@ -929,14 +873,50 @@ impl Mlp {
         ws: &mut Workspace,
     ) -> TrainOutput {
         let loss = self.loss_and_gradients_sampled_ws(x, labels, cand, ws);
-        let grads = std::mem::replace(&mut ws.grads, Gradients::hollow());
-        self.apply_gradients_sampled(&grads, lr, ws);
-        ws.grads = grads;
+        self.apply_gradients_sampled(cand, lr, ws);
         TrainOutput {
             loss,
             batch_size: x.rows(),
             batch_nnz: x.nnz(),
         }
+    }
+}
+
+/// The mean multi-label cross-entropy of `probs` (one row of class
+/// probabilities per sample; the target of a sample is uniform over its
+/// label set), and `probs` converted in place into
+/// `dlogits = (probs − target) / batch`. `column(y)` is where label `y`
+/// sits in a row: itself on the dense path, its position in the candidate
+/// list on the sampled one. Label-free samples contribute neither loss nor
+/// gradient.
+fn loss_and_dlogits<L: AsRef<[u32]>>(
+    probs: &mut Matrix,
+    labels: &[L],
+    column: impl Fn(u32) -> usize,
+) -> f64 {
+    let mut loss = 0.0f64;
+    let mut contributing = 0usize;
+    for (r, labs) in labels.iter().enumerate() {
+        let labs = labs.as_ref();
+        let row = probs.row_mut(r);
+        if labs.is_empty() {
+            row.fill(0.0);
+            continue;
+        }
+        contributing += 1;
+        let w = 1.0 / labs.len() as f32;
+        for &y in labs {
+            let at = column(y);
+            let p = row[at].max(1e-30);
+            loss -= (w as f64) * (p as f64).ln();
+            row[at] -= w;
+        }
+    }
+    ops::scale(1.0 / labels.len() as f32, probs.as_mut_slice());
+    if contributing == 0 {
+        0.0
+    } else {
+        loss / contributing as f64
     }
 }
 
@@ -1580,6 +1560,49 @@ mod tests {
     }
 
     #[test]
+    fn predict_topk_fallback_ranks_nan_logits_last_and_never_panics() {
+        // A diverged model: every third class has a NaN output weight, so
+        // its logit is NaN in every row. Beyond `TOPK_STREAM_MAX` the
+        // selection is std's `select_nth_unstable_by` + `sort_unstable_by`,
+        // which panic on a comparator that is not a total order.
+        let config = MlpConfig {
+            num_features: 8,
+            hidden: 4,
+            num_classes: 300,
+        };
+        let mut m = Mlp::init(&config, 57);
+        for c in (0..config.num_classes).step_by(3) {
+            m.w2.set(0, c, f32::NAN);
+        }
+        let rows = [
+            (vec![0u32, 3], vec![1.0f32, -0.5]),
+            (vec![1, 2, 7], vec![0.5, 0.25, 2.0]),
+            (vec![5], vec![1.5]),
+        ];
+        let x = CsrMatrix::from_rows(8, &rows).unwrap();
+        let mut logits = Matrix::zeros(3, config.num_classes);
+        ops::gemm_bias(&m.hidden_forward(&x), &m.w2, &m.b2, &mut logits);
+        for k in [33usize, 64, config.num_classes] {
+            let top = m.predict_topk(&x, k);
+            assert_eq!(top.len(), 3 * k);
+            for (r, ids) in top.chunks(k).enumerate() {
+                let row = logits.row(r);
+                // The spec, spelled independently: numbers by (value desc,
+                // id asc), then the NaN classes by id.
+                let mut order: Vec<u32> = (0..config.num_classes as u32).collect();
+                order.sort_by(|&a, &b| {
+                    let (va, vb) = (row[a as usize], row[b as usize]);
+                    match (va.is_nan(), vb.is_nan()) {
+                        (false, false) => vb.partial_cmp(&va).unwrap().then(a.cmp(&b)),
+                        (a_nan, b_nan) => a_nan.cmp(&b_nan).then(a.cmp(&b)),
+                    }
+                });
+                assert_eq!(ids, &order[..k], "row {r} k {k}");
+            }
+        }
+    }
+
+    #[test]
     fn predict_topk_is_independent_of_batch_composition() {
         // The streaming kernel scores blocks of 16–32 rows panel by panel
         // and what is left of a batch below 16 rows with a strided walk in
@@ -1826,11 +1849,7 @@ mod tests {
             ws.b2_scratch.as_ptr(),
             ws.dh.as_slice().as_ptr(),
         );
-        let caps = (
-            ws.grads.w2_updates.capacity(),
-            ws.grads.b2_updates.capacity(),
-            ws.grads.w1_updates.capacity(),
-        );
+        let rows_cap = ws.grads.w1_updates.capacity();
         for _ in 0..3 {
             m.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut ws);
         }
@@ -1840,9 +1859,101 @@ mod tests {
         assert_eq!(ptrs.3, ws.gathered_b2.as_ptr());
         assert_eq!(ptrs.4, ws.b2_scratch.as_ptr());
         assert_eq!(ptrs.5, ws.dh.as_slice().as_ptr());
-        assert_eq!(caps.0, ws.grads.w2_updates.capacity());
-        assert_eq!(caps.1, ws.grads.b2_updates.capacity());
-        assert_eq!(caps.2, ws.grads.w1_updates.capacity());
+        assert_eq!(rows_cap, ws.grads.w1_updates.capacity());
+    }
+
+    /// Counts the heap allocations each thread makes; otherwise `System`.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    // SAFETY: every method hands its arguments to `System` unchanged, so
+    // `System`'s guarantees are this allocator's; the counter is a
+    // const-initialized thread-local `Cell`, read and written without
+    // allocating (`try_with`: a thread being torn down simply is not counted).
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            std::alloc::System.alloc(layout)
+        }
+        // SAFETY: forwarded unchanged, as above.
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+        // SAFETY: forwarded unchanged, as above.
+        unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new: usize) -> *mut u8 {
+            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+            std::alloc::System.realloc(ptr, layout, new)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn sampled_steady_state_allocates_nothing() {
+        // The update step reads the compact `gt` / `b2_scratch` blocks in
+        // place, so once the buffers have grown a sampled step must not
+        // touch the heap at all. Every row count here (batch, candidates)
+        // stays below `MIN_PAR_ROWS`: no kernel enters the pool — whose
+        // range split is a `Vec` — so what is counted is the step itself.
+        let config = MlpConfig {
+            num_features: 70,
+            hidden: 24,
+            num_classes: 36,
+        };
+        let (x, labels) = wide_batch(&config, 12, 16);
+        let cand = cand_for(&labels, &config, 12);
+        assert!(cand.len() < asgd_tensor::parallel::MIN_PAR_ROWS);
+        let mut m = Mlp::init(&config, 17);
+        let mut ws = Workspace::new(&config);
+        for _ in 0..2 {
+            m.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut ws);
+        }
+        let before = ALLOCATIONS.with(|n| n.get());
+        for _ in 0..3 {
+            m.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut ws);
+        }
+        assert_eq!(
+            ALLOCATIONS.with(|n| n.get()),
+            before,
+            "a warm step allocated"
+        );
+    }
+
+    #[test]
+    fn avx2_leaves_and_portable_paths_train_bit_identically() {
+        // The whole numeric layer under one switch: a dense and a sampled
+        // step (spmm, every GEMM layout, the gathered kernels, softmax, both
+        // update routines) with the AVX2+FMA leaves on and off.
+        let config = MlpConfig {
+            num_features: 80,
+            hidden: 32,
+            num_classes: 48,
+        };
+        let (x, labels) = wide_batch(&config, 64, 29);
+        let cand = cand_for(&labels, &config, 5);
+        let run = |portable: bool| {
+            asgd_tensor::kernels::force_portable(portable);
+            let mut dense = Mlp::init(&config, 71);
+            let mut sampled = dense.clone();
+            let mut ws = Workspace::new(&config);
+            let dense_loss = dense.train_batch_ws(&x, &labels, 0.05, &mut ws).loss;
+            let sampled_loss = sampled
+                .train_batch_sampled_ws(&x, &labels, &cand, 0.05, &mut ws)
+                .loss;
+            asgd_tensor::kernels::force_portable(false);
+            let bits = |m: &Mlp| m.to_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (
+                dense_loss.to_bits(),
+                sampled_loss.to_bits(),
+                bits(&dense),
+                bits(&sampled),
+            )
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

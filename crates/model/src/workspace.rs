@@ -57,10 +57,13 @@ pub struct Workspace {
     pub(crate) logits_s: Matrix,
     /// Candidate-gathered output bias (`|candidates|`).
     pub(crate) gathered_b2: Vec<f32>,
-    /// Compact `∇W₂ᵀ` rows of the candidate classes
-    /// (`|candidates| × hidden`).
+    /// The sampled path's output-layer gradient, compact: row `i` is
+    /// `∇W₂ᵀ` of candidate class `cand[i]` (`|candidates| × hidden`),
+    /// written by the backward `gemm_tn` and read in place by
+    /// [`crate::Mlp::apply_gradients_sampled`].
     pub(crate) gt: Matrix,
-    /// Compact `∇b₂` over the candidate set (`|candidates|`).
+    /// Compact `∇b₂` over the candidate set (`|candidates|`), likewise
+    /// read in place by the update.
     pub(crate) b2_scratch: Vec<f32>,
     /// Gradients of the current batch — output of
     /// [`crate::Mlp::loss_and_gradients_ws`].

@@ -194,7 +194,13 @@ pub fn read<R: BufRead>(mut reader: R) -> Result<LibsvmDataset, ParseError> {
         row_scratch.sort_by_key(|&(c, _)| c);
         for &(c, v) in &row_scratch {
             if indices.len() > *indptr.last().unwrap() && *indices.last().unwrap() == c {
-                *values.last_mut().unwrap() += v;
+                let sum = values.last_mut().expect("as long as `indices`");
+                *sum += v;
+                // Finite terms can still overflow: the same refusal as for
+                // a non-finite token.
+                if !sum.is_finite() {
+                    return Err(err(lineno, format!("non-finite sum for feature {c}")));
+                }
             } else {
                 indices.push(c);
                 values.push(v);
@@ -250,6 +256,7 @@ pub fn write<W: Write>(w: &mut W, ds: &LibsvmDataset) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::io::BufReader;
 
     const SAMPLE: &str = "3 5 4\n0,2 1:0.5 3:1.5\n1 0:2\n 4:1\n";
@@ -350,6 +357,16 @@ mod tests {
             assert_eq!(e.line, 3, "{tok}");
             assert!(e.message.contains("non-finite"), "{tok}: {e}");
         }
+    }
+
+    /// Found while writing `overwritten_files_read_or_fail_cleanly`:
+    /// duplicate feature ids are summed, and two finite values can sum to
+    /// infinity — which then sat in a dataset whose reader promises none.
+    #[test]
+    fn duplicate_features_overflowing_to_infinity_are_rejected() {
+        let e = read(BufReader::new("1 3 2\n0 1:3e38 2:1 1:3e38\n".as_bytes())).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("non-finite sum for feature 1"), "{e}");
     }
 
     #[test]
@@ -482,5 +499,50 @@ mod tests {
         let e = read_file("/nonexistent/asgd-no-such-file.txt").unwrap_err();
         assert_eq!(e.line, 0);
         assert!(e.message.contains("cannot open"));
+    }
+    /// A dataset the reader accepts holds no more samples or nonzeros than
+    /// the input has bytes, and nothing non-finite.
+    fn assert_reads_cleanly(raw: &[u8]) -> Result<(), TestCaseError> {
+        if let Ok(ds) = read(BufReader::new(raw)) {
+            prop_assert!(ds.len() <= raw.len() && ds.features.nnz() <= raw.len());
+            prop_assert_eq!(ds.features.rows(), ds.len());
+            for r in 0..ds.len() {
+                prop_assert!(ds.features.row(r).1.iter().all(|v| v.is_finite()));
+                prop_assert!(ds.labels[r].iter().all(|&l| (l as usize) < ds.num_labels));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A valid file with 1–8 bytes overwritten — by the format's own
+        /// punctuation and digits as often as by arbitrary (possibly
+        /// non-UTF-8) bytes — reads or is an error, never a panic.
+        #[test]
+        fn overwritten_files_read_or_fail_cleanly(
+            hits in proptest::collection::vec((0usize..1 << 20, 0usize..64, 0u8..=255), 1..=8),
+        ) {
+            let mut raw = b"4 9 5\n0,2 1:0.5 3:1.5 3:2\n1 0:1e38 0:1e38\n 4:1\n3,4 8:-7 2:1e-3\n".to_vec();
+            let alphabet = b" ,:\n.-e0123456789";
+            for (at, pick, byte) in hits {
+                let n = raw.len();
+                raw[at % n] = *alphabet.get(pick).unwrap_or(&byte);
+            }
+            assert_reads_cleanly(&raw)?;
+        }
+
+        /// Random bytes — bare, or after a plausible header line — read or
+        /// are an error.
+        #[test]
+        fn random_bytes_read_or_fail_cleanly(
+            header in 0u8..2,
+            raw in proptest::collection::vec(0u8..=255, 0..=4096),
+        ) {
+            let mut text = if header == 1 { b"3 200 200\n".to_vec() } else { Vec::new() };
+            text.extend(raw);
+            assert_reads_cleanly(&text)?;
+        }
     }
 }

@@ -42,33 +42,18 @@ fn spmm_row(
     ep: Epilogue,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+    if kernels::avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified.
         unsafe { spmm_row_avx2(idx, val, b_data, n, cols, crow, ep) };
         return;
     }
-    let mut j0 = cols.start;
-    while j0 < cols.end {
-        let w = (cols.end - j0).min(NB);
-        let mut acc = [0.0f32; NB];
-        for (&col, &av) in idx.iter().zip(val) {
-            let brow = &b_data[col as usize * n + j0..col as usize * n + j0 + w];
-            for (av_slot, &bv) in acc[..w].iter_mut().zip(brow) {
-                *av_slot = kernels::fused(av, bv, *av_slot);
-            }
-        }
-        let out = &mut crow[j0 - cols.start..j0 - cols.start + w];
-        for (l, o) in out.iter_mut().enumerate() {
-            *o = ep.apply(j0 + l, acc[l], *o);
-        }
-        j0 += w;
-    }
+    spmm_row_body(idx, val, b_data, n, cols, crow, ep, kernels::fused)
 }
 
-/// AVX2+FMA leaf of [`spmm_row`]: the same panel loop compiled with
-/// hardware-FMA features, so the per-term `mul_add` vectorizes to `vfmadd`.
-/// The body must live textually inside this `#[target_feature]` function
-/// and stay out-of-line — see the reduction-contract docs in
+/// AVX2+FMA leaf of [`spmm_row`]: the one [`spmm_row_body`] with
+/// [`f32::mul_add`] for its FMA, which inside this function vectorizes to
+/// `vfmadd`. Out of line, and the only place that body may be given
+/// `mul_add` — see "One ISA dispatch, and the FMA-spelling rule" in
 /// `asgd_tensor::kernels` for the LTO hazard this avoids.
 ///
 /// # Safety
@@ -85,6 +70,24 @@ unsafe fn spmm_row_avx2(
     crow: &mut [f32],
     ep: Epilogue,
 ) {
+    spmm_row_body(idx, val, b_data, n, cols, crow, ep, f32::mul_add)
+}
+
+/// The loop of [`spmm_row`], spelled with the calling path's FMA:
+/// `kernels::fused` on the portable path, [`f32::mul_add`] from inside
+/// [`spmm_row_avx2`] only.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // the row's whole addressing context, as scalars
+fn spmm_row_body(
+    idx: &[u32],
+    val: &[f32],
+    b_data: &[f32],
+    n: usize,
+    cols: std::ops::Range<usize>,
+    crow: &mut [f32],
+    ep: Epilogue,
+    fma: impl Fn(f32, f32, f32) -> f32,
+) {
     let mut j0 = cols.start;
     while j0 < cols.end {
         let w = (cols.end - j0).min(NB);
@@ -92,7 +95,7 @@ unsafe fn spmm_row_avx2(
         for (&col, &av) in idx.iter().zip(val) {
             let brow = &b_data[col as usize * n + j0..col as usize * n + j0 + w];
             for (av_slot, &bv) in acc[..w].iter_mut().zip(brow) {
-                *av_slot = av.mul_add(bv, *av_slot);
+                *av_slot = fma(av, bv, *av_slot);
             }
         }
         let out = &mut crow[j0 - cols.start..j0 - cols.start + w];
@@ -100,22 +103,6 @@ unsafe fn spmm_row_avx2(
             *o = ep.apply(j0 + l, acc[l], *o);
         }
         j0 += w;
-    }
-}
-
-/// One chunk of CSR·dense at full output width: one pass over the chunk's
-/// CSR rows; [`spmm_row`] dispatches to its AVX2+FMA leaf per row.
-fn spmm_chunk(
-    a: &CsrMatrix,
-    b_data: &[f32],
-    n: usize,
-    first_row: usize,
-    chunk: &mut [f32],
-    ep: Epilogue,
-) {
-    for (i, crow) in chunk.chunks_mut(n).enumerate() {
-        let (idx, val) = a.row(first_row + i);
-        spmm_row(idx, val, b_data, n, 0..n, crow, ep);
     }
 }
 
@@ -180,7 +167,10 @@ fn spmm_with_epilogue(a: &CsrMatrix, b: &Matrix, c: &mut Matrix, ep: Epilogue) {
     // thousands of columns) — column blocks provide that second axis.
     let wide = n >= 2 * NB;
     if threads == 1 || (m < MIN_PAR_ROWS && !wide) {
-        spmm_chunk(a, b_data, n, 0, c.as_mut_slice(), ep);
+        for (row, crow) in c.as_mut_slice().chunks_mut(n).enumerate() {
+            let (idx, val) = a.row(row);
+            spmm_row(idx, val, b_data, n, 0..n, crow, ep);
+        }
         return;
     }
     // Parallel path: a 2-D tile grid. Rows split into nnz-balanced
@@ -285,7 +275,7 @@ fn spmm_tn_acc_range(
     c_part: &mut [f32],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if kernels::avx2_fma_available() {
         // SAFETY: AVX2 support was just verified.
         unsafe { spmm_tn_acc_range_avx2(alpha, a, g_data, n, range, c_part) };
         return;
@@ -631,6 +621,45 @@ mod tests {
         assert_eq!(single, eight);
         assert_eq!(single.0, spmm_ordered(&a, &b, None), "spec mismatch");
         assert_eq!(single.1, spmm_ordered(&a, &b, Some(&bias)));
+    }
+
+    #[test]
+    fn avx2_leaves_and_portable_paths_agree_bit_for_bit() {
+        // `force_portable` reaches this crate's leaves through the one
+        // detection function: ragged CSR rows (`sparse_sample`), rows with
+        // no nonzeros at all, output widths across several `NB` panels and
+        // off the lane grid, and a `spmm_tn_acc` window that is a proper
+        // partition of the feature range.
+        let ragged = sparse_sample(24, 300, 31);
+        let rows: Vec<(Vec<u32>, Vec<f32>)> = (0..24)
+            .map(|r| match r {
+                0 | 13 => (Vec::new(), Vec::new()),
+                _ => (ragged.row(r).0.to_vec(), ragged.row(r).1.to_vec()),
+            })
+            .collect();
+        let a = CsrMatrix::from_rows(300, &rows).unwrap();
+        let run = |portable: bool| {
+            kernels::force_portable(portable);
+            let mut bits = Vec::new();
+            for n in [5usize, 24, 2 * NB + 37] {
+                let b = dense_sample(300, n, 32);
+                let bias: Vec<f32> = (0..n).map(|j| (j % 9) as f32 * 0.2 - 0.7).collect();
+                let mut c = Matrix::zeros(24, n);
+                spmm(&a, &b, &mut c);
+                let mut h = Matrix::zeros(24, n);
+                spmm_bias_relu(&a, &b, &bias, &mut h);
+                let mut t = dense_sample(300, n, 33);
+                spmm_tn_acc(-0.25, &a, &c, &mut t);
+                let mut part = dense_sample(120, n, 34);
+                spmm_tn_acc_range(0.5, &a, c.as_slice(), n, 90..210, part.as_mut_slice());
+                for out in [&c, &h, &t, &part] {
+                    bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+                }
+            }
+            kernels::force_portable(false);
+            bits
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl Histogram {
         self.underflow + self.overflow + self.bins.iter().sum::<u64>()
     }
 
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let width = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + width * (i as f64 + 0.5)
-    }
-
     /// Folds another histogram into this one (bin-wise count addition).
     ///
     /// Counts are integers, so the result is exact and independent of merge
@@ -111,13 +105,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.total(), 5);
-    }
-
-    #[test]
-    fn bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 5);
-        assert!((h.bin_center(0) - 1.0).abs() < 1e-12);
-        assert!((h.bin_center(4) - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -219,22 +219,19 @@ pub fn narrow(x: f32) -> u16 {
 
 // ---------------------------------------------------------------------------
 // Vectorized slice conversions: AVX2 leaf functions with portable twins,
-// following the kernels.rs multiversioning pattern. Both paths run the
-// identical per-element integer manipulation, so they are bit-equal.
+// following the kernels.rs multiversioning pattern and dispatched by its one
+// detection function (the leaves need only AVX2; asking the kernels' AVX2+FMA
+// question keeps one site for `force_portable` to govern). These leaves are
+// intrinsics bodies — different code from the scalar loops, not recompilations
+// of them. Both paths run the identical per-element integer manipulation, so
+// they are bit-equal.
 // ---------------------------------------------------------------------------
-
-/// Cached runtime AVX2 check (the conversions need no FMA).
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2")
-}
 
 /// `out[i] = widen(src[i])`. Panics if lengths differ.
 pub fn widen_slice(src: &[u16], out: &mut [f32]) {
     assert_eq!(src.len(), out.len(), "widen_slice length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::kernels::avx2_fma_available() {
         // SAFETY: AVX2 support was just verified; lengths match.
         unsafe { widen_slice_avx2(src, out) };
         return;
@@ -246,7 +243,7 @@ pub fn widen_slice(src: &[u16], out: &mut [f32]) {
 pub fn narrow_slice(src: &[f32], out: &mut [u16]) {
     assert_eq!(src.len(), out.len(), "narrow_slice length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::kernels::avx2_fma_available() {
         // SAFETY: AVX2 support was just verified; lengths match.
         unsafe { narrow_slice_avx2(src, out) };
         return;
@@ -269,12 +266,13 @@ fn narrow_slice_portable(src: &[f32], out: &mut [u16]) {
 }
 
 /// Widens eight stored bf16 lanes to f32 — the vector twin of [`widen`]
-/// (zero-extend, shift into the high halves). Callable only from
-/// AVX2-enabled leaf functions.
+/// (zero-extend, shift into the high halves). Register-only, like the three
+/// helpers after it: a safe function that the AVX2 leaves below may call,
+/// and nothing without the feature can.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn widen_lanes_avx2(half: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m256 {
+fn widen_lanes_avx2(half: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
     _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(half), 16))
 }
@@ -288,7 +286,7 @@ unsafe fn widen_lanes_avx2(half: std::arch::x86_64::__m128i) -> std::arch::x86_6
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn narrow_lanes32_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256i {
+fn narrow_lanes32_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256i {
     use std::arch::x86_64::*;
     let bits = _mm256_castps_si256(v);
     // RNE: bits + 0x7FFF + ((bits >> 16) & 1).
@@ -306,7 +304,7 @@ unsafe fn narrow_lanes32_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn narrow_lanes_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m128i {
+fn narrow_lanes_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64::__m128i {
     use std::arch::x86_64::*;
     let packed = _mm256_packus_epi32(narrow_lanes32_avx2(v), _mm256_setzero_si256());
     _mm256_castsi256_si128(_mm256_permute4x64_epi64::<0b00_00_10_00>(packed))
@@ -318,7 +316,7 @@ unsafe fn narrow_lanes_avx2(v: std::arch::x86_64::__m256) -> std::arch::x86_64::
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-unsafe fn pack16_avx2(
+fn pack16_avx2(
     lo: std::arch::x86_64::__m256i,
     hi: std::arch::x86_64::__m256i,
 ) -> std::arch::x86_64::__m256i {
@@ -328,6 +326,10 @@ unsafe fn pack16_avx2(
 
 /// AVX2 clone of [`widen_slice_portable`]. Pure integer ops — bit-equal to
 /// the scalar path on every input.
+///
+/// # Safety
+/// Caller must have verified AVX2 support and `src.len() == out.len()`: the
+/// loops guard every access at `i` by `i + width <= n`, one slice's length.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)] // keep the feature boundary opaque, as in kernels.rs
 #[target_feature(enable = "avx2")]
@@ -354,6 +356,9 @@ unsafe fn widen_slice_avx2(src: &[u16], out: &mut [f32]) {
 }
 
 /// AVX2 clone of [`narrow_slice_portable`].
+///
+/// # Safety
+/// As [`widen_slice_avx2`]: AVX2 verified, `src.len() == out.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2")]
@@ -392,7 +397,7 @@ unsafe fn narrow_slice_avx2(src: &[f32], out: &mut [u16]) {
 pub fn add_assign_slice(dst: &mut [u16], src: &[u16]) {
     assert_eq!(dst.len(), src.len(), "bf16 add_assign length mismatch");
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::kernels::avx2_fma_available() {
         // SAFETY: AVX2 support was just verified; lengths match.
         unsafe { add_assign_slice_avx2(dst, src) };
         return;
@@ -403,26 +408,12 @@ pub fn add_assign_slice(dst: &mut [u16], src: &[u16]) {
 /// `buf[i] = narrow(widen(buf[i]) * a)` — the merge-weight pre-scale.
 pub fn scale_slice(a: f32, buf: &mut [u16]) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if crate::kernels::avx2_fma_available() {
         // SAFETY: AVX2 support was just verified.
         unsafe { scale_slice_avx2(a, buf) };
         return;
     }
     scale_slice_portable(a, buf);
-}
-
-/// `dst[i] += a * widen(src[i])` — weighted accumulation *reading* bf16
-/// into an f32 accumulator (separate multiply and add, exactly like the f32
-/// [`crate::parallel::par_weighted_axpy`]). Panics if lengths differ.
-pub fn axpy_slice(a: f32, src: &[u16], dst: &mut [f32]) {
-    assert_eq!(dst.len(), src.len(), "bf16 axpy length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified; lengths match.
-        unsafe { axpy_slice_avx2(a, src, dst) };
-        return;
-    }
-    axpy_slice_portable(a, src, dst);
 }
 
 #[inline(always)]
@@ -439,15 +430,11 @@ fn scale_slice_portable(a: f32, buf: &mut [u16]) {
     }
 }
 
-#[inline(always)]
-fn axpy_slice_portable(a: f32, src: &[u16], dst: &mut [f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d += a * widen(s);
-    }
-}
-
 /// AVX2 clone of [`add_assign_slice_portable`]: exact widens, one
 /// `_mm256_add_ps` (a lone `fadd`, nothing to contract), one vector narrow.
+///
+/// # Safety
+/// As [`widen_slice_avx2`]: AVX2 verified, `dst.len() == src.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2")]
@@ -486,6 +473,10 @@ unsafe fn add_assign_slice_avx2(dst: &mut [u16], src: &[u16]) {
 }
 
 /// AVX2 clone of [`scale_slice_portable`].
+///
+/// # Safety
+/// Caller must have verified AVX2 support; every access at `i` is guarded
+/// by `i + width <= buf.len()`.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2")]
@@ -513,29 +504,6 @@ unsafe fn scale_slice_avx2(a: f32, buf: &mut [u16]) {
         i += 8;
     }
     scale_slice_portable(a, &mut buf[i..]);
-}
-
-/// AVX2 clone of [`axpy_slice_portable`]: a separate `_mm256_mul_ps` and
-/// `_mm256_add_ps`, two roundings, matching the portable `*d += a * s`
-/// (rustc never contracts an explicit mul+add pair into an FMA).
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2")]
-unsafe fn axpy_slice_avx2(a: f32, src: &[u16], dst: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let av = _mm256_set1_ps(a);
-    let mut i = 0;
-    while i + 8 <= n {
-        let s = widen_lanes_avx2(_mm_loadu_si128(src.as_ptr().add(i) as *const __m128i));
-        let d = _mm256_loadu_ps(dst.as_ptr().add(i));
-        _mm256_storeu_ps(
-            dst.as_mut_ptr().add(i),
-            _mm256_add_ps(d, _mm256_mul_ps(av, s)),
-        );
-        i += 8;
-    }
-    axpy_slice_portable(a, &src[i..], &mut dst[i..]);
 }
 
 // ---------------------------------------------------------------------------

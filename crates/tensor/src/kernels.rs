@@ -3,25 +3,52 @@
 //! Every dense/sparse matmul in this workspace is built from the blocked
 //! micro-kernels in this module, written in stable Rust. The wide-output
 //! kernels pack `B` into contiguous `NB`-float column panels (a bit-for-bit
-//! copy, [`with_b_panel`]) and reduce them in `MR × NR` register tiles. On
-//! `x86_64` every hot inner loop is a **leaf function** compiled with
-//! `#[target_feature(enable = "avx2,fma")]` (stable function
-//! multiversioning, selected per call via the cached
-//! `is_x86_feature_detected!`); the leaves hold their loop bodies directly
-//! (256-bit `std::arch` intrinsics for the register tiles, autovectorized
-//! `f32::mul_add` for the variable-width remainders) and perform the
-//! *identical* per-element IEEE-754 operation sequence as the portable
-//! twins — so the numeric contract below holds on every host and every
-//! dispatch path.
+//! copy, [`with_b_panel`]) and reduce them in `MR × NR` register tiles.
 //!
-//! The leaves are deliberately `#[inline(never)]` and self-contained:
-//! LLVM refuses to inline across a target-feature boundary, and — worse —
-//! when a fused multiply-add (`llvm.fma`) ends up in a function *without*
-//! the `fma` feature, (Thin)LTO's vector legalization **splits it into a
-//! separate multiply and add**, silently double-rounding. Keeping each
-//! fused loop textually inside its `#[target_feature]` leaf guarantees
-//! hardware FMA codegen; portable twins instead call [`fused`], whose
-//! libm `fmaf` call is opaque to the optimizer and cannot be split.
+//! # One tile family
+//!
+//! The row-streaming products — `gemm`, `gemm_bias{,_relu}`, `gemm_tn`,
+//! `gemm_nn_gather`, the packed top-k — share one family of four functions,
+//! `tile` / `tail` / `rows_panel` / `chunk_panel`, generic over *how
+//! an `M`-row group fetches its `M` scalars of `A` for reduction step `kk`*
+//! (`AGroup::step`): rows of a row-major `A` (`Rows`) or columns of a
+//! `k×m` `A` (`Cols`, `gemm_tn`). Nothing else differs between `A·B` and
+//! `Aᵀ·B`, so nothing else is written twice. The accessor is a monomorphized
+//! trait, resolved at compile time.
+//!
+//! # One ISA dispatch, and the FMA-spelling rule
+//!
+//! On `x86_64` every hot inner loop has a **leaf function** compiled with
+//! `#[target_feature(enable = "avx2,fma")]` (stable function
+//! multiversioning), taken when [`avx2_fma_available`] says so — the one
+//! function in the workspace that asks the CPU, shared with [`crate::bf16`]
+//! and `asgd-sparse`, and the one [`force_portable`] turns off. A leaf is
+//! one of two things:
+//!
+//! * an **intrinsics body** (`tile_avx2`, the bf16 conversions): different
+//!   code from its portable twin — named `__m256` accumulators the register
+//!   allocator keeps in ymm registers, ~2× the autovectorized loop — which
+//!   is why those stay written out;
+//! * a **one-line call** of a shared `#[inline(always)]` body
+//!   (`tail_body`, `panel_strided_body`, `asgd-sparse`'s `spmm_row_body`)
+//!   that takes its fused multiply-add as a parameter. The portable path
+//!   passes [`fused`]; the leaf passes [`f32::mul_add`]. No loop is written
+//!   twice for ISA reasons.
+//!
+//! `mul_add` may only ever be instantiated *inside* a leaf: it lowers to
+//! `llvm.fma`, and when that intrinsic ends up in a function *without* the
+//! `fma` feature, (Thin)LTO's vector legalization **splits it into a
+//! separate multiply and add**, silently double-rounding. An
+//! `#[inline(always)]` body has no code of its own — it exists only inlined
+//! into its caller, so the instance that names `mul_add` exists only inside
+//! the `#[target_feature]` leaf and gets hardware FMA codegen, while the
+//! instance on the portable path calls [`fused`], whose libm `fmaf` is
+//! opaque to the optimizer and cannot be split. The leaves themselves are
+//! `#[inline(never)]`: LLVM must not blend them into feature-less callers.
+//! Both paths perform the *identical* per-element IEEE-754 operation
+//! sequence, so the numeric contract below holds on every host and every
+//! dispatch path (`ops::tests::avx2_leaves_and_portable_twins_agree_bit_for_bit`
+//! and its siblings in `asgd-sparse` / `asgd-model` compare them in-process).
 //!
 //! # The lane-width-8 reduction contract
 //!
@@ -35,9 +62,9 @@
 //!    so each output element accumulates its `k` (or CSR-nonzero) terms one
 //!    at a time, in ascending order, each term applied as a **fused
 //!    multiply-add** (`acc = fma(a, b, acc)`, a single rounding per term).
-//!    The portable path computes this with [`f32::mul_add`] — correctly
-//!    rounded on every platform, by libm call where hardware FMA is absent —
-//!    and the AVX2 path with `_mm256_fmadd_ps`; both produce the same bits.
+//!    The portable path computes this with [`fused`] — correctly rounded on
+//!    every platform, by libm call where hardware FMA is absent — and the
+//!    AVX2 path with `_mm256_fmadd_ps` / `vfmadd`; both produce the same bits.
 //!    Blocking and packing change where operands live, never the
 //!    association.
 //! 2. **Dot-product kernels** (`gemm_nt` and [`dot_lanes`]): the reduction
@@ -109,14 +136,38 @@ fn pad_to_panel_align(buf: &mut Vec<f32>, len: usize) -> usize {
     pad
 }
 
-/// Runs `f` on the `w`-wide `B` panel at column `j0`, packed contiguously
-/// (panel row `kk` lives at `kk * w`). When the panel spans all of `B`
-/// (`w == n`, which implies `j0 == 0`), `B` itself is already in packed
-/// layout and is passed through without copying.
+/// The rows of `B` a row-streaming product reduces over, in reduction order.
+#[derive(Clone, Copy)]
+pub(crate) enum BRows<'a> {
+    /// Rows `0..k` — the plain products.
+    All(usize),
+    /// Rows `idx[0], idx[1], …` — the gathered products of the sampled
+    /// softmax.
+    Gathered(&'a [u32]),
+}
+
+impl BRows<'_> {
+    /// The reduction length.
+    fn len(self) -> usize {
+        match self {
+            BRows::All(k) => k,
+            BRows::Gathered(idx) => idx.len(),
+        }
+    }
+}
+
+/// Runs `f` on the `w`-wide panel of `rows` of `B` at column `j0`, packed
+/// contiguously: panel row `kk` lives at `kk * w` and holds columns
+/// `j0..j0 + w` of the `kk`-th row of `rows`. When the panel spans all of an
+/// ungathered `B` (`w == n`, which implies `j0 == 0`), `B` itself is already
+/// in packed layout and is passed through without copying; gathered rows
+/// are never contiguous in `B`, so their panel is always materialized.
 ///
 /// Packing copies element bits verbatim, so it cannot affect the reduction
-/// contract. It exists purely for locality: the strided panel rows of a wide
-/// `B` (consecutive `kk` rows sit `n × 4` bytes apart, which defeats the
+/// contract, and running any panel kernel on a gathered panel is
+/// bit-identical to running it on a fully materialized gather of `B`. It
+/// exists purely for locality: the strided panel rows of a wide `B`
+/// (consecutive `kk` rows sit `n × 4` bytes apart, which defeats the
 /// hardware prefetcher) are gathered once per *chunk* and then streamed
 /// sequentially by every `MR`-row group, instead of paying the strided walk
 /// once per row group.
@@ -124,46 +175,21 @@ fn pad_to_panel_align(buf: &mut Vec<f32>, len: usize) -> usize {
 fn with_b_panel<R>(
     b: &[f32],
     n: usize,
-    k: usize,
+    rows: BRows,
     j0: usize,
     w: usize,
     f: impl FnOnce(&[f32]) -> R,
 ) -> R {
-    if w == n {
+    if matches!(rows, BRows::All(_)) && w == n {
         return f(b);
     }
     PANEL_SCRATCH.with(|cell| {
         let mut buf = cell.borrow_mut();
-        let pad = pad_to_panel_align(&mut buf, k * w);
-        for kk in 0..k {
-            buf.extend_from_slice(&b[kk * n + j0..kk * n + j0 + w]);
-        }
-        f(&buf[pad..])
-    })
-}
-
-/// Runs `f` on a `w`-wide panel of the *gathered* `B` rows
-/// `B[idx[0]], B[idx[1]], …` at column `j0`, packed contiguously (panel row
-/// `kk` lives at `kk * w` and holds `B[idx[kk]][j0..j0 + w]`). Unlike
-/// [`with_b_panel`] there is no pass-through case: gathered rows are never
-/// contiguous in `B`, so the panel is always materialized. Packing copies
-/// element bits verbatim, so running any panel kernel on the result is
-/// bit-identical to running it on a fully materialized gather of `B`.
-#[inline(always)]
-fn with_gathered_b_panel<R>(
-    b: &[f32],
-    n: usize,
-    idx: &[u32],
-    j0: usize,
-    w: usize,
-    f: impl FnOnce(&[f32]) -> R,
-) -> R {
-    PANEL_SCRATCH.with(|cell| {
-        let mut buf = cell.borrow_mut();
-        let pad = pad_to_panel_align(&mut buf, idx.len() * w);
-        for &row in idx {
-            let base = row as usize * n + j0;
-            buf.extend_from_slice(&b[base..base + w]);
+        let pad = pad_to_panel_align(&mut buf, rows.len() * w);
+        let mut pack = |row: usize| buf.extend_from_slice(&b[row * n + j0..row * n + j0 + w]);
+        match rows {
+            BRows::All(k) => (0..k).for_each(&mut pack),
+            BRows::Gathered(idx) => idx.iter().for_each(|&row| pack(row as usize)),
         }
         f(&buf[pad..])
     })
@@ -292,26 +318,37 @@ pub fn axpy_lanes(s: f32, src: &[f32], dst: &mut [f32]) {
 /// the k-loop runs with **zero** accumulator memory traffic.
 const NR: usize = 16;
 
-/// Set by [`force_portable`]: [`avx2_available`] answers "no".
+/// Set by [`force_portable`]: [`avx2_fma_available`] answers "no".
 static PORTABLE_ONLY: AtomicBool = AtomicBool::new(false);
 
 /// In-process override of the AVX2+FMA detection: while `on`, every kernel
-/// dispatch in this module takes its portable twin. Test-only, like
+/// dispatch in the workspace — this module, [`crate::bf16`], `asgd-sparse` —
+/// takes its portable path. Test-only, like
 /// [`crate::parallel::override_threads`] — lets one process run the
-/// `#[target_feature]` leaves and their twins on the same inputs and compare
-/// bits, on the one host CI has.
+/// `#[target_feature]` leaves and the portable paths on the same inputs and
+/// compare bits, on the one host CI has.
 #[doc(hidden)]
 pub fn force_portable(on: bool) {
     PORTABLE_ONLY.store(on, Ordering::Relaxed);
 }
 
-/// Cached runtime AVX2+FMA check (atomic loads after the first call).
-#[cfg(target_arch = "x86_64")]
+/// The workspace's one ISA question: may this call take an AVX2+FMA leaf?
+/// Every dispatch site (here, in [`crate::bf16`] and in `asgd-sparse`) asks
+/// this function and nothing else, so [`force_portable`] reaches all of
+/// them. The runtime check is cached by std (atomic loads after the first
+/// call); always `false` off `x86_64`, where no leaf exists.
 #[inline(always)]
-fn avx2_available() -> bool {
-    !PORTABLE_ONLY.load(Ordering::Relaxed)
-        && std::arch::is_x86_feature_detected!("avx2")
-        && std::arch::is_x86_feature_detected!("fma")
+pub fn avx2_fma_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        !PORTABLE_ONLY.load(Ordering::Relaxed)
+            && std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
 }
 
 /// The contract's fused multiply-add, guaranteed correctly rounded on every
@@ -343,15 +380,123 @@ pub fn fused(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
+/// How an `M`-row group of output reads its `A` operand: `step(kk)[r]` is
+/// the scalar that multiplies panel row `kk` into output row `r`. This is
+/// the only thing `A·B` and `Aᵀ·B` differ in, so the register-tile family
+/// below ([`tile`], [`tail`], [`rows_panel`], [`chunk_panel`]) is written
+/// once over it. The two implementations are monomorphized into the tile
+/// loops: the layout is resolved at compile time, never by a stride read
+/// and multiplied per element (which measured 5–14 % slower, EXPERIMENTS.md).
+pub(crate) trait AGroup<const M: usize>: Copy {
+    /// The group's `M` scalars of reduction step `kk` — by reference, so
+    /// each load stays where the tile loop uses it (a broadcast straight
+    /// from memory in the AVX2 tile; copied out first, two of the four
+    /// became a load plus a register broadcast, 3–5 % on the `k`-long
+    /// backward product — EXPERIMENTS.md, "One numeric path").
+    fn step(&self, kk: usize) -> [&f32; M];
+}
+
+/// `M` rows of a row-major `A` — `gemm`, `gemm_bias*`, `gemm_nn_gather` and
+/// the top-k kernels: `step(kk)[r] = rows[r][kk]`.
+#[derive(Clone, Copy)]
+struct Rows<'a, const M: usize>([&'a [f32]; M]);
+
+impl<const M: usize> AGroup<M> for Rows<'_, M> {
+    #[inline(always)]
+    fn step(&self, kk: usize) -> [&f32; M] {
+        std::array::from_fn(|r| &self.0[r][kk])
+    }
+}
+
+/// `M` adjacent columns of a `k×m` `A` — `gemm_tn`, whose output rows are
+/// `A`'s columns: `step(kk)[r] = A[kk][first + r]`, one contiguous `M`-float
+/// read per step.
+#[derive(Clone, Copy)]
+struct Cols<'a> {
+    a: &'a [f32],
+    m: usize,
+    first: usize,
+}
+
+impl<const M: usize> AGroup<M> for Cols<'_> {
+    #[inline(always)]
+    fn step(&self, kk: usize) -> [&f32; M] {
+        let at = kk * self.m + self.first;
+        let a_k = &self.a[at..at + M];
+        std::array::from_fn(|r| &a_k[r])
+    }
+}
+
+/// The whole `A` operand of a row-streaming product: hands
+/// [`chunk_panel`] the [`AGroup`] of each row group it cuts.
+pub(crate) trait AOperand: Copy {
+    /// The accessor of output rows `first..first + M`.
+    fn group<const M: usize>(self, first: usize) -> impl AGroup<M>;
+}
+
+/// A row-major `m×k` `A`: output row `i` reads `A`'s row `i`.
+#[derive(Clone, Copy)]
+pub(crate) struct RowMajorA<'a> {
+    pub a: &'a [f32],
+    pub k: usize,
+}
+
+impl AOperand for RowMajorA<'_> {
+    #[inline(always)]
+    fn group<const M: usize>(self, first: usize) -> impl AGroup<M> {
+        Rows(std::array::from_fn(|r| {
+            &self.a[(first + r) * self.k..][..self.k]
+        }))
+    }
+}
+
+/// A `k×m` `A` read transposed: output row `i` reads `A`'s column `i`.
+#[derive(Clone, Copy)]
+pub(crate) struct TransposedA<'a> {
+    pub a: &'a [f32],
+    pub m: usize,
+}
+
+impl AOperand for TransposedA<'_> {
+    #[inline(always)]
+    fn group<const M: usize>(self, first: usize) -> impl AGroup<M> {
+        Cols {
+            a: self.a,
+            m: self.m,
+            first,
+        }
+    }
+}
+
+/// Writes a finished accumulator block through the epilogue, once per
+/// element: `out[r][col0 + l] = ep(acc[r][l])` for `l < cols`. `out` holds
+/// the group's `M` output rows at stride `n`.
+#[inline(always)]
+fn store_tile<const M: usize>(
+    acc: &[[f32; NR]; M],
+    cols: usize,
+    n: usize,
+    col0: usize,
+    out: &mut [f32],
+    ep: Epilogue,
+) {
+    for (r, accr) in acc.iter().enumerate() {
+        let crow = &mut out[r * n + col0..r * n + col0 + cols];
+        for (l, cv) in crow.iter_mut().enumerate() {
+            *cv = ep.apply(col0 + l, accr[l], *cv);
+        }
+    }
+}
+
 /// One `M × NR` register tile over a *packed* `B` panel
-/// (`bp[kk * w + l] = B[kk][j0 + l]`): `acc[r][l] += a_rows[r][kk] ·
+/// (`bp[kk * w + l] = B[kk][j0 + l]`): `acc[r][l] += a.step(kk)[r] ·
 /// bp[kk][jt + l]`, `kk` ascending (rule 1 of the contract), epilogue
 /// applied from the finished accumulators. On AVX2 hosts the reduction runs
-/// in the intrinsics clone ([`nn_tile_avx2`]); both paths perform the
+/// in the intrinsics clone ([`tile_avx2`]); both paths perform the
 /// identical per-element IEEE-754 operation sequence.
 #[inline(always)]
-fn nn_tile<const M: usize>(
-    a_rows: &[&[f32]; M],
+fn tile<const M: usize, A: AGroup<M>>(
+    a: A,
     bp: &[f32],
     w: usize,
     n: usize,
@@ -361,37 +506,32 @@ fn nn_tile<const M: usize>(
     ep: Epilogue,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified; slice bounds are checked
-        // by the callee's preconditions (jt + NR <= w == panel row length).
-        unsafe { nn_tile_avx2::<M>(a_rows, bp, w, n, j0, jt, out, ep) };
+    if avx2_fma_available() {
+        // SAFETY: AVX2+FMA support was just verified; `rows_panel` only
+        // calls with `jt + NR <= w` and `bp` whole `w`-float panel rows.
+        unsafe { tile_avx2(a, bp, w, n, j0, jt, out, ep) };
         return;
     }
     let mut acc = [[0.0f32; NR]; M];
     for (kk, brow) in bp.chunks_exact(w).enumerate() {
         let bv: &[f32; NR] = brow[jt..jt + NR].try_into().unwrap();
-        for (accr, arow) in acc.iter_mut().zip(a_rows) {
-            let a_rk = arow[kk];
+        for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
             for l in 0..NR {
-                accr[l] = fused(a_rk, bv[l], accr[l]);
+                accr[l] = fused(*a_rk, bv[l], accr[l]);
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + NR];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
+    store_tile(&acc, NR, n, j0 + jt, out, ep);
 }
 
-/// AVX2+FMA intrinsics body of [`nn_tile`]: the `M × NR` accumulator block
-/// is `2·M` named `__m256` values, which the register allocator keeps in
-/// ymm registers across the whole k-loop (the autovectorized portable body
-/// round-trips the accumulator array through the stack every iteration —
-/// measured ~2x slower). Per element and per step this is exactly
-/// `acc = fma(a, b, acc)` in IEEE-754 single precision — the same
-/// correctly-rounded fused operation [`f32::mul_add`] performs in the
+/// AVX2+FMA intrinsics body of [`tile`] — different code from the portable
+/// body, not a recompilation of it, which is why it stays: the `M × NR`
+/// accumulator block is `2·M` named `__m256` values, which the register
+/// allocator keeps in ymm registers across the whole k-loop (the
+/// autovectorized portable body round-trips the accumulator array through
+/// the stack every iteration — measured ~2x slower). Per element and per
+/// step this is exactly `acc = fma(a, b, acc)` in IEEE-754 single precision
+/// — the same correctly-rounded fused operation [`fused`] performs in the
 /// portable body, so both paths produce identical bits.
 ///
 /// # Safety
@@ -400,8 +540,8 @@ fn nn_tile<const M: usize>(
 #[cfg(target_arch = "x86_64")]
 #[inline(never)] // inlining past the feature boundary under LTO splits the FMAs
 #[target_feature(enable = "avx2,fma")]
-unsafe fn nn_tile_avx2<const M: usize>(
-    a_rows: &[&[f32]; M],
+unsafe fn tile_avx2<const M: usize, A: AGroup<M>>(
+    a: A,
     bp: &[f32],
     w: usize,
     n: usize,
@@ -416,29 +556,27 @@ unsafe fn nn_tile_avx2<const M: usize>(
     for (kk, brow) in bp.chunks_exact(w).enumerate() {
         let b0 = _mm256_loadu_ps(brow.as_ptr().add(jt));
         let b1 = _mm256_loadu_ps(brow.as_ptr().add(jt + LANES));
+        let a_k = a.step(kk);
         for r in 0..M {
-            let av = _mm256_set1_ps(a_rows[r][kk]);
+            let av = _mm256_set1_ps(*a_k[r]);
             acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
     }
     for r in 0..M {
-        let mut tile = [0.0f32; NR];
-        _mm256_storeu_ps(tile.as_mut_ptr(), acc0[r]);
-        _mm256_storeu_ps(tile.as_mut_ptr().add(LANES), acc1[r]);
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + NR];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, tile[l], *cv);
-        }
+        let mut row = [[0.0f32; NR]];
+        _mm256_storeu_ps(row[0].as_mut_ptr(), acc0[r]);
+        _mm256_storeu_ps(row[0].as_mut_ptr().add(LANES), acc1[r]);
+        store_tile(&row, NR, n, j0 + jt, &mut out[r * n..], ep);
     }
 }
 
 /// The `w % NR` remainder columns of a packed panel, accumulated with the
-/// same ascending-`kk` per-element order as [`nn_tile`] (variable-width, so
+/// same ascending-`kk` per-element order as [`tile`] (variable-width, so
 /// the accumulator may live on the stack — at most `NR - 1` columns).
 #[inline(always)]
-fn nn_tail<const M: usize>(
-    a_rows: &[&[f32]; M],
+fn tail<const M: usize, A: AGroup<M>>(
+    a: A,
     bp: &[f32],
     w: usize,
     n: usize,
@@ -448,42 +586,25 @@ fn nn_tail<const M: usize>(
     ep: Epilogue,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified.
-        unsafe { nn_tail_avx2::<M>(a_rows, bp, w, n, j0, jt, out, ep) };
+        unsafe { tail_avx2(a, bp, w, n, j0, jt, out, ep) };
         return;
     }
-    let rem = w - jt;
-    let mut acc = [[0.0f32; NR]; M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let bv = &brow[jt..w];
-        for (accr, arow) in acc.iter_mut().zip(a_rows) {
-            let a_rk = arow[kk];
-            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
-                *av = fused(a_rk, b, *av);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + rem];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
+    tail_body(a, bp, w, n, j0, jt, out, ep, fused)
 }
 
-/// AVX2+FMA leaf of [`nn_tail`]: same loop, but compiled with hardware-FMA
-/// features so the `mul_add` calls lower to `vfmadd` (vectorized where the
-/// width allows) instead of libm calls. The body lives textually inside
-/// this `#[target_feature]` function — see the module docs for why it must.
+/// AVX2+FMA leaf of [`tail`]: the one [`tail_body`] with [`f32::mul_add`]
+/// for its FMA, which inside this function lowers to `vfmadd` (vectorized
+/// where the width allows) instead of a libm call per term.
 ///
 /// # Safety
-/// Caller must have verified AVX2+FMA support; bounds as in [`nn_tail`].
+/// Caller must have verified AVX2+FMA support.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn nn_tail_avx2<const M: usize>(
-    a_rows: &[&[f32]; M],
+unsafe fn tail_avx2<const M: usize, A: AGroup<M>>(
+    a: A,
     bp: &[f32],
     w: usize,
     n: usize,
@@ -492,118 +613,69 @@ unsafe fn nn_tail_avx2<const M: usize>(
     out: &mut [f32],
     ep: Epilogue,
 ) {
-    let rem = w - jt;
-    let mut acc = [[0.0f32; NR]; M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let bv = &brow[jt..w];
-        for (accr, arow) in acc.iter_mut().zip(a_rows) {
-            let a_rk = arow[kk];
-            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
-                *av = a_rk.mul_add(b, *av);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + rem];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
+    tail_body(a, bp, w, n, j0, jt, out, ep, f32::mul_add)
 }
 
-/// One strided NN panel (panel row `kk` at
-/// `b[kk * n + j0]`). Bit-identical per element — only the operand address
-/// differs. Used by the streaming top-k path for the `MR`-row groups of
-/// blocks too short to pack for ([`TOPK_PACK_MIN_ROWS`]).
+/// The loop of [`tail`], spelled with the calling path's FMA (the rule is
+/// in the module docs): [`fused`] on the portable path, [`f32::mul_add`]
+/// from inside [`tail_avx2`] only.
 #[inline(always)]
-fn nn_panel_strided<const M: usize>(
-    a_rows: &[&[f32]; M],
-    b: &[f32],
+fn tail_body<const M: usize, A: AGroup<M>>(
+    a: A,
+    bp: &[f32],
+    w: usize,
     n: usize,
     j0: usize,
-    w: usize,
-    acc: &mut [[f32; NB]; M],
+    jt: usize,
+    out: &mut [f32],
+    ep: Epilogue,
+    fma: impl Fn(f32, f32, f32) -> f32,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2+FMA support was just verified.
-        unsafe { nn_panel_strided_avx2::<M>(a_rows, b, n, j0, w, acc) };
-        return;
-    }
-    for kk in 0..a_rows[0].len() {
-        let brow = &b[kk * n + j0..kk * n + j0 + w];
-        for (accr, arow) in acc.iter_mut().zip(a_rows) {
-            let a_rk = arow[kk];
-            for (av, &bv) in accr[..w].iter_mut().zip(brow) {
-                *av = fused(a_rk, bv, *av);
+    let rem = w - jt;
+    let mut acc = [[0.0f32; NR]; M];
+    for (kk, brow) in bp.chunks_exact(w).enumerate() {
+        let bv = &brow[jt..w];
+        for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
+            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
+                *av = fma(*a_rk, b, *av);
             }
         }
     }
+    store_tile(&acc, rem, n, j0 + jt, out, ep);
 }
 
-/// AVX2+FMA leaf of [`nn_panel_strided`] — same loop, hardware-FMA codegen
-/// (see [`nn_tail_avx2`]).
-///
-/// # Safety
-/// Caller must have verified AVX2+FMA support; bounds as in
-/// [`nn_panel_strided`].
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn nn_panel_strided_avx2<const M: usize>(
-    a_rows: &[&[f32]; M],
-    b: &[f32],
-    n: usize,
-    j0: usize,
-    w: usize,
-    acc: &mut [[f32; NB]; M],
-) {
-    for kk in 0..a_rows[0].len() {
-        let brow = &b[kk * n + j0..kk * n + j0 + w];
-        for (accr, arow) in acc.iter_mut().zip(a_rows) {
-            let a_rk = arow[kk];
-            for (av, &bv) in accr[..w].iter_mut().zip(brow) {
-                *av = a_rk.mul_add(bv, *av);
-            }
-        }
-    }
-}
-
-/// `M` rows × one packed panel of `C = epilogue(A·B)`: [`nn_tile`] register
-/// tiles across the panel plus one [`nn_tail`], epilogue once per element
+/// `M` rows × one packed panel of `C = epilogue(A'·B)`: [`tile`] register
+/// tiles across the panel plus one [`tail`], epilogue once per element
 /// after each tile's reduction finishes. `out` holds the `M` full output
 /// rows contiguously.
 #[inline(always)]
-fn nn_rows_panel<const M: usize>(
-    a: &[f32],
-    k: usize,
+fn rows_panel<const M: usize, A: AGroup<M>>(
+    a: A,
     bp: &[f32],
     n: usize,
     j0: usize,
     w: usize,
-    a_first: usize,
     out: &mut [f32],
     ep: Epilogue,
 ) {
-    let a_rows: [&[f32]; M] = std::array::from_fn(|r| &a[(a_first + r) * k..(a_first + r + 1) * k]);
     let w_tiled = w - w % NR;
     let mut jt = 0;
     while jt < w_tiled {
-        nn_tile::<M>(&a_rows, bp, w, n, j0, jt, out, ep);
+        tile(a, bp, w, n, j0, jt, out, ep);
         jt += NR;
     }
     if jt < w {
-        nn_tail::<M>(&a_rows, bp, w, n, j0, jt, out, ep);
+        tail(a, bp, w, n, j0, jt, out, ep);
     }
 }
 
-/// Every row of a chunk × one packed panel: [`nn_rows_panel`] over the
-/// chunk's `MR`-row groups, the last of which may hold 1–3 rows. `out` holds
-/// the chunk's full output rows at stride `n`.
+/// Every row of a chunk × one packed panel: [`rows_panel`] over the chunk's
+/// `MR`-row groups, the last of which may hold 1–3 rows. `out` holds the
+/// chunk's full output rows at stride `n`; its first row is output row
+/// `first_row` of the product.
 #[inline(always)]
-fn nn_chunk_panel(
-    a: &[f32],
-    k: usize,
+fn chunk_panel(
+    a: impl AOperand,
     bp: &[f32],
     n: usize,
     j0: usize,
@@ -618,297 +690,111 @@ fn nn_chunk_panel(
         let block = &mut out[i * n..];
         let first = first_row + i;
         match rows - i {
-            1 => nn_rows_panel::<1>(a, k, bp, n, j0, w, first, &mut block[..n], ep),
-            2 => nn_rows_panel::<2>(a, k, bp, n, j0, w, first, &mut block[..2 * n], ep),
-            3 => nn_rows_panel::<3>(a, k, bp, n, j0, w, first, &mut block[..3 * n], ep),
-            _ => nn_rows_panel::<MR>(a, k, bp, n, j0, w, first, &mut block[..MR * n], ep),
+            1 => rows_panel(a.group::<1>(first), bp, n, j0, w, &mut block[..n], ep),
+            2 => rows_panel(a.group::<2>(first), bp, n, j0, w, &mut block[..2 * n], ep),
+            3 => rows_panel(a.group::<3>(first), bp, n, j0, w, &mut block[..3 * n], ep),
+            _ => rows_panel(a.group::<MR>(first), bp, n, j0, w, &mut block[..MR * n], ep),
         }
         i += (rows - i).min(MR);
     }
 }
 
-/// NN GEMM body over one contiguous row chunk of `C` (as partitioned by
-/// `par_chunks_mut`): `C[i] = epilogue(Σ_k A[i][k]·B[k][·])` for the rows in
-/// `chunk`. Panels are the outer loop so each packed `B` panel is reused by
-/// every `MR`-row group of the chunk; per-element reduction order is
-/// independent of the loop nesting (each element lives in exactly one panel).
-/// The glue here (panel packing, row grouping) is feature-agnostic scalar
-/// code; the hot reduction loops dispatch to their AVX2+FMA leaves at the
-/// tile layer, so no chunk-level multiversioned clone is needed.
-pub fn gemm_nn_chunk(
-    a: &[f32],
+/// Row-streaming GEMM body over one contiguous row chunk of `C` (as
+/// partitioned by `par_chunks_mut`): `C[i] = epilogue(Σ_kk A'[i][kk]·B'[kk][·])`
+/// for the rows in `chunk`, where `A'` is `a` as its [`AOperand`] reads it
+/// (`A` for [`RowMajorA`], `Aᵀ` for [`TransposedA`]) and `B'` the `rows` of
+/// `B`, `n` columns wide, in reduction order — all of them, or the gathered
+/// ones of the sampled softmax's backward kernel
+/// (`dH = dlogitsₛ · gather(W₂ᵀ, candidates)`), which is therefore
+/// bit-for-bit the plain product on a materialized gather. Panels are the
+/// outer loop so each packed `B` panel is reused by every `MR`-row group of
+/// the chunk; per-element reduction order is independent of the loop nesting
+/// (each element lives in exactly one panel). The glue here (panel packing,
+/// row grouping) is feature-agnostic scalar code; the hot reduction loops
+/// dispatch to their AVX2+FMA leaves at the tile layer, so no chunk-level
+/// multiversioned clone is needed.
+pub(crate) fn gemm_chunk(
+    a: impl AOperand,
+    b: &[f32],
+    rows: BRows,
+    n: usize,
+    first_row: usize,
+    chunk: &mut [f32],
+    ep: Epilogue,
+) {
+    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
+    let mut j0 = 0;
+    while j0 < n {
+        let w = (n - j0).min(NB);
+        with_b_panel(b, n, rows, j0, w, |bp| {
+            chunk_panel(a, bp, n, j0, w, first_row, chunk, ep)
+        });
+        j0 += w;
+    }
+}
+
+/// One strided NN panel (panel row `kk` at `b[kk * n + j0]`), `k` reduction
+/// steps. Bit-identical per element to the packed tiles — only the operand
+/// address differs. Used by the streaming top-k path for the `MR`-row
+/// groups of blocks too short to pack for ([`TOPK_PACK_MIN_ROWS`]).
+#[inline(always)]
+fn panel_strided<const M: usize, A: AGroup<M>>(
+    a: A,
     k: usize,
     b: &[f32],
     n: usize,
-    first_row: usize,
-    chunk: &mut [f32],
-    ep: Epilogue,
-) {
-    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(NB);
-        with_b_panel(b, n, k, j0, w, |bp| {
-            nn_chunk_panel(a, k, bp, n, j0, w, first_row, chunk, ep)
-        });
-        j0 += w;
-    }
-}
-
-/// Gathered-row NN GEMM body over one contiguous row chunk of `C`:
-/// `C[i][j] = epilogue(Σ_kk A[i][kk] · B[idx[kk]][j])` — the reduction runs
-/// over the *gathered* rows of `B`, in ascending `kk` order (rule 1 of the
-/// contract). `A` is `m × idx.len()`, `B` has `n` columns. Packing the
-/// gathered rows into the shared panel scratch makes every downstream tile
-/// identical to [`gemm_nn_chunk`] on a materialized gather of `B`, so the
-/// two are bit-for-bit interchangeable. This is the backward kernel of the
-/// sampled softmax (`dH = dlogitsₛ · gather(W₂ᵀ, candidates)`).
-pub fn gemm_nn_gather_chunk(
-    a: &[f32],
-    idx: &[u32],
-    b: &[f32],
-    n: usize,
-    first_row: usize,
-    chunk: &mut [f32],
-    ep: Epilogue,
-) {
-    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    let k = idx.len();
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(NB);
-        with_gathered_b_panel(b, n, idx, j0, w, |bp| {
-            nn_chunk_panel(a, k, bp, n, j0, w, first_row, chunk, ep)
-        });
-        j0 += w;
-    }
-}
-
-/// One `M × NR` register tile of `Aᵀ·B` over a packed panel: like
-/// [`nn_tile`] but `A` is `k×m` and the output rows are *columns*
-/// `cols0..cols0+M` of `A` (per-`kk` strided `A` access — only `M` scalars
-/// per step — still ascending-`k` serial per element).
-#[inline(always)]
-fn tn_tile<const M: usize>(
-    a: &[f32],
-    m: usize,
-    cols0: usize,
-    bp: &[f32],
-    w: usize,
-    n: usize,
     j0: usize,
-    jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    w: usize,
+    acc: &mut [[f32; NB]; M],
 ) {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        // SAFETY: AVX2 support was just verified; bounds as in `nn_tile`.
-        unsafe { tn_tile_avx2::<M>(a, m, cols0, bp, w, n, j0, jt, out, ep) };
-        return;
-    }
-    let mut acc = [[0.0f32; NR]; M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let a_k = &a[kk * m + cols0..kk * m + cols0 + M];
-        let bv: &[f32; NR] = brow[jt..jt + NR].try_into().unwrap();
-        for (accr, &a_rk) in acc.iter_mut().zip(a_k) {
-            for l in 0..NR {
-                accr[l] = fused(a_rk, bv[l], accr[l]);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + NR];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
-}
-
-/// AVX2+FMA intrinsics body of [`tn_tile`] — see [`nn_tile_avx2`] for why
-/// and for the bit-exactness argument (one fused multiply-add per term).
-///
-/// # Safety
-/// Caller must have verified AVX2+FMA support and `jt + NR <= w`; `bp` is
-/// whole `w`-float panel rows, `a` holds `k×m` floats, `cols0 + M <= m`.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)] // inlining past the feature boundary under LTO splits the FMAs
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tn_tile_avx2<const M: usize>(
-    a: &[f32],
-    m: usize,
-    cols0: usize,
-    bp: &[f32],
-    w: usize,
-    n: usize,
-    j0: usize,
-    jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
-    use std::arch::x86_64::*;
-    let mut acc0 = [_mm256_setzero_ps(); M];
-    let mut acc1 = [_mm256_setzero_ps(); M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let a_k = &a[kk * m + cols0..kk * m + cols0 + M];
-        let b0 = _mm256_loadu_ps(brow.as_ptr().add(jt));
-        let b1 = _mm256_loadu_ps(brow.as_ptr().add(jt + LANES));
-        for r in 0..M {
-            let av = _mm256_set1_ps(a_k[r]);
-            acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-            acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-        }
-    }
-    for r in 0..M {
-        let mut tile = [0.0f32; NR];
-        _mm256_storeu_ps(tile.as_mut_ptr(), acc0[r]);
-        _mm256_storeu_ps(tile.as_mut_ptr().add(LANES), acc1[r]);
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + NR];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, tile[l], *cv);
-        }
-    }
-}
-
-/// The `w % NR` remainder columns of a TN packed panel (same per-element
-/// order as [`tn_tile`]).
-#[inline(always)]
-fn tn_tail<const M: usize>(
-    a: &[f32],
-    m: usize,
-    cols0: usize,
-    bp: &[f32],
-    w: usize,
-    n: usize,
-    j0: usize,
-    jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified.
-        unsafe { tn_tail_avx2::<M>(a, m, cols0, bp, w, n, j0, jt, out, ep) };
+        unsafe { panel_strided_avx2(a, k, b, n, j0, w, acc) };
         return;
     }
-    let rem = w - jt;
-    let mut acc = [[0.0f32; NR]; M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let a_k = &a[kk * m + cols0..kk * m + cols0 + M];
-        let bv = &brow[jt..w];
-        for (accr, &a_rk) in acc.iter_mut().zip(a_k) {
-            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
-                *av = fused(a_rk, b, *av);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + rem];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
+    panel_strided_body(a, k, b, n, j0, w, acc, fused)
 }
 
-/// AVX2+FMA leaf of [`tn_tail`] — same loop, hardware-FMA codegen (see
-/// [`nn_tail_avx2`]).
+/// AVX2+FMA leaf of [`panel_strided`]: the one body with [`f32::mul_add`]
+/// (see [`tail_avx2`]).
 ///
 /// # Safety
-/// Caller must have verified AVX2+FMA support; bounds as in [`tn_tail`].
+/// Caller must have verified AVX2+FMA support.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tn_tail_avx2<const M: usize>(
-    a: &[f32],
-    m: usize,
-    cols0: usize,
-    bp: &[f32],
-    w: usize,
-    n: usize,
-    j0: usize,
-    jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
-    let rem = w - jt;
-    let mut acc = [[0.0f32; NR]; M];
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let a_k = &a[kk * m + cols0..kk * m + cols0 + M];
-        let bv = &brow[jt..w];
-        for (accr, &a_rk) in acc.iter_mut().zip(a_k) {
-            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
-                *av = a_rk.mul_add(b, *av);
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        let crow = &mut out[r * n + j0 + jt..r * n + j0 + jt + rem];
-        for (l, cv) in crow.iter_mut().enumerate() {
-            *cv = ep.apply(j0 + jt + l, accr[l], *cv);
-        }
-    }
-}
-
-/// `M` rows × one packed panel of `C = epilogue(Aᵀ·B)` (output rows = `A`
-/// columns `cols0..cols0+M`): register tiles plus tail, like
-/// [`nn_rows_panel`].
-#[inline(always)]
-fn tn_rows_panel<const M: usize>(
-    a: &[f32],
-    m: usize,
-    bp: &[f32],
-    n: usize,
-    j0: usize,
-    w: usize,
-    cols0: usize,
-    out: &mut [f32],
-    ep: Epilogue,
-) {
-    let w_tiled = w - w % NR;
-    let mut jt = 0;
-    while jt < w_tiled {
-        tn_tile::<M>(a, m, cols0, bp, w, n, j0, jt, out, ep);
-        jt += NR;
-    }
-    if jt < w {
-        tn_tail::<M>(a, m, cols0, bp, w, n, j0, jt, out, ep);
-    }
-}
-
-/// TN GEMM over one contiguous row chunk of `C`: `A` is `k×m`, the
-/// chunk covers output rows (`A` columns) starting at `first_col`. Panels
-/// outer / row groups inner, exactly like [`gemm_nn_chunk`]; dispatch to
-/// the AVX2+FMA leaves happens at the tile layer.
-pub fn gemm_tn_chunk(
-    a: &[f32],
-    kdim: usize,
-    m: usize,
+unsafe fn panel_strided_avx2<const M: usize, A: AGroup<M>>(
+    a: A,
+    k: usize,
     b: &[f32],
     n: usize,
-    first_col: usize,
-    chunk: &mut [f32],
-    ep: Epilogue,
+    j0: usize,
+    w: usize,
+    acc: &mut [[f32; NB]; M],
 ) {
-    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    let rows = chunk.len() / n;
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(NB);
-        with_b_panel(b, n, kdim, j0, w, |bp| {
-            let mut i = 0;
-            while i < rows {
-                let block = &mut chunk[i * n..];
-                let c0 = first_col + i;
-                match rows - i {
-                    1 => tn_rows_panel::<1>(a, m, bp, n, j0, w, c0, &mut block[..n], ep),
-                    2 => tn_rows_panel::<2>(a, m, bp, n, j0, w, c0, &mut block[..2 * n], ep),
-                    3 => tn_rows_panel::<3>(a, m, bp, n, j0, w, c0, &mut block[..3 * n], ep),
-                    _ => tn_rows_panel::<MR>(a, m, bp, n, j0, w, c0, &mut block[..MR * n], ep),
-                }
-                i += (rows - i).min(MR);
+    panel_strided_body(a, k, b, n, j0, w, acc, f32::mul_add)
+}
+
+/// The loop of [`panel_strided`], spelled with the calling path's FMA.
+#[inline(always)]
+fn panel_strided_body<const M: usize, A: AGroup<M>>(
+    a: A,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    j0: usize,
+    w: usize,
+    acc: &mut [[f32; NB]; M],
+    fma: impl Fn(f32, f32, f32) -> f32,
+) {
+    for kk in 0..k {
+        let brow = &b[kk * n + j0..kk * n + j0 + w];
+        for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
+            for (av, &bv) in accr[..w].iter_mut().zip(brow) {
+                *av = fma(*a_rk, bv, *av);
             }
-        });
-        j0 += w;
+        }
     }
 }
 
@@ -918,7 +804,7 @@ pub fn gemm_tn_chunk(
 #[inline(always)]
 fn nt_dot_block(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
     #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
+    if avx2_fma_available() {
         // SAFETY: AVX2 support was just verified.
         return unsafe { nt_dot_block_avx2(a, b_rows) };
     }
@@ -966,10 +852,45 @@ fn nt_dot_block_body(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
     std::array::from_fn(|j| lane_tree(acc[j]))
 }
 
-/// NT GEMM over one contiguous row chunk of `C`: each element is a
-/// lane-tree dot of an `A` row and a `B` row (rule 2 of the contract),
-/// `NT_JB` `B` rows blocked per `A`-row pass; the dot layer dispatches to
-/// its AVX2 leaf.
+/// The one NT body over one contiguous row chunk of `C`: each element is a
+/// lane-tree dot of an `A` row and the `B` row `b_row(j)` (rule 2 of the
+/// contract), `NT_JB` `B` rows blocked per `A`-row pass; the dot layer
+/// dispatches to its AVX2 leaf. `n` is the chunk's row length. With `b_row`
+/// looking rows up through an index list this is the forward kernel of the
+/// sampled softmax (`logitsₛ = H · gather(W₂ᵀ, candidates)ᵀ`, only the
+/// candidate columns of the logit row ever computed) — bit-identical to
+/// [`gemm_nt_chunk`] against a materialized gather, being the same body.
+#[inline(always)]
+pub(crate) fn nt_chunk<'b>(
+    a: &[f32],
+    k: usize,
+    n: usize,
+    first_row: usize,
+    chunk: &mut [f32],
+    ep: Epilogue,
+    b_row: impl Fn(usize) -> &'b [f32],
+) {
+    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
+    for (i, crow) in chunk.chunks_mut(n).enumerate() {
+        let arow = &a[(first_row + i) * k..(first_row + i + 1) * k];
+        let n_blocked = n - n % NT_JB;
+        let mut j = 0;
+        while j < n_blocked {
+            let b_rows: [&[f32]; NT_JB] = std::array::from_fn(|jj| b_row(j + jj));
+            let dots = nt_dot_block(arow, &b_rows);
+            for (jj, &d) in dots.iter().enumerate() {
+                crow[j + jj] = ep.apply(j + jj, d, crow[j + jj]);
+            }
+            j += NT_JB;
+        }
+        for (j, cv) in crow.iter_mut().enumerate().skip(n_blocked) {
+            *cv = ep.apply(j, dot_lanes(arow, b_row(j)), *cv);
+        }
+    }
+}
+
+/// NT GEMM over one contiguous row chunk of `C`:
+/// `C[i][j] = epilogue(dot(A[i], B[j]))`, `B` being `n×k` row-major.
 pub fn gemm_nt_chunk(
     a: &[f32],
     k: usize,
@@ -979,66 +900,7 @@ pub fn gemm_nt_chunk(
     chunk: &mut [f32],
     ep: Epilogue,
 ) {
-    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    for (i, crow) in chunk.chunks_mut(n).enumerate() {
-        let arow = &a[(first_row + i) * k..(first_row + i + 1) * k];
-        let n_blocked = n - n % NT_JB;
-        let mut j = 0;
-        while j < n_blocked {
-            let b_rows: [&[f32]; NT_JB] =
-                std::array::from_fn(|jj| &b[(j + jj) * k..(j + jj + 1) * k]);
-            let dots = nt_dot_block(arow, &b_rows);
-            for (jj, &d) in dots.iter().enumerate() {
-                crow[j + jj] = ep.apply(j + jj, d, crow[j + jj]);
-            }
-            j += NT_JB;
-        }
-        for j in n_blocked..n {
-            let d = dot_lanes(arow, &b[j * k..(j + 1) * k]);
-            crow[j] = ep.apply(j, d, crow[j]);
-        }
-    }
-}
-
-/// Gathered-row NT GEMM over one contiguous row chunk of `C`:
-/// `C[i][j] = epilogue(dot(A[i], B[idx[j]]))` — each element is a lane-tree
-/// dot (rule 2 of the contract) of an `A` row with a *gathered* `B` row, so
-/// the result is bit-identical to [`gemm_nt_chunk`] against a materialized
-/// `idx.len() × k` gather of `B`. This is the forward kernel of the sampled
-/// softmax (`logitsₛ = H · gather(W₂ᵀ, candidates)ᵀ`): only the candidate
-/// columns of the full logit row are ever computed.
-pub fn gemm_nt_gather_chunk(
-    a: &[f32],
-    k: usize,
-    b: &[f32],
-    idx: &[u32],
-    first_row: usize,
-    chunk: &mut [f32],
-    ep: Epilogue,
-) {
-    let n = idx.len();
-    debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    for (i, crow) in chunk.chunks_mut(n).enumerate() {
-        let arow = &a[(first_row + i) * k..(first_row + i + 1) * k];
-        let n_blocked = n - n % NT_JB;
-        let mut j = 0;
-        while j < n_blocked {
-            let b_rows: [&[f32]; NT_JB] = std::array::from_fn(|jj| {
-                let base = idx[j + jj] as usize * k;
-                &b[base..base + k]
-            });
-            let dots = nt_dot_block(arow, &b_rows);
-            for (jj, &d) in dots.iter().enumerate() {
-                crow[j + jj] = ep.apply(j + jj, d, crow[j + jj]);
-            }
-            j += NT_JB;
-        }
-        for j in n_blocked..n {
-            let base = idx[j] as usize * k;
-            let d = dot_lanes(arow, &b[base..base + k]);
-            crow[j] = ep.apply(j, d, crow[j]);
-        }
-    }
+    nt_chunk(a, k, n, first_row, chunk, ep, |j| &b[j * k..(j + 1) * k]);
 }
 
 /// A fixed-capacity top-`k` list kept sorted by `(value desc, id asc)` — the
@@ -1133,9 +995,8 @@ impl TopList {
 // measurably lost throughput (1 row × 6,701: 19 → 16 GFLOP/s) when it was
 // inlined next to the packed path and laid out with it.
 #[inline(never)]
-fn nn_rows_topk<const M: usize>(
-    a: &[f32],
-    kdim: usize,
+fn rows_topk<const M: usize>(
+    a: RowMajorA,
     b: &[f32],
     n: usize,
     bias: &[f32],
@@ -1143,15 +1004,14 @@ fn nn_rows_topk<const M: usize>(
     k: usize,
     out: &mut [u32],
 ) {
-    let a_rows: [&[f32]; M] =
-        std::array::from_fn(|r| &a[(a_first + r) * kdim..(a_first + r + 1) * kdim]);
+    let a_rows = a.group::<M>(a_first);
     let mut lists: [TopList; M] = std::array::from_fn(|_| TopList::new(k));
     let ep = Epilogue::Bias(bias);
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NB);
         let mut acc = [[0.0f32; NB]; M];
-        nn_panel_strided::<M>(&a_rows, b, n, j0, w, &mut acc);
+        panel_strided(a_rows, a.k, b, n, j0, w, &mut acc);
         for (accr, list) in acc.iter().zip(lists.iter_mut()) {
             for (l, &s) in accr[..w].iter().enumerate() {
                 list.offer(ep.apply(j0 + l, s, 0.0), (j0 + l) as u32);
@@ -1187,16 +1047,15 @@ const TOPK_PACK_MIN_ROWS: usize = crate::parallel::MIN_PAR_ROWS;
 /// Streaming fused logits→top-k for a block of
 /// `TOPK_PACK_MIN_ROWS ≤ rows ≤ TOPK_ROW_BLOCK`
 /// rows of `A`, panels outermost: each `NB`-column panel of `B` is packed
-/// once for the whole block ([`with_b_panel`], as [`gemm_nn_chunk`] does)
-/// and reduced group by group through the [`nn_rows_panel`] register tiles
+/// once for the whole block ([`with_b_panel`], as [`gemm_chunk`] does)
+/// and reduced group by group through the [`rows_panel`] register tiles
 /// into an `MR × NB` stack tile of finished logits (`s + bias[j]`, the same
 /// reduction and epilogue as the materializing path), which goes straight
 /// into the rows' [`TopList`]s — so every list sees its candidates in
 /// ascending column order, as its contract requires, and no logit leaves
 /// the stack.
 fn topk_rows_packed(
-    a: &[f32],
-    kdim: usize,
+    a: RowMajorA,
     b: &[f32],
     n: usize,
     bias: &[f32],
@@ -1212,10 +1071,10 @@ fn topk_rows_packed(
         let w = (n - j0).min(NB);
         // The tile is a `w`-wide matrix of its own: column 0 is class `j0`.
         let ep = Epilogue::Bias(&bias[j0..j0 + w]);
-        with_b_panel(b, n, kdim, j0, w, |bp| {
+        with_b_panel(b, n, BRows::All(a.k), j0, w, |bp| {
             for (g, group) in lists[..rows].chunks_mut(MR).enumerate() {
                 let logits = &mut tile[..group.len() * w];
-                nn_chunk_panel(a, kdim, bp, w, 0, w, a_first + g * MR, logits, ep);
+                chunk_panel(a, bp, w, 0, w, a_first + g * MR, logits, ep);
                 for (row, list) in logits.chunks_exact(w).zip(group) {
                     list.offer_run(row, j0 as u32);
                 }
@@ -1233,11 +1092,11 @@ fn topk_rows_packed(
 /// go through [`topk_rows_packed`] (GEMM loop order, packed panels, register
 /// tiles); once fewer than [`TOPK_PACK_MIN_ROWS`] rows remain — a serving
 /// micro-batch, or a chunk's tail — they take the strided walk of
-/// [`nn_rows_topk`] in groups of `MR`. Both offer the same logits in the
+/// [`rows_topk`] in groups of `MR`. Both offer the same logits in the
 /// same order: which path scored a row never shows in its ids. The
 /// reductions dispatch to their AVX2+FMA leaves at the tile layer; the
 /// selection layer ([`TopList`]) is feature-agnostic.
-pub fn gemm_bias_topk_chunk(
+pub(crate) fn gemm_bias_topk_chunk(
     a: &[f32],
     kdim: usize,
     b: &[f32],
@@ -1248,6 +1107,7 @@ pub fn gemm_bias_topk_chunk(
     out: &mut [u32],
 ) {
     debug_assert!(out.len().is_multiple_of(k));
+    let a = RowMajorA { a, k: kdim };
     let rows = out.len() / k;
     let mut i = 0;
     while i < rows {
@@ -1260,11 +1120,11 @@ pub fn gemm_bias_topk_chunk(
         let ids = &mut out[i * k..(i + block) * k];
         let first = first_row + i;
         match block {
-            1 => nn_rows_topk::<1>(a, kdim, b, n, bias, first, k, ids),
-            2 => nn_rows_topk::<2>(a, kdim, b, n, bias, first, k, ids),
-            3 => nn_rows_topk::<3>(a, kdim, b, n, bias, first, k, ids),
-            MR => nn_rows_topk::<MR>(a, kdim, b, n, bias, first, k, ids),
-            _ => topk_rows_packed(a, kdim, b, n, bias, first, k, ids),
+            1 => rows_topk::<1>(a, b, n, bias, first, k, ids),
+            2 => rows_topk::<2>(a, b, n, bias, first, k, ids),
+            3 => rows_topk::<3>(a, b, n, bias, first, k, ids),
+            MR => rows_topk::<MR>(a, b, n, bias, first, k, ids),
+            _ => topk_rows_packed(a, b, n, bias, first, k, ids),
         }
         i += block;
     }
@@ -1295,14 +1155,14 @@ mod tests {
                 s.spawn(move || {
                     let _skew = vec![0u8; 16 * skew + 1];
                     for (j0, w) in [(0usize, 16usize), (16, 24)] {
-                        with_b_panel(b, n, k, j0, w, |bp| {
+                        with_b_panel(b, n, BRows::All(k), j0, w, |bp| {
                             assert_eq!(bp.as_ptr() as usize % PANEL_ALIGN, 0, "skew {skew}");
                             assert_eq!(bp.len(), k * w);
                             for kk in 0..k {
                                 assert_eq!(bp[kk * w..][..w], b[kk * n + j0..][..w]);
                             }
                         });
-                        with_gathered_b_panel(b, n, &idx, j0, w, |bp| {
+                        with_b_panel(b, n, BRows::Gathered(&idx), j0, w, |bp| {
                             assert_eq!(bp.as_ptr() as usize % PANEL_ALIGN, 0, "skew {skew}");
                             assert_eq!(bp.len(), idx.len() * w);
                             for (kk, &row) in idx.iter().enumerate() {

@@ -3,8 +3,9 @@
 //! The deep-learning substrate of the paper runs on cuBLAS/cuSPARSE; this
 //! crate is the dense half of our from-scratch replacement. It provides a
 //! row-major `f32` [`Matrix`], blocked and thread-parallel [`ops::gemm`]
-//! variants (NN/NT/TN), element-wise kernels, numerically stable softmax /
-//! log-sum-exp, and seeded weight initialization.
+//! variants (NN/NT/TN) over the one register-tile family of [`kernels`],
+//! element-wise kernels, a numerically stable softmax, and seeded weight
+//! initialization.
 //!
 //! All parallelism goes through [`parallel`], which chunks row ranges over a
 //! process-wide persistent worker pool — workers are spawned once and parked

@@ -150,24 +150,10 @@ impl Matrix {
         self.data.fill(v);
     }
 
-    /// Copies `other` into `self` (dimensions must match).
-    pub fn copy_from(&mut self, other: &Matrix) {
-        assert_eq!(self.shape(), other.shape(), "copy_from shape mismatch");
-        self.data.copy_from_slice(&other.data);
-    }
-
     /// `(rows, cols)`.
     #[inline]
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
-    }
-
-    /// Returns a new matrix holding rows `range` of `self`.
-    pub fn rows_slice(&self, start: usize, count: usize) -> Matrix {
-        assert!(start + count <= self.rows, "rows_slice out of range");
-        let s = start * self.cols;
-        let e = s + count * self.cols;
-        Matrix::from_vec(count, self.cols, self.data[s..e].to_vec())
     }
 
     /// The transpose as a new matrix.
@@ -364,14 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_slice_extracts() {
-        let m = Matrix::from_fn(4, 2, |r, c| (r * 2 + c) as f32);
-        let s = m.rows_slice(1, 2);
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.as_slice(), &[2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 4, vec![1.0, -2.0, 2.0, 0.0]);
         assert!((m.norm() - 3.0).abs() < 1e-12);
@@ -388,11 +366,8 @@ mod tests {
     }
 
     #[test]
-    fn copy_from_and_fill() {
-        let src = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
-        let mut dst = Matrix::zeros(2, 2);
-        dst.copy_from(&src);
-        assert_eq!(dst, src);
+    fn fill_sets_every_element() {
+        let mut dst = Matrix::from_fn(2, 2, |r, c| (r + c) as f32);
         dst.fill(7.0);
         assert_eq!(dst.as_slice(), &[7.0; 4]);
     }

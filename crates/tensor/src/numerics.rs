@@ -1,16 +1,7 @@
-//! Numerically careful element-wise kernels: ReLU, softmax, log-sum-exp.
+//! Numerically careful element-wise kernels: ReLU backward, softmax, argmax.
 
 use crate::parallel::{par_chunks_mut, MIN_PAR_ROWS};
 use crate::Matrix;
-
-/// In-place ReLU: `x = max(x, 0)`.
-pub fn relu_inplace(m: &mut Matrix) {
-    for v in m.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
 
 /// Backward mask of ReLU: zeroes `grad` wherever the *activated* value is not
 /// positive (i.e. the forward output, not the pre-activation).
@@ -21,29 +12,6 @@ pub fn relu_backward_inplace(grad: &mut Matrix, activated: &Matrix) {
             *g = 0.0;
         }
     }
-}
-
-/// Adds a bias row-vector to every row of `m`.
-pub fn add_bias_inplace(m: &mut Matrix, bias: &[f32]) {
-    assert_eq!(m.cols(), bias.len(), "bias length mismatch");
-    let cols = m.cols();
-    for row in m.as_mut_slice().chunks_mut(cols) {
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v += b;
-        }
-    }
-}
-
-/// Stable log-sum-exp of a slice: `max + ln Σ exp(x - max)`.
-///
-/// Returns `-inf` for an empty slice.
-pub fn log_sum_exp(xs: &[f32]) -> f32 {
-    let max = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    if !max.is_finite() {
-        return max;
-    }
-    let sum: f32 = xs.iter().map(|&x| (x - max).exp()).sum();
-    max + sum.ln()
 }
 
 /// Row-wise stable softmax in place.
@@ -95,27 +63,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn relu_clamps_negatives() {
-        let mut m = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -0.5]);
-        relu_inplace(&mut m);
-        assert_eq!(m.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-    }
-
-    #[test]
     fn relu_backward_masks() {
         let act = Matrix::from_vec(1, 4, vec![0.0, 1.0, 0.0, 3.0]);
         let mut g = Matrix::from_vec(1, 4, vec![5.0, 5.0, 5.0, 5.0]);
         relu_backward_inplace(&mut g, &act);
         assert_eq!(g.as_slice(), &[0.0, 5.0, 0.0, 5.0]);
-    }
-
-    #[test]
-    fn bias_broadcasts_over_rows() {
-        let mut m = Matrix::zeros(3, 2);
-        add_bias_inplace(&mut m, &[1.0, -2.0]);
-        for r in 0..3 {
-            assert_eq!(m.row(r), &[1.0, -2.0]);
-        }
     }
 
     #[test]
@@ -138,14 +90,6 @@ mod tests {
         let s: f32 = m.row(0).iter().sum();
         assert!((s - 1.0).abs() < 1e-5);
         assert!(m.row(0).iter().all(|p| p.is_finite()));
-    }
-
-    #[test]
-    fn log_sum_exp_matches_naive_in_safe_range() {
-        let xs = [0.1f32, 0.5, -0.3, 1.2];
-        let naive = xs.iter().map(|x| x.exp()).sum::<f32>().ln();
-        assert!((log_sum_exp(&xs) - naive).abs() < 1e-5);
-        assert_eq!(log_sum_exp(&[]), f32::NEG_INFINITY);
     }
 
     #[test]

@@ -102,28 +102,6 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Runs `f(range)` over a partition of `0..n`, on the worker pool when `n`
-/// is large enough to amortize the fork/join (`n >= min_serial`), serially
-/// otherwise.
-///
-/// `f` must only touch state it can access through `&self`/captured `Sync`
-/// references; use [`par_chunks_mut`] when each range owns a slice of output.
-pub fn par_ranges<F>(n: usize, min_serial: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let threads = num_threads();
-    if threads == 1 || n < min_serial {
-        if n > 0 {
-            f(0..n);
-        }
-        return;
-    }
-    let region = crate::pool::POOL.enter(threads);
-    let ranges = split_ranges(n, region.lanes());
-    region.run(ranges.len(), &|i| f(ranges[i].clone()));
-}
-
 /// Partitions `data` (logically `rows` rows of `row_len` elements) into
 /// contiguous row chunks and runs `f(first_row, chunk)` on each, on the
 /// worker pool when `rows >= min_serial`.
@@ -160,39 +138,6 @@ where
             )
         };
         f(r.start, chunk);
-    });
-}
-
-/// `dst[i] += src[i]` over the worker pool — the reduction arithmetic of the
-/// collective algorithms. Element-wise, so any partitioning yields the exact
-/// same result; small inputs (`len < min_serial`) stay serial.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn par_add_assign(dst: &mut [f32], src: &[f32], min_serial: usize) {
-    assert_eq!(dst.len(), src.len(), "par_add_assign length mismatch");
-    par_chunks_mut(dst, dst.len(), 1, min_serial, |first, chunk| {
-        let src_part = &src[first..first + chunk.len()];
-        for (d, &s) in chunk.iter_mut().zip(src_part) {
-            *d += s;
-        }
-    });
-}
-
-/// `dst[i] += a * src[i]` over the worker pool — the fused scale+add of a
-/// weighted model sum. Each element is produced by exactly one rounding of
-/// `a * src[i]` followed by one add, matching the scale-then-add formulation
-/// bit for bit, for any thread count.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn par_weighted_axpy(a: f32, src: &[f32], dst: &mut [f32], min_serial: usize) {
-    assert_eq!(dst.len(), src.len(), "par_weighted_axpy length mismatch");
-    par_chunks_mut(dst, dst.len(), 1, min_serial, |first, chunk| {
-        let src_part = &src[first..first + chunk.len()];
-        for (d, &s) in chunk.iter_mut().zip(src_part) {
-            *d += a * s;
-        }
     });
 }
 
@@ -238,23 +183,6 @@ pub fn par_momentum_update(
             *wp = *w;
             *w = w_new;
         }
-    });
-}
-
-/// `dst[i] += a * widen(src[i])` over the worker pool — the bf16-reading
-/// twin of [`par_weighted_axpy`]: exact widen, then the same separate
-/// multiply and add into the f32 accumulator.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn par_weighted_axpy_bf16(a: f32, src: &[u16], dst: &mut [f32], min_serial: usize) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "par_weighted_axpy_bf16 length mismatch"
-    );
-    par_chunks_mut(dst, dst.len(), 1, min_serial, |first, chunk| {
-        crate::bf16::axpy_slice(a, &src[first..first + chunk.len()], chunk);
     });
 }
 
@@ -354,20 +282,6 @@ mod tests {
     }
 
     #[test]
-    fn par_ranges_visits_all() {
-        let hits = AtomicUsize::new(0);
-        par_ranges(1000, 1, |r| {
-            hits.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn par_ranges_zero_is_noop() {
-        par_ranges(0, 1, |_| panic!("must not be called"));
-    }
-
-    #[test]
     fn par_chunks_mut_writes_disjoint_rows() {
         let rows = 103;
         let row_len = 7;
@@ -399,36 +313,6 @@ mod tests {
             data
         };
         assert_eq!(run(usize::MAX), run(1));
-    }
-
-    #[test]
-    fn par_add_assign_adds_elementwise() {
-        let src: Vec<f32> = (0..1000).map(|i| i as f32).collect();
-        let mut a = vec![1.0f32; 1000];
-        let mut b = vec![1.0f32; 1000];
-        par_add_assign(&mut a, &src, 1); // pooled
-        par_add_assign(&mut b, &src, usize::MAX); // serial
-        assert_eq!(a, b);
-        assert_eq!(a[999], 1000.0);
-    }
-
-    #[test]
-    fn par_weighted_axpy_matches_scale_then_add() {
-        let src: Vec<f32> = (0..5000).map(|i| (i % 37) as f32 / 7.0 - 2.0).collect();
-        let w = 0.3721f32;
-        // Reference: scale a copy, then plain add — the old two-pass path.
-        let mut scaled = src.clone();
-        for v in scaled.iter_mut() {
-            *v *= w;
-        }
-        let mut two_pass = vec![1.5f32; 5000];
-        par_add_assign(&mut two_pass, &scaled, usize::MAX);
-        let mut fused_par = vec![1.5f32; 5000];
-        par_weighted_axpy(w, &src, &mut fused_par, 1);
-        let mut fused_serial = vec![1.5f32; 5000];
-        par_weighted_axpy(w, &src, &mut fused_serial, usize::MAX);
-        assert_eq!(fused_par, fused_serial);
-        assert_eq!(fused_par, two_pass);
     }
 
     #[test]

@@ -11,6 +11,7 @@ use adaptive_sgd::core::{
     trainer::{RunConfig, Trainer},
 };
 use adaptive_sgd::data::{generate, DatasetSpec};
+use adaptive_sgd::gpusim::faults::FaultPlan;
 use adaptive_sgd::gpusim::profile::homogeneous_server;
 
 fn main() {
@@ -23,7 +24,11 @@ fn main() {
     config.mega_batch_limit = Some(16);
     config.overhead_scale = scale;
     // GPU 2 drops to 45% speed at mega-batch 5 and recovers at 12.
-    config.speed_events = vec![(5, 2, 0.45), (12, 2, 1.0)];
+    config.fault_plan = Some(
+        FaultPlan::new()
+            .speed_change(5, 0, 2, 0.45)
+            .speed_change(12, 0, 2, 1.0),
+    );
 
     println!("4 identical GPUs; GPU 2 throttles to 45% at mega-batch 5, recovers at 12\n");
     for (name, spec) in [
