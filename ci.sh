@@ -35,6 +35,12 @@ echo "== one ISA detection site =="
 # own, asks again for its host roofline; it dispatches no kernel.)
 [ "$(grep -rl --include='*.rs' 'is_x86_feature_detected!(' crates src tests examples | xargs awk '/fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); f = FILENAME ":" substr($0, RSTART, RLENGTH) } /is_x86_feature_detected!\(/ { print f }' | sort -u)" = "crates/tensor/src/kernels.rs:fn avx2_fma_available" ]
 
+echo "== the serving loop is the only actor =="
+# crates/serve starts no thread and opens no channel: the scheduler loop
+# makes every decision and scores the forward math itself, in blocks, through
+# the kernel pool. A worker thread there is a second actor to keep ordered.
+if grep -rnE 'thread::|mpsc' crates/serve/src; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -53,6 +59,14 @@ if [[ "${1:-}" != "quick" ]]; then
     for t in 2 8; do
         ASGD_THREADS="$t" cargo test -q -p asgd-tensor --lib -- pool:: parallel::
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor --lib -- pool:: parallel::
+    done
+
+    echo "== serving forward on the pool: 1 and 8 threads =="
+    # run_session scores 256-row blocks on the calling thread and the pool
+    # splits them; every prediction, checksum and conservation check of
+    # crates/serve must hold with no split and with more lanes than cores.
+    for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-serve
     done
 
     echo "== benchmark harness: builds against crates/*, quick suite is correct =="

@@ -3,7 +3,7 @@
 //! There is no scheduler here. [`serve`] is the one-tenant configuration of
 //! the crate's one serving loop ([`crate::fleet`]) and only adapts its inputs
 //! and outputs; dispatch, adaptive micro-batching, fault reactions and the
-//! worker threads are described there.
+//! blocked forward math are described there.
 
 use crate::fleet::{run_session, FaultEffect, FleetConfig, ServedFault, Tenant};
 use crate::loadgen::TenantRequest;
@@ -259,8 +259,10 @@ fn fault_line(fault: &ServedFault) -> String {
 /// is a pure function of the inputs, bit-identical at any `ASGD_THREADS`.
 ///
 /// # Panics
-/// Panics on an empty server, an architecture/pool width mismatch, or a
-/// request referencing a row outside the pool.
+/// Panics on an empty server, an architecture/pool width mismatch, a
+/// request referencing a row outside the pool, or a stream that is not the
+/// one [`Request`] documents (`requests[i].id == i`, arrivals finite and
+/// non-decreasing) — checked before anything runs.
 pub fn serve(
     model: &Mlp,
     profiles: &[DeviceProfile],

@@ -7,11 +7,13 @@
 //! configuration. The architecture invariant: that **single loop owns every
 //! decision** (admission, cache lookups, version selection, dispatch,
 //! hedging, scaling, faults) and consumes only virtual device clocks and
-//! seeded state, while the real forward math runs on worker threads — one
-//! per slot, each owning a reused [`Workspace`] and sharing the read-only
-//! models — that write id-indexed buffers nobody schedules against. The
-//! outcome is therefore a pure function of `(load seed, fault seed, config)`
-//! at any `ASGD_THREADS`.
+//! seeded state. No decision reads a prediction, so the real forward math is
+//! not done at the virtual grain: dispatched rows collect per version and are
+//! scored [`FORWARD_BLOCK_ROWS`] at a time, one [`Mlp::predict_topk_ws`] call
+//! per block on the calling thread (the kernel pool splits it), into an
+//! id-indexed buffer nobody schedules against. A row's top-k does not depend
+//! on which rows it is scored with, so the outcome is a pure function of
+//! `(load seed, fault seed, config)` at any `ASGD_THREADS`.
 //!
 //! - **Dynamic dispatch.** The next micro-batch goes to whichever
 //!   commissioned replica's virtual clock frees first (the paper's
@@ -19,8 +21,9 @@
 //!   oldest pending arrival; its forward kernels are charged to that device.
 //! - **Zero-loss degradation.** Requests wait in central queues, never on a
 //!   device. A [`FaultKind::DeviceLoss`] therefore loses nothing — the dead
-//!   slot stops being dispatched to, its worker still computes the batches
-//!   already shipped, and the queue drains through survivors.
+//!   slot stops being dispatched to, the rows it was already charged for
+//!   are scored with their version's block like any others, and the queue
+//!   drains through survivors.
 //!   Loss of the last survivor is refused, as in the chaos trainer.
 //! - **Many models.** Requests carry a tenant; tenants map to registry
 //!   versions; each version has its own FIFO so a micro-batch is always
@@ -29,8 +32,8 @@
 //! - **Prediction cache.** Admission looks `(model signature, pool row)`
 //!   up; a hit completes at `arrival + cache_latency_s` without touching a
 //!   device, and its predictions are replayed from the computed request
-//!   that filled the entry (after the workers drain — reps are always
-//!   computed requests, never other hits, so replay is one copy deep).
+//!   that filled the entry (after the last block is scored — reps are
+//!   always computed requests, never other hits, so replay is one copy deep).
 //! - **Hedged requests.** At dispatch, a request whose queueing delay
 //!   crossed the [`HedgePolicy`] quantile is also charged as a singleton
 //!   batch on the earliest-free *other* replica; the earlier completion
@@ -64,11 +67,16 @@ use asgd_model::{Mlp, Workspace};
 use asgd_sparse::CsrMatrix;
 use asgd_stats::percentile;
 use std::collections::VecDeque;
-use std::sync::mpsc;
 
 /// Histogram span of per-replica latency stats, in SLO multiples (the tail
 /// beyond it lands in the saturating overflow bucket).
 const HIST_SLO_SPAN: f64 = 8.0;
+
+/// Rows scored per [`Mlp::predict_topk_ws`] call: enough that `W₂` is
+/// streamed once per block instead of once per 1–2-row virtual micro-batch
+/// (measured flat from 128 to 512), few enough that the materialized-logits
+/// fallback (`k > TOPK_STREAM_MAX`) stays at `256 × classes × 4` bytes.
+const FORWARD_BLOCK_ROWS: usize = 256;
 
 /// Fleet-run parameters.
 #[derive(Debug, Clone)]
@@ -318,22 +326,14 @@ impl Slot {
     }
 
     /// A lost slot: out of dispatch and no longer paid for. Nothing is ever
-    /// queued on a device, and its worker still computes what was already
-    /// shipped, so nothing is lost with it.
+    /// queued on a device, and the rows it was charged for are scored with
+    /// their version's block, so nothing is lost with it.
     fn kill(&mut self, at: f64) {
         self.alive = false;
         if self.commissioned {
             self.decommission(at);
         }
     }
-}
-
-/// A micro-batch shipped to a slot worker (the model rides along — slots
-/// serve whichever tenant's version the scheduler picked).
-struct WorkItem<'a> {
-    model: &'a Mlp,
-    x: CsrMatrix,
-    ids: Vec<u32>,
 }
 
 /// The dispatchable slot whose clock frees first.
@@ -507,8 +507,10 @@ pub(crate) struct Tenant<'a> {
 ///
 /// # Panics
 /// Panics on an empty fleet, more slots than cluster devices, an unknown
-/// tenant or version, an architecture/pool mismatch, or a request
-/// referencing a row outside the pool.
+/// tenant or version, an architecture/pool mismatch, a request referencing
+/// a row outside the pool, or a stream that is not the one
+/// [`TenantRequest`] documents (`requests[i].id == i`, arrivals finite and
+/// non-decreasing) — checked before anything runs.
 #[allow(clippy::too_many_arguments)] // the session's full input tuple, each independently owned
 pub fn serve_fleet(
     registry: &ModelRegistry,
@@ -553,9 +555,11 @@ pub fn serve_fleet(
 /// their wording and the registry's accounting are the entry point's.
 ///
 /// # Panics
-/// Panics on an empty fleet or tenant list, more slots than cluster
-/// devices, an architecture/pool mismatch, or a request referencing a row
-/// outside the pool or a tenant outside the list.
+/// Panics, naming the request, on a stream that is not the one
+/// [`TenantRequest`] documents (`requests[i].id == i`, arrivals finite and
+/// non-decreasing, rows inside the pool, tenants inside the list); on an
+/// empty fleet or tenant list, more slots than cluster devices, or an
+/// architecture/pool mismatch.
 pub(crate) fn run_session(
     tenants: &[Tenant],
     devices: Vec<Device>,
@@ -565,6 +569,22 @@ pub(crate) fn run_session(
     plan: &FaultPlan,
     config: &FleetConfig,
 ) -> (FleetOutcome, Vec<ServedFault>) {
+    // First, because the loop cannot survive a bad stream: a NaN arrival is
+    // never admitted (`free.max(NaN) == free`) and spins it forever.
+    for (i, r) in requests.iter().enumerate() {
+        let (id, at) = (r.id, r.arrival);
+        assert!(
+            id as usize == i,
+            "request {i} has id {id}: ids are dense, in arrival order"
+        );
+        let ordered = at.is_finite() && (i == 0 || at >= requests[i - 1].arrival);
+        assert!(
+            ordered,
+            "request {i} arrives at {at}: arrivals are finite and non-decreasing"
+        );
+        let known = r.pool_row < pool.rows() && (r.tenant as usize) < tenants.len();
+        assert!(known, "request {i} is outside the pool or tenant map");
+    }
     assert!(!devices.is_empty(), "need at least one device");
     assert!(
         devices.len() <= topo.n_devices(),
@@ -578,12 +598,6 @@ pub(crate) fn run_session(
         pool.cols(),
         arch.num_features,
         "pool/model architecture mismatch"
-    );
-    assert!(
-        requests
-            .iter()
-            .all(|r| r.pool_row < pool.rows() && (r.tenant as usize) < tenants.len()),
-        "request outside the pool or tenant map"
     );
 
     let n = requests.len();
@@ -604,7 +618,7 @@ pub(crate) fn run_session(
     let mut trajectory: Vec<AutoscaleDecision> = Vec::new();
     let mut cache = PredictionCache::new(config.cache_capacity);
     // id of a cache hit → id of the computed request whose predictions it
-    // replays (resolved after the workers drain).
+    // replays (resolved after the last block is scored).
     let mut replays: Vec<(u32, u32)> = Vec::new();
     let mut hedge_policy = match config.hedge_quantile {
         Some(q) => HedgePolicy::new(q, config.hedge_min_obs, config.hedge_min_wait_s),
@@ -643,275 +657,255 @@ pub(crate) fn run_session(
         s.commission(0.0);
     }
 
-    std::thread::scope(|scope| {
-        // One inference worker per slot, spawned up front — spare slots
-        // just idle on an empty channel until commissioned. Workers own
-        // reused workspaces, share the read-only models, and write
-        // nothing the scheduler reads.
-        let (res_tx, res_rx) = mpsc::channel::<(Vec<u32>, Vec<u32>)>();
-        let spawn_worker = |_| {
-            let (tx, rx) = mpsc::channel::<WorkItem>();
-            let res = res_tx.clone();
-            scope.spawn(move || {
-                let mut ws = Workspace::new(arch);
-                let mut out: Vec<u32> = Vec::new();
-                for WorkItem { model, x, ids } in rx {
-                    let got = model.predict_topk_ws(&x, k_eff, &mut ws, &mut out);
-                    debug_assert_eq!(got, k_eff);
-                    // Receiver outlives senders; a send can only fail if
-                    // the whole scope is unwinding already.
-                    let _ = res.send((ids, out.clone()));
+    // The scheduler loop: single-threaded, virtual-time only.
+    let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_queues];
+    let mut queued = 0usize;
+    let mut next_arr = 0usize;
+    let mut window = 0u64;
+    let mut in_window = 0usize;
+    // A plan point `(window, in_window)` fires once, however many
+    // all-cache-hit admission rounds pass before its dispatch.
+    let mut point_fired = false;
+    let mut batch: Vec<usize> = Vec::new();
+    // The real math, off the decision path: per version FIFO, the requests
+    // dispatched but not yet scored. A full list is one forward call,
+    // scattered into the id-indexed buffer.
+    let mut pending: Vec<Vec<usize>> = vec![Vec::new(); n_queues];
+    let mut ws = Workspace::new(arch);
+    let mut top: Vec<u32> = Vec::new();
+    let mut score = |model: &Mlp, block: &mut Vec<usize>| {
+        if block.is_empty() {
+            return;
+        }
+        let rows: Vec<usize> = block.iter().map(|&q| requests[q].pool_row).collect();
+        let got = model.predict_topk_ws(&pool.select_rows(&rows), k_eff, &mut ws, &mut top);
+        debug_assert_eq!(got, k_eff);
+        for (q, row) in block.drain(..).zip(top.chunks_exact(k_eff)) {
+            predictions[requests[q].id as usize * k_eff..][..k_eff].copy_from_slice(row);
+        }
+    };
+    // The events due at plan point `at` (`sweep`: every ordinal of the
+    // window the run never reached), anchored at the dispatch frontier.
+    let mut fire = |slots: &mut [Slot], queued: usize, at: (u64, usize), sweep: bool| {
+        let anchor = slots[pick_slot(slots)].device.now().secs();
+        for e in plan.due(at.0 as usize, at.1, sweep) {
+            apply_fault(slots, e, anchor, queued, &mut faults);
+        }
+    };
+    // The oldest queue head `(arrival, queue)`, ties to the lowest queue.
+    let oldest_head = |queues: &[VecDeque<usize>]| {
+        queues
+            .iter()
+            .enumerate()
+            .filter_map(|(i, q)| q.front().map(|&h| (requests[h].arrival, i)))
+            .min_by(|a, b| a.partial_cmp(b).expect("arrivals were checked finite"))
+    };
+
+    loop {
+        if queued == 0 && next_arr >= n {
+            break;
+        }
+        // Fault events due before this dispatch.
+        if !point_fired {
+            fire(&mut slots, queued, (window, in_window), false);
+            point_fired = true;
+        }
+
+        // Dispatch to whichever commissioned replica frees first, no
+        // earlier than the oldest pending request (open loop: devices
+        // idle until there is work).
+        let r = pick_slot(&slots);
+        let free = slots[r].device.now().secs();
+        let first_pending = match oldest_head(&queues) {
+            Some((arrival, _)) => arrival,
+            None => requests[next_arr].arrival,
+        };
+        let t = free.max(first_pending);
+        slots[r].device.advance_to(SimTime(t));
+
+        // Admit arrivals up to `t`. Admission is where the cache
+        // acts: a ready hit completes immediately at the frontend and
+        // never queues.
+        while next_arr < n && requests[next_arr].arrival <= t {
+            let req = &requests[next_arr];
+            let tenant = &tenants[req.tenant as usize];
+            if let Some(rep) = cache.lookup((tenant.sig, req.pool_row as u32), req.arrival) {
+                records[next_arr] = Some(FleetRecord {
+                    arrival: req.arrival,
+                    dispatched: req.arrival,
+                    completed: req.arrival + config.cache_latency_s,
+                    replica: None,
+                    batch: 0,
+                    tenant: req.tenant,
+                    cache_hit: true,
+                    hedged: false,
+                    hedge_won: false,
+                });
+                replays.push((req.id, rep));
+            } else {
+                queues[tenant.queue].push_back(next_arr);
+                queued += 1;
+            }
+            next_arr += 1;
+        }
+        if queued == 0 {
+            // Everything admitted this round hit the cache; nothing
+            // to dispatch yet.
+            continue;
+        }
+
+        // Serve the version whose head has waited longest (ties to
+        // the lowest version index), cutting up to the replica's
+        // adaptive micro-batch of already-arrived requests.
+        let (_, v) = oldest_head(&queues).expect("queued > 0");
+        let b = slots[r].controller.micro_batch();
+        batch.clear();
+        while batch.len() < b {
+            match queues[v].front() {
+                Some(&q) if requests[q].arrival <= t => {
+                    batch.push(q);
+                    queues[v].pop_front();
+                    queued -= 1;
                 }
-            });
-            tx
-        };
-        // Owned by this closure, so a panic below closes every channel and
-        // the scope can join its workers instead of hanging on them.
-        let txs: Vec<mpsc::Sender<WorkItem>> = (0..n_slots).map(spawn_worker).collect();
-        drop(res_tx);
-
-        // The scheduler loop: single-threaded, virtual-time only.
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); n_queues];
-        let mut queued = 0usize;
-        let mut next_arr = 0usize;
-        let mut window = 0u64;
-        let mut in_window = 0usize;
-        // A plan point `(window, in_window)` fires once, however many
-        // all-cache-hit admission rounds pass before its dispatch.
-        let mut point_fired = false;
-        let mut batch: Vec<usize> = Vec::new();
-        let mut pool_rows: Vec<usize> = Vec::new();
-        // The events due at plan point `at` (`sweep`: every ordinal of the
-        // window the run never reached), anchored at the dispatch frontier.
-        let mut fire = |slots: &mut [Slot], queued: usize, at: (u64, usize), sweep: bool| {
-            let anchor = slots[pick_slot(slots)].device.now().secs();
-            for e in plan.due(at.0 as usize, at.1, sweep) {
-                apply_fault(slots, e, anchor, queued, &mut faults);
+                _ => break,
             }
-        };
-        // The oldest queue head `(arrival, queue)`, ties to the lowest queue.
-        let oldest_head = |queues: &[VecDeque<usize>]| {
-            queues
-                .iter()
-                .enumerate()
-                .filter_map(|(i, q)| q.front().map(|&h| (requests[h].arrival, i)))
-                .min_by(|a, b| a.partial_cmp(b).unwrap())
-        };
+        }
+        debug_assert!(!batch.is_empty(), "dispatch with nothing arrived");
 
-        loop {
-            if queued == 0 && next_arr >= n {
-                break;
-            }
-            // Fault events due before this dispatch.
-            if !point_fired {
-                fire(&mut slots, queued, (window, in_window), false);
-                point_fired = true;
-            }
+        // Charge the primary device the batch's forward kernels.
+        let nnz = batch.iter().map(|&q| pool.row_nnz(requests[q].pool_row));
+        let tenant = &tenants[requests[batch[0]].tenant as usize];
+        let kernels = inference_kernels(arch, batch.len(), nnz.sum(), k_eff);
+        slots[r].device.execute_all(&kernels);
+        let done = slots[r].device.now().secs();
 
-            // Dispatch to whichever commissioned replica frees first, no
-            // earlier than the oldest pending request (open loop: devices
-            // idle until there is work).
-            let r = pick_slot(&slots);
-            let free = slots[r].device.now().secs();
-            let first_pending = match oldest_head(&queues) {
-                Some((arrival, _)) => arrival,
-                None => requests[next_arr].arrival,
+        // Hedge the stragglers: requests whose wait crossed the
+        // policy threshold race a singleton batch on the earliest-free
+        // other replica; the loser's clock is rolled back from the
+        // moment the winner finished.
+        for &q in &batch {
+            let wait = t - requests[q].arrival;
+            let mut completed = done + rtt(slots[r].server);
+            let mut winner = r;
+            let mut hedged = false;
+            let mut hedge_won = false;
+            let spare = if hedge_policy.should_hedge(wait) {
+                let others = slots.iter().enumerate();
+                let others = others.filter(|&(i, s)| i != r && s.dispatchable());
+                earliest_free(others.map(|(i, s)| (i, &s.device)))
+            } else {
+                None
             };
-            let t = free.max(first_pending);
-            slots[r].device.advance_to(SimTime(t));
-
-            // Admit arrivals up to `t`. Admission is where the cache
-            // acts: a ready hit completes immediately at the frontend and
-            // never queues.
-            while next_arr < n && requests[next_arr].arrival <= t {
-                let req = &requests[next_arr];
-                let tenant = &tenants[req.tenant as usize];
-                if let Some(rep) = cache.lookup((tenant.sig, req.pool_row as u32), req.arrival) {
-                    records[next_arr] = Some(FleetRecord {
-                        arrival: req.arrival,
-                        dispatched: req.arrival,
-                        completed: req.arrival + config.cache_latency_s,
-                        replica: None,
-                        batch: 0,
-                        tenant: req.tenant,
-                        cache_hit: true,
-                        hedged: false,
-                        hedge_won: false,
-                    });
-                    replays.push((req.id, rep));
+            if let Some(h) = spare {
+                hedged = true;
+                hedge_stats.issued += 1;
+                let t2 = slots[h].device.now().secs().max(t);
+                slots[h].device.advance_to(SimTime(t2));
+                let k1 = inference_kernels(arch, 1, pool.row_nnz(requests[q].pool_row), k_eff);
+                slots[h].device.execute_all(&k1);
+                let h_done = slots[h].device.now().secs();
+                let h_completed = h_done + rtt(slots[h].server);
+                if h_completed < completed {
+                    hedge_won = true;
+                    hedge_stats.wins += 1;
+                    completed = h_completed;
+                    winner = h;
                 } else {
-                    queues[tenant.queue].push_back(next_arr);
-                    queued += 1;
-                }
-                next_arr += 1;
-            }
-            if queued == 0 {
-                // Everything admitted this round hit the cache; nothing
-                // to dispatch yet.
-                continue;
-            }
-
-            // Serve the version whose head has waited longest (ties to
-            // the lowest version index), cutting up to the replica's
-            // adaptive micro-batch of already-arrived requests.
-            let (_, v) = oldest_head(&queues).expect("queued > 0");
-            let b = slots[r].controller.micro_batch();
-            batch.clear();
-            while batch.len() < b {
-                match queues[v].front() {
-                    Some(&q) if requests[q].arrival <= t => {
-                        batch.push(q);
-                        queues[v].pop_front();
-                        queued -= 1;
-                    }
-                    _ => break,
+                    // Cancelled when the primary's completion reaches
+                    // the frontend; work past that point is reclaimed
+                    // in virtual time.
+                    hedge_stats.losses += 1;
+                    let cancel = completed.max(t2);
+                    hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
                 }
             }
-            debug_assert!(!batch.is_empty(), "dispatch with nothing arrived");
-
-            // Charge the primary device the batch's forward kernels.
-            pool_rows.clear();
-            pool_rows.extend(batch.iter().map(|&q| requests[q].pool_row));
-            let x = pool.select_rows(&pool_rows);
-            let tenant = &tenants[requests[batch[0]].tenant as usize];
-            let kernels = inference_kernels(arch, x.rows(), x.nnz(), k_eff);
-            slots[r].device.execute_all(&kernels);
-            let done = slots[r].device.now().secs();
-
-            // Hedge the stragglers: requests whose wait crossed the
-            // policy threshold race a singleton batch on the earliest-free
-            // other replica; the loser's clock is rolled back from the
-            // moment the winner finished.
-            for &q in &batch {
-                let wait = t - requests[q].arrival;
-                let mut completed = done + rtt(slots[r].server);
-                let mut winner = r;
-                let mut hedged = false;
-                let mut hedge_won = false;
-                let spare = if hedge_policy.should_hedge(wait) {
-                    let others = slots.iter().enumerate();
-                    let others = others.filter(|&(i, s)| i != r && s.dispatchable());
-                    earliest_free(others.map(|(i, s)| (i, &s.device)))
-                } else {
-                    None
-                };
-                if let Some(h) = spare {
-                    hedged = true;
-                    hedge_stats.issued += 1;
-                    let t2 = slots[h].device.now().secs().max(t);
-                    slots[h].device.advance_to(SimTime(t2));
-                    let x1 = pool.select_rows(&[requests[q].pool_row]);
-                    let k1 = inference_kernels(arch, 1, x1.nnz(), k_eff);
-                    slots[h].device.execute_all(&k1);
-                    let h_done = slots[h].device.now().secs();
-                    let h_completed = h_done + rtt(slots[h].server);
-                    if h_completed < completed {
-                        hedge_won = true;
-                        hedge_stats.wins += 1;
-                        completed = h_completed;
-                        winner = h;
-                    } else {
-                        // Cancelled when the primary's completion reaches
-                        // the frontend; work past that point is reclaimed
-                        // in virtual time.
-                        hedge_stats.losses += 1;
-                        let cancel = completed.max(t2);
-                        hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
-                    }
-                }
-                let rec = FleetRecord {
-                    arrival: requests[q].arrival,
-                    dispatched: t,
-                    completed,
-                    replica: Some(winner),
-                    batch: batch.len(),
-                    tenant: requests[q].tenant,
-                    cache_hit: false,
-                    hedged,
-                    hedge_won,
-                };
-                records[q] = Some(rec);
-                slots[winner].window_lat.push(rec.latency());
-                slots[winner].stats.record(rec.latency());
-                slots[winner].served += 1;
-                hedge_policy.observe(wait);
-                // Fill the cache at the frontend-visible completion; the
-                // first computation of a key wins, so replays never alias
-                // through another hit.
-                let key = (tenant.sig, requests[q].pool_row as u32);
-                cache.insert(key, requests[q].id, rec.completed);
-            }
-            slots[r].batches += 1;
-
-            // Ship the real math to the primary's worker (hedges re-time
-            // a request, they never recompute it).
-            let ids: Vec<u32> = batch.iter().map(|&q| requests[q].id).collect();
-            let work = WorkItem {
-                model: tenant.model,
-                x,
-                ids,
+            let rec = FleetRecord {
+                arrival: requests[q].arrival,
+                dispatched: t,
+                completed,
+                replica: Some(winner),
+                batch: batch.len(),
+                tenant: requests[q].tenant,
+                cache_hit: false,
+                hedged,
+                hedge_won,
             };
-            let _ = txs[r].send(work);
+            records[q] = Some(rec);
+            slots[winner].window_lat.push(rec.latency());
+            slots[winner].stats.record(rec.latency());
+            slots[winner].served += 1;
+            hedge_policy.observe(wait);
+            // Fill the cache at the frontend-visible completion; the
+            // first computation of a key wins, so replays never alias
+            // through another hit.
+            let key = (tenant.sig, requests[q].pool_row as u32);
+            cache.insert(key, requests[q].id, rec.completed);
+        }
+        slots[r].batches += 1;
 
-            in_window += 1;
-            point_fired = false;
-            if in_window == config.window_dispatches {
-                // Boundary sweep: never-reached fault ordinals fire here,
-                // exactly like the trainer's merge-boundary sweep.
-                fire(&mut slots, queued, (window, in_window), true);
-                for s in slots.iter_mut().filter(|s| s.dispatchable()) {
-                    if config.adaptive && !s.window_lat.is_empty() {
-                        let p99 = percentile(&s.window_lat, 0.99).expect("non-empty window");
-                        s.controller.observe_window(p99);
-                    }
-                    s.batch_trajectory.push(s.controller.micro_batch());
-                    s.window_lat.clear();
-                }
-                if let Some(ctl) = autoscaler.as_mut() {
-                    let decision = ctl.observe_depth(window, queued);
-                    trajectory.push(decision);
-                    let anchor = slots[pick_slot(&slots)].device.now().secs();
-                    let mut up = slots.iter().filter(|s| s.dispatchable()).count();
-                    // Scale out: commission spare alive slots ascending —
-                    // round-robin placement sends them to other servers.
-                    while up < decision.replicas {
-                        let Some(i) = slots.iter().position(|s| s.alive && !s.commissioned) else {
-                            break;
-                        };
-                        slots[i].commission(anchor);
-                        let boot = anchor + config.boot_delay_s;
-                        let now = slots[i].device.now().secs();
-                        slots[i].device.advance_to(SimTime(now.max(boot)));
-                        up += 1;
-                    }
-                    // Scale in: decommission LIFO, never below one
-                    // replica.
-                    while up > decision.replicas && up > 1 {
-                        let i = slots
-                            .iter()
-                            .rposition(|s| s.dispatchable())
-                            .expect("up > 0");
-                        let end = anchor.max(slots[i].device.now().secs());
-                        slots[i].decommission(end);
-                        up -= 1;
-                    }
-                }
-                window += 1;
-                in_window = 0;
+        // Queue the real math behind its version (hedges re-time a
+        // request, they never recompute it).
+        for &q in &batch {
+            pending[v].push(q);
+            if pending[v].len() == FORWARD_BLOCK_ROWS {
+                score(tenant.model, &mut pending[v]);
             }
         }
 
-        // Close every worker channel, then drain all results into the
-        // id-indexed prediction buffer (order-independent by
-        // construction).
-        drop(txs);
-        for (ids, out) in res_rx {
-            for (j, &id) in ids.iter().enumerate() {
-                predictions[id as usize * k_eff..(id as usize + 1) * k_eff]
-                    .copy_from_slice(&out[j * k_eff..(j + 1) * k_eff]);
+        in_window += 1;
+        point_fired = false;
+        if in_window == config.window_dispatches {
+            // Boundary sweep: never-reached fault ordinals fire here,
+            // exactly like the trainer's merge-boundary sweep.
+            fire(&mut slots, queued, (window, in_window), true);
+            for s in slots.iter_mut().filter(|s| s.dispatchable()) {
+                if config.adaptive && !s.window_lat.is_empty() {
+                    let p99 = percentile(&s.window_lat, 0.99).expect("non-empty window");
+                    s.controller.observe_window(p99);
+                }
+                s.batch_trajectory.push(s.controller.micro_batch());
+                s.window_lat.clear();
             }
+            if let Some(ctl) = autoscaler.as_mut() {
+                let decision = ctl.observe_depth(window, queued);
+                trajectory.push(decision);
+                let anchor = slots[pick_slot(&slots)].device.now().secs();
+                let mut up = slots.iter().filter(|s| s.dispatchable()).count();
+                // Scale out: commission spare alive slots ascending —
+                // round-robin placement sends them to other servers.
+                while up < decision.replicas {
+                    let Some(i) = slots.iter().position(|s| s.alive && !s.commissioned) else {
+                        break;
+                    };
+                    slots[i].commission(anchor);
+                    let boot = anchor + config.boot_delay_s;
+                    let now = slots[i].device.now().secs();
+                    slots[i].device.advance_to(SimTime(now.max(boot)));
+                    up += 1;
+                }
+                // Scale in: decommission LIFO, never below one
+                // replica.
+                while up > decision.replicas && up > 1 {
+                    let i = slots
+                        .iter()
+                        .rposition(|s| s.dispatchable())
+                        .expect("up > 0");
+                    let end = anchor.max(slots[i].device.now().secs());
+                    slots[i].decommission(end);
+                    up -= 1;
+                }
+            }
+            window += 1;
+            in_window = 0;
         }
-    });
+    }
+
+    // What is left of each version's list, ascending.
+    for (v, block) in pending.iter_mut().enumerate() {
+        if let Some(tenant) = tenants.iter().find(|t| t.queue == v) {
+            score(tenant.model, block);
+        }
+    }
 
     // Replay cached predictions from their computed representatives (one
     // copy deep — reps are never hits themselves).

@@ -17,8 +17,8 @@
 //! scheduling decision consumes only virtual clocks and seeded state, so
 //! the full outcome — dispatch order, latencies, trajectories, predictions
 //! — is a pure function of `(request seed, fault seed)` at any
-//! `ASGD_THREADS`; the real forward math runs on worker threads off the
-//! decision path and lands in id-indexed buffers.
+//! `ASGD_THREADS`; the real forward math runs off the decision path, in
+//! blocks of a few hundred dispatched rows, and lands in id-indexed buffers.
 //!
 //! ## One loop, two entry points
 //!

@@ -9,9 +9,10 @@ use asgd_gpusim::profile::{homogeneous_server, two_tier_server};
 use asgd_gpusim::{ClusterTopology, DeviceProfile, FaultPlan};
 use asgd_model::{Mlp, MlpConfig};
 use asgd_serve::{
-    adapter_variant, fleet_stream, serve_fleet, FleetConfig, FleetLoadSpec, ModelRegistry,
-    VersionId,
+    adapter_variant, fleet_stream, serve_fleet, FleetConfig, FleetLoadSpec, FleetOutcome,
+    ModelRegistry, TenantRequest, VersionId,
 };
+use asgd_sparse::CsrMatrix;
 use asgd_tensor::Precision;
 
 fn tiny_dataset() -> XmlDataset {
@@ -80,19 +81,7 @@ fn every_tenant_is_served_its_own_version_bit_exactly() {
     );
     // Every request's predictions match direct inference on its tenant's
     // registered version — multi-model batching never crosses weights.
-    for r in &requests {
-        let x = pool.select_rows(&[r.pool_row]);
-        let direct = reg
-            .model(tenants[r.tenant as usize])
-            .predict_topk(&x, config.k);
-        assert_eq!(
-            outcome.prediction(r.id).unwrap(),
-            &direct[..],
-            "request {} (tenant {}) served ≠ direct",
-            r.id,
-            r.tenant
-        );
-    }
+    assert_served_equals_direct(&outcome, &reg, &tenants, pool, &requests, config.k);
 }
 
 #[test]
@@ -259,13 +248,7 @@ fn hedged_requests_race_consistently_and_reclaim_cancelled_time() {
         assert!(rec.completed > rec.dispatched || rec.cache_hit);
     }
     // Predictions are untouched by hedging — still the tenant's model.
-    for r in requests.iter().take(100) {
-        let x = pool.select_rows(&[r.pool_row]);
-        let direct = reg
-            .model(tenants[r.tenant as usize])
-            .predict_topk(&x, config.k);
-        assert_eq!(outcome.prediction(r.id).unwrap(), &direct[..]);
-    }
+    assert_served_equals_direct(&outcome, &reg, &tenants, pool, &requests[..100], config.k);
 }
 
 #[test]
@@ -375,13 +358,7 @@ fn device_loss_in_a_fleet_loses_zero_requests() {
     );
     // The dead slot stopped being paid for at the loss, not at run end.
     assert!(outcome.replicas[2].device_seconds < outcome.makespan_s);
-    for r in requests.iter().take(60) {
-        let x = pool.select_rows(&[r.pool_row]);
-        let direct = reg
-            .model(tenants[r.tenant as usize])
-            .predict_topk(&x, config.k);
-        assert_eq!(outcome.prediction(r.id).unwrap(), &direct[..]);
-    }
+    assert_served_equals_direct(&outcome, &reg, &tenants, pool, &requests[..60], config.k);
 }
 
 #[test]
@@ -425,5 +402,170 @@ fn a_fault_point_fires_once_however_many_all_hit_rounds_precede_its_dispatch() {
         outcome.fault_log.len(),
         distinct.len(),
         "a stall scheduled once was served more than once"
+    );
+}
+
+/// `fleet.rs::FORWARD_BLOCK_ROWS` (private): the rows of one forward call.
+const BLOCK: usize = 256;
+
+/// `counts[t]` requests of tenant `t`, interleaved round-robin by arrival at
+/// a rate that forms backlogs, so micro-batches of several rows land on
+/// either side of a block boundary.
+fn interleaved_stream(counts: [usize; 3], pool_rows: usize) -> Vec<TenantRequest> {
+    let mut left = counts;
+    let mut out: Vec<TenantRequest> = Vec::new();
+    let mut turn = 0;
+    while left.iter().any(|&c| c > 0) {
+        let tenant = (0..3).map(|d| (turn + d) % 3).find(|&t| left[t] > 0);
+        let tenant = tenant.expect("some tenant has requests left");
+        left[tenant] -= 1;
+        turn = tenant + 1;
+        out.push(TenantRequest {
+            id: out.len() as u32,
+            arrival: out.len() as f64 * 6.0e-8,
+            tenant: tenant as u16,
+            pool_row: (out.len() * 7 + tenant) % pool_rows,
+        });
+    }
+    out
+}
+
+/// Three tenants on three distinct models.
+fn three_model_registry(ds: &XmlDataset) -> (ModelRegistry, Vec<VersionId>) {
+    let config = mlp_config(ds);
+    let base = Mlp::init(&config, 7);
+    let mut reg = ModelRegistry::new(config);
+    let versions = vec![
+        reg.register("base/v1", &base, Precision::F32),
+        reg.register("t1/v1", &adapter_variant(&base, 1, 1e-2), Precision::F32),
+        reg.register("t2/v1", &adapter_variant(&base, 2, 1e-2), Precision::F32),
+    ];
+    (reg, versions)
+}
+
+/// Every request's prediction against a one-row forward of its own version.
+fn assert_served_equals_direct(
+    outcome: &FleetOutcome,
+    reg: &ModelRegistry,
+    tenants: &[VersionId],
+    pool: &CsrMatrix,
+    requests: &[TenantRequest],
+    k: usize,
+) {
+    for r in requests {
+        let x = pool.select_rows(&[r.pool_row]);
+        let direct = reg.model(tenants[r.tenant as usize]).predict_topk(&x, k);
+        assert_eq!(
+            outcome.prediction(r.id).unwrap(),
+            &direct[..],
+            "request {} (tenant {}) served ≠ direct",
+            r.id,
+            r.tenant
+        );
+    }
+}
+
+#[test]
+fn version_counts_on_either_side_of_a_block_are_all_scored() {
+    // The forward math runs per version in blocks of BLOCK rows plus one
+    // tail call: a version that ends one short of a block, exactly on it
+    // (empty tail), one past it (one-row tail) and past two blocks.
+    let ds = tiny_dataset();
+    let (reg, tenants) = three_model_registry(&ds);
+    let pool = &ds.test.features;
+    let topo = ClusterTopology::ethernet(1, 4);
+    let config = FleetConfig::paper_defaults(16, 0.020);
+    for counts in [
+        [BLOCK - 1, BLOCK, BLOCK + 1],
+        [2 * BLOCK + 3, BLOCK + 1, BLOCK],
+    ] {
+        let requests = interleaved_stream(counts, pool.rows());
+        let outcome = serve_fleet(
+            &reg,
+            &tenants,
+            &scaled(two_tier_server(2, 1, 0.5)),
+            &topo,
+            pool,
+            &requests,
+            &FaultPlan::new(),
+            &config,
+        );
+        assert_eq!(outcome.served, requests.len());
+        assert_eq!(outcome.cache.hits, 0, "every request is computed");
+        let batched = outcome.records.iter().flatten().filter(|r| r.batch > 1);
+        assert!(batched.count() > 0, "no backlog formed: {counts:?}");
+        assert_served_equals_direct(&outcome, &reg, &tenants, pool, &requests, config.k);
+    }
+}
+
+#[test]
+fn device_and_server_loss_fill_every_served_id_exactly_once() {
+    // Rows a slot was charged for are scored with their version's block,
+    // possibly long after the slot died: nothing of it may go missing, and
+    // nothing may be written for a request that rode no batch.
+    let ds = tiny_dataset();
+    let (reg, tenants) = three_model_registry(&ds);
+    let pool = &ds.test.features;
+    // A hot set of rows, so the cache has something to replay.
+    let requests = interleaved_stream([BLOCK + 40, BLOCK + 41, 90], 16);
+    let topo = ClusterTopology::ethernet(3, 2);
+    let mut config = FleetConfig::paper_defaults(16, 0.020).with_cache(32);
+    config.window_dispatches = 8;
+    let plans = [
+        FaultPlan::new().device_loss(0, 3, 1).device_loss(2, 5, 4),
+        FaultPlan::new().server_loss(1, 2, 1).device_loss(3, 1, 0),
+    ];
+    for plan in &plans {
+        let outcome = serve_fleet(
+            &reg,
+            &tenants,
+            &scaled(homogeneous_server(6)),
+            &topo,
+            pool,
+            &requests,
+            plan,
+            &config,
+        );
+        let lost = |l: &String| l.contains("lost");
+        assert!(
+            outcome.fault_log.iter().any(lost),
+            "{:?}",
+            outcome.fault_log
+        );
+        assert!(outcome.replicas.iter().any(|r| !r.alive && r.served > 0));
+        // One write per id: a scatter for each request that rode a batch, a
+        // replay for each cache hit, never both, never neither.
+        let mut writes = vec![0u32; requests.len()];
+        for (id, rec) in outcome.records.iter().enumerate() {
+            let rec = rec.unwrap_or_else(|| panic!("request {id} never served"));
+            writes[id] += (rec.replica.is_some() && rec.batch > 0) as u32;
+            writes[id] += rec.cache_hit as u32;
+        }
+        assert!(writes.iter().all(|&w| w == 1), "{writes:?}");
+        let scattered = outcome.records.iter().flatten().filter(|r| !r.cache_hit);
+        let by_slot: usize = outcome.replicas.iter().map(|r| r.served).sum();
+        assert_eq!(scattered.count(), by_slot);
+        assert!(outcome.cache.hits > 0, "no replay in this run");
+        assert_served_equals_direct(&outcome, &reg, &tenants, pool, &requests, config.k);
+    }
+}
+
+#[test]
+#[should_panic(expected = "request 5 has id 4")]
+fn a_duplicate_id_is_refused_by_the_fleet_entry_point_too() {
+    let ds = tiny_dataset();
+    let (reg, tenants) = three_model_registry(&ds);
+    let pool = &ds.test.features;
+    let mut requests = interleaved_stream([4, 4, 4], pool.rows());
+    requests[5].id = 4;
+    serve_fleet(
+        &reg,
+        &tenants,
+        &scaled(homogeneous_server(2)),
+        &ClusterTopology::ethernet(1, 2),
+        pool,
+        &requests,
+        &FaultPlan::new(),
+        &FleetConfig::paper_defaults(16, 0.020),
     );
 }

@@ -56,6 +56,25 @@ fn run(
     serve(model, profiles, pool, requests, plan, config)
 }
 
+/// Every request's served prediction against a one-row forward of `model`.
+fn assert_served_equals_direct(
+    outcome: &ServeOutcome,
+    model: &Mlp,
+    pool: &CsrMatrix,
+    requests: &[Request],
+    k: usize,
+) {
+    for r in requests {
+        let x = pool.select_rows(&[r.pool_row]);
+        assert_eq!(
+            outcome.prediction(r.id).unwrap(),
+            &model.predict_topk(&x, k)[..],
+            "request {} served ≠ direct inference",
+            r.id
+        );
+    }
+}
+
 #[test]
 fn checkpoint_to_serve_roundtrip_is_bit_identical() {
     let ds = tiny_dataset();
@@ -77,16 +96,7 @@ fn checkpoint_to_serve_roundtrip_is_bit_identical() {
     // bit for bit, independent of which replica served it and in which
     // micro-batch it rode (row-wise kernels make batch composition
     // irrelevant to a row's values).
-    for r in &requests {
-        let x = pool.select_rows(&[r.pool_row]);
-        let direct = model.predict_topk(&x, config.k);
-        assert_eq!(
-            outcome.prediction(r.id).unwrap(),
-            &direct[..],
-            "request {} served ≠ direct inference",
-            r.id
-        );
-    }
+    assert_served_equals_direct(&outcome, &model, pool, &requests, config.k);
 }
 
 #[test]
@@ -108,16 +118,7 @@ fn bf16_serving_matches_the_quantized_model_exactly() {
     // bf16 serving is direct inference on the once-quantized model — the
     // single round point is the streamed checkpoint, nothing downstream.
     let reference = model.quantized(asgd_tensor::Precision::Bf16);
-    for r in &requests {
-        let x = pool.select_rows(&[r.pool_row]);
-        let direct = reference.predict_topk(&x, config.k);
-        assert_eq!(
-            outcome.prediction(r.id).unwrap(),
-            &direct[..],
-            "request {} served ≠ quantized direct inference",
-            r.id
-        );
-    }
+    assert_served_equals_direct(&outcome, &reference, pool, &requests, config.k);
 }
 
 #[test]
@@ -196,13 +197,7 @@ fn device_loss_mid_run_loses_zero_requests() {
     assert_eq!(survivor_served + outcome.replicas[2].served, requests.len());
     // Predictions still match direct inference — in-flight work was drained,
     // not dropped.
-    for r in requests.iter().take(50) {
-        let x = pool.select_rows(&[r.pool_row]);
-        assert_eq!(
-            outcome.prediction(r.id).unwrap(),
-            &model.predict_topk(&x, config.k)[..]
-        );
-    }
+    assert_served_equals_direct(&outcome, &model, pool, &requests[..50], config.k);
 }
 
 #[test]
@@ -533,4 +528,83 @@ fn cluster_fault_kinds_act_on_the_engines_one_server() {
             .count()
     };
     assert!(waited(&outcome) > 0 && waited(&clean) == 0);
+}
+
+#[test]
+fn k_above_the_streaming_limit_is_served_through_the_materialized_fallback() {
+    // More than one block of requests at a `k` the fused streaming top-k
+    // does not take: full blocks and the tail both go through `ws.probs`.
+    let ds = tiny_dataset();
+    let model = Mlp::init(&mlp_config(&ds), 16);
+    let pool = &ds.test.features;
+    let requests = open_loop_stream(10, 300, 4.0e7, pool.rows());
+    let mut config = ServeConfig::paper_defaults(32, 0.020);
+    config.k = asgd_tensor::ops::TOPK_STREAM_MAX + 8;
+    assert!(config.k < ds.num_labels);
+    let outcome = run(
+        &model,
+        &scaled(homogeneous_server(2)),
+        pool,
+        &requests,
+        &FaultPlan::new(),
+        &config,
+    );
+    assert_eq!(outcome.k_eff, config.k);
+    assert_served_equals_direct(&outcome, &model, pool, &requests, config.k);
+}
+
+#[test]
+fn a_pinned_session_has_one_checksum_at_one_two_and_eight_threads() {
+    // The blocked forward forks on the kernel pool: 1,500 requests are five
+    // full blocks and a tail, split however the thread count says.
+    let config = ServeConfig::paper_defaults(32, 0.000_004);
+    let fnvs = [1, 2, 8].map(|threads| {
+        asgd_tensor::parallel::override_threads(threads);
+        golden_case((11, 7), two_tier_server(2, 2, 0.25), &config)
+    });
+    asgd_tensor::parallel::override_threads(0);
+    assert_eq!(fnvs, [0x588c_b52d_57a2_f150; 3], "{fnvs:#018x?}");
+}
+
+/// A session over a stream that breaks the `Request` contract at index 3.
+fn serve_broken_stream(break_it: impl Fn(&mut [Request])) {
+    let ds = tiny_dataset();
+    let model = Mlp::init(&mlp_config(&ds), 17);
+    let pool = &ds.test.features;
+    let mut requests = open_loop_stream(12, 8, 600.0, pool.rows());
+    break_it(&mut requests);
+    let config = ServeConfig::paper_defaults(32, 0.020);
+    let profiles = scaled(homogeneous_server(2));
+    run(
+        &model,
+        &profiles,
+        pool,
+        &requests,
+        &FaultPlan::new(),
+        &config,
+    );
+}
+
+#[test]
+#[should_panic(expected = "request 3 arrives at NaN")]
+fn a_nan_arrival_is_refused_instead_of_spinning_forever() {
+    serve_broken_stream(|r| r[3].arrival = f64::NAN);
+}
+
+#[test]
+#[should_panic(expected = "request 3 arrives at")]
+fn an_arrival_earlier_than_its_predecessor_is_refused() {
+    serve_broken_stream(|r| r[3].arrival = r[2].arrival / 2.0);
+}
+
+#[test]
+#[should_panic(expected = "request 3 has id 8")]
+fn an_id_past_the_end_is_refused_before_the_session_runs() {
+    serve_broken_stream(|r| r[3].id = 8);
+}
+
+#[test]
+#[should_panic(expected = "request 3 has id 2")]
+fn a_duplicate_id_is_refused() {
+    serve_broken_stream(|r| r[3].id = 2);
 }

@@ -1032,16 +1032,9 @@ const TOPK_ROW_BLOCK: usize = 32;
 /// chunk below this walks `B` strided in `MR`-row groups. The value is
 /// [`crate::parallel::MIN_PAR_ROWS`]: a call too small to fork is too small
 /// to pack. On a quiet host packing wins from 5 rows up (1.3–2.3× at 5–12
-/// rows × 67,009 classes), but calls that small are serving micro-batches,
-/// scored by one short-lived worker thread per replica on oversubscribed
-/// cores, and what one pass over `B` saves there swings with what the host's
-/// memory system is doing: packing from `MR + 1` rows, `serve_engine_forward`
-/// (a third of its rows sit in 5–15-row batches) came out at 0.90× to 1.34×
-/// the parent from one pair of runs to the next and its run-to-run spread
-/// was 1.5–1.7× the parent's, more than the benchmark resolves on a noisy
-/// hour (EXPERIMENTS.md, "Run-to-run spread on `serve_engine_forward`").
-/// Serving therefore keeps the walk; ROADMAP item 3 (the skinny-batch
-/// kernel) is where 5–15 rows get measured on their own.
+/// rows × 67,009 classes), but no caller is left for which 5–15 rows matter:
+/// serving scores blocks of a few hundred rows, not micro-batches, so a
+/// short group is the tail of a chunk, once per call.
 const TOPK_PACK_MIN_ROWS: usize = crate::parallel::MIN_PAR_ROWS;
 
 /// Streaming fused logits→top-k for a block of
@@ -1090,8 +1083,8 @@ fn topk_rows_packed(
 /// Fused logits→top-k over one contiguous row chunk: `out` holds
 /// `k`-id rows for the chunk's rows. Blocks of up to `TOPK_ROW_BLOCK` rows
 /// go through [`topk_rows_packed`] (GEMM loop order, packed panels, register
-/// tiles); once fewer than [`TOPK_PACK_MIN_ROWS`] rows remain — a serving
-/// micro-batch, or a chunk's tail — they take the strided walk of
+/// tiles); once fewer than [`TOPK_PACK_MIN_ROWS`] rows remain — a chunk's
+/// tail, or a one-row call — they take the strided walk of
 /// [`rows_topk`] in groups of `MR`. Both offer the same logits in the
 /// same order: which path scored a row never shows in its ids. The
 /// reductions dispatch to their AVX2+FMA leaves at the tile layer; the
