@@ -35,6 +35,14 @@ echo "== one ISA detection site =="
 # own, asks again for its host roofline; it dispatches no kernel.)
 [ "$(grep -rl --include='*.rs' 'is_x86_feature_detected!(' crates src tests examples | xargs awk '/fn [a-z0-9_]+/ { match($0, /fn [a-z0-9_]+/); f = FILENAME ":" substr($0, RSTART, RLENGTH) } /is_x86_feature_detected!\(/ { print f }' | sort -u)" = "crates/tensor/src/kernels.rs:fn avx2_fma_available" ]
 
+echo "== one fault interpreter =="
+# FaultKind is matched in asgd-gpusim alone: DevicePool::apply turns every
+# fault event into effects, under one policy, for the trainer and the serving
+# loop alike, and they react to its FaultOutcome. A match anywhere else is a
+# second policy. (Comment lines may name the kinds.)
+if grep -rn --include='*.rs' 'FaultKind::' crates/*/src src | grep -v '^crates/gpusim/src/' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then exit 1; fi
+
 echo "== the serving loop is the only actor =="
 # crates/serve starts no thread and opens no channel: the scheduler loop
 # makes every decision and scores the forward math itself, in blocks, through

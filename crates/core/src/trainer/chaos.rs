@@ -1,33 +1,26 @@
-//! Chaos-mode scheduler extensions: applying a seeded [`FaultPlan`] and
-//! degrading gracefully.
+//! Chaos-mode scheduler extensions: the trainer's reaction to a seeded
+//! [`asgd_gpusim::FaultPlan`].
 //!
-//! The fault *vocabulary* lives in `asgd_gpusim::faults`; this module is the
-//! trainer's *reaction*. Everything here runs on the scheduler thread and
-//! consumes only virtual clocks and plan state, so a faulted run stays a
-//! deterministic function of `(run seed, fault plan)` at any `ASGD_THREADS`.
+//! What an event does to the devices — and whether a loss is refused — is
+//! decided by the scheduler's [`asgd_gpusim::DevicePool`], the one fault
+//! interpreter, which the serving loop shares; this module reacts to its
+//! outcome. Everything here runs on the scheduler thread and consumes only
+//! virtual clocks and plan state, so a faulted run stays a deterministic
+//! function of `(run seed, fault plan)` at any `ASGD_THREADS`.
 //!
-//! Degradation semantics (see `DESIGN.md`, "Fault model & degradation
-//! semantics"):
-//!
-//! * **Speed change** — scheduled on the device from the current dispatch
-//!   frontier onward (never retroactive to in-flight work); dynamic dispatch
-//!   and Algorithm 1 re-balance around it.
-//! * **Stall** — the device's virtual clock jumps forward; dynamic dispatch
-//!   routes batches elsewhere until it catches up.
-//! * **Device loss** — the replica's un-merged batches are re-dispatched to
-//!   survivors (no sample lost, none double-counted), the dead replica is
-//!   evicted from Algorithm 2 merging with `α_i` renormalized over the
-//!   survivors, and batch-size scaling re-targets the surviving set. The
-//!   merge stage itself is not forked: `SchedulerState::merge` runs over
-//!   the live set, and a loss only shrinks that set.
-//! * **Merge OOM** — the pooled reduction's scratch allocation fails and the
-//!   merge's tile pass stays on the scheduler thread (nothing is submitted
-//!   to the worker pool), which is bit-identical in results and simulated
-//!   timing.
+//! The reactions (policy: `DESIGN.md`, "Fault model & degradation
+//! semantics"): a speed change or stall is logged, and dynamic dispatch and
+//! Algorithm 1 re-balance around it; a refused loss is logged; per device
+//! lost, ascending, the replica's un-merged batches are re-dispatched to
+//! survivors (no sample lost, none double-counted), and the merge — which
+//! runs over the live set, never forked — and Algorithm 1 drop it. On a merge
+//! OOM the pooled reduction's scratch allocation fails and the merge's tile
+//! pass stays on the scheduler thread (nothing is submitted to the worker
+//! pool), bit-identical in results and simulated timing.
 
 use super::messages::ToManager;
 use super::SchedulerState;
-use asgd_gpusim::{FaultKind, SimTime};
+use asgd_gpusim::{FaultEffect, FaultOutcome, Unit};
 use std::sync::mpsc::Sender;
 
 /// One fault the scheduler actually applied (the plan's events resolved to
@@ -78,15 +71,14 @@ pub enum AppliedFault {
         /// Bytes that were available.
         available: u64,
     },
-    /// An entire server died; every member replica was evicted (each also
-    /// logs its own [`AppliedFault::DeviceLoss`] line).
+    /// An entire server died; every live member replica was evicted (each
+    /// also logs its own [`AppliedFault::DeviceLoss`] line).
     ServerLoss {
         /// Mega-batch in which it fired.
         mega: usize,
         /// The dead server.
         server: usize,
-        /// Member devices actually evicted (already-dead members and a
-        /// refused last survivor are excluded).
+        /// Member devices evicted (already-dead members are excluded).
         lost: Vec<usize>,
         /// Batches re-dispatched off the dead server.
         redispatched: u64,
@@ -101,6 +93,16 @@ pub enum AppliedFault {
         seconds: f64,
         /// Sim time the stall began (the earliest member clock).
         at: f64,
+    },
+    /// A device or server loss was refused: it would have left nothing to
+    /// dispatch to.
+    LossRefused {
+        /// Mega-batch in which it fired.
+        mega: usize,
+        /// The device or server the loss named.
+        unit: Unit,
+        /// Why (`last survivor`, `no survivor outside`).
+        reason: &'static str,
     },
 }
 
@@ -188,6 +190,13 @@ impl ChaosStats {
                 } => out.push_str(&format!(
                     "mega {mega} server {server} inter-node-stall {seconds:.6}s at {at:.9}\n"
                 )),
+                AppliedFault::LossRefused { mega, unit, reason } => {
+                    let named = match unit {
+                        Unit::Device(gpu) => format!("gpu {gpu} device-loss"),
+                        Unit::Server(server) => format!("server {server} server-loss"),
+                    };
+                    out.push_str(&format!("mega {mega} {named} REFUSED ({reason})\n"));
+                }
             }
         }
         out.push_str(&format!(
@@ -245,27 +254,9 @@ impl SchedulerState<'_> {
         fits
     }
 
-    /// The dispatch frontier: the earliest point the scheduler can still
-    /// influence — the minimum virtual clock over surviving devices.
-    fn frontier(&self) -> SimTime {
-        self.devices
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(d, _)| d.now())
-            .fold(SimTime(f64::INFINITY), |acc, t| {
-                if t.secs() < acc.secs() {
-                    t
-                } else {
-                    acc
-                }
-            })
-    }
-
-    /// Fires every plan event due at `(mega, dispatched)` (or, `at_merge`,
-    /// every not-yet-reached ordinal of the mega-batch). Returns the number
-    /// of extra `Train` messages sent (loss re-dispatches), which the caller
-    /// must add to its drain count.
+    /// Applies the plan events due at `(mega, dispatched)` (`at_merge`: every
+    /// ordinal not yet reached) through the pool and reacts; returns the extra
+    /// `Train` messages sent (re-dispatches) for the caller's drain count.
     pub(super) fn fire_due_faults(
         &mut self,
         to: &[Sender<ToManager>],
@@ -278,157 +269,93 @@ impl SchedulerState<'_> {
         let Some(plan) = self.cfg.fault_plan.as_ref() else {
             return 0;
         };
-        let events = plan.due(mega, dispatched, at_merge);
         let mut extra = 0usize;
-        for e in events {
-            match e.kind {
-                FaultKind::SpeedChange { factor } => {
-                    let at = self.frontier();
-                    self.devices[e.gpu].schedule_speed_factor(at, factor);
-                    self.chaos.faults.push(AppliedFault::SpeedChange {
+        for e in plan.due(mega, dispatched, at_merge) {
+            let Some(FaultOutcome { unit, effect, at }) = self.pool.apply(&e) else {
+                continue;
+            };
+            let at = at.secs();
+            // `e.gpu` is the device or server the event named.
+            let fault = match effect {
+                FaultEffect::Speed(factor) => AppliedFault::SpeedChange {
+                    mega,
+                    gpu: e.gpu,
+                    factor,
+                    at,
+                },
+                FaultEffect::Stalled(seconds) => AppliedFault::Stall {
+                    mega,
+                    gpu: e.gpu,
+                    seconds,
+                    at,
+                },
+                FaultEffect::Unreachable(seconds) => AppliedFault::InterNodeStall {
+                    mega,
+                    server: e.gpu,
+                    seconds,
+                    at,
+                },
+                FaultEffect::Refused(reason) => AppliedFault::LossRefused { mega, unit, reason },
+                FaultEffect::Lost(lost) => {
+                    let redispatched =
+                        self.evict(&lost, mega, to, interval_updates, interval_samples);
+                    extra += redispatched as usize;
+                    // A device loss is logged by `evict` alone.
+                    let Unit::Server(server) = unit else {
+                        continue;
+                    };
+                    AppliedFault::ServerLoss {
                         mega,
-                        gpu: e.gpu,
-                        factor,
-                        at: at.secs(),
-                    });
+                        server,
+                        lost,
+                        redispatched,
+                    }
                 }
-                FaultKind::Stall { seconds } => {
-                    let from = self.devices[e.gpu].now();
-                    self.devices[e.gpu].advance_to(from + seconds);
-                    self.chaos.faults.push(AppliedFault::Stall {
-                        mega,
-                        gpu: e.gpu,
-                        seconds,
-                        at: from.secs(),
-                    });
-                }
-                FaultKind::DeviceLoss => {
-                    extra += self.lose_device(e.gpu, mega, to, interval_updates, interval_samples);
-                }
-                FaultKind::ServerLoss => {
-                    extra += self.lose_server(e.gpu, mega, to, interval_updates, interval_samples);
-                }
-                FaultKind::InterNodeStall { seconds } => {
-                    self.inter_node_stall(e.gpu, seconds, mega);
-                }
-                FaultKind::MergeOom => unreachable!("MergeOom is filtered out of FaultPlan::due"),
-            }
+            };
+            self.chaos.faults.push(fault);
         }
         extra
     }
 
-    /// Kills device `g`: evicts it from dispatch and merging and re-dispatches
-    /// its un-merged batches to survivors. A loss targeting an already-dead
-    /// device or the last survivor is ignored (the run must stay able to
-    /// finish). Returns the number of re-dispatched batches.
-    fn lose_device(
+    /// Evicts the replicas in `lost`, which the pool has already killed (so no
+    /// batch goes to one about to die): each one's accounting is zeroed and its
+    /// un-merged batches re-dispatched to survivors. Returns their count.
+    fn evict(
         &mut self,
-        g: usize,
+        lost: &[usize],
         mega: usize,
         to: &[Sender<ToManager>],
         interval_updates: &mut [u64],
         interval_samples: &mut [u64],
-    ) -> usize {
-        if !self.alive[g] || self.alive.iter().filter(|&&a| a).count() == 1 {
-            return 0;
-        }
-        self.alive[g] = false;
-        let at = self.devices[g].now().secs();
-        // The manager drains its queued work (replying `Trained` for each
-        // batch — the accounting below discards those results) and exits.
-        let _ = to[g].send(ToManager::Stop);
-        // Everything the replica trained since the last merge dies with it:
-        // zero its accounting and hand the exact same sample batches to
-        // survivors, so no sample is lost and none is double-counted.
-        let in_flight = std::mem::take(&mut self.in_flight[g]);
-        interval_updates[g] = 0;
-        interval_samples[g] = 0;
-        self.hypers[g].updates = 0;
-        let redispatched = in_flight.len() as u64;
-        for ids in in_flight {
-            let s = self.pick_gpu();
-            interval_updates[s] += 1;
-            interval_samples[s] += ids.len() as u64;
-            self.charge_and_send(s, ids, to);
-        }
-        self.chaos.redispatched_batches += redispatched;
-        self.chaos.discarded_batches += redispatched;
-        self.chaos.lost_gpus.push(g);
-        self.chaos.faults.push(AppliedFault::DeviceLoss {
-            mega,
-            gpu: g,
-            redispatched,
-            at,
-        });
-        redispatched as usize
-    }
-
-    /// The devices of `server` — every device when no cluster is configured
-    /// (`RunConfig::validate` has checked the index against the shape).
-    fn server_members(&self, server: usize) -> std::ops::Range<usize> {
-        let m = self
-            .cfg
-            .cluster
-            .map_or(self.n(), |cl| cl.devices_per_server);
-        server * m..(server + 1) * m
-    }
-
-    /// Kills every device of server `server`, in ascending local order: each
-    /// member goes through the [`Self::lose_device`] eviction (re-dispatch,
-    /// merge eviction, scaling re-target), then one summary fault records
-    /// the node-level loss. The last fleet survivor is still refused, so a
-    /// run can always finish. Returns the total re-dispatched batch count.
-    fn lose_server(
-        &mut self,
-        server: usize,
-        mega: usize,
-        to: &[Sender<ToManager>],
-        interval_updates: &mut [u64],
-        interval_samples: &mut [u64],
-    ) -> usize {
-        let mut redispatched = 0usize;
-        let mut lost = Vec::new();
-        for g in self.server_members(server) {
-            let was_alive = self.alive[g];
-            redispatched += self.lose_device(g, mega, to, interval_updates, interval_samples);
-            if was_alive && !self.alive[g] {
-                lost.push(g);
+    ) -> u64 {
+        let mut total = 0;
+        for &g in lost {
+            let at = self.pool.device(g).now().secs();
+            // The manager drains its queue (replying `Trained` per batch —
+            // discarded below) and exits.
+            let _ = to[g].send(ToManager::Stop);
+            let in_flight = std::mem::take(&mut self.in_flight[g]);
+            interval_updates[g] = 0;
+            interval_samples[g] = 0;
+            self.hypers[g].updates = 0;
+            let redispatched = in_flight.len() as u64;
+            for ids in in_flight {
+                let s = self.pick_gpu();
+                interval_updates[s] += 1;
+                interval_samples[s] += ids.len() as u64;
+                self.charge_and_send(s, ids, to);
             }
+            self.chaos.redispatched_batches += redispatched;
+            self.chaos.discarded_batches += redispatched;
+            self.chaos.lost_gpus.push(g);
+            self.chaos.faults.push(AppliedFault::DeviceLoss {
+                mega,
+                gpu: g,
+                redispatched,
+                at,
+            });
+            total += redispatched;
         }
-        self.chaos.faults.push(AppliedFault::ServerLoss {
-            mega,
-            server,
-            lost,
-            redispatched: redispatched as u64,
-        });
-        redispatched
-    }
-
-    /// A transient inter-node stall: every surviving device of the server
-    /// freezes for `seconds` (the uplink is gone; nothing useful can be
-    /// dispatched to or drained from the node until it heals). Dynamic
-    /// dispatch routes batches to other servers until the clocks catch up.
-    fn inter_node_stall(&mut self, server: usize, seconds: f64, mega: usize) {
-        let members: Vec<usize> = self
-            .server_members(server)
-            .filter(|&g| self.alive[g])
-            .collect();
-        if members.is_empty() {
-            return;
-        }
-        let at = members
-            .iter()
-            .map(|&g| self.devices[g].now().secs())
-            .fold(f64::INFINITY, f64::min);
-        for &g in &members {
-            let from = self.devices[g].now();
-            self.devices[g].advance_to(from + seconds);
-        }
-        self.chaos.faults.push(AppliedFault::InterNodeStall {
-            mega,
-            server,
-            seconds,
-            at,
-        });
+        total
     }
 }

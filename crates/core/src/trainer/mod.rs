@@ -33,12 +33,11 @@ use asgd_collective::{
     sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout, SparseMergePlan,
 };
 use asgd_data::{batching::MegaBatchBudget, SampleStream, XmlDataset};
-use asgd_gpusim::device::{build_server, earliest_free};
+use asgd_gpusim::device::build_server;
 use asgd_gpusim::fusion::{FusionPolicy, LaunchModel};
 use asgd_gpusim::memory::MemoryTracker;
 use asgd_gpusim::{
-    ClusterTopology, Device, DeviceId, DeviceProfile, FaultKind, FaultPlan, SimTime, Topology,
-    TraceLog,
+    ClusterTopology, DeviceId, DevicePool, DeviceProfile, FaultPlan, SimTime, Topology, TraceLog,
 };
 use asgd_model::workload::{
     epoch_kernels, lsh_rebuild_kernels, model_transfer_kernels_sized, overhead_delta_for,
@@ -325,23 +324,15 @@ impl RunConfig {
         // Server-level faults index the cluster shape — one server holding
         // every device when no cluster is configured.
         let servers = self.cluster.map_or(1, |cl| cl.servers);
-        for e in self.fault_plan.iter().flat_map(|p| p.events()) {
-            let (server_level, have) = match e.kind {
-                FaultKind::MergeOom => continue,
-                FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => (true, servers),
-                FaultKind::SpeedChange { .. } | FaultKind::Stall { .. } | FaultKind::DeviceLoss => {
-                    (false, n_devices)
-                }
-            };
-            if e.gpu >= have {
-                return Err(ConfigError::FaultTargetMissing {
-                    server_level,
-                    target: e.gpu,
-                    have,
-                });
-            }
+        let plan = self.fault_plan.as_ref();
+        match plan.and_then(|p| p.missing_target(n_devices, servers)) {
+            Some((server_level, target, have)) => Err(ConfigError::FaultTargetMissing {
+                server_level,
+                target,
+                have,
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -599,6 +590,7 @@ impl Trainer {
         let mut launch_model = LaunchModel::default_cuda();
         launch_model.base_overhead_s *= cfg.overhead_scale;
         let track_in_flight = cfg.fault_plan.as_ref().is_some_and(|p| p.has_device_loss());
+        let per_server = cfg.cluster.map_or(n, |cl| cl.devices_per_server);
         let param_len = mconfig.param_len();
         // Every manager's replica is a copy of the start-up model, and the
         // copies are page-fault-bound: the buffers are allocated here (zero
@@ -625,7 +617,7 @@ impl Trainer {
             cfg,
             mconfig,
             dataset,
-            devices: build_server(&profiles, cfg.seed),
+            pool: DevicePool::new(build_server(&profiles, cfg.seed), |g| g / per_server),
             ctx: match &cfg.cluster {
                 // The single-server context is untouched by the cluster
                 // feature: same constructor, same timing bits.
@@ -663,7 +655,6 @@ impl Trainer {
             scaling_scheduler: cfg
                 .scaling_schedule
                 .map(|(tol, cap)| ScalingScheduler::new(tol, cap)),
-            alive: vec![true; n],
             in_flight: vec![Vec::new(); n],
             track_in_flight,
             chaos: ChaosStats::default(),
@@ -710,7 +701,8 @@ struct SchedulerState<'a> {
     cfg: &'a RunConfig,
     mconfig: MlpConfig,
     dataset: &'a XmlDataset,
-    devices: Vec<Device>,
+    /// The simulated devices, server-major; every fault goes through it.
+    pool: DevicePool,
     ctx: CollectiveContext,
     launch_model: LaunchModel,
     trace: TraceLog,
@@ -732,8 +724,6 @@ struct SchedulerState<'a> {
     batches_dispatched: usize,
     start_index: usize,
     scaling_scheduler: Option<ScalingScheduler>,
-    /// Which replicas still participate (all `true` until a DeviceLoss).
-    alive: Vec<bool>,
     /// Per-GPU sample-id batches dispatched since the last merge — the work
     /// that dies with a replica. Populated only when `track_in_flight`.
     in_flight: Vec<Vec<Vec<usize>>>,
@@ -760,7 +750,7 @@ struct SchedulerState<'a> {
 
 impl SchedulerState<'_> {
     fn n(&self) -> usize {
-        self.devices.len()
+        self.pool.n_devices()
     }
 
     /// Runs the whole training loop.
@@ -770,8 +760,8 @@ impl SchedulerState<'_> {
         // storage precision (bf16 halves the bytes on the wire).
         let transfer =
             model_transfer_kernels_sized(&self.mconfig, true, self.cfg.precision.bytes());
-        for d in self.devices.iter_mut() {
-            d.execute_all(&transfer);
+        for g in 0..self.n() {
+            self.pool.device_mut(g).execute_all(&transfer);
         }
         // Sampled mode hashes every output neuron at startup.
         self.charge_lsh_rebuild();
@@ -780,7 +770,7 @@ impl SchedulerState<'_> {
         loop {
             self.budget.refill();
             let mega = self.run_mega_batch(to, from, mega_index);
-            let sim_time = self.max_clock().secs();
+            let sim_time = self.pool.latest_live_clock().secs();
             self.eval_model.load_flat(&self.global);
             let accuracy = eval::top1_accuracy(
                 &self.eval_model,
@@ -849,7 +839,7 @@ impl SchedulerState<'_> {
                     let g = self.pick_gpu();
                     // Stop dispatching once the budgeted time is exhausted
                     // (the merge still runs, so the final state is global).
-                    if self.devices[g].now().secs() >= deadline {
+                    if self.pool.device(g).now().secs() >= deadline {
                         break;
                     }
                     let want = self.hypers[g].rounded_batch();
@@ -902,7 +892,7 @@ impl SchedulerState<'_> {
             }
             MergeInterval::EveryRound => {
                 loop {
-                    if self.max_clock().secs() >= deadline {
+                    if self.pool.latest_live_clock().secs() >= deadline {
                         break;
                     }
                     let mut sent = 0usize;
@@ -938,18 +928,12 @@ impl SchedulerState<'_> {
         // a dead replica's results never reach the global model.
         let mut loss_sum = 0.0f64;
         let mut loss_n = 0usize;
-        for g in 0..n {
-            if self.alive[g] {
-                loss_sum += loss_sums[g];
-                loss_n += loss_counts[g];
-            }
-        }
-        if self.cfg.fault_plan.is_some() {
-            for g in 0..n {
-                if self.alive[g] {
-                    self.chaos.batches_committed += interval_updates[g];
-                    self.chaos.samples_committed += interval_samples[g];
-                }
+        for g in (0..n).filter(|&g| self.pool.is_alive(g)) {
+            loss_sum += loss_sums[g];
+            loss_n += loss_counts[g];
+            if self.cfg.fault_plan.is_some() {
+                self.chaos.batches_committed += interval_updates[g];
+                self.chaos.samples_committed += interval_samples[g];
             }
         }
 
@@ -974,11 +958,7 @@ impl SchedulerState<'_> {
             ScalingPolicy::AdaptiveMultiplicative => crate::hyper::ScalingRule::Multiplicative,
             ScalingPolicy::Fixed => return,
         };
-        if self.alive.iter().all(|&a| a) {
-            crate::hyper::scale_batch_sizes_with(&mut self.hypers, &self.cfg.scaling_params, rule);
-            return;
-        }
-        let alive_idx: Vec<usize> = (0..self.n()).filter(|&g| self.alive[g]).collect();
+        let alive_idx: Vec<usize> = (0..self.n()).filter(|&g| self.pool.is_alive(g)).collect();
         let mut sub: Vec<GpuHyper> = alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
         crate::hyper::scale_batch_sizes_with(&mut sub, &self.cfg.scaling_params, rule);
         for (&g, h) in alive_idx.iter().zip(sub) {
@@ -993,16 +973,11 @@ impl SchedulerState<'_> {
             DispatchPolicy::Dynamic => {
                 // First-available = smallest virtual clock; ties (exact f64
                 // equality, e.g. at t = 0) break by id for determinism.
-                let alive = self
-                    .devices
-                    .iter()
-                    .enumerate()
-                    .filter(|&(g, _)| self.alive[g]);
-                earliest_free(alive).expect("at least one device alive")
+                self.pool.earliest_free().expect("a device alive")
             }
             DispatchPolicy::Static => {
                 let mut g = self.rr_cursor;
-                while !self.alive[g] {
+                while !self.pool.is_alive(g) {
                     g = (g + 1) % self.n();
                 }
                 self.rr_cursor = (g + 1) % self.n();
@@ -1038,12 +1013,13 @@ impl SchedulerState<'_> {
         };
         let extra = overhead_delta_for(&kinds, self.spec.fusion, &self.launch_model, self.n());
         let sample_seed = batch_sample_seed(&ids, self.cfg.sampled_softmax.map_or(0, |s| s.seed));
-        let t0 = self.devices[g].now();
-        self.devices[g].charge_epoch(&kinds, self.spec.compute_overhead, extra);
+        let device = self.pool.device_mut(g);
+        let t0 = device.now();
+        device.charge_epoch(&kinds, self.spec.compute_overhead, extra);
         self.trace.record(
             DeviceId(g),
             t0,
-            self.devices[g].now(),
+            self.pool.device(g).now(),
             format!(
                 "batch {} (size {got}, nnz {nnz}, lr {:.4})",
                 self.batches_dispatched, self.hypers[g].lr
@@ -1086,9 +1062,9 @@ impl SchedulerState<'_> {
             return;
         };
         let kernels = lsh_rebuild_kernels(&self.mconfig, s.tables, s.k_bits);
-        for (d, &a) in self.devices.iter_mut().zip(&self.alive) {
-            if a {
-                d.execute_all(&kernels);
+        for g in 0..self.n() {
+            if self.pool.is_alive(g) {
+                self.pool.device_mut(g).execute_all(&kernels);
             }
         }
     }
@@ -1149,7 +1125,7 @@ impl SchedulerState<'_> {
         mega_index: usize,
     ) -> MergeDecision {
         let n = self.n();
-        let alive_idx: Vec<usize> = (0..n).filter(|&g| self.alive[g]).collect();
+        let alive_idx: Vec<usize> = (0..n).filter(|&g| self.pool.is_alive(g)).collect();
         let k = alive_idx.len();
         assert!(k >= 1, "no surviving device to merge");
         let send = |g: usize, msg: ToManager| to[g].send(msg).expect("manager channel closed");
@@ -1235,7 +1211,8 @@ impl SchedulerState<'_> {
         // — their original server assignments, so cross-server hops still
         // pay the inter-node link after partial losses.
         let ctx = self.ctx.subset(&alive_idx);
-        let arrivals: Vec<SimTime> = alive_idx.iter().map(|&g| self.devices[g].now()).collect();
+        let clock = |&g: &usize| self.pool.device(g).now();
+        let arrivals: Vec<SimTime> = alive_idx.iter().map(clock).collect();
         let inter = self.cfg.cluster.as_ref().map(|cl| cl.inter);
         // Algorithm 2's momentum update redistributes the new global model;
         // CROSSBOW adopts the average as it is and blends replicas toward it.
@@ -1359,7 +1336,7 @@ impl SchedulerState<'_> {
         );
 
         for &g in &alive_idx {
-            self.devices[g].advance_to(timing.end);
+            self.pool.device_mut(g).advance_to(timing.end);
         }
         // Sampled mode: every live device re-hashes the output neurons
         // against the freshly synced model.
@@ -1391,15 +1368,6 @@ impl SchedulerState<'_> {
             weights,
             ..decision
         }
-    }
-
-    fn max_clock(&self) -> SimTime {
-        self.devices
-            .iter()
-            .zip(&self.alive)
-            .filter(|(_, &a)| a)
-            .map(|(d, _)| d.now())
-            .fold(SimTime::ZERO, SimTime::max)
     }
 }
 

@@ -11,8 +11,8 @@
 //! failures reproducible from a single logged seed.
 //!
 //! The fault *vocabulary* lives here, next to the device model it perturbs;
-//! the *reaction* (re-dispatch, replica eviction, merge fallback) is the
-//! trainer's job (`asgd-core::trainer`).
+//! what an event does is decided by [`crate::DevicePool::apply`], for the
+//! trainer and the serving loop alike, and only the *reaction* is theirs.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -35,9 +35,9 @@ pub enum FaultKind {
         /// Stall duration in simulated seconds.
         seconds: f64,
     },
-    /// Permanent device loss. The trainer must re-dispatch the replica's
-    /// in-flight batches, evict it from merging (renormalizing `α_i` over
-    /// survivors), and re-target batch-size scaling to the surviving set.
+    /// Permanent device loss. The trainer re-dispatches the replica's
+    /// in-flight batches, evicts it from merging (renormalizing `α_i` over
+    /// survivors), and re-targets batch-size scaling to the surviving set.
     DeviceLoss,
     /// Merge-time out-of-memory on the merge arena's pooled scratch
     /// allocation: the merge must degrade to the serial (non-pooled)
@@ -45,8 +45,8 @@ pub enum FaultKind {
     MergeOom,
     /// Permanent loss of an entire server (node): every device of the server
     /// dies at once — power loss, kernel panic, a fabric partition declared
-    /// permanent. The trainer evicts all member replicas (in ascending local
-    /// order), re-dispatches their in-flight batches to survivors, and
+    /// permanent. The trainer evicts the member replicas in ascending order,
+    /// re-dispatches their in-flight batches to other servers, and
     /// renormalizes `α_i` across the surviving nodes. For this kind the
     /// event's `gpu` field holds the *server* index.
     ServerLoss,
@@ -320,6 +320,19 @@ impl FaultPlan {
         self.events
             .iter()
             .any(|e| matches!(e.kind, FaultKind::DeviceLoss | FaultKind::ServerLoss))
+    }
+
+    /// The first event naming a device (a server, for the server-level
+    /// kinds) past `devices` (`servers`), as `(server_level, target, have)`.
+    pub fn missing_target(&self, devices: usize, servers: usize) -> Option<(bool, usize, usize)> {
+        self.events.iter().find_map(|e| {
+            let (server_level, have) = match e.kind {
+                FaultKind::MergeOom => return None,
+                FaultKind::ServerLoss | FaultKind::InterNodeStall { .. } => (true, servers),
+                _ => (false, devices),
+            };
+            (e.gpu >= have).then_some((server_level, e.gpu, have))
+        })
     }
 
     /// Whether a [`FaultKind::MergeOom`] fires at mega-batch `at_mega`.

@@ -22,7 +22,7 @@
 //! * [`trace`] — optional event traces (Fig. 2-style dispatch timelines);
 //! * [`faults`] — seeded, reproducible fault plans (straggler spikes,
 //!   transient stalls, permanent device loss, merge-time OOM) keyed to the
-//!   deterministic scheduling loop, for chaos testing the trainer.
+//!   deterministic scheduling loop, and [`pool`], their one interpreter.
 //!
 //! Numerical work is **not** done here — callers run the real math on the CPU
 //! and charge the corresponding [`KernelKind`] to a device. Scheduling
@@ -34,6 +34,7 @@ pub mod device;
 pub mod faults;
 pub mod fusion;
 pub mod memory;
+pub mod pool;
 pub mod profile;
 pub mod topology;
 pub mod trace;
@@ -41,6 +42,7 @@ pub mod trace;
 pub use cost::KernelKind;
 pub use device::{earliest_free, Device, DeviceId};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
+pub use pool::{DevicePool, FaultEffect, FaultOutcome, Unit};
 pub use profile::{DeviceProfile, JitterModel};
 pub use topology::{ClusterTopology, DeviceLocation, Topology};
 pub use trace::{TraceEvent, TraceLog};

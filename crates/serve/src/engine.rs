@@ -5,7 +5,7 @@
 //! and outputs; dispatch, adaptive micro-batching, fault reactions and the
 //! blocked forward math are described there.
 
-use crate::fleet::{run_session, FaultEffect, FleetConfig, ServedFault, Tenant};
+use crate::fleet::{run_session, FleetConfig, ServedFault, Tenant};
 use crate::loadgen::TenantRequest;
 use crate::stream::Request;
 use asgd_core::ScalingParams;
@@ -233,14 +233,12 @@ impl ServeOutcome {
 
 /// The engine's wording of a session's fault: devices are `gpu`s, and a
 /// loss says on the same line where the queue went.
-fn fault_line(fault: &ServedFault) -> String {
-    let line = fault.line("gpu");
-    match fault.effect {
-        FaultEffect::Lost(Some((queued, survivors))) => {
-            format!("{line}; {queued} queued re-dispatched to {survivors} survivors")
-        }
-        _ => line,
+fn fault_lines(fault: &ServedFault) -> Vec<String> {
+    let mut lines = fault.lines("gpu");
+    if let (Some((queued, survivors)), Some(line)) = (fault.handover, lines.last_mut()) {
+        *line += &format!("; {queued} queued re-dispatched to {survivors} survivors");
     }
+    lines
 }
 
 /// Runs a serving session: drains `requests` (rows of `pool`) through one
@@ -337,7 +335,7 @@ pub fn serve(
         predictions: out.predictions,
         k_eff: out.k_eff,
         replicas: replicas.collect(),
-        fault_log: faults.iter().map(fault_line).collect(),
+        fault_log: faults.iter().flat_map(fault_lines).collect(),
         makespan_s: out.makespan_s,
         served: out.served,
         lost: out.lost,

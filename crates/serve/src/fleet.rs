@@ -19,12 +19,12 @@
 //!   commissioned replica's virtual clock frees first (the paper's
 //!   one-batch-at-a-time rule, [`earliest_free`]), no earlier than the
 //!   oldest pending arrival; its forward kernels are charged to that device.
-//! - **Zero-loss degradation.** Requests wait in central queues, never on a
-//!   device. A [`FaultKind::DeviceLoss`] therefore loses nothing — the dead
-//!   slot stops being dispatched to, the rows it was already charged for
-//!   are scored with their version's block like any others, and the queue
-//!   drains through survivors.
-//!   Loss of the last survivor is refused, as in the chaos trainer.
+//! - **Zero-loss degradation.** Faults go through a [`DevicePool`], the
+//!   interpreter and policy the trainer shares; this loop only reacts.
+//!   Requests wait in central queues, never on a device, so a lost slot
+//!   loses nothing — it stops being dispatched to and paid for, the rows it
+//!   was charged for are scored with their version's block like any others,
+//!   and the queue drains through survivors.
 //! - **Many models.** Requests carry a tenant; tenants map to registry
 //!   versions; each version has its own FIFO so a micro-batch is always
 //!   single-model. Dispatch serves the version whose queue head has waited
@@ -44,8 +44,8 @@
 //! - **Elastic autoscaling.** Replica *slots* (one per device profile,
 //!   placed round-robin across the cluster's servers so scale-out lands on
 //!   different simulated machines) are commissioned and decommissioned by
-//!   the [`AutoscaleController`] at window boundaries, reusing the chaos
-//!   harness's add/remove mechanics: a booted slot joins dispatch after
+//!   the [`AutoscaleController`] at window boundaries through the pool's
+//!   `commissioned` flag: a booted slot joins dispatch after
 //!   `boot_delay_s`, a drained slot stops being paid for. Device-seconds
 //!   (the cost metric) integrate commissioned wall-time, not busy time —
 //!   an idle static fleet pays for its idleness.
@@ -59,8 +59,8 @@ use crate::registry::{DedupStats, ModelRegistry, VersionId};
 use crate::slo::SloController;
 use asgd_core::ScalingParams;
 use asgd_gpusim::{
-    earliest_free, ClusterTopology, Device, DeviceId, DeviceProfile, FaultEvent, FaultKind,
-    FaultPlan, SimTime,
+    earliest_free, ClusterTopology, Device, DeviceId, DevicePool, DeviceProfile, FaultEffect,
+    FaultOutcome, FaultPlan, SimTime, Unit,
 };
 use asgd_model::workload::inference_kernels;
 use asgd_model::{Mlp, Workspace};
@@ -292,13 +292,9 @@ impl FleetOutcome {
     }
 }
 
-/// One replica slot's scheduler-side state.
+/// One replica slot's scheduler-side state (its device is in the pool).
 struct Slot {
-    device: Device,
-    server: usize,
     controller: SloController,
-    alive: bool,
-    commissioned: bool,
     served: usize,
     batches: usize,
     window_lat: Vec<f64>,
@@ -309,57 +305,12 @@ struct Slot {
 }
 
 impl Slot {
-    fn dispatchable(&self) -> bool {
-        self.alive && self.commissioned
-    }
-
-    fn commission(&mut self, at: f64) {
-        self.commissioned = true;
-        self.intervals.push((at, None));
-    }
-
-    fn decommission(&mut self, at: f64) {
-        self.commissioned = false;
+    /// Closes the open commissioned interval, if any, at `at`.
+    fn close(&mut self, at: f64) {
         if let Some(open) = self.intervals.last_mut().filter(|i| i.1.is_none()) {
             open.1 = Some(at.max(open.0));
         }
     }
-
-    /// A lost slot: out of dispatch and no longer paid for. Nothing is ever
-    /// queued on a device, and the rows it was charged for are scored with
-    /// their version's block, so nothing is lost with it.
-    fn kill(&mut self, at: f64) {
-        self.alive = false;
-        if self.commissioned {
-            self.decommission(at);
-        }
-    }
-}
-
-/// The dispatchable slot whose clock frees first.
-fn pick_slot(slots: &[Slot]) -> usize {
-    let up = slots.iter().enumerate().filter(|(_, s)| s.dispatchable());
-    earliest_free(up.map(|(i, s)| (i, &s.device))).expect("no dispatchable replica")
-}
-
-/// The unit a fault named.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum Unit {
-    Slot(usize),
-    Server(usize),
-}
-
-/// What a fault did to the unit it named.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FaultEffect {
-    Speed(f64),
-    Stalled(f64),
-    Unreachable(f64),
-    /// A device lost on its own hands over `(requests queued, dispatchable
-    /// slots left)`; the members of a lost server do not.
-    Lost(Option<(usize, usize)>),
-    /// Refused, and why.
-    LossRefused(&'static str),
 }
 
 /// One fault a session applied or refused, in firing order — data, not
@@ -370,116 +321,45 @@ pub(crate) enum FaultEffect {
 pub(crate) struct ServedFault {
     /// The plan point it was scheduled at: `w{window}+{ordinal}`.
     pub at: String,
-    pub unit: Unit,
-    pub effect: FaultEffect,
+    pub outcome: FaultOutcome,
+    /// A device lost on its own hands over `(requests queued, dispatchable
+    /// slots left)`; the members of a lost server do not.
+    pub handover: Option<(usize, usize)>,
 }
 
 impl ServedFault {
-    /// `{at}: {unit} {effect}`, a slot being called `slot_noun`.
-    pub(crate) fn line(&self, slot_noun: &str) -> String {
-        let unit = match self.unit {
-            Unit::Slot(i) => format!("{slot_noun}{i}"),
+    /// `{at}: {unit} {effect}`, a device being called `slot_noun` — a lost
+    /// server's members first get a `lost` line each.
+    pub(crate) fn lines(&self, slot_noun: &str) -> Vec<String> {
+        let (at, FaultOutcome { unit, effect, .. }) = (&self.at, &self.outcome);
+        let name = |unit| match unit {
+            Unit::Device(i) => format!("{slot_noun}{i}"),
             Unit::Server(s) => format!("server{s}"),
         };
-        let effect = match self.effect {
+        let said = match effect {
             FaultEffect::Speed(factor) => format!("speed -> {factor:.2}"),
             FaultEffect::Stalled(seconds) => format!("stalled {seconds:.3}s"),
             FaultEffect::Unreachable(seconds) => format!("unreachable {seconds:.3}s"),
             FaultEffect::Lost(_) => "lost".to_string(),
-            FaultEffect::LossRefused(why) => format!("loss REFUSED ({why})"),
+            FaultEffect::Refused(why) => format!("loss REFUSED ({why})"),
         };
-        format!("{}: {unit} {effect}", self.at)
+        let mut lines = Vec::new();
+        if let (Unit::Server(_), FaultEffect::Lost(members)) = (unit, effect) {
+            let member = |&i: &usize| format!("{at}: {} lost", name(Unit::Device(i)));
+            lines.extend(members.iter().map(member));
+        }
+        lines.push(format!("{at}: {} {said}", name(*unit)));
+        lines
     }
 
     /// The fleet's wording: a hand-over gets a line of its own.
     fn fleet_lines(&self) -> Vec<String> {
-        let mut lines = vec![self.line("slot")];
-        if let FaultEffect::Lost(Some((queued, _))) = self.effect {
+        let mut lines = self.lines("slot");
+        if let Some((queued, _)) = self.handover {
             let at = &self.at;
             lines.push(format!("{at}: {queued} queued drain through survivors"));
         }
         lines
-    }
-}
-
-/// Applies one due fault event and logs what it did (nothing, when the
-/// target is unknown to this session or already dead). Device indices
-/// address slots; `ServerLoss`/`InterNodeStall` address servers of the
-/// cluster topology. `anchor` is the scheduler's current virtual time —
-/// speed changes take effect from there, never retroactively.
-fn apply_fault(
-    slots: &mut [Slot],
-    e: FaultEvent,
-    anchor: f64,
-    queued: usize,
-    log: &mut Vec<ServedFault>,
-) {
-    let at = format!("w{}+{}", e.at_mega, e.after_batches);
-    let mut note = |unit, effect| {
-        log.push(ServedFault {
-            at: at.clone(),
-            unit,
-            effect,
-        })
-    };
-    let up = |slots: &[Slot]| slots.iter().filter(|s| s.dispatchable()).count();
-    match e.kind {
-        FaultKind::SpeedChange { factor } => {
-            if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
-                s.device.schedule_speed_factor(SimTime(anchor), factor);
-                note(Unit::Slot(e.gpu), FaultEffect::Speed(factor));
-            }
-        }
-        FaultKind::Stall { seconds } => {
-            if let Some(s) = slots.get_mut(e.gpu).filter(|s| s.alive) {
-                let now = s.device.now();
-                s.device.advance_to(now + seconds);
-                note(Unit::Slot(e.gpu), FaultEffect::Stalled(seconds));
-            }
-        }
-        FaultKind::DeviceLoss => {
-            let Some(s) = slots.get(e.gpu).filter(|s| s.alive) else {
-                return;
-            };
-            if s.commissioned && up(slots) <= 1 {
-                note(Unit::Slot(e.gpu), FaultEffect::LossRefused("last survivor"));
-            } else {
-                slots[e.gpu].kill(anchor);
-                let handover = Some((queued, up(slots)));
-                note(Unit::Slot(e.gpu), FaultEffect::Lost(handover));
-            }
-        }
-        FaultKind::ServerLoss => {
-            let on_server = |s: &Slot| s.server == e.gpu;
-            let victims: Vec<usize> = (0..slots.len())
-                .filter(|&i| on_server(&slots[i]) && slots[i].alive)
-                .collect();
-            if victims.is_empty() {
-                // Nothing alive there — nothing to do.
-            } else if !slots.iter().any(|s| s.dispatchable() && !on_server(s)) {
-                let refused = FaultEffect::LossRefused("no survivor outside");
-                note(Unit::Server(e.gpu), refused);
-            } else {
-                for i in victims {
-                    slots[i].kill(anchor);
-                    note(Unit::Slot(i), FaultEffect::Lost(None));
-                }
-                note(Unit::Server(e.gpu), FaultEffect::Lost(None));
-            }
-        }
-        FaultKind::InterNodeStall { seconds } => {
-            // The stalled link makes every replica on that server
-            // unreachable for `seconds` — model it as a fleet-visible stall
-            // of those devices.
-            for s in slots.iter_mut().filter(|s| s.server == e.gpu && s.alive) {
-                let now = s.device.now();
-                s.device.advance_to(now + seconds);
-            }
-            note(Unit::Server(e.gpu), FaultEffect::Unreachable(seconds));
-        }
-        // Merge-OOM is a training-merge fault; `FaultPlan::due` never
-        // returns it and serving has no merge phase to degrade.
-        FaultKind::MergeOom => {}
     }
 }
 
@@ -636,15 +516,10 @@ pub(crate) fn run_session(
         Provisioning::Static(s) => (None, s.clamp(1, n_slots)),
     };
 
-    let mut slots: Vec<Slot> = devices
-        .into_iter()
-        .enumerate()
-        .map(|(i, device)| Slot {
-            device,
-            server: i % topo.servers(),
+    let mut devices = DevicePool::new(devices, |i| i % topo.servers());
+    let mut slots: Vec<Slot> = (0..n_slots)
+        .map(|_| Slot {
             controller: SloController::new(config.scaling, config.slo_s),
-            alive: true,
-            commissioned: false,
             served: 0,
             batches: 0,
             window_lat: Vec::new(),
@@ -653,8 +528,9 @@ pub(crate) fn run_session(
             intervals: Vec::new(),
         })
         .collect();
-    for s in slots.iter_mut().take(initial) {
-        s.commission(0.0);
+    for (i, slot) in slots.iter_mut().enumerate() {
+        devices.set_commissioned(i, i < initial);
+        slot.intervals.extend((i < initial).then_some((0.0, None)));
     }
 
     // The scheduler loop: single-threaded, virtual-time only.
@@ -684,12 +560,28 @@ pub(crate) fn run_session(
             predictions[requests[q].id as usize * k_eff..][..k_eff].copy_from_slice(row);
         }
     };
-    // The events due at plan point `at` (`sweep`: every ordinal of the
-    // window the run never reached), anchored at the dispatch frontier.
-    let mut fire = |slots: &mut [Slot], queued: usize, at: (u64, usize), sweep: bool| {
-        let anchor = slots[pick_slot(slots)].device.now().secs();
-        for e in plan.due(at.0 as usize, at.1, sweep) {
-            apply_fault(slots, e, anchor, queued, &mut faults);
+    // The events due at plan point `(w, o)` (`sweep`: every ordinal of the
+    // window the run never reached), through the pool. A dead slot stops
+    // being paid for at the outcome's `at`, the dispatch frontier.
+    let mut fire = |devices: &mut DevicePool, slots: &mut [Slot], queued, w: u64, o, sweep| {
+        for e in plan.due(w as usize, o, sweep) {
+            let Some(outcome) = devices.apply(&e) else {
+                continue;
+            };
+            let mut handover = None;
+            if let FaultEffect::Lost(lost) = &outcome.effect {
+                for &i in lost {
+                    devices.set_commissioned(i, false);
+                    slots[i].close(outcome.at.secs());
+                }
+                let up = devices.dispatchable().count();
+                handover = matches!(outcome.unit, Unit::Device(_)).then_some((queued, up));
+            }
+            faults.push(ServedFault {
+                at: format!("w{}+{}", e.at_mega, e.after_batches),
+                outcome,
+                handover,
+            });
         }
     };
     // The oldest queue head `(arrival, queue)`, ties to the lowest queue.
@@ -707,21 +599,21 @@ pub(crate) fn run_session(
         }
         // Fault events due before this dispatch.
         if !point_fired {
-            fire(&mut slots, queued, (window, in_window), false);
+            fire(&mut devices, &mut slots, queued, window, in_window, false);
             point_fired = true;
         }
 
         // Dispatch to whichever commissioned replica frees first, no
         // earlier than the oldest pending request (open loop: devices
         // idle until there is work).
-        let r = pick_slot(&slots);
-        let free = slots[r].device.now().secs();
+        let r = devices.earliest_free().expect("no dispatchable replica");
+        let free = devices.device(r).now().secs();
         let first_pending = match oldest_head(&queues) {
             Some((arrival, _)) => arrival,
             None => requests[next_arr].arrival,
         };
         let t = free.max(first_pending);
-        slots[r].device.advance_to(SimTime(t));
+        devices.device_mut(r).advance_to(SimTime(t));
 
         // Admit arrivals up to `t`. Admission is where the cache
         // acts: a ready hit completes immediately at the frontend and
@@ -776,8 +668,9 @@ pub(crate) fn run_session(
         let nnz = batch.iter().map(|&q| pool.row_nnz(requests[q].pool_row));
         let tenant = &tenants[requests[batch[0]].tenant as usize];
         let kernels = inference_kernels(arch, batch.len(), nnz.sum(), k_eff);
-        slots[r].device.execute_all(&kernels);
-        let done = slots[r].device.now().secs();
+        let primary = devices.device_mut(r);
+        primary.execute_all(&kernels);
+        let done = primary.now().secs();
 
         // Hedge the stragglers: requests whose wait crossed the
         // policy threshold race a singleton batch on the earliest-free
@@ -785,26 +678,24 @@ pub(crate) fn run_session(
         // moment the winner finished.
         for &q in &batch {
             let wait = t - requests[q].arrival;
-            let mut completed = done + rtt(slots[r].server);
+            let mut completed = done + rtt(devices.server(r));
             let mut winner = r;
             let mut hedged = false;
             let mut hedge_won = false;
             let spare = if hedge_policy.should_hedge(wait) {
-                let others = slots.iter().enumerate();
-                let others = others.filter(|&(i, s)| i != r && s.dispatchable());
-                earliest_free(others.map(|(i, s)| (i, &s.device)))
+                earliest_free(devices.dispatchable().filter(|&(i, _)| i != r))
             } else {
                 None
             };
             if let Some(h) = spare {
                 hedged = true;
                 hedge_stats.issued += 1;
-                let t2 = slots[h].device.now().secs().max(t);
-                slots[h].device.advance_to(SimTime(t2));
+                let spare = devices.device_mut(h);
+                let t2 = spare.now().secs().max(t);
+                spare.advance_to(SimTime(t2));
                 let k1 = inference_kernels(arch, 1, pool.row_nnz(requests[q].pool_row), k_eff);
-                slots[h].device.execute_all(&k1);
-                let h_done = slots[h].device.now().secs();
-                let h_completed = h_done + rtt(slots[h].server);
+                spare.execute_all(&k1);
+                let h_completed = spare.now().secs() + rtt(devices.server(h));
                 if h_completed < completed {
                     hedge_won = true;
                     hedge_stats.wins += 1;
@@ -816,7 +707,7 @@ pub(crate) fn run_session(
                     // in virtual time.
                     hedge_stats.losses += 1;
                     let cancel = completed.max(t2);
-                    hedge_stats.cancelled_s += slots[h].device.rollback_to(SimTime(cancel));
+                    hedge_stats.cancelled_s += devices.device_mut(h).rollback_to(SimTime(cancel));
                 }
             }
             let rec = FleetRecord {
@@ -857,8 +748,12 @@ pub(crate) fn run_session(
         if in_window == config.window_dispatches {
             // Boundary sweep: never-reached fault ordinals fire here,
             // exactly like the trainer's merge-boundary sweep.
-            fire(&mut slots, queued, (window, in_window), true);
-            for s in slots.iter_mut().filter(|s| s.dispatchable()) {
+            fire(&mut devices, &mut slots, queued, window, in_window, true);
+            let up = slots
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| devices.is_dispatchable(*i));
+            for (_, s) in up {
                 if config.adaptive && !s.window_lat.is_empty() {
                     let p99 = percentile(&s.window_lat, 0.99).expect("non-empty window");
                     s.controller.observe_window(p99);
@@ -869,29 +764,29 @@ pub(crate) fn run_session(
             if let Some(ctl) = autoscaler.as_mut() {
                 let decision = ctl.observe_depth(window, queued);
                 trajectory.push(decision);
-                let anchor = slots[pick_slot(&slots)].device.now().secs();
-                let mut up = slots.iter().filter(|s| s.dispatchable()).count();
+                let anchor = devices.frontier().secs();
+                let mut up = devices.dispatchable().count();
                 // Scale out: commission spare alive slots ascending —
                 // round-robin placement sends them to other servers.
                 while up < decision.replicas {
-                    let Some(i) = slots.iter().position(|s| s.alive && !s.commissioned) else {
+                    let spare = |&i: &usize| devices.is_alive(i) && !devices.is_dispatchable(i);
+                    let Some(i) = (0..n_slots).find(spare) else {
                         break;
                     };
-                    slots[i].commission(anchor);
+                    devices.set_commissioned(i, true);
+                    slots[i].intervals.push((anchor, None));
                     let boot = anchor + config.boot_delay_s;
-                    let now = slots[i].device.now().secs();
-                    slots[i].device.advance_to(SimTime(now.max(boot)));
+                    let device = devices.device_mut(i);
+                    device.advance_to(SimTime(device.now().secs().max(boot)));
                     up += 1;
                 }
                 // Scale in: decommission LIFO, never below one
                 // replica.
                 while up > decision.replicas && up > 1 {
-                    let i = slots
-                        .iter()
-                        .rposition(|s| s.dispatchable())
-                        .expect("up > 0");
-                    let end = anchor.max(slots[i].device.now().secs());
-                    slots[i].decommission(end);
+                    let last = (0..n_slots).rev().find(|&i| devices.is_dispatchable(i));
+                    let i = last.expect("up > 0");
+                    devices.set_commissioned(i, false);
+                    slots[i].close(anchor.max(devices.device(i).now().secs()));
                     up -= 1;
                 }
             }
@@ -922,17 +817,18 @@ pub(crate) fn run_session(
         .fold(0.0f64, f64::max);
     let replicas = slots
         .into_iter()
-        .map(|s| {
+        .enumerate()
+        .map(|(i, s)| {
             let device_seconds: f64 = s
                 .intervals
                 .iter()
                 .map(|&(start, end)| end.unwrap_or(makespan_s).max(start) - start)
                 .sum();
             FleetReplicaReport {
-                name: s.device.profile().name.clone(),
-                server: s.server,
-                alive: s.alive,
-                commissioned: s.commissioned,
+                name: devices.device(i).profile().name.clone(),
+                server: devices.server(i),
+                alive: devices.is_alive(i),
+                commissioned: devices.is_dispatchable(i),
                 served: s.served,
                 batches: s.batches,
                 final_b: s.controller.micro_batch(),

@@ -7,7 +7,7 @@
 //! |---------------------------------------|-----------------------------------|
 //! | one-batch-at-a-time dynamic dispatch  | next micro-batch to the replica whose clock frees first |
 //! | Algorithm 1 batch-size scaling        | [`SloController`]: `b ← clamp(b − β·(p99−target)/target, b_min, b_max)` |
-//! | chaos-harness fault injection         | same [`asgd_gpusim::FaultPlan`], reinterpreted at `(window, dispatch)` points |
+//! | chaos-harness fault injection         | same [`asgd_gpusim::FaultPlan`], at `(window, dispatch)` points, applied by the same [`asgd_gpusim::DevicePool`] under the same policy |
 //! | replica loss → survivor re-dispatch   | queued requests drain through survivors; zero loss |
 //!
 //! A run loads a trained [`asgd_model::Mlp`] (typically via

@@ -454,18 +454,151 @@ fn server_loss_mid_run_evicts_every_member_and_rebalances() {
 }
 
 #[test]
-fn losing_every_server_but_one_is_refused_at_the_last_survivor() {
-    // Kill both nodes of a 2×2 cluster: the second server loss must stop at
-    // the last-survivor rule (the run has to finish on one device).
+fn losing_the_last_server_is_refused_whole() {
+    // Kill both nodes of a 2×2 cluster: the second server loss would leave
+    // nothing to dispatch to, so it is refused whole — and logged — rather
+    // than stopping half-way through the server's members.
     let plan = FaultPlan::new().server_loss(1, 2, 0).server_loss(1, 3, 1);
     let result = cluster_run(2, 2, Some(plan));
     assert_eq!(result.records.len(), MEGAS);
-    assert_eq!(
-        result.chaos.lost_gpus,
-        vec![0, 1, 2],
-        "exactly one device must survive"
-    );
+    assert_eq!(result.chaos.lost_gpus, vec![0, 1], "server 1 must survive");
+    assert!(result
+        .chaos
+        .render()
+        .contains("mega 1 server 1 server-loss REFUSED (no survivor outside)\n"));
     assert_balanced_accounting(&result, MEGAS, 512);
+}
+
+/// The device batch `n` of a traced run was dispatched to.
+fn batch_device(result: &RunResult, n: u64) -> usize {
+    let label = format!(" batch {n} (");
+    let line = result.trace.lines().find(|l| l.contains(&label));
+    // `[start - end] gpu{g} batch {n} (…`
+    let gpu = line
+        .expect("batch in the trace")
+        .split("] gpu")
+        .nth(1)
+        .unwrap();
+    gpu[..gpu.find(' ').unwrap()].parse().unwrap()
+}
+
+#[test]
+fn server_loss_hands_each_in_flight_batch_once_to_another_server() {
+    // Each loss fires with one batch in flight on the dying server. Every
+    // member must be dead before the batch moves: handed to a member about
+    // to die, it would be re-dispatched again (`redispatched 2`, or 3 on the
+    // 3×3 case, for one batch).
+    for (servers, per, after, server) in [(3, 2, 1, 0), (3, 2, 3, 1), (3, 3, 7, 2)] {
+        let plan = FaultPlan::new().server_loss(1, after, server);
+        let result = cluster_run(servers, per, Some(plan));
+        let what = format!("{servers}x{per} server_loss(1, {after}, {server})");
+        let chaos = &result.chaos;
+        let counts = (chaos.redispatched_batches, chaos.discarded_batches);
+        assert_eq!(counts, (1, 1), "{what}");
+        assert!(
+            chaos.faults.iter().any(|f| matches!(
+                f,
+                AppliedFault::ServerLoss {
+                    redispatched: 1,
+                    ..
+                }
+            )),
+            "{what}"
+        );
+        // Batches are numbered run-wide; mega 0 dispatched `before`, so the
+        // hand-over is number `before + after`.
+        let before: u64 = result.records[0].updates.iter().sum();
+        let to = batch_device(&result, before + after as u64);
+        assert_ne!(
+            to / per,
+            server,
+            "{what}: handed to gpu {to}, a dying member"
+        );
+        assert_balanced_accounting(&result, MEGAS, 512);
+    }
+}
+
+/// The conservation contract of one sweep run on a fleet of `per`-device
+/// servers: every sample committed once, every discarded batch re-run once,
+/// a server loss hands over exactly what its members' lines say and leaves
+/// no member alive.
+fn assert_conserved(r: &RunResult, megas: usize, per: usize, what: &str) {
+    assert_balanced_accounting(r, megas, 512);
+    let chaos = &r.chaos;
+    assert_eq!(
+        chaos.redispatched_batches, chaos.discarded_batches,
+        "{what}"
+    );
+    for f in &chaos.faults {
+        let AppliedFault::ServerLoss {
+            mega,
+            server,
+            lost,
+            redispatched,
+        } = f
+        else {
+            continue;
+        };
+        let by_member = chaos.faults.iter().map(|d| match d {
+            AppliedFault::DeviceLoss {
+                mega: m,
+                gpu,
+                redispatched,
+                ..
+            } if m == mega && lost.contains(gpu) => *redispatched,
+            _ => 0,
+        });
+        assert_eq!(*redispatched, by_member.sum::<u64>(), "{what}");
+        for g in server * per..(server + 1) * per {
+            assert!(
+                chaos.lost_gpus.contains(&g),
+                "{what}: gpu {g} outlived server {server}"
+            );
+        }
+    }
+}
+
+#[test]
+fn random_plans_conserve_work_at_any_thread_count() {
+    // `FaultPlan::random` on a flat 4-GPU server and `random_cluster` on a
+    // 3×2 cluster, far beyond the checked-in seeds, alternating the two
+    // merge paths by seed; each run again at 8 threads.
+    let ds = dataset();
+    let megas = 3;
+    let run = |plan: &FaultPlan, cluster: bool, path: MergePath, threads: usize| {
+        let mut cfg = config(megas);
+        cfg.fault_plan = Some(plan.clone());
+        path.apply(&mut cfg);
+        cfg.cluster = cluster.then_some(ClusterConfig {
+            servers: 3,
+            devices_per_server: 2,
+            inter: InterNode::Ring,
+        });
+        let server = heterogeneous_server(if cluster { 6 } else { 4 });
+        adaptive_sgd::tensor::parallel::override_threads(threads);
+        let r = Trainer::new(algorithms::adaptive_sgd(), server, cfg).run(&ds);
+        adaptive_sgd::tensor::parallel::override_threads(0);
+        r
+    };
+    let mut server_losses = 0;
+    for seed in 0..24u64 {
+        let path = [MergePath::DenseF32, MergePath::SparseBf16][seed as usize % 2];
+        let plans = [
+            (false, 4, FaultPlan::random(seed, 4, megas)),
+            (true, 2, FaultPlan::random_cluster(seed, 3, 2, megas)),
+        ];
+        for (cluster, per, plan) in &plans {
+            let what = format!("seed {seed} cluster {cluster} {path:?}");
+            let a = run(plan, *cluster, path, 1);
+            assert_conserved(&a, megas, *per, &what);
+            let b = run(plan, *cluster, path, 8);
+            assert_eq!(a.chaos, b.chaos, "{what}: threads 1 vs 8");
+            assert_eq!(a.final_model, b.final_model, "{what}: threads 1 vs 8");
+            let is_server_loss = |f: &&AppliedFault| matches!(f, AppliedFault::ServerLoss { .. });
+            server_losses += a.chaos.faults.iter().filter(is_server_loss).count();
+        }
+    }
+    assert!(server_losses > 0, "the sweep never lost a server");
 }
 
 #[test]
@@ -522,5 +655,9 @@ fn losing_the_last_survivor_is_refused() {
         vec![0],
         "second loss must be refused"
     );
+    assert!(result
+        .chaos
+        .render()
+        .contains("mega 1 gpu 1 device-loss REFUSED (last survivor)\n"));
     assert_balanced_accounting(&result, MEGAS, 512);
 }
