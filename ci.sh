@@ -49,6 +49,13 @@ echo "== the serving loop is the only actor =="
 # the kernel pool. A worker thread there is a second actor to keep ordered.
 if grep -rnE 'thread::|mpsc' crates/serve/src; then exit 1; fi
 
+echo "== the trainer is one actor =="
+# crates/core/src/trainer opens no channel: the scheduler decides a whole
+# mega-batch on virtual clocks, then the replicas train it in a phase of
+# scoped threads that borrow them, and the merge reads what they wrote. A
+# channel there is a message protocol between actors to keep ordered again.
+if grep -rnE 'mpsc|Sender<|Receiver<' crates/core/src/trainer; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -62,8 +69,9 @@ if [[ "${1:-}" != "quick" ]]; then
     # (overlap, panic isolation, wake-ups, 8 submitters x 2,000 jobs) run
     # with and without optimization — the interleavings differ — at a
     # process default of as many and of more threads than this host has
-    # cores. The 64x4 `cluster` gate row below (256 manager threads on one
-    # pool) is the standing stress at 1 and 8.
+    # cores. The 64x4 `cluster` gate row below (every training phase runs
+    # 256 replica threads submitting to one pool) is the standing stress at
+    # 1 and 8.
     for t in 2 8; do
         ASGD_THREADS="$t" cargo test -q -p asgd-tensor --lib -- pool:: parallel::
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor --lib -- pool:: parallel::

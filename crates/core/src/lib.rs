@@ -10,11 +10,10 @@
 //!   batch-size weight normalization, regularization-gated perturbation, and
 //!   the momentum global-model update).
 //! * [`trainer`] — the HeteroGPU architecture of Fig. 3: a central dynamic
-//!   scheduler owning the simulated devices and the sample stream, plus one
-//!   *GPU manager thread per device* doing the real numeric work,
-//!   communicating via std mpsc channels. Scheduling decisions consume
-//!   only virtual device clocks, so runs are deterministic and
-//!   thread-parallel at once.
+//!   scheduler owning the simulated devices, the sample stream and one
+//!   model *replica per device*. It decides each mega-batch on virtual
+//!   device clocks alone, then the replicas train it on one scoped thread
+//!   each, so runs are deterministic and thread-parallel at once.
 //! * [`algorithms`] — ready-made [`trainer::TrainerSpec`]s for the five
 //!   systems of the evaluation: **Adaptive SGD**, **Elastic SGD**,
 //!   **TensorFlow-mirrored** (synchronous gradient aggregation),

@@ -4,24 +4,23 @@
 //! What an event does to the devices — and whether a loss is refused — is
 //! decided by the scheduler's [`asgd_gpusim::DevicePool`], the one fault
 //! interpreter, which the serving loop shares; this module reacts to its
-//! outcome. Everything here runs on the scheduler thread and consumes only
-//! virtual clocks and plan state, so a faulted run stays a deterministic
-//! function of `(run seed, fault plan)` at any `ASGD_THREADS`.
+//! outcome. Faults fire while the scheduler decides a mega-batch, before its
+//! replicas train, and consume only virtual clocks and plan state, so a
+//! faulted run stays a deterministic function of `(run seed, fault plan)` at
+//! any `ASGD_THREADS`.
 //!
 //! The reactions (policy: `DESIGN.md`, "Fault model & degradation
 //! semantics"): a speed change or stall is logged, and dynamic dispatch and
 //! Algorithm 1 re-balance around it; a refused loss is logged; per device
-//! lost, ascending, the replica's un-merged batches are re-dispatched to
-//! survivors (no sample lost, none double-counted), and the merge — which
-//! runs over the live set, never forked — and Algorithm 1 drop it. On a merge
-//! OOM the pooled reduction's scratch allocation fails and the merge's tile
-//! pass stays on the scheduler thread (nothing is submitted to the worker
-//! pool), bit-identical in results and simulated timing.
+//! lost, ascending, the replica is dropped and its untrained batch list is
+//! re-dispatched to survivors (no sample lost, none double-counted), and the
+//! merge — which runs over the live set, never forked — and Algorithm 1 drop
+//! it. On a merge OOM the pooled reduction's scratch allocation fails and
+//! the merge's tile pass stays on the scheduler thread (nothing is submitted
+//! to the worker pool), bit-identical in results and simulated timing.
 
-use super::messages::ToManager;
 use super::SchedulerState;
 use asgd_gpusim::{FaultEffect, FaultOutcome, Unit};
-use std::sync::mpsc::Sender;
 
 /// One fault the scheduler actually applied (the plan's events resolved to
 /// concrete sim times and reactions). The log is deterministic for a fixed
@@ -255,21 +254,18 @@ impl SchedulerState<'_> {
     }
 
     /// Applies the plan events due at `(mega, dispatched)` (`at_merge`: every
-    /// ordinal not yet reached) through the pool and reacts; returns the extra
-    /// `Train` messages sent (re-dispatches) for the caller's drain count.
+    /// ordinal not yet reached) through the pool and reacts.
     pub(super) fn fire_due_faults(
         &mut self,
-        to: &[Sender<ToManager>],
         mega: usize,
         dispatched: usize,
         at_merge: bool,
         interval_updates: &mut [u64],
         interval_samples: &mut [u64],
-    ) -> usize {
+    ) {
         let Some(plan) = self.cfg.fault_plan.as_ref() else {
-            return 0;
+            return;
         };
-        let mut extra = 0usize;
         for e in plan.due(mega, dispatched, at_merge) {
             let Some(FaultOutcome { unit, effect, at }) = self.pool.apply(&e) else {
                 continue;
@@ -297,9 +293,7 @@ impl SchedulerState<'_> {
                 },
                 FaultEffect::Refused(reason) => AppliedFault::LossRefused { mega, unit, reason },
                 FaultEffect::Lost(lost) => {
-                    let redispatched =
-                        self.evict(&lost, mega, to, interval_updates, interval_samples);
-                    extra += redispatched as usize;
+                    let redispatched = self.evict(&lost, mega, interval_updates, interval_samples);
                     // A device loss is logged by `evict` alone.
                     let Unit::Server(server) = unit else {
                         continue;
@@ -314,36 +308,36 @@ impl SchedulerState<'_> {
             };
             self.chaos.faults.push(fault);
         }
-        extra
     }
 
     /// Evicts the replicas in `lost`, which the pool has already killed (so no
-    /// batch goes to one about to die): each one's accounting is zeroed and its
-    /// un-merged batches re-dispatched to survivors. Returns their count.
+    /// batch goes to one about to die): each one is dropped with its gather
+    /// slot, its accounting is zeroed and its untrained batches re-dispatched
+    /// to survivors. Returns their count.
     fn evict(
         &mut self,
         lost: &[usize],
         mega: usize,
-        to: &[Sender<ToManager>],
         interval_updates: &mut [u64],
         interval_samples: &mut [u64],
     ) -> u64 {
         let mut total = 0;
         for &g in lost {
             let at = self.pool.device(g).now().secs();
-            // The manager drains its queue (replying `Trained` per batch —
-            // discarded below) and exits.
-            let _ = to[g].send(ToManager::Stop);
-            let in_flight = std::mem::take(&mut self.in_flight[g]);
+            let live = self.replicas.iter().position(|r| r.gpu == g);
+            let live = live.expect("a device the pool just killed had a replica");
+            self.replicas.remove(live);
+            self.slots.remove(live);
+            let untrained = std::mem::take(&mut self.work[g]);
             interval_updates[g] = 0;
             interval_samples[g] = 0;
             self.hypers[g].updates = 0;
-            let redispatched = in_flight.len() as u64;
-            for ids in in_flight {
+            let redispatched = untrained.len() as u64;
+            for ids in untrained {
                 let s = self.pick_gpu();
                 interval_updates[s] += 1;
                 interval_samples[s] += ids.len() as u64;
-                self.charge_and_send(s, ids, to);
+                self.charge_and_queue(s, ids);
             }
             self.chaos.redispatched_batches += redispatched;
             self.chaos.discarded_batches += redispatched;

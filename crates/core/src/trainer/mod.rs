@@ -1,15 +1,20 @@
 //! The HeteroGPU training framework (Fig. 3): central dynamic scheduler +
-//! per-GPU manager threads over simulated heterogeneous devices.
+//! one model replica per simulated heterogeneous device.
 //!
 //! # Determinism model
 //!
-//! The scheduler owns the simulated [`Device`]s and the shuffled
-//! [`SampleStream`]; every scheduling decision (which GPU receives the next
-//! batch, when merges happen, what Algorithm 1/2 compute) is a function of
-//! *virtual clocks* and seeded RNG state only. GPU-manager threads do the
-//! real numeric work concurrently, but since the scheduler never waits on
-//! them to decide placement, a run's result is bit-identical for a fixed
-//! `(seed, thread-count)` regardless of OS scheduling.
+//! The scheduler owns the simulated devices, the shuffled [`SampleStream`]
+//! and every replica; every scheduling decision (which GPU receives the
+//! next batch, when merges happen, what Algorithm 1/2 compute) is a
+//! function of *virtual clocks* and seeded RNG state only. Between two
+//! merges it reads nothing back from a replica, so it first decides the
+//! whole mega-batch (or round) — one ordered batch list per replica — and
+//! then trains it in one **phase**: a scoped thread per live replica, each
+//! borrowing its replica and its gather slot, training its list in order.
+//! The merge runs on the scheduler, and a second phase imports the result.
+//! Fig. 3's event messages are therefore plain method calls, and a run's
+//! result is bit-identical for a fixed seed at any thread count, regardless
+//! of OS scheduling.
 //!
 //! # Policy space
 //!
@@ -21,14 +26,13 @@
 pub mod arena;
 pub mod chaos;
 mod manager;
-mod messages;
 
 use crate::checkpoint::TrainingState;
 use crate::hyper::{GpuHyper, ScalingParams};
 use crate::merging::{compute_merge_weights, FusedMerge, MergeDecision, MergeInput, MergeParams};
 use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
-use arena::{DeltaArena, IndexArena, MergeArena};
+use arena::IndexArena;
 use asgd_collective::{
     sparse_merge_timing, Algorithm, CollectiveContext, InterNode, SparseLayout, SparseMergePlan,
 };
@@ -46,9 +50,7 @@ use asgd_model::workload::{
 use asgd_model::{eval, Mlp, MlpConfig};
 use asgd_tensor::{FlatVec, Precision};
 use chaos::ChaosStats;
-use messages::{FromManager, ToManager};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use manager::Replica;
 
 /// Sample seed of a batch: an FNV-1a fold of its sample ids mixed with the
 /// LSH seed. A pure function of the ids, so a batch re-dispatched after a
@@ -148,7 +150,7 @@ pub struct TrainerSpec {
 /// Configuration of the LSH-sampled softmax training path (see `DESIGN.md`,
 /// "Sampled softmax & sparse output path").
 ///
-/// With [`RunConfig::sampled_softmax`] set, every manager trains through a
+/// With [`RunConfig::sampled_softmax`] set, every replica trains through a
 /// deterministic candidate set — the batch's true labels plus
 /// `neg_samples` hash-bucket negatives — instead of the full `num_classes`
 /// output layer, which is what makes full-label-scale XC shapes (670k
@@ -307,9 +309,19 @@ impl RunConfig {
     /// Checks the settings against each other, against the algorithm they
     /// are to run and against the `n_devices` fleet they are to run on, so
     /// a contradiction is an error with a name instead of a run that
-    /// silently does something else (or dies mid-run, managers spawned).
+    /// silently does something else (or dies mid-run).
     pub fn validate(&self, spec: &TrainerSpec, n_devices: usize) -> Result<(), ConfigError> {
-        if self.time_limit.is_none() && self.mega_batch_limit.is_none() {
+        match self.time_limit {
+            Some(t) if t.is_nan() => return Err(ConfigError::TimeLimitNaN),
+            Some(t) if t <= 0.0 => return Err(ConfigError::TimeLimitNotPositive),
+            _ => {}
+        }
+        if self.mega_batch_limit == Some(0) {
+            return Err(ConfigError::ZeroMegaBatchLimit);
+        }
+        // An infinite time limit is no limit: sim time never reaches it.
+        let timed = self.time_limit.is_some_and(f64::is_finite);
+        if !timed && self.mega_batch_limit.is_none() {
             return Err(ConfigError::NoLimit);
         }
         if self.fault_plan.is_some() && spec.merge_interval != MergeInterval::MegaBatch {
@@ -340,9 +352,18 @@ impl RunConfig {
 /// paired with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
-    /// Neither `time_limit` nor `mega_batch_limit` is set: the run would
-    /// never end.
+    /// Neither a finite `time_limit` nor `mega_batch_limit` is set: the run
+    /// would never end.
     NoLimit,
+    /// `time_limit` is NaN: sim time is never `>=` it, so it never stops
+    /// a run.
+    TimeLimitNaN,
+    /// `time_limit` is zero or negative: the run would stop before its
+    /// first batch.
+    TimeLimitNotPositive,
+    /// `mega_batch_limit` is `Some(0)`: the limit is checked after a
+    /// mega-batch, so the run would train one anyway.
+    ZeroMegaBatchLimit,
     /// `fault_plan` with [`MergeInterval::EveryRound`]: faults are scheduled
     /// against mega-batch dispatch ordinals.
     FaultPlanNeedsMegaBatchMerge,
@@ -369,6 +390,9 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match *self {
             ConfigError::NoLimit => "set a time limit or a mega-batch limit",
+            ConfigError::TimeLimitNaN => "the time limit is NaN",
+            ConfigError::TimeLimitNotPositive => "the time limit must be positive",
+            ConfigError::ZeroMegaBatchLimit => "the mega-batch limit must be at least 1",
             ConfigError::FaultPlanNeedsMegaBatchMerge => {
                 "fault injection requires merge-per-mega-batch"
             }
@@ -535,11 +559,9 @@ impl Trainer {
     }
 
     fn run_with_state(&self, dataset: &XmlDataset, resume: Option<&TrainingState>) -> RunResult {
-        let state = self.drive_to_end(dataset, resume);
-        let sparse_merge = state
-            .delta_arena
-            .is_some()
-            .then(|| state.sparse_stats.clone());
+        let mut state = self.scheduler(dataset, resume);
+        state.drive();
+        let sparse_merge = self.config.sparse_merge.then(|| state.sparse_stats.clone());
         let megas_run = state.recorder.records().len() as u64;
         // The global model leaves twice (final model, resumable state); the
         // momentum memory only once, so it moves.
@@ -560,9 +582,9 @@ impl Trainer {
         }
     }
 
-    /// Builds the scheduler state, spawns the managers and runs the training
-    /// loop until a limit is hit; the finished state is all that is left.
-    fn drive_to_end<'a>(
+    /// Builds the scheduler state — devices, replicas, buffers — ready for
+    /// [`SchedulerState::drive`].
+    fn scheduler<'a>(
         &'a self,
         dataset: &'a XmlDataset,
         resume: Option<&TrainingState>,
@@ -589,22 +611,20 @@ impl Trainer {
             .collect();
         let mut launch_model = LaunchModel::default_cuda();
         launch_model.base_overhead_s *= cfg.overhead_scale;
-        let track_in_flight = cfg.fault_plan.as_ref().is_some_and(|p| p.has_device_loss());
         let per_server = cfg.cluster.map_or(n, |cl| cl.devices_per_server);
         let param_len = mconfig.param_len();
-        // Every manager's replica is a copy of the start-up model, and the
-        // copies are page-fault-bound: the buffers are allocated here (zero
-        // pages nobody has touched yet, and one allocator arena whichever
-        // thread frees them) and filled on `n` threads, while this one
+        // Every replica is a copy of the start-up model, and the copies are
+        // page-fault-bound: the buffers are allocated here (zero pages
+        // nobody has touched yet) and filled on `n` threads, while this one
         // copies the momentum memory and (sampled mode) hashes the start-up
-        // `W₂` once for every manager about to spawn. Nothing needs
-        // `init_model` by value, so it *becomes* the evaluation model
-        // instead of being copied once more.
+        // `W₂` once for every replica. Nothing needs `init_model` by value,
+        // so it *becomes* the evaluation model instead of being copied once
+        // more.
         let global = init_model.to_flat();
-        let mut replicas: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
+        let mut mlps: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
         let (prev_global, lsh) = std::thread::scope(|s| {
-            for replica in &mut replicas {
-                s.spawn(|| replica.load_flat(&global));
+            for mlp in &mut mlps {
+                s.spawn(|| mlp.load_flat(&global));
             }
             let prev_global = resume.map_or_else(|| global.clone(), |r| r.prev_global.clone());
             let lsh = cfg
@@ -612,7 +632,12 @@ impl Trainer {
                 .map(|s| IndexArena::new(&s, &init_model));
             (prev_global, lsh)
         });
-        let mut state = SchedulerState {
+        let replicas = mlps
+            .into_iter()
+            .enumerate()
+            .map(|(g, mlp)| Replica::new(g, mlp, dataset, lsh.as_ref().map(IndexArena::sampler)))
+            .collect();
+        SchedulerState {
             spec: &self.spec,
             cfg,
             mconfig,
@@ -643,7 +668,9 @@ impl Trainer {
             ),
             budget: MegaBatchBudget::new(cfg.mega_batch_size),
             hypers,
-            arena: MergeArena::new(n, param_len, cfg.precision),
+            replicas,
+            slots: vec![FlatVec::empty(cfg.precision); n],
+            work: vec![Vec::new(); n],
             payload: FlatVec::empty(cfg.precision),
             global,
             prev_global,
@@ -655,14 +682,11 @@ impl Trainer {
             scaling_scheduler: cfg
                 .scaling_schedule
                 .map(|(tol, cap)| ScalingScheduler::new(tol, cap)),
-            in_flight: vec![Vec::new(); n],
-            track_in_flight,
             chaos: ChaosStats::default(),
             // Enough for the pooled merge scratch (n replica-sized buffers
             // at the run's storage precision) plus slack; an OOM fault hogs
             // the capacity so the scratch request genuinely fails.
             merge_memory: MemoryTracker::new((n * param_len * cfg.precision.bytes()) as u64 + 4096),
-            delta_arena: cfg.sparse_merge.then(|| DeltaArena::new(n, cfg.precision)),
             sparse_layout: SparseLayout::new(
                 mconfig.num_features,
                 mconfig.hidden,
@@ -670,28 +694,7 @@ impl Trainer {
             ),
             sparse_stats: SparseMergeStats::default(),
             lsh,
-        };
-
-        // std scoped threads: a panicking manager propagates out of the
-        // scope when it joins, same observable behavior as the crossbeam
-        // scope this replaced.
-        std::thread::scope(|s| {
-            let (from_tx, from_rx) = channel();
-            let mut to_managers: Vec<Sender<ToManager>> = Vec::with_capacity(n);
-            for (g, replica) in replicas.into_iter().enumerate() {
-                let (tx, rx) = channel();
-                let ftx = from_tx.clone();
-                let sampler = state.lsh.as_ref().map(IndexArena::sampler);
-                s.spawn(move || manager::run_manager(g, replica, dataset, rx, ftx, sampler));
-                to_managers.push(tx);
-            }
-            drop(from_tx);
-            state.drive(&to_managers, &from_rx);
-            for tx in &to_managers {
-                let _ = tx.send(ToManager::Stop);
-            }
-        });
-        state
+        }
     }
 }
 
@@ -709,12 +712,21 @@ struct SchedulerState<'a> {
     stream: SampleStream,
     budget: MegaBatchBudget,
     hypers: Vec<GpuHyper>,
-    /// Persistent flat-model buffers the dense gather recycles across merges
-    /// (see [`arena`]); never sized under the sparse delta merge.
-    arena: MergeArena,
+    /// The live replicas, in device order; a lost device's is dropped at
+    /// eviction.
+    replicas: Vec<Replica<'a>>,
+    /// One gather slot per live replica, same order, recycled across
+    /// merges: the flat replica, or under the sparse merge its delta
+    /// payload. After a dense merge `slots[0]` holds the redistribution
+    /// payload.
+    slots: Vec<FlatVec>,
+    /// Per device, the batches dispatched since the last merge in dispatch
+    /// order: what its replica trains in the next phase, and what moves to
+    /// survivors if the device is lost first.
+    work: Vec<Vec<Vec<usize>>>,
     /// The sparse delta merge's one model-sized buffer: the redistribution
-    /// payload, home here between merges (the dense merge reuses the first
-    /// live arena slot instead and leaves this empty).
+    /// payload (the dense merge leaves it in `slots[0]` instead and this
+    /// empty).
     payload: FlatVec,
     global: Vec<f32>,
     prev_global: Vec<f32>,
@@ -724,24 +736,15 @@ struct SchedulerState<'a> {
     batches_dispatched: usize,
     start_index: usize,
     scaling_scheduler: Option<ScalingScheduler>,
-    /// Per-GPU sample-id batches dispatched since the last merge — the work
-    /// that dies with a replica. Populated only when `track_in_flight`.
-    in_flight: Vec<Vec<Vec<usize>>>,
-    /// Whether the fault plan contains a device loss (gates the in-flight
-    /// clones so the fault-free hot path stays zero-overhead).
-    track_in_flight: bool,
     /// Chaos accounting (empty unless a fault plan is set).
     chaos: ChaosStats,
     /// Memory budget of the merge stage's pooled scratch.
     merge_memory: MemoryTracker,
-    /// `Some` iff the sparse delta merge is active: recycled per-replica
-    /// `(rows, payload)` pairs. The base they apply to is never stored: it
-    /// is `global` at the storage precision, the payload of the last
-    /// `SetModel` (and, before the first merge, the start-up model).
-    delta_arena: Option<DeltaArena>,
-    /// Row space of the sparse wire format.
+    /// Row space of the sparse wire format. The base a delta applies to is
+    /// never stored: it is `global` at the storage precision, the payload of
+    /// the last sync (and, before the first merge, the start-up model).
     sparse_layout: SparseLayout,
-    /// Sparse-merge accounting (untouched unless `delta_arena` is set).
+    /// Sparse-merge accounting (untouched unless `cfg.sparse_merge`).
     sparse_stats: SparseMergeStats,
     /// `Some` iff the sampled softmax is on: the shared LSH index, rebuilt
     /// here once per model sync (see [`IndexArena`]).
@@ -754,7 +757,7 @@ impl SchedulerState<'_> {
     }
 
     /// Runs the whole training loop.
-    fn drive(&mut self, to: &[Sender<ToManager>], from: &Receiver<FromManager>) {
+    fn drive(&mut self) {
         // The model replica moves to every GPU once, at training start
         // (within a mega-batch only batches move, §IV), at the run's
         // storage precision (bf16 halves the bytes on the wire).
@@ -768,8 +771,7 @@ impl SchedulerState<'_> {
 
         let mut mega_index = 0usize;
         loop {
-            self.budget.refill();
-            let mega = self.run_mega_batch(to, from, mega_index);
+            let mega = self.run_mega_batch(mega_index);
             let sim_time = self.pool.latest_live_clock().secs();
             self.eval_model.load_flat(&self.global);
             let accuracy = eval::top1_accuracy(
@@ -803,20 +805,15 @@ impl SchedulerState<'_> {
         }
     }
 
-    /// Processes one mega-batch (dispatch + merge(s) + scaling); returns its
+    /// Processes one mega-batch (dispatch, training phase, merge, scaling —
+    /// or, merging every round, one such cycle per round); returns its
     /// summary for recording.
-    fn run_mega_batch(
-        &mut self,
-        to: &[Sender<ToManager>],
-        from: &Receiver<FromManager>,
-        mega_index: usize,
-    ) -> MegaSummary {
+    fn run_mega_batch(&mut self, mega_index: usize) -> MegaSummary {
         let n = self.n();
-        // Losses are accumulated per GPU (each manager's replies arrive in
-        // its own FIFO order) and summed in GPU-index order afterwards, so
-        // the mean loss is independent of cross-manager arrival interleaving.
+        self.budget.refill();
+        // Losses are accumulated per GPU in its training order and summed
+        // in GPU-index order afterwards.
         let mut loss_sums = vec![0.0f64; n];
-        let mut loss_counts = vec![0usize; n];
         let mut interval_updates = vec![0u64; n];
         let mut interval_samples = vec![0u64; n];
         let mut perturbed = false;
@@ -826,10 +823,8 @@ impl SchedulerState<'_> {
         match self.spec.merge_interval {
             MergeInterval::MegaBatch => {
                 let mut dispatched = 0usize;
-                let mut extra_trains = 0usize;
                 loop {
-                    extra_trains += self.fire_due_faults(
-                        to,
+                    self.fire_due_faults(
                         mega_index,
                         dispatched,
                         false,
@@ -846,36 +841,24 @@ impl SchedulerState<'_> {
                     let Some(got) = self.budget.grant(want) else {
                         break;
                     };
-                    self.dispatch_batch(g, got, to);
+                    self.dispatch_batch(g, got);
                     interval_updates[g] += 1;
                     interval_samples[g] += got as u64;
                     dispatched += 1;
                 }
                 // Events whose dispatch ordinal was never reached fire at
                 // the merge boundary (no event is silently dropped).
-                extra_trains += self.fire_due_faults(
-                    to,
+                self.fire_due_faults(
                     mega_index,
                     dispatched,
                     true,
                     &mut interval_updates,
                     &mut interval_samples,
                 );
-                self.drain_trained(
-                    from,
-                    dispatched + extra_trains,
-                    &mut loss_sums,
-                    &mut loss_counts,
-                );
-                let decision = self.merge(to, from, mega_index);
+                let norms = self.train_phase(&mut loss_sums);
+                let decision = self.merge(&norms, mega_index);
                 perturbed = decision.perturbed;
                 weights = decision.weights;
-                if self.track_in_flight {
-                    // Merged work can no longer die with a replica.
-                    for f in &mut self.in_flight {
-                        f.clear();
-                    }
-                }
                 let scale_now = match &mut self.scaling_scheduler {
                     Some(sched) => {
                         let sizes: Vec<f64> = self.hypers.iter().map(|h| h.batch_size).collect();
@@ -903,7 +886,7 @@ impl SchedulerState<'_> {
                         let Some(got) = self.budget.grant(want) else {
                             break;
                         };
-                        self.dispatch_batch(g, got, to);
+                        self.dispatch_batch(g, got);
                         interval_updates[g] += 1;
                         interval_samples[g] += got as u64;
                         sent += 1;
@@ -911,8 +894,8 @@ impl SchedulerState<'_> {
                     if sent == 0 {
                         break;
                     }
-                    self.drain_trained(from, sent, &mut loss_sums, &mut loss_counts);
-                    let decision = self.merge(to, from, mega_index);
+                    let norms = self.train_phase(&mut loss_sums);
+                    let decision = self.merge(&norms, mega_index);
                     weights = decision.weights;
                     for h in &mut self.hypers {
                         h.updates = 0;
@@ -925,12 +908,13 @@ impl SchedulerState<'_> {
         }
 
         // Commit accounting and the interval mean loss over survivors only:
-        // a dead replica's results never reach the global model.
+        // a dead replica's results never reach the global model. A
+        // survivor trained every batch its interval counted.
         let mut loss_sum = 0.0f64;
-        let mut loss_n = 0usize;
+        let mut loss_n = 0u64;
         for g in (0..n).filter(|&g| self.pool.is_alive(g)) {
             loss_sum += loss_sums[g];
-            loss_n += loss_counts[g];
+            loss_n += interval_updates[g];
             if self.cfg.fault_plan.is_some() {
                 self.chaos.batches_committed += interval_updates[g];
                 self.chaos.samples_committed += interval_samples[g];
@@ -987,18 +971,19 @@ impl SchedulerState<'_> {
     }
 
     /// Cuts a batch from the stream, charges its kernels to device `g`, and
-    /// sends the numeric work to manager `g`.
-    fn dispatch_batch(&mut self, g: usize, got: usize, to: &[Sender<ToManager>]) {
+    /// queues it on `g`'s work list.
+    fn dispatch_batch(&mut self, g: usize, got: usize) {
         let ids = self.stream.take(got);
-        self.charge_and_send(g, ids, to);
+        self.charge_and_queue(g, ids);
     }
 
-    /// Charges an id-batch's kernels to device `g` and sends the numeric
-    /// work to manager `g` at its current learning rate. Shared by the
-    /// primary dispatch path and the device-loss re-dispatch path — which is
-    /// what makes candidate sets loss-proof: the sample seed is a function
-    /// of the ids alone, so a re-dispatched batch reselects identically.
-    fn charge_and_send(&mut self, g: usize, ids: Vec<usize>, to: &[Sender<ToManager>]) {
+    /// Charges an id-batch's kernels to device `g` and appends it to `g`'s
+    /// work list, which its replica trains in order at its learning rate.
+    /// Shared by the primary dispatch path and the device-loss re-dispatch
+    /// path — which is what makes candidate sets loss-proof: the sample seed
+    /// is a function of the ids alone ([`batch_sample_seed`]), so a
+    /// re-dispatched batch reselects identically.
+    fn charge_and_queue(&mut self, g: usize, ids: Vec<usize>) {
         let got = ids.len();
         let nnz: usize = ids
             .iter()
@@ -1012,7 +997,6 @@ impl SchedulerState<'_> {
             None => epoch_kernels(&self.mconfig, got, nnz),
         };
         let extra = overhead_delta_for(&kinds, self.spec.fusion, &self.launch_model, self.n());
-        let sample_seed = batch_sample_seed(&ids, self.cfg.sampled_softmax.map_or(0, |s| s.seed));
         let device = self.pool.device_mut(g);
         let t0 = device.now();
         device.charge_epoch(&kinds, self.spec.compute_overhead, extra);
@@ -1027,16 +1011,7 @@ impl SchedulerState<'_> {
         );
         self.batches_dispatched += 1;
         self.hypers[g].updates += 1;
-        if self.track_in_flight {
-            self.in_flight[g].push(ids.clone());
-        }
-        to[g]
-            .send(ToManager::Train {
-                batch_ids: ids,
-                lr: self.hypers[g].lr as f32,
-                sample_seed,
-            })
-            .expect("manager channel closed");
+        self.work[g].push(ids);
     }
 
     /// The exact size of the candidate set the sampler will select for this
@@ -1069,120 +1044,79 @@ impl SchedulerState<'_> {
         }
     }
 
-    /// Receives exactly `count` `Trained` messages, accumulating losses
-    /// per GPU (callers sum the per-GPU buckets in index order, keeping the
-    /// mean loss independent of cross-manager arrival interleaving).
-    fn drain_trained(
-        &mut self,
-        from: &Receiver<FromManager>,
-        count: usize,
-        loss_sums: &mut [f64],
-        loss_counts: &mut [usize],
-    ) {
-        for _ in 0..count {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Trained {
-                    gpu,
-                    loss,
-                    batch_size,
-                } => {
-                    debug_assert!(gpu < self.n(), "reply from unknown manager");
-                    debug_assert!(batch_size > 0, "empty batch trained");
-                    loss_sums[gpu] += loss;
-                    loss_counts[gpu] += 1;
-                }
-                FromManager::Model { .. }
-                | FromManager::Redistributed
-                | FromManager::Delta { .. } => {
-                    unreachable!("merge-phase reply outside a merge phase")
-                }
+    /// The training phase: every live replica, on a scoped thread of its
+    /// own, trains its work list in order, adding each batch loss to its
+    /// device's `loss_sums` bucket, then writes its gather slot — the flat
+    /// replica, or under the sparse merge its dirty rows' delta. Returns the
+    /// live replicas' norms per parameter, in device order, and leaves every
+    /// work list empty.
+    fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<f64> {
+        let lsh_seed = self.cfg.sampled_softmax.map_or(0, |s| s.seed);
+        let sparse = self.cfg.sparse_merge;
+        // Per live replica: its device's running loss sum, then its norm.
+        let mut out: Vec<(f64, f64)> = self
+            .replicas
+            .iter()
+            .map(|r| (loss_sums[r.gpu], 0.0))
+            .collect();
+        std::thread::scope(|s| {
+            for ((r, slot), (loss, norm)) in
+                self.replicas.iter_mut().zip(&mut self.slots).zip(&mut out)
+            {
+                let batches = &self.work[r.gpu];
+                let lr = self.hypers[r.gpu].lr as f32;
+                s.spawn(move || {
+                    for ids in batches {
+                        *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed));
+                    }
+                    *norm = if sparse {
+                        r.gather_delta(slot)
+                    } else {
+                        r.gather_model(slot)
+                    };
+                });
             }
+        });
+        let mut norms = Vec::with_capacity(out.len());
+        for (r, (loss, norm)) in self.replicas.iter().zip(out) {
+            loss_sums[r.gpu] = loss;
+            norms.push(norm);
         }
+        self.work.iter_mut().for_each(Vec::clear);
+        norms
     }
 
-    /// One full model-merging stage over the live replicas: gather, weights,
-    /// one fused reduce-update-payload pass, redistribute, advance clocks.
+    /// One full model-merging stage over the live replicas, whose gather
+    /// slots the training phase just filled and whose norms are `norms`:
+    /// weights, one fused reduce-update-payload pass, the import phase,
+    /// advance clocks.
     ///
     /// The stage is written once over `alive_idx`; the clean run is the case
-    /// where that is the whole fleet. After a device loss it gathers only
-    /// from survivors, renormalizes `α_i` over them (Σα = 1 by construction),
+    /// where that is the whole fleet. After a device loss it merges only
+    /// survivors, renormalizes `α_i` over them (Σα = 1 by construction),
     /// reduces over a survivor-sized collective context and redistributes to
     /// survivors only; dead devices' clocks freeze and their slots report
     /// weight 0 in the record.
     ///
-    /// Model-sized buffers: the dense gather lends every live replica its
-    /// [`MergeArena`] slot (`GetModel` → `Model`); the sparse gather moves
-    /// only `(rows, payload)` deltas and no replica buffer exists. Either
-    /// way [`FusedMerge`] streams the replicas once and leaves the new
-    /// `global`/`prev_global` and ONE redistribution payload (in the first
-    /// live slot, or in [`Self::payload`]), which every live manager reads
-    /// through a shared `Arc` (`SetModel`/`Blend` → `Redistributed`).
-    /// Steady-state merges allocate nothing model-sized.
-    fn merge(
-        &mut self,
-        to: &[Sender<ToManager>],
-        from: &Receiver<FromManager>,
-        mega_index: usize,
-    ) -> MergeDecision {
+    /// Model-sized buffers: the dense merge reads the gather slots; the
+    /// sparse one reads `(rows, payload)` deltas and no replica buffer
+    /// exists. Either way [`FusedMerge`] streams the replicas once and
+    /// leaves the new `global`/`prev_global` and ONE redistribution payload
+    /// (in `slots[0]`, or in [`Self::payload`]), which every live replica
+    /// then imports from a shared borrow. Steady-state merges allocate
+    /// nothing model-sized.
+    fn merge(&mut self, norms: &[f64], mega_index: usize) -> MergeDecision {
         let n = self.n();
-        let alive_idx: Vec<usize> = (0..n).filter(|&g| self.pool.is_alive(g)).collect();
+        let alive_idx: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
         let k = alive_idx.len();
         assert!(k >= 1, "no surviving device to merge");
-        let send = |g: usize, msg: ToManager| to[g].send(msg).expect("manager channel closed");
-
-        // Gather: the dense replica, or (sparse merge) the rows dirtied
-        // since the last sync — the union, and thus the charged schedule,
-        // is over the live replicas' row sets.
-        for &g in &alive_idx {
-            send(
-                g,
-                match self.delta_arena.as_mut() {
-                    Some(arena) => {
-                        let (rows, payload) = arena.lend(g);
-                        ToManager::GetDelta { rows, payload }
-                    }
-                    None => ToManager::GetModel {
-                        buf: self.arena.lend(g),
-                    },
-                },
-            );
-        }
-        let mut norms = vec![0.0f64; n];
-        for _ in 0..k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Model {
-                    gpu,
-                    flat,
-                    norm_per_param,
-                } => {
-                    self.arena.restore(gpu, flat);
-                    norms[gpu] = norm_per_param;
-                }
-                FromManager::Delta {
-                    gpu,
-                    rows,
-                    payload,
-                    norm_per_param,
-                } => {
-                    self.delta_arena
-                        .as_mut()
-                        .expect("Delta reply without a delta arena")
-                        .restore(gpu, rows, payload);
-                    norms[gpu] = norm_per_param;
-                }
-                FromManager::Trained { .. } | FromManager::Redistributed => {
-                    unreachable!("non-gather reply during the merge gather")
-                }
-            }
-        }
 
         // The merge sub-problem over the live replicas, in device order.
         let decision = match self.spec.merge_rule {
             MergeRule::Normalized(params) => {
                 let live_hypers: Vec<GpuHyper> =
                     alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
-                let live_norms: Vec<f64> = alive_idx.iter().map(|&g| norms[g]).collect();
-                compute_merge_weights(&live_hypers, &live_norms, &params)
+                compute_merge_weights(&live_hypers, norms, &params)
             }
             MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
                 weights: vec![1.0 / k as f64; k],
@@ -1232,107 +1166,80 @@ impl SchedulerState<'_> {
             arrivals: &arrivals,
             pooled,
         };
-        let (timing, payload) = match &self.delta_arena {
-            None => {
-                let mut bufs: Vec<FlatVec> =
-                    alive_idx.iter().map(|&g| self.arena.lend(g)).collect();
-                let timing = fused.run(
-                    MergeInput::Dense(&mut bufs),
-                    &mut self.global,
-                    &mut self.prev_global,
-                );
-                let payload = bufs.remove(0);
-                for (&g, buf) in alive_idx[1..].iter().zip(bufs) {
-                    self.arena.restore(g, buf);
-                }
-                (timing, payload)
+        let timing = if self.cfg.sparse_merge {
+            if self.payload.is_empty() {
+                self.payload = FlatVec::zeros(self.cfg.precision, self.global.len());
             }
-            Some(da) => {
-                let mut payload = std::mem::take(&mut self.payload);
-                if payload.is_empty() {
-                    payload = FlatVec::zeros(self.cfg.precision, self.global.len());
-                }
-                let deltas: Vec<(&[u32], &FlatVec)> =
-                    alive_idx.iter().map(|&g| da.slot(g)).collect();
-                let dense = fused.run(
-                    MergeInput::Sparse {
-                        layout: &self.sparse_layout,
-                        deltas: &deltas,
-                        payload: &mut payload,
-                    },
-                    &mut self.global,
-                    &mut self.prev_global,
-                );
-                // The arithmetic above is the dense collective's, element
-                // for element (the reduction contract), so sparsity only
-                // changes what the simulated wire carries; the dense timing
-                // doubles as the density-threshold fallback.
-                let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
-                let plan = SparseMergePlan {
-                    algo: self.spec.allreduce,
-                    inter,
-                    elem_bytes: self.cfg.precision.bytes(),
-                    max_density: self.cfg.sparse_max_density,
-                };
-                let s = sparse_merge_timing(
-                    &self.sparse_layout,
-                    &row_sets,
-                    &plan,
-                    &ctx,
-                    &arrivals,
-                    dense,
-                );
-                self.sparse_stats.merges += 1;
-                self.sparse_stats.fallbacks += u64::from(s.fell_back);
-                self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
-                self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
-                (s.timing, payload)
-            }
+            let deltas: Vec<(&[u32], &FlatVec)> = self
+                .replicas
+                .iter()
+                .map(Replica::rows)
+                .zip(&self.slots)
+                .collect();
+            let dense = fused.run(
+                MergeInput::Sparse {
+                    layout: &self.sparse_layout,
+                    deltas: &deltas,
+                    payload: &mut self.payload,
+                },
+                &mut self.global,
+                &mut self.prev_global,
+            );
+            // The arithmetic above is the dense collective's, element for
+            // element (the reduction contract), so sparsity only changes what
+            // the simulated wire carries; the dense timing doubles as the
+            // density-threshold fallback.
+            let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
+            let plan = SparseMergePlan {
+                algo: self.spec.allreduce,
+                inter,
+                elem_bytes: self.cfg.precision.bytes(),
+                max_density: self.cfg.sparse_max_density,
+            };
+            let s = sparse_merge_timing(
+                &self.sparse_layout,
+                &row_sets,
+                &plan,
+                &ctx,
+                &arrivals,
+                dense,
+            );
+            self.sparse_stats.merges += 1;
+            self.sparse_stats.fallbacks += u64::from(s.fell_back);
+            self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
+            self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
+            s.timing
+        } else {
+            fused.run(
+                MergeInput::Dense(&mut self.slots),
+                &mut self.global,
+                &mut self.prev_global,
+            )
         };
 
-        // Redistribute: one read-only payload, shared by the LSH sync and
-        // every live manager.
-        let payload = Arc::new(payload);
-        {
-            // Scoped: the scheduler's share of the new index is dropped once
-            // every manager has been sent its own.
-            let index = self.lsh.as_mut().map(|a| a.sync(&payload));
-            for &g in &alive_idx {
-                let (buf, index) = (Arc::clone(&payload), index.clone());
-                send(
-                    g,
-                    match pull {
-                        None => ToManager::SetModel { buf, index },
-                        Some(pull) => ToManager::Blend {
-                            target: buf,
-                            pull,
-                            index,
-                        },
-                    },
-                );
+        // The import phase: one read-only payload, hashed once into the LSH
+        // index, then imported (or blended toward) by every live replica on
+        // a scoped thread of its own, adopting that index.
+        let payload = if self.cfg.sparse_merge {
+            &self.payload
+        } else {
+            &self.slots[0]
+        };
+        if let Some(a) = self.lsh.as_mut() {
+            a.sync(payload);
+        }
+        let index = self.lsh.as_ref().map(IndexArena::live);
+        std::thread::scope(|s| {
+            for r in &mut self.replicas {
+                s.spawn(move || match pull {
+                    None => r.set_model(payload, index),
+                    Some(pull) => r.blend(payload, pull, index),
+                });
             }
-        }
-        for _ in 0..k {
-            match from.recv().expect("manager channel closed") {
-                FromManager::Redistributed => {}
-                FromManager::Trained { .. }
-                | FromManager::Model { .. }
-                | FromManager::Delta { .. } => {
-                    unreachable!("non-Redistributed reply during redistribution")
-                }
-            }
-        }
-        // Managers drop their share before they acknowledge, so the buffer
-        // is the scheduler's alone again and goes home for the next merge.
-        let payload = Arc::try_unwrap(payload)
-            .expect("every live manager releases the payload before it acknowledges");
-        match self.delta_arena {
-            None => self.arena.restore(alive_idx[0], payload),
-            Some(_) => self.payload = payload,
-        }
+        });
         debug_assert!(
             self.lsh.as_ref().is_none_or(|a| a.holders() == k),
-            "every live manager adopts the synced index before it acknowledges"
+            "exactly the live replicas hold the synced index"
         );
 
         for &g in &alive_idx {
@@ -1558,8 +1465,8 @@ mod tests {
 
     /// The pooled merge path (collective reductions, redistribution copies,
     /// momentum update) must not depend on the worker count: a whole run is
-    /// bit-identical at `ASGD_THREADS=1` and `=8`, for both the arena
-    /// `SetModel` and the zero-copy `Blend` redistribution.
+    /// bit-identical at `ASGD_THREADS=1` and `=8`, for both the
+    /// `set_model` and the `blend` redistribution.
     #[test]
     fn run_is_bit_identical_across_thread_counts() {
         let ds = dataset();
@@ -1591,11 +1498,10 @@ mod tests {
         }
     }
 
-    /// Recycled arena buffers across consecutive merges produce exactly the
+    /// Recycled gather slots across consecutive merges produce exactly the
     /// bits fresh allocations would — no state leaks through the recycling.
     #[test]
-    fn recycled_arena_merges_match_fresh_buffers() {
-        use crate::trainer::arena::MergeArena;
+    fn recycled_slot_merges_match_fresh_buffers() {
         use asgd_gpusim::profile::homogeneous_server;
 
         let n = 4;
@@ -1606,21 +1512,19 @@ mod tests {
         let replica =
             |merge: usize, g: usize, i: usize| ((merge * 31 + g * 7 + i) % 13) as f32 - 6.0;
 
-        let mut arena = MergeArena::new(n, len, Precision::F32);
+        let mut slots = vec![FlatVec::empty(Precision::F32); n];
         for merge in 0..3 {
-            // Arena path: recycle the same buffers, refilled like a manager
-            // would via `write_flat_buf`.
-            for g in 0..n {
-                let mut buf = match arena.lend(g) {
-                    FlatVec::F32(v) => v,
-                    other => panic!("f32 arena lent {other:?}"),
+            // Recycle the same buffers, refilled in place like a replica's
+            // `write_flat_buf` does.
+            for (g, slot) in slots.iter_mut().enumerate() {
+                let FlatVec::F32(buf) = slot else {
+                    panic!("f32 slot holds {slot:?}");
                 };
                 buf.clear();
                 buf.extend((0..len).map(|i| replica(merge, g, i)));
-                arena.restore(g, FlatVec::F32(buf));
             }
             asgd_collective::allreduce_flat(
-                arena.buffers_mut(),
+                &mut slots,
                 &weights,
                 Algorithm::MultiStreamRing { partitions: n },
                 &ctx,
@@ -1638,11 +1542,7 @@ mod tests {
                 &arrivals,
             );
             for (g, f) in fresh.iter().enumerate() {
-                assert_eq!(
-                    arena.buffer(g),
-                    &FlatVec::F32(f.clone()),
-                    "merge {merge} gpu {g}"
-                );
+                assert_eq!(slots[g], FlatVec::F32(f.clone()), "merge {merge} gpu {g}");
             }
         }
     }
@@ -1913,17 +1813,17 @@ mod tests {
     }
 
     /// A device loss between two merges on the sampled path (sparse merge
-    /// under `SetModel`, dense under `Blend`): the
-    /// merges after it sync the shared index to survivors only (the
-    /// scheduler's `holders` debug assertions run in this build), the
-    /// re-dispatched batches reselect from the index the lost replica used,
-    /// and the whole faulted run stays a pure function of its seeds — for
-    /// the `SetModel` and the `Blend` redistribution alike.
+    /// under `set_model`, dense under `blend`): the merges after it sync
+    /// the shared index to exactly the live replicas (the scheduler's
+    /// `holders` debug assertion runs in this build), the re-dispatched
+    /// batches reselect from the index the lost replica used, and the whole
+    /// faulted run stays a pure function of its seeds — for both
+    /// redistributions alike.
     #[test]
     fn sampled_device_loss_syncs_the_index_to_survivors_only() {
         let ds = dataset();
         // Fault plans need merge-per-mega-batch, which rules out
-        // `crossbow_sma`; its `Blend` redistribution does not.
+        // `crossbow_sma`; its `blend` redistribution does not.
         let mut blend = algorithms::adaptive_sgd();
         blend.merge_rule = MergeRule::Crossbow { pull: 0.5 };
         for spec in [algorithms::adaptive_sgd(), blend] {
@@ -1972,7 +1872,7 @@ mod tests {
 
     /// A fault plan naming a device or server the fleet lacks is refused by
     /// name at construction, for every fault kind — not an index panic
-    /// mid-run with the managers already spawned.
+    /// mid-run.
     #[test]
     fn fault_plans_naming_a_missing_target_are_refused_by_name() {
         let missing = |server_level, target, have| ConfigError::FaultTargetMissing {
@@ -2029,12 +1929,13 @@ mod tests {
         );
     }
 
-    /// The sparse merge parks nothing model-sized per replica: after a whole
-    /// run every `MergeArena` slot is still unsized and the one
-    /// redistribution payload is home. The dense merge is the mirror image:
-    /// `n` sized slots (the first doubles as the payload), no extra buffer.
+    /// Steady-state merges allocate nothing model-sized: after the first
+    /// merge the model-sized buffers keep their addresses. The dense merge
+    /// holds `n` model-sized gather slots, the first doubling as the
+    /// redistribution payload, and no extra buffer; the sparse merge holds
+    /// one payload and only deltas in its slots.
     #[test]
-    fn sparse_merge_holds_one_payload_and_no_replica_buffers() {
+    fn gather_slots_and_payload_keep_their_addresses() {
         let ds = dataset();
         let mut cfg = quick_config();
         cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
@@ -2045,15 +1946,66 @@ mod tests {
                 heterogeneous_server(3),
                 cfg.clone(),
             );
-            let mut state = trainer.drive_to_end(&ds, None);
-            let slots: Vec<usize> = (0..3).map(|g| state.arena.lend(g).capacity()).collect();
-            if sparse {
-                assert_eq!(slots, [0; 3]);
-                assert_eq!(state.payload.len(), state.global.len());
-            } else {
-                assert!(slots.iter().all(|&c| c >= state.global.len()), "{slots:?}");
+            let mut state = trainer.scheduler(&ds, None);
+            // Deltas vary in length from merge to merge; the model-sized
+            // buffers do not.
+            let model_sized = |s: &SchedulerState| -> Vec<(usize, usize)> {
+                let bufs = if sparse {
+                    std::slice::from_ref(&s.payload)
+                } else {
+                    &s.slots[..]
+                };
+                bufs.iter().map(|b| (b.as_ptr_addr(), b.len())).collect()
+            };
+            state.run_mega_batch(0);
+            let first = model_sized(&state);
+            assert_eq!(first.len(), if sparse { 1 } else { 3 });
+            assert!(first.iter().all(|&(_, len)| len == state.global.len()));
+            for mega in 1..4 {
+                state.run_mega_batch(mega);
+                assert_eq!(model_sized(&state), first, "sparse {sparse}, mega {mega}");
+            }
+            if !sparse {
                 assert_eq!(state.payload.capacity(), 0);
             }
+        }
+    }
+
+    /// Limits that would misbehave — a NaN time limit that never ends a
+    /// run, one that ends it before it starts, a zero mega-batch limit that
+    /// trains one anyway — are refused by name.
+    #[test]
+    fn limits_that_misbehave_are_refused_by_name() {
+        let spec = algorithms::adaptive_sgd();
+        let with = |time_limit, mega_batch_limit| RunConfig {
+            time_limit,
+            mega_batch_limit,
+            ..quick_config()
+        };
+        for (cfg, want) in [
+            (with(Some(f64::NAN), None), ConfigError::TimeLimitNaN),
+            (with(Some(f64::NAN), Some(2)), ConfigError::TimeLimitNaN),
+            (with(Some(0.0), None), ConfigError::TimeLimitNotPositive),
+            (with(Some(-1.0), Some(2)), ConfigError::TimeLimitNotPositive),
+            (
+                with(Some(f64::NEG_INFINITY), None),
+                ConfigError::TimeLimitNotPositive,
+            ),
+            (with(None, Some(0)), ConfigError::ZeroMegaBatchLimit),
+            (with(Some(1.0), Some(0)), ConfigError::ZeroMegaBatchLimit),
+            (with(Some(f64::INFINITY), None), ConfigError::NoLimit),
+        ] {
+            assert_eq!(cfg.validate(&spec, 2), Err(want), "{cfg:?}");
+        }
+        for (time_limit, mega_batch_limit) in [
+            (Some(1e-9), None),
+            (None, Some(1)),
+            (Some(f64::INFINITY), Some(3)),
+        ] {
+            assert_eq!(
+                with(time_limit, mega_batch_limit).validate(&spec, 2),
+                Ok(())
+            );
         }
     }
 

@@ -312,16 +312,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Whether the plan contains any event that permanently kills replicas
-    /// ([`FaultKind::DeviceLoss`] or [`FaultKind::ServerLoss`]) — the
-    /// trainer uses this to decide whether in-flight batch bookkeeping is
-    /// needed at all.
-    pub fn has_device_loss(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::DeviceLoss | FaultKind::ServerLoss))
-    }
-
     /// The first event naming a device (a server, for the server-level
     /// kinds) past `devices` (`servers`), as `(server_level, target, have)`.
     pub fn missing_target(&self, devices: usize, servers: usize) -> Option<(bool, usize, usize)> {
@@ -383,7 +373,6 @@ mod tests {
             .device_loss(1, 4, 2);
         let megas: Vec<usize> = plan.events().iter().map(|e| e.at_mega).collect();
         assert_eq!(megas, vec![0, 1, 3]);
-        assert!(plan.has_device_loss());
     }
 
     #[test]
@@ -509,14 +498,10 @@ mod tests {
         let plan = FaultPlan::new()
             .server_loss(2, 1, 1)
             .inter_node_stall(0, 3, 0, 0.25);
-        assert!(plan.has_device_loss(), "server loss implies replica loss");
         assert_eq!(
             plan.events()[0].kind,
             FaultKind::InterNodeStall { seconds: 0.25 }
         );
         assert_eq!(plan.events()[1].kind, FaultKind::ServerLoss);
-        assert!(!FaultPlan::new()
-            .inter_node_stall(0, 0, 0, 0.1)
-            .has_device_loss());
     }
 }

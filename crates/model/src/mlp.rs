@@ -1924,6 +1924,39 @@ mod tests {
     }
 
     #[test]
+    fn dense_steady_state_allocates_nothing() {
+        // The dense step under the same counter: once the workspace has
+        // grown, a warm step touches no heap. Every kernel's output row
+        // count (batch, hidden) stays below `MIN_PAR_ROWS`, so nothing enters
+        // the pool. At `hidden ≥ MIN_PAR_ROWS` (the sampled test's 24) one
+        // allocation per warm step remains, and it is the pool's: the
+        // `dW₂ = hᵀ·dlogits` GEMM has `hidden` output rows, so it forks, and
+        // each fork's `split_ranges` is a `Vec`. The sampled step dodges it
+        // because its `dW₂` rows are the candidates, not `hidden`.
+        let config = MlpConfig {
+            num_features: 70,
+            hidden: 12,
+            num_classes: 36,
+        };
+        let (x, labels) = wide_batch(&config, 12, 16);
+        assert!(x.rows().max(config.hidden) < asgd_tensor::parallel::MIN_PAR_ROWS);
+        let mut m = Mlp::init(&config, 17);
+        let mut ws = Workspace::new(&config);
+        for _ in 0..2 {
+            m.train_batch_ws(&x, &labels, 0.1, &mut ws);
+        }
+        let before = ALLOCATIONS.with(|n| n.get());
+        for _ in 0..3 {
+            m.train_batch_ws(&x, &labels, 0.1, &mut ws);
+        }
+        assert_eq!(
+            ALLOCATIONS.with(|n| n.get()),
+            before,
+            "a warm dense step allocated"
+        );
+    }
+
+    #[test]
     fn avx2_leaves_and_portable_paths_train_bit_identically() {
         // The whole numeric layer under one switch: a dense and a sampled
         // step (spmm, every GEMM layout, the gathered kernels, softmax, both

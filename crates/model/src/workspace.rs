@@ -9,8 +9,8 @@
 //! seen (bounded by the scheduler's `b_max`) and then never touch the
 //! allocator again.
 //!
-//! One workspace belongs to one replica loop (e.g. one GPU-manager thread
-//! owns one). Workspaces are plain owned data — to train two replicas
+//! One workspace belongs to one replica loop (e.g. each of a trainer's
+//! replicas owns one). Workspaces are plain owned data — to train two replicas
 //! concurrently, give each its own. Inference shares the same buffers:
 //! [`crate::Mlp::predict_topk_ws`] reuses `h`/`probs` for the forward pass
 //! and `order` for per-row top-k selection, so a serving replica's steady

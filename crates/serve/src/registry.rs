@@ -22,7 +22,7 @@
 //!
 //! Everything here is deterministic: FNV-1a content hashes, insertion-order
 //! version ids, and byte-compare collision handling (a hash collision can
-//! never alias two different layers).
+//! never alias two different layers, nor two versions' serving models).
 
 use asgd_model::{Mlp, MlpConfig};
 use asgd_tensor::{bf16, Precision};
@@ -102,7 +102,10 @@ pub struct ModelVersion {
     pub layers: [Arc<LayerBuf>; 4],
     /// Full-content signature (FNV fold of the four layer hashes): equal
     /// signatures ⇒ byte-identical stored content. Keys materialized-model
-    /// sharing and prefixes the prediction-cache key.
+    /// sharing and prefixes the prediction-cache key. A version whose fold
+    /// collides with different content in the same registry gets a fresh
+    /// signature instead (the next free step of a fixed probe sequence), so
+    /// the implication holds for every pair of versions.
     pub sig: u64,
     /// The model served for this version, widened exactly from the stored
     /// tier. Shared (same `Arc`) by every version with the same `sig`.
@@ -142,8 +145,8 @@ pub struct ModelRegistry {
     /// hash → candidate buffers with that hash (byte-compared on insert, so
     /// a collision can never alias two different layers).
     store: HashMap<u64, Vec<Arc<LayerBuf>>>,
-    /// content signature → shared materialized model.
-    materialized: HashMap<u64, Arc<Mlp>>,
+    /// content signature → the version that materialized its model.
+    materialized: HashMap<u64, VersionId>,
     versions: Vec<ModelVersion>,
     bytes_logical: usize,
 }
@@ -208,21 +211,37 @@ impl ModelRegistry {
             layers.push(shared);
         }
         let layers: [Arc<LayerBuf>; 4] = layers.try_into().expect("exactly four layers");
-        let model = match self.materialized.get(&sig) {
-            Some(m) => m.clone(),
-            None => {
-                let mut widened = Vec::with_capacity(self.config.param_len());
-                for l in &layers {
-                    l.widen_into(&mut widened);
-                }
-                let mut m = Mlp::zeros(&self.config);
-                m.load_flat(&widened);
-                let m = Arc::new(m);
-                self.materialized.insert(sig, m.clone());
-                m
-            }
-        };
         let id = VersionId(self.versions.len());
+        // The layer hashes only narrow the search: a materialized model is
+        // shared when all four layers are the same stored allocations (the
+        // byte compare above decided that). Different content under a taken
+        // signature probes on to a free one; a byte-identical version
+        // registered later follows the same probes to it.
+        let shared = loop {
+            let Some(&owner) = self.materialized.get(&sig) else {
+                break None;
+            };
+            let owner = &self.versions[owner.0];
+            if owner
+                .layers
+                .iter()
+                .zip(&layers)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+            {
+                break Some(owner.model.clone());
+            }
+            sig = (sig ^ 0x5153_C011_1DED_5EED).wrapping_mul(0x0000_0100_0000_01b3);
+        };
+        let model = shared.unwrap_or_else(|| {
+            let mut widened = Vec::with_capacity(self.config.param_len());
+            for l in &layers {
+                l.widen_into(&mut widened);
+            }
+            let mut m = Mlp::zeros(&self.config);
+            m.load_flat(&widened);
+            self.materialized.insert(sig, id);
+            Arc::new(m)
+        });
         self.versions.push(ModelVersion {
             name: name.into(),
             precision,
@@ -405,6 +424,34 @@ mod tests {
         assert!(Arc::ptr_eq(reg.model(a), reg.model(b)));
         assert_eq!(reg.dedup_stats().layers_unique, 4);
         assert_eq!(reg.distinct_models(), 1);
+    }
+
+    /// A signature collision never shares a model. Planted here: a different
+    /// model already materialized under the signature the next version
+    /// folds to. That version gets a fresh signature (so no prediction-cache
+    /// key either) and a model of its own weights, and a byte-identical
+    /// version registered after it finds its signature and its model.
+    #[test]
+    fn a_signature_collision_never_shares_a_model() {
+        let base = Mlp::init(&config(), 7);
+        let other = Mlp::init(&config(), 8);
+        let mut scratch = ModelRegistry::new(config());
+        let probe = scratch.register("probe", &other, Precision::F32);
+        let folded = scratch.version(probe).sig;
+
+        let mut reg = ModelRegistry::new(config());
+        let a = reg.register("base", &base, Precision::F32);
+        reg.materialized.insert(folded, a);
+        let b = reg.register("other", &other, Precision::F32);
+        let sig = reg.version(b).sig;
+        assert_ne!(sig, folded);
+        assert_ne!(sig, reg.version(a).sig);
+        assert!(!Arc::ptr_eq(reg.model(a), reg.model(b)));
+        assert_eq!(**reg.model(b), other);
+
+        let c = reg.register("other-pinned", &other, Precision::F32);
+        assert_eq!(reg.version(c).sig, sig);
+        assert!(Arc::ptr_eq(reg.model(b), reg.model(c)));
     }
 
     #[test]

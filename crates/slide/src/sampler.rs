@@ -22,7 +22,7 @@
 //! * The index is rebuilt only at model-sync points (run start,
 //!   redistribute, blend target) from bytes that are identical on every
 //!   replica — so one build serves them all: the trainer hashes once and
-//!   every manager [adopts](CandidateSampler::set_index) the same
+//!   every replica [adopts](CandidateSampler::set_index) the same
 //!   `Arc<LshIndex>`, and a batch re-dispatched after a device loss
 //!   reproduces its candidate set exactly.
 //! * All randomness comes from the caller-supplied `sample_seed` through a
@@ -75,7 +75,7 @@ impl CandidateSampler {
     }
 
     /// Builds a sampler over an index someone else builds and shares — the
-    /// trainer's scheduler hashes once per model sync and every manager
+    /// trainer's scheduler hashes once per model sync and every replica
     /// selects from the same tables.
     pub fn with_index(lsh: Arc<LshIndex>, neg_samples: usize) -> Self {
         CandidateSampler {

@@ -92,9 +92,8 @@ impl std::str::FromStr for Precision {
 
 /// A flat model/merge buffer in one of the two storage precisions.
 ///
-/// `Default` is an empty f32 vector so `std::mem::take` keeps working for
-/// the arena's lend/restore protocol; an empty buffer adopts the writer's
-/// precision on first fill.
+/// `Default` is an empty f32 vector so `std::mem::take` works on it; an
+/// empty buffer adopts the writer's precision on first fill.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlatVec {
     /// f32 storage.

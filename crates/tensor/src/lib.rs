@@ -11,7 +11,7 @@
 //! process-wide persistent worker pool — workers are spawned once and parked
 //! between jobs, so a kernel's fork/join is two short critical sections and
 //! a wake-up per helper, not a round of thread spawns. Any number of threads
-//! may call in at once (one GPU manager per device does): each gets its fair
+//! may call in at once (a trainer's replicas do): each gets its fair
 //! share of the pool — all of it when alone, one inline chunk when as many
 //! callers as threads are mid-kernel — and none waits for another's job.
 //! Results never depend on the share. The thread count is resolved once from

@@ -8,8 +8,8 @@
 //! Design:
 //!
 //! - **Many jobs at a time.** Any number of threads may be inside
-//!   [`Region::run`] at once (one GPU manager per device, the scheduler's
-//!   eval, a serving loop). A submitter lists its job and starts on its own
+//!   [`Region::run`] at once (one replica thread per device during a
+//!   training phase, the scheduler's eval, a serving loop). A submitter lists its job and starts on its own
 //!   tasks immediately; it never waits for another submitter's job. Parked
 //!   workers take tasks from *any* listed job that still has unclaimed ones,
 //!   and look for another before parking again. The state mutex is held
@@ -19,7 +19,7 @@
 //!   inside a parallel region ([`Pool::enter`] … drop of the [`Region`]).
 //!   A region is offered [`lanes`]`(threads, busy)` = `max(1, threads /
 //!   busy)` ways of parallelism: alone on the pool that is the full thread
-//!   count, with every manager mid-step it is 1 and the kernel runs inline
+//!   count, with every replica mid-step it is 1 and the kernel runs inline
 //!   on its caller as one chunk — no fork, no join, no futex. The count is
 //!   a relaxed statistic: a stale read changes how a kernel is partitioned,
 //!   which by the contract below cannot change what it computes.

@@ -9,7 +9,9 @@
 //! ```
 //!
 //! Argument parsing is deliberately dependency-free: `--flag value` pairs
-//! plus boolean `--flag`s, with `--help` everywhere.
+//! plus boolean `--flag`s, with `--help` everywhere. Each command names the
+//! flags it reads; any other flag, or one given twice, is a usage error
+//! (exit 2) rather than a setting silently ignored.
 
 use adaptive_sgd::core::slide::{SlideConfig, SlideTrainer};
 use adaptive_sgd::core::{
@@ -27,13 +29,57 @@ use std::collections::HashMap;
 use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
+type Run = fn(&Flags) -> Result<(), String>;
+
+/// Every command, the flags it reads (`help` is accepted everywhere) and
+/// what runs it.
+const COMMANDS: &[(&str, &[&str], Run)] = &[
+    (
+        "generate",
+        &["dataset", "scale", "seed", "out"],
+        cmd_generate,
+    ),
+    ("stats", &["train", "test"], cmd_stats),
+    (
+        "train",
+        &[
+            "algo",
+            "dataset",
+            "train",
+            "test",
+            "scale",
+            "gpus",
+            "megas",
+            "bmax",
+            "lr",
+            "batches-per-mega",
+            "hidden",
+            "seed",
+            "trace",
+            "csv",
+        ],
+        cmd_train,
+    ),
+    (
+        "simulate",
+        &[
+            "gpus", "batch", "scale", "reps", "seed", "dataset", "hidden",
+        ],
+        cmd_simulate,
+    ),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some((command, rest)) = args.split_first() else {
         print_usage();
         return ExitCode::from(2);
     };
-    let flags = match Flags::parse(rest) {
+    let Some(&(_, known, run)) = COMMANDS.iter().find(|(name, ..)| name == command) else {
+        eprintln!("error: unknown command '{command}'");
+        return ExitCode::from(1);
+    };
+    let flags = match Flags::parse(command, known, rest) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}");
@@ -44,14 +90,7 @@ fn main() -> ExitCode {
         print_usage();
         return ExitCode::SUCCESS;
     }
-    let result = match command.as_str() {
-        "generate" => cmd_generate(&flags),
-        "stats" => cmd_stats(&flags),
-        "train" => cmd_train(&flags),
-        "simulate" => cmd_simulate(&flags),
-        other => Err(format!("unknown command '{other}'")),
-    };
-    match result {
+    match run(&flags) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -104,7 +143,8 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, String> {
+    /// Parses `args` for `command`, which reads the flags named in `known`.
+    fn parse(command: &str, known: &[&str], args: &[String]) -> Result<Self, String> {
         const SWITCHES: &[&str] = &["trace", "help"];
         let mut values = HashMap::new();
         let mut switches = Vec::new();
@@ -114,6 +154,12 @@ impl Flags {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected argument '{arg}'"));
             };
+            if name != "help" && !known.contains(&name) {
+                return Err(format!("'{command}' has no flag --{name}"));
+            }
+            if values.contains_key(name) || switches.iter().any(|s| s == name) {
+                return Err(format!("--{name} given twice"));
+            }
             if SWITCHES.contains(&name) {
                 switches.push(name.to_string());
                 i += 1;
@@ -142,6 +188,14 @@ impl Flags {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{name}: cannot parse '{v}'")),
+        }
+    }
+
+    /// `--gpus`: the simulated device count, at least one.
+    fn gpus(&self) -> Result<usize, String> {
+        match self.parsed("gpus", 4usize)? {
+            0 => Err("--gpus must be at least 1".into()),
+            n => Ok(n),
         }
     }
 }
@@ -229,8 +283,8 @@ fn algo_by_name(name: &str) -> Result<TrainerSpec, String> {
 }
 
 fn cmd_train(flags: &Flags) -> Result<(), String> {
+    let gpus = flags.gpus()?;
     let ds = load_or_generate(flags)?;
-    let gpus: usize = flags.parsed("gpus", 4usize)?;
     let megas: usize = flags.parsed("megas", 14usize)?;
     let b_max: usize = flags.parsed("bmax", 192usize)?;
     let batches: usize = flags.parsed("batches-per-mega", 20usize)?;
@@ -258,6 +312,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
         config.overhead_scale = scale;
         config.precision = asgd_tensor::Precision::from_env_or(config.precision);
         config.trace = flags.bool("trace");
+        config.validate(&spec, gpus).map_err(|e| e.to_string())?;
         Trainer::new(spec, heterogeneous_server(gpus), config).run(&ds)
     };
 
@@ -299,7 +354,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_simulate(flags: &Flags) -> Result<(), String> {
-    let gpus: usize = flags.parsed("gpus", 4usize)?;
+    let gpus = flags.gpus()?;
     let batch: usize = flags.parsed("batch", 256usize)?;
     let reps: usize = flags.parsed("reps", 200usize)?;
     let scale: f64 = flags.parsed("scale", 0.004f64)?;

@@ -94,10 +94,9 @@ fn resume_is_deterministic_through_recycled_arena_merges() {
     assert_eq!(bits(&a.final_model), bits(&b.final_model));
     for (ra, rb) in a.records.iter().zip(&b.records) {
         assert_eq!(ra.accuracy.to_bits(), rb.accuracy.to_bits());
-        // mean_loss is accumulated in manager-reply *arrival* order, which
-        // thread scheduling may permute by a ULP; it never feeds back into
-        // the models, so a tolerance (not bit) comparison is correct here.
-        assert!((ra.mean_loss - rb.mean_loss).abs() <= 1e-9 * ra.mean_loss.abs());
+        // Each replica's losses are summed in its training order and the
+        // per-device sums in device order, so the mean repeats bit for bit.
+        assert_eq!(ra.mean_loss.to_bits(), rb.mean_loss.to_bits());
     }
 }
 
@@ -147,7 +146,7 @@ fn resume_with_wrong_architecture_is_an_error() {
 #[test]
 fn resume_with_short_momentum_memory_is_an_error() {
     // A hand-built state: the model fits, its momentum memory does not. This
-    // used to reach the first merge — managers spawned — before an
+    // used to reach the first merge — replicas built — before an
     // `assert_eq!` deep in the fused pass noticed.
     let (trainer, ds, mut state) = trained_pair("resume6", 16);
     let want = state.global.len();

@@ -171,3 +171,55 @@ fn missing_flag_value_is_reported() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
 }
+
+/// Runs `asgd args…` and returns its exit code and stderr.
+fn run(args: &[&str]) -> (Option<i32>, String) {
+    let out = asgd().args(args).output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// A misspelled flag, a flag another command reads, and a flag given twice
+/// are usage errors naming the flag — not settings silently ignored (a
+/// `--megs 1` typo used to train the default 14 mega-batches).
+#[test]
+fn unknown_and_repeated_flags_are_usage_errors() {
+    for (args, names) in [
+        (&["train", "--dataset", "tiny", "--megs", "1"][..], "--megs"),
+        (&["simulate", "--algo", "adaptive"][..], "--algo"),
+        (&["stats", "--trace"][..], "--trace"),
+        (&["generate", "--seed", "1", "--seed", "2"][..], "--seed"),
+        (
+            &[
+                "train",
+                "--dataset",
+                "tiny",
+                "--trace",
+                "--megas",
+                "1",
+                "--trace",
+            ][..],
+            "--trace",
+        ),
+    ] {
+        let (code, stderr) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+        assert!(stderr.contains(names), "{args:?}: {stderr}");
+    }
+}
+
+/// No devices to train or simulate on is an error, not a panic.
+#[test]
+fn zero_gpus_is_an_error() {
+    for command in ["train", "simulate"] {
+        let (code, stderr) = run(&[command, "--dataset", "tiny", "--gpus", "0"]);
+        assert_eq!(code, Some(1), "{command}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains("--gpus"),
+            "{command}: {stderr}"
+        );
+    }
+}

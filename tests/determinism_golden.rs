@@ -118,11 +118,11 @@ fn cluster_golden_run_is_thread_invariant() {
 
 #[test]
 fn run_is_thread_invariant_with_fewer_as_many_and_more_managers_than_threads() {
-    // The managers share one kernel pool and split it by how many of them
-    // are mid-kernel at that instant — a race by design. Whatever it hands
-    // each of them (every lane, a share, one inline chunk), and however
-    // 1, 2, 4 or 6 managers compare to 1, 2 or 8 pool threads, the run is
-    // the same run.
+    // The replica threads of a training phase share one kernel pool and
+    // split it by how many of them are mid-kernel at that instant — a race
+    // by design. Whatever it hands each of them (every lane, a share, one
+    // inline chunk), and however 1, 2, 4 or 6 replicas compare to 1, 2 or 8
+    // pool threads, the run is the same run.
     for managers in [1usize, 2, 4, 6] {
         let run = |threads: usize| {
             adaptive_sgd::tensor::parallel::override_threads(threads);
