@@ -77,6 +77,16 @@ if [[ "${1:-}" != "quick" ]]; then
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor --lib -- pool:: parallel::
     done
 
+    echo "== AVX2 leaves vs portable twins: release, 1 and 8 threads =="
+    # The three in-process differentials (every leaf against its portable
+    # twin, bit for bit) in the profile where an FMA landing outside a
+    # #[target_feature] leaf was once split by ThinLTO, with the pool off
+    # and with more lanes than cores.
+    for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor -p asgd-sparse -p asgd-model \
+            --lib -- avx2_leaves_and_portable_
+    done
+
     echo "== serving forward on the pool: 1 and 8 threads =="
     # run_session scores 256-row blocks on the calling thread and the pool
     # splits them; every prediction, checksum and conservation check of

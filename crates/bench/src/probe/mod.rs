@@ -179,6 +179,22 @@ mod tests {
         }
     }
 
+    /// The kernel probe with every AVX2 leaf switched off renders the
+    /// checked-in golden byte for byte: the portable twins are held to the
+    /// same report as the leaves ci.sh's `kernel` rows run, in-process.
+    #[test]
+    fn kernel_probe_on_the_portable_path_matches_the_golden() {
+        asgd_tensor::kernels::force_portable(true);
+        let out = std::panic::catch_unwind(|| run("kernel", &Env::smoke(), Knobs(&|_| None)));
+        asgd_tensor::kernels::force_portable(false);
+        let (name, report) = out.expect("kernel probe panicked").unwrap();
+        assert_eq!(name, "kernel_probe.txt");
+        assert!(
+            report == include_str!("../../../../results/kernel_probe.txt"),
+            "the portable path's kernel report differs from results/kernel_probe.txt"
+        );
+    }
+
     /// A typo'd knob aborts at declaration, naming the variable and the text.
     #[test]
     fn unparsable_scenario_knobs_abort_before_any_work() {

@@ -11,6 +11,7 @@
 use crate::gradients::Gradients;
 use crate::workspace::Workspace;
 use asgd_sparse::{ops as sops, CsrMatrix};
+use asgd_tensor::kernels::sum_sq_lanes;
 use asgd_tensor::{bf16, init, numerics, ops, FlatVec, Matrix, Precision};
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -302,12 +303,14 @@ impl Mlp {
     }
 
     /// L2 norm of all parameters divided by the parameter count — the
-    /// regularization measure gating Algorithm 2's weight perturbation.
+    /// regularization measure gating Algorithm 2's weight perturbation. Each
+    /// block's squares are summed in independent `f64` lanes with a fixed
+    /// combine order ([`asgd_tensor::kernels::sum_sq_lanes`]), not one add
+    /// chain: the gather pays this once per replica per merge, over every
+    /// parameter.
     pub fn l2_norm_per_param(&self) -> f64 {
-        let sq = self.w1.norm_sq()
-            + self.b1.iter().map(|&x| (x as f64).powi(2)).sum::<f64>()
-            + self.w2.norm_sq()
-            + self.b2.iter().map(|&x| (x as f64).powi(2)).sum::<f64>();
+        let sq =
+            self.w1.norm_sq() + sum_sq_lanes(&self.b1) + self.w2.norm_sq() + sum_sq_lanes(&self.b2);
         sq.sqrt() / self.param_len() as f64
     }
 
@@ -1232,6 +1235,30 @@ mod tests {
     }
 
     #[test]
+    fn l2_norm_per_param_lanes_agree_with_the_serial_chain() {
+        // The lane sum against the one add chain it replaced, on random
+        // models (a trained step included, so the blocks are not all init
+        // draws), to 1e-12 relative.
+        for (seed, hidden, classes) in [(3u64, 8usize, 9usize), (5, 24, 36), (9, 64, 301)] {
+            let config = MlpConfig {
+                num_features: 70,
+                hidden,
+                num_classes: classes,
+            };
+            let mut m = Mlp::init(&config, seed);
+            let (x, labels) = wide_batch(&config, 12, seed);
+            m.train_batch(&x, &labels, 0.3);
+            let serial: f64 = m.to_flat().iter().map(|&x| (x as f64) * (x as f64)).sum();
+            let serial = serial.sqrt() / m.param_len() as f64;
+            let lanes = m.l2_norm_per_param();
+            assert!(
+                (lanes - serial).abs() <= 1e-12 * serial,
+                "{lanes} vs {serial}"
+            );
+        }
+    }
+
+    #[test]
     fn identical_seeds_identical_models() {
         let a = Mlp::init(&tiny_config(), 77);
         let b = Mlp::init(&tiny_config(), 77);
@@ -1953,6 +1980,49 @@ mod tests {
             ALLOCATIONS.with(|n| n.get()),
             before,
             "a warm dense step allocated"
+        );
+    }
+
+    #[test]
+    fn warm_serving_block_allocates_only_the_pool_forks() {
+        // A serving block as `run_session` scores it: 256 pool rows selected
+        // into a reused CSR matrix, then `predict_topk_ws` through the packed
+        // top-k. Warm, with the pool off it touches no heap. With the pool on
+        // exactly three allocations remain, all partitions of a fork:
+        // `spmm_bias_relu`'s tile grid (its nnz-balanced row ranges and its
+        // column blocks, a `Vec` each) and `gemm_bias_topk`'s `split_ranges`
+        // `Vec`. Threads are forced (other tests here leave them alone), so
+        // the count holds at any `ASGD_THREADS`.
+        let config = MlpConfig {
+            num_features: 300,
+            hidden: 8,
+            num_classes: 700,
+        };
+        let (pool, _) = wide_batch(&config, 512, 41);
+        let ids: Vec<usize> = (0..256).map(|i| i * 7 % 512).collect();
+        let m = Mlp::init(&config, 43);
+        let mut ws = Workspace::new(&config);
+        let mut x = CsrMatrix::zeros(0, config.num_features);
+        let mut top = Vec::new();
+        let mut warm_block = |threads: usize| {
+            asgd_tensor::parallel::override_threads(threads);
+            let mut score = || {
+                pool.select_rows_into(&ids, &mut x);
+                m.predict_topk_ws(&x, 5, &mut ws, &mut top)
+            };
+            score();
+            score();
+            let before = ALLOCATIONS.with(|n| n.get());
+            score();
+            let allocated = ALLOCATIONS.with(|n| n.get()) - before;
+            asgd_tensor::parallel::override_threads(0);
+            allocated
+        };
+        assert_eq!(warm_block(1), 0, "a warm block allocated with the pool off");
+        assert_eq!(
+            warm_block(2),
+            3,
+            "a warm block allocated beyond its fork partitions"
         );
     }
 

@@ -549,12 +549,17 @@ pub(crate) fn run_session(
     let mut pending: Vec<Vec<usize>> = vec![Vec::new(); n_queues];
     let mut ws = Workspace::new(arch);
     let mut top: Vec<u32> = Vec::new();
+    // A block's pool rows and their CSR copy, reused from block to block.
+    let mut rows: Vec<usize> = Vec::new();
+    let mut x = CsrMatrix::zeros(0, pool.cols());
     let mut score = |model: &Mlp, block: &mut Vec<usize>| {
         if block.is_empty() {
             return;
         }
-        let rows: Vec<usize> = block.iter().map(|&q| requests[q].pool_row).collect();
-        let got = model.predict_topk_ws(&pool.select_rows(&rows), k_eff, &mut ws, &mut top);
+        rows.clear();
+        rows.extend(block.iter().map(|&q| requests[q].pool_row));
+        pool.select_rows_into(&rows, &mut x);
+        let got = model.predict_topk_ws(&x, k_eff, &mut ws, &mut top);
         debug_assert_eq!(got, k_eff);
         for (q, row) in block.drain(..).zip(top.chunks_exact(k_eff)) {
             predictions[requests[q].id as usize * k_eff..][..k_eff].copy_from_slice(row);

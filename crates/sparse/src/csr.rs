@@ -210,24 +210,45 @@ impl CsrMatrix {
     /// batch-construction primitive. Duplicate row ids are allowed (sampling
     /// with replacement).
     pub fn select_rows(&self, row_ids: &[usize]) -> CsrMatrix {
-        let nnz: usize = row_ids.iter().map(|&r| self.row_nnz(r)).sum();
-        let mut indptr = Vec::with_capacity(row_ids.len() + 1);
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        indptr.push(0);
-        for &r in row_ids {
-            assert!(r < self.rows, "row id {r} out of bounds");
-            let (idx, val) = self.row(r);
-            indices.extend_from_slice(idx);
-            values.extend_from_slice(val);
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            rows: row_ids.len(),
+        let mut out = CsrMatrix {
+            rows: 0,
             cols: self.cols,
-            indptr,
-            indices,
-            values,
+            indptr: Vec::new(),
+            indices: Vec::new(),
+            values: Vec::new(),
+        };
+        self.select_rows_into(row_ids, &mut out);
+        out
+    }
+
+    /// [`CsrMatrix::select_rows`] into `out`, whose previous contents are
+    /// replaced and whose allocations are reused: once they have grown to a
+    /// selection's size, selecting as many non-zeros again touches no heap.
+    ///
+    /// # Panics
+    /// Panics when a row id is out of bounds.
+    pub fn select_rows_into(&self, row_ids: &[usize], out: &mut CsrMatrix) {
+        let nnz: usize = row_ids
+            .iter()
+            .map(|&r| {
+                assert!(r < self.rows, "row id {r} out of bounds");
+                self.row_nnz(r)
+            })
+            .sum();
+        out.rows = row_ids.len();
+        out.cols = self.cols;
+        out.indptr.clear();
+        out.indices.clear();
+        out.values.clear();
+        out.indptr.reserve(row_ids.len() + 1);
+        out.indices.reserve(nnz);
+        out.values.reserve(nnz);
+        out.indptr.push(0);
+        for &r in row_ids {
+            let (idx, val) = self.row(r);
+            out.indices.extend_from_slice(idx);
+            out.values.extend_from_slice(val);
+            out.indptr.push(out.indices.len());
         }
     }
 
@@ -317,6 +338,21 @@ mod tests {
         assert_eq!(b.row(0), m.row(2));
         assert_eq!(b.row(1), m.row(0));
         assert_eq!(b.row(2), m.row(2));
+    }
+
+    #[test]
+    fn select_rows_into_replaces_and_reuses() {
+        let m = sample();
+        let mut out = m.select_rows(&[0, 1, 2, 0]);
+        let (indices, values) = (out.indices().as_ptr(), out.values().as_ptr());
+        m.select_rows_into(&[2, 0], &mut out);
+        assert_eq!(out, m.select_rows(&[2, 0]));
+        assert_eq!(
+            (out.indices().as_ptr(), out.values().as_ptr()),
+            (indices, values)
+        );
+        m.select_rows_into(&[], &mut out);
+        assert_eq!(out, m.select_rows(&[]));
     }
 
     #[test]

@@ -8,13 +8,19 @@
 //! # One tile family
 //!
 //! The row-streaming products — `gemm`, `gemm_bias{,_relu}`, `gemm_tn`,
-//! `gemm_nn_gather`, the packed top-k — share one family of four functions,
-//! `tile` / `tail` / `rows_panel` / `chunk_panel`, generic over *how
+//! `gemm_nn_gather`, the packed top-k — share one family of functions,
+//! `tile` / `tail` / `rows_panel` / `group_panel`, generic over *how
 //! an `M`-row group fetches its `M` scalars of `A` for reduction step `kk`*
 //! (`AGroup::step`): rows of a row-major `A` (`Rows`) or columns of a
 //! `k×m` `A` (`Cols`, `gemm_tn`). Nothing else differs between `A·B` and
 //! `Aᵀ·B`, so nothing else is written twice. The accessor is a monomorphized
 //! trait, resolved at compile time.
+//!
+//! What a finished tile becomes is the family's one other parameter, a
+//! `Finish`: **Store** writes `C` through the epilogue (every GEMM,
+//! `chunk_panel`), **Select** offers the logits `s + bias[j]` to per-row
+//! top-k lists (`topk_rows_packed`). Both finish the same tile loop; on
+//! AVX2 hosts both finish it in registers (`store_avx2`, `select_avx2`).
 //!
 //! # One ISA dispatch, and the FMA-spelling rule
 //!
@@ -291,6 +297,28 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     lane_tree(acc)
 }
 
+/// `Σ x²` over `xs`, widened to `f64`, in `LANES` independent partial sums
+/// — element `t` into lane `t % LANES`, the tail into lanes
+/// `0..len % LANES` — folded in [`lane_tree`]'s fixed order. A pure
+/// function of `xs`, like every reduction here; it differs from the serial
+/// chain only in association (relative error far below `1e-12` for the
+/// model sizes this workspace trains), and runs `LANES` adds in flight
+/// instead of one.
+pub fn sum_sq_lanes(xs: &[f32]) -> f64 {
+    let mut acc = [0.0f64; LANES];
+    let mut chunks = xs.chunks_exact(LANES);
+    for c in chunks.by_ref() {
+        for l in 0..LANES {
+            let x = f64::from(c[l]);
+            acc[l] += x * x;
+        }
+    }
+    for (l, &x) in chunks.remainder().iter().enumerate() {
+        acc[l] += f64::from(x) * f64::from(x);
+    }
+    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
+}
+
 /// `dst[l] += s * src[l]`, unrolled in `LANES`-wide blocks. Element-wise
 /// (one multiply + one add per element, independent across elements), so it
 /// is bit-identical to the scalar loop it replaces.
@@ -316,7 +344,7 @@ pub fn axpy_lanes(s: f32, src: &[f32], dst: &mut [f32]) {
 /// accumulator block (`MR` rows × two 8-lane vectors) fits the 16 SIMD
 /// registers of AVX2 with room for the `B` loads and the `A` broadcast, so
 /// the k-loop runs with **zero** accumulator memory traffic.
-const NR: usize = 16;
+pub(crate) const NR: usize = 16;
 
 /// Set by [`force_portable`]: [`avx2_fma_available`] answers "no".
 static PORTABLE_ONLY: AtomicBool = AtomicBool::new(false);
@@ -383,7 +411,7 @@ pub fn fused(a: f32, b: f32, acc: f32) -> f32 {
 /// How an `M`-row group of output reads its `A` operand: `step(kk)[r]` is
 /// the scalar that multiplies panel row `kk` into output row `r`. This is
 /// the only thing `A·B` and `Aᵀ·B` differ in, so the register-tile family
-/// below ([`tile`], [`tail`], [`rows_panel`], [`chunk_panel`]) is written
+/// below ([`tile`], [`tail`], [`rows_panel`], [`group_panel`]) is written
 /// once over it. The two implementations are monomorphized into the tile
 /// loops: the layout is resolved at compile time, never by a stride read
 /// and multiplied per element (which measured 5–14 % slower, EXPERIMENTS.md).
@@ -428,7 +456,7 @@ impl<const M: usize> AGroup<M> for Cols<'_> {
 }
 
 /// The whole `A` operand of a row-streaming product: hands
-/// [`chunk_panel`] the [`AGroup`] of each row group it cuts.
+/// [`group_panel`] the [`AGroup`] of each row group it is given.
 pub(crate) trait AOperand: Copy {
     /// The accessor of output rows `first..first + M`.
     fn group<const M: usize>(self, first: usize) -> impl AGroup<M>;
@@ -468,9 +496,31 @@ impl AOperand for TransposedA<'_> {
     }
 }
 
+/// What a register block does with its finished sums — the one thing the
+/// GEMM products and the packed top-k differ in once the reduction is done.
+/// Column `l` of the block is output column (class) `col + l` in both.
+enum Finish<'a> {
+    /// Writes `C` through the epilogue: `out` holds the group's rows at
+    /// stride `n`.
+    Store {
+        out: &'a mut [f32],
+        n: usize,
+        ep: Epilogue<'a>,
+    },
+    /// Offers each row's logits `s + bias[j]` — [`Epilogue::Bias`], as the
+    /// materializing `gemm_bias` writes them — to that row's [`TopList`]
+    /// (`lists[r]` for row `r`), in ascending column order. Writes nothing.
+    Select {
+        bias: &'a [f32],
+        lists: &'a mut [TopList],
+    },
+}
+
 /// Writes a finished accumulator block through the epilogue, once per
 /// element: `out[r][col0 + l] = ep(acc[r][l])` for `l < cols`. `out` holds
-/// the group's `M` output rows at stride `n`.
+/// the group's `M` output rows at stride `n`. The store half of [`finish`]:
+/// the portable tile's and every `w % NR` tail's. The AVX2 tile applies the
+/// same per-element operations as vector instructions ([`store_avx2`]).
 #[inline(always)]
 fn store_tile<const M: usize>(
     acc: &[[f32; NR]; M],
@@ -488,28 +538,48 @@ fn store_tile<const M: usize>(
     }
 }
 
+/// The scalar finisher of a register block, element by element: `acc[r][l]`
+/// for `l < cols` is the finished sum of row `r`, column `col + l`. Used by
+/// the portable tile and by every `w % NR` tail; the AVX2 tile finishes in
+/// registers instead ([`tile_avx2`]), with the same per-element operations.
+#[inline(always)]
+fn finish<const M: usize>(acc: &[[f32; NR]; M], cols: usize, col: usize, fin: &mut Finish) {
+    match fin {
+        Finish::Store { out, n, ep } => store_tile(acc, cols, *n, col, out, *ep),
+        Finish::Select { bias, lists } => {
+            let ep = Epilogue::Bias(bias);
+            for (accr, list) in acc.iter().zip(lists.iter_mut()) {
+                let mut logits = [0.0f32; NR];
+                for (l, v) in logits[..cols].iter_mut().enumerate() {
+                    *v = ep.apply(col + l, accr[l], 0.0);
+                }
+                list.offer_run(&logits[..cols], col as u32);
+            }
+        }
+    }
+}
+
 /// One `M × NR` register tile over a *packed* `B` panel
 /// (`bp[kk * w + l] = B[kk][j0 + l]`): `acc[r][l] += a.step(kk)[r] ·
-/// bp[kk][jt + l]`, `kk` ascending (rule 1 of the contract), epilogue
-/// applied from the finished accumulators. On AVX2 hosts the reduction runs
-/// in the intrinsics clone ([`tile_avx2`]); both paths perform the
-/// identical per-element IEEE-754 operation sequence.
+/// bp[kk][jt + l]`, `kk` ascending (rule 1 of the contract), then `fin`
+/// applied to the finished accumulators (tile column `l` is output column
+/// `col + l`). On AVX2 hosts the whole tile, finisher included, runs in the
+/// intrinsics clone ([`tile_avx2`]); both paths perform the identical
+/// per-element IEEE-754 operation sequence.
 #[inline(always)]
 fn tile<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    n: usize,
-    j0: usize,
     jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    col: usize,
+    fin: &mut Finish,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified; `rows_panel` only
         // calls with `jt + NR <= w` and `bp` whole `w`-float panel rows.
-        unsafe { tile_avx2(a, bp, w, n, j0, jt, out, ep) };
+        unsafe { tile_avx2(a, bp, w, jt, col, fin) };
         return;
     }
     let mut acc = [[0.0f32; NR]; M];
@@ -521,7 +591,7 @@ fn tile<const M: usize, A: AGroup<M>>(
             }
         }
     }
-    store_tile(&acc, NR, n, j0 + jt, out, ep);
+    finish(&acc, NR, col, fin);
 }
 
 /// AVX2+FMA intrinsics body of [`tile`] — different code from the portable
@@ -534,6 +604,13 @@ fn tile<const M: usize, A: AGroup<M>>(
 /// — the same correctly-rounded fused operation [`fused`] performs in the
 /// portable body, so both paths produce identical bits.
 ///
+/// The finished accumulators never leave the registers through a scalar
+/// loop: [`store_avx2`] applies the epilogue as vector operations and
+/// writes `C` with vector stores, [`select_avx2`] adds the bias and drops
+/// every row none of whose 16 lanes can enter its [`TopList`] on one vector
+/// compare. Past the first few tiles of a wide logit row almost every row
+/// is dropped there.
+///
 /// # Safety
 /// Caller must have verified AVX2+FMA support and `jt + NR <= w` with `bp`
 /// a whole number of `w`-float panel rows.
@@ -544,11 +621,9 @@ unsafe fn tile_avx2<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    n: usize,
-    j0: usize,
     jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    col: usize,
+    fin: &mut Finish,
 ) {
     use std::arch::x86_64::*;
     let mut acc0 = [_mm256_setzero_ps(); M];
@@ -563,35 +638,153 @@ unsafe fn tile_avx2<const M: usize, A: AGroup<M>>(
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
     }
-    for r in 0..M {
-        let mut row = [[0.0f32; NR]];
-        _mm256_storeu_ps(row[0].as_mut_ptr(), acc0[r]);
-        _mm256_storeu_ps(row[0].as_mut_ptr().add(LANES), acc1[r]);
-        store_tile(&row, NR, n, j0 + jt, &mut out[r * n..], ep);
+    match fin {
+        Finish::Store { out, n, ep } => store_avx2(&acc0, &acc1, out, *n, col, ep),
+        Finish::Select { bias, lists } => select_avx2(&acc0, &acc1, bias, col, lists),
+    }
+}
+
+/// The store finisher of [`tile_avx2`]: [`Epilogue::apply`] on the
+/// finished `M × NR` sums (`acc0[r]`, `acc1[r]`: row `r`, columns
+/// `col..col + LANES` and `col + LANES..col + NR`), lane for lane, then two
+/// vector stores per row into `out` (the group's rows at stride `n`). One
+/// vector instruction per scalar operation, so each lane sees the scalar
+/// sequence exactly:
+///
+/// * `Bias`: one `add`;
+/// * `BiasRelu`: `add`, then `cmp_lt` against zero and a blend of `+0.0`
+///   into the lanes it marks — NaN and `-0.0` compare false (ordered,
+///   non-signalling `<`) and pass unchanged, as `if v < 0.0 { 0.0 }` lets
+///   them (a `max` would not: it turns both into `+0.0`);
+/// * `AlphaBeta`: a `mul` when `β = 0` (the prior `C` unread), otherwise
+///   `mul`, `mul`, `add` — separate instructions, never contracted into an
+///   FMA (Rust sets no contraction flag), as the scalar `α·s + β·c` is not.
+///
+/// The epilogue is matched once per tile, its operands read once (`ep` by
+/// reference: a by-value copy of the enum went through the stack and
+/// stalled store forwarding at every use).
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn store_avx2<const M: usize>(
+    acc0: &[std::arch::x86_64::__m256; M],
+    acc1: &[std::arch::x86_64::__m256; M],
+    out: &mut [f32],
+    n: usize,
+    col: usize,
+    ep: &Epilogue,
+) {
+    use std::arch::x86_64::*;
+    let row = |out: &mut [f32], r: usize| out[r * n + col..][..NR].as_mut_ptr();
+    match *ep {
+        Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) => {
+            let relu = matches!(ep, Epilogue::BiasRelu(_));
+            let b = &bias[col..col + NR];
+            let (b0, b1) = (
+                _mm256_loadu_ps(b.as_ptr()),
+                _mm256_loadu_ps(b.as_ptr().add(LANES)),
+            );
+            let zero = _mm256_setzero_ps();
+            for r in 0..M {
+                let mut v0 = _mm256_add_ps(acc0[r], b0);
+                let mut v1 = _mm256_add_ps(acc1[r], b1);
+                if relu {
+                    v0 = _mm256_blendv_ps(v0, zero, _mm256_cmp_ps::<_CMP_LT_OQ>(v0, zero));
+                    v1 = _mm256_blendv_ps(v1, zero, _mm256_cmp_ps::<_CMP_LT_OQ>(v1, zero));
+                }
+                let c = row(out, r);
+                _mm256_storeu_ps(c, v0);
+                _mm256_storeu_ps(c.add(LANES), v1);
+            }
+        }
+        Epilogue::AlphaBeta { alpha, beta } => {
+            let (alpha, beta_v) = (_mm256_set1_ps(alpha), _mm256_set1_ps(beta));
+            for r in 0..M {
+                let c = row(out, r);
+                let mut v0 = _mm256_mul_ps(alpha, acc0[r]);
+                let mut v1 = _mm256_mul_ps(alpha, acc1[r]);
+                if beta != 0.0 {
+                    v0 = _mm256_add_ps(v0, _mm256_mul_ps(beta_v, _mm256_loadu_ps(c)));
+                    v1 = _mm256_add_ps(v1, _mm256_mul_ps(beta_v, _mm256_loadu_ps(c.add(LANES))));
+                }
+                _mm256_storeu_ps(c, v0);
+                _mm256_storeu_ps(c.add(LANES), v1);
+            }
+        }
+    }
+}
+
+/// The select finisher of [`tile_avx2`]: adds the bias to the finished
+/// `M × NR` sums and offers row `r`'s 16 logits (columns `col..col + NR`)
+/// to `lists[r]` — only when one of them is `>` the list's
+/// [`TopList::threshold`] (`_CMP_GT_OQ`: false on NaN either side, as in
+/// [`TopList::offer`]'s early-out, which this is, taken 16 lanes wide; a
+/// list not yet full takes every lane). A passing row is stored to the
+/// stack and offered lane by lane, in ascending column order.
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn select_avx2<const M: usize>(
+    acc0: &[std::arch::x86_64::__m256; M],
+    acc1: &[std::arch::x86_64::__m256; M],
+    bias: &[f32],
+    col: usize,
+    lists: &mut [TopList],
+) {
+    use std::arch::x86_64::*;
+    let b = &bias[col..col + NR];
+    let (b0, b1) = (
+        _mm256_loadu_ps(b.as_ptr()),
+        _mm256_loadu_ps(b.as_ptr().add(LANES)),
+    );
+    for (r, list) in lists.iter_mut().enumerate() {
+        let v0 = _mm256_add_ps(acc0[r], b0);
+        let v1 = _mm256_add_ps(acc1[r], b1);
+        if let Some(kth) = list.threshold() {
+            let kth = _mm256_set1_ps(kth);
+            let above = _mm256_or_ps(
+                _mm256_cmp_ps::<_CMP_GT_OQ>(v0, kth),
+                _mm256_cmp_ps::<_CMP_GT_OQ>(v1, kth),
+            );
+            if _mm256_movemask_ps(above) == 0 {
+                continue;
+            }
+        }
+        let mut logits = [0.0f32; NR];
+        _mm256_storeu_ps(logits.as_mut_ptr(), v0);
+        _mm256_storeu_ps(logits.as_mut_ptr().add(LANES), v1);
+        for (l, &v) in logits.iter().enumerate() {
+            list.offer(v, (col + l) as u32);
+        }
     }
 }
 
 /// The `w % NR` remainder columns of a packed panel, accumulated with the
 /// same ascending-`kk` per-element order as [`tile`] (variable-width, so
-/// the accumulator may live on the stack — at most `NR - 1` columns).
+/// the accumulator may live on the stack — at most `NR - 1` columns) and
+/// finished element by element ([`finish`]).
 #[inline(always)]
 fn tail<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    n: usize,
-    j0: usize,
     jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    col: usize,
+    fin: &mut Finish,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified.
-        unsafe { tail_avx2(a, bp, w, n, j0, jt, out, ep) };
+        unsafe { tail_avx2(a, bp, w, jt, col, fin) };
         return;
     }
-    tail_body(a, bp, w, n, j0, jt, out, ep, fused)
+    tail_body(a, bp, w, jt, col, fin, fused)
 }
 
 /// AVX2+FMA leaf of [`tail`]: the one [`tail_body`] with [`f32::mul_add`]
@@ -607,13 +800,11 @@ unsafe fn tail_avx2<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    n: usize,
-    j0: usize,
     jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    col: usize,
+    fin: &mut Finish,
 ) {
-    tail_body(a, bp, w, n, j0, jt, out, ep, f32::mul_add)
+    tail_body(a, bp, w, jt, col, fin, f32::mul_add)
 }
 
 /// The loop of [`tail`], spelled with the calling path's FMA (the rule is
@@ -624,11 +815,9 @@ fn tail_body<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    n: usize,
-    j0: usize,
     jt: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    col: usize,
+    fin: &mut Finish,
     fma: impl Fn(f32, f32, f32) -> f32,
 ) {
     let rem = w - jt;
@@ -641,38 +830,56 @@ fn tail_body<const M: usize, A: AGroup<M>>(
             }
         }
     }
-    store_tile(&acc, rem, n, j0 + jt, out, ep);
+    finish(&acc, rem, col, fin);
 }
 
-/// `M` rows × one packed panel of `C = epilogue(A'·B)`: [`tile`] register
-/// tiles across the panel plus one [`tail`], epilogue once per element
-/// after each tile's reduction finishes. `out` holds the `M` full output
-/// rows contiguously.
+/// `M` rows × one packed panel (columns `j0..j0 + w`): [`tile`] register
+/// tiles across the panel plus one [`tail`], each finished by `fin` as soon
+/// as its reduction is done — left to right, so a [`Finish::Select`] list
+/// sees its candidates in ascending column order.
 #[inline(always)]
 fn rows_panel<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
-    n: usize,
     j0: usize,
     w: usize,
-    out: &mut [f32],
-    ep: Epilogue,
+    fin: &mut Finish,
 ) {
     let w_tiled = w - w % NR;
     let mut jt = 0;
     while jt < w_tiled {
-        tile(a, bp, w, n, j0, jt, out, ep);
+        tile(a, bp, w, jt, j0 + jt, fin);
         jt += NR;
     }
     if jt < w {
-        tail(a, bp, w, n, j0, jt, out, ep);
+        tail(a, bp, w, jt, j0 + jt, fin);
     }
 }
 
-/// Every row of a chunk × one packed panel: [`rows_panel`] over the chunk's
-/// `MR`-row groups, the last of which may hold 1–3 rows. `out` holds the
-/// chunk's full output rows at stride `n`; its first row is output row
-/// `first_row` of the product.
+/// [`rows_panel`] for the group of `rows` (1..=`MR`) output rows starting
+/// at row `first` of the product, monomorphized per group height.
+#[inline(always)]
+fn group_panel(
+    a: impl AOperand,
+    first: usize,
+    rows: usize,
+    bp: &[f32],
+    j0: usize,
+    w: usize,
+    fin: &mut Finish,
+) {
+    match rows {
+        1 => rows_panel(a.group::<1>(first), bp, j0, w, fin),
+        2 => rows_panel(a.group::<2>(first), bp, j0, w, fin),
+        3 => rows_panel(a.group::<3>(first), bp, j0, w, fin),
+        _ => rows_panel(a.group::<MR>(first), bp, j0, w, fin),
+    }
+}
+
+/// Every row of a chunk × one packed panel, stored through the epilogue:
+/// [`group_panel`] over the chunk's `MR`-row groups, the last of which may
+/// hold 1–3 rows. `out` holds the chunk's full output rows at stride `n`;
+/// its first row is output row `first_row` of the product.
 #[inline(always)]
 fn chunk_panel(
     a: impl AOperand,
@@ -687,15 +894,11 @@ fn chunk_panel(
     let rows = out.len() / n;
     let mut i = 0;
     while i < rows {
-        let block = &mut out[i * n..];
-        let first = first_row + i;
-        match rows - i {
-            1 => rows_panel(a.group::<1>(first), bp, n, j0, w, &mut block[..n], ep),
-            2 => rows_panel(a.group::<2>(first), bp, n, j0, w, &mut block[..2 * n], ep),
-            3 => rows_panel(a.group::<3>(first), bp, n, j0, w, &mut block[..3 * n], ep),
-            _ => rows_panel(a.group::<MR>(first), bp, n, j0, w, &mut block[..MR * n], ep),
-        }
-        i += (rows - i).min(MR);
+        let g = (rows - i).min(MR);
+        let out = &mut out[i * n..(i + g) * n];
+        let fin = &mut Finish::Store { out, n, ep };
+        group_panel(a, first_row + i, g, bp, j0, w, fin);
+        i += g;
     }
 }
 
@@ -955,18 +1158,27 @@ impl TopList {
         self.len = (self.len + 1).min(self.k);
     }
 
+    /// The value a candidate must be `>` to enter — the current `k`-th —
+    /// once the list is full; `None` while it is not, when every candidate
+    /// enters. A run none of which is `>` it changes nothing, so it may be
+    /// dropped whole.
+    #[inline(always)]
+    fn threshold(&self) -> Option<f32> {
+        (self.len == self.k).then(|| self.vals[self.k - 1])
+    }
+
     /// Offers `vals[l]` as candidate `first_id + l` for every `l`, in order
     /// — exactly [`TopList::offer`] per element, except that once the list
-    /// is full a whole `LANES`-wide run is dropped on one vector compare
-    /// when none of it is `>` the current `k`-th value: `offer`'s own
-    /// early-out (NaN on either side compares false there as here), taken
-    /// for 8 candidates at a time. Almost every run of a wide logit row
-    /// leaves this way.
+    /// is full a whole `LANES`-wide run is dropped on one compare when none
+    /// of it is `>` the [`TopList::threshold`]: `offer`'s own early-out (NaN
+    /// on either side compares false there as here), taken for 8
+    /// candidates at a time. The selection of the portable tile and of the
+    /// `w % NR` tails; the AVX2 tile takes the same early-out 16 lanes wide
+    /// in registers ([`tile_avx2`]).
     #[inline]
     pub fn offer_run(&mut self, vals: &[f32], first_id: u32) {
         for (c, run) in vals.chunks(LANES).enumerate() {
-            if self.len == self.k {
-                let kth = self.vals[self.k - 1];
+            if let Some(kth) = self.threshold() {
                 if !run.iter().fold(false, |any, &v| any | (v > kth)) {
                     continue;
                 }
@@ -1040,13 +1252,15 @@ const TOPK_PACK_MIN_ROWS: usize = crate::parallel::MIN_PAR_ROWS;
 /// Streaming fused logits→top-k for a block of
 /// `TOPK_PACK_MIN_ROWS ≤ rows ≤ TOPK_ROW_BLOCK`
 /// rows of `A`, panels outermost: each `NB`-column panel of `B` is packed
-/// once for the whole block ([`with_b_panel`], as [`gemm_chunk`] does)
-/// and reduced group by group through the [`rows_panel`] register tiles
-/// into an `MR × NB` stack tile of finished logits (`s + bias[j]`, the same
-/// reduction and epilogue as the materializing path), which goes straight
-/// into the rows' [`TopList`]s — so every list sees its candidates in
-/// ascending column order, as its contract requires, and no logit leaves
-/// the stack.
+/// once for the whole block ([`with_b_panel`], as [`gemm_chunk`] does) and
+/// reduced group by group through the same [`rows_panel`] register tiles as
+/// the GEMM products, finished by [`Finish::Select`] instead of a store:
+/// each tile's logits (`s + bias[j]`, the same reduction and epilogue as the
+/// materializing path) go from the accumulators straight into the rows'
+/// [`TopList`]s, behind a 16-lane prefilter on AVX2 hosts. Panels left to
+/// right, tiles left to right within a panel, the tail last: every list
+/// sees its candidates in ascending column order, as its contract
+/// requires, and no logit tile is ever written out.
 fn topk_rows_packed(
     a: RowMajorA,
     b: &[f32],
@@ -1058,19 +1272,14 @@ fn topk_rows_packed(
 ) {
     let rows = out.len() / k;
     let mut lists: [TopList; TOPK_ROW_BLOCK] = std::array::from_fn(|_| TopList::new(k));
-    let mut tile = [0.0f32; MR * NB];
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NB);
-        // The tile is a `w`-wide matrix of its own: column 0 is class `j0`.
-        let ep = Epilogue::Bias(&bias[j0..j0 + w]);
         with_b_panel(b, n, BRows::All(a.k), j0, w, |bp| {
-            for (g, group) in lists[..rows].chunks_mut(MR).enumerate() {
-                let logits = &mut tile[..group.len() * w];
-                chunk_panel(a, bp, w, 0, w, a_first + g * MR, logits, ep);
-                for (row, list) in logits.chunks_exact(w).zip(group) {
-                    list.offer_run(row, j0 as u32);
-                }
+            for (g, lists) in lists[..rows].chunks_mut(MR).enumerate() {
+                let height = lists.len();
+                let fin = &mut Finish::Select { bias, lists };
+                group_panel(a, a_first + g * MR, height, bp, j0, w, fin);
             }
         });
         j0 += w;
@@ -1182,6 +1391,20 @@ mod tests {
                 lane_tree(acc).to_bits(),
                 "{len}"
             );
+        }
+    }
+
+    #[test]
+    fn sum_sq_lanes_is_the_documented_association() {
+        for len in [0usize, 1, 7, 8, 9, 16, 31, 100] {
+            let xs: Vec<f32> = (0..len).map(|i| (i % 13) as f32 / 7.0 - 0.9).collect();
+            let mut acc = [0.0f64; LANES];
+            for (t, &x) in xs.iter().enumerate() {
+                acc[t % LANES] += f64::from(x) * f64::from(x);
+            }
+            let want =
+                ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
+            assert_eq!(sum_sq_lanes(&xs).to_bits(), want.to_bits(), "{len}");
         }
     }
 

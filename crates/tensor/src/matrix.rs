@@ -207,9 +207,10 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Squared L2 (Frobenius) norm.
+    /// Squared L2 (Frobenius) norm, summed in `f64` lanes
+    /// ([`crate::kernels::sum_sq_lanes`]).
     pub fn norm_sq(&self) -> f64 {
-        self.data.iter().map(|&x| (x as f64) * (x as f64)).sum()
+        crate::kernels::sum_sq_lanes(&self.data)
     }
 
     /// L2 (Frobenius) norm.

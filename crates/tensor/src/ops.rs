@@ -256,6 +256,7 @@ pub fn scale(a: f32, x: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{NB, NR};
 
     fn naive_gemm(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -458,6 +459,11 @@ mod tests {
                 let bias: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.11 - 0.3).collect();
                 let mut nn = Matrix::from_fn(m, n, |r, c| (r + c) as f32 * 0.01);
                 gemm(0.7, &a, &b, 0.3, &mut nn);
+                // β = 0 must not read the prior output at all.
+                let mut scaled = Matrix::from_fn(m, n, |_, _| f32::NAN);
+                gemm(-1.3, &a, &b, 0.0, &mut scaled);
+                let mut biased = Matrix::zeros(m, n);
+                gemm_bias(&a, &b, &bias, &mut biased);
                 let at = test_mat(k, m, 13);
                 let mut tn = Matrix::zeros(m, n);
                 gemm_tn(1.0, &at, &b, 0.0, &mut tn);
@@ -469,10 +475,79 @@ mod tests {
                 gemm_nt_gather_bias(&a, &bt, &idx, &bias[..idx.len()], &mut logits);
                 let mut back = Matrix::zeros(m, k);
                 gemm_nn_gather(1.0, &logits, &bt, &idx, 0.0, &mut back);
-                for out in [&nn, &tn, &logits, &back] {
+                for out in [&nn, &scaled, &biased, &tn, &logits, &back] {
                     bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
                 }
                 bits.extend(ids);
+            }
+            // `BiasRelu` on every kind of sum, in full tiles and in the
+            // tail: `A` in (0, ½) times `B`'s smallest negative subnormal
+            // rounds to -0.0, so columns 3, 19 and 35 sum to -0.0 and their
+            // -0.0 bias keeps them there; NaN and ±∞ biases elsewhere, and
+            // plenty of ordinary negative sums.
+            let a = Matrix::from_fn(6, 5, |r, c| ((r * 3 + c) % 8) as f32 / 20.0 + 0.05);
+            let b = Matrix::from_fn(5, 40, |r, c| match c % 16 {
+                3 => -f32::from_bits(1),
+                _ => ((r + c) % 7) as f32 * 0.3 - 0.9,
+            });
+            let bias: Vec<f32> = (0..40)
+                .map(|j| match j % 16 {
+                    3 => -0.0,
+                    5 => f32::NAN,
+                    6 => f32::INFINITY,
+                    7 => f32::NEG_INFINITY,
+                    _ => (j % 5) as f32 * 0.2 - 0.5,
+                })
+                .collect();
+            let mut relu = Matrix::zeros(6, 40);
+            gemm_bias_relu(&a, &b, &bias, &mut relu);
+            let relu = relu.as_slice();
+            for (j, want) in [
+                (3, -0.0f32),
+                (19, -0.0),
+                (35, -0.0),
+                (5, f32::NAN),
+                (22, f32::INFINITY),
+            ] {
+                assert_eq!(relu[j].to_bits(), want.to_bits(), "relu column {j}");
+            }
+            bits.extend(relu.iter().map(|v| v.to_bits()));
+            // The packed top-k's select finisher: hidden 8 and 64, 16–37
+            // rows (packed blocks, strided remainders wherever the pool
+            // splits off fewer than 16), widths around one tile, one panel
+            // and two, and a list still filling after the first tile
+            // (k = 32). Logits are multiples of 1/16, so ties are
+            // everywhere; columns 14–17 and 254–257 tie at the top across a
+            // tile and a panel boundary; columns 2 and 300 have a NaN bias
+            // and the last row is NaN throughout.
+            for kdim in [8usize, 64] {
+                for m in [16usize, 17, 33, 37] {
+                    let mut a =
+                        Matrix::from_fn(m, kdim, |r, c| ((r * 7 + c * 3) % 9) as f32 / 4.0 - 1.0);
+                    a.set(m - 1, 0, f32::NAN);
+                    for n in [NR - 1, NR, NR + 1, NB + 5, 2 * NB + 37] {
+                        let b = Matrix::from_fn(kdim, n, |r, c| {
+                            let c = match c {
+                                14..=17 => 14,
+                                254..=257 => 254,
+                                c => c,
+                            };
+                            ((r * 5 + c * 11) % 7) as f32 / 4.0 - 0.75
+                        });
+                        let bias: Vec<f32> = (0..n)
+                            .map(|j| match j {
+                                14..=17 | 254..=257 => 100.0,
+                                2 | 300 => f32::NAN,
+                                j => (j % 3) as f32 / 8.0,
+                            })
+                            .collect();
+                        for k in [1usize, 5, 32].into_iter().filter(|&k| k <= n) {
+                            let mut ids = vec![0u32; m * k];
+                            gemm_bias_topk(&a, &b, &bias, k, &mut ids);
+                            bits.extend(ids);
+                        }
+                    }
+                }
             }
             for len in 0..64usize {
                 let xs: Vec<f32> = (0..len)
