@@ -56,6 +56,20 @@ echo "== the trainer is one actor =="
 # channel there is a message protocol between actors to keep ordered again.
 if grep -rnE 'mpsc|Sender<|Receiver<' crates/core/src/trainer; then exit 1; fi
 
+echo "== the replicas are the merge's source =="
+# A model is one flat buffer: the dense merge reads every replica's
+# parameters where they live, the sparse merge its delta, and eval reads the
+# global model in place. A flat export in the trainer is a model-sized copy
+# per replica (or per merge) again. Test modules may build flat buffers, so
+# each file is read up to its first `#[cfg(test)]`.
+awk 'FNR == 1 { live = 1 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /(^|[^[:alnum:]_])(to_flat|load_flat|write_flat_buf)\(/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+        bad = 1
+    }
+    END { exit bad }' crates/core/src/trainer/*.rs
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q

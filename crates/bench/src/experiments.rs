@@ -390,15 +390,15 @@ pub fn bench_full_scale_json(env: &Env) -> String {
     bench_json("full_scale", rows)
 }
 
-/// **Merge-stage throughput** — the scheduler-side merge (gather every
-/// replica's flat model, weighted all-reduce, momentum global update,
+/// **Merge-stage throughput** — the scheduler-side merge (read every
+/// replica's flat parameters, weighted all-reduce, momentum global update,
 /// redistribute + load) at the 13.1 M-parameter shape of the wall-clock
 /// benchmark's `train_sampled_merge` with 4 replicas: the trainer's path
-/// ([`arena_merge`]: persistent f32 arena, one fused tile pass, one shared
-/// payload) against the allocate-per-merge path over the step-by-step
-/// library functions, plus the bf16 arena (half the bytes through
-/// gather/reduce/redistribute, f32 accumulation, one round point per
-/// store). Median of 20 individually timed merges; the `merges` column
+/// ([`arena_merge`]: one fused tile pass over the replicas in place, one
+/// persistent shared payload) against the allocate-per-merge path over the
+/// step-by-step library functions, plus the bf16 arena (half the bytes
+/// through reduce/redistribute, each replica tile narrowed as it loads,
+/// f32 accumulation, one round point per store). Median of 20 individually timed merges; the `merges` column
 /// records that iteration count.
 pub fn merge_stage(env: &Env) -> String {
     let mut out = String::from(
@@ -447,22 +447,21 @@ fn measured_merge_rows(env: &Env) -> &'static [MergeStageRow] {
     ROWS.get_or_init(|| measure_merge_stage(env))
 }
 
-/// One scheduler-side merge the way the trainer runs it: every replica
-/// exports into its recycled buffer, one fused pass reduces them, applies
-/// the momentum update and leaves the redistribution payload in `bufs[0]`,
-/// and every replica imports that one payload.
+/// One scheduler-side merge the way the trainer runs it: one fused pass
+/// reads every replica where it lives, reduces them, applies the momentum
+/// update and leaves the redistribution payload in the recycled `payload`
+/// (its precision is the merge's), and every replica imports that one
+/// payload.
 fn arena_merge(
     replicas: &mut [asgd_model::Mlp],
-    bufs: &mut [asgd_tensor::FlatVec],
+    payload: &mut asgd_tensor::FlatVec,
     global: &mut [f32],
     prev_global: &mut [f32],
     ctx: &asgd_collective::CollectiveContext,
 ) -> asgd_collective::AllReduceTiming {
     use asgd_core::merging::{FusedMerge, MergeInput};
     let n = replicas.len();
-    for (r, buf) in replicas.iter().zip(bufs.iter_mut()) {
-        r.write_flat_buf(buf);
-    }
+    let params: Vec<&[f32]> = replicas.iter().map(asgd_model::Mlp::as_flat).collect();
     let timing = FusedMerge {
         weights: &vec![1.0 / n as f64; n],
         gamma: Some(0.9),
@@ -472,9 +471,9 @@ fn arena_merge(
         arrivals: &vec![asgd_gpusim::SimTime::ZERO; n],
         pooled: true,
     }
-    .run(MergeInput::Dense(bufs), global, prev_global);
+    .run(MergeInput::Dense(&params), payload, global, prev_global);
     for r in replicas.iter_mut() {
-        r.read_flat_buf(&bufs[0]);
+        r.read_flat_buf(payload);
     }
     timing
 }
@@ -518,11 +517,11 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
             .collect();
         let mut global = replicas[0].to_flat();
         let mut prev_global = global.clone();
-        let mut bufs: Vec<FlatVec> = (0..n).map(|_| FlatVec::empty(precision)).collect();
+        let mut payload = FlatVec::zeros(precision, params);
         let run_merge = |replicas: &mut [Mlp],
                          global: &mut Vec<f32>,
                          prev_global: &mut Vec<f32>,
-                         bufs: &mut [FlatVec]| {
+                         payload: &mut FlatVec| {
             if variant == "alloc_per_merge" {
                 let mut fresh: Vec<FlatVec> =
                     replicas.iter().map(|r| FlatVec::F32(r.to_flat())).collect();
@@ -540,16 +539,16 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
                 }
                 timing
             } else {
-                arena_merge(replicas, bufs, global, prev_global, &ctx)
+                arena_merge(replicas, payload, global, prev_global, &ctx)
             }
         };
         // Warm up (and capture the simulated collective timing, which is a
         // pure function of the shape/precision — identical every iteration).
-        let timing = run_merge(&mut replicas, &mut global, &mut prev_global, &mut bufs);
+        let timing = run_merge(&mut replicas, &mut global, &mut prev_global, &mut payload);
         let mut times = Vec::with_capacity(iters);
         for _ in 0..iters {
             let t0 = std::time::Instant::now();
-            run_merge(&mut replicas, &mut global, &mut prev_global, &mut bufs);
+            run_merge(&mut replicas, &mut global, &mut prev_global, &mut payload);
             times.push(t0.elapsed().as_secs_f64());
         }
         times.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -715,7 +714,7 @@ pub fn bench_sparse_merge_json(env: &Env) -> String {
     let spec = DatasetSpec::amazon_670k(1.0);
     let (features, classes, hidden) = (spec.num_features, spec.num_labels, 128usize);
     let layout = SparseLayout::new(features, hidden, classes);
-    let flat_len = features * hidden + hidden + hidden * classes + classes;
+    let flat_len = layout.param_len();
     // The repo's paper-default merge cadence ([`RunConfig::paper_defaults`]):
     // 8 batches of ≤64 samples per replica between merges. The touched-row
     // sets mirror the synthetic generator's mechanism (see

@@ -149,10 +149,11 @@ impl FleetScenario {
         // shares the wide embedding/output blocks, so the registry dedups
         // most of the fleet's parameter bytes.
         let mut registry = ModelRegistry::new(mconfig);
-        registry.register("base", &base, knobs.precision);
+        registry.register("base", &base, knobs.precision).unwrap();
         for i in 1..FLEET_VERSIONS as u64 {
             let variant = adapter_variant(&base, i, 1e-3);
-            registry.register(format!("adapter-{i}"), &variant, knobs.precision);
+            let name = format!("adapter-{i}");
+            registry.register(name, &variant, knobs.precision).unwrap();
         }
         let tenant_versions: Vec<VersionId> = (0..knobs.tenants)
             .map(|t| VersionId(t % registry.len()))

@@ -21,7 +21,7 @@ const VERSION: u32 = 1;
 /// Resumable snapshot of a training run at a mega-batch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingState {
-    /// The global model (flat layout, see `asgd_model::Mlp::to_flat`).
+    /// The global model (flat layout, see `asgd_model::Mlp::as_flat`).
     pub global: Vec<f32>,
     /// The previous global model (`w_prev` in Algorithm 2).
     pub prev_global: Vec<f32>,
@@ -109,8 +109,7 @@ impl TrainingState {
             config.param_len(),
             "training state / architecture mismatch"
         );
-        let mut model = Mlp::zeros(config);
-        model.load_flat(&self.global);
+        let model = Mlp::from_flat(config, self.global.clone());
         model_checkpoint::encode_with(&model, precision)
     }
 

@@ -7,7 +7,7 @@ use asgd_collective::{
 };
 use asgd_gpusim::SimTime;
 use asgd_tensor::bf16::ReduceElem;
-use asgd_tensor::{FlatVec, Precision};
+use asgd_tensor::FlatVec;
 use std::ops::Range;
 
 /// Parameters of Algorithm 2.
@@ -205,21 +205,21 @@ pub fn redistribute_global(global: &[f32], bufs: &mut [FlatVec]) {
 /// What one [`FusedMerge`] reduces, one entry per live replica in device
 /// order.
 pub enum MergeInput<'a> {
-    /// The gathered replicas, one full flat buffer each. `bufs[0]` doubles
-    /// as the payload: a tile of every buffer is read before that tile of
-    /// `bufs[0]` is overwritten. The other buffers are left as gathered.
-    Dense(&'a mut [FlatVec]),
+    /// Every replica's parameters in the flat layout, read where they live.
+    /// Each tile is narrowed to the payload's precision as it is loaded: a
+    /// copy at f32, and at bf16 the one round point an exported bf16 replica
+    /// buffer would hold.
+    Dense(&'a [&'a [f32]]),
     /// Each replica's `(rows, delta payload)` over `layout`. The base the
     /// deltas apply to is the global model at the payload's precision —
     /// bit for bit the last payload every replica imported — so no replica
-    /// buffer exists at all.
+    /// buffer is read at all.
     Sparse {
         /// Row space of the deltas.
         layout: &'a SparseLayout,
-        /// `(rows, delta payload)` per live replica.
+        /// `(rows, delta payload)` per live replica, at the payload's
+        /// precision.
         deltas: &'a [(&'a [u32], &'a FlatVec)],
-        /// Where the redistribution payload goes (model length).
-        payload: &'a mut FlatVec,
     },
 }
 
@@ -250,50 +250,22 @@ pub struct FusedMerge<'a> {
 
 impl FusedMerge<'_> {
     /// Reduces `input` and updates `global` (and, with momentum,
-    /// `prev_global`) in place; the payload is left in `input`.
+    /// `prev_global`) in place, leaving the redistribution payload in
+    /// `payload` (model length), whose precision is the merge's storage
+    /// precision.
     ///
     /// # Panics
     /// Panics when buffers disagree on length or precision.
     pub fn run(
         &self,
         input: MergeInput<'_>,
+        payload: &mut FlatVec,
         global: &mut [f32],
         prev_global: &mut [f32],
     ) -> AllReduceTiming {
-        fn view<E: ReduceElem>(flat: &FlatVec) -> &[E] {
-            E::slice(flat).expect("mixed-precision merge")
-        }
-        fn typed<'a, E: ReduceElem>(input: MergeInput<'a>) -> (&'a mut [E], Source<'a, E>) {
-            match input {
-                MergeInput::Dense(bufs) => {
-                    let (first, rest) = bufs.split_first_mut().expect("no replica to merge");
-                    let first = E::slice_mut(first).expect("mixed-precision merge");
-                    (first, Source::Dense(rest.iter().map(view).collect()))
-                }
-                MergeInput::Sparse {
-                    layout,
-                    deltas,
-                    payload,
-                } => {
-                    let payload = E::slice_mut(payload).expect("mixed-precision merge");
-                    let delta = |&(rows, values)| Delta::new(layout, rows, view(values));
-                    (payload, Source::Sparse(deltas.iter().map(delta).collect()))
-                }
-            }
-        }
-        let precision = match &input {
-            MergeInput::Dense(bufs) => bufs.first().expect("no replica to merge").precision(),
-            MergeInput::Sparse { payload, .. } => payload.precision(),
-        };
-        match precision {
-            Precision::F32 => {
-                let (payload, source) = typed::<f32>(input);
-                self.run_typed(payload, &source, global, prev_global)
-            }
-            Precision::Bf16 => {
-                let (payload, source) = typed::<u16>(input);
-                self.run_typed(payload, &source, global, prev_global)
-            }
+        match payload {
+            FlatVec::F32(p) => self.run_typed(p, &Source::new(input), global, prev_global),
+            FlatVec::Bf16(p) => self.run_typed(p, &Source::new(input), global, prev_global),
         }
     }
 
@@ -307,8 +279,11 @@ impl FusedMerge<'_> {
         let len = global.len();
         assert_eq!(payload.len(), len, "payload/global length");
         assert_eq!(prev.len(), len, "global/prev length");
-        if let Source::Dense(rest) = source {
-            assert!(rest.iter().all(|r| r.len() == len), "replica size mismatch");
+        if let Source::Dense(params) = source {
+            assert!(
+                params.iter().all(|p| p.len() == len),
+                "replica size mismatch"
+            );
         }
         assert_eq!(
             self.weights.len(),
@@ -348,16 +323,31 @@ impl FusedMerge<'_> {
 
 /// Where the fused pass reads the replicas from (shared by all its tasks).
 enum Source<'a, E> {
-    /// Replicas `1..` (replica 0 sits in the payload buffer).
-    Dense(Vec<&'a [E]>),
+    /// Every replica's f32 parameters.
+    Dense(&'a [&'a [f32]]),
     /// Every replica's delta over the narrowed global model.
     Sparse(Vec<Delta<'a, E>>),
 }
 
-impl<E> Source<'_, E> {
+impl<'a, E: ReduceElem> Source<'a, E> {
+    fn new(input: MergeInput<'a>) -> Self {
+        match input {
+            MergeInput::Dense(replicas) => Source::Dense(replicas),
+            MergeInput::Sparse { layout, deltas } => Source::Sparse(
+                deltas
+                    .iter()
+                    .map(|&(rows, values)| {
+                        let values = E::slice(values).expect("mixed-precision merge");
+                        Delta::new(layout, rows, values)
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
     fn replicas(&self) -> usize {
         match self {
-            Source::Dense(rest) => 1 + rest.len(),
+            Source::Dense(replicas) => replicas.len(),
             Source::Sparse(deltas) => deltas.len(),
         }
     }
@@ -376,19 +366,18 @@ struct MergePart<'a, E> {
 
 impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
     fn load(&mut self, range: Range<usize>, tiles: &mut [Vec<E>]) {
-        let rel = range.start - self.start..range.end - self.start;
-        let (first, others) = tiles.split_first_mut().expect("no replica to merge");
         match self.source {
-            Source::Dense(rest) => {
-                first.copy_from_slice(&self.payload[rel]);
-                for (t, r) in others.iter_mut().zip(rest) {
-                    t.copy_from_slice(&r[range.clone()]);
+            Source::Dense(replicas) => {
+                for (t, r) in tiles.iter_mut().zip(*replicas) {
+                    E::narrow_slice(&r[range.clone()], t);
                 }
             }
             Source::Sparse(deltas) => {
                 // The base every replica imported at the last sync, then
                 // each replica's own rows on top — what scattering its delta
                 // over a parked copy of that payload would reconstruct.
+                let rel = range.start - self.start..range.end - self.start;
+                let (first, others) = tiles.split_first_mut().expect("no replica to merge");
                 E::narrow_slice(&self.global[rel], first);
                 for t in others.iter_mut() {
                     t.copy_from_slice(first);
@@ -430,6 +419,7 @@ impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_tensor::Precision;
 
     fn gpu(b: f64, u: u64) -> GpuHyper {
         GpuHyper {
@@ -532,15 +522,18 @@ mod tests {
         assert_eq!(global, vec![5.0]);
     }
 
-    /// The fused pass against the stage it replaced — `allreduce_flat`, then
+    /// The fused pass against the stage it replaced — each replica exported
+    /// at the storage precision, `allreduce_flat`, then
     /// `apply_global_update_flat` (or plain adoption), then
-    /// `redistribute_global` — from the gathered replicas AND from their
-    /// sparse deltas over the last payload: same global, momentum memory,
-    /// payload and timing, bit for bit, for both precisions, both update
-    /// rules, pooled and serial, and survivor subsets of every size. Row
-    /// sets include the empty set, every row, and random ones; the model
-    /// spans many tiles, so tile boundaries fall inside W1 rows and across
-    /// `k`-rows of W2.
+    /// `redistribute_global` — from the f32 replicas read in place AND from
+    /// their sparse deltas over the last payload: same global, momentum
+    /// memory, payload and timing, bit for bit, for both precisions, both
+    /// update rules, pooled and serial, and survivor subsets of every size.
+    /// At bf16 the dense pass narrows each replica tile as it loads it, and
+    /// this is what pins that round point to the export's. Row sets include
+    /// the empty set, every row, and random ones; the model spans many
+    /// tiles, so tile boundaries fall inside W1 rows and across `k`-rows of
+    /// W2.
     #[test]
     fn fused_merge_matches_the_step_by_step_stage() {
         use asgd_collective::{allreduce_flat, gather_delta, hierarchical_allreduce_flat};
@@ -560,11 +553,13 @@ mod tests {
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let algo = Algorithm::MultiStreamRing { partitions: 4 };
 
+        // `redistribute_global`'s narrowing is the export's round point.
+        let export = |precision, flat: &[f32]| {
+            let mut out = vec![FlatVec::zeros(precision, len)];
+            redistribute_global(flat, &mut out);
+            out.pop().unwrap()
+        };
         for precision in [Precision::F32, Precision::Bf16] {
-            // The base every replica imported at the last sync.
-            let mut base = vec![FlatVec::zeros(precision, len)];
-            redistribute_global(&global, &mut base);
-            let base = base.pop().unwrap();
             for (k, cluster) in [(1, false), (3, false), (4, false), (4, true)] {
                 let ctx = if cluster {
                     CollectiveContext::cluster(
@@ -577,8 +572,10 @@ mod tests {
                 let inter = cluster.then_some(InterNode::Ring);
                 let weights: Vec<f64> = (0..k).map(|d| 1.0 / (d + 1) as f64).collect();
                 let arrivals: Vec<SimTime> = (0..k).map(|d| SimTime(d as f64 * 1e-4)).collect();
-                // Replica d = base, re-drawn on its own rows: none for
-                // replica 0, all for replica 1, a random third otherwise.
+                // Replica d = the last global model, re-drawn on its own
+                // rows: none for replica 0, all for replica 1, a random
+                // third otherwise. Its untouched rows export to the base
+                // every replica imported at the last sync.
                 let row_sets: Vec<Vec<u32>> = (0..k)
                     .map(|d| {
                         (0..layout.num_rows() as u32)
@@ -590,17 +587,16 @@ mod tests {
                             .collect()
                     })
                     .collect();
-                let replicas: Vec<FlatVec> = row_sets
+                let params: Vec<Vec<f32>> = row_sets
                     .iter()
                     .map(|rows| {
-                        let mut r = base.clone();
-                        layout.for_each_delta_index(rows, |i| match &mut r {
-                            FlatVec::F32(v) => v[i] = next(),
-                            FlatVec::Bf16(v) => v[i] = asgd_tensor::bf16::narrow(next()),
-                        });
+                        let mut r = global.clone();
+                        layout.for_each_delta_index(rows, |i| r[i] = next());
                         r
                     })
                     .collect();
+                let param_refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
+                let replicas: Vec<FlatVec> = params.iter().map(|r| export(precision, r)).collect();
                 let deltas: Vec<FlatVec> = row_sets
                     .iter()
                     .zip(&replicas)
@@ -643,26 +639,22 @@ mod tests {
                         };
                         let what = format!("{precision:?} k={k} {inter:?} {gamma:?} {pooled}");
 
-                        let mut bufs = replicas.clone();
+                        let mut payload = FlatVec::zeros(precision, len);
                         let (mut g, mut p) = (global.clone(), prev.clone());
-                        let t = fused.run(MergeInput::Dense(&mut bufs), &mut g, &mut p);
+                        let dense = MergeInput::Dense(&param_refs);
+                        let t = fused.run(dense, &mut payload, &mut g, &mut p);
                         assert_eq!(t, want_t, "dense timing, {what}");
                         assert_eq!(bits(&g), bits(&want_g), "dense global, {what}");
                         assert_eq!(bits(&p), bits(&want_p), "dense prev, {what}");
-                        assert_eq!(bufs[0], want[0], "dense payload, {what}");
-                        assert_eq!(bufs[1..], replicas[1..], "gathered replicas, {what}");
+                        assert_eq!(payload, want[0], "dense payload, {what}");
 
                         let mut payload = FlatVec::zeros(precision, len);
                         let (mut g, mut p) = (global.clone(), prev.clone());
-                        let t = fused.run(
-                            MergeInput::Sparse {
-                                layout: &layout,
-                                deltas: &delta_refs,
-                                payload: &mut payload,
-                            },
-                            &mut g,
-                            &mut p,
-                        );
+                        let sparse = MergeInput::Sparse {
+                            layout: &layout,
+                            deltas: &delta_refs,
+                        };
+                        let t = fused.run(sparse, &mut payload, &mut g, &mut p);
                         assert_eq!(t, want_t, "sparse timing, {what}");
                         assert_eq!(bits(&g), bits(&want_g), "sparse global, {what}");
                         assert_eq!(bits(&p), bits(&want_p), "sparse prev, {what}");

@@ -1,14 +1,14 @@
 //! The sampled softmax's shared LSH index.
 //!
 //! Ownership rule, as for every buffer of a run: **the scheduler owns it; a
-//! phase borrows.** The gather slots and the sparse merge's redistribution
-//! payload are plain scheduler-owned [`asgd_tensor::FlatVec`]s that a
-//! training phase writes and the merge reads, recycled across merges. The
-//! index is the one buffer a replica holds between phases — a share of it,
-//! inside its sampler — which is why it gets a type of its own.
+//! phase borrows.** The merge reads the replicas where they live (or, under
+//! the sparse merge, the delta payloads the training phase wrote into
+//! scheduler-owned [`asgd_tensor::FlatVec`]s) and writes one scheduler-owned
+//! redistribution payload, recycled across merges. The index is the one
+//! buffer a replica holds between phases — a share of it, inside its
+//! sampler — which is why it gets a type of its own.
 
 use super::SampledSoftmax;
-use asgd_collective::SparseLayout;
 use asgd_model::Mlp;
 use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_tensor::FlatVec;
@@ -42,10 +42,11 @@ impl IndexArena {
         let index = || LshIndex::new(s.tables, s.k_bits, c.hidden, s.seed);
         let mut first = index();
         first.rebuild(init.w2());
+        let [_, _, w2, _] = c.block_ranges();
         Self {
             bufs: [Arc::new(first), Arc::new(index())],
             live: 0,
-            w2_offset: SparseLayout::new(c.num_features, c.hidden, c.num_classes).w2_off(),
+            w2_offset: w2.start,
             classes: c.num_classes,
             neg_samples: s.neg_samples,
         }

@@ -222,7 +222,7 @@ impl SchedulerState<'_> {
     /// used.
     pub(super) fn pooled_merge_fits(&mut self, k: usize, mega: usize) -> bool {
         let memory = &mut self.merge_memory;
-        let scratch_bytes = (k * self.global.len() * self.cfg.precision.bytes()) as u64;
+        let scratch_bytes = (k * self.global.param_len() * self.cfg.precision.bytes()) as u64;
         // A scheduled MergeOom manifests as a co-tenant burst eating the whole
         // remaining capacity, so the pooled scratch request below genuinely
         // fails through the memory tracker.
@@ -327,7 +327,7 @@ impl SchedulerState<'_> {
             let live = self.replicas.iter().position(|r| r.gpu == g);
             let live = live.expect("a device the pool just killed had a replica");
             self.replicas.remove(live);
-            self.slots.remove(live);
+            self.deltas.remove(live);
             let untrained = std::mem::take(&mut self.work[g]);
             interval_updates[g] = 0;
             interval_samples[g] = 0;

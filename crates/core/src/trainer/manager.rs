@@ -98,7 +98,9 @@ impl DirtyRows {
 pub(super) struct Replica<'a> {
     /// The device this replica trains on.
     pub(super) gpu: usize,
-    mlp: Mlp,
+    /// The model, trained in place; the dense merge reads its parameters
+    /// where they live.
+    pub(super) mlp: Mlp,
     dataset: &'a XmlDataset,
     ws: Workspace,
     sampler: Option<CandidateSampler>,
@@ -163,19 +165,11 @@ impl<'a> Replica<'a> {
         out.loss
     }
 
-    /// Writes the flat replica into `buf` (its precision kept, its
-    /// allocation recycled); returns `‖w‖₂ / |w|`, Algorithm 2's
-    /// regularization measure.
-    pub(super) fn gather_model(&self, buf: &mut FlatVec) -> f64 {
-        self.mlp.write_flat_buf(buf);
-        self.mlp.l2_norm_per_param()
-    }
-
-    /// The sparse merge's alternative to [`Replica::gather_model`]: collects
-    /// the rows dirtied since the last [`Replica::set_model`] (then readable
-    /// through [`Replica::rows`]) and writes their delta payload — the
-    /// `asgd_collective::sparse` wire format — into `payload`; returns the
-    /// same norm.
+    /// What the sparse merge reads instead of the replica's parameters:
+    /// collects the rows dirtied since the last [`Replica::set_model`] (then
+    /// readable through [`Replica::rows`]) and writes their delta payload —
+    /// the `asgd_collective::sparse` wire format — into `payload`; returns
+    /// `‖w‖₂ / |w|`, Algorithm 2's regularization measure.
     pub(super) fn gather_delta(&mut self, payload: &mut FlatVec) -> f64 {
         assert!(
             !self.dense_trained,
@@ -237,10 +231,10 @@ mod tests {
         (ds, Mlp::init(&config, 1))
     }
 
-    /// The flat model a replica gathers, at `precision`.
+    /// The replica exported at `precision`.
     fn gathered(r: &Replica, precision: Precision) -> FlatVec {
         let mut buf = FlatVec::empty(precision);
-        r.gather_model(&mut buf);
+        r.mlp.write_flat_buf(&mut buf);
         buf
     }
 
@@ -249,9 +243,7 @@ mod tests {
         let (ds, model) = setup();
         let mut r = Replica::new(0, model, &ds, None);
         assert!(r.train(&[0, 1, 2], 0.1, 0) > 0.0);
-        let mut flat = FlatVec::empty(Precision::F32);
-        assert!(r.gather_model(&mut flat) > 0.0);
-        assert!(!flat.is_empty());
+        assert!(r.mlp.l2_norm_per_param() > 0.0);
     }
 
     #[test]
@@ -289,30 +281,24 @@ mod tests {
         }
     }
 
-    /// A gather into a recycled slot keeps the slot's allocation and holds
-    /// exactly what a fresh `to_flat` of the same replica would.
+    /// What the dense merge reads is the replica itself: the parameters it
+    /// trained, in place, at the address they had before training — exactly
+    /// what a stand-alone model trained on the same batch holds.
     #[test]
-    fn gather_recycles_its_slot_without_reallocating() {
+    fn the_replica_trains_in_place() {
         let (ds, model) = setup();
         let mut twin = model.clone();
         let mut tws = Workspace::new(twin.config());
         let mut r = Replica::new(0, model, &ds, None);
-        let mut slot = FlatVec::empty(Precision::F32);
-        r.gather_model(&mut slot);
-        let ptr = slot.as_ptr_addr();
-        r.set_model(&slot, None);
+        let ptr = r.mlp.as_flat().as_ptr();
         let ids = [0usize, 1, 2];
         r.train(&ids, 0.1, 0);
-        r.gather_model(&mut slot);
-        assert_eq!(
-            slot.as_ptr_addr(),
-            ptr,
-            "steady-state gather must not realloc"
-        );
+        let moved = r.mlp.as_flat().as_ptr() != ptr;
+        assert!(!moved, "training must not move the replica");
         let x = ds.train.features.select_rows(&ids);
         let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
         twin.train_batch_ws(&x, &labels, 0.1, &mut tws);
-        assert_eq!(slot, FlatVec::F32(twin.to_flat()));
+        assert_eq!(r.mlp, twin);
     }
 
     fn sampled_cfg() -> SampledSoftmax {
@@ -332,7 +318,7 @@ mod tests {
 
     /// A stand-alone sampler hashed from a dense `W₂` — what every replica
     /// used to build for itself.
-    fn standalone(w2: &asgd_tensor::Matrix) -> CandidateSampler {
+    fn standalone(w2: asgd_tensor::MatRef<'_>) -> CandidateSampler {
         let c = sampled_cfg();
         let mut s = CandidateSampler::new(c.tables, c.k_bits, w2.rows(), c.neg_samples, c.seed);
         s.rebuild(w2);
@@ -418,12 +404,9 @@ mod tests {
         r[0].gather_delta(&mut payload);
         assert!(r[0].rows().is_empty(), "sync must clear the dirty set");
         assert_eq!(payload.len(), config.hidden, "empty delta carries only b1");
-        let b1_off = config.num_features * config.hidden;
-        for k in 0..config.hidden {
-            assert_eq!(
-                payload.get_f32(k).to_bits(),
-                synced.get_f32(b1_off + k).to_bits()
-            );
+        let [_, b1, ..] = config.block_ranges();
+        for (k, i) in b1.enumerate() {
+            assert_eq!(payload.get_f32(k).to_bits(), synced.get_f32(i).to_bits());
         }
     }
 

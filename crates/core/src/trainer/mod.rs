@@ -565,8 +565,9 @@ impl Trainer {
         let megas_run = state.recorder.records().len() as u64;
         // The global model leaves twice (final model, resumable state); the
         // momentum memory only once, so it moves.
+        let final_model = state.global.into_flat();
         let final_state = TrainingState {
-            global: state.global.clone(),
+            global: final_model.clone(),
             prev_global: state.prev_global,
             hypers: state.hypers.clone(),
             megas_done: state.start_index as u64 + megas_run,
@@ -574,7 +575,7 @@ impl Trainer {
         RunResult {
             name: self.spec.name.clone(),
             records: state.recorder.into_records(),
-            final_model: state.global,
+            final_model,
             trace: state.trace.render(),
             final_state: Some(final_state),
             chaos: state.chaos,
@@ -592,17 +593,20 @@ impl Trainer {
         let n = self.profiles.len();
         let cfg = &self.config;
         let mconfig = self.mlp_config(dataset);
-        let mut init_model = Mlp::init(&mconfig, cfg.seed);
         let mut start_index = 0usize;
         let mut hypers: Vec<GpuHyper> = (0..n)
             .map(|_| GpuHyper::initial(cfg.b_max, cfg.base_lr))
             .collect();
-        if let Some(state) = resume {
-            // Shapes were checked by `run_resumed`.
-            init_model.load_flat(&state.global);
-            hypers = state.hypers.clone();
-            start_index = state.megas_done as usize;
-        }
+        // The global model starts as the start-up model (or, resumed, the
+        // snapshot's global model, whose shape `run_resumed` checked).
+        let global = match resume {
+            Some(state) => {
+                hypers = state.hypers.clone();
+                start_index = state.megas_done as usize;
+                Mlp::from_flat(&mconfig, state.global.clone())
+            }
+            None => Mlp::init(&mconfig, cfg.seed),
+        };
         // Fixed overheads scale with the dataset (see `RunConfig::overhead_scale`).
         let profiles: Vec<DeviceProfile> = self
             .profiles
@@ -617,19 +621,14 @@ impl Trainer {
         // page-fault-bound: the buffers are allocated here (zero pages
         // nobody has touched yet) and filled on `n` threads, while this one
         // copies the momentum memory and (sampled mode) hashes the start-up
-        // `W₂` once for every replica. Nothing needs `init_model` by value,
-        // so it *becomes* the evaluation model instead of being copied once
-        // more.
-        let global = init_model.to_flat();
+        // `W₂` once for every replica.
         let mut mlps: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
         let (prev_global, lsh) = std::thread::scope(|s| {
             for mlp in &mut mlps {
-                s.spawn(|| mlp.load_flat(&global));
+                s.spawn(|| mlp.as_flat_mut().copy_from_slice(global.as_flat()));
             }
-            let prev_global = resume.map_or_else(|| global.clone(), |r| r.prev_global.clone());
-            let lsh = cfg
-                .sampled_softmax
-                .map(|s| IndexArena::new(&s, &init_model));
+            let prev_global = resume.map_or(global.as_flat(), |r| &r.prev_global).to_vec();
+            let lsh = cfg.sampled_softmax.map(|s| IndexArena::new(&s, &global));
             (prev_global, lsh)
         });
         let replicas = mlps
@@ -669,12 +668,11 @@ impl Trainer {
             budget: MegaBatchBudget::new(cfg.mega_batch_size),
             hypers,
             replicas,
-            slots: vec![FlatVec::empty(cfg.precision); n],
+            deltas: vec![FlatVec::empty(cfg.precision); n],
             work: vec![Vec::new(); n],
-            payload: FlatVec::empty(cfg.precision),
+            payload: FlatVec::zeros(cfg.precision, param_len),
             global,
             prev_global,
-            eval_model: init_model,
             recorder: RunRecorder::new(),
             rr_cursor: 0,
             batches_dispatched: 0,
@@ -715,22 +713,20 @@ struct SchedulerState<'a> {
     /// The live replicas, in device order; a lost device's is dropped at
     /// eviction.
     replicas: Vec<Replica<'a>>,
-    /// One gather slot per live replica, same order, recycled across
-    /// merges: the flat replica, or under the sparse merge its delta
-    /// payload. After a dense merge `slots[0]` holds the redistribution
-    /// payload.
-    slots: Vec<FlatVec>,
+    /// Under the sparse merge, one delta payload per live replica, same
+    /// order, recycled across merges (the dense merge reads the replicas
+    /// themselves, and these stay empty).
+    deltas: Vec<FlatVec>,
     /// Per device, the batches dispatched since the last merge in dispatch
     /// order: what its replica trains in the next phase, and what moves to
     /// survivors if the device is lost first.
     work: Vec<Vec<Vec<usize>>>,
-    /// The sparse delta merge's one model-sized buffer: the redistribution
-    /// payload (the dense merge leaves it in `slots[0]` instead and this
-    /// empty).
+    /// The merge's one model-sized buffer: the redistribution payload at
+    /// the run's storage precision, which every live replica imports.
     payload: FlatVec,
-    global: Vec<f32>,
+    /// The global model. Evaluation reads it where it is.
+    global: Mlp,
     prev_global: Vec<f32>,
-    eval_model: Mlp,
     recorder: RunRecorder,
     rr_cursor: usize,
     batches_dispatched: usize,
@@ -773,9 +769,8 @@ impl SchedulerState<'_> {
         loop {
             let mega = self.run_mega_batch(mega_index);
             let sim_time = self.pool.latest_live_clock().secs();
-            self.eval_model.load_flat(&self.global);
             let accuracy = eval::top1_accuracy(
-                &self.eval_model,
+                &self.global,
                 &self.dataset.test.features,
                 &self.dataset.test.labels,
                 self.cfg.eval_chunk,
@@ -1046,10 +1041,9 @@ impl SchedulerState<'_> {
 
     /// The training phase: every live replica, on a scoped thread of its
     /// own, trains its work list in order, adding each batch loss to its
-    /// device's `loss_sums` bucket, then writes its gather slot — the flat
-    /// replica, or under the sparse merge its dirty rows' delta. Returns the
-    /// live replicas' norms per parameter, in device order, and leaves every
-    /// work list empty.
+    /// device's `loss_sums` bucket; under the sparse merge it then writes its
+    /// dirty rows' delta. Returns the live replicas' norms per parameter, in
+    /// device order, and leaves every work list empty.
     fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<f64> {
         let lsh_seed = self.cfg.sampled_softmax.map_or(0, |s| s.seed);
         let sparse = self.cfg.sparse_merge;
@@ -1060,8 +1054,8 @@ impl SchedulerState<'_> {
             .map(|r| (loss_sums[r.gpu], 0.0))
             .collect();
         std::thread::scope(|s| {
-            for ((r, slot), (loss, norm)) in
-                self.replicas.iter_mut().zip(&mut self.slots).zip(&mut out)
+            for ((r, delta), (loss, norm)) in
+                self.replicas.iter_mut().zip(&mut self.deltas).zip(&mut out)
             {
                 let batches = &self.work[r.gpu];
                 let lr = self.hypers[r.gpu].lr as f32;
@@ -1070,9 +1064,9 @@ impl SchedulerState<'_> {
                         *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed));
                     }
                     *norm = if sparse {
-                        r.gather_delta(slot)
+                        r.gather_delta(delta)
                     } else {
-                        r.gather_model(slot)
+                        r.mlp.l2_norm_per_param()
                     };
                 });
             }
@@ -1086,8 +1080,8 @@ impl SchedulerState<'_> {
         norms
     }
 
-    /// One full model-merging stage over the live replicas, whose gather
-    /// slots the training phase just filled and whose norms are `norms`:
+    /// One full model-merging stage over the live replicas, which the
+    /// training phase just left and whose norms are `norms`:
     /// weights, one fused reduce-update-payload pass, the import phase,
     /// advance clocks.
     ///
@@ -1095,16 +1089,15 @@ impl SchedulerState<'_> {
     /// where that is the whole fleet. After a device loss it merges only
     /// survivors, renormalizes `α_i` over them (Σα = 1 by construction),
     /// reduces over a survivor-sized collective context and redistributes to
-    /// survivors only; dead devices' clocks freeze and their slots report
-    /// weight 0 in the record.
+    /// survivors only; dead devices' clocks freeze and their weights are 0
+    /// in the record.
     ///
-    /// Model-sized buffers: the dense merge reads the gather slots; the
-    /// sparse one reads `(rows, payload)` deltas and no replica buffer
-    /// exists. Either way [`FusedMerge`] streams the replicas once and
-    /// leaves the new `global`/`prev_global` and ONE redistribution payload
-    /// (in `slots[0]`, or in [`Self::payload`]), which every live replica
-    /// then imports from a shared borrow. Steady-state merges allocate
-    /// nothing model-sized.
+    /// Model-sized buffers: the dense merge reads the replicas where they
+    /// live; the sparse one reads `(rows, payload)` deltas and no replica.
+    /// Either way [`FusedMerge`] streams the replicas once and leaves the new
+    /// `global`/`prev_global` and ONE redistribution payload in
+    /// [`Self::payload`], which every live replica then imports from a
+    /// shared borrow. Steady-state merges allocate nothing model-sized.
     fn merge(&mut self, norms: &[f64], mega_index: usize) -> MergeDecision {
         let n = self.n();
         let alive_idx: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
@@ -1167,22 +1160,19 @@ impl SchedulerState<'_> {
             pooled,
         };
         let timing = if self.cfg.sparse_merge {
-            if self.payload.is_empty() {
-                self.payload = FlatVec::zeros(self.cfg.precision, self.global.len());
-            }
             let deltas: Vec<(&[u32], &FlatVec)> = self
                 .replicas
                 .iter()
                 .map(Replica::rows)
-                .zip(&self.slots)
+                .zip(&self.deltas)
                 .collect();
             let dense = fused.run(
                 MergeInput::Sparse {
                     layout: &self.sparse_layout,
                     deltas: &deltas,
-                    payload: &mut self.payload,
                 },
-                &mut self.global,
+                &mut self.payload,
+                self.global.as_flat_mut(),
                 &mut self.prev_global,
             );
             // The arithmetic above is the dense collective's, element for
@@ -1210,9 +1200,11 @@ impl SchedulerState<'_> {
             self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
             s.timing
         } else {
+            let replicas: Vec<&[f32]> = self.replicas.iter().map(|r| r.mlp.as_flat()).collect();
             fused.run(
-                MergeInput::Dense(&mut self.slots),
-                &mut self.global,
+                MergeInput::Dense(&replicas),
+                &mut self.payload,
+                self.global.as_flat_mut(),
                 &mut self.prev_global,
             )
         };
@@ -1220,11 +1212,7 @@ impl SchedulerState<'_> {
         // The import phase: one read-only payload, hashed once into the LSH
         // index, then imported (or blended toward) by every live replica on
         // a scoped thread of its own, adopting that index.
-        let payload = if self.cfg.sparse_merge {
-            &self.payload
-        } else {
-            &self.slots[0]
-        };
+        let payload = &self.payload;
         if let Some(a) = self.lsh.as_mut() {
             a.sync(payload);
         }
@@ -1929,44 +1917,45 @@ mod tests {
         );
     }
 
-    /// Steady-state merges allocate nothing model-sized: after the first
-    /// merge the model-sized buffers keep their addresses. The dense merge
-    /// holds `n` model-sized gather slots, the first doubling as the
-    /// redistribution payload, and no extra buffer; the sparse merge holds
-    /// one payload and only deltas in its slots.
+    /// Steady-state merges allocate nothing model-sized. Dense or sparse, at
+    /// f32 or bf16, the merge's one model-sized buffer is the payload, and
+    /// it keeps its address through 4 mega-batches. The dense merge reads
+    /// the replicas and leaves the delta slots unallocated; the sparse
+    /// merge's delta slots stay shorter than the model.
     #[test]
-    fn gather_slots_and_payload_keep_their_addresses() {
+    fn merge_buffers_keep_their_addresses() {
         let ds = dataset();
         let mut cfg = quick_config();
         cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
-        for sparse in [true, false] {
-            cfg.sparse_merge = sparse;
-            let trainer = Trainer::new(
-                algorithms::adaptive_sgd(),
-                heterogeneous_server(3),
-                cfg.clone(),
-            );
-            let mut state = trainer.scheduler(&ds, None);
-            // Deltas vary in length from merge to merge; the model-sized
-            // buffers do not.
-            let model_sized = |s: &SchedulerState| -> Vec<(usize, usize)> {
-                let bufs = if sparse {
-                    std::slice::from_ref(&s.payload)
-                } else {
-                    &s.slots[..]
+        for precision in [Precision::F32, Precision::Bf16] {
+            for sparse in [true, false] {
+                cfg.precision = precision;
+                cfg.sparse_merge = sparse;
+                let trainer = Trainer::new(
+                    algorithms::adaptive_sgd(),
+                    heterogeneous_server(3),
+                    cfg.clone(),
+                );
+                let mut state = trainer.scheduler(&ds, None);
+                let len = state.global.param_len();
+                let payload = |s: &SchedulerState| {
+                    (
+                        s.payload.as_ptr_addr(),
+                        s.payload.len(),
+                        s.payload.precision(),
+                    )
                 };
-                bufs.iter().map(|b| (b.as_ptr_addr(), b.len())).collect()
-            };
-            state.run_mega_batch(0);
-            let first = model_sized(&state);
-            assert_eq!(first.len(), if sparse { 1 } else { 3 });
-            assert!(first.iter().all(|&(_, len)| len == state.global.len()));
-            for mega in 1..4 {
-                state.run_mega_batch(mega);
-                assert_eq!(model_sized(&state), first, "sparse {sparse}, mega {mega}");
-            }
-            if !sparse {
-                assert_eq!(state.payload.capacity(), 0);
+                let first = payload(&state);
+                assert_eq!((first.1, first.2), (len, precision));
+                for mega in 0..4 {
+                    state.run_mega_batch(mega);
+                    let what = format!("{precision:?}, sparse {sparse}, mega {mega}");
+                    assert_eq!(payload(&state), first, "{what}");
+                    for d in &state.deltas {
+                        assert!(d.len() < len, "a model-sized delta, {what}");
+                        assert!(sparse || d.capacity() == 0, "a dense-merge delta, {what}");
+                    }
+                }
             }
         }
     }

@@ -7,7 +7,7 @@
 //! version u32              4 bytes
 //! [v2 only] precision u32  (0 = f32, 1 = bf16)
 //! num_features u64 | hidden u64 | num_classes u64
-//! params  × param_len      (W₁ ‖ b₁ ‖ W₂ ‖ b₂, the `to_flat` layout;
+//! params  × param_len      (W₁ ‖ b₁ ‖ W₂ ‖ b₂, the `Mlp::as_flat` layout;
 //!                           f32-le in f32 checkpoints, bf16-le in bf16 ones)
 //! ```
 //!
@@ -62,8 +62,7 @@ pub fn encode(model: &Mlp) -> Bytes {
 /// emits version 2 with a half-size payload (one round-to-nearest-even
 /// narrowing per weight).
 pub fn encode_with(model: &Mlp, precision: Precision) -> Bytes {
-    let flat = model.to_flat();
-    let mut buf = BytesMut::with_capacity(4 + 8 + 24 + precision.bytes() * flat.len());
+    let mut buf = BytesMut::with_capacity(4 + 8 + 24 + precision.bytes() * model.param_len());
     buf.put_slice(MAGIC);
     match precision {
         Precision::F32 => buf.put_u32_le(VERSION),
@@ -76,16 +75,10 @@ pub fn encode_with(model: &Mlp, precision: Precision) -> Bytes {
     buf.put_u64_le(c.num_features as u64);
     buf.put_u64_le(c.hidden as u64);
     buf.put_u64_le(c.num_classes as u64);
-    match precision {
-        Precision::F32 => {
-            for v in flat {
-                buf.put_f32_le(v);
-            }
-        }
-        Precision::Bf16 => {
-            for v in flat {
-                buf.put_slice(&bf16::narrow(v).to_le_bytes());
-            }
+    for &v in model.as_flat() {
+        match precision {
+            Precision::F32 => buf.put_f32_le(v),
+            Precision::Bf16 => buf.put_slice(&bf16::narrow(v).to_le_bytes()),
         }
     }
     buf.freeze()
@@ -151,25 +144,14 @@ pub fn decode(mut data: Bytes) -> Result<Mlp, CheckpointError> {
         hidden: hidden as usize,
         num_classes: classes as usize,
     };
-    let n = config.param_len();
-    let mut flat = Vec::with_capacity(n);
-    match precision {
-        Precision::F32 => {
-            for _ in 0..n {
-                flat.push(data.get_f32_le());
-            }
-        }
-        Precision::Bf16 => {
-            let mut half = [0u8; 2];
-            for _ in 0..n {
-                data.copy_to_slice(&mut half);
-                flat.push(bf16::widen(u16::from_le_bytes(half)));
-            }
-        }
-    }
-    let mut model = Mlp::zeros(&config);
-    model.load_flat(&flat);
-    Ok(model)
+    let n = 0..config.param_len();
+    let flat = match precision {
+        Precision::F32 => n.map(|_| data.get_f32_le()).collect(),
+        Precision::Bf16 => n
+            .map(|_| bf16::widen(u16::from_le_bytes([data.get_u8(), data.get_u8()])))
+            .collect(),
+    };
+    Ok(Mlp::from_flat(&config, flat))
 }
 
 #[cfg(test)]

@@ -12,8 +12,9 @@ use crate::gradients::Gradients;
 use crate::workspace::Workspace;
 use asgd_sparse::{ops as sops, CsrMatrix};
 use asgd_tensor::kernels::sum_sq_lanes;
-use asgd_tensor::{bf16, init, numerics, ops, FlatVec, Matrix, Precision};
+use asgd_tensor::{bf16, init, numerics, ops, FlatVec, MatRef, Matrix, Precision};
 use rand::{rngs::StdRng, SeedableRng};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone source of `W₂` version stamps. Stamps are globally unique per
@@ -40,12 +41,22 @@ pub struct MlpConfig {
 }
 
 impl MlpConfig {
+    /// Where each parameter block sits in the flat layout
+    /// `W₁ ‖ b₁ ‖ W₂ ‖ b₂` (`W₁` is `num_features × hidden`, `W₂` is
+    /// `hidden × num_classes`, both row-major) — the one definition of the
+    /// layout an [`Mlp`] stores, the merge reduces and a checkpoint carries.
+    pub fn block_ranges(&self) -> [Range<usize>; 4] {
+        let w1 = 0..self.num_features * self.hidden;
+        let b1 = w1.end..w1.end + self.hidden;
+        let w2 = b1.end..b1.end + self.hidden * self.num_classes;
+        let b2 = w2.end..w2.end + self.num_classes;
+        [w1, b1, w2, b2]
+    }
+
     /// Total trainable parameters (weights + biases of both layers).
     pub fn param_len(&self) -> usize {
-        self.num_features * self.hidden
-            + self.hidden
-            + self.hidden * self.num_classes
-            + self.num_classes
+        let [.., b2] = self.block_ranges();
+        b2.end
     }
 }
 
@@ -64,11 +75,11 @@ pub struct TrainOutput {
 #[derive(Debug, Clone)]
 pub struct Mlp {
     config: MlpConfig,
-    w1: Matrix,
-    b1: Vec<f32>,
-    w2: Matrix,
-    b2: Vec<f32>,
-    /// Version stamp of `w2`, bumped on every mutation that can touch it.
+    /// Every parameter, in the flat layout of [`MlpConfig::block_ranges`]:
+    /// the blocks are views of this one buffer, and the merge, the
+    /// checkpoint and the registry read it as it is.
+    params: Vec<f32>,
+    /// Version stamp of `W₂`, bumped on every mutation that can touch it.
     /// Workspaces compare it against their cached `W₂ᵀ` (see
     /// [`Mlp::sync_w2t`]). Deliberately excluded from `PartialEq`: two
     /// models with identical parameters are equal regardless of history.
@@ -77,37 +88,39 @@ pub struct Mlp {
 
 impl PartialEq for Mlp {
     fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.w1 == other.w1
-            && self.b1 == other.b1
-            && self.w2 == other.w2
-            && self.b2 == other.b2
+        self.config == other.config && self.params == other.params
     }
 }
 
 impl Mlp {
     /// Initializes with the paper's scheme (`N(0, 1/√fan_in)` weights, zero
-    /// biases) from an explicit seed so all replicas can share one init.
+    /// biases) from an explicit seed so all replicas can share one init:
+    /// `W₁` and then `W₂` are drawn in place from one `StdRng` stream.
     pub fn init(config: &MlpConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        Self {
-            config: *config,
-            w1: init::layer_init(config.num_features, config.hidden, &mut rng),
-            b1: vec![0.0; config.hidden],
-            w2: init::layer_init(config.hidden, config.num_classes, &mut rng),
-            b2: vec![0.0; config.num_classes],
-            w2_epoch: next_w2_epoch(),
-        }
+        let mut m = Self::zeros(config);
+        let [w1, _, w2, _] = config.block_ranges();
+        init::layer_init(&mut m.params[w1], config.num_features, &mut rng);
+        init::layer_init(&mut m.params[w2], config.hidden, &mut rng);
+        m
     }
 
     /// All-zero model of the right shape (merge/accumulation target).
     pub fn zeros(config: &MlpConfig) -> Self {
+        Self::from_flat(config, vec![0.0; config.param_len()])
+    }
+
+    /// The model whose parameters are `params`, in the flat layout of
+    /// [`MlpConfig::block_ranges`]. Takes the buffer as it is: nothing is
+    /// copied.
+    ///
+    /// # Panics
+    /// Panics when the length does not match the architecture.
+    pub fn from_flat(config: &MlpConfig, params: Vec<f32>) -> Self {
+        assert_eq!(params.len(), config.param_len(), "flat parameter length");
         Self {
             config: *config,
-            w1: Matrix::zeros(config.num_features, config.hidden),
-            b1: vec![0.0; config.hidden],
-            w2: Matrix::zeros(config.hidden, config.num_classes),
-            b2: vec![0.0; config.num_classes],
+            params,
             w2_epoch: next_w2_epoch(),
         }
     }
@@ -119,63 +132,60 @@ impl Mlp {
 
     /// Number of trainable parameters.
     pub fn param_len(&self) -> usize {
-        self.config.param_len()
+        self.params.len()
     }
 
-    /// The four parameter blocks in flat-layout order (`W₁ ‖ b₁ ‖ W₂ ‖ b₂`).
-    fn blocks(&self) -> [&[f32]; 4] {
-        [self.w1.as_slice(), &self.b1, self.w2.as_slice(), &self.b2]
+    /// Every parameter in the flat layout (`W₁ ‖ b₁ ‖ W₂ ‖ b₂`) — the wire
+    /// format of model merging, read in place.
+    pub fn as_flat(&self) -> &[f32] {
+        &self.params
     }
 
-    /// Hands `f` every parameter block, mutably, together with the range it
-    /// occupies in the flat layout — the one walk behind import, blend and
-    /// quantization. Bumps the `W₂` version stamp: every caller rewrites it.
-    fn for_each_block_mut(&mut self, mut f: impl FnMut(&mut [f32], std::ops::Range<usize>)) {
+    /// Every parameter in the flat layout, mutably. Bumps the `W₂` version
+    /// stamp: a caller may rewrite any block.
+    pub fn as_flat_mut(&mut self) -> &mut [f32] {
         self.w2_epoch = next_w2_epoch();
-        let mut off = 0;
-        for block in [
-            self.w1.as_mut_slice(),
-            &mut self.b1,
-            self.w2.as_mut_slice(),
-            &mut self.b2,
-        ] {
-            let range = off..off + block.len();
-            off = range.end;
-            f(block, range);
-        }
+        &mut self.params
     }
 
-    /// Flattens all parameters into one contiguous vector
-    /// (`W₁ ‖ b₁ ‖ W₂ ‖ b₂`) — the wire format of model merging.
+    /// The flat parameter buffer, by value.
+    pub fn into_flat(self) -> Vec<f32> {
+        self.params
+    }
+
+    /// The four blocks of `params`, mutably, cut at
+    /// [`MlpConfig::block_ranges`]. Callers that write `W₂` bump its stamp.
+    fn blocks_mut(&mut self) -> [&mut [f32]; 4] {
+        let [w1, b1, w2, _] = self.config.block_ranges();
+        let (w1s, rest) = self.params.split_at_mut(w1.len());
+        let (b1s, rest) = rest.split_at_mut(b1.len());
+        let (w2s, b2s) = rest.split_at_mut(w2.len());
+        [w1s, b1s, w2s, b2s]
+    }
+
+    /// A copy of all parameters in the flat layout of [`Mlp::as_flat`].
     pub fn to_flat(&self) -> Vec<f32> {
-        self.blocks().concat()
+        self.params.clone()
     }
 
     /// Exports the flat parameter layout of [`Mlp::to_flat`] into a
     /// caller-owned [`FlatVec`], reusing its allocation and **keeping its
-    /// storage precision** (an empty default buffer is f32) — the zero-alloc
-    /// path for the merge arena: steady-state calls on a recycled buffer
-    /// never touch the heap. The bf16 export narrows each parameter exactly
-    /// once (round-to-nearest-even) — the model itself stays f32.
+    /// storage precision** (an empty default buffer is f32): steady-state
+    /// calls on a recycled buffer never touch the heap. The bf16 export
+    /// narrows each parameter exactly once (round-to-nearest-even) — the
+    /// model itself stays f32.
     pub fn write_flat_buf(&self, out: &mut FlatVec) {
         match out {
             FlatVec::F32(v) => {
                 v.clear();
-                v.reserve(self.param_len());
-                for block in self.blocks() {
-                    v.extend_from_slice(block);
-                }
+                v.extend_from_slice(&self.params);
             }
             FlatVec::Bf16(v) => {
                 // Size once; on a recycled buffer this is a no-op, so the
-                // steady state never re-zero-fills (or reallocates) the
-                // arena — every element is overwritten by the narrows below.
+                // steady state never re-zero-fills (or reallocates) it —
+                // every element is overwritten by the narrow below.
                 v.resize(self.param_len(), 0);
-                let mut off = 0usize;
-                for block in self.blocks() {
-                    bf16::narrow_slice(block, &mut v[off..off + block.len()]);
-                    off += block.len();
-                }
+                bf16::narrow_slice(&self.params, v);
             }
         }
     }
@@ -198,42 +208,32 @@ impl Mlp {
     /// # Panics
     /// Panics when a row id falls outside `num_features + num_classes`.
     pub fn write_delta_buf(&self, rows: &[u32], out: &mut FlatVec) {
+        match out {
+            FlatVec::F32(v) => self.delta_into(rows, v, |x| x),
+            FlatVec::Bf16(v) => self.delta_into(rows, v, bf16::narrow),
+        }
+    }
+
+    /// [`Mlp::write_delta_buf`] into `v`, every value through `narrow`.
+    fn delta_into<E>(&self, rows: &[u32], v: &mut Vec<E>, narrow: impl Fn(f32) -> E) {
         debug_assert!(
             rows.windows(2).all(|w| w[0] < w[1]),
             "delta rows must be strictly ascending"
         );
         let c = &self.config;
-        let w2 = self.w2.as_slice();
-        match out {
-            FlatVec::F32(v) => {
-                v.clear();
-                v.extend_from_slice(&self.b1);
-                for &r in rows {
-                    let r = r as usize;
-                    if r < c.num_features {
-                        v.extend_from_slice(self.w1.row(r));
-                    } else {
-                        let cl = r - c.num_features;
-                        assert!(cl < c.num_classes, "row {r} outside layout");
-                        v.extend((0..c.hidden).map(|k| w2[k * c.num_classes + cl]));
-                        v.push(self.b2[cl]);
-                    }
-                }
-            }
-            FlatVec::Bf16(v) => {
-                v.clear();
-                v.extend(self.b1.iter().map(|&x| bf16::narrow(x)));
-                for &r in rows {
-                    let r = r as usize;
-                    if r < c.num_features {
-                        v.extend(self.w1.row(r).iter().map(|&x| bf16::narrow(x)));
-                    } else {
-                        let cl = r - c.num_features;
-                        assert!(cl < c.num_classes, "row {r} outside layout");
-                        v.extend((0..c.hidden).map(|k| bf16::narrow(w2[k * c.num_classes + cl])));
-                        v.push(bf16::narrow(self.b2[cl]));
-                    }
-                }
+        let (w1, w2, b2) = (self.w1(), self.w2(), self.b2());
+        let w2 = w2.as_slice();
+        v.clear();
+        v.extend(self.b1().iter().map(|&x| narrow(x)));
+        for &r in rows {
+            let r = r as usize;
+            if r < c.num_features {
+                v.extend(w1.row(r).iter().map(|&x| narrow(x)));
+            } else {
+                let cl = r - c.num_features;
+                assert!(cl < c.num_classes, "row {r} outside layout");
+                v.extend((0..c.hidden).map(|k| narrow(w2[k * c.num_classes + cl])));
+                v.push(narrow(b2[cl]));
             }
         }
     }
@@ -247,33 +247,33 @@ impl Mlp {
     pub fn read_flat_buf(&mut self, flat: &FlatVec) {
         assert_eq!(flat.len(), self.param_len(), "flat parameter length");
         match flat {
-            FlatVec::F32(v) => self.for_each_block_mut(|p, r| p.copy_from_slice(&v[r])),
-            FlatVec::Bf16(v) => self.for_each_block_mut(|p, r| bf16::widen_slice(&v[r], p)),
+            FlatVec::F32(v) => self.as_flat_mut().copy_from_slice(v),
+            FlatVec::Bf16(v) => bf16::widen_slice(v, self.as_flat_mut()),
         }
     }
 
     /// Pulls every parameter a fraction `pull` toward `target` (flat
     /// layout): `θ ← θ + pull·(target − θ)` — CROSSBOW's central-model
-    /// blend, applied in place without materializing the replica's own
-    /// flat vector. The blend math runs in f32 on exactly-widened targets
-    /// (`θ ← θ + pull·(widen(z) − θ)` for bf16); the model parameters stay
-    /// f32, so no narrowing round point exists.
+    /// blend, applied in place. The blend math runs in f32 on
+    /// exactly-widened targets (`θ ← θ + pull·(widen(z) − θ)` for bf16);
+    /// the model parameters stay f32, so no narrowing round point exists.
     ///
     /// # Panics
     /// Panics when the length does not match the architecture.
     pub fn blend_from_flat_buf(&mut self, target: &FlatVec, pull: f32) {
         assert_eq!(target.len(), self.param_len(), "flat parameter length");
+        let params = self.as_flat_mut();
         match target {
-            FlatVec::F32(v) => self.for_each_block_mut(|p, r| {
-                for (w, &z) in p.iter_mut().zip(&v[r]) {
+            FlatVec::F32(v) => {
+                for (w, &z) in params.iter_mut().zip(v) {
                     *w += pull * (z - *w);
                 }
-            }),
-            FlatVec::Bf16(v) => self.for_each_block_mut(|p, r| {
-                for (w, &z) in p.iter_mut().zip(&v[r]) {
+            }
+            FlatVec::Bf16(v) => {
+                for (w, &z) in params.iter_mut().zip(v) {
                     *w += pull * (bf16::widen(z) - *w);
                 }
-            }),
+            }
         }
     }
 
@@ -284,11 +284,9 @@ impl Mlp {
     pub fn quantized(&self, precision: Precision) -> Mlp {
         let mut m = self.clone();
         if precision == Precision::Bf16 {
-            m.for_each_block_mut(|p, _| {
-                for w in p.iter_mut() {
-                    *w = bf16::widen(bf16::narrow(*w));
-                }
-            });
+            for w in m.as_flat_mut() {
+                *w = bf16::widen(bf16::narrow(*w));
+            }
         }
         m
     }
@@ -299,34 +297,45 @@ impl Mlp {
     /// Panics when the length does not match the architecture.
     pub fn load_flat(&mut self, flat: &[f32]) {
         assert_eq!(flat.len(), self.param_len(), "flat parameter length");
-        self.for_each_block_mut(|p, r| p.copy_from_slice(&flat[r]));
+        self.as_flat_mut().copy_from_slice(flat);
     }
 
     /// L2 norm of all parameters divided by the parameter count — the
     /// regularization measure gating Algorithm 2's weight perturbation. Each
     /// block's squares are summed in independent `f64` lanes with a fixed
     /// combine order ([`asgd_tensor::kernels::sum_sq_lanes`]), not one add
-    /// chain: the gather pays this once per replica per merge, over every
-    /// parameter.
+    /// chain, and the four block sums are added in layout order: the gather
+    /// pays this once per replica per merge, over every parameter.
     pub fn l2_norm_per_param(&self) -> f64 {
-        let sq =
-            self.w1.norm_sq() + sum_sq_lanes(&self.b1) + self.w2.norm_sq() + sum_sq_lanes(&self.b2);
+        let blocks = self.config.block_ranges();
+        let sq: f64 = blocks.map(|r| sum_sq_lanes(&self.params[r])).iter().sum();
         sq.sqrt() / self.param_len() as f64
+    }
+
+    /// The input-layer weight matrix (`num_features × hidden`).
+    fn w1(&self) -> MatRef<'_> {
+        let c = &self.config;
+        let [w1, ..] = c.block_ranges();
+        MatRef::new(c.num_features, c.hidden, &self.params[w1])
     }
 
     /// The output-layer weight matrix (`hidden × num_classes`) — read access
     /// for LSH indexing of output neurons (SLIDE).
-    pub fn w2(&self) -> &Matrix {
-        &self.w2
+    pub fn w2(&self) -> MatRef<'_> {
+        let c = &self.config;
+        let [_, _, w2, _] = c.block_ranges();
+        MatRef::new(c.hidden, c.num_classes, &self.params[w2])
     }
 
-    /// Mutable access to the output-layer weights (optimizers).
+    /// Mutable access to the output-layer weights (optimizers), row-major
+    /// `hidden × num_classes`.
     ///
     /// Handing out mutable access pessimistically bumps the `W₂` version
     /// stamp — any workspace's cached `W₂ᵀ` re-syncs on its next use.
-    pub fn w2_mut(&mut self) -> &mut Matrix {
+    pub fn w2_mut(&mut self) -> &mut [f32] {
         self.w2_epoch = next_w2_epoch();
-        &mut self.w2
+        let [_, _, w2, _] = self.blocks_mut();
+        w2
     }
 
     /// The current `W₂` version stamp (see [`Mlp::sync_w2t`]).
@@ -342,19 +351,21 @@ impl Mlp {
     /// establish coherence first.
     pub fn sync_w2t(&self, ws: &mut Workspace) {
         if ws.w2t_epoch != Some(self.w2_epoch) {
-            self.w2.transpose_into(&mut ws.w2t);
+            self.w2().transpose_into(&mut ws.w2t);
             ws.w2t_epoch = Some(self.w2_epoch);
         }
     }
 
     /// The hidden bias.
     pub fn b1(&self) -> &[f32] {
-        &self.b1
+        let [_, b1, ..] = self.config.block_ranges();
+        &self.params[b1]
     }
 
     /// The output-layer bias.
     pub fn b2(&self) -> &[f32] {
-        &self.b2
+        let [.., b2] = self.config.block_ranges();
+        &self.params[b2]
     }
 
     /// Forward through the hidden layer only: `relu(X·W₁ + b₁)`, via the
@@ -362,7 +373,7 @@ impl Mlp {
     pub fn hidden_forward(&self, x: &CsrMatrix) -> Matrix {
         assert_eq!(x.cols(), self.config.num_features, "input width");
         let mut h = Matrix::zeros(x.rows(), self.config.hidden);
-        sops::spmm_bias_relu(x, &self.w1, &self.b1, &mut h);
+        sops::spmm_bias_relu(x, self.w1(), self.b1(), &mut h);
         h
     }
 
@@ -389,14 +400,15 @@ impl Mlp {
         assert_eq!(h.len(), self.config.hidden, "hidden activation width");
         let hidden = self.config.hidden;
         let classes = self.config.num_classes;
+        self.w2_epoch = next_w2_epoch();
+        let [w1, b1, w2, b2] = self.blocks_mut();
         // Logits over the active set.
-        let w2 = self.w2.as_slice();
         let mut logits: Vec<f32> = active
             .iter()
             .map(|&c| {
                 let c = c as usize;
                 debug_assert!(c < classes);
-                let mut dot = self.b2[c];
+                let mut dot = b2[c];
                 for (k, &hv) in h.iter().enumerate() {
                     dot += hv * w2[k * classes + c];
                 }
@@ -446,7 +458,6 @@ impl Mlp {
         }
 
         // Update W2 columns + b2 over the active set.
-        let w2m = self.w2.as_mut_slice();
         for (i, &c) in active.iter().enumerate() {
             let g = lr * dlogits[i];
             if g == 0.0 {
@@ -454,21 +465,20 @@ impl Mlp {
             }
             let c = c as usize;
             for (k, &hv) in h.iter().enumerate() {
-                w2m[k * classes + c] -= g * hv;
+                w2[k * classes + c] -= g * hv;
             }
-            self.b2[c] -= g;
+            b2[c] -= g;
         }
         // Update W1 rows for the sample's features + b1.
         for (&f, &v) in x_idx.iter().zip(x_val) {
-            let row = self.w1.row_mut(f as usize);
+            let row = &mut w1[f as usize * hidden..][..hidden];
             for (wv, &dv) in row.iter_mut().zip(&dh) {
                 *wv -= lr * v * dv;
             }
         }
-        for (bv, &dv) in self.b1.iter_mut().zip(&dh) {
+        for (bv, &dv) in b1.iter_mut().zip(&dh) {
             *bv -= lr * dv;
         }
-        self.w2_epoch = next_w2_epoch();
         loss
     }
 
@@ -494,9 +504,9 @@ impl Mlp {
     fn forward_into(&self, x: &CsrMatrix, h: &mut Matrix, probs: &mut Matrix) {
         let batch = x.rows();
         h.reshape_in_place(batch, self.config.hidden);
-        sops::spmm_bias_relu(x, &self.w1, &self.b1, h);
+        sops::spmm_bias_relu(x, self.w1(), self.b1(), h);
         probs.reshape_in_place(batch, self.config.num_classes);
-        ops::gemm_bias(h, &self.w2, &self.b2, probs);
+        ops::gemm_bias(h, self.w2(), self.b2(), probs);
         numerics::softmax_rows_inplace(probs);
     }
 
@@ -547,14 +557,14 @@ impl Mlp {
         let classes = self.config.num_classes;
         let k_eff = k.min(classes);
         ws.h.reshape_in_place(batch, self.config.hidden);
-        sops::spmm_bias_relu(x, &self.w1, &self.b1, &mut ws.h);
+        sops::spmm_bias_relu(x, self.w1(), self.b1(), &mut ws.h);
         out.clear();
         out.resize(batch * k_eff, 0);
         if k_eff <= ops::TOPK_STREAM_MAX {
-            ops::gemm_bias_topk(&ws.h, &self.w2, &self.b2, k_eff, out);
+            ops::gemm_bias_topk(&ws.h, self.w2(), self.b2(), k_eff, out);
         } else {
             ws.probs.reshape_in_place(batch, classes);
-            ops::gemm_bias(&ws.h, &self.w2, &self.b2, &mut ws.probs);
+            ops::gemm_bias(&ws.h, self.w2(), self.b2(), &mut ws.probs);
             for r in 0..batch {
                 let row = ws.probs.row(r);
                 // A total order even over NaN logits (a diverged model):
@@ -672,21 +682,24 @@ impl Mlp {
     /// both update routines call this one. `W₁` receives a *sparse* update:
     /// only features present in the batch have non-zero gradient rows.
     fn apply_hidden_gradients(&mut self, grads: &Gradients, lr: f32) {
+        let hidden = self.config.hidden;
+        let [w1, b1, ..] = self.blocks_mut();
         for &(feature, ref grow) in &grads.w1_updates {
-            let wrow = self.w1.row_mut(feature as usize);
+            let wrow = &mut w1[feature as usize * hidden..][..hidden];
             for (w, &g) in wrow.iter_mut().zip(grow) {
                 *w -= lr * g;
             }
         }
-        ops::axpy(-lr, &grads.b1, &mut self.b1);
+        ops::axpy(-lr, &grads.b1, b1);
     }
 
     /// Applies one SGD step: `θ ← θ − lr·∇θ`.
     pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
         self.apply_hidden_gradients(grads, lr);
-        ops::axpy(-lr, grads.w2.as_slice(), self.w2.as_mut_slice());
-        ops::axpy(-lr, &grads.b2, &mut self.b2);
         self.w2_epoch = next_w2_epoch();
+        let [_, _, w2, b2] = self.blocks_mut();
+        ops::axpy(-lr, grads.w2.as_slice(), w2);
+        ops::axpy(-lr, &grads.b2, b2);
     }
 
     /// One full SGD step on a batch (forward + backward + update) using
@@ -792,9 +805,10 @@ impl Mlp {
 
         // Forward: dense hidden layer, candidate-gathered output layer.
         h.reshape_in_place(batch, hidden);
-        sops::spmm_bias_relu(x, &self.w1, &self.b1, h);
+        sops::spmm_bias_relu(x, self.w1(), self.b1(), h);
+        let b2 = self.b2();
         gathered_b2.clear();
-        gathered_b2.extend(cand.iter().map(|&c| self.b2[c as usize]));
+        gathered_b2.extend(cand.iter().map(|&c| b2[c as usize]));
         logits_s.reshape_in_place(batch, s);
         ops::gemm_nt_gather_bias(h, w2t, cand, gathered_b2, logits_s);
         numerics::softmax_rows_inplace(logits_s);
@@ -847,7 +861,8 @@ impl Mlp {
         assert_eq!(ws.gt.rows(), cand.len(), "gradient/candidate set mismatch");
         self.apply_hidden_gradients(&ws.grads, lr);
         let classes = self.config.num_classes;
-        let w2 = self.w2.as_mut_slice();
+        self.w2_epoch = next_w2_epoch();
+        let [_, _, w2, b2] = self.blocks_mut();
         for (i, &c) in cand.iter().enumerate() {
             let c = c as usize;
             let trow = ws.w2t.row_mut(c);
@@ -856,9 +871,8 @@ impl Mlp {
                 *t = nv;
                 w2[k * classes + c] = nv;
             }
-            self.b2[c] -= lr * ws.b2_scratch[i];
+            b2[c] -= lr * ws.b2_scratch[i];
         }
-        self.w2_epoch = next_w2_epoch();
         ws.w2t_epoch = Some(self.w2_epoch);
     }
 
@@ -989,6 +1003,16 @@ fn sparse_weight_grad(
 mod tests {
     use super::*;
 
+    /// Parameter `i` of block `block` (its index in
+    /// [`MlpConfig::block_ranges`]), mutably.
+    fn param(m: &mut Mlp, block: usize, i: usize) -> &mut f32 {
+        let r = m.config.block_ranges()[block].clone();
+        &mut m.as_flat_mut()[r][i]
+    }
+    const W1: usize = 0;
+    const W2: usize = 2;
+    const B2: usize = 3;
+
     fn tiny_config() -> MlpConfig {
         MlpConfig {
             num_features: 10,
@@ -1059,10 +1083,11 @@ mod tests {
 
         // Spot-check a few W2 coordinates.
         for &(i, j) in &[(0usize, 0usize), (3, 2), (5, 3)] {
+            let at = i * config.num_classes + j;
             let mut mp = m.clone();
-            mp.w2.set(i, j, mp.w2.at(i, j) + eps);
+            *param(&mut mp, W2, at) += eps;
             let mut mm = m.clone();
-            mm.w2.set(i, j, mm.w2.at(i, j) - eps);
+            *param(&mut mm, W2, at) -= eps;
             let num = (loss_of(&mp) - loss_of(&mm)) / (2.0 * eps as f64);
             // Backward computes gradient of (batch-mean of per-sample loss
             // over batch size), while loss reports mean over contributing
@@ -1085,10 +1110,11 @@ mod tests {
                 .unwrap_or(0.0)
         };
         for &(f, j) in &[(0u32, 1usize), (3, 0), (9, 5), (5, 2)] {
+            let at = f as usize * config.hidden + j;
             let mut mp = m.clone();
-            mp.w1.set(f as usize, j, mp.w1.at(f as usize, j) + eps);
+            *param(&mut mp, W1, at) += eps;
             let mut mm = m.clone();
-            mm.w1.set(f as usize, j, mm.w1.at(f as usize, j) - eps);
+            *param(&mut mm, W1, at) -= eps;
             let num = (loss_of(&mp) - loss_of(&mm)) / (2.0 * eps as f64);
             let ana = grad_w1(f, j);
             assert!(
@@ -1302,13 +1328,13 @@ mod tests {
     fn sampled_step_restricted_set_touches_only_active_columns() {
         let config = tiny_config();
         let mut m = Mlp::init(&config, 22);
-        let before = m.w2().clone();
+        let before = m.clone();
         let x = CsrMatrix::from_rows(10, &[(vec![0], vec![1.0])]).unwrap();
         let h = m.hidden_forward(&x);
         let (idx, val) = x.row(0);
         m.train_sample_sampled(idx, val, h.row(0), &[1], &[1, 3], 0.2);
         for c in 0..config.num_classes {
-            let changed = (0..config.hidden).any(|k| m.w2().at(k, c) != before.at(k, c));
+            let changed = (0..config.hidden).any(|k| m.w2().row(k)[c] != before.w2().row(k)[c]);
             assert_eq!(changed, c == 1 || c == 3, "class {c}");
         }
     }
@@ -1599,7 +1625,7 @@ mod tests {
         };
         let mut m = Mlp::init(&config, 57);
         for c in (0..config.num_classes).step_by(3) {
-            m.w2.set(0, c, f32::NAN);
+            *param(&mut m, W2, c) = f32::NAN;
         }
         let rows = [
             (vec![0u32, 3], vec![1.0f32, -0.5]),
@@ -1608,7 +1634,7 @@ mod tests {
         ];
         let x = CsrMatrix::from_rows(8, &rows).unwrap();
         let mut logits = Matrix::zeros(3, config.num_classes);
-        ops::gemm_bias(&m.hidden_forward(&x), &m.w2, &m.b2, &mut logits);
+        ops::gemm_bias(&m.hidden_forward(&x), m.w2(), m.b2(), &mut logits);
         for k in [33usize, 64, config.num_classes] {
             let top = m.predict_topk(&x, k);
             assert_eq!(top.len(), 3 * k);
@@ -1654,13 +1680,13 @@ mod tests {
             let mut m = Mlp::init(&config, 61);
             let (lo, hi) = if classes > 256 { (255, 256) } else { (7, 8) };
             for r in 0..config.hidden {
-                let v = m.w2.at(r, lo);
-                m.w2.set(r, hi, v);
+                let v = m.w2().row(r)[lo];
+                *param(&mut m, W2, r * classes + hi) = v;
             }
-            m.b2[lo] = 50.0;
-            m.b2[hi] = 50.0;
+            *param(&mut m, B2, lo) = 50.0;
+            *param(&mut m, B2, hi) = 50.0;
             if nan {
-                m.b2[3] = f32::NAN;
+                *param(&mut m, B2, 3) = f32::NAN;
             }
             let (x, _) = wide_batch(&config, rows, 23);
             for k in [1usize, 5, 32] {
@@ -1760,15 +1786,15 @@ mod tests {
     fn sampled_batch_touches_only_candidate_output_columns() {
         let config = tiny_config();
         let mut m = Mlp::init(&config, 62);
-        let before_w2 = m.w2().clone();
-        let before_b2 = m.b2().to_vec();
+        let before = m.clone();
+
         let x = CsrMatrix::from_rows(10, &[(vec![0, 3], vec![1.0, 0.5])]).unwrap();
         let labels = vec![vec![1u32]];
         let mut ws = Workspace::new(&config);
         m.train_batch_sampled_ws(&x, &labels, &[1u32, 3], 0.3, &mut ws);
-        for (c, &b2_before) in before_b2.iter().enumerate() {
-            let changed = (0..config.hidden).any(|k| m.w2().at(k, c) != before_w2.at(k, c))
-                || m.b2()[c] != b2_before;
+        for c in 0..config.num_classes {
+            let changed = (0..config.hidden).any(|k| m.w2().row(k)[c] != before.w2().row(k)[c])
+                || m.b2()[c] != before.b2()[c];
             assert_eq!(changed, c == 1 || c == 3, "class {c}");
         }
     }
@@ -2080,11 +2106,11 @@ mod tests {
     fn sparse_update_only_touches_batch_features() {
         let config = tiny_config();
         let mut m = Mlp::init(&config, 8);
-        let before = m.w1.clone();
+        let before = m.clone();
         let x = CsrMatrix::from_rows(10, &[(vec![2, 4], vec![1.0, 1.0])]).unwrap();
         m.train_batch(&x, &[vec![0]], 0.1);
         for f in 0..10usize {
-            let changed = m.w1.row(f) != before.row(f);
+            let changed = m.w1().row(f) != before.w1().row(f);
             assert_eq!(changed, f == 2 || f == 4, "feature {f}");
         }
     }

@@ -58,6 +58,7 @@ pub use engine::{serve, LatencyStats, ReplicaReport, RequestRecord, ServeConfig,
 pub use fleet::{serve_fleet, FleetConfig, FleetOutcome, FleetRecord, FleetReplicaReport};
 pub use hedge::{HedgePolicy, HedgeStats};
 pub use loadgen::{fleet_stream, FleetLoadSpec, TenantRequest};
-pub use registry::{adapter_variant, DedupStats, ModelRegistry, ModelVersion, VersionId};
+pub use registry::{adapter_variant, DedupStats, ModelRegistry, ModelVersion};
+pub use registry::{RegistryError, VersionId};
 pub use slo::SloController;
 pub use stream::{open_loop_stream, Request};

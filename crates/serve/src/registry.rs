@@ -7,7 +7,7 @@
 //! leaves the wide classifier head alone, a head-only fine-tune does the
 //! opposite, and several tenants often pin the very same build. The
 //! registry exploits this by hashing each version's **flat per-layer
-//! buffers** (`W₁`, `b₁`, `W₂`, `b₂` in the [`Mlp::to_flat`] layout) and
+//! buffers** (`W₁`, `b₁`, `W₂`, `b₂`, cut at [`MlpConfig::block_ranges`]) and
 //! storing every distinct buffer exactly once: versions sharing a layer
 //! share one allocation, in the f32 and bf16 storage tiers alike (bf16
 //! layers are narrowed once — round-to-nearest-even, the rounding
@@ -32,6 +32,25 @@ use std::sync::Arc;
 /// Handle of one registered model version (dense, insertion-ordered).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VersionId(pub usize);
+
+/// Why [`ModelRegistry::register`] refused a version: the model is not of
+/// the registry's architecture, and a fleet serves one request schema.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegistryError {
+    /// The refused model's architecture.
+    pub have: MlpConfig,
+    /// The registry's.
+    pub want: MlpConfig,
+}
+
+impl std::fmt::Display for RegistryError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let RegistryError { have, want } = self;
+        write!(f, "architecture mismatch: have {have:?}, want {want:?}")
+    }
+}
+
+impl std::error::Error for RegistryError {}
 
 /// One stored layer buffer at its storage tier.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,23 +193,26 @@ impl ModelRegistry {
     /// not copied; a version whose full content is already materialized
     /// shares the existing serving [`Mlp`].
     ///
-    /// # Panics
-    /// Panics on an architecture mismatch.
+    /// # Errors
+    /// A [`RegistryError`] when `model` is not of the registry's
+    /// architecture (a decoded checkpoint of another shape, say); the
+    /// registry is left as it was.
     pub fn register(
         &mut self,
         name: impl Into<String>,
         model: &Mlp,
         precision: Precision,
-    ) -> VersionId {
-        assert_eq!(
-            model.config(),
-            &self.config,
-            "version architecture mismatch"
-        );
-        let flat = model.to_flat();
+    ) -> Result<VersionId, RegistryError> {
+        if model.config() != &self.config {
+            return Err(RegistryError {
+                have: *model.config(),
+                want: self.config,
+            });
+        }
         let mut layers: Vec<Arc<LayerBuf>> = Vec::with_capacity(4);
         let mut sig = 0xcbf2_9ce4_8422_2325u64;
-        for part in layer_slices(&self.config, &flat) {
+        for range in self.config.block_ranges() {
+            let part = &model.as_flat()[range];
             let buf = match precision {
                 Precision::F32 => LayerBuf::F32(part.to_vec()),
                 Precision::Bf16 => LayerBuf::Bf16(part.iter().map(|&v| bf16::narrow(v)).collect()),
@@ -237,10 +259,8 @@ impl ModelRegistry {
             for l in &layers {
                 l.widen_into(&mut widened);
             }
-            let mut m = Mlp::zeros(&self.config);
-            m.load_flat(&widened);
             self.materialized.insert(sig, id);
-            Arc::new(m)
+            Arc::new(Mlp::from_flat(&self.config, widened))
         });
         self.versions.push(ModelVersion {
             name: name.into(),
@@ -249,7 +269,7 @@ impl ModelRegistry {
             sig,
             model,
         });
-        id
+        Ok(id)
     }
 
     /// A registered version.
@@ -299,19 +319,6 @@ impl ModelRegistry {
     }
 }
 
-/// The four flat layer slices of [`Mlp::to_flat`]'s layout.
-fn layer_slices<'a>(config: &MlpConfig, flat: &'a [f32]) -> [&'a [f32]; 4] {
-    let w1 = config.num_features * config.hidden;
-    let b1 = config.hidden;
-    let w2 = config.hidden * config.num_classes;
-    let b2 = config.num_classes;
-    assert_eq!(flat.len(), w1 + b1 + w2 + b2, "flat layout mismatch");
-    let (w1s, rest) = flat.split_at(w1);
-    let (b1s, rest) = rest.split_at(b1);
-    let (w2s, b2s) = rest.split_at(w2);
-    [w1s, b1s, w2s, b2s]
-}
-
 /// Derives a per-tenant *adapter* fine-tune of `base`: `W₁` and `b₁` are
 /// perturbed by seeded noise of relative scale `eps`, the classifier head
 /// (`W₂`, `b₂`) is left bit-identical — the version family in which
@@ -320,15 +327,12 @@ fn layer_slices<'a>(config: &MlpConfig, flat: &'a [f32]) -> [&'a [f32]; 4] {
 /// same variant.
 pub fn adapter_variant(base: &Mlp, seed: u64, eps: f32) -> Mlp {
     use rand::{rngs::StdRng, Rng, SeedableRng};
-    let config = *base.config();
-    let mut flat = base.to_flat();
-    let body = config.num_features * config.hidden + config.hidden;
+    let [_, b1, ..] = base.config().block_ranges();
+    let mut m = base.clone();
     let mut rng = StdRng::seed_from_u64(seed ^ 0xADA9_7E2F_1355_C0DE);
-    for v in &mut flat[..body] {
+    for v in &mut m.as_flat_mut()[..b1.end] {
         *v += eps * (rng.gen::<f32>() - 0.5);
     }
-    let mut m = Mlp::zeros(&config);
-    m.load_flat(&flat);
     m
 }
 
@@ -348,8 +352,8 @@ mod tests {
     fn identical_versions_share_everything() {
         let base = Mlp::init(&config(), 7);
         let mut reg = ModelRegistry::new(config());
-        let a = reg.register("v0", &base, Precision::F32);
-        let b = reg.register("v0-pinned", &base, Precision::F32);
+        let a = reg.register("v0", &base, Precision::F32).unwrap();
+        let b = reg.register("v0-pinned", &base, Precision::F32).unwrap();
         assert_eq!(reg.version(a).sig, reg.version(b).sig);
         assert!(Arc::ptr_eq(reg.model(a), reg.model(b)));
         for (x, y) in reg.version(a).layers.iter().zip(&reg.version(b).layers) {
@@ -368,8 +372,10 @@ mod tests {
     fn adapter_variants_share_the_head_only() {
         let base = Mlp::init(&config(), 7);
         let mut reg = ModelRegistry::new(config());
-        let a = reg.register("base", &base, Precision::F32);
-        let b = reg.register("t1", &adapter_variant(&base, 1, 1e-3), Precision::F32);
+        let a = reg.register("base", &base, Precision::F32).unwrap();
+        let b = reg
+            .register("t1", &adapter_variant(&base, 1, 1e-3), Precision::F32)
+            .unwrap();
         assert_ne!(reg.version(a).sig, reg.version(b).sig);
         let (va, vb) = (reg.version(a).layers.clone(), reg.version(b).layers.clone());
         assert!(!Arc::ptr_eq(&va[0], &vb[0]), "W1 differs");
@@ -384,7 +390,7 @@ mod tests {
     fn materialized_model_matches_the_registered_weights() {
         let base = Mlp::init(&config(), 3);
         let mut reg = ModelRegistry::new(config());
-        let id = reg.register("v", &base, Precision::F32);
+        let id = reg.register("v", &base, Precision::F32).unwrap();
         assert_eq!(**reg.model(id), base);
     }
 
@@ -393,8 +399,8 @@ mod tests {
         let base = Mlp::init(&config(), 3);
         let mut reg32 = ModelRegistry::new(config());
         let mut reg16 = ModelRegistry::new(config());
-        let a = reg32.register("v", &base, Precision::F32);
-        let b = reg16.register("v", &base, Precision::Bf16);
+        let a = reg32.register("v", &base, Precision::F32).unwrap();
+        let b = reg16.register("v", &base, Precision::Bf16).unwrap();
         assert_eq!(
             reg16.dedup_stats().bytes_stored * 2,
             reg32.dedup_stats().bytes_stored
@@ -404,8 +410,8 @@ mod tests {
         assert_eq!(**reg32.model(a), base);
         // Same weights at different tiers are *different* content.
         let mut mixed = ModelRegistry::new(config());
-        let x = mixed.register("f32", &base, Precision::F32);
-        let y = mixed.register("bf16", &base, Precision::Bf16);
+        let x = mixed.register("f32", &base, Precision::F32).unwrap();
+        let y = mixed.register("bf16", &base, Precision::Bf16).unwrap();
         assert_ne!(mixed.version(x).sig, mixed.version(y).sig);
     }
 
@@ -418,8 +424,8 @@ mod tests {
         let rounded = base.quantized(Precision::Bf16);
         assert_ne!(base, rounded, "quantization should change some weight");
         let mut reg = ModelRegistry::new(config());
-        let a = reg.register("a", &base, Precision::Bf16);
-        let b = reg.register("b", &rounded, Precision::Bf16);
+        let a = reg.register("a", &base, Precision::Bf16).unwrap();
+        let b = reg.register("b", &rounded, Precision::Bf16).unwrap();
         assert_eq!(reg.version(a).sig, reg.version(b).sig);
         assert!(Arc::ptr_eq(reg.model(a), reg.model(b)));
         assert_eq!(reg.dedup_stats().layers_unique, 4);
@@ -436,34 +442,69 @@ mod tests {
         let base = Mlp::init(&config(), 7);
         let other = Mlp::init(&config(), 8);
         let mut scratch = ModelRegistry::new(config());
-        let probe = scratch.register("probe", &other, Precision::F32);
+        let probe = scratch.register("probe", &other, Precision::F32).unwrap();
         let folded = scratch.version(probe).sig;
 
         let mut reg = ModelRegistry::new(config());
-        let a = reg.register("base", &base, Precision::F32);
+        let a = reg.register("base", &base, Precision::F32).unwrap();
         reg.materialized.insert(folded, a);
-        let b = reg.register("other", &other, Precision::F32);
+        let b = reg.register("other", &other, Precision::F32).unwrap();
         let sig = reg.version(b).sig;
         assert_ne!(sig, folded);
         assert_ne!(sig, reg.version(a).sig);
         assert!(!Arc::ptr_eq(reg.model(a), reg.model(b)));
         assert_eq!(**reg.model(b), other);
 
-        let c = reg.register("other-pinned", &other, Precision::F32);
+        let c = reg
+            .register("other-pinned", &other, Precision::F32)
+            .unwrap();
         assert_eq!(reg.version(c).sig, sig);
         assert!(Arc::ptr_eq(reg.model(b), reg.model(c)));
     }
 
+    /// A model of another architecture — built here, or decoded from a
+    /// checkpoint of another shape — is an error, and the registry is left
+    /// as it was.
     #[test]
-    #[should_panic(expected = "architecture mismatch")]
-    fn wrong_architecture_is_rejected() {
+    fn wrong_architecture_is_an_error() {
         let mut reg = ModelRegistry::new(config());
+        let base = reg
+            .register("base", &Mlp::init(&config(), 1), Precision::F32)
+            .unwrap();
         let other = MlpConfig {
             num_features: 3,
             hidden: 2,
             num_classes: 4,
         };
-        reg.register("bad", &Mlp::init(&other, 1), Precision::F32);
+        let decoded = asgd_model::checkpoint::decode(asgd_model::checkpoint::encode_with(
+            &Mlp::init(
+                &MlpConfig {
+                    hidden: 5,
+                    ..config()
+                },
+                2,
+            ),
+            Precision::Bf16,
+        ))
+        .unwrap();
+        for model in [Mlp::init(&other, 1), decoded] {
+            let err = reg.register("bad", &model, Precision::F32).unwrap_err();
+            assert_eq!(
+                err,
+                RegistryError {
+                    have: *model.config(),
+                    want: config(),
+                }
+            );
+            assert!(err.to_string().contains("architecture mismatch"), "{err}");
+        }
+        assert_eq!(reg.len(), 1);
+        assert_eq!(reg.dedup_stats().layers_logical, 4);
+        let again = reg
+            .register("again", &Mlp::init(&config(), 1), Precision::F32)
+            .unwrap();
+        assert_eq!(again, VersionId(1));
+        assert!(Arc::ptr_eq(reg.model(base), reg.model(again)));
     }
 
     #[test]

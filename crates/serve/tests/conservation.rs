@@ -220,13 +220,14 @@ fn no_request_is_lost_or_doubled_under_arbitrary_fault_plans() {
     let mut reg = ModelRegistry::new(config);
     // Three tenants, two distinct contents (the pinned copy dedups to base).
     let tenants = vec![
-        reg.register("base/v1", &base, Precision::F32),
+        reg.register("base/v1", &base, Precision::F32).unwrap(),
         reg.register(
             "tenant1/v1",
             &adapter_variant(&base, 1, 1e-3),
             Precision::F32,
-        ),
-        reg.register("pinned/v1", &base, Precision::F32),
+        )
+        .unwrap(),
+        reg.register("pinned/v1", &base, Precision::F32).unwrap(),
     ];
     let pool = &ds.test.features;
 

@@ -40,13 +40,15 @@ fn three_tenant_registry(ds: &XmlDataset) -> (ModelRegistry, Vec<VersionId>) {
     let config = mlp_config(ds);
     let base = Mlp::init(&config, 7);
     let mut reg = ModelRegistry::new(config);
-    let v0 = reg.register("base/v1", &base, Precision::F32);
-    let v1 = reg.register(
-        "tenant1/v1",
-        &adapter_variant(&base, 1, 1e-3),
-        Precision::F32,
-    );
-    let v2 = reg.register("pinned/v1", &base, Precision::F32);
+    let v0 = reg.register("base/v1", &base, Precision::F32).unwrap();
+    let v1 = reg
+        .register(
+            "tenant1/v1",
+            &adapter_variant(&base, 1, 1e-3),
+            Precision::F32,
+        )
+        .unwrap();
+    let v2 = reg.register("pinned/v1", &base, Precision::F32).unwrap();
     (reg, vec![v0, v1, v2])
 }
 
@@ -366,7 +368,9 @@ fn a_fault_point_fires_once_however_many_all_hit_rounds_precede_its_dispatch() {
     let ds = tiny_dataset();
     let config = mlp_config(&ds);
     let mut reg = ModelRegistry::new(config);
-    let v0 = reg.register("base/v1", &Mlp::init(&config, 7), Precision::F32);
+    let v0 = reg
+        .register("base/v1", &Mlp::init(&config, 7), Precision::F32)
+        .unwrap();
     let pool = &ds.test.features;
     // A warm Zipf head at a trickle of load: most admission rounds are all
     // cache hits, so the loop comes back to the same `(window, ordinal)`
@@ -436,9 +440,11 @@ fn three_model_registry(ds: &XmlDataset) -> (ModelRegistry, Vec<VersionId>) {
     let base = Mlp::init(&config, 7);
     let mut reg = ModelRegistry::new(config);
     let versions = vec![
-        reg.register("base/v1", &base, Precision::F32),
-        reg.register("t1/v1", &adapter_variant(&base, 1, 1e-2), Precision::F32),
-        reg.register("t2/v1", &adapter_variant(&base, 2, 1e-2), Precision::F32),
+        reg.register("base/v1", &base, Precision::F32).unwrap(),
+        reg.register("t1/v1", &adapter_variant(&base, 1, 1e-2), Precision::F32)
+            .unwrap(),
+        reg.register("t2/v1", &adapter_variant(&base, 2, 1e-2), Precision::F32)
+            .unwrap(),
     ];
     (reg, versions)
 }

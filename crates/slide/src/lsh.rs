@@ -10,7 +10,7 @@
 use asgd_stats::dist::standard_normal;
 use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, Epilogue};
 use asgd_tensor::parallel::par_chunks_mut;
-use asgd_tensor::{bf16, FlatVec, Matrix};
+use asgd_tensor::{bf16, FlatVec, MatRef};
 use rand::{rngs::StdRng, SeedableRng};
 
 /// Classes below this hash serially during [`LshIndex::rebuild`] — the
@@ -158,7 +158,8 @@ impl LshIndex {
 
     /// (Re)hashes every output neuron. `w2` is `dim × classes`; neuron `j`
     /// is column `j`. Bucket contents are identical for any `ASGD_THREADS`.
-    pub fn rebuild(&mut self, w2: &Matrix) {
+    pub fn rebuild<'a>(&mut self, w2: impl Into<MatRef<'a>>) {
+        let w2 = w2.into();
         assert_eq!(w2.rows(), self.dim, "neuron dimensionality mismatch");
         self.rebuild_from(w2.as_slice(), w2.cols(), |x| x);
     }
@@ -270,7 +271,7 @@ impl LshIndex {
     /// classes in ascending order, then copied bucket by bucket into the
     /// flat fields. Shares neither the blocked sweep nor the radix sort with
     /// [`LshIndex::rebuild`].
-    pub(crate) fn rebuild_oracle(&mut self, w2: &Matrix) {
+    pub(crate) fn rebuild_oracle(&mut self, w2: &asgd_tensor::Matrix) {
         use std::collections::HashMap;
         let (classes, l) = (w2.cols(), self.buckets.len());
         self.sigs.clear();
@@ -300,6 +301,7 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_tensor::Matrix;
     use proptest::prelude::*;
 
     /// Seeded values in `[-1, 1)` with exact zeros sprinkled in.

@@ -30,7 +30,7 @@
 //!   RNG state, so dispatch order cannot leak into the selection.
 
 use crate::lsh::LshIndex;
-use asgd_tensor::Matrix;
+use asgd_tensor::MatRef;
 use std::sync::Arc;
 
 /// One step of the SplitMix64 stream — the sampler's only RNG. Small, fast,
@@ -92,7 +92,7 @@ impl CandidateSampler {
     /// see the module docs. A shared index is copied first (copy-on-write);
     /// owners of shared indices rebuild at the source and hand the result
     /// out through [`set_index`](Self::set_index) instead.
-    pub fn rebuild(&mut self, w2: &Matrix) {
+    pub fn rebuild<'a>(&mut self, w2: impl Into<MatRef<'a>>) {
         Arc::make_mut(&mut self.lsh).rebuild(w2);
     }
 
@@ -241,6 +241,7 @@ impl CandidateSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_tensor::Matrix;
 
     fn w2(dim: usize, classes: usize) -> Matrix {
         Matrix::from_fn(dim, classes, |i, j| {

@@ -22,7 +22,7 @@
 use crate::csr::CsrMatrix;
 use asgd_tensor::kernels::{self, Epilogue, NB};
 use asgd_tensor::parallel::MIN_PAR_ROWS;
-use asgd_tensor::Matrix;
+use asgd_tensor::{MatRef, Matrix};
 
 /// One CSR row times the `cols` window of `B`, panel-blocked: an `NB`-wide
 /// stack accumulator panel sweeps the window; each panel streams the row's
@@ -154,7 +154,16 @@ fn nnz_balanced_row_ranges(a: &CsrMatrix, parts: usize) -> Vec<std::ops::Range<u
     ranges
 }
 
-fn spmm_with_epilogue(a: &CsrMatrix, b: &Matrix, c: &mut Matrix, ep: Epilogue) {
+/// The one body behind [`spmm`] and [`spmm_bias_relu`], which differ
+/// only in the epilogue: shape checks (panicking under the public entry
+/// point's `name`), then the row- and column-tiled pass.
+fn spmm_with_epilogue(name: &str, a: &CsrMatrix, b: MatRef<'_>, c: &mut Matrix, ep: Epilogue) {
+    assert_eq!(a.cols(), b.rows(), "{name} inner dimension mismatch");
+    assert_eq!(c.rows(), a.rows(), "{name} output rows mismatch");
+    assert_eq!(c.cols(), b.cols(), "{name} output cols mismatch");
+    if let Epilogue::BiasRelu(bias) = ep {
+        assert_eq!(bias.len(), b.cols(), "{name} bias length mismatch");
+    }
     let n = b.cols();
     if n == 0 {
         return;
@@ -210,15 +219,12 @@ fn spmm_with_epilogue(a: &CsrMatrix, b: &Matrix, c: &mut Matrix, ep: Epilogue) {
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn spmm(a: &CsrMatrix, b: &Matrix, c: &mut Matrix) {
-    assert_eq!(a.cols(), b.rows(), "spmm inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "spmm output rows mismatch");
-    assert_eq!(c.cols(), b.cols(), "spmm output cols mismatch");
+pub fn spmm<'b>(a: &CsrMatrix, b: impl Into<MatRef<'b>>, c: &mut Matrix) {
     let ep = Epilogue::AlphaBeta {
         alpha: 1.0,
         beta: 0.0,
     };
-    spmm_with_epilogue(a, b, c, ep);
+    spmm_with_epilogue("spmm", a, b.into(), c, ep);
 }
 
 /// Fused forward activation: `C = relu(A·B + bias)` in a single pass —
@@ -227,16 +233,8 @@ pub fn spmm(a: &CsrMatrix, b: &Matrix, c: &mut Matrix) {
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn spmm_bias_relu(a: &CsrMatrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "spmm_bias_relu inner dimension mismatch"
-    );
-    assert_eq!(c.rows(), a.rows(), "spmm_bias_relu output rows mismatch");
-    assert_eq!(c.cols(), b.cols(), "spmm_bias_relu output cols mismatch");
-    assert_eq!(bias.len(), b.cols(), "spmm_bias_relu bias length mismatch");
-    spmm_with_epilogue(a, b, c, Epilogue::BiasRelu(bias));
+pub fn spmm_bias_relu<'b>(a: &CsrMatrix, b: impl Into<MatRef<'b>>, bias: &[f32], c: &mut Matrix) {
+    spmm_with_epilogue("spmm_bias_relu", a, b.into(), c, Epilogue::BiasRelu(bias));
 }
 
 /// `C += alpha · Aᵀ · G` where `A` is CSR (`m×k`), `G` dense (`m×n`), `C`

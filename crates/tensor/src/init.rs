@@ -5,26 +5,18 @@
 //! the layer's unit count (§V-A). These helpers reproduce that scheme with an
 //! explicit RNG so all algorithms can share one initial model bit-for-bit.
 
-use crate::Matrix;
 use asgd_stats::Normal;
 use rand::Rng;
 
-/// Fills a matrix with `N(0, std_dev)` samples.
-pub fn normal_init<R: Rng + ?Sized>(m: &mut Matrix, std_dev: f64, rng: &mut R) {
+/// Fills a layer's weights in place, in order, with the paper's scheme:
+/// `N(0, 1 / sqrt(fan_in))` samples, where `fan_in` is the number of units
+/// feeding the layer (the rows of a `fan_in × units` weight block).
+pub fn layer_init<R: Rng + ?Sized>(out: &mut [f32], fan_in: usize, rng: &mut R) {
+    let std_dev = 1.0 / (fan_in.max(1) as f64).sqrt();
     let dist = Normal::new(0.0, std_dev).expect("invalid std_dev");
-    for v in m.as_mut_slice() {
+    for v in out {
         *v = dist.sample(rng) as f32;
     }
-}
-
-/// Creates a `rows × cols` weight matrix with the paper's scheme: standard
-/// deviation `1 / sqrt(fan_in)` where `fan_in = rows` (the number of units
-/// feeding the layer).
-pub fn layer_init<R: Rng + ?Sized>(rows: usize, cols: usize, rng: &mut R) -> Matrix {
-    let mut m = Matrix::zeros(rows, cols);
-    let std = 1.0 / (rows.max(1) as f64).sqrt();
-    normal_init(&mut m, std, rng);
-    m
 }
 
 #[cfg(test)]
@@ -32,26 +24,24 @@ mod tests {
     use super::*;
     use rand::{rngs::StdRng, SeedableRng};
 
+    fn layer(rows: usize, cols: usize, seed: u64) -> Vec<f32> {
+        let mut w = vec![0.0; rows * cols];
+        layer_init(&mut w, rows, &mut StdRng::seed_from_u64(seed));
+        w
+    }
+
     #[test]
     fn init_is_deterministic_per_seed() {
-        let a = layer_init(16, 8, &mut StdRng::seed_from_u64(7));
-        let b = layer_init(16, 8, &mut StdRng::seed_from_u64(7));
-        let c = layer_init(16, 8, &mut StdRng::seed_from_u64(8));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        assert_eq!(layer(16, 8, 7), layer(16, 8, 7));
+        assert_ne!(layer(16, 8, 7), layer(16, 8, 8));
     }
 
     #[test]
     fn init_std_matches_fan_in() {
-        let m = layer_init(400, 50, &mut StdRng::seed_from_u64(1));
+        let m = layer(400, 50, 1);
         let n = m.len() as f64;
-        let mean: f64 = m.as_slice().iter().map(|&x| x as f64).sum::<f64>() / n;
-        let var: f64 = m
-            .as_slice()
-            .iter()
-            .map(|&x| (x as f64 - mean).powi(2))
-            .sum::<f64>()
-            / n;
+        let mean: f64 = m.iter().map(|&x| x as f64).sum::<f64>() / n;
+        let var: f64 = m.iter().map(|&x| (x as f64 - mean).powi(2)).sum::<f64>() / n;
         let want = 1.0 / 400.0;
         assert!(mean.abs() < 0.002, "mean {mean}");
         assert!((var - want).abs() / want < 0.1, "var {var} want {want}");

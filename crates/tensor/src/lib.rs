@@ -40,4 +40,4 @@ pub(crate) mod pool;
 pub mod reference;
 
 pub use bf16::{FlatVec, Precision};
-pub use matrix::Matrix;
+pub use matrix::{Mat, MatRef, Matrix};

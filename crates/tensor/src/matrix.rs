@@ -2,12 +2,12 @@
 
 use crate::parallel::par_chunks_mut;
 
-/// Side of the square tiles [`Matrix::transpose_into`] walks. A 32 × 32
+/// Side of the square tiles [`Mat::transpose_into`] walks. A 32 × 32
 /// `f32` tile is 32 runs of 128 B on each side — 8 KB in flight, so the
 /// strided side is fetched once per tile instead of once per element.
 const TRANSPOSE_TILE: usize = 32;
 
-/// Element count from which [`Matrix::transpose_into`] forks onto the worker
+/// Element count from which [`Mat::transpose_into`] forks onto the worker
 /// pool: 8 MB of `f32`, past any L2. Below it (the per-step `W₂ᵀ` refresh of
 /// the dense path at a few hundred thousand elements) the fork/join costs
 /// more than the copy.
@@ -33,18 +33,28 @@ fn transpose_columns(src: &[f32], rows: usize, cols: usize, first: usize, chunk:
     }
 }
 
-/// A dense, row-major `f32` matrix.
+/// A dense, row-major `f32` matrix over the element storage `S`:
+/// [`Matrix`] owns its elements, [`MatRef`] borrows them.
 ///
 /// This is the storage type for model parameters, activations, and gradients.
 /// It is intentionally minimal: contiguous storage, explicit dimensions, and
 /// cheap row slicing. All compute kernels live in [`crate::ops`] and
 /// [`crate::numerics`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct Matrix {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Mat<S> {
     rows: usize,
     cols: usize,
-    data: Vec<f32>,
+    data: S,
 }
+
+/// An owned matrix.
+pub type Matrix = Mat<Vec<f32>>;
+
+/// A borrowed matrix: a shape over a slice it does not own. This is how a
+/// model hands the kernels a parameter block that lives inside its one flat
+/// buffer. Every kernel operand that takes one also takes a `&Matrix`,
+/// through `From`.
+pub type MatRef<'a> = Mat<&'a [f32]>;
 
 impl Matrix {
     /// Creates a `rows × cols` matrix of zeros.
@@ -81,6 +91,64 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Sets element `(r, c)`.
+    #[inline]
+    pub fn set(&mut self, r: usize, c: usize, v: f32) {
+        debug_assert!(r < self.rows && c < self.cols);
+        self.data[r * self.cols + c] = v;
+    }
+
+    /// Row `r` as a mutable slice.
+    #[inline]
+    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
+        let start = r * self.cols;
+        &mut self.data[start..start + self.cols]
+    }
+
+    /// The backing row-major mutable slice.
+    #[inline]
+    pub fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
+    /// Sets every element to `v`.
+    pub fn fill(&mut self, v: f32) {
+        self.data.fill(v);
+    }
+
+    /// Re-shapes `self` to `rows × cols` in place, reusing the backing
+    /// allocation whenever its capacity suffices. Element values after the
+    /// call are unspecified (kernels that write the full output, like GEMM
+    /// with `beta = 0`, don't care); only the shape is guaranteed.
+    ///
+    /// This is the growth primitive of the zero-allocation training
+    /// workspace: after the first (largest) batch, subsequent calls never
+    /// touch the allocator.
+    pub fn reshape_in_place(&mut self, rows: usize, cols: usize) {
+        self.data.resize(rows * cols, 0.0);
+        self.rows = rows;
+        self.cols = cols;
+    }
+}
+
+impl<'a> MatRef<'a> {
+    /// Views `data` as a row-major `rows × cols` matrix.
+    ///
+    /// # Panics
+    /// Panics when `data.len() != rows * cols`.
+    pub fn new(rows: usize, cols: usize, data: &'a [f32]) -> Self {
+        assert_eq!(data.len(), rows * cols, "matrix view length");
+        Self { rows, cols, data }
+    }
+}
+
+impl<'a> From<&'a Matrix> for MatRef<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        MatRef::new(m.rows, m.cols, &m.data)
+    }
+}
+
+impl<S: AsRef<[f32]>> Mat<S> {
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {
@@ -96,58 +164,33 @@ impl Matrix {
     /// Total number of elements.
     #[inline]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.as_slice().len()
     }
 
     /// Whether the matrix holds zero elements.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.as_slice().is_empty()
     }
 
     /// Element at `(r, c)`.
     #[inline]
     pub fn at(&self, r: usize, c: usize) -> f32 {
         debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c]
-    }
-
-    /// Sets element `(r, c)`.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: f32) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
+        self.as_slice()[r * self.cols + c]
     }
 
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f32] {
         let start = r * self.cols;
-        &self.data[start..start + self.cols]
-    }
-
-    /// Row `r` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        let start = r * self.cols;
-        &mut self.data[start..start + self.cols]
+        &self.as_slice()[start..start + self.cols]
     }
 
     /// The backing row-major slice.
     #[inline]
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
-    }
-
-    /// The backing row-major mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Sets every element to `v`.
-    pub fn fill(&mut self, v: f32) {
-        self.data.fill(v);
+        self.data.as_ref()
     }
 
     /// `(rows, cols)`.
@@ -165,7 +208,7 @@ impl Matrix {
 
     /// Writes the transpose of `self` into `out` (which must already be
     /// `cols × rows`) without allocating — the workspace-friendly variant of
-    /// [`Matrix::transposed`].
+    /// [`Mat::transposed`].
     ///
     /// Walks [`TRANSPOSE_TILE`]-square tiles so both the strided and the
     /// contiguous side of every tile stay in L1, and from
@@ -181,47 +224,23 @@ impl Matrix {
             (self.cols, self.rows),
             "transpose_into shape mismatch"
         );
-        if self.data.is_empty() {
+        if self.is_empty() {
             return;
         }
         let (rows, cols) = (self.rows, self.cols);
         // `out` has `cols` rows: forking from this many is forking from
         // `MIN_PAR_TRANSPOSE` elements.
         let min_par_rows = MIN_PAR_TRANSPOSE.div_ceil(rows);
+        let src = self.as_slice();
         par_chunks_mut(&mut out.data, cols, rows, min_par_rows, |first, chunk| {
-            transpose_columns(&self.data, rows, cols, first, chunk);
+            transpose_columns(src, rows, cols, first, chunk);
         });
-    }
-
-    /// Re-shapes `self` to `rows × cols` in place, reusing the backing
-    /// allocation whenever its capacity suffices. Element values after the
-    /// call are unspecified (kernels that write the full output, like GEMM
-    /// with `beta = 0`, don't care); only the shape is guaranteed.
-    ///
-    /// This is the growth primitive of the zero-allocation training
-    /// workspace: after the first (largest) batch, subsequent calls never
-    /// touch the allocator.
-    pub fn reshape_in_place(&mut self, rows: usize, cols: usize) {
-        self.data.resize(rows * cols, 0.0);
-        self.rows = rows;
-        self.cols = cols;
-    }
-
-    /// Squared L2 (Frobenius) norm, summed in `f64` lanes
-    /// ([`crate::kernels::sum_sq_lanes`]).
-    pub fn norm_sq(&self) -> f64 {
-        crate::kernels::sum_sq_lanes(&self.data)
-    }
-
-    /// L2 (Frobenius) norm.
-    pub fn norm(&self) -> f64 {
-        self.norm_sq().sqrt()
     }
 
     /// Largest absolute element-wise difference to `other`.
     pub fn max_abs_diff(&self, other: &Matrix) -> f32 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff shape mismatch");
-        self.data
+        self.as_slice()
             .iter()
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
@@ -348,13 +367,6 @@ mod tests {
         let m = Matrix::zeros(2, 3);
         let mut out = Matrix::zeros(2, 3);
         m.transpose_into(&mut out);
-    }
-
-    #[test]
-    fn norms() {
-        let m = Matrix::from_vec(1, 4, vec![1.0, -2.0, 2.0, 0.0]);
-        assert!((m.norm() - 3.0).abs() < 1e-12);
-        assert!((m.norm_sq() - 9.0).abs() < 1e-12);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::kernels::{self, AOperand, BRows, Epilogue, RowMajorA, TransposedA};
 use crate::parallel::{par_chunks_mut, MIN_PAR_ROWS};
-use crate::Matrix;
+use crate::{MatRef, Matrix};
 
 pub use crate::kernels::TOPK_STREAM_MAX;
 
@@ -30,7 +30,7 @@ pub use crate::kernels::TOPK_STREAM_MAX;
 /// [`gemm_bias_relu`], which differ only in the epilogue: shape checks
 /// (panicking under the public entry point's `name`), then the row-chunked
 /// kernel.
-fn gemm_nn(name: &str, a: &Matrix, b: &Matrix, c: &mut Matrix, ep: Epilogue) {
+fn gemm_nn(name: &str, a: &Matrix, b: MatRef<'_>, c: &mut Matrix, ep: Epilogue) {
     assert_eq!(a.cols(), b.rows(), "{name} inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "{name} output rows mismatch");
     assert_eq!(c.cols(), b.cols(), "{name} output cols mismatch");
@@ -44,7 +44,7 @@ fn gemm_nn(name: &str, a: &Matrix, b: &Matrix, c: &mut Matrix, ep: Epilogue) {
 /// The pool-parallel tail of every row-streaming product, shapes already
 /// checked: `c`'s rows are split into contiguous ranges and each runs
 /// [`kernels::gemm_chunk`] over `rows` of `b`.
-fn row_streaming(a: impl AOperand + Sync, b: &Matrix, rows: BRows, c: &mut Matrix, ep: Epilogue) {
+fn row_streaming(a: impl AOperand + Sync, b: MatRef, rows: BRows, c: &mut Matrix, ep: Epilogue) {
     let (m, n) = c.shape();
     if m == 0 || n == 0 {
         return;
@@ -63,7 +63,7 @@ fn row_streaming(a: impl AOperand + Sync, b: &Matrix, rows: BRows, c: &mut Matri
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn gemm(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    gemm_nn("gemm", a, b, c, Epilogue::AlphaBeta { alpha, beta });
+    gemm_nn("gemm", a, b.into(), c, Epilogue::AlphaBeta { alpha, beta });
 }
 
 /// `C = alpha * A·Bᵀ + beta * C`.
@@ -100,7 +100,8 @@ pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
     assert_eq!(c.cols(), b.cols(), "gemm_tn output cols mismatch");
     let (k, m) = a.shape();
     let a = TransposedA { a: a.as_slice(), m };
-    row_streaming(a, b, BRows::All(k), c, Epilogue::AlphaBeta { alpha, beta });
+    let ep = Epilogue::AlphaBeta { alpha, beta };
+    row_streaming(a, b.into(), BRows::All(k), c, ep);
 }
 
 /// The one driver behind [`gemm_nt_gather`] and [`gemm_nt_gather_bias`],
@@ -179,7 +180,7 @@ pub fn gemm_nn_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32
         k: idx.len(),
     };
     let ep = Epilogue::AlphaBeta { alpha, beta };
-    row_streaming(a, b, BRows::Gathered(idx), c, ep);
+    row_streaming(a, b.into(), BRows::Gathered(idx), c, ep);
 }
 
 /// Fused forward logits: `C = A·B + bias` (bias broadcast over rows) — one
@@ -187,8 +188,8 @@ pub fn gemm_nn_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn gemm_bias(a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    gemm_nn("gemm_bias", a, b, c, Epilogue::Bias(bias));
+pub fn gemm_bias<'b>(a: &Matrix, b: impl Into<MatRef<'b>>, bias: &[f32], c: &mut Matrix) {
+    gemm_nn("gemm_bias", a, b.into(), c, Epilogue::Bias(bias));
 }
 
 /// Fused forward activation: `C = relu(A·B + bias)` — GEMM, bias add, and
@@ -198,7 +199,7 @@ pub fn gemm_bias(a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn gemm_bias_relu(a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    gemm_nn("gemm_bias_relu", a, b, c, Epilogue::BiasRelu(bias));
+    gemm_nn("gemm_bias_relu", a, b.into(), c, Epilogue::BiasRelu(bias));
 }
 
 /// Fused logits→top-k: for each row of `A`, computes the logits
@@ -213,7 +214,14 @@ pub fn gemm_bias_relu(a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
 /// # Panics
 /// Panics on dimension mismatch, `out.len() != m·k`, `k == 0`,
 /// `k > TOPK_STREAM_MAX`, or `k > b.cols()`.
-pub fn gemm_bias_topk(a: &Matrix, b: &Matrix, bias: &[f32], k: usize, out: &mut [u32]) {
+pub fn gemm_bias_topk<'b>(
+    a: &Matrix,
+    b: impl Into<MatRef<'b>>,
+    bias: &[f32],
+    k: usize,
+    out: &mut [u32],
+) {
+    let b = b.into();
     assert_eq!(
         a.cols(),
         b.rows(),
