@@ -415,17 +415,8 @@ impl Mlp {
                 dot
             })
             .collect();
-        // Stable softmax over the active set.
-        let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in logits.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in logits.iter_mut() {
-            *v *= inv;
-        }
+        // Stable softmax over the active set: the dense layer's row softmax.
+        numerics::softmax_row_inplace(&mut logits);
         // dlogits = p - uniform(labels); loss over true labels.
         let w = 1.0 / labels.len().max(1) as f32;
         let mut loss = 0.0f64;
@@ -1985,28 +1976,32 @@ mod tests {
         // allocation per warm step remains, and it is the pool's: the
         // `dW₂ = hᵀ·dlogits` GEMM has `hidden` output rows, so it forks, and
         // each fork's `split_ranges` is a `Vec`. The sampled step dodges it
-        // because its `dW₂` rows are the candidates, not `hidden`.
-        let config = MlpConfig {
-            num_features: 70,
-            hidden: 12,
-            num_classes: 36,
-        };
-        let (x, labels) = wide_batch(&config, 12, 16);
-        assert!(x.rows().max(config.hidden) < asgd_tensor::parallel::MIN_PAR_ROWS);
-        let mut m = Mlp::init(&config, 17);
-        let mut ws = Workspace::new(&config);
-        for _ in 0..2 {
-            m.train_batch_ws(&x, &labels, 0.1, &mut ws);
+        // because its `dW₂` rows are the candidates, not `hidden`. With more
+        // classes than `KC` the `dH = dO·W₂ᵀ` product runs in K blocks, whose
+        // partial sums live in a per-thread scratch that a warm step reuses.
+        for num_classes in [36, asgd_tensor::kernels::KC * 2 + 37] {
+            let config = MlpConfig {
+                num_features: 70,
+                hidden: 12,
+                num_classes,
+            };
+            let (x, labels) = wide_batch(&config, 12, 16);
+            assert!(x.rows().max(config.hidden) < asgd_tensor::parallel::MIN_PAR_ROWS);
+            let mut m = Mlp::init(&config, 17);
+            let mut ws = Workspace::new(&config);
+            for _ in 0..2 {
+                m.train_batch_ws(&x, &labels, 0.1, &mut ws);
+            }
+            let before = ALLOCATIONS.with(|n| n.get());
+            for _ in 0..3 {
+                m.train_batch_ws(&x, &labels, 0.1, &mut ws);
+            }
+            assert_eq!(
+                ALLOCATIONS.with(|n| n.get()),
+                before,
+                "a warm dense step allocated ({num_classes} classes)"
+            );
         }
-        let before = ALLOCATIONS.with(|n| n.get());
-        for _ in 0..3 {
-            m.train_batch_ws(&x, &labels, 0.1, &mut ws);
-        }
-        assert_eq!(
-            ALLOCATIONS.with(|n| n.get()),
-            before,
-            "a warm dense step allocated"
-        );
     }
 
     #[test]

@@ -72,7 +72,9 @@
 //!    every platform, by libm call where hardware FMA is absent — and the
 //!    AVX2 path with `_mm256_fmadd_ps` / `vfmadd`; both produce the same bits.
 //!    Blocking and packing change where operands live, never the
-//!    association.
+//!    association — K blocking included: a reduction longer than [`KC`]
+//!    stops after each block with its partial sums stored as `f32` (an
+//!    exact round trip) and the next block resumes them ([`gemm_chunk`]).
 //! 2. **Dot-product kernels** (`gemm_nt` and [`dot_lanes`]): the reduction
 //!    axis itself is vectorized, with separate multiply and add per term.
 //!    Term `t` (0-based) is accumulated into lane `t % LANES`; the tail
@@ -103,6 +105,14 @@
 //! `gemm_tn` scaled the output chunk by `beta` up front and accumulated
 //! `alpha`-scaled terms; `gemm_nt` evaluated `beta * c` per element) — one
 //! documented rule instead of three ad-hoc ones.
+//!
+//! # One `exp`
+//!
+//! The softmax ([`crate::numerics::softmax_rows_inplace`]) computes
+//! [`exp_f32`], defined here — glibc's `expf` algorithm, transcribed — and
+//! not the platform's `f32::exp`; its AVX2 leaf runs the same steps eight
+//! lanes wide ([`exp_avx2`]). On a glibc host all three are bit-equal on
+//! every `f32`, which an exhaustive (ignored, `ci.sh`-run) test checks.
 
 // Micro-kernels take their whole addressing context (matrix pointers, leading
 // dimensions, chunk offsets) as scalars — more than clippy's argument budget.
@@ -152,12 +162,22 @@ pub(crate) enum BRows<'a> {
     Gathered(&'a [u32]),
 }
 
-impl BRows<'_> {
+impl<'a> BRows<'a> {
     /// The reduction length.
     fn len(self) -> usize {
         match self {
             BRows::All(k) => k,
             BRows::Gathered(idx) => idx.len(),
+        }
+    }
+
+    /// Reduction steps `k0..k1` of these rows of the `n`-wide `b`: the rows
+    /// and the `b` they index — `b`'s rows `k0..k1` as all of a slice, or
+    /// the same `b` under `idx[k0..k1]`.
+    fn block<'b>(self, b: &'b [f32], n: usize, k0: usize, k1: usize) -> (&'b [f32], BRows<'a>) {
+        match self {
+            BRows::All(_) => (&b[k0 * n..k1 * n], BRows::All(k1 - k0)),
+            BRows::Gathered(idx) => (b, BRows::Gathered(&idx[k0..k1])),
         }
     }
 }
@@ -408,6 +428,161 @@ pub fn fused(a: f32, b: f32, acc: f32) -> f32 {
     }
 }
 
+/// [`fused`] one width up: `fma(a, b, acc)` in `f64` with a single
+/// rounding, on every host and in every build profile, by the same rule
+/// (libm's `fma`, an opaque call, where the build has no static FMA). The
+/// fused reduction step of [`exp_f32`].
+#[inline(always)]
+fn fused_f64(a: f64, b: f64, acc: f64) -> f64 {
+    #[cfg(any(target_arch = "aarch64", target_feature = "fma"))]
+    {
+        a.mul_add(b, acc)
+    }
+    #[cfg(not(any(target_arch = "aarch64", target_feature = "fma")))]
+    {
+        extern "C" {
+            fn fma(a: f64, b: f64, c: f64) -> f64;
+        }
+        // SAFETY: libm's `fma` is a pure function, total over all f64s.
+        unsafe { fma(a, b, acc) }
+    }
+}
+
+/// `N / ln 2` with `N = 32` table entries: `x·N/ln 2 = k + r`.
+const EXP_INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+/// `1.5·2⁵²`: adding it rounds `x·N/ln 2` to an integer `k`, which lands in
+/// the low mantissa bits.
+const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// The cubic for `2^(r/N)`, highest power first.
+const EXP_C: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+/// `T[i] = bits(2^(i/32)) − (i << 47)`: adding `k << 47` back restores
+/// `2^(k/32)`'s bits, exponent included.
+#[rustfmt::skip]
+const EXP_TABLE: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+/// `(bits >> 20) & 0x7ff` at or above this (`|x| ≥ 88`, ±∞, NaN): the
+/// special-case path of [`exp_f32`].
+const EXP_SPECIAL_TOP: u32 = 0x42b;
+
+/// `eˣ` in `f32`, the workspace's one definition of it: glibc's `expf`
+/// algorithm, transcribed. `x·32/ln 2 = k + r` in `f64` (`k` rounded to an
+/// integer by [`EXP_SHIFT`], `r = fma(32/ln 2, x, −k)` — glibc's FMA build
+/// fuses that step, and [`fused_f64`] pins it), then
+/// `eˣ = 2^(k/32) · 2^(r/32)`: the first factor from a 32-entry table, the
+/// second from a cubic in `r`, rounded once to `f32` at the end. `|x| ≥ 88`,
+/// ±∞ and NaN take glibc's special cases: `e^-∞ = 0`, `NaN → x + x`
+/// (quieted, payload kept), overflow past `0x1.62e42ep6` to `+∞`, underflow
+/// below `-0x1.9fe368p6` to `+0`; the rest of that band runs the common
+/// path.
+///
+/// It equals a glibc host's `f32::exp` on every one of the 2³² inputs
+/// (`exp_f32_is_the_host_expf_on_every_input`, ignored by default, run in
+/// release by `ci.sh`), so the softmax — whose vector leaf runs the same
+/// steps four `f64` lanes at a time — does not depend on the platform libm.
+#[inline]
+pub(crate) fn exp_f32(x: f32) -> f32 {
+    let bits = x.to_bits();
+    let top = (bits >> 20) & 0x7ff;
+    if top >= EXP_SPECIAL_TOP {
+        if bits == f32::NEG_INFINITY.to_bits() {
+            return 0.0;
+        }
+        if top >= 0x7f8 {
+            return x + x;
+        }
+        if x > f32::from_bits(0x42b1_7217) {
+            return f32::INFINITY;
+        }
+        if x < f32::from_bits(0xc2cf_f1b4) {
+            return 0.0;
+        }
+    }
+    let xd = f64::from(x);
+    let kd = EXP_INV_LN2_N * xd + EXP_SHIFT;
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    let r = fused_f64(EXP_INV_LN2_N, xd, -kd);
+    let s = f64::from_bits(EXP_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXP_C[0] * r + EXP_C[1];
+    let y = EXP_C[2] * r + 1.0;
+    ((z * (r * r) + y) * s) as f32
+}
+
+/// The common path of [`exp_f32`] on four `f64` lanes, rounded to four
+/// `f32`s: the scalar steps one vector instruction each, the fused `r`
+/// included (`fmsub`), the table entry a gather on `k & 31`.
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_half_avx2(xd: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m128 {
+    use std::arch::x86_64::*;
+    let inv = _mm256_set1_pd(EXP_INV_LN2_N);
+    let shift = _mm256_set1_pd(EXP_SHIFT);
+    let kd = _mm256_add_pd(_mm256_mul_pd(inv, xd), shift);
+    let ki = _mm256_castpd_si256(kd);
+    let r = _mm256_fmsub_pd(inv, xd, _mm256_sub_pd(kd, shift));
+    let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    // SAFETY: every index is in 0..32, the table's length.
+    let t = _mm256_i64gather_epi64::<8>(EXP_TABLE.as_ptr().cast(), idx);
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let (c0, c1, c2) = (
+        _mm256_set1_pd(EXP_C[0]),
+        _mm256_set1_pd(EXP_C[1]),
+        _mm256_set1_pd(EXP_C[2]),
+    );
+    let z = _mm256_add_pd(_mm256_mul_pd(c0, r), c1);
+    let y = _mm256_add_pd(_mm256_mul_pd(c2, r), _mm256_set1_pd(1.0));
+    let y = _mm256_add_pd(_mm256_mul_pd(z, _mm256_mul_pd(r, r)), y);
+    _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+}
+
+/// [`exp_f32`] on eight lanes: the same steps in two halves of four `f64`
+/// lanes ([`exp_half_avx2`]). Lanes on the special-case path (`|x| ≥ 88`, ±∞,
+/// NaN) are recomputed by [`exp_f32`] itself, so every lane is its bits.
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+pub(crate) unsafe fn exp_avx2(x: std::arch::x86_64::__m256) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let lo = exp_half_avx2(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+    let hi = exp_half_avx2(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+    let e = _mm256_set_m128(hi, lo);
+    let top = _mm256_and_si256(
+        _mm256_srli_epi32::<20>(_mm256_castps_si256(x)),
+        _mm256_set1_epi32(0x7ff),
+    );
+    let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(EXP_SPECIAL_TOP as i32 - 1));
+    let special = _mm256_movemask_ps(_mm256_castsi256_ps(special));
+    if special == 0 {
+        return e;
+    }
+    let (mut xs, mut es) = ([0.0f32; LANES], [0.0f32; LANES]);
+    _mm256_storeu_ps(xs.as_mut_ptr(), x);
+    _mm256_storeu_ps(es.as_mut_ptr(), e);
+    for l in (0..LANES).filter(|l| special >> l & 1 == 1) {
+        es[l] = exp_f32(xs[l]);
+    }
+    _mm256_loadu_ps(es.as_ptr())
+}
+
 /// How an `M`-row group of output reads its `A` operand: `step(kk)[r]` is
 /// the scalar that multiplies panel row `kk` into output row `r`. This is
 /// the only thing `A·B` and `Aᵀ·B` differ in, so the register-tile family
@@ -458,8 +633,10 @@ impl<const M: usize> AGroup<M> for Cols<'_> {
 /// The whole `A` operand of a row-streaming product: hands
 /// [`group_panel`] the [`AGroup`] of each row group it is given.
 pub(crate) trait AOperand: Copy {
-    /// The accessor of output rows `first..first + M`.
-    fn group<const M: usize>(self, first: usize) -> impl AGroup<M>;
+    /// The accessor of output rows `first..first + M` from reduction step
+    /// `k0` on: its `step(kk)` is the product's step `k0 + kk` (`k0 > 0` in
+    /// the later blocks of a K-blocked product, [`gemm_chunk`]).
+    fn group<const M: usize>(self, first: usize, k0: usize) -> impl AGroup<M>;
 }
 
 /// A row-major `m×k` `A`: output row `i` reads `A`'s row `i`.
@@ -471,9 +648,9 @@ pub(crate) struct RowMajorA<'a> {
 
 impl AOperand for RowMajorA<'_> {
     #[inline(always)]
-    fn group<const M: usize>(self, first: usize) -> impl AGroup<M> {
+    fn group<const M: usize>(self, first: usize, k0: usize) -> impl AGroup<M> {
         Rows(std::array::from_fn(|r| {
-            &self.a[(first + r) * self.k..][..self.k]
+            &self.a[(first + r) * self.k..][k0..self.k]
         }))
     }
 }
@@ -487,9 +664,9 @@ pub(crate) struct TransposedA<'a> {
 
 impl AOperand for TransposedA<'_> {
     #[inline(always)]
-    fn group<const M: usize>(self, first: usize) -> impl AGroup<M> {
+    fn group<const M: usize>(self, first: usize, k0: usize) -> impl AGroup<M> {
         Cols {
-            a: self.a,
+            a: &self.a[k0 * self.m..],
             m: self.m,
             first,
         }
@@ -514,6 +691,74 @@ enum Finish<'a> {
         bias: &'a [f32],
         lists: &'a mut [TopList],
     },
+}
+
+/// The raw partial sums a K-blocked product ([`gemm_chunk`]) carries from
+/// one reduction block to the next, for one row group and one packed panel:
+/// `sums` holds the group's rows of the panel at stride `w`, the panel's
+/// width (panel column `jt` at `sums[r * w + jt]`). A register block starts
+/// from them in every block after the first (`resume`; from zero otherwise)
+/// and in every block but the `last` stores its sums back into them instead
+/// of finishing them. A stored `f32` reloads exactly, so each element's
+/// ascending-`k` chain of fused multiply-adds runs on across the blocks as
+/// if unbroken (contract rule 1), and its [`Finish`] — the epilogue, reading
+/// the prior `C` — runs once, after the last term.
+struct Carry<'a> {
+    sums: &'a mut [f32],
+    w: usize,
+    resume: bool,
+    last: bool,
+}
+
+impl Carry<'_> {
+    /// The carry of an unblocked reduction: start from zero, finish at the
+    /// end.
+    fn whole() -> Carry<'static> {
+        Carry {
+            sums: &mut [],
+            w: 0,
+            resume: false,
+            last: true,
+        }
+    }
+
+    /// The carry of `rows` rows from row `first` of this one's (none when
+    /// the scratch was not sized for it: an unblocked reduction, which
+    /// neither resumes nor stores).
+    #[inline(always)]
+    fn rows(&mut self, first: usize, rows: usize) -> Carry<'_> {
+        let w = self.w;
+        Carry {
+            sums: self
+                .sums
+                .get_mut(first * w..(first + rows) * w)
+                .unwrap_or_default(),
+            w,
+            resume: self.resume,
+            last: self.last,
+        }
+    }
+
+    /// The accumulators a register block of `cols` columns at panel column
+    /// `jt` starts from.
+    #[inline(always)]
+    fn start<const M: usize>(&self, jt: usize, cols: usize) -> [[f32; NR]; M] {
+        let mut acc = [[0.0f32; NR]; M];
+        if self.resume {
+            for (r, accr) in acc.iter_mut().enumerate() {
+                accr[..cols].copy_from_slice(&self.sums[r * self.w + jt..][..cols]);
+            }
+        }
+        acc
+    }
+
+    /// Stores a register block's raw sums for the next K block.
+    #[inline(always)]
+    fn store<const M: usize>(&mut self, acc: &[[f32; NR]; M], jt: usize, cols: usize) {
+        for (r, accr) in acc.iter().enumerate() {
+            self.sums[r * self.w + jt..][..cols].copy_from_slice(&accr[..cols]);
+        }
+    }
 }
 
 /// Writes a finished accumulator block through the epilogue, once per
@@ -561,9 +806,11 @@ fn finish<const M: usize>(acc: &[[f32; NR]; M], cols: usize, col: usize, fin: &m
 
 /// One `M × NR` register tile over a *packed* `B` panel
 /// (`bp[kk * w + l] = B[kk][j0 + l]`): `acc[r][l] += a.step(kk)[r] ·
-/// bp[kk][jt + l]`, `kk` ascending (rule 1 of the contract), then `fin`
-/// applied to the finished accumulators (tile column `l` is output column
-/// `col + l`). On AVX2 hosts the whole tile, finisher included, runs in the
+/// bp[kk][jt + l]`, `kk` ascending (rule 1 of the contract), from the
+/// `carry` (zero unless a K block resumes), then `fin` applied to the
+/// finished accumulators (tile column `l` is output column `col + l`) — or,
+/// before a K-blocked product's last block, the raw sums stored to the
+/// carry. On AVX2 hosts the whole tile, finisher included, runs in the
 /// intrinsics clone ([`tile_avx2`]); both paths perform the identical
 /// per-element IEEE-754 operation sequence.
 #[inline(always)]
@@ -573,16 +820,27 @@ fn tile<const M: usize, A: AGroup<M>>(
     w: usize,
     jt: usize,
     col: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified; `rows_panel` only
         // calls with `jt + NR <= w` and `bp` whole `w`-float panel rows.
-        unsafe { tile_avx2(a, bp, w, jt, col, fin) };
+        // The carry's two flags become the leaf's constants, so the
+        // unblocked instance (every top-k tile, every GEMM up to `KC`
+        // steps) never reads the carry.
+        unsafe {
+            match (carry.resume, carry.last) {
+                (false, true) => tile_avx2::<M, A, false, true>(a, bp, w, jt, col, carry, fin),
+                (false, false) => tile_avx2::<M, A, false, false>(a, bp, w, jt, col, carry, fin),
+                (true, false) => tile_avx2::<M, A, true, false>(a, bp, w, jt, col, carry, fin),
+                (true, true) => tile_avx2::<M, A, true, true>(a, bp, w, jt, col, carry, fin),
+            }
+        };
         return;
     }
-    let mut acc = [[0.0f32; NR]; M];
+    let mut acc = carry.start::<M>(jt, NR);
     for (kk, brow) in bp.chunks_exact(w).enumerate() {
         let bv: &[f32; NR] = brow[jt..jt + NR].try_into().unwrap();
         for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
@@ -591,7 +849,11 @@ fn tile<const M: usize, A: AGroup<M>>(
             }
         }
     }
-    finish(&acc, NR, col, fin);
+    if carry.last {
+        finish(&acc, NR, col, fin);
+    } else {
+        carry.store(&acc, jt, NR);
+    }
 }
 
 /// AVX2+FMA intrinsics body of [`tile`] — different code from the portable
@@ -609,7 +871,11 @@ fn tile<const M: usize, A: AGroup<M>>(
 /// writes `C` with vector stores, [`select_avx2`] adds the bias and drops
 /// every row none of whose 16 lanes can enter its [`TopList`] on one vector
 /// compare. Past the first few tiles of a wide logit row almost every row
-/// is dropped there.
+/// is dropped there. A K block's carry is loaded (`RESUME`) and stored
+/// (not `LAST`) with vector moves as well. The two are constants, not
+/// reads of `carry`: as runtime flags they cost the top-k ~3 % at hidden
+/// 8 — a 16-lane tile there is eight steps long — and a constant pair lets
+/// the unblocked instance drop the `carry` argument altogether.
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support and `jt + NR <= w` with `bp`
@@ -617,17 +883,25 @@ fn tile<const M: usize, A: AGroup<M>>(
 #[cfg(target_arch = "x86_64")]
 #[inline(never)] // inlining past the feature boundary under LTO splits the FMAs
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile_avx2<const M: usize, A: AGroup<M>>(
+unsafe fn tile_avx2<const M: usize, A: AGroup<M>, const RESUME: bool, const LAST: bool>(
     a: A,
     bp: &[f32],
     w: usize,
     jt: usize,
     col: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
     use std::arch::x86_64::*;
     let mut acc0 = [_mm256_setzero_ps(); M];
     let mut acc1 = [_mm256_setzero_ps(); M];
+    let mut sums = |r: usize| carry.sums[r * w + jt..][..NR].as_mut_ptr();
+    if RESUME {
+        for r in 0..M {
+            acc0[r] = _mm256_loadu_ps(sums(r));
+            acc1[r] = _mm256_loadu_ps(sums(r).add(LANES));
+        }
+    }
     for (kk, brow) in bp.chunks_exact(w).enumerate() {
         let b0 = _mm256_loadu_ps(brow.as_ptr().add(jt));
         let b1 = _mm256_loadu_ps(brow.as_ptr().add(jt + LANES));
@@ -637,6 +911,13 @@ unsafe fn tile_avx2<const M: usize, A: AGroup<M>>(
             acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
             acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
         }
+    }
+    if !LAST {
+        for r in 0..M {
+            _mm256_storeu_ps(sums(r), acc0[r]);
+            _mm256_storeu_ps(sums(r).add(LANES), acc1[r]);
+        }
+        return;
     }
     match fin {
         Finish::Store { out, n, ep } => store_avx2(&acc0, &acc1, out, *n, col, ep),
@@ -767,8 +1048,9 @@ unsafe fn select_avx2<const M: usize>(
 
 /// The `w % NR` remainder columns of a packed panel, accumulated with the
 /// same ascending-`kk` per-element order as [`tile`] (variable-width, so
-/// the accumulator may live on the stack — at most `NR - 1` columns) and
-/// finished element by element ([`finish`]).
+/// the accumulator may live on the stack — at most `NR - 1` columns), from
+/// and to the `carry` as the tile does, and finished element by element
+/// ([`finish`]).
 #[inline(always)]
 fn tail<const M: usize, A: AGroup<M>>(
     a: A,
@@ -776,15 +1058,16 @@ fn tail<const M: usize, A: AGroup<M>>(
     w: usize,
     jt: usize,
     col: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: AVX2+FMA support was just verified.
-        unsafe { tail_avx2(a, bp, w, jt, col, fin) };
+        unsafe { tail_avx2(a, bp, w, jt, col, carry, fin) };
         return;
     }
-    tail_body(a, bp, w, jt, col, fin, fused)
+    tail_body(a, bp, w, jt, col, carry, fin, fused)
 }
 
 /// AVX2+FMA leaf of [`tail`]: the one [`tail_body`] with [`f32::mul_add`]
@@ -802,9 +1085,10 @@ unsafe fn tail_avx2<const M: usize, A: AGroup<M>>(
     w: usize,
     jt: usize,
     col: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
-    tail_body(a, bp, w, jt, col, fin, f32::mul_add)
+    tail_body(a, bp, w, jt, col, carry, fin, f32::mul_add)
 }
 
 /// The loop of [`tail`], spelled with the calling path's FMA (the rule is
@@ -817,11 +1101,12 @@ fn tail_body<const M: usize, A: AGroup<M>>(
     w: usize,
     jt: usize,
     col: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
     fma: impl Fn(f32, f32, f32) -> f32,
 ) {
     let rem = w - jt;
-    let mut acc = [[0.0f32; NR]; M];
+    let mut acc = carry.start::<M>(jt, rem);
     for (kk, brow) in bp.chunks_exact(w).enumerate() {
         let bv = &brow[jt..w];
         for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
@@ -830,7 +1115,11 @@ fn tail_body<const M: usize, A: AGroup<M>>(
             }
         }
     }
-    finish(&acc, rem, col, fin);
+    if carry.last {
+        finish(&acc, rem, col, fin);
+    } else {
+        carry.store(&acc, jt, rem);
+    }
 }
 
 /// `M` rows × one packed panel (columns `j0..j0 + w`): [`tile`] register
@@ -843,43 +1132,49 @@ fn rows_panel<const M: usize, A: AGroup<M>>(
     bp: &[f32],
     j0: usize,
     w: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
     let w_tiled = w - w % NR;
     let mut jt = 0;
     while jt < w_tiled {
-        tile(a, bp, w, jt, j0 + jt, fin);
+        tile(a, bp, w, jt, j0 + jt, carry, fin);
         jt += NR;
     }
     if jt < w {
-        tail(a, bp, w, jt, j0 + jt, fin);
+        tail(a, bp, w, jt, j0 + jt, carry, fin);
     }
 }
 
 /// [`rows_panel`] for the group of `rows` (1..=`MR`) output rows starting
-/// at row `first` of the product, monomorphized per group height.
+/// at row `first` of the product, reducing from step `k0` (the panel's
+/// first row), monomorphized per group height.
 #[inline(always)]
 fn group_panel(
     a: impl AOperand,
     first: usize,
     rows: usize,
+    k0: usize,
     bp: &[f32],
     j0: usize,
     w: usize,
+    carry: &mut Carry,
     fin: &mut Finish,
 ) {
     match rows {
-        1 => rows_panel(a.group::<1>(first), bp, j0, w, fin),
-        2 => rows_panel(a.group::<2>(first), bp, j0, w, fin),
-        3 => rows_panel(a.group::<3>(first), bp, j0, w, fin),
-        _ => rows_panel(a.group::<MR>(first), bp, j0, w, fin),
+        1 => rows_panel(a.group::<1>(first, k0), bp, j0, w, carry, fin),
+        2 => rows_panel(a.group::<2>(first, k0), bp, j0, w, carry, fin),
+        3 => rows_panel(a.group::<3>(first, k0), bp, j0, w, carry, fin),
+        _ => rows_panel(a.group::<MR>(first, k0), bp, j0, w, carry, fin),
     }
 }
 
 /// Every row of a chunk × one packed panel, stored through the epilogue:
 /// [`group_panel`] over the chunk's `MR`-row groups, the last of which may
 /// hold 1–3 rows. `out` holds the chunk's full output rows at stride `n`;
-/// its first row is output row `first_row` of the product.
+/// its first row is output row `first_row` of the product. The panel's
+/// rows are reduction steps `k0..` and `carry` holds the chunk's partial
+/// sums over it.
 #[inline(always)]
 fn chunk_panel(
     a: impl AOperand,
@@ -888,8 +1183,10 @@ fn chunk_panel(
     j0: usize,
     w: usize,
     first_row: usize,
+    k0: usize,
     out: &mut [f32],
     ep: Epilogue,
+    carry: &mut Carry,
 ) {
     let rows = out.len() / n;
     let mut i = 0;
@@ -897,10 +1194,36 @@ fn chunk_panel(
         let g = (rows - i).min(MR);
         let out = &mut out[i * n..(i + g) * n];
         let fin = &mut Finish::Store { out, n, ep };
-        group_panel(a, first_row + i, g, bp, j0, w, fin);
+        group_panel(
+            a,
+            first_row + i,
+            g,
+            k0,
+            bp,
+            j0,
+            w,
+            &mut carry.rows(i, g),
+            fin,
+        );
         i += g;
     }
 }
+
+thread_local! {
+    /// Per-thread scratch for the partial sums of a K-blocked product
+    /// ([`gemm_chunk`], [`Carry`]): one float per element of a chunk's
+    /// panel (at most `rows × NB`), grown on first use and then reused, like
+    /// [`PANEL_SCRATCH`].
+    static CARRY_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Reduction steps per K block of a row-streaming product ([`gemm_chunk`]).
+/// A block's panel — `KC` rows of `B`, at most `NB` wide — is reused from
+/// cache by every row group of the chunk, instead of a `k`-long panel
+/// streamed past each group from memory. Measured on the dense step's
+/// `dH = dO·W₂ᵀ` (48 × 6,701 × 64 and × 128; EXPERIMENTS.md, "The dense
+/// output layer at vector speed").
+pub const KC: usize = 512;
 
 /// Row-streaming GEMM body over one contiguous row chunk of `C` (as
 /// partitioned by `par_chunks_mut`): `C[i] = epilogue(Σ_kk A'[i][kk]·B'[kk][·])`
@@ -909,13 +1232,19 @@ fn chunk_panel(
 /// `B`, `n` columns wide, in reduction order — all of them, or the gathered
 /// ones of the sampled softmax's backward kernel
 /// (`dH = dlogitsₛ · gather(W₂ᵀ, candidates)`), which is therefore
-/// bit-for-bit the plain product on a materialized gather. Panels are the
-/// outer loop so each packed `B` panel is reused by every `MR`-row group of
-/// the chunk; per-element reduction order is independent of the loop nesting
-/// (each element lives in exactly one panel). The glue here (panel packing,
-/// row grouping) is feature-agnostic scalar code; the hot reduction loops
-/// dispatch to their AVX2+FMA leaves at the tile layer, so no chunk-level
-/// multiversioned clone is needed.
+/// bit-for-bit the plain product on a materialized gather.
+///
+/// Panels are the outer loop so each packed `B` panel is reused by every
+/// `MR`-row group of the chunk. A reduction longer than [`KC`] steps is cut
+/// into K blocks inside each panel: the block's panel is packed and reduced
+/// by every group, whose tiles resume the partial sums the previous block
+/// stored ([`Carry`], in [`CARRY_SCRATCH`]); only the last block applies
+/// the epilogue. Per-element reduction order is independent of the loop
+/// nesting (each element lives in exactly one panel, and its terms stay in
+/// ascending `k`). The glue here (blocking, panel packing, row grouping) is
+/// feature-agnostic scalar code; the hot reduction loops dispatch to their
+/// AVX2+FMA leaves at the tile layer, so no chunk-level multiversioned
+/// clone is needed.
 pub(crate) fn gemm_chunk(
     a: impl AOperand,
     b: &[f32],
@@ -926,14 +1255,32 @@ pub(crate) fn gemm_chunk(
     ep: Epilogue,
 ) {
     debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
-    let mut j0 = 0;
-    while j0 < n {
-        let w = (n - j0).min(NB);
-        with_b_panel(b, n, rows, j0, w, |bp| {
-            chunk_panel(a, bp, n, j0, w, first_row, chunk, ep)
-        });
-        j0 += w;
-    }
+    let k = rows.len();
+    let blocks = k.div_ceil(KC).max(1);
+    CARRY_SCRATCH.with(|cell| {
+        let mut sums = cell.borrow_mut();
+        let mut j0 = 0;
+        while j0 < n {
+            let w = (n - j0).min(NB);
+            if blocks > 1 {
+                sums.resize(chunk.len() / n * w, 0.0);
+            }
+            for block in 0..blocks {
+                let (k0, k1) = (block * KC, (block * KC + KC).min(k));
+                let (b_block, rows_block) = rows.block(b, n, k0, k1);
+                let carry = &mut Carry {
+                    sums: &mut sums,
+                    w,
+                    resume: block > 0,
+                    last: block + 1 == blocks,
+                };
+                with_b_panel(b_block, n, rows_block, j0, w, |bp| {
+                    chunk_panel(a, bp, n, j0, w, first_row, k0, chunk, ep, carry)
+                });
+            }
+            j0 += w;
+        }
+    })
 }
 
 /// One strided NN panel (panel row `kk` at `b[kk * n + j0]`), `k` reduction
@@ -1216,7 +1563,7 @@ fn rows_topk<const M: usize>(
     k: usize,
     out: &mut [u32],
 ) {
-    let a_rows = a.group::<M>(a_first);
+    let a_rows = a.group::<M>(a_first, 0);
     let mut lists: [TopList; M] = std::array::from_fn(|_| TopList::new(k));
     let ep = Epilogue::Bias(bias);
     let mut j0 = 0;
@@ -1279,7 +1626,8 @@ fn topk_rows_packed(
             for (g, lists) in lists[..rows].chunks_mut(MR).enumerate() {
                 let height = lists.len();
                 let fin = &mut Finish::Select { bias, lists };
-                group_panel(a, a_first + g * MR, height, bp, j0, w, fin);
+                let carry = &mut Carry::whole();
+                group_panel(a, a_first + g * MR, height, 0, bp, j0, w, carry, fin);
             }
         });
         j0 += w;
@@ -1341,6 +1689,90 @@ mod tests {
         let acc = [1.0f32, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
         let want = ((1.0 + 16.0) + (4.0 + 64.0)) + ((2.0 + 32.0) + (8.0 + 128.0));
         assert_eq!(lane_tree(acc).to_bits(), (want as f32).to_bits());
+    }
+
+    /// The same float, NaN for any NaN (payloads are compared no further).
+    fn same(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// [`exp_avx2`] on eight floats in memory.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2+FMA support.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn exp_lanes(xs: &[f32; LANES]) -> [f32; LANES] {
+        use std::arch::x86_64::*;
+        let mut out = [0.0f32; LANES];
+        _mm256_storeu_ps(out.as_mut_ptr(), exp_avx2(_mm256_loadu_ps(xs.as_ptr())));
+        out
+    }
+
+    #[test]
+    fn exp_f32_takes_the_special_cases() {
+        for (x, want) in [
+            (f32::NEG_INFINITY, 0.0f32),
+            (f32::INFINITY, f32::INFINITY),
+            (88.8, f32::INFINITY),
+            (-104.0, 0.0),
+            (0.0, 1.0),
+            (-0.0, 1.0),
+        ] {
+            assert_eq!(exp_f32(x).to_bits(), want.to_bits(), "{x}");
+        }
+        assert!(exp_f32(f32::NAN).is_nan());
+        // The band |x| in [88, 88.72] and [-103.97, -88] runs the common path.
+        assert!(exp_f32(88.5).is_finite() && exp_f32(88.5) > 1e38);
+        assert!(exp_f32(-100.0) > 0.0 && exp_f32(-100.0) < f32::MIN_POSITIVE);
+    }
+
+    #[test]
+    #[ignore = "all 2^32 floats: a minute in release on two cores; ci.sh runs it"]
+    fn exp_f32_is_the_host_expf_on_every_input() {
+        // The goldens were cut with `f32::exp`, the host libm's `expf`; the
+        // softmax now computes `exp_f32` (and its vector lanes) instead, so
+        // the goldens hold exactly when all three agree on every input.
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let vectors = (1u64 << 32) / LANES as u64;
+        let avx2 = avx2_fma_available();
+        let bad: Vec<u32> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..threads as u64)
+                .map(|t| {
+                    let range = vectors * t / threads as u64..vectors * (t + 1) / threads as u64;
+                    s.spawn(move || {
+                        let mut bad = Vec::new();
+                        for v in range {
+                            let xs: [f32; LANES] = std::array::from_fn(|l| {
+                                f32::from_bits((v * LANES as u64) as u32 + l as u32)
+                            });
+                            #[cfg(target_arch = "x86_64")]
+                            // SAFETY: AVX2+FMA support was verified above.
+                            let lanes = avx2.then(|| unsafe { exp_lanes(&xs) });
+                            #[cfg(not(target_arch = "x86_64"))]
+                            let lanes: Option<[f32; LANES]> = None;
+                            for (l, &x) in xs.iter().enumerate() {
+                                let want = x.exp();
+                                let ok = same(exp_f32(x), want)
+                                    && lanes.is_none_or(|lanes| same(lanes[l], want));
+                                if !ok && bad.len() < 16 {
+                                    bad.push(x.to_bits());
+                                }
+                            }
+                        }
+                        bad
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        assert!(
+            bad.is_empty(),
+            "exp_f32 differs from f32::exp at bits {bad:08x?}"
+        );
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //! * forward output layer: `O = H · W₂` — [`gemm`] (NN), or fused with the
 //!   bias add as [`gemm_bias`], or fused all the way into top-k selection as
 //!   [`gemm_bias_topk`]
-//! * backward through the output layer: `dH = dO · W₂ᵀ` — [`gemm_nt`]
+//! * backward through the output layer: `dH = dO · W₂ᵀ` — [`gemm`] against
+//!   the model's cached, materialized `W₂ᵀ` (`classes × hidden`), so the
+//!   reduction over classes is a row-streaming product (K-blocked: it is
+//!   thousands of steps long) rather than [`gemm_nt`]'s strided dots
 //! * weight gradient: `∇W₂ = Hᵀ · dO` — [`gemm_tn`]
+//!
+//! [`gemm_nt`]'s dot body serves the sampled forward
+//! ([`gemm_nt_gather_bias`]) and `asgd-slide`'s signature sweep.
 //!
 //! All variants parallelize over output rows via
 //! [`crate::parallel::par_chunks_mut`] and run the register-tiled micro-
@@ -264,7 +270,8 @@ pub fn scale(a: f32, x: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{NB, NR};
+    use crate::kernels::{KC, NB, NR};
+    use crate::{numerics, reference};
 
     fn naive_gemm(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -457,7 +464,8 @@ mod tests {
         // several panels, both top-k paths (packed blocks inside the 37
         // rows; the strided walk at 7 and 3 rows) and the blocked and
         // leftover dots of the gathered kernels; the bf16 lengths cross the
-        // 16-lane loop, the 8-lane loop and the scalar remainder.
+        // 16-lane loop, the 8-lane loop and the scalar remainder. The K-blocked
+        // products and the softmax have their own cases below.
         let run = |portable: bool| {
             kernels::force_portable(portable);
             let mut bits = Vec::new();
@@ -557,6 +565,18 @@ mod tests {
                     }
                 }
             }
+            bits.extend(
+                k_blocked_products(false)
+                    .iter()
+                    .flat_map(|m| m.as_slice())
+                    .map(|v| v.to_bits()),
+            );
+            bits.extend(
+                planted_softmaxes()
+                    .iter()
+                    .flat_map(|m| m.as_slice())
+                    .map(|v| v.to_bits()),
+            );
             for len in 0..64usize {
                 let xs: Vec<f32> = (0..len)
                     .map(|i| match (i + len) % 23 {
@@ -582,6 +602,105 @@ mod tests {
             bits
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// The reduction lengths around the K-block size: one step, a block less
+    /// one, exactly one, one more, and three blocks and a short fourth.
+    const K_BLOCKED: [usize; 5] = [1, KC - 1, KC, KC + 1, 3 * KC + 5];
+
+    /// Every row-streaming product at every length of [`K_BLOCKED`], under
+    /// every epilogue: `AlphaBeta` at β = 0 over a NaN prior `C` (which it
+    /// must never read) and at β ≠ 0, `Bias`, `BiasRelu` (the bias puts
+    /// about half the sums below zero), `gemm_tn` and `gemm_nn_gather` —
+    /// 6 rows (an `MR` group and a 2-row one) by 261 columns (a packed
+    /// panel and a 5-column one, a 16-column tile and a 5-column tail).
+    /// With `ordered`, the `reference::*_ordered` specs compute them
+    /// instead, the bias epilogues applied to their plain product.
+    fn k_blocked_products(ordered: bool) -> Vec<Matrix> {
+        type Nn = fn(f32, &Matrix, &Matrix, f32, &mut Matrix);
+        type Gather = fn(f32, &Matrix, &Matrix, &[u32], f32, &mut Matrix);
+        let (nn, tn, gather): (Nn, Nn, Gather) = if ordered {
+            use reference::{gemm_nn_gather_ordered, gemm_ordered, gemm_tn_ordered};
+            (gemm_ordered, gemm_tn_ordered, gemm_nn_gather_ordered)
+        } else {
+            (gemm, gemm_tn, gemm_nn_gather)
+        };
+        let (m, n) = (6usize, NB + 5);
+        let mut outs = Vec::new();
+        for k in K_BLOCKED {
+            let a = test_mat(m, k, 21);
+            let b = test_mat(k, n, 22);
+            let bias: Vec<f32> = (0..n).map(|j| (j % 9) as f32 * 0.25 - 1.0).collect();
+            let mut beta0 = Matrix::from_fn(m, n, |_, _| f32::NAN);
+            nn(-0.7, &a, &b, 0.0, &mut beta0);
+            let mut beta = test_mat(m, n, 23);
+            nn(1.3, &a, &b, 0.5, &mut beta);
+            let (mut biased, mut relu) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+            if ordered {
+                nn(1.0, &a, &b, 0.0, &mut biased);
+                biased = Matrix::from_fn(m, n, |r, j| biased.at(r, j) + bias[j]);
+                relu = Matrix::from_fn(m, n, |r, j| match biased.at(r, j) {
+                    v if v < 0.0 => 0.0,
+                    v => v,
+                });
+            } else {
+                gemm_bias(&a, &b, &bias, &mut biased);
+                gemm_bias_relu(&a, &b, &bias, &mut relu);
+            }
+            let mut tn_out = test_mat(m, n, 24);
+            tn(0.9, &a.transposed(), &b, 1.0, &mut tn_out);
+            let rows = k / 2 + 3;
+            let idx: Vec<u32> = (0..k).map(|t| ((t * 7 + 3) % rows) as u32).collect();
+            let mut gathered = test_mat(m, n, 26);
+            gather(1.1, &a, &test_mat(rows, n, 25), &idx, 0.25, &mut gathered);
+            outs.extend([beta0, beta, biased, relu, tn_out, gathered]);
+        }
+        outs
+    }
+
+    #[test]
+    fn k_blocked_products_match_the_ordered_reference() {
+        // Blocking the reduction must be invisible: every element is the
+        // one ascending-k chain of fused multiply-adds, then the epilogue.
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (got, want) = (k_blocked_products(false), k_blocked_products(true));
+        for (case, (got, want)) in got.iter().zip(&want).enumerate() {
+            let k = K_BLOCKED[case / 6];
+            assert_eq!(bits(got), bits(want), "k {k} product {}", case % 6);
+        }
+    }
+
+    /// Softmaxes of 1, 7, 8, 9 and 17 rows (a lone row, a short group, a
+    /// whole group of eight interleaved sums, a group and a remainder) by 1,
+    /// 7, 8, 13 and 6,701 columns (scalar only, one vector, a vector and a
+    /// tail, the dense step's width). Rows by `r % 6`: ordinary logits; a
+    /// NaN every 5th column (the whole row turns NaN); `+∞` every 7th (NaN
+    /// and 0 after `∞ − ∞`); `-∞`, `+0` and `-0` planted; `-200` and a `95`
+    /// planted, so the rest fall more than 88 — and `-200` more than 103.97
+    /// — below the maximum, onto the exp's special-case path; all `-∞`.
+    fn planted_softmaxes() -> Vec<Matrix> {
+        let mut outs = Vec::new();
+        for rows in [1usize, 7, 8, 9, 17] {
+            for cols in [1usize, 7, 8, 13, 6701] {
+                let mut m = Matrix::from_fn(rows, cols, |r, c| {
+                    let v = ((r * 7 + c * 13) % 29) as f32 * 0.37 - 5.0;
+                    match (r % 6, c) {
+                        (1, c) if c % 5 == 2 => f32::NAN,
+                        (2, c) if c % 7 == 3 => f32::INFINITY,
+                        (3, c) if c % 3 == 0 => f32::NEG_INFINITY,
+                        (3, c) if c % 4 == 1 => 0.0,
+                        (3, c) if c % 4 == 2 => -0.0,
+                        (4, c) if c % 6 == 1 => -200.0,
+                        (4, c) if c % 11 == 5 => 95.0,
+                        (5, _) => f32::NEG_INFINITY,
+                        _ => v,
+                    }
+                });
+                numerics::softmax_rows_inplace(&mut m);
+                outs.push(m);
+            }
+        }
+        outs
     }
 
     #[test]
