@@ -107,6 +107,15 @@ if [[ "${1:-}" != "quick" ]]; then
     # exhaustively (ignored in the plain test pass: ~1 min on two cores).
     cargo test -q --release -p asgd-tensor --lib -- --ignored exp_f32_is_the_host_expf_on_every_input
 
+    echo "== init oracle: Mlp::init against the serial stream, release, 1 and 8 threads =="
+    # Mlp::init draws W1 and W2 on the pool, each chunk from a clone of the
+    # one StdRng stream taken by a serial acceptance scan; the weights must
+    # be the serial layer_init stream bit for bit, with the pool off and
+    # with more lanes than cores.
+    for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor -p asgd-model --lib -- init_oracle_
+    done
+
     echo "== serving forward on the pool: 1 and 8 threads =="
     # run_session scores 256-row blocks on the calling thread and the pool
     # splits them; every prediction, checksum and conservation check of

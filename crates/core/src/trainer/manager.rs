@@ -12,6 +12,7 @@
 use asgd_data::XmlDataset;
 use asgd_model::{Mlp, Workspace};
 use asgd_slide::{CandidateSampler, LshIndex};
+use asgd_sparse::CsrMatrix;
 use asgd_tensor::FlatVec;
 use std::sync::Arc;
 
@@ -115,6 +116,8 @@ pub(super) struct Replica<'a> {
     /// Reusable view of the batch's label slices: borrows from the shared
     /// dataset instead of cloning every label vector per batch.
     labels: Vec<&'a [u32]>,
+    /// The batch's feature rows, selected into the same buffers every batch.
+    x: CsrMatrix,
 }
 
 impl<'a> Replica<'a> {
@@ -135,6 +138,7 @@ impl<'a> Replica<'a> {
             rows: Vec::new(),
             dense_trained: false,
             labels: Vec::new(),
+            x: CsrMatrix::zeros(0, c.num_features),
         }
     }
 
@@ -143,7 +147,8 @@ impl<'a> Replica<'a> {
     /// candidate selection (ignored on the dense path).
     pub(super) fn train(&mut self, ids: &[usize], lr: f32, sample_seed: u64) -> f64 {
         let train = &self.dataset.train;
-        let x = train.features.select_rows(ids);
+        train.features.select_rows_into(ids, &mut self.x);
+        let x = &self.x;
         self.labels.clear();
         self.labels
             .extend(ids.iter().map(|&i| train.labels[i].as_slice()));
@@ -155,11 +160,11 @@ impl<'a> Replica<'a> {
                 self.dirty.mark_features(x.indices());
                 self.dirty.mark_classes(cand);
                 self.mlp
-                    .train_batch_sampled_ws(&x, &self.labels, cand, lr, &mut self.ws)
+                    .train_batch_sampled_ws(x, &self.labels, cand, lr, &mut self.ws)
             }
             None => {
                 self.dense_trained = true;
-                self.mlp.train_batch_ws(&x, &self.labels, lr, &mut self.ws)
+                self.mlp.train_batch_ws(x, &self.labels, lr, &mut self.ws)
             }
         };
         out.loss
@@ -299,6 +304,23 @@ mod tests {
         let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
         twin.train_batch_ws(&x, &labels, 0.1, &mut tws);
         assert_eq!(r.mlp, twin);
+    }
+
+    /// Every batch's feature rows land in the replica's one CSR buffer: a
+    /// batch no larger than an earlier one moves none of its arrays.
+    #[test]
+    fn batches_reuse_one_csr_buffer() {
+        let (ds, model) = setup();
+        let mut r = Replica::new(0, model, &ds, None);
+        let ptrs = |r: &Replica| (r.x.indices().as_ptr(), r.x.values().as_ptr());
+        let big: Vec<usize> = (0..12).collect();
+        r.train(&big, 0.1, 0);
+        let grown = ptrs(&r);
+        for ids in [&big[..5], &big[7..], &big[..]] {
+            r.train(ids, 0.1, 0);
+            assert_eq!(ptrs(&r), grown, "batch {ids:?} reallocated");
+            assert_eq!(r.x, ds.train.features.select_rows(ids));
+        }
     }
 
     fn sampled_cfg() -> SampledSoftmax {

@@ -16,13 +16,15 @@ use asgd_sparse::CsrMatrix;
 /// the old argmax-over-probabilities formulation.
 ///
 /// Evaluation runs in chunks of `chunk` rows to bound the dense activation
-/// memory.
+/// memory; every chunk's rows are selected into one reused CSR buffer
+/// ([`CsrMatrix::select_rows_into`]).
 pub fn top1_accuracy(model: &Mlp, x: &CsrMatrix, labels: &[Vec<u32>], chunk: usize) -> f64 {
     assert_eq!(x.rows(), labels.len(), "labels/batch mismatch");
     let chunk = chunk.max(1);
     let mut ws = Workspace::new(model.config());
     let mut top1: Vec<u32> = Vec::new();
     let mut ids: Vec<usize> = Vec::new();
+    let mut part = CsrMatrix::zeros(0, x.cols());
     let mut correct = 0usize;
     let mut counted = 0usize;
     let mut start = 0usize;
@@ -30,7 +32,7 @@ pub fn top1_accuracy(model: &Mlp, x: &CsrMatrix, labels: &[Vec<u32>], chunk: usi
         let end = (start + chunk).min(x.rows());
         ids.clear();
         ids.extend(start..end);
-        let part = x.select_rows(&ids);
+        x.select_rows_into(&ids, &mut part);
         model.predict_topk_ws(&part, 1, &mut ws, &mut top1);
         for (r, labs) in labels[start..end].iter().enumerate() {
             if labs.is_empty() {
@@ -53,7 +55,8 @@ pub fn top1_accuracy(model: &Mlp, x: &CsrMatrix, labels: &[Vec<u32>], chunk: usi
 /// Precision@k: mean over samples of `|top-k predictions ∩ labels| / k`.
 ///
 /// Runs on the batched, workspace-reusing [`Mlp::predict_topk_ws`] path —
-/// one workspace and one prediction buffer serve every chunk, so the
+/// one workspace, one CSR buffer and one prediction buffer serve every
+/// chunk, so the
 /// per-batch activation and per-row selection allocations of the naive
 /// formulation are gone (the same path the serving engine uses).
 pub fn precision_at_k(
@@ -69,6 +72,7 @@ pub fn precision_at_k(
     let mut ws = Workspace::new(model.config());
     let mut topk: Vec<u32> = Vec::new();
     let mut ids: Vec<usize> = Vec::new();
+    let mut part = CsrMatrix::zeros(0, x.cols());
     let mut total = 0.0f64;
     let mut counted = 0usize;
     let mut start = 0usize;
@@ -76,7 +80,7 @@ pub fn precision_at_k(
         let end = (start + chunk).min(x.rows());
         ids.clear();
         ids.extend(start..end);
-        let part = x.select_rows(&ids);
+        x.select_rows_into(&ids, &mut part);
         let k_eff = model.predict_topk_ws(&part, k, &mut ws, &mut topk);
         for (r, labs) in labels[start..end].iter().enumerate() {
             if labs.is_empty() {

@@ -95,13 +95,20 @@ impl PartialEq for Mlp {
 impl Mlp {
     /// Initializes with the paper's scheme (`N(0, 1/√fan_in)` weights, zero
     /// biases) from an explicit seed so all replicas can share one init:
-    /// `W₁` and then `W₂` are drawn in place from one `StdRng` stream.
+    /// `W₁` and then `W₂` are drawn in place from one `StdRng` stream, on
+    /// the worker pool ([`init::layers_init`]) — a pure function of
+    /// `(config, seed)` at any `ASGD_THREADS`, bit for bit the serial
+    /// `layer_init(W₁)`, `layer_init(W₂)`.
     pub fn init(config: &MlpConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut m = Self::zeros(config);
         let [w1, _, w2, _] = config.block_ranges();
-        init::layer_init(&mut m.params[w1], config.num_features, &mut rng);
-        init::layer_init(&mut m.params[w2], config.hidden, &mut rng);
+        let (head, tail) = m.params.split_at_mut(w2.start);
+        let layers = [
+            (&mut head[w1], config.num_features),
+            (&mut tail[..w2.len()], config.hidden),
+        ];
+        init::layers_init(layers, &mut rng);
         m
     }
 
@@ -1282,6 +1289,50 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The serial init `Mlp::init` must reproduce: `W₁` then `W₂` drawn by
+    /// `layer_init` from one stream.
+    fn init_reference(config: &MlpConfig, seed: u64) -> Mlp {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut m = Mlp::zeros(config);
+        let [w1, _, w2, _] = config.block_ranges();
+        init::layer_init(&mut m.params[w1], config.num_features, &mut rng);
+        init::layer_init(&mut m.params[w2], config.hidden, &mut rng);
+        m
+    }
+
+    #[test]
+    fn init_oracle_mlp_init_is_the_serial_stream() {
+        let chunk = init::INIT_CHUNK;
+        for (num_features, hidden, num_classes) in [
+            // W₁ ends mid-chunk; W₂ is shorter than one chunk.
+            (chunk / 16 + 7, 16, 37),
+            // Both layers shorter than one chunk.
+            (30, 8, 11),
+            // hidden = 1: W₁ a column, W₂ a row longer than a chunk.
+            (500, 1, chunk + 3),
+            // num_features = 1.
+            (1, 12, 900),
+        ] {
+            let config = MlpConfig {
+                num_features,
+                hidden,
+                num_classes,
+            };
+            let want = init_reference(&config, 31);
+            for threads in [1, 2, 8] {
+                asgd_tensor::parallel::override_threads(threads);
+                let got = Mlp::init(&config, 31);
+                asgd_tensor::parallel::override_threads(0);
+                let same = got
+                    .as_flat()
+                    .iter()
+                    .zip(want.as_flat())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{config:?} at {threads} threads");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "flat parameter length")]
     fn load_flat_wrong_length_panics() {
@@ -2045,6 +2096,38 @@ mod tests {
             3,
             "a warm block allocated beyond its fork partitions"
         );
+    }
+
+    #[test]
+    fn eval_allocates_per_call_not_per_chunk() {
+        // Both eval metrics select each chunk's rows into one reused CSR
+        // buffer: with every row the same (so no chunk outgrows the first)
+        // and the pool off, six 8-row chunks allocate exactly what one
+        // does — the buffers' first growth, once.
+        let config = MlpConfig {
+            num_features: 300,
+            hidden: 8,
+            num_classes: 700,
+        };
+        let (pool, labels) = wide_batch(&config, 4, 47);
+        let m = Mlp::init(&config, 53);
+        asgd_tensor::parallel::override_threads(1);
+        let count = |rows: usize| {
+            let x = pool.select_rows(&vec![2; rows]);
+            let labels = vec![labels[2].clone(); rows];
+            let before = ALLOCATIONS.with(|n| n.get());
+            let top1 = crate::eval::top1_accuracy(&m, &x, &labels, 8);
+            let p5 = crate::eval::precision_at_k(&m, &x, &labels, 5, 8);
+            (ALLOCATIONS.with(|n| n.get()) - before, top1, p5)
+        };
+        let (one, top1, p5) = count(8);
+        let (six, top1_6, p5_6) = count(48);
+        asgd_tensor::parallel::override_threads(0);
+        assert_eq!(
+            (top1.to_bits(), p5.to_bits()),
+            (top1_6.to_bits(), p5_6.to_bits())
+        );
+        assert_eq!(six, one, "an eval chunk allocated");
     }
 
     #[test]

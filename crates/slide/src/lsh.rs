@@ -8,10 +8,11 @@
 //! activation would score highly" behaviour sampled softmax needs.
 
 use asgd_stats::dist::standard_normal;
-use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, Epilogue};
+use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, transpose_block, Epilogue, Widen};
 use asgd_tensor::parallel::par_chunks_mut;
-use asgd_tensor::{bf16, FlatVec, MatRef};
+use asgd_tensor::{FlatVec, MatRef};
 use rand::{rngs::StdRng, SeedableRng};
+use std::cell::RefCell;
 
 /// Classes below this hash serially during [`LshIndex::rebuild`] — the
 /// fork/join only pays off when the signature sweep is model-scale.
@@ -21,6 +22,14 @@ const MIN_PAR_CLASSES: usize = 256;
 /// contiguous `SWEEP_BLOCK × dim` tile (16 KB at `dim = 64`, L1-resident)
 /// and projected onto every hyperplane by one `gemm_nt` call.
 const SWEEP_BLOCK: usize = 64;
+
+thread_local! {
+    /// Per-thread scratch of the signature sweep: a sweep block's class
+    /// tile (`SWEEP_BLOCK × dim`) and its projections (`SWEEP_BLOCK × l·k`),
+    /// grown on a thread's first sweep and reused by every later one — a
+    /// warm rebuild allocates nothing for them.
+    static SWEEP_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Digit width of the bucket sort: `2^11` counters (8 KB) stay in L1, and a
 /// `k`-bit signature takes `⌈k / 11⌉` passes — one at the default `k = 9`,
@@ -161,7 +170,7 @@ impl LshIndex {
     pub fn rebuild<'a>(&mut self, w2: impl Into<MatRef<'a>>) {
         let w2 = w2.into();
         assert_eq!(w2.rows(), self.dim, "neuron dimensionality mismatch");
-        self.rebuild_from(w2.as_slice(), w2.cols(), |x| x);
+        self.rebuild_from(w2.as_slice(), w2.cols());
     }
 
     /// [`rebuild`](Self::rebuild) from the `dim × classes` `W₂` region that
@@ -171,20 +180,19 @@ impl LshIndex {
     pub fn rebuild_flat(&mut self, flat: &FlatVec, offset: usize, classes: usize) {
         let region = offset..offset + self.dim * classes;
         match flat {
-            FlatVec::F32(v) => self.rebuild_from(&v[region], classes, |x| x),
-            FlatVec::Bf16(v) => self.rebuild_from(&v[region], classes, bf16::widen),
+            FlatVec::F32(v) => self.rebuild_from(&v[region], classes),
+            FlatVec::Bf16(v) => self.rebuild_from(&v[region], classes),
         }
     }
 
     /// The one build path. Signatures are swept in parallel over blocks of
-    /// classes (each is a pure function of one `W₂` column), then every
-    /// table sorts its classes into buckets, serially.
-    fn rebuild_from<E: Copy + Sync>(
-        &mut self,
-        w2: &[E],
-        classes: usize,
-        widen: impl Fn(E) -> f32 + Sync,
-    ) {
+    /// classes (each is a pure function of one `W₂` column): a block's
+    /// columns are transposed into a contiguous class tile
+    /// ([`transpose_block`], widening bf16 exactly) and projected onto every
+    /// hyperplane by one `gemm_nt` call, both in [`SWEEP_SCRATCH`]. Then
+    /// every table sorts its classes into buckets — tables in parallel, each
+    /// sort serial and a pure function of the signatures.
+    fn rebuild_from<E: Widen>(&mut self, w2: &[E], classes: usize) {
         let (dim, k, l) = (self.dim, self.k, self.buckets.len());
         assert_eq!(w2.len(), dim * classes, "W2 region shape mismatch");
         self.sigs.resize(classes * l, 0);
@@ -195,31 +203,37 @@ impl LshIndex {
             l,
             MIN_PAR_CLASSES,
             |first, chunk| {
-                let mut tile = vec![0.0f32; SWEEP_BLOCK * dim];
-                let mut proj = vec![0.0f32; SWEEP_BLOCK * l * k];
-                for (b, sig_block) in chunk.chunks_mut(SWEEP_BLOCK * l).enumerate() {
-                    let (j0, n) = (first + b * SWEEP_BLOCK, sig_block.len() / l);
-                    for r in 0..dim {
-                        let row = &w2[r * classes + j0..r * classes + j0 + n];
-                        for (i, &v) in row.iter().enumerate() {
-                            tile[i * dim + r] = widen(v);
+                SWEEP_SCRATCH.with(|cell| {
+                    let mut scratch = cell.borrow_mut();
+                    scratch.resize(SWEEP_BLOCK * (dim + l * k), 0.0);
+                    let (tile, proj) = scratch.split_at_mut(SWEEP_BLOCK * dim);
+                    for (b, sig_block) in chunk.chunks_mut(SWEEP_BLOCK * l).enumerate() {
+                        let (j0, n) = (first + b * SWEEP_BLOCK, sig_block.len() / l);
+                        let (tile, proj) = (&mut tile[..n * dim], &mut proj[..n * l * k]);
+                        transpose_block(w2, dim, classes, j0, tile);
+                        let ep = Epilogue::AlphaBeta {
+                            alpha: 1.0,
+                            beta: 0.0,
+                        };
+                        gemm_nt_chunk(tile, dim, planes, l * k, 0, proj, ep);
+                        for (sig, p) in sig_block.iter_mut().zip(proj.chunks(k)) {
+                            *sig = sign_bits(p.iter().copied());
                         }
                     }
-                    let (tile, proj) = (&tile[..n * dim], &mut proj[..n * l * k]);
-                    let ep = Epilogue::AlphaBeta {
-                        alpha: 1.0,
-                        beta: 0.0,
-                    };
-                    gemm_nt_chunk(tile, dim, planes, l * k, 0, proj, ep);
-                    for (sig, p) in sig_block.iter_mut().zip(proj.chunks(k)) {
-                        *sig = sign_bits(p.iter().copied());
-                    }
-                }
+                })
             },
         );
-        for (t, b) in self.buckets.iter_mut().enumerate() {
-            b.fill(&self.sigs, l, t, k);
-        }
+        let sigs = &self.sigs;
+        let min_par_tables = if classes < MIN_PAR_CLASSES {
+            usize::MAX
+        } else {
+            2
+        };
+        par_chunks_mut(&mut self.buckets, l, 1, min_par_tables, |t0, tables| {
+            for (t, b) in (t0..).zip(tables) {
+                b.fill(sigs, l, t, k);
+            }
+        });
     }
 
     /// Returns the sorted, de-duplicated union of the query's buckets.
@@ -301,7 +315,7 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgd_tensor::Matrix;
+    use asgd_tensor::{bf16, Matrix};
     use proptest::prelude::*;
 
     /// Seeded values in `[-1, 1)` with exact zeros sprinkled in.
@@ -340,8 +354,10 @@ mod tests {
     proptest! {
         /// Flat buckets + blocked sweep against the `HashMap` oracle, over
         /// class counts around the sweep block and the serial/parallel
-        /// switch, and signature widths on both sides of every radix pass
-        /// boundary.
+        /// switch, dims on and off the transpose's 8 × 8 blocks, and
+        /// signature widths on both sides of every radix pass boundary —
+        /// from an f32 `W₂` and from a bf16 flat buffer (at an offset that
+        /// puts no row on an 8-element boundary), hashed as its widening.
         #[test]
         fn flat_layout_matches_hashmap_oracle(
             dim in 1usize..40,
@@ -355,6 +371,13 @@ mod tests {
             let mut idx = LshIndex::new(tables, k, dim, seed ^ 0xABCD);
             idx.rebuild(&w2);
             assert_matches_oracle(&idx, &w2);
+            let mut stored = vec![bf16::narrow(1.5); 3];
+            stored.extend(w2.as_slice().iter().map(|&x| bf16::narrow(x)));
+            let widened = Matrix::from_fn(dim, classes, |r, c| {
+                bf16::widen(stored[3 + r * classes + c])
+            });
+            idx.rebuild_flat(&FlatVec::Bf16(stored), 3, classes);
+            assert_matches_oracle(&idx, &widened);
         }
     }
 
@@ -466,6 +489,20 @@ mod tests {
         idx.rebuild(&Matrix::from_fn(16, 700, |r, _| r as f32 - 8.0));
         idx.rebuild(&random_w2(16, 700, 3));
         assert_eq!(caps(&idx), before);
+        // The sweep's tile and projection scratch: below `MIN_PAR_CLASSES`
+        // the sweep runs on this thread, whose scratch a warm rebuild reuses.
+        let scratch = || {
+            SWEEP_SCRATCH.with(|s| {
+                let s = s.borrow();
+                (s.as_ptr(), s.capacity())
+            })
+        };
+        let mut small = LshIndex::new(4, 9, 16, 1);
+        small.rebuild(&random_w2(16, 200, 1));
+        let warm = scratch();
+        small.rebuild(&random_w2(16, 200, 2));
+        small.rebuild_flat(&FlatVec::Bf16(vec![0x3f80; 16 * 200]), 0, 200);
+        assert_eq!(scratch(), warm);
     }
 
     /// W2 whose columns form two well-separated clusters.

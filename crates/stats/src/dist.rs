@@ -75,6 +75,23 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Advances `rng` past `n` calls of [`standard_normal`] without computing
+/// them: the same pair draws and the same acceptance test `u² + v² ∈ (0, 1)`,
+/// but no `ln` or `sqrt`, and no branch on the outcome — an accepted pair
+/// just counts. Afterwards `rng` is exactly where the `n` samples would have
+/// left it, so a clone taken here generates sample `n` onwards. This is
+/// what lets a long stream of normals be split into independently
+/// generated chunks (`asgd_tensor::init::layers_init`).
+pub fn skip_standard_normals<R: Rng + ?Sized>(rng: &mut R, n: usize) {
+    let mut left = n;
+    while left > 0 {
+        let u = rng.gen_range(-1.0f64..1.0);
+        let v = rng.gen_range(-1.0f64..1.0);
+        let s = u * u + v * v;
+        left -= usize::from((s > 0.0) & (s < 1.0));
+    }
+}
+
 /// Log-normal distribution: `exp(N(mu, sigma))`.
 ///
 /// Used by the GPU simulator's jitter process and by the synthetic dataset
@@ -285,6 +302,18 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!((mean - 3.0).abs() < 0.03, "mean {mean}");
         assert!((var - 4.0).abs() < 0.1, "var {var}");
+    }
+
+    #[test]
+    fn skipping_normals_leaves_the_stream_where_sampling_does() {
+        for n in [0usize, 1, 2, 7, 1000] {
+            let (mut sampled, mut skipped) = (rng(9), rng(9));
+            for _ in 0..n {
+                standard_normal(&mut sampled);
+            }
+            skip_standard_normals(&mut skipped, n);
+            assert_eq!(skipped, sampled, "after {n} samples");
+        }
     }
 
     #[test]

@@ -271,7 +271,7 @@ fn narrow_slice_portable(src: &[f32], out: &mut [u16]) {
 #[cfg(target_arch = "x86_64")]
 #[inline]
 #[target_feature(enable = "avx2")]
-fn widen_lanes_avx2(half: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m256 {
+pub(crate) fn widen_lanes_avx2(half: std::arch::x86_64::__m128i) -> std::arch::x86_64::__m256 {
     use std::arch::x86_64::*;
     _mm256_castsi256_ps(_mm256_slli_epi32(_mm256_cvtepu16_epi32(half), 16))
 }

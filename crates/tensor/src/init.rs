@@ -5,18 +5,129 @@
 //! the layer's unit count (§V-A). These helpers reproduce that scheme with an
 //! explicit RNG so all algorithms can share one initial model bit-for-bit.
 
+use crate::parallel::{num_threads, par_chunks_mut};
+use asgd_stats::dist::skip_standard_normals;
 use asgd_stats::Normal;
 use rand::Rng;
 
-/// Fills a layer's weights in place, in order, with the paper's scheme:
-/// `N(0, 1 / sqrt(fan_in))` samples, where `fan_in` is the number of units
-/// feeding the layer (the rows of a `fan_in × units` weight block).
-pub fn layer_init<R: Rng + ?Sized>(out: &mut [f32], fan_in: usize, rng: &mut R) {
+/// Normals per pool task of [`layers_init`]: the stream is checkpointed —
+/// the generator cloned — at the start of every `INIT_CHUNK` draws of a
+/// layer (and of every layer). 65,536 draws is ~200 tasks for the sampled
+/// workload's 13 M-parameter model: enough to balance any pool, and a
+/// clone (32 bytes) per 256 KB written.
+pub const INIT_CHUNK: usize = 1 << 16;
+
+/// The paper's scheme for a layer of `fan_in` inputs: `N(0, 1 / sqrt(fan_in))`.
+fn layer_dist(fan_in: usize) -> Normal {
     let std_dev = 1.0 / (fan_in.max(1) as f64).sqrt();
-    let dist = Normal::new(0.0, std_dev).expect("invalid std_dev");
+    Normal::new(0.0, std_dev).expect("invalid std_dev")
+}
+
+/// `out[i] = dist.sample(rng) as f32`, in order.
+fn fill<R: Rng + ?Sized>(out: &mut [f32], dist: &Normal, rng: &mut R) {
     for v in out {
         *v = dist.sample(rng) as f32;
     }
+}
+
+/// Fills a layer's weights in place, in order, with the paper's scheme:
+/// `N(0, 1 / sqrt(fan_in))` samples, where `fan_in` is the number of units
+/// feeding the layer (the rows of a `fan_in × units` weight block). The
+/// serial definition [`layers_init`] reproduces.
+pub fn layer_init<R: Rng + ?Sized>(out: &mut [f32], fan_in: usize, rng: &mut R) {
+    fill(out, &layer_dist(fan_in), rng);
+}
+
+/// Generating a draw costs about this many times scanning it (the scan
+/// replays the pair draws and the acceptance test, without the `ln` and
+/// `sqrt` of an accepted pair): 370 ms against 95 ms for the sampled
+/// workload's 13 M draws on one core. It sizes the part of the stream
+/// [`layers_init`] scans before generating starts, never a bit.
+const SCAN_SHARE: usize = 4;
+
+/// One chunk of [`layers_init`]: where it writes, what it draws, and —
+/// once the scan has passed it — the generator as the stream stands at its
+/// first draw.
+struct Chunk<'a, R> {
+    out: &'a mut [f32],
+    dist: Normal,
+    rng: Option<R>,
+}
+
+/// The scan: hands each chunk a clone of `rng` at its first draw and moves
+/// `rng` past it.
+fn scan<R: Rng + Clone>(chunks: &mut [Chunk<'_, R>], rng: &mut R) {
+    for c in chunks {
+        c.rng = Some(rng.clone());
+        skip_standard_normals(rng, c.out.len());
+    }
+}
+
+/// Generates scanned chunks with the unchanged sampler.
+fn generate<R: Rng>(chunks: &mut [Chunk<'_, R>]) {
+    for c in chunks {
+        let mut rng = c
+            .rng
+            .take()
+            .expect("a chunk is scanned before it is generated");
+        fill(c.out, &c.dist, &mut rng);
+    }
+}
+
+/// A pool task of [`layers_init`]'s middle stage.
+enum Stage<'c, 'a, R> {
+    /// Scan the rest of the stream.
+    Scan(&'c mut [Chunk<'a, R>], &'c mut R),
+    /// Generate chunks the first scan has passed.
+    Generate(&'c mut [Chunk<'a, R>]),
+}
+
+/// [`layer_init`] on each `(weights, fan_in)` layer in turn from one
+/// stream, on the worker pool: bit for bit the serial calls, and `rng` left
+/// where they leave it. A sequential scan over the stream decides
+/// acceptance only ([`skip_standard_normals`]: no `ln`, no branch on the
+/// outcome) and clones the generator at the start of every [`INIT_CHUNK`]
+/// draws of every layer; pool tasks regenerate the chunks with the
+/// unchanged sampler, in place. The scan overlaps the generation: it first
+/// passes the head of the stream alone, then one task scans the rest while
+/// the other lanes generate the head (`SCAN_SHARE` sizes the head so the
+/// two end together), then every lane generates the rest. The weights are a
+/// pure function of the layers' lengths and fan-ins and `rng`'s state, at
+/// any `ASGD_THREADS`.
+pub fn layers_init<R: Rng + Clone + Send, const N: usize>(
+    layers: [(&mut [f32], usize); N],
+    rng: &mut R,
+) {
+    let mut chunks = Vec::new();
+    for (weights, fan_in) in layers {
+        let dist = layer_dist(fan_in);
+        chunks.extend(weights.chunks_mut(INIT_CHUNK).map(|out| Chunk {
+            out,
+            dist,
+            rng: None,
+        }));
+    }
+    let helpers = num_threads() - 1;
+    let head_len = chunks.len() * helpers / (helpers + SCAN_SHARE);
+    let (head, tail) = chunks.split_at_mut(head_len);
+    scan(head, rng);
+    let mut middle = vec![Stage::Scan(&mut *tail, rng)];
+    middle.extend(
+        head.chunks_mut(head.len().div_ceil(helpers.max(1)).max(1))
+            .map(Stage::Generate),
+    );
+    let tasks = middle.len();
+    par_chunks_mut(&mut middle, tasks, 1, 2, |_, stages| {
+        for stage in stages {
+            match stage {
+                Stage::Scan(chunks, rng) => scan(chunks, rng),
+                Stage::Generate(chunks) => generate(chunks),
+            }
+        }
+    });
+    drop(middle);
+    let n = tail.len();
+    par_chunks_mut(tail, n, 1, 2, |_, part| generate(part));
 }
 
 #[cfg(test)]
@@ -34,6 +145,49 @@ mod tests {
     fn init_is_deterministic_per_seed() {
         assert_eq!(layer(16, 8, 7), layer(16, 8, 7));
         assert_ne!(layer(16, 8, 7), layer(16, 8, 8));
+    }
+
+    /// The serial stream [`layers_init`] must reproduce: [`layer_init`] on
+    /// each layer in turn.
+    fn serial(lens: &[(usize, usize)], seed: u64) -> (Vec<Vec<u32>>, StdRng) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let layers = lens
+            .iter()
+            .map(|&(len, fan_in)| {
+                let mut w = vec![0.0f32; len];
+                layer_init(&mut w, fan_in, &mut rng);
+                w.iter().map(|x| x.to_bits()).collect()
+            })
+            .collect();
+        (layers, rng)
+    }
+
+    #[test]
+    fn init_oracle_layers_init_is_the_serial_stream() {
+        use crate::parallel::override_threads;
+        let c = INIT_CHUNK;
+        // A first layer ending mid-chunk, then one shorter than a chunk; an
+        // exact chunk, then an empty layer; a one-draw layer; fan-in 1.
+        for lens in [
+            [(c + 1234, 300), (777, 64)],
+            [(c, 1), (0, 9)],
+            [(1, 1), (2 * c + 5, 128)],
+        ] {
+            let (want, want_rng) = serial(&lens, 42);
+            for threads in [1, 2, 8] {
+                override_threads(threads);
+                let mut rng = StdRng::seed_from_u64(42);
+                let (mut w1, mut w2) = (vec![0.0f32; lens[0].0], vec![0.0f32; lens[1].0]);
+                layers_init([(&mut w1, lens[0].1), (&mut w2, lens[1].1)], &mut rng);
+                override_threads(0);
+                let got: Vec<Vec<u32>> = [w1, w2]
+                    .iter()
+                    .map(|w| w.iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                assert!(got == want, "{lens:?} at {threads} threads");
+                assert_eq!(rng, want_rng, "{lens:?}: stream left elsewhere");
+            }
+        }
     }
 
     #[test]

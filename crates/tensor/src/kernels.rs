@@ -31,10 +31,11 @@
 //! and `asgd-sparse`, and the one [`force_portable`] turns off. A leaf is
 //! one of two things:
 //!
-//! * an **intrinsics body** (`tile_avx2`, the bf16 conversions): different
-//!   code from its portable twin — named `__m256` accumulators the register
-//!   allocator keeps in ymm registers, ~2× the autovectorized loop — which
-//!   is why those stay written out;
+//! * an **intrinsics body** (`tile_avx2`, `nt_chunk_avx2`,
+//!   `transpose_block_avx2`, the bf16 conversions): different code from its
+//!   portable twin — named `__m256` accumulators the register allocator
+//!   keeps in ymm registers, ~2× the autovectorized loop, or register
+//!   shuffles no scalar loop spells — which is why those stay written out;
 //! * a **one-line call** of a shared `#[inline(always)]` body
 //!   (`tail_body`, `panel_strided_body`, `asgd-sparse`'s `spmm_row_body`)
 //!   that takes its fused multiply-add as a parameter. The portable path
@@ -80,7 +81,9 @@
 //!    Term `t` (0-based) is accumulated into lane `t % LANES`; the tail
 //!    (`k % LANES` terms) lands in lanes `0..k % LANES`. The 8 lanes are
 //!    then reduced by the fixed binary tree
-//!    `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — see [`lane_tree`].
+//!    `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` — see [`lane_tree`]. The
+//!    AVX2 tile folds eight such dots at once: an 8 × 8 register transpose,
+//!    then the same tree as vertical adds (`nt_tile_avx2`).
 //!
 //! Both rules differ from the naive serial mul-then-add summation the
 //! pre-blocking kernels used (each is a different but equally deterministic
@@ -235,8 +238,10 @@ pub const MR: usize = 4;
 /// [`LANES`]; the `w = min(NB, n - j0)` tail handles any output width.
 pub const NB: usize = 256;
 
-/// Columns (`B` rows) processed together by the `gemm_nt` dot kernel.
-const NT_JB: usize = 4;
+/// Columns (`B` rows) per rule-2 register tile of the `gemm_nt` dot kernel:
+/// one 8-lane accumulator each, folded together by one 8 × 8 transpose
+/// ([`nt_tile_avx2`]).
+const NT_JB: usize = LANES;
 
 /// Largest `k` the streaming top-k kernel ([`crate::ops::gemm_bias_topk`])
 /// accepts: the per-row selection list lives on the stack.
@@ -1348,38 +1353,12 @@ fn panel_strided_body<const M: usize, A: AGroup<M>>(
     }
 }
 
-/// `NT_JB` lane-tree dot products sharing one pass over `a` — each result is
-/// bit-identical to [`dot_lanes`] of the same pair (same lane assignment,
-/// same tree).
+/// `NT_JB` lane-tree dot products sharing one pass over `a`: the portable
+/// body of the rule-2 tile ([`nt_chunk`]). Separate multiply and add per
+/// term, so each result is bit-identical to [`dot_lanes`] of the same pair
+/// (same lane assignment, same tree) at any vector width.
 #[inline(always)]
 fn nt_dot_block(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_fma_available() {
-        // SAFETY: AVX2 support was just verified.
-        return unsafe { nt_dot_block_avx2(a, b_rows) };
-    }
-    nt_dot_block_body(a, b_rows)
-}
-
-/// AVX2 leaf of [`nt_dot_block`]: rule 2 keeps separate multiply and add
-/// (never contracted — no fast-math flags are set, so LLVM may not fuse),
-/// the feature only widens the codegen to 256-bit lanes. Out-of-line so
-/// LTO cannot blend it with feature-less callers.
-///
-/// # Safety
-/// Caller must have verified AVX2 support.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2")]
-unsafe fn nt_dot_block_avx2(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
-    nt_dot_block_body(a, b_rows)
-}
-
-/// Shared body of [`nt_dot_block`] — separate multiply and add per term
-/// gives the same bits at any vector width, so unlike the fused rule-1
-/// loops this body may be inlined into either dispatch path.
-#[inline(always)]
-fn nt_dot_block_body(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
     let mut acc = [[0.0f32; LANES]; NT_JB];
     let k = a.len();
     let k_tiled = k - k % LANES;
@@ -1404,12 +1383,13 @@ fn nt_dot_block_body(a: &[f32], b_rows: &[&[f32]; NT_JB]) -> [f32; NT_JB] {
 
 /// The one NT body over one contiguous row chunk of `C`: each element is a
 /// lane-tree dot of an `A` row and the `B` row `b_row(j)` (rule 2 of the
-/// contract), `NT_JB` `B` rows blocked per `A`-row pass; the dot layer
-/// dispatches to its AVX2 leaf. `n` is the chunk's row length. With `b_row`
-/// looking rows up through an index list this is the forward kernel of the
-/// sampled softmax (`logitsₛ = H · gather(W₂ᵀ, candidates)ᵀ`, only the
-/// candidate columns of the logit row ever computed) — bit-identical to
-/// [`gemm_nt_chunk`] against a materialized gather, being the same body.
+/// contract), `NT_JB` `B` rows per tile; on AVX2 hosts the whole chunk runs
+/// in the register tile [`nt_chunk_avx2`]. `n` is the chunk's row length.
+/// With `b_row` looking rows up through an index list this is the forward
+/// kernel of the sampled softmax (`logitsₛ = H · gather(W₂ᵀ, candidates)ᵀ`,
+/// only the candidate columns of the logit row ever computed) —
+/// bit-identical to [`gemm_nt_chunk`] against a materialized gather, being
+/// the same body.
 #[inline(always)]
 pub(crate) fn nt_chunk<'b>(
     a: &[f32],
@@ -1421,22 +1401,156 @@ pub(crate) fn nt_chunk<'b>(
     b_row: impl Fn(usize) -> &'b [f32],
 ) {
     debug_assert!(n > 0 && chunk.len().is_multiple_of(n));
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() {
+        // SAFETY: AVX2+FMA support was just verified.
+        unsafe { nt_chunk_avx2(a, k, n, first_row, chunk, &ep, &b_row) };
+        return;
+    }
     for (i, crow) in chunk.chunks_mut(n).enumerate() {
         let arow = &a[(first_row + i) * k..(first_row + i + 1) * k];
-        let n_blocked = n - n % NT_JB;
         let mut j = 0;
-        while j < n_blocked {
-            let b_rows: [&[f32]; NT_JB] = std::array::from_fn(|jj| b_row(j + jj));
+        while j < n {
+            let cols = (n - j).min(NT_JB);
+            let b_rows: [&[f32]; NT_JB] = std::array::from_fn(|jj| b_row(j + jj.min(cols - 1)));
             let dots = nt_dot_block(arow, &b_rows);
-            for (jj, &d) in dots.iter().enumerate() {
+            for (jj, &d) in dots[..cols].iter().enumerate() {
                 crow[j + jj] = ep.apply(j + jj, d, crow[j + jj]);
             }
             j += NT_JB;
         }
-        for (j, cv) in crow.iter_mut().enumerate().skip(n_blocked) {
-            *cv = ep.apply(j, dot_lanes(arow, b_row(j)), *cv);
+    }
+}
+
+/// AVX2 leaf of [`nt_chunk`]: `B` rows in groups of `NT_JB`, outermost (the
+/// group's rows are looked up once, not once per `A` row), then one
+/// register tile ([`nt_tile_avx2`]) per row of the chunk, finished as one
+/// vector — the tile's eight dots in the lanes of one register — through
+/// the epilogue ([`nt_store_avx2`]) and out with one store. A short last
+/// group (fewer than `NT_JB` columns left) repeats its last `B` row in the
+/// unused slots and finishes its live lanes element by element with
+/// [`Epilogue::apply`], the same operations.
+///
+/// # Safety
+/// Caller must have verified AVX2+FMA support.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nt_chunk_avx2<'b>(
+    a: &[f32],
+    k: usize,
+    n: usize,
+    first_row: usize,
+    chunk: &mut [f32],
+    ep: &Epilogue,
+    b_row: &impl Fn(usize) -> &'b [f32],
+) {
+    use std::arch::x86_64::*;
+    let rows = chunk.len() / n;
+    let mut j = 0;
+    while j < n {
+        let cols = (n - j).min(NT_JB);
+        let mut b_rows: [&[f32]; NT_JB] = [&[]; NT_JB];
+        for (jj, row) in b_rows.iter_mut().enumerate() {
+            *row = &b_row(j + jj.min(cols - 1))[..k];
+        }
+        for i in 0..rows {
+            let arow = &a[(first_row + i) * k..(first_row + i + 1) * k];
+            let dots = nt_tile_avx2(arow, &b_rows);
+            let crow = &mut chunk[i * n + j..(i + 1) * n];
+            if cols == NT_JB {
+                nt_store_avx2(dots, crow, j, ep);
+            } else {
+                let mut d = [0.0f32; NT_JB];
+                _mm256_storeu_ps(d.as_mut_ptr(), dots);
+                for (jj, (&s, cv)) in d.iter().zip(crow).enumerate() {
+                    *cv = ep.apply(j + jj, s, *cv);
+                }
+            }
+        }
+        j += NT_JB;
+    }
+}
+
+/// The rule-2 register tile: the lane-tree dots of `a` with each of the
+/// eight `b` rows (all `a.len()` long), lane `j` of the result being the
+/// dot with `b[j]`. Row `j` accumulates in its own 8-lane register — term
+/// `t` into lane `t % 8`, a separate `mul` and `add` per term (never an
+/// FMA: nothing sets a contraction flag), the `k % 8` tail into lanes
+/// `0..k % 8` only. The tail's masked loads read `+0` past the end, so a
+/// lane beyond it adds `0·0 = +0`, which changes no accumulator: a lane
+/// starts at `+0`, and an IEEE sum is `-0` only when both terms are, so no
+/// lane ever holds `-0`. The eight accumulators are then folded at once:
+/// [`transpose8_avx2`] puts lane `l` of every row into register `l`, and
+/// `((l0+l4) + (l2+l6)) + ((l1+l5) + (l3+l7))` as vertical adds is
+/// [`lane_tree`] for all eight rows — bit for bit [`dot_lanes`] per row.
+///
+/// # Safety
+/// Caller must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nt_tile_avx2(a: &[f32], b: &[&[f32]; NT_JB]) -> std::arch::x86_64::__m256 {
+    use std::arch::x86_64::*;
+    let k = a.len();
+    let k_tiled = k - k % LANES;
+    let mut acc = [_mm256_setzero_ps(); NT_JB];
+    let mut t = 0;
+    while t < k_tiled {
+        let av = _mm256_loadu_ps(a.as_ptr().add(t));
+        for (accj, bj) in acc.iter_mut().zip(b) {
+            let bv = _mm256_loadu_ps(bj.as_ptr().add(t));
+            *accj = _mm256_add_ps(*accj, _mm256_mul_ps(av, bv));
+        }
+        t += LANES;
+    }
+    if t < k {
+        let live = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32((k - t) as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let av = _mm256_maskload_ps(a.as_ptr().add(t), live);
+        for (accj, bj) in acc.iter_mut().zip(b) {
+            let bv = _mm256_maskload_ps(bj.as_ptr().add(t), live);
+            *accj = _mm256_add_ps(*accj, _mm256_mul_ps(av, bv));
         }
     }
+    let l = transpose8_avx2(acc);
+    _mm256_add_ps(
+        _mm256_add_ps(_mm256_add_ps(l[0], l[4]), _mm256_add_ps(l[2], l[6])),
+        _mm256_add_ps(_mm256_add_ps(l[1], l[5]), _mm256_add_ps(l[3], l[7])),
+    )
+}
+
+/// [`Epilogue::apply`] on the eight dots `s` of output columns
+/// `col..col + 8`, one vector instruction per scalar operation (the
+/// operations of [`store_avx2`]), then one store into `out`.
+///
+/// # Safety
+/// Caller must have verified AVX2 support.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn nt_store_avx2(s: std::arch::x86_64::__m256, out: &mut [f32], col: usize, ep: &Epilogue) {
+    use std::arch::x86_64::*;
+    let c = out[..LANES].as_mut_ptr();
+    let v = match *ep {
+        Epilogue::AlphaBeta { alpha, beta } => {
+            let v = _mm256_mul_ps(_mm256_set1_ps(alpha), s);
+            if beta == 0.0 {
+                v
+            } else {
+                _mm256_add_ps(v, _mm256_mul_ps(_mm256_set1_ps(beta), _mm256_loadu_ps(c)))
+            }
+        }
+        Epilogue::Bias(bias) => _mm256_add_ps(s, _mm256_loadu_ps(bias[col..col + LANES].as_ptr())),
+        Epilogue::BiasRelu(bias) => {
+            let v = _mm256_add_ps(s, _mm256_loadu_ps(bias[col..col + LANES].as_ptr()));
+            let zero = _mm256_setzero_ps();
+            _mm256_blendv_ps(v, zero, _mm256_cmp_ps::<_CMP_LT_OQ>(v, zero))
+        }
+    };
+    _mm256_storeu_ps(c, v);
 }
 
 /// NT GEMM over one contiguous row chunk of `C`:
@@ -1451,6 +1565,218 @@ pub fn gemm_nt_chunk(
     ep: Epilogue,
 ) {
     nt_chunk(a, k, n, first_row, chunk, ep, |j| &b[j * k..(j + 1) * k]);
+}
+
+/// The 8 × 8 in-register transpose: `out[l]` lane `j` is `r[j]` lane `l`.
+/// Unpacks pair rows, 4-lane shuffles pair the pairs, 128-bit permutes join
+/// the halves — moves only, so every bit pattern (NaN payloads, `-0.0`)
+/// arrives unchanged. The leaf of [`transpose_block`] and the fold of the
+/// rule-2 tile ([`nt_tile_avx2`]).
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+fn transpose8_avx2(r: [std::arch::x86_64::__m256; LANES]) -> [std::arch::x86_64::__m256; LANES] {
+    use std::arch::x86_64::*;
+    let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+    let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+    let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+    let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+    let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+    let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+    let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+    let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+    let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+    let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+    let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+    let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+    [
+        _mm256_permute2f128_ps::<0x20>(s0, s4),
+        _mm256_permute2f128_ps::<0x20>(s1, s5),
+        _mm256_permute2f128_ps::<0x20>(s2, s6),
+        _mm256_permute2f128_ps::<0x20>(s3, s7),
+        _mm256_permute2f128_ps::<0x31>(s0, s4),
+        _mm256_permute2f128_ps::<0x31>(s1, s5),
+        _mm256_permute2f128_ps::<0x31>(s2, s6),
+        _mm256_permute2f128_ps::<0x31>(s3, s7),
+    ]
+}
+
+/// An element a transpose reads, as the `f32` it stands for: `f32`
+/// verbatim, a stored bf16 bit pattern (`u16`) widened exactly
+/// ([`crate::bf16::widen`]).
+pub trait Widen: Copy + Send + Sync {
+    /// The element as `f32`.
+    fn widen(self) -> f32;
+
+    /// Eight consecutive elements from `p`, each as [`Widen::widen`] gives it.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2 support, and `p..p + 8` must be
+    /// readable.
+    #[cfg(target_arch = "x86_64")]
+    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256;
+}
+
+impl Widen for f32 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        self
+    }
+
+    // SAFETY: the trait's contract — AVX2 verified, eight floats readable.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load8(p: *const f32) -> std::arch::x86_64::__m256 {
+        std::arch::x86_64::_mm256_loadu_ps(p)
+    }
+}
+
+impl Widen for u16 {
+    #[inline(always)]
+    fn widen(self) -> f32 {
+        crate::bf16::widen(self)
+    }
+
+    // SAFETY: the trait's contract — AVX2 verified, eight values (16 bytes)
+    // readable.
+    #[cfg(target_arch = "x86_64")]
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn load8(p: *const u16) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::*;
+        crate::bf16::widen_lanes_avx2(_mm_loadu_si128(p.cast()))
+    }
+}
+
+/// Side of the square tiles [`transpose_block`] walks: a 64 × 64 `f32`
+/// tile is 64 runs of 256 B on each side, so the strided side is fetched
+/// once per tile instead of once per element. At the sampled path's
+/// `64 × 67,009` refresh it is one tile deep, and its 16 KB of output go
+/// out as one contiguous run; 64 measured 15–25 % faster than 32 there
+/// (EXPERIMENTS.md, "Sampled training at vector speed").
+const TRANSPOSE_TILE: usize = 64;
+
+/// Transposes `rows` source rows into `out`: `out[c * rows + r] =
+/// src[r * stride + first + c]`, widened ([`Widen`]), for every `r < rows`
+/// and `c < out.len() / rows` — source columns `first..` of a `rows ×
+/// stride` row-major `src`, one `rows`-long output row per column. The one
+/// transpose of the workspace: [`crate::Mat::transpose_into`] (the `W₂ᵀ`
+/// refresh) and `asgd-slide`'s signature sweep (its class tiles, from f32
+/// and from bf16 models) call it.
+///
+/// Walks `TRANSPOSE_TILE`-square tiles so both sides of a tile stay in
+/// L1; on AVX2 hosts each tile moves in 8 × 8 blocks through registers
+/// (`transpose8_avx2`) and only its ragged edges element by element.
+/// Pure copies: the bits do not depend on the path or the tiling.
+///
+/// # Panics
+/// Panics when a source element would lie outside `src`.
+pub fn transpose_block<E: Widen>(
+    src: &[E],
+    rows: usize,
+    stride: usize,
+    first: usize,
+    out: &mut [f32],
+) {
+    if rows == 0 || out.is_empty() {
+        return;
+    }
+    let n = out.len() / rows;
+    let last_row = (rows - 1).checked_mul(stride);
+    assert!(
+        first <= stride
+            && n <= stride - first
+            && last_row.is_some_and(|at| at <= src.len() && first + n <= src.len() - at),
+        "transpose_block source out of range"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if avx2_fma_available() {
+        // SAFETY: AVX2 support was just verified; every element the blocks
+        // read lies inside `src` (asserted above).
+        unsafe { transpose_block_avx2(src, rows, stride, first, out) };
+        return;
+    }
+    transpose_tiles(rows, n, |r0, r1, c0, c1| {
+        transpose_scalar(src, rows, stride, first, out, r0..r1, c0..c1)
+    });
+}
+
+/// AVX2 leaf of [`transpose_block`]: the 8-aligned part of each tile in
+/// 8 × 8 register blocks, its edges through [`transpose_scalar`].
+///
+/// # Safety
+/// Caller must have verified AVX2 support and that rows `0..rows` of `src`
+/// hold columns `first..first + out.len() / rows`.
+#[cfg(target_arch = "x86_64")]
+#[inline(never)]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn transpose_block_avx2<E: Widen>(
+    src: &[E],
+    rows: usize,
+    stride: usize,
+    first: usize,
+    out: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let n = out.len() / rows;
+    transpose_tiles(rows, n, |r0, r1, c0, c1| {
+        let r8 = r1 - (r1 - r0) % LANES;
+        let c8 = c1 - (c1 - c0) % LANES;
+        for c in (c0..c8).step_by(LANES) {
+            for r in (r0..r8).step_by(LANES) {
+                let mut v = [_mm256_setzero_ps(); LANES];
+                for (i, vi) in v.iter_mut().enumerate() {
+                    *vi = E::load8(src.as_ptr().add((r + i) * stride + first + c));
+                }
+                for (j, col) in transpose8_avx2(v).into_iter().enumerate() {
+                    _mm256_storeu_ps(out[(c + j) * rows + r..][..LANES].as_mut_ptr(), col);
+                }
+            }
+        }
+        transpose_scalar(src, rows, stride, first, out, r8..r1, c0..c8);
+        transpose_scalar(src, rows, stride, first, out, r0..r1, c8..c1);
+    });
+}
+
+/// Calls `f(r0, r1, c0, c1)` for every [`TRANSPOSE_TILE`]-square tile of
+/// source rows `0..rows` × output rows `0..n`, column tiles outermost.
+#[inline(always)]
+fn transpose_tiles(rows: usize, n: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+    for c0 in (0..n).step_by(TRANSPOSE_TILE) {
+        let c1 = (c0 + TRANSPOSE_TILE).min(n);
+        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
+            f(r0, (r0 + TRANSPOSE_TILE).min(rows), c0, c1);
+        }
+    }
+}
+
+/// [`transpose_block`] element by element over source rows `r` × output
+/// rows `c`.
+#[inline(always)]
+fn transpose_scalar<E: Widen>(
+    src: &[E],
+    rows: usize,
+    stride: usize,
+    first: usize,
+    out: &mut [f32],
+    r: std::ops::Range<usize>,
+    c: std::ops::Range<usize>,
+) {
+    if r.is_empty() {
+        return;
+    }
+    for c in c {
+        let dst = &mut out[c * rows + r.start..c * rows + r.end];
+        let col = &src[r.start * stride + first + c..];
+        for (i, d) in dst.iter_mut().enumerate() {
+            *d = col[i * stride].widen();
+        }
+    }
 }
 
 /// A fixed-capacity top-`k` list kept sorted by `(value desc, id asc)` — the
@@ -1807,6 +2133,15 @@ mod tests {
                 });
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "transpose_block source out of range")]
+    fn transpose_block_refuses_columns_past_the_source() {
+        // Rows of 10, columns 4..12: past the stride, though 3 × 10
+        // elements would cover the last read of row 1.
+        let mut out = vec![0.0f32; 2 * 8];
+        transpose_block(&[0.0f32; 30], 2, 10, 4, &mut out);
     }
 
     #[test]

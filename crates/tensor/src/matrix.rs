@@ -1,37 +1,13 @@
 //! Row-major dense `f32` matrix.
 
+use crate::kernels::transpose_block;
 use crate::parallel::par_chunks_mut;
-
-/// Side of the square tiles [`Mat::transpose_into`] walks. A 32 × 32
-/// `f32` tile is 32 runs of 128 B on each side — 8 KB in flight, so the
-/// strided side is fetched once per tile instead of once per element.
-const TRANSPOSE_TILE: usize = 32;
 
 /// Element count from which [`Mat::transpose_into`] forks onto the worker
 /// pool: 8 MB of `f32`, past any L2. Below it (the per-step `W₂ᵀ` refresh of
 /// the dense path at a few hundred thousand elements) the fork/join costs
 /// more than the copy.
 const MIN_PAR_TRANSPOSE: usize = 1 << 21;
-
-/// Transposes source columns `first..first + chunk.len() / rows` of the
-/// `rows × cols` matrix `src` into `chunk` (one `rows`-long output row per
-/// source column), tile by tile.
-fn transpose_columns(src: &[f32], rows: usize, cols: usize, first: usize, chunk: &mut [f32]) {
-    let n = chunk.len() / rows;
-    for c0 in (0..n).step_by(TRANSPOSE_TILE) {
-        let c1 = (c0 + TRANSPOSE_TILE).min(n);
-        for r0 in (0..rows).step_by(TRANSPOSE_TILE) {
-            let r1 = (r0 + TRANSPOSE_TILE).min(rows);
-            for c in c0..c1 {
-                let dst = &mut chunk[c * rows + r0..c * rows + r1];
-                let col = &src[r0 * cols + first + c..];
-                for (i, d) in dst.iter_mut().enumerate() {
-                    *d = col[i * cols];
-                }
-            }
-        }
-    }
-}
 
 /// A dense, row-major `f32` matrix over the element storage `S`:
 /// [`Matrix`] owns its elements, [`MatRef`] borrows them.
@@ -210,11 +186,11 @@ impl<S: AsRef<[f32]>> Mat<S> {
     /// `cols × rows`) without allocating — the workspace-friendly variant of
     /// [`Mat::transposed`].
     ///
-    /// Walks [`TRANSPOSE_TILE`]-square tiles so both the strided and the
-    /// contiguous side of every tile stay in L1, and from
-    /// [`MIN_PAR_TRANSPOSE`] elements up splits `out`'s rows (source
-    /// columns) across the worker pool. Pure element copies: the result is
-    /// bit-identical for any tiling and any `ASGD_THREADS`.
+    /// Runs [`transpose_block`] — 64-square tiles, moved in 8 × 8 register
+    /// blocks on AVX2 hosts — and from [`MIN_PAR_TRANSPOSE`] elements up
+    /// splits `out`'s rows (source columns) across the worker pool. Pure
+    /// element copies: the result is bit-identical for any tiling, any
+    /// dispatch path and any `ASGD_THREADS`.
     ///
     /// # Panics
     /// Panics when `out` is not the transposed shape.
@@ -233,7 +209,7 @@ impl<S: AsRef<[f32]>> Mat<S> {
         let min_par_rows = MIN_PAR_TRANSPOSE.div_ceil(rows);
         let src = self.as_slice();
         par_chunks_mut(&mut out.data, cols, rows, min_par_rows, |first, chunk| {
-            transpose_columns(src, rows, cols, first, chunk);
+            transpose_block(src, rows, cols, first, chunk);
         });
     }
 
@@ -302,7 +278,7 @@ mod tests {
 
     #[test]
     fn tiled_transpose_handles_degenerate_and_ragged_shapes() {
-        let t = TRANSPOSE_TILE;
+        let t = 64;
         for (rows, cols) in [
             (0, 7),
             (7, 0),

@@ -598,10 +598,131 @@ mod tests {
                     bits.extend(stored.iter().map(|&b| u32::from(b)));
                 }
             }
+            bits.extend(transposes());
+            bits.extend(nt_products());
             kernels::force_portable(false);
             bits
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A distinct bit pattern per element, NaN (with a payload), `-0.0` and
+    /// `±∞` among them: a copy kernel must move patterns, not numbers.
+    fn patterned(rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |r, c| match (r * cols + c) % 61 {
+            0 => -0.0,
+            1 => f32::from_bits(0x7fc0_1234),
+            2 => f32::INFINITY,
+            3 => f32::NEG_INFINITY,
+            v => (r * 3 + c * 7) as f32 * 0.125 - v as f32,
+        })
+    }
+
+    /// Every transpose path, as bits: `transpose_into` on shapes on and off
+    /// the 8 × 8 blocks and the 64-square tiles — 1 × n, n × 1, the sampled
+    /// (64 × 67,009) and dense (128 × 6,701) `W₂ᵀ` refreshes — and
+    /// `kernels::transpose_block` on column ranges starting at `first > 0`
+    /// of f32 and bf16 sources (the signature sweep's class tiles).
+    fn transposes() -> Vec<u32> {
+        let mut bits = Vec::new();
+        for (rows, cols) in [
+            (1usize, 300usize),
+            (300, 1),
+            (7, 9),
+            (9, 7),
+            (8, 8),
+            (13, 70),
+            (70, 13),
+            (65, 129),
+            (64, 67_009),
+            (128, 6_701),
+        ] {
+            let m = patterned(rows, cols);
+            let mut out = Matrix::zeros(cols, rows);
+            m.transpose_into(&mut out);
+            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+        }
+        let src = patterned(37, 150);
+        let stored: Vec<u16> = src
+            .as_slice()
+            .iter()
+            .map(|&x| crate::bf16::narrow(x))
+            .collect();
+        for (rows, first, n) in [
+            (37usize, 3usize, 29usize),
+            (8, 17, 64),
+            (5, 149, 1),
+            (37, 9, 141),
+        ] {
+            let mut out = vec![0.0f32; rows * n];
+            kernels::transpose_block(src.as_slice(), rows, 150, first, &mut out);
+            bits.extend(out.iter().map(|v| v.to_bits()));
+            kernels::transpose_block(&stored, rows, 150, first, &mut out);
+            bits.extend(out.iter().map(|v| v.to_bits()));
+        }
+        bits
+    }
+
+    /// Every rule-2 product, as bits: `gemm_nt` (β = 0 over a NaN prior
+    /// `C`, β ≠ 0), `gemm_nt_gather`, `gemm_nt_gather_bias` and the chunk
+    /// kernel under `BiasRelu`, at reduction lengths around the 8-lane
+    /// blocks (1, 7, 8, 9, 63, 64, 65, 520) and widths around the 8-row
+    /// tiles (1, 7, 8, 9, 72, 301), 3 and 17 rows (no split, a pool split),
+    /// with NaN, `±∞` and `-0.0` planted in `A` and `B`. Which of two NaNs
+    /// an add returns is IEEE's choice of operand order, which codegen does
+    /// not pin, so NaN results are compared as NaN.
+    fn nt_products() -> Vec<u32> {
+        let planted = |rows: usize, cols: usize, seed: usize| {
+            Matrix::from_fn(rows, cols, |r, c| match (r * 131 + c * 17 + seed) % 101 {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                3 | 4 => -0.0,
+                v => (v % 13) as f32 / 7.0 - 0.9,
+            })
+        };
+        let canon = |v: &f32| {
+            if v.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                v.to_bits()
+            }
+        };
+        let mut bits = Vec::new();
+        for k in [1usize, 7, 8, 9, 63, 64, 65, 520] {
+            for n in [1usize, 7, 8, 9, 72, 301] {
+                for m in [3usize, 17] {
+                    let a = planted(m, k, 1);
+                    let b = planted(n, k, 2);
+                    let mut beta0 = Matrix::from_fn(m, n, |_, _| f32::NAN);
+                    gemm_nt(0.7, &a, &b, 0.0, &mut beta0);
+                    let mut beta = test_mat(m, n, 3);
+                    gemm_nt(-1.1, &a, &b, 0.5, &mut beta);
+                    let rows = 2 * n + 3;
+                    let bg = planted(rows, k, 4);
+                    let idx: Vec<u32> = (0..n).map(|j| ((j * 7 + 5) % rows) as u32).collect();
+                    let mut gathered = test_mat(m, n, 5);
+                    gemm_nt_gather(1.3, &a, &bg, &idx, 0.25, &mut gathered);
+                    let bias: Vec<f32> = (0..n)
+                        .map(|j| match j % 5 {
+                            0 => -0.0,
+                            1 => f32::INFINITY,
+                            _ => (j % 9) as f32 * 0.2 - 0.8,
+                        })
+                        .collect();
+                    let mut biased = Matrix::zeros(m, n);
+                    gemm_nt_gather_bias(&a, &bg, &idx, &bias, &mut biased);
+                    let mut relu = vec![0.0f32; m * n];
+                    let ep = kernels::Epilogue::BiasRelu(&bias);
+                    kernels::gemm_nt_chunk(a.as_slice(), k, b.as_slice(), n, 0, &mut relu, ep);
+                    for out in [beta0.as_slice(), beta.as_slice(), gathered.as_slice()] {
+                        bits.extend(out.iter().map(canon));
+                    }
+                    bits.extend(biased.as_slice().iter().chain(&relu).map(canon));
+                }
+            }
+        }
+        bits
     }
 
     /// The reduction lengths around the K-block size: one step, a block less
