@@ -43,6 +43,15 @@ echo "== one fault interpreter =="
 if grep -rn --include='*.rs' 'FaultKind::' crates/*/src src | grep -v '^crates/gpusim/src/' \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then exit 1; fi
 
+echo "== one huge-page advice site =="
+# Model-sized buffers are advised in one module, asgd_tensor::pages, and only
+# buffers written whole before they are read go through it: advice on a
+# sparsely touched buffer turns one write into a 2 MiB fault and grows the
+# resident set. (Comment lines may name the call.)
+if grep -rnE --include='*.rs' 'madvise|MADV_HUGEPAGE' crates/*/src src tests examples \
+    | grep -v '^crates/tensor/src/pages.rs:' \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then exit 1; fi
+
 echo "== the serving loop is the only actor =="
 # crates/serve starts no thread and opens no channel: the scheduler loop
 # makes every decision and scores the forward math itself, in blocks, through
@@ -114,6 +123,16 @@ if [[ "${1:-}" != "quick" ]]; then
     # with more lanes than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor -p asgd-model --lib -- init_oracle_
+    done
+
+    echo "== model-sized buffers: the census, release, 1 and 8 threads =="
+    # One Trainer::run allocates one model-sized buffer per replica, the
+    # global model and its momentum memory, and no other (at bf16 also the
+    # half-size payload); the final model and the resumable state share one.
+    # Counted by tests/model_buffers.rs's allocator, with the pool off and
+    # with more lanes than cores.
+    for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release --test model_buffers
     done
 
     echo "== serving forward on the pool: 1 and 8 threads =="

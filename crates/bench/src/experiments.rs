@@ -394,8 +394,8 @@ pub fn bench_full_scale_json(env: &Env) -> String {
 /// replica's flat parameters, weighted all-reduce, momentum global update,
 /// redistribute + load) at the 13.1 M-parameter shape of the wall-clock
 /// benchmark's `train_sampled_merge` with 4 replicas: the trainer's path
-/// ([`arena_merge`]: one fused tile pass over the replicas in place, one
-/// persistent shared payload) against the allocate-per-merge path over the
+/// ([`arena_merge`]: one fused tile pass over the replicas in place, every
+/// replica importing `global` — or, at bf16, one persistent payload) against the allocate-per-merge path over the
 /// step-by-step library functions, plus the bf16 arena (half the bytes
 /// through reduce/redistribute, each replica tile narrowed as it loads,
 /// f32 accumulation, one round point per store). Median of 20 individually timed merges; the `merges` column
@@ -449,12 +449,12 @@ fn measured_merge_rows(env: &Env) -> &'static [MergeStageRow] {
 
 /// One scheduler-side merge the way the trainer runs it: one fused pass
 /// reads every replica where it lives, reduces them, applies the momentum
-/// update and leaves the redistribution payload in the recycled `payload`
-/// (its precision is the merge's), and every replica imports that one
-/// payload.
+/// update and (a bf16 merge) leaves the narrowed payload in the recycled
+/// `bf16_payload`, and every replica imports that one payload — at f32,
+/// `global` in place.
 fn arena_merge(
     replicas: &mut [asgd_model::Mlp],
-    payload: &mut asgd_tensor::FlatVec,
+    mut bf16_payload: Option<&mut [u16]>,
     global: &mut [f32],
     prev_global: &mut [f32],
     ctx: &asgd_collective::CollectiveContext,
@@ -471,7 +471,16 @@ fn arena_merge(
         arrivals: &vec![asgd_gpusim::SimTime::ZERO; n],
         pooled: true,
     }
-    .run(MergeInput::Dense(&params), payload, global, prev_global);
+    .run(
+        MergeInput::Dense(&params),
+        bf16_payload.as_deref_mut(),
+        global,
+        prev_global,
+    );
+    let payload = match bf16_payload {
+        Some(p) => asgd_tensor::FlatRef::Bf16(p),
+        None => asgd_tensor::FlatRef::F32(global),
+    };
     for r in replicas.iter_mut() {
         r.read_flat_buf(payload);
     }
@@ -517,11 +526,11 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
             .collect();
         let mut global = replicas[0].to_flat();
         let mut prev_global = global.clone();
-        let mut payload = FlatVec::zeros(precision, params);
+        let mut payload = (precision == Precision::Bf16).then(|| vec![0u16; params]);
         let run_merge = |replicas: &mut [Mlp],
                          global: &mut Vec<f32>,
                          prev_global: &mut Vec<f32>,
-                         payload: &mut FlatVec| {
+                         payload: &mut Option<Vec<u16>>| {
             if variant == "alloc_per_merge" {
                 let mut fresh: Vec<FlatVec> =
                     replicas.iter().map(|r| FlatVec::F32(r.to_flat())).collect();
@@ -539,7 +548,7 @@ fn measure_merge_stage(env: &Env) -> Vec<MergeStageRow> {
                 }
                 timing
             } else {
-                arena_merge(replicas, payload, global, prev_global, &ctx)
+                arena_merge(replicas, payload.as_deref_mut(), global, prev_global, &ctx)
             }
         };
         // Warm up (and capture the simulated collective timing, which is a

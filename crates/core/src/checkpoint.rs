@@ -14,6 +14,7 @@
 use crate::hyper::GpuHyper;
 use asgd_model::{checkpoint as model_checkpoint, Mlp, MlpConfig};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"ASGC";
 const VERSION: u32 = 1;
@@ -21,8 +22,9 @@ const VERSION: u32 = 1;
 /// Resumable snapshot of a training run at a mega-batch boundary.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrainingState {
-    /// The global model (flat layout, see `asgd_model::Mlp::as_flat`).
-    pub global: Vec<f32>,
+    /// The global model (flat layout, see `asgd_model::Mlp::as_flat`),
+    /// shared with the run's [`crate::RunResult::final_model`].
+    pub global: Arc<Vec<f32>>,
     /// The previous global model (`w_prev` in Algorithm 2).
     pub prev_global: Vec<f32>,
     /// Per-GPU hyperparameter state.
@@ -64,7 +66,7 @@ impl TrainingState {
         buf.put_u64_le(self.megas_done);
         buf.put_u64_le(self.hypers.len() as u64);
         buf.put_u64_le(self.global.len() as u64);
-        for &v in &self.global {
+        for &v in self.global.iter() {
             buf.put_f32_le(v);
         }
         for &v in &self.prev_global {
@@ -109,7 +111,7 @@ impl TrainingState {
             config.param_len(),
             "training state / architecture mismatch"
         );
-        let model = Mlp::from_flat(config, self.global.clone());
+        let model = Mlp::from_flat(config, self.global.to_vec());
         model_checkpoint::encode_with(&model, precision)
     }
 
@@ -159,7 +161,7 @@ impl TrainingState {
             })
             .collect();
         Ok(TrainingState {
-            global,
+            global: Arc::new(global),
             prev_global,
             hypers,
             megas_done,
@@ -182,7 +184,7 @@ mod tests {
 
     fn sample() -> TrainingState {
         TrainingState {
-            global: vec![1.0, -2.5, 3.25],
+            global: Arc::new(vec![1.0, -2.5, 3.25]),
             prev_global: vec![0.5, -2.0, 3.0],
             hypers: vec![
                 GpuHyper {
@@ -269,7 +271,7 @@ mod tests {
         };
         let trained = Mlp::init(&config, 99);
         let state = TrainingState {
-            global: trained.to_flat(),
+            global: Arc::new(trained.to_flat()),
             prev_global: vec![0.0; config.param_len()],
             hypers: vec![],
             megas_done: 2,
@@ -287,7 +289,7 @@ mod tests {
         };
         let trained = Mlp::init(&config, 7);
         let state = TrainingState {
-            global: trained.to_flat(),
+            global: Arc::new(trained.to_flat()),
             prev_global: vec![0.0; config.param_len()],
             hypers: vec![],
             megas_done: 1,
@@ -307,7 +309,7 @@ mod tests {
     #[should_panic(expected = "architecture mismatch")]
     fn export_model_rejects_wrong_architecture() {
         let state = TrainingState {
-            global: vec![0.0; 10],
+            global: Arc::new(vec![0.0; 10]),
             prev_global: vec![],
             hypers: vec![],
             megas_done: 0,
@@ -323,7 +325,7 @@ mod tests {
     #[test]
     fn empty_state_roundtrips() {
         let s = TrainingState {
-            global: vec![],
+            global: Arc::new(vec![]),
             prev_global: vec![],
             hypers: vec![],
             megas_done: 0,

@@ -225,9 +225,11 @@ pub enum MergeInput<'a> {
 
 /// The merge stage's arithmetic as one streaming pass: the weighted
 /// all-reduce of the live replicas ([`allreduce_tiled`]), and per reduced
-/// tile the global-model update plus the redistribution payload — what
-/// `allreduce_flat` → [`apply_global_update_flat`] → [`redistribute_global`]
-/// compute in one model-sized sweep each, bit for bit.
+/// tile the global-model update plus, at bf16, the redistribution payload —
+/// what `allreduce_flat` → [`apply_global_update_flat`] →
+/// [`redistribute_global`] compute in one model-sized sweep each, bit for
+/// bit. At f32 the payload *is* the new global model (narrowing to f32 is a
+/// copy), so the pass writes none: the replicas import `global` in place.
 pub struct FusedMerge<'a> {
     /// Merge weights `α_i` of the live replicas.
     pub weights: &'a [f64],
@@ -250,34 +252,37 @@ pub struct FusedMerge<'a> {
 
 impl FusedMerge<'_> {
     /// Reduces `input` and updates `global` (and, with momentum,
-    /// `prev_global`) in place, leaving the redistribution payload in
-    /// `payload` (model length), whose precision is the merge's storage
-    /// precision.
+    /// `prev_global`) in place. The merge's storage precision is the
+    /// payload's: with `bf16_payload` (model length) it reduces at bf16 and
+    /// leaves the narrowed new global model there; without, it reduces at
+    /// f32, and `global` itself is the payload.
     ///
     /// # Panics
     /// Panics when buffers disagree on length or precision.
     pub fn run(
         &self,
         input: MergeInput<'_>,
-        payload: &mut FlatVec,
+        bf16_payload: Option<&mut [u16]>,
         global: &mut [f32],
         prev_global: &mut [f32],
     ) -> AllReduceTiming {
-        match payload {
-            FlatVec::F32(p) => self.run_typed(p, &Source::new(input), global, prev_global),
-            FlatVec::Bf16(p) => self.run_typed(p, &Source::new(input), global, prev_global),
+        match bf16_payload {
+            None => self.run_typed::<f32>(None, &Source::new(input), global, prev_global),
+            Some(p) => self.run_typed(Some(p), &Source::new(input), global, prev_global),
         }
     }
 
     fn run_typed<E: ReduceElem>(
         &self,
-        payload: &mut [E],
+        payload: Option<&mut [E]>,
         source: &Source<'_, E>,
         global: &mut [f32],
         prev: &mut [f32],
     ) -> AllReduceTiming {
         let len = global.len();
-        assert_eq!(payload.len(), len, "payload/global length");
+        if let Some(p) = &payload {
+            assert_eq!(p.len(), len, "payload/global length");
+        }
         assert_eq!(prev.len(), len, "global/prev length");
         if let Source::Dense(params) = source {
             assert!(
@@ -291,10 +296,14 @@ impl FusedMerge<'_> {
             "weights/replicas mismatch"
         );
         let shares = tile_shares(len, self.pooled);
+        let payloads: Vec<Option<&mut [E]>> = match payload {
+            Some(p) => split_shares(p, &shares).into_iter().map(Some).collect(),
+            None => shares.iter().map(|_| None).collect(),
+        };
         let mut parts: Vec<(Range<usize>, MergePart<'_, E>)> = shares
             .iter()
             .cloned()
-            .zip(split_shares(payload, &shares))
+            .zip(payloads)
             .zip(split_shares(global, &shares))
             .zip(split_shares(prev, &shares))
             .map(|(((share, payload), global), prev)| {
@@ -353,12 +362,13 @@ impl<'a, E: ReduceElem> Source<'a, E> {
     }
 }
 
-/// One task's share of the fused pass: the matching slices of the payload,
-/// the global model and its momentum memory, all starting at `start`.
+/// One task's share of the fused pass: the matching slices of the payload
+/// (bf16 merges only), the global model and its momentum memory, all
+/// starting at `start`.
 struct MergePart<'a, E> {
     start: usize,
     source: &'a Source<'a, E>,
-    payload: &'a mut [E],
+    payload: Option<&'a mut [E]>,
     global: &'a mut [f32],
     prev: &'a mut [f32],
     gamma: Option<f32>,
@@ -392,10 +402,8 @@ impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
     fn store(&mut self, range: Range<usize>, tiles: &[Vec<E>]) {
         let rel = range.start - self.start..range.end - self.start;
         let merged = &tiles[0];
-        let (global, payload) = (
-            &mut self.global[rel.clone()],
-            &mut self.payload[rel.clone()],
-        );
+        let global = &mut self.global[rel.clone()];
+        let payload = self.payload.as_deref_mut().map(|p| &mut p[rel.clone()]);
         match self.gamma {
             Some(gamma) => {
                 let prev = &mut self.prev[rel];
@@ -404,13 +412,17 @@ impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
                     *wp = *w;
                     *w = w_new;
                 }
-                E::narrow_slice(global, payload);
+                if let Some(payload) = payload {
+                    E::narrow_slice(global, payload);
+                }
             }
             None => {
                 for (w, &m) in global.iter_mut().zip(merged) {
                     *w = m.widen();
                 }
-                payload.copy_from_slice(merged);
+                if let Some(payload) = payload {
+                    payload.copy_from_slice(merged);
+                }
             }
         }
     }
@@ -527,8 +539,9 @@ mod tests {
     /// `apply_global_update_flat` (or plain adoption), then
     /// `redistribute_global` — from the f32 replicas read in place AND from
     /// their sparse deltas over the last payload: same global, momentum
-    /// memory, payload and timing, bit for bit, for both precisions, both
-    /// update rules, pooled and serial, and survivor subsets of every size.
+    /// memory, payload (at f32, `global` itself) and timing, bit for bit,
+    /// for both precisions, both update rules, pooled and serial, and
+    /// survivor subsets of every size.
     /// At bf16 the dense pass narrows each replica tile as it loads it, and
     /// this is what pins that round point to the export's. Row sets include
     /// the empty set, every row, and random ones; the model spans many
@@ -638,23 +651,34 @@ mod tests {
                             pooled,
                         };
                         let what = format!("{precision:?} k={k} {inter:?} {gamma:?} {pooled}");
+                        // The fused pass from fresh copies; the payload it
+                        // leaves is the bf16 buffer, or at f32 `global`.
+                        let run = |input| {
+                            let (mut g, mut p) = (global.clone(), prev.clone());
+                            let (t, payload) = match precision {
+                                Precision::F32 => {
+                                    let t = fused.run(input, None, &mut g, &mut p);
+                                    (t, FlatVec::F32(g.clone()))
+                                }
+                                Precision::Bf16 => {
+                                    let mut payload = vec![0u16; len];
+                                    let t = fused.run(input, Some(&mut payload), &mut g, &mut p);
+                                    (t, FlatVec::Bf16(payload))
+                                }
+                            };
+                            (t, g, p, payload)
+                        };
 
-                        let mut payload = FlatVec::zeros(precision, len);
-                        let (mut g, mut p) = (global.clone(), prev.clone());
-                        let dense = MergeInput::Dense(&param_refs);
-                        let t = fused.run(dense, &mut payload, &mut g, &mut p);
+                        let (t, g, p, payload) = run(MergeInput::Dense(&param_refs));
                         assert_eq!(t, want_t, "dense timing, {what}");
                         assert_eq!(bits(&g), bits(&want_g), "dense global, {what}");
                         assert_eq!(bits(&p), bits(&want_p), "dense prev, {what}");
                         assert_eq!(payload, want[0], "dense payload, {what}");
 
-                        let mut payload = FlatVec::zeros(precision, len);
-                        let (mut g, mut p) = (global.clone(), prev.clone());
-                        let sparse = MergeInput::Sparse {
+                        let (t, g, p, payload) = run(MergeInput::Sparse {
                             layout: &layout,
                             deltas: &delta_refs,
-                        };
-                        let t = fused.run(sparse, &mut payload, &mut g, &mut p);
+                        });
                         assert_eq!(t, want_t, "sparse timing, {what}");
                         assert_eq!(bits(&g), bits(&want_g), "sparse global, {what}");
                         assert_eq!(bits(&p), bits(&want_p), "sparse prev, {what}");

@@ -1,5 +1,7 @@
 //! Time-to-accuracy and statistical-efficiency recording.
 
+use std::sync::Arc;
+
 /// One row recorded at a model-merge (or evaluation) point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MergeRecord {
@@ -84,8 +86,9 @@ pub struct RunResult {
     pub name: String,
     /// Records in merge order.
     pub records: Vec<MergeRecord>,
-    /// The final global model, flattened.
-    pub final_model: Vec<f32>,
+    /// The final global model, flattened — for GPU trainers the same
+    /// allocation as `final_state`'s `global`.
+    pub final_model: Arc<Vec<f32>>,
     /// Rendered dispatch trace (empty when tracing was disabled).
     pub trace: String,
     /// Resumable snapshot at the final merge (GPU trainers only; the SLIDE
@@ -172,7 +175,7 @@ mod tests {
                 record(2, 3.0, 1.5, 0.22, true),
                 record(3, 4.0, 2.0, 0.30, true),
             ],
-            final_model: vec![],
+            final_model: Arc::default(),
             trace: String::new(),
             final_state: None,
             chaos: Default::default(),
@@ -220,7 +223,7 @@ mod tests {
         let r = RunResult {
             name: "e".into(),
             records: vec![],
-            final_model: vec![],
+            final_model: Arc::default(),
             trace: String::new(),
             final_state: None,
             chaos: Default::default(),

@@ -244,7 +244,7 @@ impl SlideTrainer {
         RunResult {
             name: "slide-cpu".into(),
             records,
-            final_model: model.into_flat(),
+            final_model: std::sync::Arc::new(model.into_flat()),
             trace: String::new(),
             final_state: None,
             chaos: Default::default(),

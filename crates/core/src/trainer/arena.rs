@@ -3,15 +3,16 @@
 //! Ownership rule, as for every buffer of a run: **the scheduler owns it; a
 //! phase borrows.** The merge reads the replicas where they live (or, under
 //! the sparse merge, the delta payloads the training phase wrote into
-//! scheduler-owned [`asgd_tensor::FlatVec`]s) and writes one scheduler-owned
-//! redistribution payload, recycled across merges. The index is the one
-//! buffer a replica holds between phases — a share of it, inside its
-//! sampler — which is why it gets a type of its own.
+//! scheduler-owned [`asgd_tensor::FlatVec`]s) and writes the global model —
+//! at bf16 also one scheduler-owned redistribution payload, recycled across
+//! merges. The index is the one buffer a replica holds between phases — a
+//! share of it, inside its sampler — which is why it gets a type of its
+//! own.
 
 use super::SampledSoftmax;
 use asgd_model::Mlp;
 use asgd_slide::{CandidateSampler, LshIndex};
-use asgd_tensor::FlatVec;
+use asgd_tensor::FlatRef;
 use std::sync::Arc;
 
 /// The sampled-softmax LSH index, built **once per model sync** by the
@@ -68,14 +69,14 @@ impl IndexArena {
         Arc::strong_count(self.live()) - 1
     }
 
-    /// Rebuilds the idle buffer from `synced`'s `W₂` region (f32 verbatim,
-    /// bf16 widened exactly — the bits a replica holds after importing it)
-    /// and makes it live.
+    /// Rebuilds the idle buffer from `synced`'s `W₂` region, read in place
+    /// (f32 verbatim, bf16 widened exactly — the bits a replica holds after
+    /// importing it), and makes it live.
     ///
     /// # Panics
     /// Panics if anything still holds a share of the idle buffer: every
     /// live replica adopts each sync, and a lost one is dropped.
-    pub fn sync(&mut self, synced: &FlatVec) {
+    pub fn sync(&mut self, synced: FlatRef<'_>) {
         self.live = 1 - self.live;
         Arc::get_mut(&mut self.bufs[self.live])
             .expect("every replica adopted the last sync")
@@ -104,8 +105,8 @@ mod tests {
         let mut replica_share = arena.live().clone();
         let mut seen = vec![first];
         for seed in 2..8 {
-            let synced = FlatVec::F32(Mlp::init(&config, seed).to_flat());
-            arena.sync(&synced);
+            let synced = Mlp::init(&config, seed);
+            arena.sync(FlatRef::F32(synced.as_flat()));
             replica_share = arena.live().clone();
             seen.push(Arc::as_ptr(arena.live()));
         }
@@ -132,8 +133,8 @@ mod tests {
         let init = Mlp::init(&config, 1);
         let mut arena = IndexArena::new(&SampledSoftmax::defaults(8), &init);
         let _stale = arena.live().clone();
-        let synced = FlatVec::F32(init.to_flat());
-        arena.sync(&synced);
-        arena.sync(&synced);
+        let synced = FlatRef::F32(init.as_flat());
+        arena.sync(synced);
+        arena.sync(synced);
     }
 }

@@ -13,7 +13,7 @@ use asgd_data::XmlDataset;
 use asgd_model::{Mlp, Workspace};
 use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_sparse::CsrMatrix;
-use asgd_tensor::FlatVec;
+use asgd_tensor::{FlatRef, FlatVec};
 use std::sync::Arc;
 
 /// Tracks which sparse rows (W1 feature rows first, then output-class
@@ -193,7 +193,7 @@ impl<'a> Replica<'a> {
 
     /// Replaces the replica with the flat model `buf` (the delta baseline:
     /// nothing is dirty afterwards) and adopts `index`, hashed from `buf`.
-    pub(super) fn set_model(&mut self, buf: &FlatVec, index: Option<&Arc<LshIndex>>) {
+    pub(super) fn set_model(&mut self, buf: FlatRef<'_>, index: Option<&Arc<LshIndex>>) {
         self.mlp.read_flat_buf(buf);
         self.dirty.clear();
         self.adopt(index);
@@ -202,7 +202,7 @@ impl<'a> Replica<'a> {
     /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`. Blended
     /// replicas diverge; `index` was hashed from the shared `target`, so
     /// candidate selection stays replica-independent.
-    pub(super) fn blend(&mut self, target: &FlatVec, pull: f32, index: Option<&Arc<LshIndex>>) {
+    pub(super) fn blend(&mut self, target: FlatRef<'_>, pull: f32, index: Option<&Arc<LshIndex>>) {
         self.adopt(index);
         self.mlp.blend_from_flat_buf(target, pull);
         self.dirty.mark_all();
@@ -256,7 +256,7 @@ mod tests {
         let (ds, model) = setup();
         let target = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
         let mut r = Replica::new(0, model, &ds, None);
-        r.set_model(&target, None);
+        r.set_model(target.view(), None);
         assert_eq!(gathered(&r, Precision::F32), target);
     }
 
@@ -270,7 +270,7 @@ mod tests {
         let mut target = FlatVec::empty(Precision::Bf16);
         source.write_flat_buf(&mut target);
         let mut r = Replica::new(0, model, &ds, None);
-        r.set_model(&target, None);
+        r.set_model(target.view(), None);
         assert_eq!(gathered(&r, Precision::Bf16), target);
     }
 
@@ -279,7 +279,7 @@ mod tests {
         let (ds, model) = setup();
         let start = model.to_flat();
         let mut r = Replica::new(0, model, &ds, None);
-        r.blend(&FlatVec::F32(vec![0.0f32; start.len()]), 0.5, None);
+        r.blend(FlatRef::F32(&vec![0.0f32; start.len()]), 0.5, None);
         let flat = gathered(&r, Precision::F32);
         for (i, want) in start.iter().enumerate() {
             assert!((flat.get_f32(i) - want * 0.5).abs() < 1e-6);
@@ -350,9 +350,9 @@ mod tests {
     /// The scheduler's model sync: the index rebuilt from exactly the buffer
     /// every replica then imports.
     fn sync(arena: &mut IndexArena, replicas: &mut [Replica], buf: &FlatVec) {
-        arena.sync(buf);
+        arena.sync(buf.view());
         for r in replicas {
-            r.set_model(buf, Some(arena.live()));
+            r.set_model(buf.view(), Some(arena.live()));
         }
     }
 
@@ -441,8 +441,8 @@ mod tests {
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
         let mut r = Replica::new(0, model, &ds, Some(arena.sampler()));
-        arena.sync(&target);
-        r.blend(&target, 0.5, Some(arena.live()));
+        arena.sync(target.view());
+        r.blend(target.view(), 0.5, Some(arena.live()));
         r.gather_delta(&mut FlatVec::empty(Precision::F32));
         let total = config.num_features + config.num_classes;
         assert_eq!(r.rows().len(), total);
@@ -464,7 +464,7 @@ mod tests {
         let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
 
         // f32 target.
-        arena.sync(&FlatVec::F32(target_model.to_flat()));
+        arena.sync(FlatRef::F32(target_model.as_flat()));
         synced.set_index(arena.live().clone());
         let mut reference = standalone(target_model.w2());
         for seed in [0u64, 42, 0xB00F] {
@@ -479,7 +479,7 @@ mod tests {
         // rebuild from the widened replica's dense W₂.
         let mut bf16_target = FlatVec::empty(Precision::Bf16);
         target_model.write_flat_buf(&mut bf16_target);
-        arena.sync(&bf16_target);
+        arena.sync(bf16_target.view());
         synced.set_index(arena.live().clone());
         let mut widened = model.clone();
         widened.read_flat_buf(&bf16_target);

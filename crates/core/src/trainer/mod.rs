@@ -48,9 +48,10 @@ use asgd_model::workload::{
     sampled_epoch_kernels,
 };
 use asgd_model::{eval, Mlp, MlpConfig};
-use asgd_tensor::{FlatVec, Precision};
+use asgd_tensor::{pages, FlatRef, FlatVec, Precision};
 use chaos::ChaosStats;
 use manager::Replica;
+use std::sync::Arc;
 
 /// Sample seed of a batch: an FNV-1a fold of its sample ids mixed with the
 /// LSH seed. A pure function of the ids, so a batch re-dispatched after a
@@ -563,11 +564,11 @@ impl Trainer {
         state.drive();
         let sparse_merge = self.config.sparse_merge.then(|| state.sparse_stats.clone());
         let megas_run = state.recorder.records().len() as u64;
-        // The global model leaves twice (final model, resumable state); the
-        // momentum memory only once, so it moves.
-        let final_model = state.global.into_flat();
+        // The global model leaves as the final model and as the resumable
+        // state's, one allocation shared by both.
+        let final_model = Arc::new(state.global.into_flat());
         let final_state = TrainingState {
-            global: final_model.clone(),
+            global: Arc::clone(&final_model),
             prev_global: state.prev_global,
             hypers: state.hypers.clone(),
             megas_done: state.start_index as u64 + megas_run,
@@ -603,7 +604,9 @@ impl Trainer {
             Some(state) => {
                 hypers = state.hypers.clone();
                 start_index = state.megas_done as usize;
-                Mlp::from_flat(&mconfig, state.global.clone())
+                let mut global = Mlp::zeros(&mconfig);
+                global.read_flat_buf(FlatRef::F32(&state.global));
+                global
             }
             None => Mlp::init(&mconfig, cfg.seed),
         };
@@ -617,17 +620,19 @@ impl Trainer {
         launch_model.base_overhead_s *= cfg.overhead_scale;
         let per_server = cfg.cluster.map_or(n, |cl| cl.devices_per_server);
         let param_len = mconfig.param_len();
-        // Every replica is a copy of the start-up model, and the copies are
-        // page-fault-bound: the buffers are allocated here (zero pages
-        // nobody has touched yet) and filled on `n` threads, while this one
+        // Every replica is a copy of the start-up model. A fresh model-sized
+        // buffer is page-fault-bound (the first write of each page faults
+        // it in), so every one is allocated untouched with huge-page advice
+        // ([`pages::zeroed`]) and filled on `n` threads, while this one
         // copies the momentum memory and (sampled mode) hashes the start-up
         // `W₂` once for every replica.
         let mut mlps: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
         let (prev_global, lsh) = std::thread::scope(|s| {
             for mlp in &mut mlps {
-                s.spawn(|| mlp.as_flat_mut().copy_from_slice(global.as_flat()));
+                s.spawn(|| mlp.read_flat_buf(FlatRef::F32(global.as_flat())));
             }
-            let prev_global = resume.map_or(global.as_flat(), |r| &r.prev_global).to_vec();
+            let mut prev_global = pages::zeroed(param_len);
+            prev_global.copy_from_slice(resume.map_or(global.as_flat(), |r| &r.prev_global));
             let lsh = cfg.sampled_softmax.map(|s| IndexArena::new(&s, &global));
             (prev_global, lsh)
         });
@@ -670,7 +675,7 @@ impl Trainer {
             replicas,
             deltas: vec![FlatVec::empty(cfg.precision); n],
             work: vec![Vec::new(); n],
-            payload: FlatVec::zeros(cfg.precision, param_len),
+            payload: (cfg.precision == Precision::Bf16).then(|| pages::zeroed(param_len)),
             global,
             prev_global,
             recorder: RunRecorder::new(),
@@ -721,9 +726,11 @@ struct SchedulerState<'a> {
     /// order: what its replica trains in the next phase, and what moves to
     /// survivors if the device is lost first.
     work: Vec<Vec<Vec<usize>>>,
-    /// The merge's one model-sized buffer: the redistribution payload at
-    /// the run's storage precision, which every live replica imports.
-    payload: FlatVec,
+    /// The bf16 redistribution payload, which every live replica imports
+    /// (and the LSH index hashes): the merge's one model-sized buffer of its
+    /// own. `None` at f32, where the payload would be `global` bit for bit,
+    /// so the replicas import `global` in place.
+    payload: Option<Vec<u16>>,
     /// The global model. Evaluation reads it where it is.
     global: Mlp,
     prev_global: Vec<f32>,
@@ -1095,8 +1102,8 @@ impl SchedulerState<'_> {
     /// Model-sized buffers: the dense merge reads the replicas where they
     /// live; the sparse one reads `(rows, payload)` deltas and no replica.
     /// Either way [`FusedMerge`] streams the replicas once and leaves the new
-    /// `global`/`prev_global` and ONE redistribution payload in
-    /// [`Self::payload`], which every live replica then imports from a
+    /// `global`/`prev_global` — at bf16 also the narrowed payload in
+    /// [`Self::payload`] — which every live replica then imports from a
     /// shared borrow. Steady-state merges allocate nothing model-sized.
     fn merge(&mut self, norms: &[f64], mega_index: usize) -> MergeDecision {
         let n = self.n();
@@ -1171,7 +1178,7 @@ impl SchedulerState<'_> {
                     layout: &self.sparse_layout,
                     deltas: &deltas,
                 },
-                &mut self.payload,
+                self.payload.as_deref_mut(),
                 self.global.as_flat_mut(),
                 &mut self.prev_global,
             );
@@ -1203,16 +1210,20 @@ impl SchedulerState<'_> {
             let replicas: Vec<&[f32]> = self.replicas.iter().map(|r| r.mlp.as_flat()).collect();
             fused.run(
                 MergeInput::Dense(&replicas),
-                &mut self.payload,
+                self.payload.as_deref_mut(),
                 self.global.as_flat_mut(),
                 &mut self.prev_global,
             )
         };
 
-        // The import phase: one read-only payload, hashed once into the LSH
-        // index, then imported (or blended toward) by every live replica on
-        // a scoped thread of its own, adopting that index.
-        let payload = &self.payload;
+        // The import phase: one read-only payload — the bf16 buffer, or at
+        // f32 `global` itself — hashed once into the LSH index, then
+        // imported (or blended toward) by every live replica on a scoped
+        // thread of its own, adopting that index.
+        let payload = match &self.payload {
+            Some(p) => FlatRef::Bf16(p),
+            None => FlatRef::F32(self.global.as_flat()),
+        };
         if let Some(a) = self.lsh.as_mut() {
             a.sync(payload);
         }
@@ -1587,7 +1598,7 @@ mod tests {
         let b = run(bf16_cfg);
         assert_eq!(a.records.len(), b.records.len());
         let (mut num, mut den) = (0.0f64, 0.0f64);
-        for (x, y) in a.final_model.iter().zip(&b.final_model) {
+        for (x, y) in a.final_model.iter().zip(b.final_model.iter()) {
             num += ((x - y) as f64).powi(2);
             den += (*x as f64).powi(2);
         }
@@ -1918,10 +1929,11 @@ mod tests {
     }
 
     /// Steady-state merges allocate nothing model-sized. Dense or sparse, at
-    /// f32 or bf16, the merge's one model-sized buffer is the payload, and
-    /// it keeps its address through 4 mega-batches. The dense merge reads
-    /// the replicas and leaves the delta slots unallocated; the sparse
-    /// merge's delta slots stay shorter than the model.
+    /// f32 or bf16, the global model, its momentum memory and the payload —
+    /// a bf16 buffer, none at f32 — keep their addresses through 4
+    /// mega-batches. The dense merge reads the replicas and leaves the delta
+    /// slots unallocated; the sparse merge's delta slots stay shorter than
+    /// the model.
     #[test]
     fn merge_buffers_keep_their_addresses() {
         let ds = dataset();
@@ -1938,24 +1950,96 @@ mod tests {
                 );
                 let mut state = trainer.scheduler(&ds, None);
                 let len = state.global.param_len();
-                let payload = |s: &SchedulerState| {
+                let buffers = |s: &SchedulerState| {
                     (
-                        s.payload.as_ptr_addr(),
-                        s.payload.len(),
-                        s.payload.precision(),
+                        s.global.as_flat().as_ptr(),
+                        s.prev_global.as_ptr(),
+                        s.payload.as_ref().map(|p| (p.as_ptr(), p.len())),
                     )
                 };
-                let first = payload(&state);
-                assert_eq!((first.1, first.2), (len, precision));
+                let first = buffers(&state);
+                let bf16 = precision == Precision::Bf16;
+                assert_eq!(first.2.map(|p| p.1), bf16.then_some(len));
                 for mega in 0..4 {
                     state.run_mega_batch(mega);
                     let what = format!("{precision:?}, sparse {sparse}, mega {mega}");
-                    assert_eq!(payload(&state), first, "{what}");
+                    assert_eq!(buffers(&state), first, "{what}");
                     for d in &state.deltas {
                         assert!(d.len() < len, "a model-sized delta, {what}");
                         assert!(sparse || d.capacity() == 0, "a dense-merge delta, {what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// The import reads the payload where it lives — at f32 `global`
+    /// itself. After every merge each live replica holds `global` rounded
+    /// at the storage precision, bit for bit (the identity at f32,
+    /// `widen(narrow(·))` at bf16), and the shared LSH index equals one
+    /// rebuilt from an explicit copy of that payload: for dense and sparse
+    /// merges, across a survivor merge after a device loss, and through the
+    /// serial fallback of a merge-time OOM.
+    #[test]
+    fn every_replica_imports_global_at_the_storage_precision() {
+        use asgd_slide::LshIndex;
+        let ds = dataset();
+        let labels: Vec<&[u32]> = (0..6).map(|i| ds.train.labels[i].as_slice()).collect();
+        for precision in [Precision::F32, Precision::Bf16] {
+            for (sampled, sparse) in [(false, false), (true, false), (true, true)] {
+                let mut cfg = quick_config();
+                cfg.precision = precision;
+                cfg.sampled_softmax = sampled.then(|| SampledSoftmax::defaults(12));
+                cfg.sparse_merge = sparse;
+                cfg.fault_plan = Some(FaultPlan::new().merge_oom(1).device_loss(2, 2, 1));
+                let trainer = Trainer::new(
+                    algorithms::adaptive_sgd(),
+                    heterogeneous_server(3),
+                    cfg.clone(),
+                );
+                let mut state = trainer.scheduler(&ds, None);
+                for mega in 0..4 {
+                    state.run_mega_batch(mega);
+                    let what = format!("{precision:?}, sampled {sampled}, sparse {sparse}, {mega}");
+                    let want: Vec<u32> = match precision {
+                        Precision::F32 => state.global.as_flat().to_vec(),
+                        Precision::Bf16 => {
+                            let mut narrowed = vec![0u16; state.global.param_len()];
+                            asgd_tensor::bf16::narrow_slice(state.global.as_flat(), &mut narrowed);
+                            narrowed.into_iter().map(asgd_tensor::bf16::widen).collect()
+                        }
+                    }
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect();
+                    assert_eq!(state.replicas.len(), if mega < 2 { 3 } else { 2 }, "{what}");
+                    for r in &state.replicas {
+                        let got: Vec<u32> = r.mlp.as_flat().iter().map(|x| x.to_bits()).collect();
+                        assert!(got == want, "gpu {} is not global, {what}", r.gpu);
+                    }
+                    let Some(arena) = &state.lsh else { continue };
+                    let copy = match &state.payload {
+                        Some(p) => FlatVec::Bf16(p.clone()),
+                        None => FlatVec::F32(state.global.to_flat()),
+                    };
+                    let c = state.mconfig;
+                    let s = cfg.sampled_softmax.expect("sampled");
+                    let mut rebuilt = LshIndex::new(s.tables, s.k_bits, c.hidden, s.seed);
+                    let [_, _, w2, _] = c.block_ranges();
+                    rebuilt.rebuild_flat(&copy, w2.start, c.num_classes);
+                    let mut from_copy =
+                        asgd_slide::CandidateSampler::with_index(Arc::new(rebuilt), s.neg_samples);
+                    let mut synced = arena.sampler();
+                    for seed in [0u64, 7, 0xB00F] {
+                        assert_eq!(
+                            synced.select(&labels, seed).to_vec(),
+                            from_copy.select(&labels, seed),
+                            "index, seed {seed}, {what}"
+                        );
+                    }
+                }
+                assert_eq!(state.chaos.serial_fallback_merges, 1);
+                assert_eq!(state.chaos.lost_gpus, vec![1]);
             }
         }
     }

@@ -12,7 +12,7 @@ use crate::gradients::Gradients;
 use crate::workspace::Workspace;
 use asgd_sparse::{ops as sops, CsrMatrix};
 use asgd_tensor::kernels::sum_sq_lanes;
-use asgd_tensor::{bf16, init, numerics, ops, FlatVec, MatRef, Matrix, Precision};
+use asgd_tensor::{bf16, init, numerics, ops, pages, FlatRef, FlatVec, MatRef, Matrix, Precision};
 use rand::{rngs::StdRng, SeedableRng};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,9 +112,12 @@ impl Mlp {
         m
     }
 
-    /// All-zero model of the right shape (merge/accumulation target).
+    /// All-zero model of the right shape (merge/accumulation target). Its
+    /// buffer is written whole before it is read — by [`Mlp::init`], a
+    /// copy, an import — so it faults in huge pages
+    /// ([`asgd_tensor::pages::zeroed`]).
     pub fn zeros(config: &MlpConfig) -> Self {
-        Self::from_flat(config, vec![0.0; config.param_len()])
+        Self::from_flat(config, pages::zeroed(config.param_len()))
     }
 
     /// The model whose parameters are `params`, in the flat layout of
@@ -221,8 +224,15 @@ impl Mlp {
         }
     }
 
-    /// [`Mlp::write_delta_buf`] into `v`, every value through `narrow`.
-    fn delta_into<E>(&self, rows: &[u32], v: &mut Vec<E>, narrow: impl Fn(f32) -> E) {
+    /// [`Mlp::write_delta_buf`] into `v`, every value through `narrow`. A
+    /// payload that outgrows `v` gets a fresh allocation of exactly its
+    /// size, which the pack writes whole ([`asgd_tensor::pages::zeroed`]).
+    fn delta_into<E: Copy + Default>(
+        &self,
+        rows: &[u32],
+        v: &mut Vec<E>,
+        narrow: impl Fn(f32) -> E,
+    ) {
         debug_assert!(
             rows.windows(2).all(|w| w[0] < w[1]),
             "delta rows must be strictly ascending"
@@ -230,6 +240,12 @@ impl Mlp {
         let c = &self.config;
         let (w1, w2, b2) = (self.w1(), self.w2(), self.b2());
         let w2 = w2.as_slice();
+        // `b₁`, then `hidden` values per row and one `b₂` entry per class row.
+        let feature_rows = rows.partition_point(|&r| (r as usize) < c.num_features);
+        let need = c.hidden + rows.len() * c.hidden + (rows.len() - feature_rows);
+        if v.capacity() < need {
+            *v = pages::zeroed(need);
+        }
         v.clear();
         v.extend(self.b1().iter().map(|&x| narrow(x)));
         for &r in rows {
@@ -243,40 +259,45 @@ impl Mlp {
                 v.push(narrow(b2[cl]));
             }
         }
+        debug_assert_eq!(v.len(), need, "delta length");
     }
 
     /// Imports a flat buffer of either precision — the read counterpart of
-    /// [`Mlp::write_flat_buf`]. bf16 values widen exactly; no rounding
-    /// occurs on import.
+    /// [`Mlp::write_flat_buf`] — from a [`FlatVec`] or from a borrowed
+    /// [`FlatRef`] (another model's parameters read in place). bf16 values
+    /// widen exactly; no rounding occurs on import.
     ///
     /// # Panics
     /// Panics when the length does not match the architecture.
-    pub fn read_flat_buf(&mut self, flat: &FlatVec) {
+    pub fn read_flat_buf<'a>(&mut self, flat: impl Into<FlatRef<'a>>) {
+        let flat = flat.into();
         assert_eq!(flat.len(), self.param_len(), "flat parameter length");
         match flat {
-            FlatVec::F32(v) => self.as_flat_mut().copy_from_slice(v),
-            FlatVec::Bf16(v) => bf16::widen_slice(v, self.as_flat_mut()),
+            FlatRef::F32(v) => self.as_flat_mut().copy_from_slice(v),
+            FlatRef::Bf16(v) => bf16::widen_slice(v, self.as_flat_mut()),
         }
     }
 
     /// Pulls every parameter a fraction `pull` toward `target` (flat
-    /// layout): `θ ← θ + pull·(target − θ)` — CROSSBOW's central-model
+    /// layout, owned or borrowed as in [`Mlp::read_flat_buf`]):
+    /// `θ ← θ + pull·(target − θ)` — CROSSBOW's central-model
     /// blend, applied in place. The blend math runs in f32 on
     /// exactly-widened targets (`θ ← θ + pull·(widen(z) − θ)` for bf16);
     /// the model parameters stay f32, so no narrowing round point exists.
     ///
     /// # Panics
     /// Panics when the length does not match the architecture.
-    pub fn blend_from_flat_buf(&mut self, target: &FlatVec, pull: f32) {
+    pub fn blend_from_flat_buf<'a>(&mut self, target: impl Into<FlatRef<'a>>, pull: f32) {
+        let target = target.into();
         assert_eq!(target.len(), self.param_len(), "flat parameter length");
         let params = self.as_flat_mut();
         match target {
-            FlatVec::F32(v) => {
+            FlatRef::F32(v) => {
                 for (w, &z) in params.iter_mut().zip(v) {
                     *w += pull * (z - *w);
                 }
             }
-            FlatVec::Bf16(v) => {
+            FlatRef::Bf16(v) => {
                 for (w, &z) in params.iter_mut().zip(v) {
                     *w += pull * (bf16::widen(z) - *w);
                 }

@@ -23,7 +23,7 @@
 
 use crate::gradients::Gradients;
 use crate::mlp::MlpConfig;
-use asgd_tensor::Matrix;
+use asgd_tensor::{pages, Matrix};
 
 /// Scratch buffers for one training step, reused across steps.
 ///
@@ -87,7 +87,12 @@ impl Workspace {
             h: Matrix::zeros(0, config.hidden),
             probs: Matrix::zeros(0, config.num_classes),
             dh: Matrix::zeros(0, config.hidden),
-            w2t: Matrix::zeros(config.num_classes, config.hidden),
+            // Written whole by every refresh before it is read.
+            w2t: Matrix::from_vec(
+                config.num_classes,
+                config.hidden,
+                pages::zeroed(config.num_classes * config.hidden),
+            ),
             w2t_epoch: None,
             logits_s: Matrix::zeros(0, 0),
             gathered_b2: Vec::new(),

@@ -10,7 +10,7 @@
 use asgd_stats::dist::standard_normal;
 use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, transpose_block, Epilogue, Widen};
 use asgd_tensor::parallel::par_chunks_mut;
-use asgd_tensor::{FlatVec, MatRef};
+use asgd_tensor::{FlatRef, MatRef};
 use rand::{rngs::StdRng, SeedableRng};
 use std::cell::RefCell;
 
@@ -174,14 +174,20 @@ impl LshIndex {
     }
 
     /// [`rebuild`](Self::rebuild) from the `dim × classes` `W₂` region that
-    /// starts at element `offset` of a flat model buffer, read in place:
-    /// f32 verbatim, bf16 widened exactly — the same bits a replica holds
-    /// after importing that buffer.
-    pub fn rebuild_flat(&mut self, flat: &FlatVec, offset: usize, classes: usize) {
+    /// starts at element `offset` of a flat model buffer — a
+    /// [`FlatVec`](asgd_tensor::FlatVec) or
+    /// a borrowed [`FlatRef`] — read in place: f32 verbatim, bf16 widened
+    /// exactly — the same bits a replica holds after importing that buffer.
+    pub fn rebuild_flat<'a>(
+        &mut self,
+        flat: impl Into<FlatRef<'a>>,
+        offset: usize,
+        classes: usize,
+    ) {
         let region = offset..offset + self.dim * classes;
-        match flat {
-            FlatVec::F32(v) => self.rebuild_from(&v[region], classes),
-            FlatVec::Bf16(v) => self.rebuild_from(&v[region], classes),
+        match flat.into() {
+            FlatRef::F32(v) => self.rebuild_from(&v[region], classes),
+            FlatRef::Bf16(v) => self.rebuild_from(&v[region], classes),
         }
     }
 
@@ -315,7 +321,7 @@ impl LshIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgd_tensor::{bf16, Matrix};
+    use asgd_tensor::{bf16, FlatVec, Matrix};
     use proptest::prelude::*;
 
     /// Seeded values in `[-1, 1)` with exact zeros sprinkled in.
@@ -442,7 +448,9 @@ mod tests {
 
     /// bf16 regions hash as their exact widening: `rebuild_flat` over a
     /// flat buffer equals `rebuild` over the widened dense `W₂`, at a
-    /// non-zero offset, for both storage precisions.
+    /// non-zero offset, for both storage precisions — from an owned
+    /// [`FlatVec`] and from a [`FlatRef`] borrowing the same values where
+    /// they live (a model's parameters, synced without a copy).
     #[test]
     fn rebuild_flat_reads_the_region_in_place() {
         let (dim, classes, off) = (12usize, 300usize, 17usize);
@@ -461,6 +469,21 @@ mod tests {
             let mut idx = LshIndex::new(4, 9, dim, 3);
             idx.rebuild_flat(&flat, off, classes);
             assert_matches_oracle(&idx, dense);
+            let (f32_in_place, bf16_in_place);
+            let view = match &flat {
+                FlatVec::F32(v) => {
+                    f32_in_place = v.clone();
+                    FlatRef::F32(&f32_in_place)
+                }
+                FlatVec::Bf16(v) => {
+                    bf16_in_place = v.clone();
+                    FlatRef::Bf16(&bf16_in_place)
+                }
+            };
+            let mut borrowed = LshIndex::new(4, 9, dim, 3);
+            borrowed.rebuild_flat(view, off, classes);
+            assert_eq!(borrowed.sigs, idx.sigs, "{:?}", flat.precision());
+            assert_matches_oracle(&borrowed, dense);
         }
     }
 

@@ -126,6 +126,14 @@ impl FlatVec {
         }
     }
 
+    /// The buffer as a borrowed [`FlatRef`].
+    pub fn view(&self) -> FlatRef<'_> {
+        match self {
+            FlatVec::F32(v) => FlatRef::F32(v),
+            FlatVec::Bf16(v) => FlatRef::Bf16(v),
+        }
+    }
+
     /// Element count.
     pub fn len(&self) -> usize {
         match self {
@@ -187,6 +195,39 @@ impl FlatVec {
                 widen_slice(v, out);
             }
         }
+    }
+}
+
+/// A borrowed flat buffer in one of the two storage precisions: a
+/// [`FlatVec`]'s contents, or an f32 model's own parameters read where they
+/// live. What a model import, a blend and an LSH rebuild read, so one path
+/// serves both precisions without the f32 side being copied first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FlatRef<'a> {
+    /// f32 storage.
+    F32(&'a [f32]),
+    /// bf16 storage (raw bit patterns).
+    Bf16(&'a [u16]),
+}
+
+impl FlatRef<'_> {
+    /// Element count.
+    pub fn len(&self) -> usize {
+        match self {
+            FlatRef::F32(v) => v.len(),
+            FlatRef::Bf16(v) => v.len(),
+        }
+    }
+
+    /// True when no elements are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl<'a> From<&'a FlatVec> for FlatRef<'a> {
+    fn from(v: &'a FlatVec) -> Self {
+        v.view()
     }
 }
 

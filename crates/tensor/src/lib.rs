@@ -35,9 +35,10 @@ pub mod kernels;
 pub mod matrix;
 pub mod numerics;
 pub mod ops;
+pub mod pages;
 pub mod parallel;
 pub(crate) mod pool;
 pub mod reference;
 
-pub use bf16::{FlatVec, Precision};
+pub use bf16::{FlatRef, FlatVec, Precision};
 pub use matrix::{Mat, MatRef, Matrix};

@@ -135,7 +135,7 @@ fn trained_pair(name: &str, seed: u64) -> (Trainer, XmlDataset, TrainingState) {
 fn resume_with_wrong_architecture_is_an_error() {
     let (trainer, ds, mut state) = trained_pair("resume4", 14);
     let want = state.global.len();
-    state.global.truncate(10);
+    std::sync::Arc::make_mut(&mut state.global).truncate(10);
     let e = trainer.run_resumed(&ds, &state).unwrap_err();
     assert_eq!(e, ResumeError::Architecture { have: 10, want });
     assert!(e

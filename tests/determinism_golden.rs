@@ -140,7 +140,7 @@ fn run_is_thread_invariant_with_fewer_as_many_and_more_managers_than_threads() {
             assert!(
                 one.final_model
                     .iter()
-                    .zip(&other.final_model)
+                    .zip(other.final_model.iter())
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                 "{managers} managers: model bits differ between 1 and {threads} threads"
             );
