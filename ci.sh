@@ -118,11 +118,28 @@ if [[ "${1:-}" != "quick" ]]; then
 
     echo "== init oracle: Mlp::init against the serial stream, release, 1 and 8 threads =="
     # Mlp::init draws W1 and W2 on the pool, each chunk from a clone of the
-    # one StdRng stream taken by a serial acceptance scan; the weights must
-    # be the serial layer_init stream bit for bit, with the pool off and
-    # with more lanes than cores.
+    # one StdRng stream taken by a serial acceptance scan, generated by the
+    # two-pass block generator; the weights must be the serial layer_init
+    # stream bit for bit (and the block generator Normal::sample's), with
+    # the pool off and with more lanes than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor -p asgd-model --lib -- init_oracle_
+    done
+
+    echo "== perturbation gate and W2ᵀ rows: release, 1 and 8 threads =="
+    # Algorithm 2's gate is estimated from the rows each replica changed and
+    # swept whole only when its error bound straddles pert_thr: the gate
+    # differential holds every replica's estimate to the exact norm at
+    # thresholds far off, a relative 1e-3 off (it must decide) and 1e-12 off
+    # (it must not), f32 and bf16, sparse and dense merge, dense softmax, and
+    # every merge's sides and decision to the exact norms', also through a
+    # device loss. The sampled step copies only its stale W2ᵀ
+    # rows: the coherence property test holds every row a gather reads to
+    # its W2 column under any sequence of steps, imports, blends, dense
+    # steps, w2_mut and clones. With the pool off and more lanes than cores.
+    for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- gate_differential_
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-model --lib -- w2t_coherence_
     done
 
     echo "== model-sized buffers: the census, release, 1 and 8 threads =="

@@ -476,6 +476,7 @@ fn arena_merge(
         bf16_payload.as_deref_mut(),
         global,
         prev_global,
+        None,
     );
     let payload = match bf16_payload {
         Some(p) => asgd_tensor::FlatRef::Bf16(p),

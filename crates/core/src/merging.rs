@@ -3,11 +3,11 @@
 use crate::hyper::GpuHyper;
 use asgd_collective::{
     allreduce_tiled, split_shares, tile_shares, Algorithm, AllReduceTiming, CollectiveContext,
-    Delta, InterNode, SparseLayout, TilePart,
+    Delta, InterNode, SparseLayout, TilePart, TILE_ELEMS,
 };
 use asgd_gpusim::SimTime;
 use asgd_tensor::bf16::ReduceElem;
-use asgd_tensor::FlatVec;
+use asgd_tensor::{FlatRef, FlatVec};
 use std::ops::Range;
 
 /// Parameters of Algorithm 2.
@@ -81,9 +81,21 @@ pub fn compute_merge_weights(
     norms_per_param: &[f64],
     params: &MergeParams,
 ) -> MergeDecision {
+    assert_eq!(gpus.len(), norms_per_param.len(), "norms length mismatch");
+    let well_regularized = norms_per_param.iter().all(|&nm| nm < params.pert_thr);
+    merge_weights(gpus, well_regularized, params)
+}
+
+/// [`compute_merge_weights`] with the perturbation gate already decided:
+/// `well_regularized` is whether every replica's L2-norm-per-parameter is
+/// below `pert_thr` — the one thing Algorithm 2 reads the norms for.
+pub fn merge_weights(
+    gpus: &[GpuHyper],
+    well_regularized: bool,
+    params: &MergeParams,
+) -> MergeDecision {
     let normalization = params.normalization;
     assert!(!gpus.is_empty(), "no replicas to merge");
-    assert_eq!(gpus.len(), norms_per_param.len(), "norms length mismatch");
     let n = gpus.len();
     let all_equal = gpus.windows(2).all(|w| w[0].updates == w[1].updates);
     let mut weights: Vec<f64> = if all_equal {
@@ -101,7 +113,6 @@ pub fn compute_merge_weights(
     };
 
     // Perturbation is only meaningful with at least two distinct replicas.
-    let well_regularized = norms_per_param.iter().all(|&nm| nm < params.pert_thr);
     let perturbed = well_regularized && n >= 2;
     if perturbed {
         let r = (0..n).max_by_key(|&i| gpus[i].updates).expect("non-empty");
@@ -113,6 +124,92 @@ pub fn compute_merge_weights(
         weights,
         by_updates: !all_equal,
         perturbed,
+    }
+}
+
+/// The unit roundoff of `f64`, `2⁻⁵³`.
+const U: f64 = f64::EPSILON / 2.0;
+
+/// A replica's sum of squares `Σw²` as the perturbation gate estimates it
+/// from the parameters the replica changed since its last import, with an
+/// absolute bound on the estimate's error (DESIGN.md, "The perturbation
+/// gate from the rows that changed"). `sq` is
+/// `(S_base − Σ base²) + Σ cur²`, where `S_base` is the import buffer's
+/// sum of squares and the two sums run over the same `changed` parameters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NormEstimate {
+    /// The estimate of `Σw²`.
+    pub sq: f64,
+    /// `|sq − Σw²| ≤ err`, with `Σw²` the exact real sum. Infinite when no
+    /// bound is derived (an operand is not finite, or the sums are too long
+    /// for it).
+    pub err: f64,
+}
+
+impl NormEstimate {
+    /// The estimate for a model of `len` parameters whose import buffer sums
+    /// to `s_base` (computed in `f64`, in any order), where the `changed`
+    /// parameters summed `base_sq` in the import buffer and `cur_sq` now.
+    ///
+    /// Every square of an `f32` is exact in `f64`, so each of the three sums
+    /// of `k` terms is off by at most `γₖ = k·u / (1 − k·u)` times itself
+    /// (any summation order, non-negative terms), and the subtraction and the
+    /// addition round once each. With `K = s_base + base_sq + cur_sq` and
+    /// `(len + changed)·u ≤ 0.01`, that is at most
+    /// `(1.03·(len + changed) + 2.01)·u·K`; `err` is `4·(len + changed + 2)·u·K`,
+    /// which also absorbs the rounding of computing it.
+    pub fn new(len: usize, s_base: f64, changed: usize, base_sq: f64, cur_sq: f64) -> Self {
+        let sq = (s_base - base_sq) + cur_sq;
+        let terms = (len + changed + 2) as f64;
+        let err = if terms * U <= 0.01 {
+            4.0 * terms * U * (s_base + base_sq + cur_sq)
+        } else {
+            f64::INFINITY
+        };
+        NormEstimate { sq, err }
+    }
+
+    /// Which side of `thr` the exact norm per parameter
+    /// (`asgd_model::Mlp::l2_norm_per_param` of the `len`-parameter replica)
+    /// lies on, when the estimate decides it: `Some(true)` iff it is below
+    /// `thr`, `None` when the interval straddles `thr` (or nothing is
+    /// finite) — then only the exact norm can tell.
+    ///
+    /// That norm is `fl(fl(√Ŝ) / len)`, where `Ŝ` sums `len` exact squares
+    /// in `f64`: `|Ŝ − S| ≤ γ_len·S ≤ g·S` with `g = 2·len·u`, and the root
+    /// and the division round once each. So it lies in
+    /// `[√((sq − err)(1 − g)) / len, √((sq + err)(1 + g)) / len]` up to
+    /// `2u`, and a further `16u` of slack covers the rounding of this
+    /// function's own arithmetic.
+    pub fn below(&self, len: usize, thr: f64) -> Option<bool> {
+        let g = 2.0 * len as f64 * U;
+        let hi = (self.sq + self.err) * (1.0 + g);
+        let lo = ((self.sq - self.err) * (1.0 - g)).max(0.0);
+        if len == 0 || !(hi.is_finite() && lo.is_finite()) || g > 0.01 {
+            return None;
+        }
+        let (n, slack) = (len as f64, 16.0 * U);
+        if hi.sqrt() / n * (1.0 + slack) < thr {
+            Some(true)
+        } else if lo.sqrt() / n * (1.0 - slack) >= thr {
+            Some(false)
+        } else {
+            None
+        }
+    }
+}
+
+/// `Σx²` of a buffer the replicas import, in `f64`: per [`TILE_ELEMS`] tile
+/// ([`asgd_tensor::kernels::sum_sq_lanes`], bf16 widened exactly), folded
+/// in tile order — bit for bit what [`FusedMerge::run`] sums for the buffer
+/// it leaves.
+pub fn import_sq(buf: FlatRef<'_>) -> f64 {
+    fn tiles<E: ReduceElem>(xs: &[E]) -> f64 {
+        xs.chunks(TILE_ELEMS).map(E::sum_sq).sum()
+    }
+    match buf {
+        FlatRef::F32(v) => tiles(v),
+        FlatRef::Bf16(v) => tiles(v),
     }
 }
 
@@ -204,6 +301,7 @@ pub fn redistribute_global(global: &[f32], bufs: &mut [FlatVec]) {
 
 /// What one [`FusedMerge`] reduces, one entry per live replica in device
 /// order.
+#[derive(Clone, Copy)]
 pub enum MergeInput<'a> {
     /// Every replica's parameters in the flat layout, read where they live.
     /// Each tile is narrowed to the payload's precision as it is loaded: a
@@ -257,6 +355,12 @@ impl FusedMerge<'_> {
     /// leaves the narrowed new global model there; without, it reduces at
     /// f32, and `global` itself is the payload.
     ///
+    /// With `import_sq`, it also writes there `Σx²` of the buffer the
+    /// replicas import next (`global` at f32, the widened payload at bf16)
+    /// as [`import_sq`] computes it: the store of each tile sums its squares
+    /// while the tile is in cache, and the tile sums are folded in tile
+    /// order.
+    ///
     /// # Panics
     /// Panics when buffers disagree on length or precision.
     pub fn run(
@@ -265,11 +369,21 @@ impl FusedMerge<'_> {
         bf16_payload: Option<&mut [u16]>,
         global: &mut [f32],
         prev_global: &mut [f32],
+        import_sq: Option<&mut f64>,
     ) -> AllReduceTiming {
-        match bf16_payload {
-            None => self.run_typed::<f32>(None, &Source::new(input), global, prev_global),
-            Some(p) => self.run_typed(Some(p), &Source::new(input), global, prev_global),
+        let mut tile_sq = match import_sq {
+            Some(_) => vec![0.0f64; global.len().div_ceil(TILE_ELEMS)],
+            None => Vec::new(),
+        };
+        let sums = import_sq.is_some().then_some(&mut tile_sq[..]);
+        let timing = match bf16_payload {
+            None => self.run_typed::<f32>(None, &Source::new(input), global, prev_global, sums),
+            Some(p) => self.run_typed(Some(p), &Source::new(input), global, prev_global, sums),
+        };
+        if let Some(sq) = import_sq {
+            *sq = tile_sq.iter().sum();
         }
+        timing
     }
 
     fn run_typed<E: ReduceElem>(
@@ -278,6 +392,7 @@ impl FusedMerge<'_> {
         source: &Source<'_, E>,
         global: &mut [f32],
         prev: &mut [f32],
+        tile_sq: Option<&mut [f64]>,
     ) -> AllReduceTiming {
         let len = global.len();
         if let Some(p) = &payload {
@@ -300,13 +415,25 @@ impl FusedMerge<'_> {
             Some(p) => split_shares(p, &shares).into_iter().map(Some).collect(),
             None => shares.iter().map(|_| None).collect(),
         };
+        // Shares are runs of whole tiles, so the tile sums split with them.
+        let tile_sqs: Vec<Option<&mut [f64]>> = match tile_sq {
+            Some(t) => {
+                let tiles: Vec<Range<usize>> = shares
+                    .iter()
+                    .map(|r| r.start / TILE_ELEMS..r.end.div_ceil(TILE_ELEMS))
+                    .collect();
+                split_shares(t, &tiles).into_iter().map(Some).collect()
+            }
+            None => shares.iter().map(|_| None).collect(),
+        };
         let mut parts: Vec<(Range<usize>, MergePart<'_, E>)> = shares
             .iter()
             .cloned()
             .zip(payloads)
             .zip(split_shares(global, &shares))
             .zip(split_shares(prev, &shares))
-            .map(|(((share, payload), global), prev)| {
+            .zip(tile_sqs)
+            .map(|((((share, payload), global), prev), tile_sq)| {
                 let part = MergePart {
                     start: share.start,
                     source,
@@ -314,6 +441,7 @@ impl FusedMerge<'_> {
                     global,
                     prev,
                     gamma: self.gamma.map(|g| g as f32),
+                    tile_sq,
                 };
                 (share, part)
             })
@@ -364,7 +492,8 @@ impl<'a, E: ReduceElem> Source<'a, E> {
 
 /// One task's share of the fused pass: the matching slices of the payload
 /// (bf16 merges only), the global model and its momentum memory, all
-/// starting at `start`.
+/// starting at `start`, and — when asked for — one sum of squares per tile
+/// of the share.
 struct MergePart<'a, E> {
     start: usize,
     source: &'a Source<'a, E>,
@@ -372,6 +501,7 @@ struct MergePart<'a, E> {
     global: &'a mut [f32],
     prev: &'a mut [f32],
     gamma: Option<f32>,
+    tile_sq: Option<&'a mut [f64]>,
 }
 
 impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
@@ -406,7 +536,7 @@ impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
         let payload = self.payload.as_deref_mut().map(|p| &mut p[rel.clone()]);
         match self.gamma {
             Some(gamma) => {
-                let prev = &mut self.prev[rel];
+                let prev = &mut self.prev[rel.clone()];
                 for ((&m, w), wp) in merged.iter().zip(global.iter_mut()).zip(prev) {
                     let w_new = m.widen() + gamma * (*w - *wp);
                     *wp = *w;
@@ -424,6 +554,12 @@ impl<E: ReduceElem> TilePart<E> for MergePart<'_, E> {
                     payload.copy_from_slice(merged);
                 }
             }
+        }
+        if let Some(tile_sq) = self.tile_sq.as_deref_mut() {
+            // What the replicas import: the payload where there is one.
+            let p = self.payload.as_deref().map(|p| &p[rel.clone()]);
+            let global = &self.global[rel.clone()];
+            tile_sq[rel.start / TILE_ELEMS] = p.map_or_else(|| f32::sum_sq(global), E::sum_sq);
         }
     }
 }
@@ -653,26 +789,35 @@ mod tests {
                         let what = format!("{precision:?} k={k} {inter:?} {gamma:?} {pooled}");
                         // The fused pass from fresh copies; the payload it
                         // leaves is the bf16 buffer, or at f32 `global`.
-                        let run = |input| {
-                            let (mut g, mut p) = (global.clone(), prev.clone());
-                            let (t, payload) = match precision {
-                                Precision::F32 => {
-                                    let t = fused.run(input, None, &mut g, &mut p);
-                                    (t, FlatVec::F32(g.clone()))
+                        // Summing the squares of that payload on the way
+                        // changes nothing else, and is `import_sq`'s sum.
+                        let run = |input: MergeInput<'_>| {
+                            let mut out = Vec::new();
+                            for sums in [false, true] {
+                                let (mut g, mut p) = (global.clone(), prev.clone());
+                                let mut payload = vec![0u16; len];
+                                let bf16 =
+                                    (precision == Precision::Bf16).then_some(&mut payload[..]);
+                                let mut sq = sums.then_some(f64::NAN);
+                                let t = fused.run(input, bf16, &mut g, &mut p, sq.as_mut());
+                                let payload = match precision {
+                                    Precision::F32 => FlatVec::F32(g.clone()),
+                                    Precision::Bf16 => FlatVec::Bf16(payload),
+                                };
+                                if let Some(sq) = sq {
+                                    let want = import_sq(payload.view());
+                                    assert_eq!(sq.to_bits(), want.to_bits(), "import sum, {what}");
                                 }
-                                Precision::Bf16 => {
-                                    let mut payload = vec![0u16; len];
-                                    let t = fused.run(input, Some(&mut payload), &mut g, &mut p);
-                                    (t, FlatVec::Bf16(payload))
-                                }
-                            };
-                            (t, g, p, payload)
+                                out.push((t, bits(&g), bits(&p), payload));
+                            }
+                            assert!(out[0] == out[1], "summing moved the merge, {what}");
+                            out.pop().unwrap()
                         };
 
                         let (t, g, p, payload) = run(MergeInput::Dense(&param_refs));
                         assert_eq!(t, want_t, "dense timing, {what}");
-                        assert_eq!(bits(&g), bits(&want_g), "dense global, {what}");
-                        assert_eq!(bits(&p), bits(&want_p), "dense prev, {what}");
+                        assert_eq!(g, bits(&want_g), "dense global, {what}");
+                        assert_eq!(p, bits(&want_p), "dense prev, {what}");
                         assert_eq!(payload, want[0], "dense payload, {what}");
 
                         let (t, g, p, payload) = run(MergeInput::Sparse {
@@ -680,13 +825,61 @@ mod tests {
                             deltas: &delta_refs,
                         });
                         assert_eq!(t, want_t, "sparse timing, {what}");
-                        assert_eq!(bits(&g), bits(&want_g), "sparse global, {what}");
-                        assert_eq!(bits(&p), bits(&want_p), "sparse prev, {what}");
+                        assert_eq!(g, bits(&want_g), "sparse global, {what}");
+                        assert_eq!(p, bits(&want_p), "sparse prev, {what}");
                         assert_eq!(payload, want[0], "sparse payload, {what}");
                     }
                 }
             }
         }
+    }
+
+    /// The certificate's edges: it decides only what the interval decides,
+    /// never on a non-finite estimate or an empty model, and `pert_thr = 0`
+    /// is always "not below" without a sum.
+    #[test]
+    fn norm_estimate_decides_only_inside_its_bound() {
+        let len = 1_000;
+        // Σw² = 4 exactly (the changed parameters moved 1 → 2 of it).
+        let est = NormEstimate::new(len, 3.0, 10, 1.0, 2.0);
+        assert_eq!(est.sq, 4.0);
+        assert!(est.err > 0.0 && est.err < 1e-9, "{}", est.err);
+        let norm = 2.0 / len as f64;
+        assert_eq!(est.below(len, norm * 1.001), Some(true));
+        assert_eq!(est.below(len, norm * 0.999), Some(false));
+        assert_eq!(est.below(len, norm), None);
+        assert_eq!(est.below(len, 0.0), Some(false));
+        assert_eq!(est.below(len, f64::INFINITY), Some(true));
+        assert_eq!(est.below(0, 1.0), None);
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                NormEstimate::new(len, bad, 1, 0.0, 1.0).below(len, 1.0),
+                None
+            );
+            assert_eq!(
+                NormEstimate::new(len, 1.0, 1, 0.0, bad).below(len, 1.0),
+                None
+            );
+        }
+        // Cancellation down to zero still bounds from below by zero.
+        let zero = NormEstimate::new(len, 1.0, 1, 1.0, 0.0);
+        assert_eq!(zero.below(len, 1e-12), None);
+        assert_eq!(zero.below(len, 0.0), Some(false));
+        // The worst rounding the bound admits, under cancellation: every
+        // parameter changed, the exact sums are S_base = Σ base² = 1 and
+        // Σ cur² = 1e-6, but the base sum came out 0.9·P·u high (inside
+        // γ_P). The estimate is then 1e-5 off relatively, far beyond the
+        // exact measure's own rounding; only `err` keeps it from a wrong side.
+        let len = 100_000;
+        let est = NormEstimate::new(len, 1.0 + 0.9 * len as f64 * U, len, 1.0, 1e-6);
+        let norm = 1e-6f64.sqrt() / len as f64;
+        for rel in [-3e-6, 3e-6, -1e-3, 1e-3] {
+            let thr = norm * (1.0 + rel);
+            if let Some(side) = est.below(len, thr) {
+                assert_eq!(side, norm < thr, "relative {rel}");
+            }
+        }
+        assert_eq!(est.below(len, norm * 1.001), Some(true));
     }
 
     #[test]

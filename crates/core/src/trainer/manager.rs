@@ -9,23 +9,28 @@
 //! so its operations are plain method calls, and the assignment of batch *k*
 //! never depends on how fast the host runs a replica.
 
+use crate::merging::NormEstimate;
 use asgd_data::XmlDataset;
 use asgd_model::{Mlp, Workspace};
 use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_sparse::CsrMatrix;
+use asgd_tensor::kernels::{sum_sq_lanes, Widen};
 use asgd_tensor::{FlatRef, FlatVec};
 use std::sync::Arc;
 
 /// Tracks which sparse rows (W1 feature rows first, then output-class
 /// columns) this replica has dirtied since its last model sync — the
-/// dirty-set side of the sparse delta merge.
+/// dirty-set side of the sparse delta merge, and the rows the perturbation
+/// gate's norm estimate reads.
 ///
 /// On the sampled-softmax path the set is *exact and free*: a training
 /// step writes precisely the batch's CSR feature columns into `W₁` and an
 /// update entry for **every** LSH candidate into `W₂`/`b₂` (even at zero
 /// gradient), so marking `x.indices()` plus the candidate set reproduces
 /// the touched-row set bit-for-bit. `b₁` updates densely every batch and
-/// rides along in the delta's dense block instead.
+/// rides along in the delta's dense block instead. A dense step marks its
+/// feature rows the same way; it writes every class column, which the
+/// set does not record.
 struct DirtyRows {
     features: usize,
     num_rows: usize,
@@ -69,9 +74,8 @@ impl DirtyRows {
         self.bits.fill(0);
     }
 
-    /// Collects the dirty rows, sorted ascending, into a recycled buffer.
-    fn collect_into(&self, out: &mut Vec<u32>) {
-        out.clear();
+    /// Calls `f` on every dirty row, ascending.
+    fn for_each(&self, mut f: impl FnMut(usize)) {
         for (w, &word) in self.bits.iter().enumerate() {
             let mut b = word;
             while b != 0 {
@@ -79,10 +83,41 @@ impl DirtyRows {
                 if r >= self.num_rows {
                     break;
                 }
-                out.push(r as u32);
+                f(r);
                 b &= b - 1;
             }
         }
+    }
+
+    /// Collects the dirty rows, sorted ascending, into a recycled buffer.
+    fn collect_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        self.for_each(|r| out.push(r as u32));
+    }
+}
+
+/// `Σ base²` and `Σ cur²` (in `f64`) over a set of parameters, and how many.
+#[derive(Default)]
+struct ChangedSq {
+    base: f64,
+    cur: f64,
+    count: usize,
+}
+
+impl ChangedSq {
+    /// Adds a run of parameters, `base` and `cur` at the same positions.
+    fn run<E: Widen>(&mut self, base: &[E], cur: &[f32]) {
+        self.base += sum_sq_lanes(base);
+        self.cur += sum_sq_lanes(cur);
+        self.count += cur.len();
+    }
+
+    /// Adds one parameter.
+    fn one<E: Widen>(&mut self, base: E, cur: f32) {
+        let (b, c) = (f64::from(base.widen()), f64::from(cur));
+        self.base += b * b;
+        self.cur += c * c;
+        self.count += 1;
     }
 }
 
@@ -164,6 +199,7 @@ impl<'a> Replica<'a> {
             }
             None => {
                 self.dense_trained = true;
+                self.dirty.mark_features(x.indices());
                 self.mlp.train_batch_ws(x, &self.labels, lr, &mut self.ws)
             }
         };
@@ -173,9 +209,8 @@ impl<'a> Replica<'a> {
     /// What the sparse merge reads instead of the replica's parameters:
     /// collects the rows dirtied since the last [`Replica::set_model`] (then
     /// readable through [`Replica::rows`]) and writes their delta payload —
-    /// the `asgd_collective::sparse` wire format — into `payload`; returns
-    /// `‖w‖₂ / |w|`, Algorithm 2's regularization measure.
-    pub(super) fn gather_delta(&mut self, payload: &mut FlatVec) -> f64 {
+    /// the `asgd_collective::sparse` wire format — into `payload`.
+    pub(super) fn gather_delta(&mut self, payload: &mut FlatVec) {
         assert!(
             !self.dense_trained,
             "sparse deltas require the sampled-softmax path \
@@ -183,7 +218,51 @@ impl<'a> Replica<'a> {
         );
         self.dirty.collect_into(&mut self.rows);
         self.mlp.write_delta_buf(&self.rows, payload);
-        self.mlp.l2_norm_per_param()
+    }
+
+    /// Algorithm 2's regularization measure `Σw²`, estimated from the
+    /// parameters this replica changed since it imported `base` (whose own
+    /// `Σx²` is `s_base`): `b₁`, the dirty feature rows of `W₁`, and the
+    /// dirty class columns of `W₂` with their `b₂` entries — all of `W₂` and
+    /// `b₂` on the dense path. Every other parameter still holds its `base`
+    /// value bit for bit, so it cancels exactly.
+    ///
+    /// `base` must be the buffer of the last [`Replica::set_model`] (or the
+    /// start-up model the replica was built from), not a blend target.
+    pub(super) fn norm_estimate(&self, base: FlatRef<'_>, s_base: f64) -> NormEstimate {
+        let changed = match base {
+            FlatRef::F32(b) => self.changed_sq(b),
+            FlatRef::Bf16(b) => self.changed_sq(b),
+        };
+        let len = self.mlp.param_len();
+        NormEstimate::new(len, s_base, changed.count, changed.base, changed.cur)
+    }
+
+    fn changed_sq<E: Widen>(&self, base: &[E]) -> ChangedSq {
+        let cur = self.mlp.as_flat();
+        assert_eq!(base.len(), cur.len(), "base/replica length");
+        let c = self.mlp.config();
+        let (features, hidden, classes) = (c.num_features, c.hidden, c.num_classes);
+        let [w1, b1, w2, b2] = c.block_ranges();
+        let mut sq = ChangedSq::default();
+        sq.run(&base[b1.clone()], &cur[b1]);
+        let dense = self.sampler.is_none();
+        if dense {
+            sq.run(&base[w2.start..b2.end], &cur[w2.start..b2.end]);
+        }
+        self.dirty.for_each(|r| {
+            if r < features {
+                let row = w1.start + r * hidden..w1.start + (r + 1) * hidden;
+                sq.run(&base[row.clone()], &cur[row]);
+            } else if !dense {
+                let cl = r - features;
+                for i in (w2.start + cl..w2.end).step_by(classes) {
+                    sq.one(base[i], cur[i]);
+                }
+                sq.one(base[b2.start + cl], cur[b2.start + cl]);
+            }
+        });
+        sq
     }
 
     /// The rows of the last [`Replica::gather_delta`], ascending.

@@ -29,7 +29,10 @@ mod manager;
 
 use crate::checkpoint::TrainingState;
 use crate::hyper::{GpuHyper, ScalingParams};
-use crate::merging::{compute_merge_weights, FusedMerge, MergeDecision, MergeInput, MergeParams};
+use crate::merging::{
+    compute_merge_weights, import_sq, merge_weights, FusedMerge, MergeDecision, MergeInput,
+    MergeParams,
+};
 use crate::metrics::{MergeRecord, RunRecorder, RunResult, SparseMergeStats};
 use crate::schedule::{ScalingScheduler, StalenessBound};
 use arena::IndexArena;
@@ -334,6 +337,22 @@ impl RunConfig {
         if self.sparse_merge && matches!(spec.merge_rule, MergeRule::Crossbow { .. }) {
             return Err(ConfigError::SparseMergeUnderCrossbow);
         }
+        let gamma = match spec.merge_rule {
+            MergeRule::Normalized(p) => {
+                if p.pert_thr.is_nan() || p.pert_thr < 0.0 {
+                    return Err(ConfigError::PerturbationThresholdInvalid);
+                }
+                if !(0.0..1.0).contains(&p.delta) {
+                    return Err(ConfigError::PerturbationFactorInvalid);
+                }
+                p.gamma
+            }
+            MergeRule::Average { gamma } => gamma,
+            MergeRule::Crossbow { .. } => 0.0,
+        };
+        if !gamma.is_finite() {
+            return Err(ConfigError::MomentumNotFinite);
+        }
         // Server-level faults index the cluster shape — one server holding
         // every device when no cluster is configured.
         let servers = self.cluster.map_or(1, |cl| cl.servers);
@@ -374,6 +393,18 @@ pub enum ConfigError {
     /// `sparse_merge` under [`MergeRule::Crossbow`]: the blend moves every
     /// parameter of every replica, so every row is dirty at every merge.
     SparseMergeUnderCrossbow,
+    /// Algorithm 2's `pert_thr` is NaN or negative. A NaN threshold would
+    /// silently switch perturbation off (no norm is below it), and the
+    /// gate's certificate compares against an ordered threshold.
+    PerturbationThresholdInvalid,
+    /// Algorithm 2's perturbation factor `delta` is NaN or outside
+    /// `[0, 1)`: `1 − δ` must damp the least-updated replica's weight, not
+    /// zero or negate it.
+    PerturbationFactorInvalid,
+    /// The momentum `gamma` of [`MergeRule::Normalized`] or
+    /// [`MergeRule::Average`] is not finite: every global update would turn
+    /// the model into NaN or ±∞.
+    MomentumNotFinite,
     /// A `fault_plan` event names a device — or, for
     /// [`FaultKind::ServerLoss`] / [`FaultKind::InterNodeStall`], a server —
     /// the fleet does not have.
@@ -403,6 +434,13 @@ impl std::fmt::Display for ConfigError {
             ConfigError::SparseMergeUnderCrossbow => {
                 "sparse_merge cannot run under MergeRule::Crossbow: the blend dirties every row"
             }
+            ConfigError::PerturbationThresholdInvalid => {
+                "the perturbation threshold pert_thr must be a number >= 0"
+            }
+            ConfigError::PerturbationFactorInvalid => {
+                "the perturbation factor delta must lie in [0, 1)"
+            }
+            ConfigError::MomentumNotFinite => "the merge momentum gamma must be finite",
             ConfigError::FaultTargetMissing {
                 server_level,
                 target,
@@ -627,14 +665,16 @@ impl Trainer {
         // copies the momentum memory and (sampled mode) hashes the start-up
         // `W₂` once for every replica.
         let mut mlps: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
-        let (prev_global, lsh) = std::thread::scope(|s| {
+        let reads_norm = matches!(self.spec.merge_rule, MergeRule::Normalized(_));
+        let (prev_global, lsh, base_sq) = std::thread::scope(|s| {
             for mlp in &mut mlps {
                 s.spawn(|| mlp.read_flat_buf(FlatRef::F32(global.as_flat())));
             }
             let mut prev_global = pages::zeroed(param_len);
             prev_global.copy_from_slice(resume.map_or(global.as_flat(), |r| &r.prev_global));
             let lsh = cfg.sampled_softmax.map(|s| IndexArena::new(&s, &global));
-            (prev_global, lsh)
+            let base_sq = reads_norm.then(|| import_sq(FlatRef::F32(global.as_flat())));
+            (prev_global, lsh, base_sq)
         });
         let replicas = mlps
             .into_iter()
@@ -676,6 +716,8 @@ impl Trainer {
             deltas: vec![FlatVec::empty(cfg.precision); n],
             work: vec![Vec::new(); n],
             payload: (cfg.precision == Precision::Bf16).then(|| pages::zeroed(param_len)),
+            imported_payload: false,
+            base_sq,
             global,
             prev_global,
             recorder: RunRecorder::new(),
@@ -697,6 +739,8 @@ impl Trainer {
             ),
             sparse_stats: SparseMergeStats::default(),
             lsh,
+            #[cfg(test)]
+            gate_norms: Vec::new(),
         }
     }
 }
@@ -731,6 +775,14 @@ struct SchedulerState<'a> {
     /// own. `None` at f32, where the payload would be `global` bit for bit,
     /// so the replicas import `global` in place.
     payload: Option<Vec<u16>>,
+    /// Whether the replicas last imported the bf16 payload (since the first
+    /// bf16 merge) rather than `global`: see [`import_base`]. Nothing writes
+    /// either between an import and the next merge.
+    imported_payload: bool,
+    /// `Σx²` of the buffer every live replica last imported, from which each
+    /// estimates its own for Algorithm 2's perturbation gate; `None` under
+    /// the merge rules that read no norm.
+    base_sq: Option<f64>,
     /// The global model. Evaluation reads it where it is.
     global: Mlp,
     prev_global: Vec<f32>,
@@ -752,6 +804,24 @@ struct SchedulerState<'a> {
     /// `Some` iff the sampled softmax is on: the shared LSH index, rebuilt
     /// here once per model sync (see [`IndexArena`]).
     lsh: Option<IndexArena>,
+    /// Per Algorithm 2 merge, the live replicas' exact norms per parameter
+    /// the gate's oracle checked the sides against.
+    #[cfg(test)]
+    gate_norms: Vec<Vec<f64>>,
+}
+
+/// The buffer every live replica last imported: the bf16 `payload` once
+/// the replicas have imported it, otherwise `global` (the start-up or
+/// resumed model before the first merge, and every f32 import).
+fn import_base<'b>(
+    payload: &'b Option<Vec<u16>>,
+    imported_payload: bool,
+    global: &'b Mlp,
+) -> FlatRef<'b> {
+    match (payload, imported_payload) {
+        (Some(p), true) => FlatRef::Bf16(p),
+        _ => FlatRef::F32(global.as_flat()),
+    }
 }
 
 impl SchedulerState<'_> {
@@ -857,8 +927,8 @@ impl SchedulerState<'_> {
                     &mut interval_updates,
                     &mut interval_samples,
                 );
-                let norms = self.train_phase(&mut loss_sums);
-                let decision = self.merge(&norms, mega_index);
+                let below = self.train_phase(&mut loss_sums);
+                let decision = self.merge(&below, mega_index);
                 perturbed = decision.perturbed;
                 weights = decision.weights;
                 let scale_now = match &mut self.scaling_scheduler {
@@ -896,8 +966,8 @@ impl SchedulerState<'_> {
                     if sent == 0 {
                         break;
                     }
-                    let norms = self.train_phase(&mut loss_sums);
-                    let decision = self.merge(&norms, mega_index);
+                    let below = self.train_phase(&mut loss_sums);
+                    let decision = self.merge(&below, mega_index);
                     weights = decision.weights;
                     for h in &mut self.hypers {
                         h.updates = 0;
@@ -1049,19 +1119,29 @@ impl SchedulerState<'_> {
     /// The training phase: every live replica, on a scoped thread of its
     /// own, trains its work list in order, adding each batch loss to its
     /// device's `loss_sums` bucket; under the sparse merge it then writes its
-    /// dirty rows' delta. Returns the live replicas' norms per parameter, in
-    /// device order, and leaves every work list empty.
-    fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<f64> {
+    /// dirty rows' delta. Under Algorithm 2 it then takes its side of the
+    /// perturbation gate from the rows it changed ([`Replica::norm_estimate`]),
+    /// sweeping its whole model ([`Mlp::l2_norm_per_param`]) only when the
+    /// estimate's error bound straddles `pert_thr`. Returns, per live
+    /// replica in device order, whether its norm per parameter is below
+    /// `pert_thr` (nothing under the rules that read no norm), and leaves
+    /// every work list empty.
+    fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<bool> {
         let lsh_seed = self.cfg.sampled_softmax.map_or(0, |s| s.seed);
         let sparse = self.cfg.sparse_merge;
-        // Per live replica: its device's running loss sum, then its norm.
-        let mut out: Vec<(f64, f64)> = self
+        let base = import_base(&self.payload, self.imported_payload, &self.global);
+        let gate = match (self.spec.merge_rule, self.base_sq) {
+            (MergeRule::Normalized(p), Some(s_base)) => Some((s_base, p.pert_thr)),
+            _ => None,
+        };
+        // Per live replica: its device's running loss sum, then its side.
+        let mut out: Vec<(f64, Option<bool>)> = self
             .replicas
             .iter()
-            .map(|r| (loss_sums[r.gpu], 0.0))
+            .map(|r| (loss_sums[r.gpu], None))
             .collect();
         std::thread::scope(|s| {
-            for ((r, delta), (loss, norm)) in
+            for ((r, delta), (loss, below)) in
                 self.replicas.iter_mut().zip(&mut self.deltas).zip(&mut out)
             {
                 let batches = &self.work[r.gpu];
@@ -1070,25 +1150,32 @@ impl SchedulerState<'_> {
                     for ids in batches {
                         *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed));
                     }
-                    *norm = if sparse {
-                        r.gather_delta(delta)
-                    } else {
-                        r.mlp.l2_norm_per_param()
-                    };
+                    if sparse {
+                        r.gather_delta(delta);
+                    }
+                    if let Some((s_base, thr)) = gate {
+                        let estimate = r.norm_estimate(base, s_base);
+                        *below = Some(
+                            estimate
+                                .below(r.mlp.param_len(), thr)
+                                .unwrap_or_else(|| r.mlp.l2_norm_per_param() < thr),
+                        );
+                    }
                 });
             }
         });
-        let mut norms = Vec::with_capacity(out.len());
-        for (r, (loss, norm)) in self.replicas.iter().zip(out) {
+        let mut sides = Vec::with_capacity(out.len());
+        for (r, (loss, below)) in self.replicas.iter().zip(out) {
             loss_sums[r.gpu] = loss;
-            norms.push(norm);
+            sides.extend(below);
         }
         self.work.iter_mut().for_each(Vec::clear);
-        norms
+        sides
     }
 
     /// One full model-merging stage over the live replicas, which the
-    /// training phase just left and whose norms are `norms`:
+    /// training phase just left on the sides `below` of the perturbation
+    /// gate:
     /// weights, one fused reduce-update-payload pass, the import phase,
     /// advance clocks.
     ///
@@ -1105,7 +1192,7 @@ impl SchedulerState<'_> {
     /// `global`/`prev_global` — at bf16 also the narrowed payload in
     /// [`Self::payload`] — which every live replica then imports from a
     /// shared borrow. Steady-state merges allocate nothing model-sized.
-    fn merge(&mut self, norms: &[f64], mega_index: usize) -> MergeDecision {
+    fn merge(&mut self, below: &[bool], mega_index: usize) -> MergeDecision {
         let n = self.n();
         let alive_idx: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
         let k = alive_idx.len();
@@ -1114,9 +1201,34 @@ impl SchedulerState<'_> {
         // The merge sub-problem over the live replicas, in device order.
         let decision = match self.spec.merge_rule {
             MergeRule::Normalized(params) => {
+                assert_eq!(below.len(), k, "one gate side per live replica");
                 let live_hypers: Vec<GpuHyper> =
                     alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
-                compute_merge_weights(&live_hypers, norms, &params)
+                let decision = merge_weights(&live_hypers, below.iter().all(|&b| b), &params);
+                if cfg!(any(test, debug_assertions)) {
+                    // The oracle: every side is the exact norm's, and so is
+                    // the decision.
+                    let exact: Vec<f64> = self
+                        .replicas
+                        .iter()
+                        .map(|r| r.mlp.l2_norm_per_param())
+                        .collect();
+                    for (&side, &norm) in below.iter().zip(&exact) {
+                        assert_eq!(
+                            side,
+                            norm < params.pert_thr,
+                            "perturbation gate at merge {mega_index} left the exact norm {norm}"
+                        );
+                    }
+                    assert_eq!(
+                        decision,
+                        compute_merge_weights(&live_hypers, &exact, &params),
+                        "merge {mega_index} left the exact norms' decision"
+                    );
+                    #[cfg(test)]
+                    self.gate_norms.push(exact);
+                }
+                decision
             }
             MergeRule::Average { .. } | MergeRule::Crossbow { .. } => MergeDecision {
                 weights: vec![1.0 / k as f64; k],
@@ -1166,6 +1278,8 @@ impl SchedulerState<'_> {
             arrivals: &arrivals,
             pooled,
         };
+        // Under Algorithm 2 the pass also sums the squares of what the
+        // replicas import next: the next gate's base.
         let timing = if self.cfg.sparse_merge {
             let deltas: Vec<(&[u32], &FlatVec)> = self
                 .replicas
@@ -1181,6 +1295,7 @@ impl SchedulerState<'_> {
                 self.payload.as_deref_mut(),
                 self.global.as_flat_mut(),
                 &mut self.prev_global,
+                self.base_sq.as_mut(),
             );
             // The arithmetic above is the dense collective's, element for
             // element (the reduction contract), so sparsity only changes what
@@ -1213,8 +1328,10 @@ impl SchedulerState<'_> {
                 self.payload.as_deref_mut(),
                 self.global.as_flat_mut(),
                 &mut self.prev_global,
+                self.base_sq.as_mut(),
             )
         };
+        self.imported_payload = self.payload.is_some();
 
         // The import phase: one read-only payload — the bf16 buffer, or at
         // f32 `global` itself — hashed once into the LSH index, then
@@ -2079,6 +2196,203 @@ mod tests {
                 with(time_limit, mega_batch_limit).validate(&spec, 2),
                 Ok(())
             );
+        }
+    }
+
+    /// The exact norms per parameter the gate's oracle checked, per merge,
+    /// of one run of `spec` under `config` on a heterogeneous server of `n`
+    /// devices. The oracle asserts at every merge that each replica's side
+    /// and the `MergeDecision` are the ones those norms give.
+    fn gate_norms(spec: &TrainerSpec, config: &RunConfig, n: usize) -> Vec<Vec<f64>> {
+        let ds = dataset();
+        let trainer = Trainer::new(spec.clone(), heterogeneous_server(n), config.clone());
+        let mut state = trainer.scheduler(&ds, None);
+        state.drive();
+        state.gate_norms
+    }
+
+    /// The configurations the gate differential covers, at `precision`:
+    /// sparse merge, dense merge of the sampled softmax, dense softmax, and
+    /// the sparse merge through a device loss and its redispatch. The model
+    /// has 11,608 parameters, enough that a relative `1e-12` lies inside the
+    /// estimate's error bound.
+    fn gate_configs(precision: Precision) -> Vec<(&'static str, RunConfig)> {
+        let mut base = quick_config();
+        base.hidden = 48;
+        base.precision = precision;
+        let mut sparse = base.clone();
+        sparse.sampled_softmax = Some(SampledSoftmax::defaults(12));
+        sparse.sparse_merge = true;
+        sparse.sparse_max_density = 1.0;
+        let mut sampled_dense = sparse.clone();
+        sampled_dense.sparse_merge = false;
+        let mut lossy = sparse.clone();
+        lossy.fault_plan = Some(FaultPlan::new().device_loss(1, 2, 1));
+        vec![
+            ("sparse merge", sparse),
+            ("dense merge", sampled_dense),
+            ("dense softmax", base),
+            ("device loss", lossy),
+        ]
+    }
+
+    /// The estimate from the changed rows against the exact norm, for every
+    /// replica between the train phase and the merge, over four merges (so
+    /// from the start-up model, then from every import, bf16 payloads
+    /// included): far from the threshold and at a relative `1e-3` it
+    /// decides, and decides the exact norm's side; at a relative `1e-12` it
+    /// must not decide, which leaves the decision to the sweep.
+    #[test]
+    fn gate_differential_estimate_decides_only_far_enough_from_the_norm() {
+        let ds = dataset();
+        for precision in [Precision::F32, Precision::Bf16] {
+            for (what, config) in gate_configs(precision) {
+                if config.fault_plan.is_some() {
+                    continue;
+                }
+                let trainer =
+                    Trainer::new(algorithms::adaptive_sgd(), heterogeneous_server(3), config);
+                let mut state = trainer.scheduler(&ds, None);
+                for m in 0..4 {
+                    for g in 0..3 {
+                        state.dispatch_batch(g, 16);
+                        state.dispatch_batch(g, 8 + 4 * g);
+                    }
+                    let below = state.train_phase(&mut [0.0; 3]);
+                    let base = import_base(&state.payload, state.imported_payload, &state.global);
+                    let s_base = state.base_sq.expect("Algorithm 2 sums its base");
+                    for (i, r) in state.replicas.iter().enumerate() {
+                        let at = format!("{what} at {precision:?}, merge {m}, replica {i}");
+                        let (est, len) = (r.norm_estimate(base, s_base), r.mlp.param_len());
+                        let exact = r.mlp.l2_norm_per_param();
+                        assert!(exact > 0.0 && exact.is_finite(), "{at}: norm {exact}");
+                        assert_eq!(below[i], exact < 0.1, "{at}: the run's gate");
+                        for (thr, decides) in [
+                            (0.0, true),
+                            (exact * 1e-3, true),
+                            (exact * (1.0 - 1e-3), true),
+                            (exact * (1.0 + 1e-3), true),
+                            (exact * 1e3, true),
+                            (f64::INFINITY, true),
+                            (exact * (1.0 - 1e-12), false),
+                            (exact, false),
+                            (exact * (1.0 + 1e-12), false),
+                        ] {
+                            match est.below(len, thr) {
+                                Some(side) => {
+                                    assert!(decides, "{at}: decided at {thr} (norm {exact})");
+                                    assert_eq!(side, exact < thr, "{at}: wrong side of {thr}");
+                                }
+                                None => {
+                                    assert!(!decides, "{at}: undecided at {thr} (norm {exact})")
+                                }
+                            }
+                        }
+                    }
+                    state.merge(&below, m);
+                }
+                assert_eq!(state.gate_norms.len(), 4, "{what}: one oracle per merge");
+            }
+        }
+    }
+
+    /// Whole runs with `pert_thr` at a relative `1e-3` and `1e-12` of a
+    /// replica's exact norm, on both sides, through every covered
+    /// configuration, the device loss and its redispatch included: the
+    /// merge's oracle holds every side and every `MergeDecision` to the
+    /// exact norms' (at `1e-12` the estimate cannot decide — the test above
+    /// — so the sweep does).
+    #[test]
+    fn gate_differential_decisions_are_the_exact_norms() {
+        for precision in [Precision::F32, Precision::Bf16] {
+            for (what, config) in gate_configs(precision) {
+                let spec = algorithms::adaptive_sgd();
+                let norms = gate_norms(&spec, &config, 3);
+                assert_eq!(norms.len(), 4, "{what}: one gate per merge");
+                // Thresholds at replica 1's exact norm of the first merge.
+                let exact = norms[0][1];
+                for rel in [-1e-3, 1e-3, -1e-12, 1e-12] {
+                    let thr = exact * (1.0 + rel);
+                    let mut near = spec.clone();
+                    near.merge_rule = MergeRule::Normalized(MergeParams {
+                        pert_thr: thr,
+                        ..MergeParams::default()
+                    });
+                    let norms = gate_norms(&near, &config, 3);
+                    assert_eq!(norms.len(), 4, "{what} at {rel}: one gate per merge");
+                    assert_eq!(norms[0][1], exact, "{what} at {rel}: the same run");
+                    assert_eq!(norms[0][1] < thr, rel > 0.0, "{what} at {rel}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_parameters_that_break_the_gate_are_refused_by_name() {
+        let normalized = |pert_thr, delta, gamma| TrainerSpec {
+            merge_rule: MergeRule::Normalized(MergeParams {
+                pert_thr,
+                delta,
+                gamma,
+                ..MergeParams::default()
+            }),
+            ..algorithms::adaptive_sgd()
+        };
+        let average = |gamma| TrainerSpec {
+            merge_rule: MergeRule::Average { gamma },
+            ..algorithms::elastic_sgd()
+        };
+        let cfg = quick_config();
+        for (spec, want) in [
+            (
+                normalized(f64::NAN, 0.1, 0.9),
+                ConfigError::PerturbationThresholdInvalid,
+            ),
+            (
+                normalized(-1e-9, 0.1, 0.9),
+                ConfigError::PerturbationThresholdInvalid,
+            ),
+            (
+                normalized(f64::NEG_INFINITY, 0.1, 0.9),
+                ConfigError::PerturbationThresholdInvalid,
+            ),
+            (
+                normalized(0.1, f64::NAN, 0.9),
+                ConfigError::PerturbationFactorInvalid,
+            ),
+            (
+                normalized(0.1, -0.1, 0.9),
+                ConfigError::PerturbationFactorInvalid,
+            ),
+            (
+                normalized(0.1, 1.0, 0.9),
+                ConfigError::PerturbationFactorInvalid,
+            ),
+            (
+                normalized(0.1, 0.1, f64::NAN),
+                ConfigError::MomentumNotFinite,
+            ),
+            (
+                normalized(0.1, 0.1, f64::INFINITY),
+                ConfigError::MomentumNotFinite,
+            ),
+            (average(f64::NAN), ConfigError::MomentumNotFinite),
+            (average(f64::NEG_INFINITY), ConfigError::MomentumNotFinite),
+        ] {
+            assert_eq!(cfg.validate(&spec, 2), Err(want), "{:?}", spec.merge_rule);
+        }
+        // The edges that stay open: no perturbation (`pert_thr = 0`),
+        // perturbation always (`+∞`), `δ = 0`, and no momentum.
+        for spec in [
+            normalized(0.0, 0.0, 0.0),
+            normalized(f64::INFINITY, 0.999, 0.9),
+            average(0.0),
+            algorithms::crossbow_sma(),
+            algorithms::tensorflow_sync(),
+            algorithms::adaptive_without_perturbation(),
+            algorithms::adaptive_with_plain_average(),
+        ] {
+            assert_eq!(cfg.validate(&spec, 2), Ok(()), "{:?}", spec.merge_rule);
         }
     }
 

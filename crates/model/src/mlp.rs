@@ -18,11 +18,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotone source of `W₂` version stamps. Stamps are globally unique per
-/// (model instance, mutation), so a [`Workspace`]'s cached `W₂ᵀ` can only
-/// register as fresh against the exact model state it was synced from —
-/// even across clones or replica swaps. Stamp *values* never enter any
-/// computation, so the global ordering they come from cannot perturb
-/// determinism; they only decide when a (bit-exact) re-transpose happens.
+/// (model instance, mutation), so a row of a [`Workspace`]'s cached `W₂ᵀ`
+/// can only register as fresh against the exact model state it was copied
+/// from — even across clones or replica swaps. Stamp *values* never enter
+/// any computation, so the global ordering they come from cannot perturb
+/// determinism; they only decide when a (bit-exact) row copy happens.
 static W2_EPOCH: AtomicU64 = AtomicU64::new(0);
 
 fn next_w2_epoch() -> u64 {
@@ -80,8 +80,8 @@ pub struct Mlp {
     /// checkpoint and the registry read it as it is.
     params: Vec<f32>,
     /// Version stamp of `W₂`, bumped on every mutation that can touch it.
-    /// Workspaces compare it against their cached `W₂ᵀ` (see
-    /// [`Mlp::sync_w2t`]). Deliberately excluded from `PartialEq`: two
+    /// Workspaces compare it against the state their cached `W₂ᵀ` rows
+    /// mirror (see [`Mlp::sync_w2t`]). Deliberately excluded from `PartialEq`: two
     /// models with identical parameters are equal regardless of history.
     w2_epoch: u64,
 }
@@ -359,7 +359,7 @@ impl Mlp {
     /// `hidden × num_classes`.
     ///
     /// Handing out mutable access pessimistically bumps the `W₂` version
-    /// stamp — any workspace's cached `W₂ᵀ` re-syncs on its next use.
+    /// stamp — every row of any workspace's cached `W₂ᵀ` turns stale.
     pub fn w2_mut(&mut self) -> &mut [f32] {
         self.w2_epoch = next_w2_epoch();
         let [_, _, w2, _] = self.blocks_mut();
@@ -371,16 +371,37 @@ impl Mlp {
         self.w2_epoch
     }
 
-    /// Refreshes `ws`'s cached `W₂ᵀ` if (and only if) it is out of date.
-    /// The transpose copies bits verbatim, so whether a given call hits or
-    /// misses the cache can never change results. Both training backward
-    /// passes and the sampled forward pass call this implicitly; it is
-    /// public so optimizers applying external sampled gradients can
-    /// establish coherence first.
+    /// Brings every row of `ws`'s cached `W₂ᵀ` up to date with this model:
+    /// one whole transpose unless every row already is, after which every
+    /// row is valid. The transpose copies bits verbatim, so whether a given
+    /// call hits or misses the cache can never change results. The dense
+    /// backward pass calls this implicitly (the sampled step refreshes only
+    /// the candidate rows it gathers); it is public so optimizers applying
+    /// external sampled gradients can establish coherence first.
     pub fn sync_w2t(&self, ws: &mut Workspace) {
-        if ws.w2t_epoch != Some(self.w2_epoch) {
+        ws.w2t_rows.attach(self.w2_epoch);
+        if !ws.w2t_rows.all() {
             self.w2().transpose_into(&mut ws.w2t);
-            ws.w2t_epoch = Some(self.w2_epoch);
+            ws.w2t_rows.mark_all();
+        }
+    }
+
+    /// Brings the rows `cand` of `ws`'s cached `W₂ᵀ` up to date with this
+    /// model, each stale one copied from its `W₂` column: what a sampled step
+    /// gathers, and nothing else.
+    fn sync_w2t_rows(&self, cand: &[u32], ws: &mut Workspace) {
+        ws.w2t_rows.attach(self.w2_epoch);
+        let classes = self.config.num_classes;
+        let w2 = self.w2();
+        let w2 = w2.as_slice();
+        for &c in cand {
+            let c = c as usize;
+            if !ws.w2t_rows.is_valid(c) {
+                for (k, t) in ws.w2t.row_mut(c).iter_mut().enumerate() {
+                    *t = w2[k * classes + c];
+                }
+                ws.w2t_rows.mark(c);
+            }
         }
     }
 
@@ -770,7 +791,9 @@ impl Mlp {
     /// [`Mlp::apply_gradients_sampled`] and the same `cand`. `dW₂` active
     /// columns come from
     /// the existing `gemm_tn` on the compact dlogits, `dh` flows through
-    /// [`asgd_tensor::ops::gemm_nn_gather`] over the cached `W₂ᵀ`, and the
+    /// [`asgd_tensor::ops::gemm_nn_gather`] over the cached `W₂ᵀ` (of which
+    /// only the candidate rows are read, and only the stale ones among them
+    /// are first copied from their `W₂` columns), and the
     /// forward logits come from [`asgd_tensor::ops::gemm_nt_gather_bias`] —
     /// all under the crate-wide deterministic reduction contract, so
     /// results are bit-identical at any thread count.
@@ -805,7 +828,7 @@ impl Mlp {
             cand.windows(2).all(|w| w[0] < w[1]),
             "candidate set must be sorted and deduplicated"
         );
-        self.sync_w2t(ws);
+        self.sync_w2t_rows(cand, ws);
         let s = cand.len();
         let hidden = self.config.hidden;
         let Workspace {
@@ -863,18 +886,20 @@ impl Mlp {
     /// belonging to class `cand[i]`.
     ///
     /// Each touched `W₂` column and its cached `W₂ᵀ` row in `ws` are
-    /// written coherently from one computed value, so the cache stays valid
-    /// without re-transposing — steady-state sampled training never pays
-    /// the `classes × hidden` transpose.
+    /// written coherently from one computed value, so those rows stay valid
+    /// (and every other valid row stays valid) without re-transposing —
+    /// sampled training never pays the `classes × hidden` transpose.
     ///
     /// # Panics
-    /// Panics when `ws`'s cached `W₂ᵀ` is stale (run the sampled forward —
-    /// or [`Mlp::sync_w2t`] — against this model first) or its compact
-    /// gradient was not computed over a candidate set of `cand`'s length.
+    /// Panics when a candidate's cached `W₂ᵀ` row in `ws` is stale (run the
+    /// sampled forward — or [`Mlp::sync_w2t`] — against this model first) or
+    /// its compact gradient was not computed over a candidate set of
+    /// `cand`'s length.
     pub fn apply_gradients_sampled(&mut self, cand: &[u32], lr: f32, ws: &mut Workspace) {
-        assert_eq!(
-            ws.w2t_epoch,
-            Some(self.w2_epoch),
+        let stale = !ws.w2t_rows.is_attached(self.w2_epoch)
+            || cand.iter().any(|&c| !ws.w2t_rows.is_valid(c as usize));
+        assert!(
+            !stale,
             "stale W2ᵀ cache: sync the workspace against this model first"
         );
         assert_eq!(ws.gt.rows(), cand.len(), "gradient/candidate set mismatch");
@@ -892,7 +917,7 @@ impl Mlp {
             }
             b2[c] -= lr * ws.b2_scratch[i];
         }
-        ws.w2t_epoch = Some(self.w2_epoch);
+        ws.w2t_rows.follow(self.w2_epoch);
     }
 
     /// One full sampled-softmax SGD step on a batch (forward + backward +
@@ -2186,19 +2211,130 @@ mod tests {
 
     #[test]
     fn sampled_steps_skip_the_transpose_after_the_first_sync() {
-        // The coherence contract in one observable: after a sampled step,
-        // the workspace's cached W₂ᵀ must equal a fresh transpose of the
-        // updated model, bit for bit, *without* calling sync again.
+        // The coherence contract in one observable: after a sampled step
+        // over every class, the workspace's cached W₂ᵀ is still current for
+        // the updated model, every row valid, and equals a fresh transpose
+        // of it bit for bit — *without* another sync.
         let config = tiny_config();
         let mut m = Mlp::init(&config, 65);
         let (x, labels) = tiny_batch();
         let cand: Vec<u32> = (0..config.num_classes as u32).collect();
         let mut ws = Workspace::new(&config);
         m.train_batch_sampled_ws(&x, &labels, &cand, 0.2, &mut ws);
-        assert_eq!(ws.w2t_epoch, Some(m.w2_epoch()), "cache marked stale");
+        assert!(rows_follow(&m, &ws, &cand), "cache marked stale");
         let mut expect = Matrix::zeros(config.num_classes, config.hidden);
         m.w2().transpose_into(&mut expect);
         assert_eq!(ws.w2t, expect, "cached W2ᵀ diverged from the model");
+    }
+
+    /// Whether `ws`'s `W₂ᵀ` cache is current for `m` with every row of
+    /// `cand` valid: what a sampled step must leave behind, so that the next
+    /// one copies no row it already has.
+    fn rows_follow(m: &Mlp, ws: &Workspace, cand: &[u32]) -> bool {
+        ws.w2t_rows.is_attached(m.w2_epoch())
+            && cand.iter().all(|&c| ws.w2t_rows.is_valid(c as usize))
+    }
+
+    /// Every valid row of `ws`'s `W₂ᵀ` cache, checked against its `W₂`
+    /// column of `m`.
+    fn assert_valid_rows_mirror(m: &Mlp, ws: &Workspace, what: &str) {
+        if !ws.w2t_rows.is_attached(m.w2_epoch()) {
+            return;
+        }
+        let w2 = m.w2();
+        for c in (0..m.config.num_classes).filter(|&c| ws.w2t_rows.is_valid(c)) {
+            let column: Vec<u32> = (0..m.config.hidden)
+                .map(|k| w2.row(k)[c].to_bits())
+                .collect();
+            let row: Vec<u32> = ws.w2t.row(c).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(row, column, "{what}: valid W2ᵀ row {c} != its W2 column");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The per-row `W₂ᵀ` rule under any sequence of sampled steps,
+        /// imports (f32 and bf16), blends, dense steps, `w2_mut` and clones
+        /// of the model or the workspace: every row a sampled step gathers
+        /// is its `W₂` column bit for bit, every row marked valid is too,
+        /// and the models trained are the ones a fresh workspace (one whole
+        /// transpose per step) trains.
+        #[test]
+        fn w2t_coherence_rows_on_demand_match_the_whole_transpose(
+            ops in proptest::collection::vec((0usize..8, 0u64..1000), 1..20),
+        ) {
+            let config = MlpConfig {
+                num_features: 40,
+                hidden: 12,
+                num_classes: 90,
+            };
+            let mut m = Mlp::init(&config, 3);
+            let mut reference = m.clone();
+            let mut ws = Workspace::new(&config);
+            for (step, &(op, seed)) in ops.iter().enumerate() {
+                let what = format!("op {op} at step {step}");
+                let (x, labels) = wide_batch(&config, 6, seed);
+                let stride = 7 + seed as usize % 23;
+                let cand = cand_for(&labels, &config, stride);
+                let target = Mlp::init(&config, seed);
+                match op {
+                    0 | 1 => {
+                        // A sampled step: the gather, then the update.
+                        m.loss_and_gradients_sampled_ws(&x, &labels, &cand, &mut ws);
+                        let w2 = m.w2();
+                        for &c in &cand {
+                            for k in 0..config.hidden {
+                                let (t, w) = (ws.w2t.row(c as usize)[k], w2.row(k)[c as usize]);
+                                proptest::prop_assert_eq!(t.to_bits(), w.to_bits(), "{}: gathered row {}", what, c);
+                            }
+                        }
+                        m.apply_gradients_sampled(&cand, 0.1, &mut ws);
+                        proptest::prop_assert!(rows_follow(&m, &ws, &cand), "{}: the update left its rows stale", what);
+                        let mut fresh = Workspace::new(&config);
+                        reference.sync_w2t(&mut fresh);
+                        reference.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut fresh);
+                    }
+                    2 => {
+                        let mut buf = FlatVec::empty(if seed % 2 == 0 { Precision::F32 } else { Precision::Bf16 });
+                        target.write_flat_buf(&mut buf);
+                        m.read_flat_buf(&buf);
+                        reference.read_flat_buf(&buf);
+                    }
+                    3 => {
+                        m.blend_from_flat_buf(FlatRef::F32(target.as_flat()), 0.3);
+                        reference.blend_from_flat_buf(FlatRef::F32(target.as_flat()), 0.3);
+                    }
+                    4 => {
+                        m.train_batch_ws(&x, &labels, 0.05, &mut ws);
+                        reference.train_batch_ws(&x, &labels, 0.05, &mut Workspace::new(&config));
+                    }
+                    5 => {
+                        let i = seed as usize % (config.hidden * config.num_classes);
+                        m.w2_mut()[i] += 0.25;
+                        reference.w2_mut()[i] += 0.25;
+                    }
+                    6 => {
+                        // A clone trains on the workspace; the original comes
+                        // back to it afterwards.
+                        let mut twin = m.clone();
+                        twin.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut ws);
+                        proptest::prop_assert!(rows_follow(&twin, &ws, &cand), "{}: the twin's rows went stale", what);
+                        assert_valid_rows_mirror(&twin, &ws, &what);
+                    }
+                    _ => {
+                        // The workspace is cloned; the clone trains on.
+                        let mut copy = ws.clone();
+                        m.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut copy);
+                        proptest::prop_assert!(rows_follow(&m, &copy, &cand), "{}: the copy's rows went stale", what);
+                        reference.train_batch_sampled_ws(&x, &labels, &cand, 0.1, &mut Workspace::new(&config));
+                        ws = copy;
+                    }
+                }
+                assert_valid_rows_mirror(&m, &ws, &what);
+                proptest::prop_assert!(m == reference, "{}: the model left the whole-transpose path", what);
+            }
+        }
     }
 
     #[test]

@@ -569,6 +569,8 @@ pub trait ReduceElem: Copy + Send + Sync + std::fmt::Debug + PartialEq + 'static
     fn narrow_slice(src: &[f32], out: &mut [Self]);
     /// The stored value as f32 (exact for both types).
     fn widen(self) -> f32;
+    /// `Σ widen(x)²` in f64 ([`crate::kernels::sum_sq_lanes`]).
+    fn sum_sq(xs: &[Self]) -> f64;
     /// `flat`'s elements, if it stores this type.
     fn slice(flat: &FlatVec) -> Option<&[Self]>;
     /// `flat`'s elements, mutably, if it stores this type.
@@ -597,6 +599,9 @@ impl ReduceElem for f32 {
     #[inline(always)]
     fn widen(self) -> f32 {
         self
+    }
+    fn sum_sq(xs: &[f32]) -> f64 {
+        crate::kernels::sum_sq_lanes(xs)
     }
     fn slice(flat: &FlatVec) -> Option<&[f32]> {
         match flat {
@@ -631,6 +636,9 @@ impl ReduceElem for u16 {
     #[inline(always)]
     fn widen(self) -> f32 {
         widen(self)
+    }
+    fn sum_sq(xs: &[u16]) -> f64 {
+        crate::kernels::sum_sq_lanes(xs)
     }
     fn slice(flat: &FlatVec) -> Option<&[u16]> {
         match flat {

@@ -23,27 +23,57 @@ fn layer_dist(fan_in: usize) -> Normal {
     Normal::new(0.0, std_dev).expect("invalid std_dev")
 }
 
-/// `out[i] = dist.sample(rng) as f32`, in order.
-fn fill<R: Rng + ?Sized>(out: &mut [f32], dist: &Normal, rng: &mut R) {
+/// Fills a layer's weights in place, in order, with the paper's scheme:
+/// `N(0, 1 / sqrt(fan_in))` samples, where `fan_in` is the number of units
+/// feeding the layer (the rows of a `fan_in × units` weight block). The
+/// serial definition [`layers_init`] reproduces: `out[i] =
+/// dist.sample(rng) as f32`, in order.
+pub fn layer_init<R: Rng + ?Sized>(out: &mut [f32], fan_in: usize, rng: &mut R) {
+    let dist = layer_dist(fan_in);
     for v in out {
         *v = dist.sample(rng) as f32;
     }
 }
 
-/// Fills a layer's weights in place, in order, with the paper's scheme:
-/// `N(0, 1 / sqrt(fan_in))` samples, where `fan_in` is the number of units
-/// feeding the layer (the rows of a `fan_in × units` weight block). The
-/// serial definition [`layers_init`] reproduces.
-pub fn layer_init<R: Rng + ?Sized>(out: &mut [f32], fan_in: usize, rng: &mut R) {
-    fill(out, &layer_dist(fan_in), rng);
+/// Normals per block of [`fill`]: the accepted `(u, s)` pairs of one block
+/// are held in two stack arrays of this length (4 KB).
+const BLOCK: usize = 256;
+
+/// `out[i] = dist.sample(rng) as f32`, in order — [`layer_init`]'s stream
+/// bit for bit, and `rng` left where it leaves it — in blocks of [`BLOCK`],
+/// two passes each. Pass 1 draws the polar method's pairs
+/// (`u, v ∈ [−1, 1)`, `s = u² + v²`, the same `gen_range` calls) and
+/// compacts the accepted ones (`s ∈ (0, 1)`) without a branch on the
+/// outcome, until the block has its count. Pass 2 turns each into
+/// `(mean + sd·(u·√(−2 ln s / s))) as f32`, the expression of
+/// `Normal::sample` over `standard_normal`, operation for operation. No draw
+/// waits for an `ln`, and no `ln` for a mispredicted acceptance.
+fn fill<R: Rng + ?Sized>(out: &mut [f32], dist: &Normal, rng: &mut R) {
+    let (mean, sd) = (dist.mean(), dist.std_dev());
+    let (mut us, mut ss) = ([0.0f64; BLOCK], [0.0f64; BLOCK]);
+    for block in out.chunks_mut(BLOCK) {
+        let mut k = 0;
+        while k < block.len() {
+            let u = rng.gen_range(-1.0f64..1.0);
+            let v = rng.gen_range(-1.0f64..1.0);
+            let s = u * u + v * v;
+            us[k] = u;
+            ss[k] = s;
+            k += usize::from((s > 0.0) & (s < 1.0));
+        }
+        for ((o, &u), &s) in block.iter_mut().zip(&us).zip(&ss) {
+            *o = (mean + sd * (u * (-2.0 * s.ln() / s).sqrt())) as f32;
+        }
+    }
 }
 
 /// Generating a draw costs about this many times scanning it (the scan
 /// replays the pair draws and the acceptance test, without the `ln` and
-/// `sqrt` of an accepted pair): 370 ms against 95 ms for the sampled
-/// workload's 13 M draws on one core. It sizes the part of the stream
+/// `sqrt` of an accepted pair): 170–300 ms against 80–110 ms for the
+/// sampled workload's 13 M draws on one core of a 2-vCPU x86-64 host (the
+/// per-sample generator took 290–390 ms). It sizes the part of the stream
 /// [`layers_init`] scans before generating starts, never a bit.
-const SCAN_SHARE: usize = 4;
+const SCAN_SHARE: usize = 2;
 
 /// One chunk of [`layers_init`]: where it writes, what it draws, and —
 /// once the scan has passed it — the generator as the stream stands at its
@@ -63,7 +93,7 @@ fn scan<R: Rng + Clone>(chunks: &mut [Chunk<'_, R>], rng: &mut R) {
     }
 }
 
-/// Generates scanned chunks with the unchanged sampler.
+/// Generates scanned chunks with the block generator ([`fill`]).
 fn generate<R: Rng>(chunks: &mut [Chunk<'_, R>]) {
     for c in chunks {
         let mut rng = c
@@ -87,8 +117,8 @@ enum Stage<'c, 'a, R> {
 /// where they leave it. A sequential scan over the stream decides
 /// acceptance only ([`skip_standard_normals`]: no `ln`, no branch on the
 /// outcome) and clones the generator at the start of every [`INIT_CHUNK`]
-/// draws of every layer; pool tasks regenerate the chunks with the
-/// unchanged sampler, in place. The scan overlaps the generation: it first
+/// draws of every layer; pool tasks regenerate the chunks with the two-pass
+/// block generator, in place. The scan overlaps the generation: it first
 /// passes the head of the stream alone, then one task scans the rest while
 /// the other lanes generate the head (`SCAN_SHARE` sizes the head so the
 /// two end together), then every lane generates the rest. The weights are a
@@ -186,6 +216,28 @@ mod tests {
                     .collect();
                 assert!(got == want, "{lens:?} at {threads} threads");
                 assert_eq!(rng, want_rng, "{lens:?}: stream left elsewhere");
+            }
+        }
+    }
+
+    /// The block generator is `Normal::sample`'s stream bit for bit, and
+    /// leaves the generator where the per-sample calls leave it, at every
+    /// block boundary, a prime length and with nothing to draw.
+    #[test]
+    fn init_oracle_block_generator_is_the_sample_stream() {
+        for len in [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 1009, 3 * BLOCK + 7] {
+            for fan_in in [1, 300] {
+                let dist = layer_dist(fan_in);
+                let mut want_rng = StdRng::seed_from_u64(len as u64 ^ 0x5EED);
+                let want: Vec<u32> = (0..len)
+                    .map(|_| (dist.sample(&mut want_rng) as f32).to_bits())
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(len as u64 ^ 0x5EED);
+                let mut got = vec![f32::NAN; len];
+                fill(&mut got, &dist, &mut rng);
+                let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                assert!(got == want, "len {len}, fan-in {fan_in}");
+                assert_eq!(rng, want_rng, "len {len}: stream left elsewhere");
             }
         }
     }

@@ -322,24 +322,26 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
     lane_tree(acc)
 }
 
-/// `Σ x²` over `xs`, widened to `f64`, in `LANES` independent partial sums
-/// — element `t` into lane `t % LANES`, the tail into lanes
-/// `0..len % LANES` — folded in [`lane_tree`]'s fixed order. A pure
-/// function of `xs`, like every reduction here; it differs from the serial
-/// chain only in association (relative error far below `1e-12` for the
-/// model sizes this workspace trains), and runs `LANES` adds in flight
-/// instead of one.
-pub fn sum_sq_lanes(xs: &[f32]) -> f64 {
+/// `Σ x²` over `xs` (f32, or bf16 widened exactly), widened to `f64`, in
+/// `LANES` independent partial sums — element `t` into lane `t % LANES`,
+/// the tail into lanes `0..len % LANES` — folded in [`lane_tree`]'s fixed
+/// order. A pure function of `xs`, like every reduction here; it differs
+/// from the serial chain only in association (relative error far below
+/// `1e-12` for the model sizes this workspace trains), and runs `LANES`
+/// adds in flight instead of one. Each square is exact in `f64` (24
+/// significand bits squared fit in 53), so only the adds round.
+pub fn sum_sq_lanes<E: Widen>(xs: &[E]) -> f64 {
     let mut acc = [0.0f64; LANES];
     let mut chunks = xs.chunks_exact(LANES);
     for c in chunks.by_ref() {
         for l in 0..LANES {
-            let x = f64::from(c[l]);
+            let x = f64::from(c[l].widen());
             acc[l] += x * x;
         }
     }
     for (l, &x) in chunks.remainder().iter().enumerate() {
-        acc[l] += f64::from(x) * f64::from(x);
+        let x = f64::from(x.widen());
+        acc[l] += x * x;
     }
     ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }
