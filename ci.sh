@@ -79,6 +79,22 @@ awk 'FNR == 1 { live = 1 }
     }
     END { exit bad }' crates/core/src/trainer/*.rs
 
+echo "== one copy of W2 =="
+# W2 is stored once, class-major, in the model's flat buffer: a class's
+# weights are one contiguous run, read in place by the forward, the
+# backward, the LSH sweep, the gate and the sparse wire format. A transposed
+# copy needs a coherence protocol (epochs, row stamps) and a strided
+# `k * classes + c` walk reads a class as a column again. Test modules may
+# build either as an oracle, so each file is read up to its first
+# `#[cfg(test)]`.
+find crates/*/src -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { live = 1 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    live && /w2t_rows|RowStamps|w2_epoch|W2_EPOCH|\*[[:space:]]*([[:alnum:]_]+\.)?(num_)?classes[[:space:]]*\+/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+        bad = 1
+    }
+    END { exit bad }'
+
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
@@ -117,35 +133,34 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q --release -p asgd-tensor --lib -- --ignored exp_f32_is_the_host_expf_on_every_input
 
     echo "== init oracle: Mlp::init against the serial stream, release, 1 and 8 threads =="
-    # Mlp::init draws W1 and W2 on the pool, each chunk from a clone of the
-    # one StdRng stream taken by a serial acceptance scan, generated by the
-    # two-pass block generator; the weights must be the serial layer_init
-    # stream bit for bit (and the block generator Normal::sample's), with
-    # the pool off and with more lanes than cores.
+    # Mlp::init draws W1 and W2 on the pool, each segment from a clone of
+    # the one StdRng stream taken by a serial acceptance scan, generated by
+    # the two-pass block generator, W2's class blocks placed class-major;
+    # the weights must be the serial layer_init stream bit for bit (W2
+    # transposed), the stream left where it leaves it (and the block
+    # generator Normal::sample's), with the pool off and with more lanes
+    # than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor -p asgd-model --lib -- init_oracle_
     done
 
-    echo "== perturbation gate and W2ᵀ rows: release, 1 and 8 threads =="
+    echo "== perturbation gate: release, 1 and 8 threads =="
     # Algorithm 2's gate is estimated from the rows each replica changed and
     # swept whole only when its error bound straddles pert_thr: the gate
     # differential holds every replica's estimate to the exact norm at
     # thresholds far off, a relative 1e-3 off (it must decide) and 1e-12 off
     # (it must not), f32 and bf16, sparse and dense merge, dense softmax, and
     # every merge's sides and decision to the exact norms', also through a
-    # device loss. The sampled step copies only its stale W2ᵀ
-    # rows: the coherence property test holds every row a gather reads to
-    # its W2 column under any sequence of steps, imports, blends, dense
-    # steps, w2_mut and clones. With the pool off and more lanes than cores.
+    # device loss. With the pool off and more lanes than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- gate_differential_
-        ASGD_THREADS="$t" cargo test -q --release -p asgd-model --lib -- w2t_coherence_
     done
 
     echo "== model-sized buffers: the census, release, 1 and 8 threads =="
     # One Trainer::run allocates one model-sized buffer per replica, the
     # global model and its momentum memory, and no other (at bf16 also the
-    # half-size payload); the final model and the resumable state share one.
+    # half-size payload); the final model and the resumable state share one;
+    # a replica's workspace holds nothing W2-sized.
     # Counted by tests/model_buffers.rs's allocator, with the pool off and
     # with more lanes than cores.
     for t in 1 8; do

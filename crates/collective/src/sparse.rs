@@ -2,7 +2,7 @@
 //! touched since the last sync.
 //!
 //! PR 7's LSH-sampled softmax makes each training step update only a few
-//! hundred W2 columns (the sampler's candidates) plus the feature rows of
+//! hundred W2 class rows (the sampler's candidates) plus the feature rows of
 //! W1 present in the batch — yet the merge stage still all-reduces the
 //! *dense* flat model. This module keeps the gradient sparsity alive
 //! through the merge: replicas export `(row, values)` deltas over the rows
@@ -69,13 +69,13 @@ use std::ops::Range;
 /// value bytes plus the id overhead — comfortably ahead.
 pub const DEFAULT_MAX_DENSITY: f64 = 0.5;
 
-/// Maps the MLP's flat layout (`W1 ‖ b1 ‖ W2 ‖ b2`, row-major) onto a
-/// *row space* of sparsifiable units:
+/// Maps the MLP's flat layout (`W1 ‖ b1 ‖ W2 ‖ b2`, row-major, `W2`
+/// class-major) onto a *row space* of sparsifiable units:
 ///
 /// * row `r < features` — W1 feature row `r` (`hidden` contiguous elements
 ///   at `r·hidden`), dirtied by any batch containing feature `r`;
-/// * row `r ≥ features` — output class `c = r − features`: the W2 column
-///   `{w2_off + k·classes + c}` (strided, `hidden` elements) plus `b2[c]`,
+/// * row `r ≥ features` — output class `c = r − features`: the W2 row of
+///   `hidden` contiguous elements at `w2_off + c·hidden`, plus `b2[c]`,
 ///   dirtied when `c` is an LSH candidate.
 ///
 /// Only `b1` (`hidden` elements) is touched by every batch and always rides
@@ -86,7 +86,7 @@ pub struct SparseLayout {
     pub features: usize,
     /// Hidden width.
     pub hidden: usize,
-    /// Output class count (W2 columns).
+    /// Output class count (W2 rows).
     pub classes: usize,
 }
 
@@ -106,7 +106,7 @@ impl SparseLayout {
     }
 
     /// Elements carried by row `r` (`hidden` for a W1 row, `hidden + 1`
-    /// for a class column + its bias).
+    /// for a class row + its bias).
     pub fn row_width(&self, r: u32) -> usize {
         if (r as usize) < self.features {
             self.hidden
@@ -154,24 +154,17 @@ impl SparseLayout {
             rows.windows(2).all(|w| w[0] < w[1]),
             "delta rows must be strictly ascending"
         );
-        let b1 = self.b1_off();
-        for i in 0..self.hidden {
-            f(b1 + i);
-        }
+        let h = self.hidden;
+        (self.b1_off()..self.b1_off() + h).for_each(&mut f);
         let (w2, b2) = (self.w2_off(), self.b2_off());
         for &r in rows {
             let r = r as usize;
             assert!(r < self.num_rows(), "row {r} outside layout");
             if r < self.features {
-                let base = r * self.hidden;
-                for i in 0..self.hidden {
-                    f(base + i);
-                }
+                (r * h..(r + 1) * h).for_each(&mut f);
             } else {
                 let c = r - self.features;
-                for k in 0..self.hidden {
-                    f(w2 + k * self.classes + c);
-                }
+                (w2 + c * h..w2 + (c + 1) * h).for_each(&mut f);
                 f(b2 + c);
             }
         }
@@ -294,7 +287,7 @@ impl<'a, E: Copy> Delta<'a, E> {
     pub fn overlay(&self, range: Range<usize>, tile: &mut [E]) {
         debug_assert_eq!(tile.len(), range.len());
         let l = self.layout;
-        let (h, classes) = (l.hidden, l.classes);
+        let h = l.hidden;
         let (a, b) = (range.start, range.end);
         // `from` sits at flat index `at`: copy the part inside the tile.
         let mut put = |at: usize, from: &[E]| {
@@ -312,8 +305,8 @@ impl<'a, E: Copy> Delta<'a, E> {
             put(r as usize * h, &self.payload[(1 + j) * h..(2 + j) * h]);
         }
 
-        // Class row `j` carries its W2 column (one element per `k`-row of
-        // W2, `classes` apart in the flat layout) followed by its b2 entry.
+        // Class row `j` carries its W2 row (`h` elements, contiguous in the
+        // flat layout like a W1 row) followed by its b2 entry.
         let values = &self.payload[(1 + self.w1_rows.len()) * h..];
         let class_of = |r: u32| r as usize - l.features;
         // The classes `c_lo..c_hi` of this delta, as indices into `class_rows`.
@@ -322,14 +315,11 @@ impl<'a, E: Copy> Delta<'a, E> {
                 ..self.class_rows.partition_point(|&r| class_of(r) < c_hi)
         };
         let (w2, b2) = (l.w2_off(), l.b2_off());
-        if a < b2 && w2 < b {
+        if a < b2 && w2 < b.min(b2) {
             let (lo, hi) = (a.max(w2) - w2, b.min(b2) - w2);
-            for k in lo / classes..=(hi - 1) / classes {
-                let row = k * classes;
-                for j in span(lo.max(row) - row, hi.min(row + classes) - row) {
-                    let c = class_of(self.class_rows[j]);
-                    tile[w2 + row + c - a] = values[j * (h + 1) + k];
-                }
+            for j in span(lo / h, hi.div_ceil(h)) {
+                let at = w2 + class_of(self.class_rows[j]) * h;
+                put(at, &values[j * (h + 1)..j * (h + 1) + h]);
             }
         }
         if b2 < b {
@@ -634,6 +624,16 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), seen.len(), "an index was visited twice");
         assert!(seen.iter().all(|&i| i < l.param_len()));
+        // b1, W1 rows 0 and 6, then each class row (classes 0 and 4) as
+        // one contiguous W2 run followed by its b2 entry.
+        let (w2, b2) = (l.w2_off(), l.b2_off());
+        let want: Vec<usize> = (21..24)
+            .chain(0..3)
+            .chain(18..21)
+            .chain([w2, w2 + 1, w2 + 2, b2])
+            .chain([w2 + 12, w2 + 13, w2 + 14, b2 + 4])
+            .collect();
+        assert_eq!(seen, want);
     }
 
     #[test]
@@ -660,8 +660,11 @@ mod tests {
     /// `base[range]` overlaid with the delta vs the same range of
     /// `scatter_delta` over the whole base, for every tile of every length.
     pub(super) fn assert_overlay_matches_scatter(l: &SparseLayout, rows: &[u32], bf16: bool) {
+        // Distinct streams (`random_flat` seeds with `seed | 1`, so 42 and
+        // 43 would be one stream): every carried element differs from the
+        // base it overlays.
         let base = random_flat(l.param_len(), 42, bf16);
-        let mut replica = random_flat(l.param_len(), 43, bf16);
+        let mut replica = random_flat(l.param_len(), 44, bf16);
         let mut delta = FlatVec::default();
         gather_delta(l, rows, &replica, &mut delta);
         replica = base.clone();
@@ -693,9 +696,9 @@ mod tests {
 
     /// The sparse source of the tile pass: overlaying a delta on a tile of
     /// the base is `scatter_delta` restricted to that tile — for the empty
-    /// set, every row, and every tile boundary: inside a W1 row (tile
-    /// lengths not a multiple of `hidden`), across `k`-rows of W2 (tiles
-    /// longer than `classes`), across the W1/b1/W2/b2 seams.
+    /// set, every row, and every tile boundary: inside a W1 row or a W2
+    /// class row (tile lengths not a multiple of `hidden`), across the
+    /// W1/b1/W2/b2 seams.
     #[test]
     fn overlay_is_scatter_restricted_to_the_tile() {
         let l = layout(); // 7 features, hidden 3, 5 classes

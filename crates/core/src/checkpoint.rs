@@ -9,7 +9,11 @@
 //!
 //! Binary format (little-endian): `"ASGC" | version u32 | mega u64 |
 //! n_gpus u64 | param_len u64 | global f32* | prev f32* |
-//! (batch f64, lr f64, updates u64)*`.
+//! (batch f64, lr f64, updates u64)*`, both models in the flat layout of
+//! `asgd_model::MlpConfig::block_ranges` (`W₂` class-major). Version 1
+//! stored `W₂` hidden-major; it is refused by version
+//! ([`StateError::BadVersion`]), never resumed with its output layer read in
+//! the wrong order.
 
 use crate::hyper::GpuHyper;
 use asgd_model::{checkpoint as model_checkpoint, Mlp, MlpConfig};
@@ -17,7 +21,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"ASGC";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 /// Resumable snapshot of a training run at a mega-batch boundary.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,8 +98,8 @@ impl TrainingState {
 
     /// [`TrainingState::export_model`] at an explicit storage precision —
     /// the versioned-model export path of the serving registry:
-    /// [`asgd_tensor::Precision::F32`] emits the legacy v1 layout
-    /// byte-for-byte, [`asgd_tensor::Precision::Bf16`] the half-size v2
+    /// [`asgd_tensor::Precision::F32`] emits the f32 (v3) layout,
+    /// [`asgd_tensor::Precision::Bf16`] the half-size bf16 (v4)
     /// layout (one round-to-nearest-even narrowing per weight), so a fleet
     /// can stream checkpoint versions at either storage tier.
     ///
@@ -227,6 +231,18 @@ mod tests {
             TrainingState::decode(Bytes::from(raw)),
             Err(StateError::BadVersion(_))
         ));
+    }
+
+    /// A whole, well-formed state of version 1, which stored `W₂`
+    /// hidden-major, is refused by its version.
+    #[test]
+    fn hidden_major_state_is_a_bad_version() {
+        let mut raw = sample().encode().to_vec();
+        raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(
+            TrainingState::decode(Bytes::from(raw)),
+            Err(StateError::BadVersion(1))
+        );
     }
 
     /// A 64-byte input whose header counts overflow the payload size (or

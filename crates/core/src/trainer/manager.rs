@@ -214,7 +214,7 @@ impl<'a> Replica<'a> {
         assert!(
             !self.dense_trained,
             "sparse deltas require the sampled-softmax path \
-             (dense training dirties every W2 column)"
+             (dense training dirties every W2 class row)"
         );
         self.dirty.collect_into(&mut self.rows);
         self.mlp.write_delta_buf(&self.rows, payload);
@@ -223,7 +223,7 @@ impl<'a> Replica<'a> {
     /// Algorithm 2's regularization measure `Σw²`, estimated from the
     /// parameters this replica changed since it imported `base` (whose own
     /// `Σx²` is `s_base`): `b₁`, the dirty feature rows of `W₁`, and the
-    /// dirty class columns of `W₂` with their `b₂` entries — all of `W₂` and
+    /// dirty class rows of `W₂` with their `b₂` entries — all of `W₂` and
     /// `b₂` on the dense path. Every other parameter still holds its `base`
     /// value bit for bit, so it cancels exactly.
     ///
@@ -242,7 +242,7 @@ impl<'a> Replica<'a> {
         let cur = self.mlp.as_flat();
         assert_eq!(base.len(), cur.len(), "base/replica length");
         let c = self.mlp.config();
-        let (features, hidden, classes) = (c.num_features, c.hidden, c.num_classes);
+        let (features, hidden) = (c.num_features, c.hidden);
         let [w1, b1, w2, b2] = c.block_ranges();
         let mut sq = ChangedSq::default();
         sq.run(&base[b1.clone()], &cur[b1]);
@@ -256,9 +256,8 @@ impl<'a> Replica<'a> {
                 sq.run(&base[row.clone()], &cur[row]);
             } else if !dense {
                 let cl = r - features;
-                for i in (w2.start + cl..w2.end).step_by(classes) {
-                    sq.one(base[i], cur[i]);
-                }
+                let row = w2.start + cl * hidden..w2.start + (cl + 1) * hidden;
+                sq.run(&base[row.clone()], &cur[row]);
                 sq.one(base[b2.start + cl], cur[b2.start + cl]);
             }
         });
@@ -417,11 +416,11 @@ mod tests {
         IndexArena::new(&sampled_cfg(), model)
     }
 
-    /// A stand-alone sampler hashed from a dense `W₂` — what every replica
+    /// A stand-alone sampler hashed from a class-major `W₂` — what every replica
     /// used to build for itself.
     fn standalone(w2: asgd_tensor::MatRef<'_>) -> CandidateSampler {
         let c = sampled_cfg();
-        let mut s = CandidateSampler::new(c.tables, c.k_bits, w2.rows(), c.neg_samples, c.seed);
+        let mut s = CandidateSampler::new(c.tables, c.k_bits, w2.cols(), c.neg_samples, c.seed);
         s.rebuild(w2);
         s
     }

@@ -429,7 +429,7 @@ impl std::fmt::Display for ConfigError {
                 "fault injection requires merge-per-mega-batch"
             }
             ConfigError::SparseMergeNeedsSampledSoftmax => {
-                "sparse_merge requires sampled_softmax: dense training dirties every W2 column"
+                "sparse_merge requires sampled_softmax: dense training dirties every W2 class row"
             }
             ConfigError::SparseMergeUnderCrossbow => {
                 "sparse_merge cannot run under MergeRule::Crossbow: the blend dirties every row"

@@ -5,25 +5,29 @@
 //! ```text
 //! magic  "ASGD"            4 bytes
 //! version u32              4 bytes
-//! [v2 only] precision u32  (0 = f32, 1 = bf16)
+//! [v4 only] precision u32  (0 = f32, 1 = bf16)
 //! num_features u64 | hidden u64 | num_classes u64
-//! params  × param_len      (W₁ ‖ b₁ ‖ W₂ ‖ b₂, the `Mlp::as_flat` layout;
-//!                           f32-le in f32 checkpoints, bf16-le in bf16 ones)
+//! params  × param_len      (W₁ ‖ b₁ ‖ W₂ ‖ b₂, the `Mlp::as_flat` layout,
+//!                           `W₂` class-major; f32-le in f32 checkpoints,
+//!                           bf16-le in bf16 ones)
 //! ```
 //!
-//! Version 1 has no precision field and is always f32; [`encode`] still
-//! emits it byte-for-byte so existing golden checksums hold. Version 2 adds
-//! the precision tag and a bf16 payload option ([`encode_with`]); decoding
-//! widens bf16 exactly, so a v2/bf16 round-trip equals one narrowing of the
-//! source model (the rounding contract's single round point per store).
+//! Version 3 has no precision field and is always f32 ([`encode`]).
+//! Version 4 adds the precision tag and a bf16 payload option
+//! ([`encode_with`]); decoding widens bf16 exactly, so a v4/bf16 round-trip
+//! equals one narrowing of the source model (the rounding contract's single
+//! round point per store). Versions 1 and 2 were the same two formats with
+//! `W₂` stored `hidden × num_classes`: they decode to
+//! [`CheckpointError::BadVersion`], never to a model with its output layer
+//! read in the wrong order.
 
 use crate::mlp::{Mlp, MlpConfig};
 use asgd_tensor::{bf16, Precision};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 const MAGIC: &[u8; 4] = b"ASGD";
-const VERSION: u32 = 1;
-const VERSION_PRECISION: u32 = 2;
+const VERSION: u32 = 3;
+const VERSION_PRECISION: u32 = 4;
 
 /// Checkpoint decode errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,14 +56,14 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Serializes a model to bytes (version-1 f32 layout, unchanged).
+/// Serializes a model to bytes (the version-3 f32 layout).
 pub fn encode(model: &Mlp) -> Bytes {
     encode_with(model, Precision::F32)
 }
 
 /// Serializes a model at the requested storage precision. [`Precision::F32`]
-/// emits the legacy version-1 layout byte-for-byte; [`Precision::Bf16`]
-/// emits version 2 with a half-size payload (one round-to-nearest-even
+/// emits [`encode`]'s version-3 layout byte-for-byte; [`Precision::Bf16`]
+/// emits version 4 with a half-size payload (one round-to-nearest-even
 /// narrowing per weight).
 pub fn encode_with(model: &Mlp, precision: Precision) -> Bytes {
     let mut buf = BytesMut::with_capacity(4 + 8 + 24 + precision.bytes() * model.param_len());
@@ -176,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_with_f32_matches_legacy_encoding_exactly() {
+    fn encode_with_f32_matches_encode_exactly() {
         let model = Mlp::init(&config(), 99);
         assert_eq!(encode(&model), encode_with(&model, Precision::F32));
     }
@@ -186,11 +190,11 @@ mod tests {
         let model = Mlp::init(&config(), 123);
         let f32_bytes = encode(&model);
         let bf16_bytes = encode_with(&model, Precision::Bf16);
-        let header_v1 = 4 + 4 + 24;
-        let header_v2 = 4 + 4 + 4 + 24;
+        let header_f32 = 4 + 4 + 24;
+        let header_bf16 = 4 + 4 + 4 + 24;
         let n = config().param_len();
-        assert_eq!(f32_bytes.len(), header_v1 + 4 * n);
-        assert_eq!(bf16_bytes.len(), header_v2 + 2 * n);
+        assert_eq!(f32_bytes.len(), header_f32 + 4 * n);
+        assert_eq!(bf16_bytes.len(), header_bf16 + 2 * n);
         let back = decode(bf16_bytes).unwrap();
         assert_eq!(back, model.quantized(Precision::Bf16));
         // Round-trip of an already-quantized model is exact.
@@ -205,8 +209,25 @@ mod tests {
         raw[8] = 7; // precision field, little-endian low byte
         assert!(matches!(
             decode(Bytes::from(raw)),
-            Err(CheckpointError::BadVersion(2))
+            Err(CheckpointError::BadVersion(VERSION_PRECISION))
         ));
+    }
+
+    /// Versions 1 (f32) and 2 (bf16) stored `W₂` hidden-major. A file of
+    /// either — a whole, well-formed one — is refused by its version and
+    /// never read as class-major.
+    #[test]
+    fn hidden_major_checkpoints_are_a_bad_version() {
+        let model = Mlp::init(&config(), 3);
+        for (precision, old) in [(Precision::F32, 1u32), (Precision::Bf16, 2)] {
+            let mut raw = encode_with(&model, precision).to_vec();
+            raw[4..8].copy_from_slice(&old.to_le_bytes());
+            assert_eq!(
+                decode(Bytes::from(raw)),
+                Err(CheckpointError::BadVersion(old)),
+                "{precision:?}"
+            );
+        }
     }
 
     #[test]
@@ -351,7 +372,7 @@ mod tests {
         /// header fields are what is random — decode or are an error.
         #[test]
         fn random_bytes_decode_or_fail_cleanly(
-            version in 0u32..3,
+            version in 0u32..6,
             mut raw in proptest::collection::vec(0u8..=255, 0..=4096),
         ) {
             if version > 0 && raw.len() >= 8 {

@@ -22,7 +22,8 @@ pub struct Gradients {
     pub w1_updates: Vec<(u32, Vec<f32>)>,
     /// `∇b₁`.
     pub b1: Vec<f32>,
-    /// `∇W₂` (dense path only; the sampled path leaves it untouched).
+    /// `∇W₂`, class-major like `W₂` (`classes × hidden`). Dense path only:
+    /// sized by the first dense step, so a sampled replica never holds it.
     pub w2: Matrix,
     /// `∇b₂` (dense path only; the sampled path leaves it untouched).
     pub b2: Vec<f32>,
@@ -34,7 +35,7 @@ impl Gradients {
         Self {
             w1_updates: Vec::new(),
             b1: vec![0.0; config.hidden],
-            w2: Matrix::zeros(config.hidden, config.num_classes),
+            w2: Matrix::zeros(0, config.hidden),
             b2: vec![0.0; config.num_classes],
         }
     }

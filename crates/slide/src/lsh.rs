@@ -8,7 +8,7 @@
 //! activation would score highly" behaviour sampled softmax needs.
 
 use asgd_stats::dist::standard_normal;
-use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, transpose_block, Epilogue, Widen};
+use asgd_tensor::kernels::{dot_lanes, gemm_nt_chunk, Epilogue, Widen};
 use asgd_tensor::parallel::par_chunks_mut;
 use asgd_tensor::{FlatRef, MatRef};
 use rand::{rngs::StdRng, SeedableRng};
@@ -18,14 +18,15 @@ use std::cell::RefCell;
 /// fork/join only pays off when the signature sweep is model-scale.
 const MIN_PAR_CLASSES: usize = 256;
 
-/// Classes hashed per sweep step: their `W₂` columns are gathered into one
-/// contiguous `SWEEP_BLOCK × dim` tile (16 KB at `dim = 64`, L1-resident)
-/// and projected onto every hyperplane by one `gemm_nt` call.
+/// Classes hashed per sweep step: their `W₂` rows, one contiguous
+/// `SWEEP_BLOCK × dim` tile (16 KB at `dim = 64`, L1-resident), are
+/// projected onto every hyperplane by one `gemm_nt` call.
 const SWEEP_BLOCK: usize = 64;
 
 thread_local! {
-    /// Per-thread scratch of the signature sweep: a sweep block's class
-    /// tile (`SWEEP_BLOCK × dim`) and its projections (`SWEEP_BLOCK × l·k`),
+    /// Per-thread scratch of the signature sweep: a sweep block's widened
+    /// class tile (`SWEEP_BLOCK × dim`, bf16 models only) and its
+    /// projections (`SWEEP_BLOCK × l·k`),
     /// grown on a thread's first sweep and reused by every later one — a
     /// warm rebuild allocates nothing for them.
     static SWEEP_SCRATCH: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -165,15 +166,16 @@ impl LshIndex {
         sign_bits(planes.chunks(self.dim).map(|row| dot_lanes(row, v)))
     }
 
-    /// (Re)hashes every output neuron. `w2` is `dim × classes`; neuron `j`
-    /// is column `j`. Bucket contents are identical for any `ASGD_THREADS`.
+    /// (Re)hashes every output neuron. `w2` is class-major, `classes × dim`;
+    /// neuron `j` is row `j`. Bucket contents are identical for any
+    /// `ASGD_THREADS`.
     pub fn rebuild<'a>(&mut self, w2: impl Into<MatRef<'a>>) {
         let w2 = w2.into();
-        assert_eq!(w2.rows(), self.dim, "neuron dimensionality mismatch");
-        self.rebuild_from(w2.as_slice(), w2.cols());
+        assert_eq!(w2.cols(), self.dim, "neuron dimensionality mismatch");
+        self.rebuild_from(w2.as_slice(), w2.rows());
     }
 
-    /// [`rebuild`](Self::rebuild) from the `dim × classes` `W₂` region that
+    /// [`rebuild`](Self::rebuild) from the `classes × dim` `W₂` region that
     /// starts at element `offset` of a flat model buffer — a
     /// [`FlatVec`](asgd_tensor::FlatVec) or
     /// a borrowed [`FlatRef`] — read in place: f32 verbatim, bf16 widened
@@ -192,10 +194,10 @@ impl LshIndex {
     }
 
     /// The one build path. Signatures are swept in parallel over blocks of
-    /// classes (each is a pure function of one `W₂` column): a block's
-    /// columns are transposed into a contiguous class tile
-    /// ([`transpose_block`], widening bf16 exactly) and projected onto every
-    /// hyperplane by one `gemm_nt` call, both in [`SWEEP_SCRATCH`]. Then
+    /// classes (each is a pure function of one `W₂` row): a block's rows —
+    /// one contiguous run, read in place at f32 and widened exactly into
+    /// [`SWEEP_SCRATCH`] at bf16 — are projected onto every hyperplane by one
+    /// `gemm_nt` call into the same scratch. Then
     /// every table sorts its classes into buckets — tables in parallel, each
     /// sort serial and a pure function of the signatures.
     fn rebuild_from<E: Widen>(&mut self, w2: &[E], classes: usize) {
@@ -215,8 +217,9 @@ impl LshIndex {
                     let (tile, proj) = scratch.split_at_mut(SWEEP_BLOCK * dim);
                     for (b, sig_block) in chunk.chunks_mut(SWEEP_BLOCK * l).enumerate() {
                         let (j0, n) = (first + b * SWEEP_BLOCK, sig_block.len() / l);
-                        let (tile, proj) = (&mut tile[..n * dim], &mut proj[..n * l * k]);
-                        transpose_block(w2, dim, classes, j0, tile);
+                        let rows = &w2[j0 * dim..(j0 + n) * dim];
+                        let tile = E::widen_run(rows, tile);
+                        let proj = &mut proj[..n * l * k];
                         let ep = Epilogue::AlphaBeta {
                             alpha: 1.0,
                             beta: 0.0,
@@ -287,19 +290,18 @@ impl LshIndex {
 impl LshIndex {
     /// The bucket build the flat layout replaced, kept as the test oracle:
     /// one [`LshIndex::signature`] (a portable [`dot_lanes`] per plane) per
-    /// gathered column, `HashMap<u32, Vec<u32>>` buckets filled by pushing
+    /// class row of the class-major `w2`, `HashMap<u32, Vec<u32>>` buckets filled by pushing
     /// classes in ascending order, then copied bucket by bucket into the
     /// flat fields. Shares neither the blocked sweep nor the radix sort with
     /// [`LshIndex::rebuild`].
     pub(crate) fn rebuild_oracle(&mut self, w2: &asgd_tensor::Matrix) {
         use std::collections::HashMap;
-        let (classes, l) = (w2.cols(), self.buckets.len());
+        let (classes, l) = (w2.rows(), self.buckets.len());
         self.sigs.clear();
         let mut maps: Vec<HashMap<u32, Vec<u32>>> = vec![HashMap::new(); l];
         for j in 0..classes {
-            let col: Vec<f32> = (0..w2.rows()).map(|r| w2.at(r, j)).collect();
             for (t, map) in maps.iter_mut().enumerate() {
-                let sig = self.signature(t, &col);
+                let sig = self.signature(t, w2.row(j));
                 self.sigs.push(sig);
                 map.entry(sig).or_default().push(j as u32);
             }
@@ -324,10 +326,11 @@ mod tests {
     use asgd_tensor::{bf16, FlatVec, Matrix};
     use proptest::prelude::*;
 
-    /// Seeded values in `[-1, 1)` with exact zeros sprinkled in.
+    /// A class-major `classes × dim` `W₂` of seeded values in `[-1, 1)`
+    /// with exact zeros sprinkled in.
     fn random_w2(dim: usize, classes: usize, seed: u64) -> Matrix {
         let mut st = seed | 1;
-        Matrix::from_fn(dim, classes, |_, _| {
+        Matrix::from_fn(classes, dim, |_, _| {
             st = st
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
@@ -351,8 +354,8 @@ mod tests {
                 "neighbor sequence of class {c}"
             );
         }
-        for j in 0..w2.cols().min(8) {
-            let q: Vec<f32> = (0..w2.rows()).map(|r| w2.at(r, j) + 0.25).collect();
+        for j in 0..w2.rows().min(8) {
+            let q: Vec<f32> = w2.row(j).iter().map(|v| v + 0.25).collect();
             assert_eq!(fast.query(&q), oracle.query(&q), "query near class {j}");
         }
     }
@@ -360,7 +363,7 @@ mod tests {
     proptest! {
         /// Flat buckets + blocked sweep against the `HashMap` oracle, over
         /// class counts around the sweep block and the serial/parallel
-        /// switch, dims on and off the transpose's 8 × 8 blocks, and
+        /// switch, dims on and off the 8-lane blocks, and
         /// signature widths on both sides of every radix pass boundary —
         /// from an f32 `W₂` and from a bf16 flat buffer (at an offset that
         /// puts no row on an 8-element boundary), hashed as its widening.
@@ -379,9 +382,7 @@ mod tests {
             assert_matches_oracle(&idx, &w2);
             let mut stored = vec![bf16::narrow(1.5); 3];
             stored.extend(w2.as_slice().iter().map(|&x| bf16::narrow(x)));
-            let widened = Matrix::from_fn(dim, classes, |r, c| {
-                bf16::widen(stored[3 + r * classes + c])
-            });
+            let widened = Matrix::from_fn(classes, dim, |c, r| bf16::widen(stored[3 + c * dim + r]));
             idx.rebuild_flat(&FlatVec::Bf16(stored), 3, classes);
             assert_matches_oracle(&idx, &widened);
         }
@@ -432,7 +433,7 @@ mod tests {
                     .collect(),
             );
         }
-        let w2 = Matrix::from_fn(dim, cols.len(), |r, j| cols[j][r]);
+        let w2 = Matrix::from_fn(cols.len(), dim, |j, r| cols[j][r]);
         idx.rebuild(&w2);
         for (j, col) in cols.iter().enumerate() {
             for t in 0..l {
@@ -459,8 +460,8 @@ mod tests {
         f32_flat.extend_from_slice(w2.as_slice());
         f32_flat.extend([7.0; 3]);
         let bf16_flat: Vec<u16> = f32_flat.iter().map(|&x| bf16::narrow(x)).collect();
-        let widened = Matrix::from_fn(dim, classes, |r, c| {
-            bf16::widen(bf16_flat[off + r * classes + c])
+        let widened = Matrix::from_fn(classes, dim, |c, r| {
+            bf16::widen(bf16_flat[off + c * dim + r])
         });
         for (flat, dense) in [
             (FlatVec::F32(f32_flat), &w2),
@@ -506,10 +507,10 @@ mod tests {
             c
         };
         let before = caps(&idx);
-        // One distinct column per class, then all columns identical: the
+        // One distinct row per class, then all rows identical: the
         // distinct-signature count swings between its extremes.
         idx.rebuild(&random_w2(16, 700, 2));
-        idx.rebuild(&Matrix::from_fn(16, 700, |r, _| r as f32 - 8.0));
+        idx.rebuild(&Matrix::from_fn(700, 16, |_, r| r as f32 - 8.0));
         idx.rebuild(&random_w2(16, 700, 3));
         assert_eq!(caps(&idx), before);
         // The sweep's tile and projection scratch: below `MIN_PAR_CLASSES`
@@ -528,13 +529,13 @@ mod tests {
         assert_eq!(scratch(), warm);
     }
 
-    /// W2 whose columns form two well-separated clusters.
+    /// A class-major W2 whose class rows form two well-separated clusters.
     fn clustered_w2(dim: usize, per_cluster: usize) -> Matrix {
         let classes = per_cluster * 2;
-        Matrix::from_fn(dim, classes, |i, j| {
+        Matrix::from_fn(classes, dim, |j, i| {
             let cluster = j / per_cluster;
             let base = if cluster == 0 { 1.0 } else { -1.0 };
-            // Mild deterministic wiggle so columns are not identical.
+            // Mild deterministic wiggle so rows are not identical.
             base + ((i * 7 + j * 13) % 5) as f32 * 0.02
         })
     }
@@ -544,9 +545,8 @@ mod tests {
         let w2 = clustered_w2(16, 8);
         let mut idx = LshIndex::new(8, 6, 16, 1);
         idx.rebuild(&w2);
-        // Query with column 3's own vector: must retrieve class 3.
-        let q: Vec<f32> = (0..16).map(|i| w2.at(i, 3)).collect();
-        let hits = idx.query(&q);
+        // Query with class 3's own vector: must retrieve class 3.
+        let hits = idx.query(w2.row(3));
         assert!(hits.contains(&3), "self-retrieval failed: {hits:?}");
     }
 
@@ -571,7 +571,7 @@ mod tests {
         let mut idx = LshIndex::new(4, 4, 8, 3);
         idx.rebuild(&w2a);
         assert_eq!(idx.len(), 8);
-        let smaller = Matrix::from_fn(8, 4, |i, j| ((i + j) % 3) as f32 - 1.0);
+        let smaller = Matrix::from_fn(4, 8, |j, i| ((i + j) % 3) as f32 - 1.0);
         idx.rebuild(&smaller);
         assert_eq!(idx.len(), 4);
         let hits = idx.query(&[1.0; 8]);

@@ -87,7 +87,8 @@ impl CandidateSampler {
         }
     }
 
-    /// Re-hashes every output neuron from `w2` (`hidden × classes`). Only
+    /// Re-hashes every output neuron from the class-major `w2`
+    /// (`classes × hidden`, row `c` is neuron `c`). Only
     /// call this at model-sync points with bytes identical across replicas —
     /// see the module docs. A shared index is copied first (copy-on-write);
     /// owners of shared indices rebuild at the source and hand the result
@@ -243,8 +244,9 @@ mod tests {
     use super::*;
     use asgd_tensor::Matrix;
 
+    /// A class-major `classes × dim` `W₂`.
     fn w2(dim: usize, classes: usize) -> Matrix {
-        Matrix::from_fn(dim, classes, |i, j| {
+        Matrix::from_fn(classes, dim, |j, i| {
             ((i * 13 + j * 7) % 11) as f32 / 5.0 - 1.0
         })
     }
@@ -397,7 +399,7 @@ mod tests {
         let mut b = CandidateSampler::with_index(Arc::clone(a.index()), 16);
         let labels: Vec<&[u32]> = vec![&[3, 17], &[90]];
         let before = b.select(&labels, 7).to_vec();
-        a.rebuild(&Matrix::from_fn(16, 50, |i, j| (i + j) as f32 - 8.0));
+        a.rebuild(&Matrix::from_fn(50, 16, |j, i| (i + j) as f32 - 8.0));
         assert!(!Arc::ptr_eq(a.index(), b.index()));
         assert_eq!(a.num_classes(), 50);
         assert_eq!(b.num_classes(), 200);

@@ -5,6 +5,7 @@
 //! the layer's unit count (§V-A). These helpers reproduce that scheme with an
 //! explicit RNG so all algorithms can share one initial model bit-for-bit.
 
+use crate::kernels::transpose_block;
 use crate::parallel::{num_threads, par_chunks_mut};
 use asgd_stats::dist::skip_standard_normals;
 use asgd_stats::Normal;
@@ -14,7 +15,9 @@ use rand::Rng;
 /// the generator cloned — at the start of every `INIT_CHUNK` draws of a
 /// layer (and of every layer). 65,536 draws is ~200 tasks for the sampled
 /// workload's 13 M-parameter model: enough to balance any pool, and a
-/// clone (32 bytes) per 256 KB written.
+/// clone (32 bytes) per 256 KB written. A transposed layer is cut finer,
+/// one clone per `INIT_CHUNK / fan_in` draws, all held until its scan ends
+/// (DESIGN.md, "Threading model", on `Mlp::init`).
 pub const INIT_CHUNK: usize = 1 << 16;
 
 /// The paper's scheme for a layer of `fan_in` inputs: `N(0, 1 / sqrt(fan_in))`.
@@ -75,32 +78,73 @@ fn fill<R: Rng + ?Sized>(out: &mut [f32], dist: &Normal, rng: &mut R) {
 /// [`layers_init`] scans before generating starts, never a bit.
 const SCAN_SHARE: usize = 2;
 
+/// How [`layers_init`] stores a layer's `fan_in × units` stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    /// In stream order: row-major `fan_in × units` (`W₁`).
+    AsDrawn,
+    /// Transposed: stream position `k·units + c` lands at `c·fan_in + k`,
+    /// row-major `units × fan_in` (the class-major `W₂`).
+    Transposed,
+}
+
 /// One chunk of [`layers_init`]: where it writes, what it draws, and —
-/// once the scan has passed it — the generator as the stream stands at its
-/// first draw.
+/// once the scan has passed it — the generator as the stream stands at the
+/// first draw of each of its segments. A chunk of an [`Placement::AsDrawn`]
+/// layer is one segment of the stream; a chunk of a transposed layer is a
+/// block of `cols` units, one `cols`-long segment from each of its `rows`
+/// stream rows.
 struct Chunk<'a, R> {
     out: &'a mut [f32],
     dist: Normal,
-    rng: Option<R>,
+    /// The layer this chunk belongs to (chunks of one layer are adjacent).
+    layer: usize,
+    /// Segments: 1, or the layer's `fan_in` when it is transposed.
+    rows: usize,
+    /// Draws per segment.
+    cols: usize,
+    rngs: Vec<R>,
 }
 
-/// The scan: hands each chunk a clone of `rng` at its first draw and moves
-/// `rng` past it.
-fn scan<R: Rng + Clone>(chunks: &mut [Chunk<'_, R>], rng: &mut R) {
-    for c in chunks {
-        c.rng = Some(rng.clone());
-        skip_standard_normals(rng, c.out.len());
+/// The scan: hands each chunk a clone of `rng` at the first draw of each of
+/// its segments, in stream order, and moves `rng` past them. A transposed
+/// layer's stream visits its chunks row by row.
+fn scan<R: Rng + Clone>(mut chunks: &mut [Chunk<'_, R>], rng: &mut R) {
+    while let Some(first) = chunks.first() {
+        let (layer, rows) = (first.layer, first.rows);
+        let n = chunks.iter().take_while(|c| c.layer == layer).count();
+        let (group, rest) = chunks.split_at_mut(n);
+        for _ in 0..rows {
+            for c in group.iter_mut() {
+                c.rngs.push(rng.clone());
+                skip_standard_normals(rng, c.cols);
+            }
+        }
+        chunks = rest;
     }
 }
 
-/// Generates scanned chunks with the block generator ([`fill`]).
+/// Generates scanned chunks with the block generator ([`fill`]): a segment
+/// straight into place, or a transposed chunk's segments as the rows of
+/// `scratch`, then moved into place by [`transpose_block`].
 fn generate<R: Rng>(chunks: &mut [Chunk<'_, R>]) {
+    let mut scratch = Vec::new();
     for c in chunks {
-        let mut rng = c
-            .rng
-            .take()
-            .expect("a chunk is scanned before it is generated");
-        fill(c.out, &c.dist, &mut rng);
+        assert_eq!(
+            c.rngs.len(),
+            c.rows,
+            "a chunk is scanned before it is generated"
+        );
+        if c.rows == 1 {
+            fill(c.out, &c.dist, &mut c.rngs[0]);
+        } else {
+            scratch.resize(c.out.len(), 0.0);
+            for (row, rng) in scratch.chunks_mut(c.cols).zip(&mut c.rngs) {
+                fill(row, &c.dist, rng);
+            }
+            transpose_block(&scratch, c.rows, c.cols, c.out);
+        }
+        c.rngs.clear();
     }
 }
 
@@ -112,33 +156,45 @@ enum Stage<'c, 'a, R> {
     Generate(&'c mut [Chunk<'a, R>]),
 }
 
-/// [`layer_init`] on each `(weights, fan_in)` layer in turn from one
-/// stream, on the worker pool: bit for bit the serial calls, and `rng` left
-/// where they leave it. A sequential scan over the stream decides
-/// acceptance only ([`skip_standard_normals`]: no `ln`, no branch on the
-/// outcome) and clones the generator at the start of every [`INIT_CHUNK`]
-/// draws of every layer; pool tasks regenerate the chunks with the two-pass
-/// block generator, in place. The scan overlaps the generation: it first
-/// passes the head of the stream alone, then one task scans the rest while
-/// the other lanes generate the head (`SCAN_SHARE` sizes the head so the
-/// two end together), then every lane generates the rest. The weights are a
-/// pure function of the layers' lengths and fan-ins and `rng`'s state, at
-/// any `ASGD_THREADS`.
+/// [`layer_init`] on each `(weights, fan_in, placement)` layer in turn from
+/// one stream, on the worker pool: bit for bit the serial calls — stored
+/// transposed where the placement says so — and `rng` left where they leave
+/// it. A sequential scan over the stream decides acceptance only
+/// ([`skip_standard_normals`]: no `ln`, no branch on the outcome) and
+/// clones the generator at the start of every segment: every
+/// [`INIT_CHUNK`] draws of a layer stored as drawn, and every block of
+/// about `INIT_CHUNK / fan_in` units of each stream row of a transposed
+/// one. Pool tasks regenerate the chunks with the two-pass block generator,
+/// in place. The scan overlaps the generation: it first passes the head of
+/// the stream alone, then one task scans the rest while the other lanes
+/// generate the head (`SCAN_SHARE` sizes the head so the two end together;
+/// the head stops before the first transposed layer, whose chunks are
+/// complete only at its last row), then every lane generates the rest. The
+/// weights are a pure function of the layers' shapes and placements and
+/// `rng`'s state, at any `ASGD_THREADS`.
 pub fn layers_init<R: Rng + Clone + Send, const N: usize>(
-    layers: [(&mut [f32], usize); N],
+    layers: [(&mut [f32], usize, Placement); N],
     rng: &mut R,
 ) {
     let mut chunks = Vec::new();
-    for (weights, fan_in) in layers {
+    for (layer, (weights, fan_in, placement)) in layers.into_iter().enumerate() {
         let dist = layer_dist(fan_in);
-        chunks.extend(weights.chunks_mut(INIT_CHUNK).map(|out| Chunk {
+        let (rows, len) = match placement {
+            Placement::AsDrawn => (1, INIT_CHUNK),
+            Placement::Transposed => (fan_in, (INIT_CHUNK / fan_in.max(1)).max(1) * fan_in),
+        };
+        chunks.extend(weights.chunks_mut(len.max(1)).map(|out| Chunk {
+            cols: out.len() / rows.max(1),
             out,
             dist,
-            rng: None,
+            layer,
+            rows,
+            rngs: Vec::new(),
         }));
     }
     let helpers = num_threads() - 1;
-    let head_len = chunks.len() * helpers / (helpers + SCAN_SHARE);
+    let as_drawn = chunks.iter().take_while(|c| c.rows == 1).count();
+    let head_len = (chunks.len() * helpers / (helpers + SCAN_SHARE)).min(as_drawn);
     let (head, tail) = chunks.split_at_mut(head_len);
     scan(head, rng);
     let mut middle = vec![Stage::Scan(&mut *tail, rng)];
@@ -192,29 +248,54 @@ mod tests {
         (layers, rng)
     }
 
+    /// `w` (a `fan_in × units` stream) stored transposed, as bits.
+    fn transposed(w: &[u32], fan_in: usize) -> Vec<u32> {
+        let units = w.len() / fan_in;
+        (0..w.len())
+            .map(|i| w[(i % fan_in) * units + i / fan_in])
+            .collect()
+    }
+
     #[test]
     fn init_oracle_layers_init_is_the_serial_stream() {
         use crate::parallel::override_threads;
         let c = INIT_CHUNK;
         // A first layer ending mid-chunk, then one shorter than a chunk; an
         // exact chunk, then an empty layer; a one-draw layer; fan-in 1.
-        for lens in [
-            [(c + 1234, 300), (777, 64)],
-            [(c, 1), (0, 9)],
-            [(1, 1), (2 * c + 5, 128)],
+        // Second layers stored transposed: fan-in 1 (stored as drawn), a
+        // layer narrower than one unit block, one ending mid-block (64 ×
+        // 1,500 units of 1,024-unit blocks), one whose block is one unit
+        // (fan-in past `INIT_CHUNK`).
+        for (lens, placement) in [
+            ([(c + 1234, 300), (777, 64)], Placement::AsDrawn),
+            ([(c, 1), (0, 9)], Placement::AsDrawn),
+            ([(1, 1), (2 * c + 5, 128)], Placement::AsDrawn),
+            ([(c + 1234, 300), (777, 1)], Placement::Transposed),
+            ([(3 * c + 7, 64), (64 * 37, 64)], Placement::Transposed),
+            ([(5, 3), (64 * 1500, 64)], Placement::Transposed),
+            ([(0, 3), ((c + 3) * 3, c + 3)], Placement::Transposed),
         ] {
-            let (want, want_rng) = serial(&lens, 42);
+            let (mut want, want_rng) = serial(&lens, 42);
+            if placement == Placement::Transposed {
+                want[1] = transposed(&want[1], lens[1].1);
+            }
             for threads in [1, 2, 8] {
                 override_threads(threads);
                 let mut rng = StdRng::seed_from_u64(42);
                 let (mut w1, mut w2) = (vec![0.0f32; lens[0].0], vec![0.0f32; lens[1].0]);
-                layers_init([(&mut w1, lens[0].1), (&mut w2, lens[1].1)], &mut rng);
+                layers_init(
+                    [
+                        (&mut w1, lens[0].1, Placement::AsDrawn),
+                        (&mut w2, lens[1].1, placement),
+                    ],
+                    &mut rng,
+                );
                 override_threads(0);
                 let got: Vec<Vec<u32>> = [w1, w2]
                     .iter()
                     .map(|w| w.iter().map(|x| x.to_bits()).collect())
                     .collect();
-                assert!(got == want, "{lens:?} at {threads} threads");
+                assert!(got == want, "{lens:?} {placement:?} at {threads} threads");
                 assert_eq!(rng, want_rng, "{lens:?}: stream left elsewhere");
             }
         }

@@ -31,13 +31,13 @@
 //! and `asgd-sparse`, and the one [`force_portable`] turns off. A leaf is
 //! one of two things:
 //!
-//! * an **intrinsics body** (`tile_avx2`, `nt_chunk_avx2`,
+//! * an **intrinsics body** (`tile_avx2`, `tail_avx2`, `nt_chunk_avx2`,
 //!   `transpose_block_avx2`, the bf16 conversions): different code from its
 //!   portable twin — named `__m256` accumulators the register allocator
 //!   keeps in ymm registers, ~2× the autovectorized loop, or register
 //!   shuffles no scalar loop spells — which is why those stay written out;
 //! * a **one-line call** of a shared `#[inline(always)]` body
-//!   (`tail_body`, `panel_strided_body`, `asgd-sparse`'s `spmm_row_body`)
+//!   (`panel_strided_body`, `asgd-sparse`'s `spmm_row_body`)
 //!   that takes its fused multiply-add as a parameter. The portable path
 //!   passes [`fused`]; the leaf passes [`f32::mul_add`]. No loop is written
 //!   twice for ISA reasons.
@@ -163,24 +163,31 @@ pub(crate) enum BRows<'a> {
     /// Rows `idx[0], idx[1], …` — the gathered products of the sampled
     /// softmax.
     Gathered(&'a [u32]),
+    /// Rows `0..k` of a `B` stored transposed: `b` holds `Bᵀ`, `n` rows of
+    /// `stride` elements, and row `kk` of `B` is column `kk` of it — the
+    /// class-major `W₂` of the dense forward and the serving top-k.
+    Transposed { k: usize, stride: usize },
 }
 
 impl<'a> BRows<'a> {
     /// The reduction length.
     fn len(self) -> usize {
         match self {
-            BRows::All(k) => k,
+            BRows::All(k) | BRows::Transposed { k, .. } => k,
             BRows::Gathered(idx) => idx.len(),
         }
     }
 
     /// Reduction steps `k0..k1` of these rows of the `n`-wide `b`: the rows
-    /// and the `b` they index — `b`'s rows `k0..k1` as all of a slice, or
-    /// the same `b` under `idx[k0..k1]`.
+    /// and the `b` they index — `b`'s rows `k0..k1` as all of a slice, the
+    /// same `b` under `idx[k0..k1]`, or `Bᵀ` from its column `k0` on.
     fn block<'b>(self, b: &'b [f32], n: usize, k0: usize, k1: usize) -> (&'b [f32], BRows<'a>) {
         match self {
             BRows::All(_) => (&b[k0 * n..k1 * n], BRows::All(k1 - k0)),
             BRows::Gathered(idx) => (b, BRows::Gathered(&idx[k0..k1])),
+            BRows::Transposed { stride, .. } => {
+                (&b[k0..], BRows::Transposed { k: k1 - k0, stride })
+            }
         }
     }
 }
@@ -190,7 +197,9 @@ impl<'a> BRows<'a> {
 /// `j0..j0 + w` of the `kk`-th row of `rows`. When the panel spans all of an
 /// ungathered `B` (`w == n`, which implies `j0 == 0`), `B` itself is already
 /// in packed layout and is passed through without copying; gathered rows
-/// are never contiguous in `B`, so their panel is always materialized.
+/// are never contiguous in `B`, so their panel is always materialized, and
+/// a transposed `B` is packed by [`transpose_block`] (its `w` rows, columns
+/// `0..k`, into the panel's `k` rows).
 ///
 /// Packing copies element bits verbatim, so it cannot affect the reduction
 /// contract, and running any panel kernel on a gathered panel is
@@ -219,6 +228,10 @@ fn with_b_panel<R>(
         match rows {
             BRows::All(k) => (0..k).for_each(&mut pack),
             BRows::Gathered(idx) => idx.iter().for_each(|&row| pack(row as usize)),
+            BRows::Transposed { k, stride } => {
+                buf.resize(pad + k * w, 0.0);
+                transpose_block(&b[j0 * stride..], w, stride, &mut buf[pad..]);
+            }
         }
         f(&buf[pad..])
     })
@@ -1074,12 +1087,31 @@ fn tail<const M: usize, A: AGroup<M>>(
         unsafe { tail_avx2(a, bp, w, jt, col, carry, fin) };
         return;
     }
-    tail_body(a, bp, w, jt, col, carry, fin, fused)
+    let rem = w - jt;
+    let mut acc = carry.start::<M>(jt, rem);
+    for (kk, brow) in bp.chunks_exact(w).enumerate() {
+        let bv = &brow[jt..w];
+        for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
+            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
+                *av = fused(*a_rk, b, *av);
+            }
+        }
+    }
+    if carry.last {
+        finish(&acc, rem, col, fin);
+    } else {
+        carry.store(&acc, jt, rem);
+    }
 }
 
-/// AVX2+FMA leaf of [`tail`]: the one [`tail_body`] with [`f32::mul_add`]
-/// for its FMA, which inside this function lowers to `vfmadd` (vectorized
-/// where the width allows) instead of a libm call per term.
+/// AVX2+FMA intrinsics body of [`tail`]: the remainder in register tiles of
+/// up to `LANES` columns — one `__m256` accumulator per row, the per-lane
+/// `fma` chain of [`tile_avx2`], the last tile's `B` lanes past `w` masked
+/// off the load — each stored to an array and finished, or carried, like
+/// the portable tail. A product whose output is narrower than `NR` columns
+/// (the class-major `∇W₂`, `hidden` wide) is all tail: the variable-width
+/// loop this replaces ran it ~4× slower at hidden 8 and 12 (EXPERIMENTS.md,
+/// "One copy of `W₂`").
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support.
@@ -1090,42 +1122,40 @@ unsafe fn tail_avx2<const M: usize, A: AGroup<M>>(
     a: A,
     bp: &[f32],
     w: usize,
-    jt: usize,
-    col: usize,
+    mut jt: usize,
+    mut col: usize,
     carry: &mut Carry,
     fin: &mut Finish,
 ) {
-    tail_body(a, bp, w, jt, col, carry, fin, f32::mul_add)
-}
-
-/// The loop of [`tail`], spelled with the calling path's FMA (the rule is
-/// in the module docs): [`fused`] on the portable path, [`f32::mul_add`]
-/// from inside [`tail_avx2`] only.
-#[inline(always)]
-fn tail_body<const M: usize, A: AGroup<M>>(
-    a: A,
-    bp: &[f32],
-    w: usize,
-    jt: usize,
-    col: usize,
-    carry: &mut Carry,
-    fin: &mut Finish,
-    fma: impl Fn(f32, f32, f32) -> f32,
-) {
-    let rem = w - jt;
-    let mut acc = carry.start::<M>(jt, rem);
-    for (kk, brow) in bp.chunks_exact(w).enumerate() {
-        let bv = &brow[jt..w];
-        for (accr, a_rk) in acc.iter_mut().zip(a.step(kk)) {
-            for (av, &b) in accr[..rem].iter_mut().zip(bv) {
-                *av = fma(*a_rk, b, *av);
+    use std::arch::x86_64::*;
+    while jt < w {
+        let cols = (w - jt).min(LANES);
+        let mask = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(cols as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        );
+        let start = carry.start::<M>(jt, cols);
+        let mut acc: [__m256; M] = std::array::from_fn(|r| _mm256_loadu_ps(start[r].as_ptr()));
+        for (kk, brow) in bp.chunks_exact(w).enumerate() {
+            // Lanes `cols..` are masked off: never read, and their sums
+            // never leave the register.
+            let b = _mm256_maskload_ps(brow.as_ptr().add(jt), mask);
+            let a_k = a.step(kk);
+            for r in 0..M {
+                acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(*a_k[r]), b, acc[r]);
             }
         }
-    }
-    if carry.last {
-        finish(&acc, rem, col, fin);
-    } else {
-        carry.store(&acc, jt, rem);
+        let mut sums = [[0.0f32; NR]; M];
+        for r in 0..M {
+            _mm256_storeu_ps(sums[r].as_mut_ptr(), acc[r]);
+        }
+        if carry.last {
+            finish(&sums, cols, col, fin);
+        } else {
+            carry.store(&sums, jt, cols);
+        }
+        jt += cols;
+        col += cols;
     }
 }
 
@@ -1313,8 +1343,9 @@ fn panel_strided<const M: usize, A: AGroup<M>>(
     panel_strided_body(a, k, b, n, j0, w, acc, fused)
 }
 
-/// AVX2+FMA leaf of [`panel_strided`]: the one body with [`f32::mul_add`]
-/// (see [`tail_avx2`]).
+/// AVX2+FMA leaf of [`panel_strided`]: the one body with [`f32::mul_add`],
+/// which inside this function lowers to `vfmadd` instead of a libm call per
+/// term.
 ///
 /// # Safety
 /// Caller must have verified AVX2+FMA support.
@@ -1607,20 +1638,15 @@ fn transpose8_avx2(r: [std::arch::x86_64::__m256; LANES]) -> [std::arch::x86_64:
     ]
 }
 
-/// An element a transpose reads, as the `f32` it stands for: `f32`
-/// verbatim, a stored bf16 bit pattern (`u16`) widened exactly
-/// ([`crate::bf16::widen`]).
+/// A stored model element as the `f32` it stands for: `f32` verbatim, a
+/// stored bf16 bit pattern (`u16`) widened exactly ([`crate::bf16::widen`]).
 pub trait Widen: Copy + Send + Sync {
     /// The element as `f32`.
     fn widen(self) -> f32;
 
-    /// Eight consecutive elements from `p`, each as [`Widen::widen`] gives it.
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support, and `p..p + 8` must be
-    /// readable.
-    #[cfg(target_arch = "x86_64")]
-    unsafe fn load8(p: *const Self) -> std::arch::x86_64::__m256;
+    /// `src` as `f32`s: `src` itself, or widened into the front of
+    /// `scratch` (which must be at least as long).
+    fn widen_run<'a>(src: &'a [Self], scratch: &'a mut [f32]) -> &'a [f32];
 }
 
 impl Widen for f32 {
@@ -1629,12 +1655,8 @@ impl Widen for f32 {
         self
     }
 
-    // SAFETY: the trait's contract — AVX2 verified, eight floats readable.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load8(p: *const f32) -> std::arch::x86_64::__m256 {
-        std::arch::x86_64::_mm256_loadu_ps(p)
+    fn widen_run<'a>(src: &'a [f32], _: &'a mut [f32]) -> &'a [f32] {
+        src
     }
 }
 
@@ -1644,32 +1666,27 @@ impl Widen for u16 {
         crate::bf16::widen(self)
     }
 
-    // SAFETY: the trait's contract — AVX2 verified, eight values (16 bytes)
-    // readable.
-    #[cfg(target_arch = "x86_64")]
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn load8(p: *const u16) -> std::arch::x86_64::__m256 {
-        use std::arch::x86_64::*;
-        crate::bf16::widen_lanes_avx2(_mm_loadu_si128(p.cast()))
+    fn widen_run<'a>(src: &'a [u16], scratch: &'a mut [f32]) -> &'a [f32] {
+        let out = &mut scratch[..src.len()];
+        crate::bf16::widen_slice(src, out);
+        out
     }
 }
 
 /// Side of the square tiles [`transpose_block`] walks: a 64 × 64 `f32`
 /// tile is 64 runs of 256 B on each side, so the strided side is fetched
-/// once per tile instead of once per element. At the sampled path's
-/// `64 × 67,009` refresh it is one tile deep, and its 16 KB of output go
-/// out as one contiguous run; 64 measured 15–25 % faster than 32 there
-/// (EXPERIMENTS.md, "Sampled training at vector speed").
+/// once per tile instead of once per element. 64 measured 15–25 % faster
+/// than 32 on a `64 × 67,009` transpose (EXPERIMENTS.md, "Sampled training
+/// at vector speed").
 const TRANSPOSE_TILE: usize = 64;
 
 /// Transposes `rows` source rows into `out`: `out[c * rows + r] =
-/// src[r * stride + first + c]`, widened ([`Widen`]), for every `r < rows`
-/// and `c < out.len() / rows` — source columns `first..` of a `rows ×
-/// stride` row-major `src`, one `rows`-long output row per column. The one
-/// transpose of the workspace: [`crate::Mat::transpose_into`] (the `W₂ᵀ`
-/// refresh) and `asgd-slide`'s signature sweep (its class tiles, from f32
-/// and from bf16 models) call it.
+/// src[r * stride + c]` for every `r < rows` and `c < out.len() / rows` —
+/// the leading columns of a `rows × stride` row-major `src`, one
+/// `rows`-long output row per column. The one transpose of the
+/// workspace: the transposing `B` panel of the row-streaming products
+/// (the class-major `W₂` in the dense forward and the serving top-k) and
+/// the class-major placement of `W₂` at init call it.
 ///
 /// Walks `TRANSPOSE_TILE`-square tiles so both sides of a tile stay in
 /// L1; on AVX2 hosts each tile moves in 8 × 8 blocks through registers
@@ -1678,33 +1695,25 @@ const TRANSPOSE_TILE: usize = 64;
 ///
 /// # Panics
 /// Panics when a source element would lie outside `src`.
-pub fn transpose_block<E: Widen>(
-    src: &[E],
-    rows: usize,
-    stride: usize,
-    first: usize,
-    out: &mut [f32],
-) {
+pub fn transpose_block(src: &[f32], rows: usize, stride: usize, out: &mut [f32]) {
     if rows == 0 || out.is_empty() {
         return;
     }
     let n = out.len() / rows;
     let last_row = (rows - 1).checked_mul(stride);
     assert!(
-        first <= stride
-            && n <= stride - first
-            && last_row.is_some_and(|at| at <= src.len() && first + n <= src.len() - at),
+        n <= stride && last_row.is_some_and(|at| at <= src.len() && n <= src.len() - at),
         "transpose_block source out of range"
     );
     #[cfg(target_arch = "x86_64")]
     if avx2_fma_available() {
         // SAFETY: AVX2 support was just verified; every element the blocks
         // read lies inside `src` (asserted above).
-        unsafe { transpose_block_avx2(src, rows, stride, first, out) };
+        unsafe { transpose_block_avx2(src, rows, stride, out) };
         return;
     }
     transpose_tiles(rows, n, |r0, r1, c0, c1| {
-        transpose_scalar(src, rows, stride, first, out, r0..r1, c0..c1)
+        transpose_scalar(src, rows, stride, out, r0..r1, c0..c1)
     });
 }
 
@@ -1713,17 +1722,11 @@ pub fn transpose_block<E: Widen>(
 ///
 /// # Safety
 /// Caller must have verified AVX2 support and that rows `0..rows` of `src`
-/// hold columns `first..first + out.len() / rows`.
+/// hold columns `0..out.len() / rows`.
 #[cfg(target_arch = "x86_64")]
 #[inline(never)]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn transpose_block_avx2<E: Widen>(
-    src: &[E],
-    rows: usize,
-    stride: usize,
-    first: usize,
-    out: &mut [f32],
-) {
+unsafe fn transpose_block_avx2(src: &[f32], rows: usize, stride: usize, out: &mut [f32]) {
     use std::arch::x86_64::*;
     let n = out.len() / rows;
     transpose_tiles(rows, n, |r0, r1, c0, c1| {
@@ -1733,15 +1736,15 @@ unsafe fn transpose_block_avx2<E: Widen>(
             for r in (r0..r8).step_by(LANES) {
                 let mut v = [_mm256_setzero_ps(); LANES];
                 for (i, vi) in v.iter_mut().enumerate() {
-                    *vi = E::load8(src.as_ptr().add((r + i) * stride + first + c));
+                    *vi = _mm256_loadu_ps(src.as_ptr().add((r + i) * stride + c));
                 }
                 for (j, col) in transpose8_avx2(v).into_iter().enumerate() {
                     _mm256_storeu_ps(out[(c + j) * rows + r..][..LANES].as_mut_ptr(), col);
                 }
             }
         }
-        transpose_scalar(src, rows, stride, first, out, r8..r1, c0..c8);
-        transpose_scalar(src, rows, stride, first, out, r0..r1, c8..c1);
+        transpose_scalar(src, rows, stride, out, r8..r1, c0..c8);
+        transpose_scalar(src, rows, stride, out, r0..r1, c8..c1);
     });
 }
 
@@ -1760,11 +1763,10 @@ fn transpose_tiles(rows: usize, n: usize, mut f: impl FnMut(usize, usize, usize,
 /// [`transpose_block`] element by element over source rows `r` × output
 /// rows `c`.
 #[inline(always)]
-fn transpose_scalar<E: Widen>(
-    src: &[E],
+fn transpose_scalar(
+    src: &[f32],
     rows: usize,
     stride: usize,
-    first: usize,
     out: &mut [f32],
     r: std::ops::Range<usize>,
     c: std::ops::Range<usize>,
@@ -1774,9 +1776,9 @@ fn transpose_scalar<E: Widen>(
     }
     for c in c {
         let dst = &mut out[c * rows + r.start..c * rows + r.end];
-        let col = &src[r.start * stride + first + c..];
+        let col = &src[r.start * stride + c..];
         for (i, d) in dst.iter_mut().enumerate() {
-            *d = col[i * stride].widen();
+            *d = col[i * stride];
         }
     }
 }
@@ -1912,8 +1914,13 @@ fn rows_topk<const M: usize>(
 }
 
 /// Rows whose [`TopList`]s stay alive while the panels of `B` go by in
-/// [`topk_rows_packed`] (8.5 KB of selection state on the stack).
-const TOPK_ROW_BLOCK: usize = 32;
+/// [`topk_rows_packed`] (34 KB of selection state on the stack): every
+/// panel is packed once per block, and a panel transposed out of the
+/// class-major `W₂` costs about twice a verbatim copy, so the block spans a
+/// serving chunk (256 rows on two lanes). At 32 rows the packing cost
+/// `serve_engine_forward` 13–20 % of its throughput; at 128 it is level
+/// with the verbatim path (EXPERIMENTS.md, "One copy of `W₂`").
+const TOPK_ROW_BLOCK: usize = 128;
 
 /// Fewest rows [`gemm_bias_topk_chunk`] packs panels for; what is left of a
 /// chunk below this walks `B` strided in `MR`-row groups. The value is
@@ -1939,6 +1946,7 @@ const TOPK_PACK_MIN_ROWS: usize = crate::parallel::MIN_PAR_ROWS;
 fn topk_rows_packed(
     a: RowMajorA,
     b: &[f32],
+    b_rows: BRows,
     n: usize,
     bias: &[f32],
     a_first: usize,
@@ -1950,7 +1958,7 @@ fn topk_rows_packed(
     let mut j0 = 0;
     while j0 < n {
         let w = (n - j0).min(NB);
-        with_b_panel(b, n, BRows::All(a.k), j0, w, |bp| {
+        with_b_panel(b, n, b_rows, j0, w, |bp| {
             for (g, lists) in lists[..rows].chunks_mut(MR).enumerate() {
                 let height = lists.len();
                 let fin = &mut Finish::Select { bias, lists };
@@ -1969,15 +1977,17 @@ fn topk_rows_packed(
 /// `k`-id rows for the chunk's rows. Blocks of up to `TOPK_ROW_BLOCK` rows
 /// go through [`topk_rows_packed`] (GEMM loop order, packed panels, register
 /// tiles); once fewer than [`TOPK_PACK_MIN_ROWS`] rows remain — a chunk's
-/// tail, or a one-row call — they take the strided walk of
-/// [`rows_topk`] in groups of `MR`. Both offer the same logits in the
-/// same order: which path scored a row never shows in its ids. The
+/// tail, or a one-row call — a plain `B` takes the strided walk of
+/// [`rows_topk`] in groups of `MR`, while a transposed `B`, which has no
+/// strided walk, stays on the packed path. Both offer the same logits in
+/// the same order: which path scored a row never shows in its ids. The
 /// reductions dispatch to their AVX2+FMA leaves at the tile layer; the
 /// selection layer ([`TopList`]) is feature-agnostic.
 pub(crate) fn gemm_bias_topk_chunk(
     a: &[f32],
     kdim: usize,
     b: &[f32],
+    b_rows: BRows,
     n: usize,
     bias: &[f32],
     first_row: usize,
@@ -1990,19 +2000,16 @@ pub(crate) fn gemm_bias_topk_chunk(
     let mut i = 0;
     while i < rows {
         let left = rows - i;
-        let block = left.min(if left < TOPK_PACK_MIN_ROWS {
-            MR
-        } else {
-            TOPK_ROW_BLOCK
-        });
+        let packed = left >= TOPK_PACK_MIN_ROWS || !matches!(b_rows, BRows::All(_));
+        let block = left.min(if packed { TOPK_ROW_BLOCK } else { MR });
         let ids = &mut out[i * k..(i + block) * k];
         let first = first_row + i;
-        match block {
-            1 => rows_topk::<1>(a, b, n, bias, first, k, ids),
-            2 => rows_topk::<2>(a, b, n, bias, first, k, ids),
-            3 => rows_topk::<3>(a, b, n, bias, first, k, ids),
-            MR => rows_topk::<MR>(a, b, n, bias, first, k, ids),
-            _ => topk_rows_packed(a, b, n, bias, first, k, ids),
+        match (block, packed) {
+            (_, true) => topk_rows_packed(a, b, b_rows, n, bias, first, k, ids),
+            (1, _) => rows_topk::<1>(a, b, n, bias, first, k, ids),
+            (2, _) => rows_topk::<2>(a, b, n, bias, first, k, ids),
+            (3, _) => rows_topk::<3>(a, b, n, bias, first, k, ids),
+            _ => rows_topk::<MR>(a, b, n, bias, first, k, ids),
         }
         i += block;
     }
@@ -2140,10 +2147,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "transpose_block source out of range")]
     fn transpose_block_refuses_columns_past_the_source() {
-        // Rows of 10, columns 4..12: past the stride, though 3 × 10
+        // Rows of 10, columns 0..12: past the stride, though 3 × 10
         // elements would cover the last read of row 1.
-        let mut out = vec![0.0f32; 2 * 8];
-        transpose_block(&[0.0f32; 30], 2, 10, 4, &mut out);
+        let mut out = vec![0.0f32; 2 * 12];
+        transpose_block(&[0.0f32; 30], 2, 10, &mut out);
     }
 
     #[test]

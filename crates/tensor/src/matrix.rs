@@ -1,13 +1,6 @@
 //! Row-major dense `f32` matrix.
 
 use crate::kernels::transpose_block;
-use crate::parallel::par_chunks_mut;
-
-/// Element count from which [`Mat::transpose_into`] forks onto the worker
-/// pool: 8 MB of `f32`, past any L2. Below it (the per-step `W₂ᵀ` refresh of
-/// the dense path at a few hundred thousand elements) the fork/join costs
-/// more than the copy.
-const MIN_PAR_TRANSPOSE: usize = 1 << 21;
 
 /// A dense, row-major `f32` matrix over the element storage `S`:
 /// [`Matrix`] owns its elements, [`MatRef`] borrows them.
@@ -175,42 +168,13 @@ impl<S: AsRef<[f32]>> Mat<S> {
         (self.rows, self.cols)
     }
 
-    /// The transpose as a new matrix.
+    /// The transpose as a new matrix, through [`transpose_block`] (64-square
+    /// tiles, moved in 8 × 8 register blocks on AVX2 hosts): pure element
+    /// copies, bit-identical on every dispatch path.
     pub fn transposed(&self) -> Matrix {
         let mut out = Matrix::zeros(self.cols, self.rows);
-        self.transpose_into(&mut out);
+        transpose_block(self.as_slice(), self.rows, self.cols, &mut out.data);
         out
-    }
-
-    /// Writes the transpose of `self` into `out` (which must already be
-    /// `cols × rows`) without allocating — the workspace-friendly variant of
-    /// [`Mat::transposed`].
-    ///
-    /// Runs [`transpose_block`] — 64-square tiles, moved in 8 × 8 register
-    /// blocks on AVX2 hosts — and from [`MIN_PAR_TRANSPOSE`] elements up
-    /// splits `out`'s rows (source columns) across the worker pool. Pure
-    /// element copies: the result is bit-identical for any tiling, any
-    /// dispatch path and any `ASGD_THREADS`.
-    ///
-    /// # Panics
-    /// Panics when `out` is not the transposed shape.
-    pub fn transpose_into(&self, out: &mut Matrix) {
-        assert_eq!(
-            out.shape(),
-            (self.cols, self.rows),
-            "transpose_into shape mismatch"
-        );
-        if self.is_empty() {
-            return;
-        }
-        let (rows, cols) = (self.rows, self.cols);
-        // `out` has `cols` rows: forking from this many is forking from
-        // `MIN_PAR_TRANSPOSE` elements.
-        let min_par_rows = MIN_PAR_TRANSPOSE.div_ceil(rows);
-        let src = self.as_slice();
-        par_chunks_mut(&mut out.data, cols, rows, min_par_rows, |first, chunk| {
-            transpose_block(src, rows, cols, first, chunk);
-        });
     }
 
     /// Largest absolute element-wise difference to `other`.
@@ -249,15 +213,7 @@ mod tests {
         assert_eq!(m.transposed().at(2, 1), m.at(1, 2));
     }
 
-    #[test]
-    fn transpose_into_matches_transposed() {
-        let m = Matrix::from_fn(5, 3, |r, c| (r * 11 + c * 5) as f32 - 6.0);
-        let mut out = Matrix::zeros(3, 5);
-        m.transpose_into(&mut out);
-        assert_eq!(out, m.transposed());
-    }
-
-    /// The element-wise definition `transpose_into` must reproduce.
+    /// The element-wise definition `transposed` must reproduce.
     fn transpose_spec(m: &Matrix) -> Matrix {
         Matrix::from_fn(m.cols(), m.rows(), |r, c| m.at(c, r))
     }
@@ -289,39 +245,19 @@ mod tests {
             (2 * t + 3, 3 * t - 5),
         ] {
             let m = patterned(rows, cols);
-            let mut out = Matrix::zeros(cols, rows);
-            m.transpose_into(&mut out);
-            assert_eq!(bits(&out), bits(&transpose_spec(&m)), "{rows}x{cols}");
+            assert_eq!(
+                bits(&m.transposed()),
+                bits(&transpose_spec(&m)),
+                "{rows}x{cols}"
+            );
         }
-    }
-
-    /// The sampled path's `W₂ᵀ` shape (64 × 67,009 — above
-    /// `MIN_PAR_TRANSPOSE`, so the pool-parallel split runs): the definition
-    /// holds and the bits do not depend on the worker count.
-    #[test]
-    fn model_scale_transpose_is_thread_count_invariant() {
-        use crate::parallel::override_threads;
-        let m = patterned(64, 67_009);
-        assert!(m.len() >= MIN_PAR_TRANSPOSE);
-        let run = |threads: usize| {
-            override_threads(threads);
-            let mut out = Matrix::zeros(m.cols(), m.rows());
-            m.transpose_into(&mut out);
-            override_threads(0);
-            bits(&out)
-        };
-        let serial = run(1);
-        assert_eq!(serial, bits(&transpose_spec(&m)));
-        assert_eq!(serial, run(8));
     }
 
     proptest::proptest! {
         #[test]
         fn tiled_transpose_matches_definition(rows in 0usize..80, cols in 0usize..80) {
             let m = patterned(rows, cols);
-            let mut out = Matrix::zeros(cols, rows);
-            m.transpose_into(&mut out);
-            proptest::prop_assert_eq!(bits(&out), bits(&transpose_spec(&m)));
+            proptest::prop_assert_eq!(bits(&m.transposed()), bits(&transpose_spec(&m)));
         }
     }
 
@@ -335,14 +271,6 @@ mod tests {
         assert_eq!(m.shape(), (8, 4));
         // Shrink + regrow within capacity must not move the buffer.
         assert_eq!(m.as_slice().as_ptr(), ptr);
-    }
-
-    #[test]
-    #[should_panic(expected = "transpose_into shape mismatch")]
-    fn transpose_into_wrong_shape_panics() {
-        let m = Matrix::zeros(2, 3);
-        let mut out = Matrix::zeros(2, 3);
-        m.transpose_into(&mut out);
     }
 
     #[test]

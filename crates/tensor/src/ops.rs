@@ -7,16 +7,19 @@
 //! / [`gemm_bias_relu`], `gemm_nt_gathered` behind [`gemm_nt_gather`] /
 //! [`gemm_nt_gather_bias`]) that panics under the entry point's own name.
 //!
-//! The GEMM variants cover exactly the products the 3-layer MLP needs:
+//! The GEMM variants cover exactly the products the 3-layer MLP needs, with
+//! `W₂` stored once, class-major (`classes × hidden`, i.e. `W₂ᵀ` of the
+//! `H·W₂` the forward computes):
 //!
-//! * forward output layer: `O = H · W₂` — [`gemm`] (NN), or fused with the
-//!   bias add as [`gemm_bias`], or fused all the way into top-k selection as
-//!   [`gemm_bias_topk`]
-//! * backward through the output layer: `dH = dO · W₂ᵀ` — [`gemm`] against
-//!   the model's cached, materialized `W₂ᵀ` (`classes × hidden`), so the
-//!   reduction over classes is a row-streaming product (K-blocked: it is
-//!   thousands of steps long) rather than [`gemm_nt`]'s strided dots
-//! * weight gradient: `∇W₂ = Hᵀ · dO` — [`gemm_tn`]
+//! * forward output layer: `O = H · W₂` — [`gemm_bt_bias`], which packs its
+//!   `B` panels out of the class-major rows, or fused all the way into top-k
+//!   selection as [`gemm_bt_bias_topk`]; both are bit for bit
+//!   [`gemm_bias`] / [`gemm_bias_topk`] over the hidden-major transpose
+//! * backward through the output layer: `dH = dO · W₂ᵀ` — [`gemm`] over the
+//!   class-major rows as they are, so the reduction over classes is a
+//!   row-streaming product (K-blocked: it is thousands of steps long)
+//!   rather than [`gemm_nt`]'s strided dots
+//! * weight gradient, class-major: `∇W₂ᵀ = dOᵀ · H` — [`gemm_tn`]
 //!
 //! [`gemm_nt`]'s dot body serves the sampled forward
 //! ([`gemm_nt_gather_bias`]) and `asgd-slide`'s signature sweep.
@@ -32,19 +35,31 @@ use crate::{MatRef, Matrix};
 
 pub use crate::kernels::TOPK_STREAM_MAX;
 
-/// The one `A·B` driver behind [`gemm`], [`gemm_bias`] and
-/// [`gemm_bias_relu`], which differ only in the epilogue: shape checks
-/// (panicking under the public entry point's `name`), then the row-chunked
-/// kernel.
-fn gemm_nn(name: &str, a: &Matrix, b: MatRef<'_>, c: &mut Matrix, ep: Epilogue) {
-    assert_eq!(a.cols(), b.rows(), "{name} inner dimension mismatch");
+/// The one `A·B` front behind [`gemm`], [`gemm_bias`], [`gemm_bt_bias`]
+/// and [`gemm_bias_relu`], which differ only in the epilogue and in whether
+/// `b` holds `B` or `Bᵀ`: shape checks (panicking under the public entry
+/// point's `name`), then the row-chunked kernel.
+fn gemm_nn(name: &str, a: &Matrix, b: MatRef<'_>, transposed: bool, c: &mut Matrix, ep: Epilogue) {
+    let (k, n, rows) = b_shape(b, transposed);
+    assert_eq!(a.cols(), k, "{name} inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "{name} output rows mismatch");
-    assert_eq!(c.cols(), b.cols(), "{name} output cols mismatch");
+    assert_eq!(c.cols(), n, "{name} output cols mismatch");
     if let Epilogue::Bias(bias) | Epilogue::BiasRelu(bias) = ep {
-        assert_eq!(bias.len(), b.cols(), "{name} bias length mismatch");
+        assert_eq!(bias.len(), n, "{name} bias length mismatch");
     }
-    let k = a.cols();
-    row_streaming(RowMajorA { a: a.as_slice(), k }, b, BRows::All(k), c, ep);
+    row_streaming(RowMajorA { a: a.as_slice(), k }, b, rows, c, ep);
+}
+
+/// `B`'s reduction length, its width and its rows, from `b` holding `B`
+/// (`k × n`) or, `transposed`, `Bᵀ` (`n × k`).
+fn b_shape(b: MatRef<'_>, transposed: bool) -> (usize, usize, BRows<'static>) {
+    if transposed {
+        let (n, k) = b.shape();
+        (k, n, BRows::Transposed { k, stride: k })
+    } else {
+        let (k, n) = b.shape();
+        (k, n, BRows::All(k))
+    }
 }
 
 /// The pool-parallel tail of every row-streaming product, shapes already
@@ -68,8 +83,9 @@ fn row_streaming(a: impl AOperand + Sync, b: MatRef, rows: BRows, c: &mut Matrix
 ///
 /// # Panics
 /// Panics on dimension mismatch.
-pub fn gemm(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
-    gemm_nn("gemm", a, b.into(), c, Epilogue::AlphaBeta { alpha, beta });
+pub fn gemm<'b>(alpha: f32, a: &Matrix, b: impl Into<MatRef<'b>>, beta: f32, c: &mut Matrix) {
+    let ep = Epilogue::AlphaBeta { alpha, beta };
+    gemm_nn("gemm", a, b.into(), false, c, ep);
 }
 
 /// `C = alpha * A·Bᵀ + beta * C`.
@@ -113,7 +129,7 @@ pub fn gemm_tn(alpha: f32, a: &Matrix, b: &Matrix, beta: f32, c: &mut Matrix) {
 /// The one driver behind [`gemm_nt_gather`] and [`gemm_nt_gather_bias`],
 /// which differ only in the epilogue: shape and index checks (panicking
 /// under the public entry point's `name`), then the row-chunked kernel.
-fn gemm_nt_gathered(name: &str, a: &Matrix, b: &Matrix, idx: &[u32], c: &mut Matrix, ep: Epilogue) {
+fn gemm_nt_gathered(name: &str, a: &Matrix, b: MatRef, idx: &[u32], c: &mut Matrix, ep: Epilogue) {
     assert_eq!(a.cols(), b.cols(), "{name} inner dimension mismatch");
     assert_eq!(c.rows(), a.rows(), "{name} output rows mismatch");
     assert_eq!(c.cols(), idx.len(), "{name} output cols mismatch");
@@ -147,7 +163,7 @@ fn gemm_nt_gathered(name: &str, a: &Matrix, b: &Matrix, idx: &[u32], c: &mut Mat
 /// Panics on dimension mismatch or when an index is out of `B`'s rows.
 pub fn gemm_nt_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32, c: &mut Matrix) {
     let ep = Epilogue::AlphaBeta { alpha, beta };
-    gemm_nt_gathered("gemm_nt_gather", a, b, idx, c, ep);
+    gemm_nt_gathered("gemm_nt_gather", a, b.into(), idx, c, ep);
 }
 
 /// [`gemm_nt_gather`] fused with a bias add: `C[i][j] = A[i]·B[idx[j]] +
@@ -157,8 +173,15 @@ pub fn gemm_nt_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32
 ///
 /// # Panics
 /// Panics on dimension mismatch or when an index is out of `B`'s rows.
-pub fn gemm_nt_gather_bias(a: &Matrix, b: &Matrix, idx: &[u32], bias: &[f32], c: &mut Matrix) {
-    gemm_nt_gathered("gemm_nt_gather_bias", a, b, idx, c, Epilogue::Bias(bias));
+pub fn gemm_nt_gather_bias<'b>(
+    a: &Matrix,
+    b: impl Into<MatRef<'b>>,
+    idx: &[u32],
+    bias: &[f32],
+    c: &mut Matrix,
+) {
+    let ep = Epilogue::Bias(bias);
+    gemm_nt_gathered("gemm_nt_gather_bias", a, b.into(), idx, c, ep);
 }
 
 /// `C = alpha * A·gather(B, idx) + beta * C` — the sampled-softmax backward
@@ -169,7 +192,15 @@ pub fn gemm_nt_gather_bias(a: &Matrix, b: &Matrix, idx: &[u32], bias: &[f32], c:
 ///
 /// # Panics
 /// Panics on dimension mismatch or when an index is out of `B`'s rows.
-pub fn gemm_nn_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32, c: &mut Matrix) {
+pub fn gemm_nn_gather<'b>(
+    alpha: f32,
+    a: &Matrix,
+    b: impl Into<MatRef<'b>>,
+    idx: &[u32],
+    beta: f32,
+    c: &mut Matrix,
+) {
+    let b = b.into();
     assert_eq!(
         a.cols(),
         idx.len(),
@@ -186,7 +217,7 @@ pub fn gemm_nn_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32
         k: idx.len(),
     };
     let ep = Epilogue::AlphaBeta { alpha, beta };
-    row_streaming(a, b.into(), BRows::Gathered(idx), c, ep);
+    row_streaming(a, b, BRows::Gathered(idx), c, ep);
 }
 
 /// Fused forward logits: `C = A·B + bias` (bias broadcast over rows) — one
@@ -195,7 +226,19 @@ pub fn gemm_nn_gather(alpha: f32, a: &Matrix, b: &Matrix, idx: &[u32], beta: f32
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn gemm_bias<'b>(a: &Matrix, b: impl Into<MatRef<'b>>, bias: &[f32], c: &mut Matrix) {
-    gemm_nn("gemm_bias", a, b.into(), c, Epilogue::Bias(bias));
+    gemm_nn("gemm_bias", a, b.into(), false, c, Epilogue::Bias(bias));
+}
+
+/// [`gemm_bias`] with `B` given transposed: `C = A·btᵀ + bias`, `bt` being
+/// `n×k` row-major — the forward logits over the class-major `W₂`. Each
+/// panel of `B` is packed by transposing `bt`'s rows ([`kernels::transpose_block`]),
+/// then reduced by the same tiles in the same order, so the result is bit
+/// for bit [`gemm_bias`] over `bt`'s transpose.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn gemm_bt_bias<'b>(a: &Matrix, bt: impl Into<MatRef<'b>>, bias: &[f32], c: &mut Matrix) {
+    gemm_nn("gemm_bt_bias", a, bt.into(), true, c, Epilogue::Bias(bias));
 }
 
 /// Fused forward activation: `C = relu(A·B + bias)` — GEMM, bias add, and
@@ -205,7 +248,8 @@ pub fn gemm_bias<'b>(a: &Matrix, b: impl Into<MatRef<'b>>, bias: &[f32], c: &mut
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn gemm_bias_relu(a: &Matrix, b: &Matrix, bias: &[f32], c: &mut Matrix) {
-    gemm_nn("gemm_bias_relu", a, b.into(), c, Epilogue::BiasRelu(bias));
+    let ep = Epilogue::BiasRelu(bias);
+    gemm_nn("gemm_bias_relu", a, b.into(), false, c, ep);
 }
 
 /// Fused logits→top-k: for each row of `A`, computes the logits
@@ -227,27 +271,54 @@ pub fn gemm_bias_topk<'b>(
     k: usize,
     out: &mut [u32],
 ) {
-    let b = b.into();
-    assert_eq!(
-        a.cols(),
-        b.rows(),
-        "gemm_bias_topk inner dimension mismatch"
-    );
-    assert_eq!(bias.len(), b.cols(), "gemm_bias_topk bias length mismatch");
-    let (m, kdim) = a.shape();
-    let n = b.cols();
+    topk("gemm_bias_topk", a, b.into(), false, bias, k, out);
+}
+
+/// [`gemm_bias_topk`] with `B` given transposed (`bt` is `n×k` row-major,
+/// the class-major `W₂`): panels packed as [`gemm_bt_bias`] packs them, so
+/// the ids are bit for bit those of [`gemm_bias_topk`] over `bt`'s
+/// transpose.
+///
+/// # Panics
+/// As [`gemm_bias_topk`].
+pub fn gemm_bt_bias_topk<'b>(
+    a: &Matrix,
+    bt: impl Into<MatRef<'b>>,
+    bias: &[f32],
+    k: usize,
+    out: &mut [u32],
+) {
+    topk("gemm_bt_bias_topk", a, bt.into(), true, bias, k, out);
+}
+
+/// The one front behind [`gemm_bias_topk`] and [`gemm_bt_bias_topk`]:
+/// shape checks under the entry point's `name`, then the row-chunked
+/// selection.
+fn topk(
+    name: &str,
+    a: &Matrix,
+    b: MatRef,
+    transposed: bool,
+    bias: &[f32],
+    k: usize,
+    out: &mut [u32],
+) {
+    let (kdim, n, rows) = b_shape(b, transposed);
+    assert_eq!(a.cols(), kdim, "{name} inner dimension mismatch");
+    assert_eq!(bias.len(), n, "{name} bias length mismatch");
+    let m = a.rows();
     assert!(
         (1..=TOPK_STREAM_MAX).contains(&k) && k <= n,
-        "gemm_bias_topk k={k} out of range (n={n}, max {TOPK_STREAM_MAX})"
+        "{name} k={k} out of range (n={n}, max {TOPK_STREAM_MAX})"
     );
-    assert_eq!(out.len(), m * k, "gemm_bias_topk output length mismatch");
+    assert_eq!(out.len(), m * k, "{name} output length mismatch");
     if m == 0 {
         return;
     }
     let a_data = a.as_slice();
     let b_data = b.as_slice();
     par_chunks_mut(out, m, k, MIN_PAR_ROWS, |first_row, chunk| {
-        kernels::gemm_bias_topk_chunk(a_data, kdim, b_data, n, bias, first_row, k, chunk);
+        kernels::gemm_bias_topk_chunk(a_data, kdim, b_data, rows, n, bias, first_row, k, chunk);
     });
 }
 
@@ -460,8 +531,9 @@ mod tests {
     fn avx2_leaves_and_portable_twins_agree_bit_for_bit() {
         // Every leaf of this crate under the one switch (`asgd-sparse` and
         // `asgd-model` have the sibling tests for theirs). Shapes reach full
-        // register tiles, the `w % NR` tail, 1–3-row remainder groups,
-        // several panels, both top-k paths (packed blocks inside the 37
+        // register tiles, the `w % NR` tail with and without its half-width
+        // tile (an 8-column output is nothing else), 1–3-row remainder
+        // groups, several panels, both top-k paths (packed blocks inside the 37
         // rows; the strided walk at 7 and 3 rows) and the blocked and
         // leftover dots of the gathered kernels; the bf16 lengths cross the
         // 16-lane loop, the 8-lane loop and the scalar remainder. The K-blocked
@@ -469,7 +541,12 @@ mod tests {
         let run = |portable: bool| {
             kernels::force_portable(portable);
             let mut bits = Vec::new();
-            for (m, k, n) in [(7usize, 9usize, 300usize), (37, 16, 530), (3, 5, 21)] {
+            for (m, k, n) in [
+                (7usize, 9usize, 300usize),
+                (37, 16, 530),
+                (3, 5, 21),
+                (37, 48, 8),
+            ] {
                 let a = test_mat(m, k, 11);
                 let b = test_mat(k, n, 12);
                 let bias: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.11 - 0.3).collect();
@@ -485,6 +562,14 @@ mod tests {
                 gemm_tn(1.0, &at, &b, 0.0, &mut tn);
                 let mut ids = vec![0u32; m * 5];
                 gemm_bias_topk(&a, &b, &bias, 5, &mut ids);
+                // The transposing `B` pack, over the class-major copy.
+                let b_t = b.transposed();
+                let mut biased_t = Matrix::zeros(m, n);
+                gemm_bt_bias(&a, &b_t, &bias, &mut biased_t);
+                let mut ids_t = vec![0u32; m * 5];
+                gemm_bt_bias_topk(&a, &b_t, &bias, 5, &mut ids_t);
+                bits.extend(biased_t.as_slice().iter().map(|v| v.to_bits()));
+                bits.extend(ids_t);
                 let idx: Vec<u32> = (0..n as u32).step_by(3).collect();
                 let bt = test_mat(n, k, 14);
                 let mut logits = Matrix::zeros(m, idx.len());
@@ -618,11 +703,11 @@ mod tests {
         })
     }
 
-    /// Every transpose path, as bits: `transpose_into` on shapes on and off
+    /// Every transpose path, as bits: `transposed` on shapes on and off
     /// the 8 × 8 blocks and the 64-square tiles — 1 × n, n × 1, the sampled
-    /// (64 × 67,009) and dense (128 × 6,701) `W₂ᵀ` refreshes — and
+    /// (64 × 67,009) and dense (128 × 6,701) `W₂` shapes — and
     /// `kernels::transpose_block` on column ranges starting at `first > 0`
-    /// of f32 and bf16 sources (the signature sweep's class tiles).
+    /// (the transposing `B` panel's K blocks start mid-row).
     fn transposes() -> Vec<u32> {
         let mut bits = Vec::new();
         for (rows, cols) in [
@@ -638,16 +723,9 @@ mod tests {
             (128, 6_701),
         ] {
             let m = patterned(rows, cols);
-            let mut out = Matrix::zeros(cols, rows);
-            m.transpose_into(&mut out);
-            bits.extend(out.as_slice().iter().map(|v| v.to_bits()));
+            bits.extend(m.transposed().as_slice().iter().map(|v| v.to_bits()));
         }
         let src = patterned(37, 150);
-        let stored: Vec<u16> = src
-            .as_slice()
-            .iter()
-            .map(|&x| crate::bf16::narrow(x))
-            .collect();
         for (rows, first, n) in [
             (37usize, 3usize, 29usize),
             (8, 17, 64),
@@ -655,9 +733,7 @@ mod tests {
             (37, 9, 141),
         ] {
             let mut out = vec![0.0f32; rows * n];
-            kernels::transpose_block(src.as_slice(), rows, 150, first, &mut out);
-            bits.extend(out.iter().map(|v| v.to_bits()));
-            kernels::transpose_block(&stored, rows, 150, first, &mut out);
+            kernels::transpose_block(&src.as_slice()[first..], rows, 150, &mut out);
             bits.extend(out.iter().map(|v| v.to_bits()));
         }
         bits
@@ -733,8 +809,9 @@ mod tests {
     /// every epilogue: `AlphaBeta` at β = 0 over a NaN prior `C` (which it
     /// must never read) and at β ≠ 0, `Bias`, `BiasRelu` (the bias puts
     /// about half the sums below zero), `gemm_tn` and `gemm_nn_gather` —
-    /// 6 rows (an `MR` group and a 2-row one) by 261 columns (a packed
-    /// panel and a 5-column one, a 16-column tile and a 5-column tail).
+    /// 6 rows (an `MR` group and a 2-row one) by 269 columns (a packed
+    /// panel of 16-column tiles and a 13-column one: a half-width tile and
+    /// a 5-column tail, resuming their carries like the tiles).
     /// With `ordered`, the `reference::*_ordered` specs compute them
     /// instead, the bias epilogues applied to their plain product.
     fn k_blocked_products(ordered: bool) -> Vec<Matrix> {
@@ -744,9 +821,13 @@ mod tests {
             use reference::{gemm_nn_gather_ordered, gemm_ordered, gemm_tn_ordered};
             (gemm_ordered, gemm_tn_ordered, gemm_nn_gather_ordered)
         } else {
-            (gemm, gemm_tn, gemm_nn_gather)
+            (
+                |al, a, b, be, c| gemm(al, a, b, be, c),
+                gemm_tn,
+                |al, a, b, idx, be, c| gemm_nn_gather(al, a, b, idx, be, c),
+            )
         };
-        let (m, n) = (6usize, NB + 5);
+        let (m, n) = (6usize, NB + 13);
         let mut outs = Vec::new();
         for k in K_BLOCKED {
             let a = test_mat(m, k, 21);
@@ -847,6 +928,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::kernels::{KC, NB};
     use crate::reference;
     use proptest::prelude::*;
 
@@ -909,6 +991,34 @@ mod proptests {
             let mut ba = Matrix::zeros(7, 6);
             gemm_nt(1.0, &b, &a, 0.0, &mut ba);
             prop_assert!(ab.transposed().max_abs_diff(&ba) < 1e-4);
+        }
+
+        /// The transposing `B` accessor is invisible: `gemm_bt_bias` over a
+        /// class-major `B` is `gemm_bias` over its transpose bit for bit, and
+        /// `gemm_bt_bias_topk` picks the same ids — `n` below, at and past
+        /// one panel (`NB`), `k` off the 8 × 8 blocks and across a K block
+        /// (`KC`), rows in a strided group, a packed block and both.
+        #[test]
+        fn transposed_b_is_the_plain_product_bit_for_bit(
+            m in prop_oneof![Just(1usize), Just(3), Just(17), Just(37)],
+            kdim in prop_oneof![Just(1usize), Just(7), Just(64), Just(KC - 3), Just(KC + 9)],
+            n in prop_oneof![Just(NB - 1), Just(NB), Just(NB + 13), Just(5usize), 1usize..40],
+            k in 1usize..=TOPK_STREAM_MAX,
+            seed in 0u64..1000,
+        ) {
+            let a = Matrix::from_fn(m, kdim, |r, c| ((r * 31 + c * 17 + seed as usize) % 13) as f32 / 7.0 - 0.9);
+            let bt = Matrix::from_fn(n, kdim, |r, c| ((r * 23 + c * 29 + seed as usize) % 11) as f32 / 5.0 - 1.1);
+            let b = bt.transposed();
+            let bias: Vec<f32> = (0..n).map(|j| (j % 5) as f32 * 0.125 - 0.25).collect();
+            let (mut plain, mut packed) = (Matrix::zeros(m, n), Matrix::zeros(m, n));
+            gemm_bias(&a, &b, &bias, &mut plain);
+            gemm_bt_bias(&a, &bt, &bias, &mut packed);
+            prop_assert_eq!(bits(&plain), bits(&packed));
+            let k = k.min(n);
+            let (mut ids, mut ids_t) = (vec![0u32; m * k], vec![0u32; m * k]);
+            gemm_bias_topk(&a, &b, &bias, k, &mut ids);
+            gemm_bt_bias_topk(&a, &bt, &bias, k, &mut ids_t);
+            prop_assert_eq!(ids, ids_t);
         }
 
         // ---- bit-exactness against the ordered references: the tiled

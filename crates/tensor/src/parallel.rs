@@ -90,21 +90,23 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
         return Vec::new();
     }
     let parts = parts.clamp(1, n);
-    let base = n / parts;
-    let rem = n % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let len = base + usize::from(i < rem);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
+    (0..parts).map(|i| split_range(n, parts, i)).collect()
+}
+
+/// Range `i` of [`split_ranges`]`(n, parts)` for `1 <= parts <= n`,
+/// computed without building the list: the first `n % parts` ranges hold
+/// one element more than the rest.
+fn split_range(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
+    let (base, rem) = (n / parts, n % parts);
+    let start = i * base + i.min(rem);
+    start..start + base + usize::from(i < rem)
 }
 
 /// Partitions `data` (logically `rows` rows of `row_len` elements) into
 /// contiguous row chunks and runs `f(first_row, chunk)` on each, on the
-/// worker pool when `rows >= min_serial`.
+/// worker pool when `rows >= min_serial`. The chunks are
+/// [`split_ranges`]`(rows, lanes)`, each computed inside its task, so a
+/// fork touches no heap.
 ///
 /// # Panics
 /// Panics when `data.len() != rows * row_len`.
@@ -114,19 +116,20 @@ where
     F: Fn(usize, &mut [T]) + Sync,
 {
     assert_eq!(data.len(), rows * row_len, "par_chunks_mut shape mismatch");
+    if rows == 0 {
+        return;
+    }
     let threads = num_threads();
     if threads == 1 || rows < min_serial {
-        if rows > 0 {
-            f(0, data);
-        }
+        f(0, data);
         return;
     }
     let region = crate::pool::POOL.enter(threads);
-    let ranges = split_ranges(rows, region.lanes());
+    let parts = region.lanes().clamp(1, rows);
     let base = data.as_mut_ptr() as usize;
-    region.run(ranges.len(), &|i| {
-        let r = &ranges[i];
-        // SAFETY: `split_ranges` partitions `0..rows`, each index runs
+    region.run(parts, &|i| {
+        let r = split_range(rows, parts, i);
+        // SAFETY: the `parts` ranges partition `0..rows`, each index runs
         // exactly once, so the tasks carve disjoint row ranges out of
         // `data` (length checked above); `Region::run` joins every helper
         // before it returns, so no chunk outlives the `&mut` borrow. The

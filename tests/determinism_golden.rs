@@ -9,16 +9,28 @@
 //! order, different merge arithmetic), re-derive the constants by running
 //! this test and copying the printed values; an *unintentional* mismatch is
 //! a determinism regression.
+//!
+//! `W₂` is stored class-major since the model constants below were last
+//! re-cut. Every run whose merge sums each element in an order that does not
+//! depend on its flat index — one device, two devices, `Naive` and `Tree` —
+//! is pinned by the FNV its final model had in the hidden-major layout
+//! (`hidden_major_fnv`), so those constants are the same numbers as before
+//! the layout changed. The ring all-reduces fix an element's summation order
+//! by its flat index, so over three or more devices their merges moved once,
+//! with the layout.
 
-use adaptive_sgd::collective::InterNode;
+use adaptive_sgd::collective::{Algorithm, InterNode};
 use adaptive_sgd::core::{
     algorithms,
-    trainer::{RunConfig, Trainer},
+    trainer::{RunConfig, SampledSoftmax, Trainer},
     ClusterConfig,
 };
 use adaptive_sgd::data::{generate, DatasetSpec};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
+use adaptive_sgd::gpusim::FaultPlan;
+use adaptive_sgd::model::MlpConfig;
 use adaptive_sgd::stats::fnv1a;
+use adaptive_sgd::tensor::Precision;
 
 fn golden_run() -> adaptive_sgd::core::metrics::RunResult {
     golden_run_on(3)
@@ -42,7 +54,7 @@ fn golden_run_on(managers: usize) -> adaptive_sgd::core::metrics::RunResult {
 }
 
 const GOLDEN_TRACE_FNV: u64 = 0x63a8_f15d_ffcb_a276;
-const GOLDEN_MODEL_FNV: u64 = 0x47e2_857a_2f16_1107;
+const GOLDEN_MODEL_FNV: u64 = 0xee46_1051_fcba_3f2b;
 
 #[test]
 fn fixed_seed_run_matches_checked_in_checksums() {
@@ -83,7 +95,7 @@ fn cluster_golden_run() -> adaptive_sgd::core::metrics::RunResult {
 }
 
 const CLUSTER_TRACE_FNV: u64 = 0x4e72_e7e3_1dd0_b96b;
-const CLUSTER_MODEL_FNV: u64 = 0x0523_0ee1_1826_c900;
+const CLUSTER_MODEL_FNV: u64 = 0x30fd_80ab_40b9_e5ed;
 
 #[test]
 fn cluster_fixed_seed_run_matches_checked_in_checksums() {
@@ -157,4 +169,97 @@ fn golden_run_is_stable_within_a_process() {
     let b = golden_run();
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.final_model, b.final_model);
+}
+
+/// What a run of the golden configuration merges and trains through.
+#[derive(Debug, Clone, Copy)]
+enum Path {
+    Dense,
+    /// Sampled softmax and the sparse delta merge.
+    SampledSparse,
+    Bf16,
+    /// A merge OOM (serial fallback), then a device loss.
+    Faulted,
+}
+
+/// The golden configuration on `gpus` devices, merged by `algo`, and the
+/// architecture it trains.
+fn layout_run(gpus: usize, algo: Algorithm, path: Path) -> (Vec<f32>, MlpConfig) {
+    let ds = generate(&DatasetSpec::tiny("golden"), 5);
+    let mut cfg = RunConfig::paper_defaults(64, 8);
+    cfg.hidden = 16;
+    cfg.base_lr = 0.2;
+    cfg.seed = 42;
+    cfg.mega_batch_limit = Some(3);
+    cfg.overhead_scale = 0.001;
+    match path {
+        Path::Dense => {}
+        Path::SampledSparse => {
+            cfg.sampled_softmax = Some(SampledSoftmax::defaults(16));
+            cfg.sparse_merge = true;
+            cfg.sparse_max_density = 1.0;
+        }
+        Path::Bf16 => cfg.precision = Precision::Bf16,
+        Path::Faulted => {
+            cfg.fault_plan = Some(FaultPlan::new().merge_oom(0).device_loss(1, 3, 1));
+        }
+    }
+    let mut spec = algorithms::adaptive_sgd();
+    spec.allreduce = algo;
+    let config = MlpConfig {
+        num_features: ds.num_features,
+        hidden: cfg.hidden,
+        num_classes: ds.num_labels,
+    };
+    let r = Trainer::new(spec, heterogeneous_server(gpus), cfg).run(&ds);
+    (r.final_model.to_vec(), config)
+}
+
+/// FNV of `model` with `W₂` put back hidden-major (`hidden × num_classes`,
+/// the layout before `W₂` was stored class-major): every other block is
+/// where it was.
+fn hidden_major_fnv(model: &[f32], config: &MlpConfig) -> u64 {
+    let [_, _, w2, _] = config.block_ranges();
+    let (h, classes) = (config.hidden, config.num_classes);
+    let mut old = model.to_vec();
+    for c in 0..classes {
+        for k in 0..h {
+            old[w2.start + k * classes + c] = model[w2.start + c * h + k];
+        }
+    }
+    fnv1a(old.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// Runs that no flat-index summation order reaches — one device, two
+/// devices (one add per element, which commutes), the `Naive` and `Tree`
+/// merges; dense, sampled with the sparse merge, bf16, through a merge OOM
+/// and a device loss — train the same model as before `W₂` was stored
+/// class-major: in the hidden-major layout, each final model's FNV is the
+/// one the hidden-major code computed for it.
+#[test]
+fn class_major_w2_is_the_hidden_major_model_permuted() {
+    let ring = Algorithm::MultiStreamRing { partitions: 4 };
+    for (gpus, algo, path, hidden_major) in [
+        (1, ring, Path::Dense, 0x0c48_c593_4f15_67fb),
+        (2, ring, Path::Dense, 0x3518_1c97_142b_9c48),
+        (3, Algorithm::Naive, Path::Dense, 0xe2e5_bb0f_dffc_2228),
+        (4, Algorithm::Tree, Path::Dense, 0xc384_923f_a066_1c28),
+        (1, ring, Path::SampledSparse, 0x3279_6279_de76_3f7f),
+        (2, ring, Path::SampledSparse, 0x10a7_9665_8238_af5e),
+        (
+            3,
+            Algorithm::Naive,
+            Path::SampledSparse,
+            0x1a07_0983_5b30_56a7,
+        ),
+        (4, Algorithm::Tree, Path::Bf16, 0x504b_8478_065d_e0df),
+        (3, Algorithm::Naive, Path::Faulted, 0x48ba_12c5_b2c5_dd15),
+    ] {
+        let (model, config) = layout_run(gpus, algo, path);
+        assert_eq!(
+            hidden_major_fnv(&model, &config),
+            hidden_major,
+            "{gpus} devices, {algo:?}, {path:?}"
+        );
+    }
 }

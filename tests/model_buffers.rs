@@ -8,6 +8,10 @@
 //! resumable state's global model, one allocation shared by both. At bf16
 //! the payload is the one extra buffer, half a model in size.
 //!
+//! A replica's `Workspace` holds no copy of `W₂` either: `W₂` is stored
+//! once, class-major, in the model, and a workspace at the sampled
+//! benchmark's shape allocates nothing as large as `W₂`.
+//!
 //! Every case runs inside one `#[test]` so no other test's allocations land
 //! in the count.
 
@@ -17,7 +21,7 @@ use adaptive_sgd::core::{algorithms, ClusterConfig, RunResult};
 use adaptive_sgd::data::{generate, DatasetSpec, XmlDataset};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
 use adaptive_sgd::gpusim::FaultPlan;
-use adaptive_sgd::model::MlpConfig;
+use adaptive_sgd::model::{MlpConfig, Workspace};
 use adaptive_sgd::tensor::Precision;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -74,7 +78,7 @@ unsafe impl GlobalAlloc for Census {
 static GLOBAL: Census = Census;
 
 /// Wide enough that the model dwarfs every other buffer of the run (eval
-/// logits, `W₂ᵀ`, a sparse delta, the LSH tables), small enough for a debug
+/// logits, a sparse delta, the LSH tables), small enough for a debug
 /// build.
 fn dataset() -> XmlDataset {
     let spec = DatasetSpec {
@@ -121,8 +125,30 @@ fn census(ds: &XmlDataset, cfg: RunConfig, gpus: usize) -> (usize, usize, RunRes
     )
 }
 
+/// Allocations of `W₂`'s size or more that `Workspace::new` makes at the
+/// sampled benchmark's shape (135,909 features, 64 hidden, 67,009 classes:
+/// `W₂` is 17 MB).
+fn workspace_census() -> usize {
+    let config = MlpConfig {
+        num_features: 135_909,
+        hidden: 64,
+        num_classes: 67_009,
+    };
+    AT_LEAST.store(0, Ordering::SeqCst);
+    WATCH.store(config.hidden * config.num_classes * 4, Ordering::SeqCst);
+    let ws = Workspace::new(&config);
+    WATCH.store(usize::MAX, Ordering::SeqCst);
+    drop(ws);
+    AT_LEAST.load(Ordering::SeqCst)
+}
+
 #[test]
 fn a_run_allocates_each_model_sized_buffer_once() {
+    assert_eq!(
+        workspace_census(),
+        0,
+        "a workspace holds no W2-sized buffer: W2 lives in the model alone"
+    );
     let ds = dataset();
 
     let mut sampled = config(Precision::F32);
