@@ -79,6 +79,29 @@ awk 'FNR == 1 { live = 1 }
     }
     END { exit bad }' crates/core/src/trainer/*.rs
 
+echo "== a sampled replica copies no model =="
+# A sampled replica is an overlay on the buffer it imported
+# (asgd_model::Overlay): a slot is filled per row a step selects, and an
+# import only forgets the slots, so nothing on its path copies a whole
+# model. In the replica (crates/core/src/trainer/manager.rs) a whole-model
+# import, blend or copy may sit only in a `Model::Owned` arm — dense-softmax
+# and CROSSBOW replicas own a model — and the overlay makes one only in
+# `materialize`, its copy for checks and tests. Each file is read up to its
+# first `#[cfg(test)]`.
+awk 'FNR == 1 { live = 1; arm = ""; skip = 0 }
+    /^#\[cfg\(test\)\]/ { live = 0 }
+    /^    (pub(\([a-z]+\))? )?fn / { arm = "" }
+    /Model::Owned/ { arm = "owned" }
+    /Model::Overlay/ { arm = "overlay" }
+    /fn materialize/ { skip = 1 }
+    skip && /^    }$/ { skip = 0; next }
+    live && !skip && arm != "owned" &&
+        /(read_flat_buf|blend_from_flat_buf|write_flat_buf|to_flat|load_flat|Mlp::zeros|mlp\.clone\(\))/ {
+        printf "%s:%d: %s\n", FILENAME, FNR, $0
+        bad = 1
+    }
+    END { exit bad }' crates/core/src/trainer/manager.rs crates/model/src/overlay.rs
+
 echo "== one copy of W2 =="
 # W2 is stored once, class-major, in the model's flat buffer: a class's
 # weights are one contiguous run, read in place by the forward, the
@@ -156,15 +179,26 @@ if [[ "${1:-}" != "quick" ]]; then
         ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- gate_differential_
     done
 
-    echo "== model-sized buffers: the census, release, 1 and 8 threads =="
-    # One Trainer::run allocates one model-sized buffer per replica, the
-    # global model and its momentum memory, and no other (at bf16 also the
-    # half-size payload); the final model and the resumable state share one;
-    # a replica's workspace holds nothing W2-sized.
-    # Counted by tests/model_buffers.rs's allocator, with the pool off and
-    # with more lanes than cores.
+    echo "== sampled replicas are overlays: differential, census, resume, release, 1 and 8 threads =="
+    # The differential runs random train / export / import / eviction
+    # sequences through pairs of replicas, one an overlay on the imported
+    # model, one owning a copy, and holds every loss, delta, gate estimate,
+    # exact norm and materialized model equal bit for bit; the overlay's own
+    # tests pin its steps and its carried-lane norm. The census: one
+    # Trainer::run allocates the global model, its momentum memory and one
+    # model-sized buffer per owned (dense-softmax or CROSSBOW) replica, and
+    # no other — none for an overlay (at bf16 also the half-size payload);
+    # the final model and the resumable state share one; a replica's
+    # workspace holds nothing W2-sized (tests/model_buffers.rs's counting
+    # allocator). A sampled, sparse-merge run resumed twice from one
+    # snapshot gives the final model pinned before replicas were overlays.
+    # With the pool off and with more lanes than cores.
     for t in 1 8; do
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- \
+            overlay_replicas_are_owned_replicas_bit_for_bit
+        ASGD_THREADS="$t" cargo test -q --release -p asgd-model --lib -- overlay
         ASGD_THREADS="$t" cargo test -q --release --test model_buffers
+        ASGD_THREADS="$t" cargo test -q --release --test checkpoint_resume -- sampled_sparse_resume
     done
 
     echo "== serving forward on the pool: 1 and 8 threads =="

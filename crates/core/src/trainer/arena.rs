@@ -1,9 +1,10 @@
 //! The sampled softmax's shared LSH index.
 //!
 //! Ownership rule, as for every buffer of a run: **the scheduler owns it; a
-//! phase borrows.** The merge reads the replicas where they live (or, under
-//! the sparse merge, the delta payloads the training phase wrote into
-//! scheduler-owned [`asgd_tensor::FlatVec`]s) and writes the global model —
+//! phase borrows.** The merge reads owned replicas where they live, and
+//! sampled replicas — overlays on the buffer they imported — through the
+//! delta payloads the training phase wrote into scheduler-owned
+//! [`asgd_tensor::FlatVec`]s, and writes the global model —
 //! at bf16 also one scheduler-owned redistribution payload, recycled across
 //! merges. The index is the one buffer a replica holds between phases — a
 //! share of it, inside its sampler — which is why it gets a type of its

@@ -11,7 +11,7 @@
 
 use crate::merging::NormEstimate;
 use asgd_data::XmlDataset;
-use asgd_model::{Mlp, Workspace};
+use asgd_model::{Mlp, MlpConfig, Overlay, Workspace};
 use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_sparse::CsrMatrix;
 use asgd_tensor::kernels::{sum_sq_lanes, Widen};
@@ -19,9 +19,9 @@ use asgd_tensor::{FlatRef, FlatVec};
 use std::sync::Arc;
 
 /// Tracks which sparse rows (W1 feature rows first, then output-class
-/// columns) this replica has dirtied since its last model sync — the
-/// dirty-set side of the sparse delta merge, and the rows the perturbation
-/// gate's norm estimate reads.
+/// rows) an owned replica has dirtied since its last model sync — the rows
+/// the perturbation gate's norm estimate reads (an overlay's slots are its
+/// own record of them).
 ///
 /// On the sampled-softmax path the set is *exact and free*: a training
 /// step writes precisely the batch's CSR feature columns into `W₁` and an
@@ -29,7 +29,7 @@ use std::sync::Arc;
 /// gradient), so marking `x.indices()` plus the candidate set reproduces
 /// the touched-row set bit-for-bit. `b₁` updates densely every batch and
 /// rides along in the delta's dense block instead. A dense step marks its
-/// feature rows the same way; it writes every class column, which the
+/// feature rows the same way; it writes every class row, which the
 /// set does not record.
 struct DirtyRows {
     features: usize,
@@ -74,8 +74,9 @@ impl DirtyRows {
         self.bits.fill(0);
     }
 
-    /// Calls `f` on every dirty row, ascending.
-    fn for_each(&self, mut f: impl FnMut(usize)) {
+    /// Collects the dirty rows, sorted ascending, into a recycled buffer.
+    fn collect_into(&self, out: &mut Vec<u32>) {
+        out.clear();
         for (w, &word) in self.bits.iter().enumerate() {
             let mut b = word;
             while b != 0 {
@@ -83,16 +84,10 @@ impl DirtyRows {
                 if r >= self.num_rows {
                     break;
                 }
-                f(r);
+                out.push(r as u32);
                 b &= b - 1;
             }
         }
-    }
-
-    /// Collects the dirty rows, sorted ascending, into a recycled buffer.
-    fn collect_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        self.for_each(|r| out.push(r as u32));
     }
 }
 
@@ -121,6 +116,26 @@ impl ChangedSq {
     }
 }
 
+/// Where a replica's parameters live.
+enum Model {
+    /// A whole model of its own, trained in place, and the rows it dirtied
+    /// since its last import: dense-softmax replicas (a dense step writes
+    /// every class row) and CROSSBOW's (the blend moves every parameter).
+    /// The dense merge reads it where it lives.
+    Owned {
+        mlp: Mlp,
+        dirty: DirtyRows,
+        /// Dense training touches every `W₂` row, so a dirty-row delta
+        /// after a dense batch would silently under-report; this turns one
+        /// into a loud failure instead of a wrong merge.
+        dense_trained: bool,
+    },
+    /// A sampled replica under a rule that redistributes one model: the
+    /// rows it changed since its import, over the import base it borrows
+    /// call by call ([`Overlay`]).
+    Overlay(Overlay),
+}
+
 /// One device's numeric state: the replica plus everything a training step
 /// reuses — a [`Workspace`] owned for the replica's lifetime, so
 /// steady-state steps re-allocate no activation/gradient buffer.
@@ -131,23 +146,23 @@ impl ChangedSq {
 /// replica and the sampler adopts it, so a batch's candidate set depends
 /// only on `(LSH seed, synced model, batch labels, sample_seed)` — never on
 /// which replica trains it.
+///
+/// Every method that reads parameters takes `base`, the buffer of the last
+/// [`Replica::set_model`] (or the start-up model the replica was built
+/// on): an overlay reads its untouched rows there, an owned model ignores
+/// it.
 pub(super) struct Replica<'a> {
     /// The device this replica trains on.
     pub(super) gpu: usize,
-    /// The model, trained in place; the dense merge reads its parameters
-    /// where they live.
-    pub(super) mlp: Mlp,
+    model: Model,
     dataset: &'a XmlDataset,
     ws: Workspace,
     sampler: Option<CandidateSampler>,
-    dirty: DirtyRows,
-    /// The dirty rows of the last [`Replica::gather_delta`], ascending.
+    /// The rows changed since the last import, ascending, as of the last
+    /// [`Replica::collect_rows`].
     rows: Vec<u32>,
-    /// Dense training touches every `W₂` column, so a dirty-row delta after
-    /// a dense batch would silently under-report; the trainer only gathers
-    /// deltas on the sampled path, and this flag turns a violation into a
-    /// loud failure instead of a wrong merge.
-    dense_trained: bool,
+    /// Whether no step or import came after that.
+    rows_current: bool,
     /// Reusable view of the batch's label slices: borrows from the shared
     /// dataset instead of cloning every label vector per batch.
     labels: Vec<&'a [u32]>,
@@ -156,134 +171,283 @@ pub(super) struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
-    pub(super) fn new(
+    /// A replica that owns `mlp` (see [`Model::Owned`]).
+    pub(super) fn owned(
         gpu: usize,
         mlp: Mlp,
         dataset: &'a XmlDataset,
         sampler: Option<CandidateSampler>,
     ) -> Self {
         let c = *mlp.config();
+        let model = Model::Owned {
+            mlp,
+            dirty: DirtyRows::new(c.num_features, c.num_classes),
+            dense_trained: false,
+        };
+        Self::with_model(gpu, &c, model, dataset, sampler)
+    }
+
+    /// A sampled replica that is an overlay on `base`, holding nothing of
+    /// its own yet (see [`Model::Overlay`]).
+    pub(super) fn overlay(
+        gpu: usize,
+        config: &MlpConfig,
+        base: FlatRef<'_>,
+        dataset: &'a XmlDataset,
+        sampler: CandidateSampler,
+    ) -> Self {
+        let model = Model::Overlay(Overlay::new(config, base));
+        Self::with_model(gpu, config, model, dataset, Some(sampler))
+    }
+
+    fn with_model(
+        gpu: usize,
+        c: &MlpConfig,
+        model: Model,
+        dataset: &'a XmlDataset,
+        sampler: Option<CandidateSampler>,
+    ) -> Self {
         Replica {
             gpu,
-            ws: Workspace::new(&c),
-            mlp,
+            ws: Workspace::new(c),
+            model,
             dataset,
             sampler,
-            dirty: DirtyRows::new(c.num_features, c.num_classes),
             rows: Vec::new(),
-            dense_trained: false,
+            rows_current: false,
             labels: Vec::new(),
             x: CsrMatrix::zeros(0, c.num_features),
         }
     }
 
-    /// One SGD step on the training samples `ids` at learning rate `lr`;
-    /// returns the batch loss. `sample_seed` seeds the sampled softmax's
-    /// candidate selection (ignored on the dense path).
-    pub(super) fn train(&mut self, ids: &[usize], lr: f32, sample_seed: u64) -> f64 {
+    /// One SGD step on the training samples `ids` at learning rate `lr`
+    /// over `base`; returns the batch loss. `sample_seed` seeds the sampled
+    /// softmax's candidate selection (ignored on the dense path).
+    pub(super) fn train(
+        &mut self,
+        ids: &[usize],
+        lr: f32,
+        sample_seed: u64,
+        base: FlatRef<'_>,
+    ) -> f64 {
+        self.rows_current = false;
         let train = &self.dataset.train;
         train.features.select_rows_into(ids, &mut self.x);
-        let x = &self.x;
         self.labels.clear();
         self.labels
             .extend(ids.iter().map(|&i| train.labels[i].as_slice()));
-        let out = match self.sampler.as_mut() {
-            Some(sampler) => {
-                let cand = sampler.select(&self.labels, sample_seed);
-                // The candidate set *is* the exact W₂ touched set: every
-                // candidate column gets an update write.
-                self.dirty.mark_features(x.indices());
-                self.dirty.mark_classes(cand);
-                self.mlp
-                    .train_batch_sampled_ws(x, &self.labels, cand, lr, &mut self.ws)
+        let (labels, ws, x) = (&self.labels, &mut self.ws, &mut self.x);
+        let out = match (&mut self.model, self.sampler.as_mut()) {
+            (Model::Overlay(o), Some(sampler)) => {
+                let cand = sampler.select(labels, sample_seed);
+                o.train_batch_sampled_ws(base, x, labels, cand, lr, ws)
             }
-            None => {
-                self.dense_trained = true;
-                self.dirty.mark_features(x.indices());
-                self.mlp.train_batch_ws(x, &self.labels, lr, &mut self.ws)
+            (Model::Overlay(_), None) => unreachable!("an overlay trains the sampled softmax"),
+            (
+                Model::Owned {
+                    mlp,
+                    dirty,
+                    dense_trained,
+                },
+                sampler,
+            ) => {
+                // A step writes exactly its features' `W₁` rows and, sampled,
+                // an update for every candidate class (even at zero
+                // gradient); a dense step writes every class row.
+                dirty.mark_features(x.indices());
+                match sampler {
+                    Some(sampler) => {
+                        let cand = sampler.select(labels, sample_seed);
+                        dirty.mark_classes(cand);
+                        mlp.train_batch_sampled_ws(x, labels, cand, lr, ws)
+                    }
+                    None => {
+                        *dense_trained = true;
+                        mlp.train_batch_ws(x, labels, lr, ws)
+                    }
+                }
             }
         };
         out.loss
     }
 
+    /// Collects the rows changed since the last import, ascending — `W₁`
+    /// feature rows, then classes, in the sparse row space: what
+    /// [`Replica::gather_delta`] exports and [`Replica::norm_estimate`]
+    /// reads, until the next step or import.
+    pub(super) fn collect_rows(&mut self) {
+        match &self.model {
+            Model::Owned { dirty, .. } => dirty.collect_into(&mut self.rows),
+            Model::Overlay(o) => o.rows_into(&mut self.rows),
+        }
+        self.rows_current = true;
+    }
+
+    /// The rows of the last [`Replica::collect_rows`].
+    ///
+    /// # Panics
+    /// Panics when a step or an import came after it.
+    pub(super) fn rows(&self) -> &[u32] {
+        assert!(self.rows_current, "rows collected since the last step");
+        &self.rows
+    }
+
     /// What the sparse merge reads instead of the replica's parameters:
-    /// collects the rows dirtied since the last [`Replica::set_model`] (then
-    /// readable through [`Replica::rows`]) and writes their delta payload —
-    /// the `asgd_collective::sparse` wire format — into `payload`.
-    pub(super) fn gather_delta(&mut self, payload: &mut FlatVec) {
-        assert!(
-            !self.dense_trained,
-            "sparse deltas require the sampled-softmax path \
-             (dense training dirties every W2 class row)"
-        );
-        self.dirty.collect_into(&mut self.rows);
-        self.mlp.write_delta_buf(&self.rows, payload);
+    /// the delta payload over [`Replica::rows`] — the
+    /// `asgd_collective::sparse` wire format — written into `payload`.
+    pub(super) fn gather_delta(&self, payload: &mut FlatVec) {
+        let rows = self.rows();
+        match &self.model {
+            Model::Owned {
+                mlp, dense_trained, ..
+            } => {
+                assert!(
+                    !dense_trained,
+                    "sparse deltas require the sampled-softmax path \
+                     (dense training dirties every W2 class row)"
+                );
+                mlp.write_delta_buf(rows, payload);
+            }
+            Model::Overlay(o) => o.write_delta_buf(rows, payload),
+        }
     }
 
     /// Algorithm 2's regularization measure `Σw²`, estimated from the
     /// parameters this replica changed since it imported `base` (whose own
-    /// `Σx²` is `s_base`): `b₁`, the dirty feature rows of `W₁`, and the
-    /// dirty class rows of `W₂` with their `b₂` entries — all of `W₂` and
-    /// `b₂` on the dense path. Every other parameter still holds its `base`
-    /// value bit for bit, so it cancels exactly.
+    /// `Σx²` is `s_base`): `b₁`, the [`Replica::rows`] of `W₁`, and those
+    /// of `W₂` with their `b₂` entries — all of `W₂` and `b₂` on the dense
+    /// path. Every other parameter still holds its `base` value bit for
+    /// bit, so it cancels exactly.
     ///
-    /// `base` must be the buffer of the last [`Replica::set_model`] (or the
-    /// start-up model the replica was built from), not a blend target.
+    /// `base` must be the buffer of the last [`Replica::set_model`], not a
+    /// blend target.
     pub(super) fn norm_estimate(&self, base: FlatRef<'_>, s_base: f64) -> NormEstimate {
         let changed = match base {
             FlatRef::F32(b) => self.changed_sq(b),
             FlatRef::Bf16(b) => self.changed_sq(b),
         };
-        let len = self.mlp.param_len();
+        let len = self.param_len();
         NormEstimate::new(len, s_base, changed.count, changed.base, changed.cur)
     }
 
     fn changed_sq<E: Widen>(&self, base: &[E]) -> ChangedSq {
-        let cur = self.mlp.as_flat();
-        assert_eq!(base.len(), cur.len(), "base/replica length");
-        let c = self.mlp.config();
+        let c = *self.config();
+        assert_eq!(base.len(), c.param_len(), "base/replica length");
         let (features, hidden) = (c.num_features, c.hidden);
         let [w1, b1, w2, b2] = c.block_ranges();
-        let mut sq = ChangedSq::default();
-        sq.run(&base[b1.clone()], &cur[b1]);
-        let dense = self.sampler.is_none();
-        if dense {
-            sq.run(&base[w2.start..b2.end], &cur[w2.start..b2.end]);
-        }
-        self.dirty.for_each(|r| {
+        let row_range = |r: usize| {
             if r < features {
-                let row = w1.start + r * hidden..w1.start + (r + 1) * hidden;
-                sq.run(&base[row.clone()], &cur[row]);
-            } else if !dense {
-                let cl = r - features;
-                let row = w2.start + cl * hidden..w2.start + (cl + 1) * hidden;
-                sq.run(&base[row.clone()], &cur[row]);
-                sq.one(base[b2.start + cl], cur[b2.start + cl]);
+                w1.start + r * hidden..w1.start + (r + 1) * hidden
+            } else {
+                w2.start + (r - features) * hidden..w2.start + (r - features + 1) * hidden
             }
-        });
+        };
+        let mut sq = ChangedSq::default();
+        match &self.model {
+            Model::Owned { mlp, .. } => {
+                let cur = mlp.as_flat();
+                sq.run(&base[b1.clone()], &cur[b1]);
+                let dense = self.sampler.is_none();
+                if dense {
+                    sq.run(&base[w2.start..b2.end], &cur[w2.start..b2.end]);
+                }
+                for &r in self.rows() {
+                    let r = r as usize;
+                    if r < features {
+                        sq.run(&base[row_range(r)], &cur[row_range(r)]);
+                    } else if !dense {
+                        sq.run(&base[row_range(r)], &cur[row_range(r)]);
+                        let b = b2.start + r - features;
+                        sq.one(base[b], cur[b]);
+                    }
+                }
+            }
+            Model::Overlay(o) => {
+                sq.run(&base[b1], o.b1());
+                for &r in self.rows() {
+                    let r = r as usize;
+                    let (cur, cur_b2) = o.row(r);
+                    sq.run(&base[row_range(r)], cur);
+                    if let Some(cur_b2) = cur_b2 {
+                        sq.one(base[b2.start + r - features], cur_b2);
+                    }
+                }
+            }
+        }
         sq
     }
 
-    /// The rows of the last [`Replica::gather_delta`], ascending.
-    pub(super) fn rows(&self) -> &[u32] {
-        &self.rows
+    /// The exact [`Mlp::l2_norm_per_param`] of the replica over `base`.
+    pub(super) fn l2_norm_per_param(&self, base: FlatRef<'_>) -> f64 {
+        match &self.model {
+            Model::Owned { mlp, .. } => mlp.l2_norm_per_param(),
+            Model::Overlay(o) => o.l2_norm_per_param(base),
+        }
+    }
+
+    fn config(&self) -> &MlpConfig {
+        match &self.model {
+            Model::Owned { mlp, .. } => mlp.config(),
+            Model::Overlay(o) => o.config(),
+        }
+    }
+
+    /// Parameters of the model the replica stands for.
+    pub(super) fn param_len(&self) -> usize {
+        self.config().param_len()
+    }
+
+    /// An owned replica's parameters, read in place by the dense merge.
+    ///
+    /// # Panics
+    /// Panics on an overlay, which the merge reads through its delta.
+    pub(super) fn owned_flat(&self) -> &[f32] {
+        match &self.model {
+            Model::Owned { mlp, .. } => mlp.as_flat(),
+            Model::Overlay(_) => panic!("an overlay replica merges through its delta"),
+        }
+    }
+
+    /// The whole model the replica stands for over `base`: an owned one
+    /// as it is, an overlay materialized — a model-sized copy, for checks.
+    #[cfg(test)]
+    pub(super) fn materialize(&self, base: FlatRef<'_>) -> Mlp {
+        match &self.model {
+            Model::Owned { mlp, .. } => mlp.clone(),
+            Model::Overlay(o) => o.materialize(base),
+        }
     }
 
     /// Replaces the replica with the flat model `buf` (the delta baseline:
-    /// nothing is dirty afterwards) and adopts `index`, hashed from `buf`.
+    /// nothing has changed afterwards) and adopts `index`, hashed from
+    /// `buf`. An overlay forgets its rows and reads `buf` from then on, so
+    /// `buf` must not change until the next import.
     pub(super) fn set_model(&mut self, buf: FlatRef<'_>, index: Option<&Arc<LshIndex>>) {
-        self.mlp.read_flat_buf(buf);
-        self.dirty.clear();
+        self.rows_current = false;
+        match &mut self.model {
+            Model::Owned { mlp, dirty, .. } => {
+                mlp.read_flat_buf(buf);
+                dirty.clear();
+            }
+            Model::Overlay(o) => o.import(buf),
+        }
         self.adopt(index);
     }
 
     /// CROSSBOW-style partial pull: `w ← w + pull·(target − w)`. Blended
     /// replicas diverge; `index` was hashed from the shared `target`, so
     /// candidate selection stays replica-independent.
+    ///
+    /// # Panics
+    /// Panics on an overlay: a blend moves every parameter.
     pub(super) fn blend(&mut self, target: FlatRef<'_>, pull: f32, index: Option<&Arc<LshIndex>>) {
+        self.rows_current = false;
+        let Model::Owned { mlp, dirty, .. } = &mut self.model else {
+            panic!("a blend moves every parameter: CROSSBOW replicas are owned");
+        };
+        mlp.blend_from_flat_buf(target, pull);
+        dirty.mark_all();
         self.adopt(index);
-        self.mlp.blend_from_flat_buf(target, pull);
-        self.dirty.mark_all();
     }
 
     /// Switches the sampler to the index of a model sync, releasing this
@@ -301,7 +465,6 @@ mod tests {
     use super::super::SampledSoftmax;
     use super::*;
     use asgd_data::{generate, DatasetSpec};
-    use asgd_model::MlpConfig;
     use asgd_tensor::Precision;
 
     fn setup() -> (XmlDataset, Mlp) {
@@ -314,26 +477,37 @@ mod tests {
         (ds, Mlp::init(&config, 1))
     }
 
-    /// The replica exported at `precision`.
+    /// An owned replica's model.
+    fn mlp<'r>(r: &'r Replica) -> &'r Mlp {
+        match &r.model {
+            Model::Owned { mlp, .. } => mlp,
+            Model::Overlay(_) => panic!("an overlay owns no model"),
+        }
+    }
+
+    /// An owned replica exported at `precision`.
     fn gathered(r: &Replica, precision: Precision) -> FlatVec {
         let mut buf = FlatVec::empty(precision);
-        r.mlp.write_flat_buf(&mut buf);
+        mlp(r).write_flat_buf(&mut buf);
         buf
     }
+
+    /// The base an owned replica's parameter reads ignore.
+    const NO_BASE: FlatRef<'static> = FlatRef::F32(&[]);
 
     #[test]
     fn replica_trains_and_reports() {
         let (ds, model) = setup();
-        let mut r = Replica::new(0, model, &ds, None);
-        assert!(r.train(&[0, 1, 2], 0.1, 0) > 0.0);
-        assert!(r.mlp.l2_norm_per_param() > 0.0);
+        let mut r = Replica::owned(0, model, &ds, None);
+        assert!(r.train(&[0, 1, 2], 0.1, 0, NO_BASE) > 0.0);
+        assert!(mlp(&r).l2_norm_per_param() > 0.0);
     }
 
     #[test]
     fn set_model_roundtrips_through_gather() {
         let (ds, model) = setup();
         let target = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
-        let mut r = Replica::new(0, model, &ds, None);
+        let mut r = Replica::owned(0, model, &ds, None);
         r.set_model(target.view(), None);
         assert_eq!(gathered(&r, Precision::F32), target);
     }
@@ -347,7 +521,7 @@ mod tests {
         let source = Mlp::init(model.config(), 99);
         let mut target = FlatVec::empty(Precision::Bf16);
         source.write_flat_buf(&mut target);
-        let mut r = Replica::new(0, model, &ds, None);
+        let mut r = Replica::owned(0, model, &ds, None);
         r.set_model(target.view(), None);
         assert_eq!(gathered(&r, Precision::Bf16), target);
     }
@@ -356,7 +530,7 @@ mod tests {
     fn blend_moves_halfway() {
         let (ds, model) = setup();
         let start = model.to_flat();
-        let mut r = Replica::new(0, model, &ds, None);
+        let mut r = Replica::owned(0, model, &ds, None);
         r.blend(FlatRef::F32(&vec![0.0f32; start.len()]), 0.5, None);
         let flat = gathered(&r, Precision::F32);
         for (i, want) in start.iter().enumerate() {
@@ -372,16 +546,16 @@ mod tests {
         let (ds, model) = setup();
         let mut twin = model.clone();
         let mut tws = Workspace::new(twin.config());
-        let mut r = Replica::new(0, model, &ds, None);
-        let ptr = r.mlp.as_flat().as_ptr();
+        let mut r = Replica::owned(0, model, &ds, None);
+        let ptr = mlp(&r).as_flat().as_ptr();
         let ids = [0usize, 1, 2];
-        r.train(&ids, 0.1, 0);
-        let moved = r.mlp.as_flat().as_ptr() != ptr;
+        r.train(&ids, 0.1, 0, NO_BASE);
+        let moved = mlp(&r).as_flat().as_ptr() != ptr;
         assert!(!moved, "training must not move the replica");
         let x = ds.train.features.select_rows(&ids);
         let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
         twin.train_batch_ws(&x, &labels, 0.1, &mut tws);
-        assert_eq!(r.mlp, twin);
+        assert_eq!(mlp(&r), &twin);
     }
 
     /// Every batch's feature rows land in the replica's one CSR buffer: a
@@ -389,13 +563,13 @@ mod tests {
     #[test]
     fn batches_reuse_one_csr_buffer() {
         let (ds, model) = setup();
-        let mut r = Replica::new(0, model, &ds, None);
+        let mut r = Replica::owned(0, model, &ds, None);
         let ptrs = |r: &Replica| (r.x.indices().as_ptr(), r.x.values().as_ptr());
         let big: Vec<usize> = (0..12).collect();
-        r.train(&big, 0.1, 0);
+        r.train(&big, 0.1, 0, NO_BASE);
         let grown = ptrs(&r);
         for ids in [&big[..5], &big[7..], &big[..]] {
-            r.train(ids, 0.1, 0);
+            r.train(ids, 0.1, 0, NO_BASE);
             assert_eq!(ptrs(&r), grown, "batch {ids:?} reallocated");
             assert_eq!(r.x, ds.train.features.select_rows(ids));
         }
@@ -445,9 +619,9 @@ mod tests {
         let synced = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
         let run = |model: Mlp| {
             let mut arena = index_arena(&model);
-            let mut r = [Replica::new(0, model, &ds, Some(arena.sampler()))];
+            let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
             sync(&mut arena, &mut r, &synced);
-            let loss = r[0].train(&[0, 2, 4], 0.1, 0xB00F);
+            let loss = r[0].train(&[0, 2, 4], 0.1, 0xB00F, NO_BASE);
             (loss.to_bits(), gathered(&r[0], Precision::F32))
         };
         // Different pre-sync replicas: the sync point must erase the
@@ -470,11 +644,12 @@ mod tests {
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = [Replica::new(0, model, &ds, Some(arena.sampler()))];
+        let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
         sync(&mut arena, &mut r, &synced);
         let r = &mut r[0];
-        r.train(&[0, 2, 4], 0.1, 0xB00F);
+        r.train(&[0, 2, 4], 0.1, 0xB00F, NO_BASE);
         let mut payload = FlatVec::empty(Precision::F32);
+        r.collect_rows();
         r.gather_delta(&mut payload);
         let flat = gathered(r, Precision::F32);
         let rows = r.rows();
@@ -497,10 +672,11 @@ mod tests {
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = [Replica::new(0, model, &ds, Some(arena.sampler()))];
-        r[0].train(&[0, 1], 0.1, 3);
+        let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
+        r[0].train(&[0, 1], 0.1, 3, NO_BASE);
         sync(&mut arena, &mut r, &synced);
         let mut payload = FlatVec::empty(Precision::F32);
+        r[0].collect_rows();
         r[0].gather_delta(&mut payload);
         assert!(r[0].rows().is_empty(), "sync must clear the dirty set");
         assert_eq!(payload.len(), config.hidden, "empty delta carries only b1");
@@ -518,10 +694,10 @@ mod tests {
         let config = *model.config();
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = Replica::new(0, model, &ds, Some(arena.sampler()));
+        let mut r = Replica::owned(0, model, &ds, Some(arena.sampler()));
         arena.sync(target.view());
         r.blend(target.view(), 0.5, Some(arena.live()));
-        r.gather_delta(&mut FlatVec::empty(Precision::F32));
+        r.collect_rows();
         let total = config.num_features + config.num_classes;
         assert_eq!(r.rows().len(), total);
         assert_eq!(r.rows().first(), Some(&0));
@@ -582,7 +758,7 @@ mod tests {
         let n = 3;
         let mut arena = index_arena(&model);
         let mut replicas: Vec<Replica> = (0..n)
-            .map(|g| Replica::new(g, model.clone(), &ds, Some(arena.sampler())))
+            .map(|g| Replica::owned(g, model.clone(), &ds, Some(arena.sampler())))
             .collect();
         assert_eq!(arena.holders(), n);
         let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
@@ -598,7 +774,7 @@ mod tests {
                 "{precision:?}: the old buffer is back with the scheduler (+ this test)"
             );
             for r in &mut replicas {
-                let mut reference = standalone(r.mlp.w2());
+                let mut reference = standalone(mlp(r).w2());
                 let sampler = r.sampler.as_mut().unwrap();
                 assert!(Arc::ptr_eq(sampler.index(), arena.live()));
                 for seed in [0u64, 0xB00F] {
@@ -623,7 +799,7 @@ mod tests {
         let (ds, model) = setup();
         let mut arena = index_arena(&model);
         let mut replicas: Vec<Replica> = (0..3)
-            .map(|g| Replica::new(g, model.clone(), &ds, Some(arena.sampler())))
+            .map(|g| Replica::owned(g, model.clone(), &ds, Some(arena.sampler())))
             .collect();
         let buf = |seed| FlatVec::F32(Mlp::init(model.config(), seed).to_flat());
         sync(&mut arena, &mut replicas, &buf(50));
@@ -649,7 +825,7 @@ mod tests {
             assert_eq!(arena.holders(), 2, "only survivors hold the index");
         }
         for r in &mut replicas {
-            let mut reference = standalone(r.mlp.w2());
+            let mut reference = standalone(mlp(r).w2());
             let sampler = r.sampler.as_mut().unwrap();
             assert!(Arc::ptr_eq(sampler.index(), arena.live()));
             assert_eq!(
@@ -657,5 +833,136 @@ mod tests {
                 reference.select(&labels, 7)
             );
         }
+    }
+
+    /// What one replica reports after a step of the differential: its
+    /// delta's `(rows, payload)` bits at `precision`, its gate estimate,
+    /// its exact norm and the whole model it stands for over `base`.
+    fn report(r: &mut Replica, base: FlatRef<'_>, precision: Precision) -> impl PartialEq {
+        r.collect_rows();
+        let mut payload = FlatVec::empty(precision);
+        r.gather_delta(&mut payload);
+        let payload_bits: Vec<u32> = (0..payload.len())
+            .map(|i| payload.get_f32(i).to_bits())
+            .collect();
+        let est = r.norm_estimate(base, 12.5);
+        let model: Vec<u32> = r
+            .materialize(base)
+            .as_flat()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        (
+            r.rows().to_vec(),
+            payload_bits,
+            (est.sq.to_bits(), est.err.to_bits()),
+            r.l2_norm_per_param(base).to_bits(),
+            model,
+        )
+    }
+
+    /// Overlay replicas against owned ones, bit for bit: pairs of replicas
+    /// built on one start-up model, one of each kind, run random sequences
+    /// of training steps (the same batch, rate and seed for both of a
+    /// pair), delta exports at f32 and bf16, imports of f32 and bf16 bases
+    /// and evictions, at 1, 2 and 8 threads, and at hidden 8 and 13 (so
+    /// rows are and are not whole lane rows). After every step both report
+    /// the same batch loss, delta rows and payload, `NormEstimate`, exact
+    /// norm and materialized model — and every thread count the same final
+    /// models.
+    #[test]
+    fn overlay_replicas_are_owned_replicas_bit_for_bit() {
+        for hidden in [8, 13] {
+            let mut finals = Vec::new();
+            for threads in [1, 2, 8] {
+                asgd_tensor::parallel::override_threads(threads);
+                finals.push(differential_sequence(hidden, 0x5EED ^ hidden as u64));
+                asgd_tensor::parallel::override_threads(0);
+            }
+            assert!(finals.windows(2).all(|w| w[0] == w[1]), "hidden {hidden}");
+        }
+    }
+
+    /// One random sequence of the differential; returns the survivors'
+    /// final models.
+    fn differential_sequence(hidden: usize, seed: u64) -> Vec<Vec<u32>> {
+        let ds = generate(&DatasetSpec::tiny("overlay-differential"), 9);
+        let config = MlpConfig {
+            num_features: ds.num_features,
+            hidden,
+            num_classes: ds.num_labels,
+        };
+        let start = Mlp::init(&config, 1);
+        let mut arena = index_arena(&start);
+        let mut base = FlatVec::F32(start.to_flat());
+        let mut pairs: Vec<[Replica; 2]> = (0..3)
+            .map(|g| {
+                [
+                    Replica::owned(g, start.clone(), &ds, Some(arena.sampler())),
+                    Replica::overlay(g, &config, base.view(), &ds, arena.sampler()),
+                ]
+            })
+            .collect();
+        let mut state = seed;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % n
+        };
+        for step in 0..60 {
+            let what = format!("hidden {hidden}, step {step}");
+            match next(10) {
+                // Train one pair on a random batch.
+                0..=5 => {
+                    let pair = next(pairs.len());
+                    let ids: Vec<usize> = (0..1 + next(12)).map(|_| next(ds.train.len())).collect();
+                    let lr = 0.05 + next(10) as f32 * 0.02;
+                    let sample_seed = next(1 << 20) as u64;
+                    let [owned, overlay] = &mut pairs[pair];
+                    let a = owned.train(&ids, lr, sample_seed, base.view());
+                    let b = overlay.train(&ids, lr, sample_seed, base.view());
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what}: loss");
+                }
+                // Import a new base, at either precision.
+                6 | 7 => {
+                    let precision = [Precision::F32, Precision::Bf16][next(2)];
+                    let mut fresh = FlatVec::empty(precision);
+                    Mlp::init(&config, 100 + step as u64).write_flat_buf(&mut fresh);
+                    base = fresh;
+                    arena.sync(base.view());
+                    for r in pairs.iter_mut().flatten() {
+                        r.set_model(base.view(), Some(arena.live()));
+                    }
+                }
+                // Lose a device (never the last).
+                8 if pairs.len() > 1 => {
+                    pairs.remove(next(pairs.len()));
+                    assert_eq!(arena.holders(), 2 * pairs.len(), "{what}: holders");
+                }
+                _ => {}
+            }
+            // Export every pair and compare.
+            let precision = [Precision::F32, Precision::Bf16][next(2)];
+            for [owned, overlay] in &mut pairs {
+                let gpu = owned.gpu;
+                let want = report(owned, base.view(), precision);
+                assert!(
+                    want == report(overlay, base.view(), precision),
+                    "{what}: gpu {gpu} at {precision:?}"
+                );
+            }
+        }
+        pairs
+            .iter()
+            .map(|[_, overlay]| {
+                overlay
+                    .materialize(base.view())
+                    .as_flat()
+                    .iter()
+                    .map(|x| x.to_bits())
+                    .collect()
+            })
+            .collect()
     }
 }

@@ -658,13 +658,20 @@ impl Trainer {
         launch_model.base_overhead_s *= cfg.overhead_scale;
         let per_server = cfg.cluster.map_or(n, |cl| cl.devices_per_server);
         let param_len = mconfig.param_len();
-        // Every replica is a copy of the start-up model. A fresh model-sized
-        // buffer is page-fault-bound (the first write of each page faults
-        // it in), so every one is allocated untouched with huge-page advice
+        // A sampled replica under a rule that redistributes one model is an
+        // overlay on the start-up model and copies nothing. Every other
+        // replica is a copy of it: a fresh model-sized buffer is
+        // page-fault-bound (the first write of each page faults it in), so
+        // every one is allocated untouched with huge-page advice
         // ([`pages::zeroed`]) and filled on `n` threads, while this one
         // copies the momentum memory and (sampled mode) hashes the start-up
         // `W₂` once for every replica.
-        let mut mlps: Vec<Mlp> = (0..n).map(|_| Mlp::zeros(&mconfig)).collect();
+        let overlays = overlay_replicas(&self.spec, cfg);
+        let mut mlps: Vec<Mlp> = if overlays {
+            Vec::new()
+        } else {
+            (0..n).map(|_| Mlp::zeros(&mconfig)).collect()
+        };
         let reads_norm = matches!(self.spec.merge_rule, MergeRule::Normalized(_));
         let (prev_global, lsh, base_sq) = std::thread::scope(|s| {
             for mlp in &mut mlps {
@@ -676,11 +683,21 @@ impl Trainer {
             let base_sq = reads_norm.then(|| import_sq(FlatRef::F32(global.as_flat())));
             (prev_global, lsh, base_sq)
         });
-        let replicas = mlps
-            .into_iter()
-            .enumerate()
-            .map(|(g, mlp)| Replica::new(g, mlp, dataset, lsh.as_ref().map(IndexArena::sampler)))
-            .collect();
+        let sampler = || lsh.as_ref().map(IndexArena::sampler);
+        let replicas = if overlays {
+            let base = FlatRef::F32(global.as_flat());
+            (0..n)
+                .map(|g| {
+                    let sampler = sampler().expect("overlays train the sampled softmax");
+                    Replica::overlay(g, &mconfig, base, dataset, sampler)
+                })
+                .collect()
+        } else {
+            mlps.into_iter()
+                .enumerate()
+                .map(|(g, mlp)| Replica::owned(g, mlp, dataset, sampler()))
+                .collect()
+        };
         SchedulerState {
             spec: &self.spec,
             cfg,
@@ -762,9 +779,10 @@ struct SchedulerState<'a> {
     /// The live replicas, in device order; a lost device's is dropped at
     /// eviction.
     replicas: Vec<Replica<'a>>,
-    /// Under the sparse merge, one delta payload per live replica, same
-    /// order, recycled across merges (the dense merge reads the replicas
-    /// themselves, and these stay empty).
+    /// For overlay replicas, one delta payload per live replica, same
+    /// order, recycled across merges: what the merge reads of each, dense
+    /// or sparse (the merge reads owned replicas themselves, and these stay
+    /// empty).
     deltas: Vec<FlatVec>,
     /// Per device, the batches dispatched since the last merge in dispatch
     /// order: what its replica trains in the next phase, and what moves to
@@ -808,6 +826,14 @@ struct SchedulerState<'a> {
     /// the gate's oracle checked the sides against.
     #[cfg(test)]
     gate_norms: Vec<Vec<f64>>,
+}
+
+/// Whether the replicas of `spec` under `cfg` are overlays on the model
+/// they import ([`asgd_model::Overlay`]): sampled-softmax replicas under a
+/// rule that redistributes one model. A dense step writes every class row
+/// and a CROSSBOW blend every parameter, so those replicas own a model.
+fn overlay_replicas(spec: &TrainerSpec, cfg: &RunConfig) -> bool {
+    cfg.sampled_softmax.is_some() && !matches!(spec.merge_rule, MergeRule::Crossbow { .. })
 }
 
 /// The buffer every live replica last imported: the bf16 `payload` once
@@ -1117,18 +1143,20 @@ impl SchedulerState<'_> {
     }
 
     /// The training phase: every live replica, on a scoped thread of its
-    /// own, trains its work list in order, adding each batch loss to its
-    /// device's `loss_sums` bucket; under the sparse merge it then writes its
-    /// dirty rows' delta. Under Algorithm 2 it then takes its side of the
-    /// perturbation gate from the rows it changed ([`Replica::norm_estimate`]),
-    /// sweeping its whole model ([`Mlp::l2_norm_per_param`]) only when the
-    /// estimate's error bound straddles `pert_thr`. Returns, per live
-    /// replica in device order, whether its norm per parameter is below
-    /// `pert_thr` (nothing under the rules that read no norm), and leaves
-    /// every work list empty.
+    /// own, trains its work list in order over the buffer it last imported,
+    /// adding each batch loss to its device's `loss_sums` bucket, and
+    /// collects the rows it changed; an overlay then writes their delta,
+    /// which is what the merge reads of it. Under Algorithm 2 it then takes
+    /// its side of the perturbation gate from the rows it changed
+    /// ([`Replica::norm_estimate`]), sweeping its whole model
+    /// ([`Replica::l2_norm_per_param`]) only when the estimate's error bound
+    /// straddles `pert_thr`. Returns, per live replica in device order,
+    /// whether its norm per parameter is below `pert_thr` (nothing under the
+    /// rules that read no norm), and leaves every work list empty.
     fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<bool> {
         let lsh_seed = self.cfg.sampled_softmax.map_or(0, |s| s.seed);
-        let sparse = self.cfg.sparse_merge;
+        let param_len = self.mconfig.param_len();
+        let overlays = overlay_replicas(self.spec, self.cfg);
         let base = import_base(&self.payload, self.imported_payload, &self.global);
         let gate = match (self.spec.merge_rule, self.base_sq) {
             (MergeRule::Normalized(p), Some(s_base)) => Some((s_base, p.pert_thr)),
@@ -1148,17 +1176,18 @@ impl SchedulerState<'_> {
                 let lr = self.hypers[r.gpu].lr as f32;
                 s.spawn(move || {
                     for ids in batches {
-                        *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed));
+                        *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed), base);
                     }
-                    if sparse {
+                    r.collect_rows();
+                    if overlays {
                         r.gather_delta(delta);
                     }
                     if let Some((s_base, thr)) = gate {
                         let estimate = r.norm_estimate(base, s_base);
                         *below = Some(
                             estimate
-                                .below(r.mlp.param_len(), thr)
-                                .unwrap_or_else(|| r.mlp.l2_norm_per_param() < thr),
+                                .below(param_len, thr)
+                                .unwrap_or_else(|| r.l2_norm_per_param(base) < thr),
                         );
                     }
                 });
@@ -1186,12 +1215,15 @@ impl SchedulerState<'_> {
     /// survivors only; dead devices' clocks freeze and their weights are 0
     /// in the record.
     ///
-    /// Model-sized buffers: the dense merge reads the replicas where they
-    /// live; the sparse one reads `(rows, payload)` deltas and no replica.
-    /// Either way [`FusedMerge`] streams the replicas once and leaves the new
+    /// Model-sized buffers: the merge reads owned replicas where they live
+    /// and overlays through their `(rows, payload)` deltas, which the
+    /// sparse merge ships and a dense merge of overlays reduces the same
+    /// way (the arithmetic is one; only the simulated wire differs). Either
+    /// way [`FusedMerge`] streams the replicas once and leaves the new
     /// `global`/`prev_global` — at bf16 also the narrowed payload in
     /// [`Self::payload`] — which every live replica then imports from a
-    /// shared borrow. Steady-state merges allocate nothing model-sized.
+    /// shared borrow: an owned replica copies it, an overlay only forgets
+    /// its rows. Steady-state merges allocate nothing model-sized.
     fn merge(&mut self, below: &[bool], mega_index: usize) -> MergeDecision {
         let n = self.n();
         let alive_idx: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
@@ -1208,10 +1240,11 @@ impl SchedulerState<'_> {
                 if cfg!(any(test, debug_assertions)) {
                     // The oracle: every side is the exact norm's, and so is
                     // the decision.
+                    let base = import_base(&self.payload, self.imported_payload, &self.global);
                     let exact: Vec<f64> = self
                         .replicas
                         .iter()
-                        .map(|r| r.mlp.l2_norm_per_param())
+                        .map(|r| r.l2_norm_per_param(base))
                         .collect();
                     for (&side, &norm) in below.iter().zip(&exact) {
                         assert_eq!(
@@ -1280,7 +1313,7 @@ impl SchedulerState<'_> {
         };
         // Under Algorithm 2 the pass also sums the squares of what the
         // replicas import next: the next gate's base.
-        let timing = if self.cfg.sparse_merge {
+        let timing = if overlay_replicas(self.spec, self.cfg) {
             let deltas: Vec<(&[u32], &FlatVec)> = self
                 .replicas
                 .iter()
@@ -1299,30 +1332,34 @@ impl SchedulerState<'_> {
             );
             // The arithmetic above is the dense collective's, element for
             // element (the reduction contract), so sparsity only changes what
-            // the simulated wire carries; the dense timing doubles as the
-            // density-threshold fallback.
-            let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
-            let plan = SparseMergePlan {
-                algo: self.spec.allreduce,
-                inter,
-                elem_bytes: self.cfg.precision.bytes(),
-                max_density: self.cfg.sparse_max_density,
-            };
-            let s = sparse_merge_timing(
-                &self.sparse_layout,
-                &row_sets,
-                &plan,
-                &ctx,
-                &arrivals,
-                dense,
-            );
-            self.sparse_stats.merges += 1;
-            self.sparse_stats.fallbacks += u64::from(s.fell_back);
-            self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
-            self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
-            s.timing
+            // the simulated wire carries; the dense timing is a dense
+            // merge's, and doubles as the density-threshold fallback.
+            if !self.cfg.sparse_merge {
+                dense
+            } else {
+                let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
+                let plan = SparseMergePlan {
+                    algo: self.spec.allreduce,
+                    inter,
+                    elem_bytes: self.cfg.precision.bytes(),
+                    max_density: self.cfg.sparse_max_density,
+                };
+                let s = sparse_merge_timing(
+                    &self.sparse_layout,
+                    &row_sets,
+                    &plan,
+                    &ctx,
+                    &arrivals,
+                    dense,
+                );
+                self.sparse_stats.merges += 1;
+                self.sparse_stats.fallbacks += u64::from(s.fell_back);
+                self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
+                self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
+                s.timing
+            }
         } else {
-            let replicas: Vec<&[f32]> = self.replicas.iter().map(|r| r.mlp.as_flat()).collect();
+            let replicas: Vec<&[f32]> = self.replicas.iter().map(Replica::owned_flat).collect();
             fused.run(
                 MergeInput::Dense(&replicas),
                 self.payload.as_deref_mut(),
@@ -1336,7 +1373,8 @@ impl SchedulerState<'_> {
         // The import phase: one read-only payload — the bf16 buffer, or at
         // f32 `global` itself — hashed once into the LSH index, then
         // imported (or blended toward) by every live replica on a scoped
-        // thread of its own, adopting that index.
+        // thread of its own, adopting that index: an owned replica copies
+        // it, an overlay forgets its rows and reads it from then on.
         let payload = match &self.payload {
             Some(p) => FlatRef::Bf16(p),
             None => FlatRef::F32(self.global.as_flat()),
@@ -2048,9 +2086,9 @@ mod tests {
     /// Steady-state merges allocate nothing model-sized. Dense or sparse, at
     /// f32 or bf16, the global model, its momentum memory and the payload —
     /// a bf16 buffer, none at f32 — keep their addresses through 4
-    /// mega-batches. The dense merge reads the replicas and leaves the delta
-    /// slots unallocated; the sparse merge's delta slots stay shorter than
-    /// the model.
+    /// mega-batches. The sampled replicas are overlays, which every merge
+    /// reads through their deltas, dense or sparse: every delta slot is
+    /// written, and stays shorter than the model.
     #[test]
     fn merge_buffers_keep_their_addresses() {
         let ds = dataset();
@@ -2083,7 +2121,7 @@ mod tests {
                     assert_eq!(buffers(&state), first, "{what}");
                     for d in &state.deltas {
                         assert!(d.len() < len, "a model-sized delta, {what}");
-                        assert!(sparse || d.capacity() == 0, "a dense-merge delta, {what}");
+                        assert!(!d.is_empty(), "an overlay merged without its delta, {what}");
                     }
                 }
             }
@@ -2130,8 +2168,14 @@ mod tests {
                     .map(|x| x.to_bits())
                     .collect();
                     assert_eq!(state.replicas.len(), if mega < 2 { 3 } else { 2 }, "{what}");
+                    let base = import_base(&state.payload, state.imported_payload, &state.global);
                     for r in &state.replicas {
-                        let got: Vec<u32> = r.mlp.as_flat().iter().map(|x| x.to_bits()).collect();
+                        let got: Vec<u32> = r
+                            .materialize(base)
+                            .as_flat()
+                            .iter()
+                            .map(|x| x.to_bits())
+                            .collect();
                         assert!(got == want, "gpu {} is not global, {what}", r.gpu);
                     }
                     let Some(arena) = &state.lsh else { continue };
@@ -2263,8 +2307,8 @@ mod tests {
                     let s_base = state.base_sq.expect("Algorithm 2 sums its base");
                     for (i, r) in state.replicas.iter().enumerate() {
                         let at = format!("{what} at {precision:?}, merge {m}, replica {i}");
-                        let (est, len) = (r.norm_estimate(base, s_base), r.mlp.param_len());
-                        let exact = r.mlp.l2_norm_per_param();
+                        let (est, len) = (r.norm_estimate(base, s_base), r.param_len());
+                        let exact = r.l2_norm_per_param(base);
                         assert!(exact > 0.0 && exact.is_finite(), "{at}: norm {exact}");
                         assert_eq!(below[i], exact < 0.1, "{at}: the run's gate");
                         for (thr, decides) in [

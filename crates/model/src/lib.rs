@@ -7,6 +7,8 @@
 //! initialized from a normal distribution scaled by the layer's unit count.
 //!
 //! * [`Mlp`] — parameters and the real forward/backward/update math.
+//! * [`Overlay`] — a sampled-softmax replica as the rows it changed over
+//!   a model it borrows, trained by the same kernels, bit for bit.
 //! * [`workspace::Workspace`] — reusable training buffers; with one of
 //!   these, steady-state `train_batch_ws` steps allocate nothing.
 //! * [`gradients::Gradients`] — gradient buffers shaped like the model.
@@ -36,9 +38,11 @@ pub mod checkpoint;
 pub mod eval;
 pub mod gradients;
 pub mod mlp;
+pub mod overlay;
 pub mod workload;
 pub mod workspace;
 
 pub use gradients::Gradients;
 pub use mlp::{Mlp, MlpConfig, TrainOutput};
+pub use overlay::Overlay;
 pub use workspace::Workspace;

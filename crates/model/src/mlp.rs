@@ -61,6 +61,28 @@ pub struct TrainOutput {
     pub batch_nnz: usize,
 }
 
+/// The four parameter blocks a sampled step reads, wherever they live: an
+/// [`Mlp`]'s flat buffer, or a [`crate::Overlay`]'s slots. Row `r` of `w1`
+/// holds the weights the batch's column id `r` names and row `r` of `w2` /
+/// entry `r` of `b2` those the step's gather index `r` names — feature and
+/// class ids for a model, slot ids for an overlay. The kernels read a row
+/// the same way whichever it is, so the two give the same bits.
+pub(crate) struct Params<'a> {
+    pub(crate) w1: MatRef<'a>,
+    pub(crate) b1: &'a [f32],
+    pub(crate) w2: MatRef<'a>,
+    pub(crate) b2: &'a [f32],
+}
+
+/// [`Params`], mutably: what an update step writes.
+pub(crate) struct ParamsMut<'a> {
+    pub(crate) hidden: usize,
+    pub(crate) w1: &'a mut [f32],
+    pub(crate) b1: &'a mut [f32],
+    pub(crate) w2: &'a mut [f32],
+    pub(crate) b2: &'a mut [f32],
+}
+
 /// The 3-layer MLP: `softmax(relu(X·W₁ + b₁)·W₂ + b₂)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
@@ -147,12 +169,35 @@ impl Mlp {
 
     /// The four blocks of `params`, mutably, cut at
     /// [`MlpConfig::block_ranges`].
-    fn blocks_mut(&mut self) -> [&mut [f32]; 4] {
+    pub(crate) fn blocks_mut(&mut self) -> [&mut [f32]; 4] {
         let [w1, b1, w2, _] = self.config.block_ranges();
         let (w1s, rest) = self.params.split_at_mut(w1.len());
         let (b1s, rest) = rest.split_at_mut(b1.len());
         let (w2s, b2s) = rest.split_at_mut(w2.len());
         [w1s, b1s, w2s, b2s]
+    }
+
+    /// The model as the sampled step reads it: every id is its own row.
+    fn params(&self) -> Params<'_> {
+        Params {
+            w1: self.w1(),
+            b1: self.b1(),
+            w2: self.w2(),
+            b2: self.b2(),
+        }
+    }
+
+    /// [`Mlp::params`], mutably.
+    fn params_mut(&mut self) -> ParamsMut<'_> {
+        let hidden = self.config.hidden;
+        let [w1, b1, w2, b2] = self.blocks_mut();
+        ParamsMut {
+            hidden,
+            w1,
+            b1,
+            w2,
+            b2,
+        }
     }
 
     /// A copy of all parameters in the flat layout of [`Mlp::as_flat`].
@@ -200,47 +245,18 @@ impl Mlp {
     /// # Panics
     /// Panics when a row id falls outside `num_features + num_classes`.
     pub fn write_delta_buf(&self, rows: &[u32], out: &mut FlatVec) {
-        match out {
-            FlatVec::F32(v) => self.delta_into(rows, v, |x| x),
-            FlatVec::Bf16(v) => self.delta_into(rows, v, bf16::narrow),
-        }
-    }
-
-    /// [`Mlp::write_delta_buf`] into `v`, every value through `narrow`. A
-    /// payload that outgrows `v` gets a fresh allocation of exactly its
-    /// size, which the pack writes whole ([`asgd_tensor::pages::zeroed`]).
-    fn delta_into<E: Copy + Default>(
-        &self,
-        rows: &[u32],
-        v: &mut Vec<E>,
-        narrow: impl Fn(f32) -> E,
-    ) {
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "delta rows must be strictly ascending"
-        );
         let c = &self.config;
         let (w1, w2, b2) = (self.w1(), self.w2(), self.b2());
-        // `b₁`, then `hidden` values per row and one `b₂` entry per class row.
-        let feature_rows = rows.partition_point(|&r| (r as usize) < c.num_features);
-        let need = c.hidden + rows.len() * c.hidden + (rows.len() - feature_rows);
-        if v.capacity() < need {
-            *v = pages::zeroed(need);
-        }
-        v.clear();
-        v.extend(self.b1().iter().map(|&x| narrow(x)));
-        for &r in rows {
-            let r = r as usize;
+        let row = |r: usize| {
             if r < c.num_features {
-                v.extend(w1.row(r).iter().map(|&x| narrow(x)));
+                (w1.row(r), None)
             } else {
                 let cl = r - c.num_features;
                 assert!(cl < c.num_classes, "row {r} outside layout");
-                v.extend(w2.row(cl).iter().map(|&x| narrow(x)));
-                v.push(narrow(b2[cl]));
+                (w2.row(cl), Some(b2[cl]))
             }
-        }
-        debug_assert_eq!(v.len(), need, "delta length");
+        };
+        write_delta(c, self.b1(), rows, row, out);
     }
 
     /// Imports a flat buffer of either precision — the read counterpart of
@@ -662,28 +678,12 @@ impl Mlp {
         loss
     }
 
-    /// The input-layer half of an SGD step, `W₁ ← W₁ − lr·∇W₁` and
-    /// `b₁ ← b₁ − lr·∇b₁` — the same on the dense and the sampled path, so
-    /// both update routines call this one. `W₁` receives a *sparse* update:
-    /// only features present in the batch have non-zero gradient rows.
-    fn apply_hidden_gradients(&mut self, grads: &Gradients, lr: f32) {
-        let hidden = self.config.hidden;
-        let [w1, b1, ..] = self.blocks_mut();
-        for &(feature, ref grow) in &grads.w1_updates {
-            let wrow = &mut w1[feature as usize * hidden..][..hidden];
-            for (w, &g) in wrow.iter_mut().zip(grow) {
-                *w -= lr * g;
-            }
-        }
-        ops::axpy(-lr, &grads.b1, b1);
-    }
-
     /// Applies one SGD step: `θ ← θ − lr·∇θ`.
     pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
-        self.apply_hidden_gradients(grads, lr);
-        let [_, _, w2, b2] = self.blocks_mut();
-        ops::axpy(-lr, grads.w2.as_slice(), w2);
-        ops::axpy(-lr, &grads.b2, b2);
+        let mut p = self.params_mut();
+        p.apply_hidden_gradients(grads, lr);
+        ops::axpy(-lr, grads.w2.as_slice(), p.w2);
+        ops::axpy(-lr, &grads.b2, p.b2);
     }
 
     /// One full SGD step on a batch (forward + backward + update) using
@@ -756,67 +756,14 @@ impl Mlp {
         cand: &[u32],
         ws: &mut Workspace,
     ) -> f64 {
-        let batch = x.rows();
-        assert_eq!(labels.len(), batch, "labels/batch mismatch");
-        assert!(batch > 0, "empty batch");
-        assert!(!cand.is_empty(), "empty candidate set");
         assert_eq!(x.cols(), self.config.num_features, "input width");
         assert_eq!(
             ws.slot.len(),
             self.config.num_features,
             "workspace/model architecture mismatch"
         );
-        debug_assert!(
-            cand.windows(2).all(|w| w[0] < w[1]),
-            "candidate set must be sorted and deduplicated"
-        );
-        let s = cand.len();
-        let hidden = self.config.hidden;
-        let w2 = self.w2();
-        let Workspace {
-            h,
-            logits_s,
-            gathered_b2,
-            dh,
-            gt,
-            b2_scratch,
-            grads,
-            slot,
-            arena,
-            ..
-        } = ws;
-
-        // Forward: dense hidden layer, candidate-gathered output layer.
-        h.reshape_in_place(batch, hidden);
-        sops::spmm_bias_relu(x, self.w1(), self.b1(), h);
-        let b2 = self.b2();
-        gathered_b2.clear();
-        gathered_b2.extend(cand.iter().map(|&c| b2[c as usize]));
-        logits_s.reshape_in_place(batch, s);
-        ops::gemm_nt_gather_bias(h, w2, cand, gathered_b2, logits_s);
-        numerics::softmax_rows_inplace(logits_s);
-
-        // The same per-row loss/dlogits math as the dense path, with label
-        // positions found in the sorted candidate list.
-        let loss = loss_and_dlogits(logits_s, labels, |y| {
-            cand.binary_search(&y)
-                .expect("label missing from candidate set")
-        });
-
-        // Backward. Compact ∇W₂ᵀ rows: dlogitsᵀ·h (the compact dlogits is
-        // dense, so the plain kernel applies); compact ∇b₂: column sums.
-        gt.reshape_in_place(s, hidden);
-        ops::gemm_tn(1.0, logits_s, h, 0.0, gt);
-        b2_scratch.resize(s, 0.0);
-        col_sums(logits_s, b2_scratch);
-        // dh = dlogitsₛ·gather(W₂, cand), masked by ReLU.
-        dh.reshape_in_place(batch, hidden);
-        ops::gemm_nn_gather(1.0, logits_s, w2, cand, 0.0, dh);
-        numerics::relu_backward_inplace(dh, h);
-        // dW1 = Xᵀ·dh ; db1 = Σ_rows dh — unchanged from the dense path.
-        sparse_weight_grad(x, dh, slot, arena, &mut grads.w1_updates);
-        col_sums(dh, &mut grads.b1);
-        loss
+        self.params()
+            .loss_and_gradients_sampled(x, labels, cand, cand, ws)
     }
 
     /// Applies one SGD step from the *sampled* gradients `ws` holds after
@@ -830,20 +777,7 @@ impl Mlp {
     /// Panics when the compact gradient was not computed over a candidate
     /// set of `cand`'s length.
     pub fn apply_gradients_sampled(&mut self, cand: &[u32], lr: f32, ws: &mut Workspace) {
-        assert_eq!(ws.gt.rows(), cand.len(), "gradient/candidate set mismatch");
-        self.apply_hidden_gradients(&ws.grads, lr);
-        let hidden = self.config.hidden;
-        let [_, _, w2, b2] = self.blocks_mut();
-        for (i, &c) in cand.iter().enumerate() {
-            let c = c as usize;
-            for (w, &g) in w2[c * hidden..(c + 1) * hidden]
-                .iter_mut()
-                .zip(ws.gt.row(i))
-            {
-                *w -= lr * g;
-            }
-            b2[c] -= lr * ws.b2_scratch[i];
-        }
+        self.params_mut().apply_gradients_sampled(cand, lr, ws);
     }
 
     /// One full sampled-softmax SGD step on a batch (forward + backward +
@@ -865,6 +799,162 @@ impl Mlp {
             loss,
             batch_size: x.rows(),
             batch_nnz: x.nnz(),
+        }
+    }
+}
+
+/// The sparse-merge delta payload over `rows` (strictly ascending) into
+/// `out`, cleared and refilled in `out`'s precision, its allocation
+/// recycled: `b1`, then per row the `hidden` weights `row(r)` returns —
+/// for a class row followed by its `b₂` entry, which `row` returns with it.
+/// A payload that outgrows `out` gets a fresh allocation of exactly its
+/// size, which the pack writes whole ([`asgd_tensor::pages::zeroed`]).
+pub(crate) fn write_delta<'a>(
+    c: &MlpConfig,
+    b1: &[f32],
+    rows: &[u32],
+    row: impl Fn(usize) -> (&'a [f32], Option<f32>),
+    out: &mut FlatVec,
+) {
+    fn pack<'a, E: Copy + Default>(
+        c: &MlpConfig,
+        b1: &[f32],
+        rows: &[u32],
+        row: impl Fn(usize) -> (&'a [f32], Option<f32>),
+        v: &mut Vec<E>,
+        narrow: impl Fn(f32) -> E,
+    ) {
+        debug_assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "delta rows must be strictly ascending"
+        );
+        // `b₁`, then `hidden` values per row and one `b₂` entry per class row.
+        let feature_rows = rows.partition_point(|&r| (r as usize) < c.num_features);
+        let need = c.hidden + rows.len() * c.hidden + (rows.len() - feature_rows);
+        if v.capacity() < need {
+            *v = pages::zeroed(need);
+        }
+        v.clear();
+        v.extend(b1.iter().map(|&x| narrow(x)));
+        for &r in rows {
+            let (w, b2) = row(r as usize);
+            v.extend(w.iter().map(|&x| narrow(x)));
+            v.extend(b2.map(&narrow));
+        }
+        debug_assert_eq!(v.len(), need, "delta length");
+    }
+    match out {
+        FlatVec::F32(v) => pack(c, b1, rows, row, v, |x| x),
+        FlatVec::Bf16(v) => pack(c, b1, rows, row, v, bf16::narrow),
+    }
+}
+
+impl Params<'_> {
+    /// The body of [`Mlp::loss_and_gradients_sampled_ws`] over these
+    /// parameters: `x`'s column ids are rows of `w1`, `cand` the candidate
+    /// classes (sorted, deduplicated, every label among them) and `rows[i]`
+    /// the row of `w2` / `b2` that holds class `cand[i]`.
+    pub(crate) fn loss_and_gradients_sampled<L: AsRef<[u32]>>(
+        &self,
+        x: &CsrMatrix,
+        labels: &[L],
+        cand: &[u32],
+        rows: &[u32],
+        ws: &mut Workspace,
+    ) -> f64 {
+        let batch = x.rows();
+        assert_eq!(labels.len(), batch, "labels/batch mismatch");
+        assert!(batch > 0, "empty batch");
+        assert!(!cand.is_empty(), "empty candidate set");
+        assert_eq!(rows.len(), cand.len(), "one row per candidate");
+        assert!(
+            ws.slot.len() >= x.cols(),
+            "workspace/model architecture mismatch"
+        );
+        debug_assert!(
+            cand.windows(2).all(|w| w[0] < w[1]),
+            "candidate set must be sorted and deduplicated"
+        );
+        let s = cand.len();
+        let hidden = self.w1.cols();
+        let w2 = self.w2;
+        let Workspace {
+            h,
+            logits_s,
+            gathered_b2,
+            dh,
+            gt,
+            b2_scratch,
+            grads,
+            slot,
+            arena,
+            ..
+        } = ws;
+
+        // Forward: dense hidden layer, candidate-gathered output layer.
+        h.reshape_in_place(batch, hidden);
+        sops::spmm_bias_relu(x, self.w1, self.b1, h);
+        gathered_b2.clear();
+        gathered_b2.extend(rows.iter().map(|&r| self.b2[r as usize]));
+        logits_s.reshape_in_place(batch, s);
+        ops::gemm_nt_gather_bias(h, w2, rows, gathered_b2, logits_s);
+        numerics::softmax_rows_inplace(logits_s);
+
+        // The same per-row loss/dlogits math as the dense path, with label
+        // positions found in the sorted candidate list.
+        let loss = loss_and_dlogits(logits_s, labels, |y| {
+            cand.binary_search(&y)
+                .expect("label missing from candidate set")
+        });
+
+        // Backward. Compact ∇W₂ᵀ rows: dlogitsᵀ·h (the compact dlogits is
+        // dense, so the plain kernel applies); compact ∇b₂: column sums.
+        gt.reshape_in_place(s, hidden);
+        ops::gemm_tn(1.0, logits_s, h, 0.0, gt);
+        b2_scratch.resize(s, 0.0);
+        col_sums(logits_s, b2_scratch);
+        // dh = dlogitsₛ·gather(W₂, rows), masked by ReLU.
+        dh.reshape_in_place(batch, hidden);
+        ops::gemm_nn_gather(1.0, logits_s, w2, rows, 0.0, dh);
+        numerics::relu_backward_inplace(dh, h);
+        // dW1 = Xᵀ·dh ; db1 = Σ_rows dh — unchanged from the dense path.
+        sparse_weight_grad(x, dh, slot, arena, &mut grads.w1_updates);
+        col_sums(dh, &mut grads.b1);
+        loss
+    }
+}
+
+impl ParamsMut<'_> {
+    /// The input-layer half of an SGD step, `W₁ ← W₁ − lr·∇W₁` and
+    /// `b₁ ← b₁ − lr·∇b₁` — the same on the dense and the sampled path, so
+    /// both update routines call this one. `W₁` receives a *sparse* update:
+    /// only rows present in the batch have non-zero gradient rows.
+    fn apply_hidden_gradients(&mut self, grads: &Gradients, lr: f32) {
+        let hidden = self.hidden;
+        for &(row, ref grow) in &grads.w1_updates {
+            let wrow = &mut self.w1[row as usize * hidden..][..hidden];
+            for (w, &g) in wrow.iter_mut().zip(grow) {
+                *w -= lr * g;
+            }
+        }
+        ops::axpy(-lr, &grads.b1, self.b1);
+    }
+
+    /// The body of [`Mlp::apply_gradients_sampled`]: `rows[i]` is the row
+    /// of `w2` / `b2` that compact gradient row `i` updates.
+    pub(crate) fn apply_gradients_sampled(&mut self, rows: &[u32], lr: f32, ws: &Workspace) {
+        assert_eq!(ws.gt.rows(), rows.len(), "gradient/candidate set mismatch");
+        self.apply_hidden_gradients(&ws.grads, lr);
+        let hidden = self.hidden;
+        for (i, &r) in rows.iter().enumerate() {
+            let r = r as usize;
+            for (w, &g) in self.w2[r * hidden..(r + 1) * hidden]
+                .iter_mut()
+                .zip(ws.gt.row(i))
+            {
+                *w -= lr * g;
+            }
+            self.b2[r] -= lr * ws.b2_scratch[i];
         }
     }
 }
@@ -1989,6 +2079,34 @@ mod tests {
             ALLOCATIONS.with(|n| n.get()),
             before,
             "a warm step allocated"
+        );
+
+        // The same steps through an overlay on `m`: once its slot buffers
+        // have grown, neither a warm step (the batch reselected into one
+        // CSR buffer, its columns renamed in place) nor an import — which
+        // forgets the slots and keeps their buffers — touches the heap.
+        let all: Vec<usize> = (0..x.rows()).collect();
+        let mut batch = x.select_rows(&all);
+        let mut overlay = crate::Overlay::new(&config, FlatRef::F32(m.as_flat()));
+        let mut ows = Workspace::new(&config);
+        for _ in 0..2 {
+            x.select_rows_into(&all, &mut batch);
+            let base = FlatRef::F32(m.as_flat());
+            overlay.train_batch_sampled_ws(base, &mut batch, &labels, &cand, 0.1, &mut ows);
+        }
+        let before = ALLOCATIONS.with(|n| n.get());
+        for step in 0..4 {
+            if step == 2 {
+                overlay.import(FlatRef::F32(m.as_flat()));
+            }
+            x.select_rows_into(&all, &mut batch);
+            let base = FlatRef::F32(m.as_flat());
+            overlay.train_batch_sampled_ws(base, &mut batch, &labels, &cand, 0.1, &mut ows);
+        }
+        assert_eq!(
+            ALLOCATIONS.with(|n| n.get()),
+            before,
+            "a warm overlay step or an import allocated"
         );
     }
 

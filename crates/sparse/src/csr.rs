@@ -45,7 +45,8 @@ impl std::error::Error for CsrError {}
 /// * `indptr.len() == rows + 1`, `indptr[0] == 0`, non-decreasing,
 ///   `indptr[rows] == nnz`;
 /// * `indices.len() == values.len() == nnz`;
-/// * within each row, column indices are strictly increasing and `< cols`.
+/// * within each row, column indices are strictly increasing and `< cols`
+///   ([`CsrMatrix::relabel_columns`] keeps them `< cols` only).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     rows: usize,
@@ -250,6 +251,26 @@ impl CsrMatrix {
             out.values.extend_from_slice(val);
             out.indptr.push(out.indices.len());
         }
+    }
+
+    /// Renames every column id `j` to `map(j)` in place and makes the matrix
+    /// `cols` wide: a batch's features renamed to the rows of a compact
+    /// weight block that holds only theirs. Entries stay where they are, so
+    /// a row's new ids need not increase — the one operation that may leave
+    /// rows unsorted. The row-streaming kernels (`spmm*`, the sparse weight
+    /// gradient) read a row's entries in stored order, so over a weight
+    /// block whose rows are renamed the same way they compute the same
+    /// bits as before.
+    ///
+    /// # Panics
+    /// Panics when a new id is not below `cols`.
+    pub fn relabel_columns(&mut self, cols: usize, map: impl Fn(u32) -> u32) {
+        for j in &mut self.indices {
+            let k = map(*j);
+            assert!((k as usize) < cols, "column {j} renamed to {k} of {cols}");
+            *j = k;
+        }
+        self.cols = cols;
     }
 
     /// Dense `rows × cols` copy — test/debug helper, O(rows·cols) memory.

@@ -344,19 +344,56 @@ pub fn dot_lanes(a: &[f32], b: &[f32]) -> f32 {
 /// adds in flight instead of one. Each square is exact in `f64` (24
 /// significand bits squared fit in 53), so only the adds round.
 pub fn sum_sq_lanes<E: Widen>(xs: &[E]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let mut chunks = xs.chunks_exact(LANES);
-    for c in chunks.by_ref() {
-        for l in 0..LANES {
-            let x = f64::from(c[l].widen());
-            acc[l] += x * x;
+    let mut acc = SqLanes::default();
+    acc.add(xs);
+    acc.sum()
+}
+
+/// [`sum_sq_lanes`] of one sequence fed in runs: the lane position carries
+/// from run to run, so element `t` of the whole sequence lands in lane
+/// `t % LANES` wherever the runs are cut, and [`SqLanes::sum`] is bit for
+/// bit `sum_sq_lanes` of the runs laid end to end. Runs may mix f32 and
+/// bf16 elements — a model read partly from a bf16 base and partly from
+/// f32 rows of its own.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SqLanes {
+    acc: [f64; LANES],
+    /// Elements added so far, modulo `LANES`: the lane of the next one.
+    at: usize,
+}
+
+impl SqLanes {
+    /// Adds the next run of the sequence.
+    #[inline(always)]
+    pub fn add<E: Widen>(&mut self, xs: &[E]) {
+        // Up to the next lane-0 boundary one by one, then whole lane rows.
+        let head = ((LANES - self.at) % LANES).min(xs.len());
+        let (head, body) = xs.split_at(head);
+        for &x in head {
+            let x = f64::from(x.widen());
+            self.acc[self.at] += x * x;
+            self.at += 1;
         }
+        self.at %= LANES;
+        let mut chunks = body.chunks_exact(LANES);
+        for c in chunks.by_ref() {
+            for (a, &x) in self.acc.iter_mut().zip(c) {
+                let x = f64::from(x.widen());
+                *a += x * x;
+            }
+        }
+        for (a, &x) in self.acc.iter_mut().zip(chunks.remainder()) {
+            let x = f64::from(x.widen());
+            *a += x * x;
+        }
+        self.at = (self.at + chunks.remainder().len()) % LANES;
     }
-    for (l, &x) in chunks.remainder().iter().enumerate() {
-        let x = f64::from(x.widen());
-        acc[l] += x * x;
+
+    /// The lanes folded in [`lane_tree`]'s order.
+    pub fn sum(&self) -> f64 {
+        let acc = &self.acc;
+        ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
     }
-    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
 }
 
 /// `dst[l] += s * src[l]`, unrolled in `LANES`-wide blocks. Element-wise
@@ -2181,6 +2218,45 @@ mod tests {
             let want =
                 ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]));
             assert_eq!(sum_sq_lanes(&xs).to_bits(), want.to_bits(), "{len}");
+        }
+    }
+
+    /// Fed in runs cut anywhere — empty runs, runs shorter than a lane row,
+    /// runs that start mid-row — and mixing f32 with bf16, the carried
+    /// lanes sum what `sum_sq_lanes` sums over the whole sequence.
+    #[test]
+    fn carried_lanes_are_sum_sq_lanes_of_the_runs_laid_end_to_end() {
+        let xs: Vec<f32> = (0..101).map(|i| (i % 13) as f32 / 7.0 - 0.9).collect();
+        let narrowed: Vec<u16> = xs.iter().map(|&x| crate::bf16::narrow(x)).collect();
+        let widened: Vec<f32> = narrowed.iter().map(|&b| crate::bf16::widen(b)).collect();
+        for cuts in [
+            vec![],
+            vec![0, 0, 3],
+            vec![1, 2, 3, 4, 5],
+            vec![8, 16, 17, 40, 99],
+            vec![13, 26, 39, 52, 65, 78, 91],
+            vec![7, 7, 100],
+        ] {
+            let mut bounds = vec![0];
+            bounds.extend(&cuts);
+            bounds.push(xs.len());
+            let mut acc = SqLanes::default();
+            let mut whole = Vec::new();
+            for (i, w) in bounds.windows(2).enumerate() {
+                // Every other run is read from the bf16 copy.
+                if i % 2 == 0 {
+                    acc.add(&xs[w[0]..w[1]]);
+                    whole.extend_from_slice(&xs[w[0]..w[1]]);
+                } else {
+                    acc.add(&narrowed[w[0]..w[1]]);
+                    whole.extend_from_slice(&widened[w[0]..w[1]]);
+                }
+            }
+            assert_eq!(
+                acc.sum().to_bits(),
+                sum_sq_lanes(&whole).to_bits(),
+                "{cuts:?}"
+            );
         }
     }
 

@@ -123,9 +123,12 @@ struct State {
     workers: usize,
     /// Workers parked on `work`.
     parked: usize,
-    /// Times a worker came back from parking, for the wake-up test.
+    /// Notifies sent on `work`, for the wake-up test: what the pool decides.
+    /// (How many parked workers then return is the `Condvar`'s business —
+    /// std allows spurious returns, and a worker preempted between
+    /// releasing the mutex and sleeping returns at once after any notify.)
     #[cfg(test)]
-    wakeups: usize,
+    notifies: usize,
 }
 
 /// A worker pool. The process uses one ([`POOL`]); tests build their own
@@ -155,7 +158,7 @@ impl Pool {
                 workers: 0,
                 parked: 0,
                 #[cfg(test)]
-                wakeups: 0,
+                notifies: 0,
             }),
             work: Condvar::new(),
             busy: AtomicUsize::new(0),
@@ -203,10 +206,6 @@ impl Pool {
                 st.parked += 1;
                 st = self.work.wait(st).expect("pool state poisoned");
                 st.parked -= 1;
-                #[cfg(test)]
-                {
-                    st.wakeups += 1;
-                }
                 continue;
             };
             listed.helpers += 1;
@@ -233,8 +232,8 @@ impl Pool {
     }
 
     #[cfg(test)]
-    fn wakeups(&self) -> usize {
-        self.lock().wakeups
+    fn notifies(&self) -> usize {
+        self.lock().notifies
     }
 
     #[cfg(test)]
@@ -299,7 +298,12 @@ impl Region {
                 job: erased,
                 helpers: 0,
             });
-            (ntasks.min(self.lanes) - 1).min(st.parked)
+            let wake = (ntasks.min(self.lanes) - 1).min(st.parked);
+            #[cfg(test)]
+            {
+                st.notifies += wake;
+            }
+            wake
         };
         for _ in 0..wake {
             pool.work.notify_one();
@@ -528,12 +532,17 @@ mod tests {
         assert_eq!(ok.load(Ordering::Relaxed), 16);
     }
 
+    /// The pool decides to wake exactly one of 7 parked workers for a job
+    /// with one task to give away. What is counted is the notifies it
+    /// sends, not the workers that return from parking: a `Condvar` may
+    /// return spuriously, and a worker preempted between releasing the
+    /// mutex and sleeping returns at once after any notify.
     #[test]
-    fn a_two_task_job_wakes_at_most_one_worker() {
+    fn a_two_task_job_wakes_exactly_one_worker() {
         let pool = private_pool();
         pool.enter(8).run(8, &|_| {});
         wait_until_parked(pool, 7);
-        let before = pool.wakeups();
+        let before = pool.notifies();
         let second_task_ran = Flag::default();
         pool.enter(8).run(2, &|i| {
             if i == 1 {
@@ -542,10 +551,10 @@ mod tests {
         });
         assert!(second_task_ran.wait());
         wait_until_parked(pool, 7);
-        assert!(
-            pool.wakeups() - before <= 1,
-            "{} of 7 parked workers woke for a job with one task to give away",
-            pool.wakeups() - before
+        assert_eq!(
+            pool.notifies() - before,
+            1,
+            "notifies sent to 7 parked workers for a job with one task to give away"
         );
     }
 

@@ -160,3 +160,49 @@ fn resume_with_short_momentum_memory_is_an_error() {
         }
     );
 }
+
+/// A sampled-softmax, sparse-merge run resumed twice from one snapshot, at
+/// f32 and bf16: both resumes give the same final model bit for bit, and
+/// that model is the one pinned below (`fnv1a` of its little-endian bytes).
+/// Sampled replicas train as overlays on the model they imported, so the
+/// pinned checksums also hold the overlay to the owned-replica arithmetic
+/// they were cut with.
+#[test]
+fn sampled_sparse_resume_is_deterministic_and_pinned() {
+    use adaptive_sgd::core::trainer::SampledSoftmax;
+    use adaptive_sgd::stats::fnv1a;
+    use adaptive_sgd::tensor::Precision;
+
+    let ds = generate(&DatasetSpec::tiny("resume-sampled"), 17);
+    for (precision, want) in [
+        (Precision::F32, SAMPLED_RESUME_F32_FNV),
+        (Precision::Bf16, SAMPLED_RESUME_BF16_FNV),
+    ] {
+        let mut cfg = config(3);
+        cfg.precision = precision;
+        cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
+        cfg.sparse_merge = true;
+        cfg.sparse_max_density = 1.0;
+        let trainer = Trainer::new(algorithms::adaptive_sgd(), heterogeneous_server(3), cfg);
+        let state = trainer.run(&ds).final_state.unwrap();
+        let snapshot = TrainingState::decode(state.encode()).unwrap();
+        let a = trainer.run_resumed(&ds, &snapshot).unwrap();
+        let b = trainer.run_resumed(&ds, &snapshot).unwrap();
+        let fnv = |m: &[f32]| fnv1a(m.iter().flat_map(|w| w.to_le_bytes()));
+        assert_eq!(fnv(&a.final_model), fnv(&b.final_model), "{precision:?}");
+        for (ra, rb) in a.records.iter().zip(&b.records) {
+            assert_eq!(ra.mean_loss.to_bits(), rb.mean_loss.to_bits());
+            assert_eq!(ra.accuracy.to_bits(), rb.accuracy.to_bits());
+        }
+        assert_eq!(
+            fnv(&a.final_model),
+            want,
+            "{precision:?}: got {:#018x}",
+            fnv(&a.final_model)
+        );
+    }
+}
+
+/// The final-model checksums of `sampled_sparse_resume_is_deterministic_and_pinned`.
+const SAMPLED_RESUME_F32_FNV: u64 = 0x205d_c398_c5cf_191e;
+const SAMPLED_RESUME_BF16_FNV: u64 = 0xed2f_8a5b_27ed_6910;

@@ -2,11 +2,15 @@
 //!
 //! A counting global allocator tallies every allocation of at least one f32
 //! model (`param_len × 4` bytes) made while a run is in progress. A run
-//! holds exactly one per replica, the global model and its momentum memory
-//! (DESIGN.md, "Model-sized buffers"): at f32 the redistribution payload is
-//! the global model itself, and the final model leaves the run as the
-//! resumable state's global model, one allocation shared by both. At bf16
-//! the payload is the one extra buffer, half a model in size.
+//! holds exactly the global model and its momentum memory, and one more per
+//! replica that owns a model (DESIGN.md, "Model-sized buffers"): a
+//! dense-softmax or CROSSBOW replica does, a sampled replica is an overlay
+//! on the buffer it imported and holds only the rows it changed, which stay
+//! smaller than one model however many it touches. At f32 the
+//! redistribution payload is the global model itself, and the final model
+//! leaves the run as the resumable state's global model, one allocation
+//! shared by both. At bf16 the payload is the one extra buffer, half a
+//! model in size.
 //!
 //! A replica's `Workspace` holds no copy of `W₂` either: `W₂` is stored
 //! once, class-major, in the model, and a workspace at the sampled
@@ -155,6 +159,10 @@ fn a_run_allocates_each_model_sized_buffer_once() {
     sampled.sampled_softmax = Some(SampledSoftmax::defaults(16));
     sampled.sparse_merge = true;
     sampled.sparse_max_density = 1.0;
+    let sampled_bf16 = RunConfig {
+        precision: Precision::Bf16,
+        ..sampled.clone()
+    };
     let dense = config(Precision::F32);
     let mut cluster = config(Precision::Bf16);
     cluster.cluster = Some(ClusterConfig {
@@ -164,17 +172,18 @@ fn a_run_allocates_each_model_sized_buffer_once() {
     });
     cluster.fault_plan = Some(FaultPlan::new().merge_oom(0).device_loss(1, 2, 3));
 
-    for (what, cfg, n, bf16_payloads) in [
-        ("sampled + sparse merge, f32", sampled, 3, 0),
-        ("dense, f32", dense, 3, 0),
-        ("2x2 cluster with faults, bf16", cluster, 4, 1),
+    // (what, config, replicas, model-sized buffers, bf16 payloads)
+    for (what, cfg, n, models, bf16_payloads) in [
+        ("sampled + sparse merge, f32", sampled, 3, 2, 0),
+        ("sampled + sparse merge, bf16", sampled_bf16, 3, 2, 1),
+        ("dense, f32", dense, 3, 3 + 2, 0),
+        ("2x2 cluster with faults, bf16", cluster, 4, 4 + 2, 1),
     ] {
         let (at_least, exactly, r) = census(&ds, cfg, n);
         assert_eq!(r.records.len(), 3, "{what}: the run trained");
         assert_eq!(
-            at_least,
-            n + 2,
-            "{what}: one buffer per replica, the global model and its momentum memory"
+            at_least, models,
+            "{what}: the global model, its momentum memory and one buffer per owned replica"
         );
         assert_eq!(exactly, bf16_payloads, "{what}: bf16 payloads");
         let state = r
