@@ -147,7 +147,8 @@ impl Knobs<'_> {
 /// pinned values.
 ///
 /// # Panics
-/// Panics on any other mode word or an unparsable count (see [`knob`]).
+/// Panics on any other mode word, an unparsable count, or zero tables (see
+/// [`knob`]).
 pub fn parse_softmax(
     mode: Option<&str>,
     tables: Option<&str>,
@@ -159,7 +160,9 @@ pub fn parse_softmax(
     }
     let num = |t: &str| t.parse::<usize>().ok();
     let mut s = SampledSoftmax::defaults(knob("ASGD_NEG_SAMPLES", neg, 64, num));
-    s.tables = knob("ASGD_LSH_TABLES", tables, s.tables, num).max(1);
+    // An index needs at least one table.
+    let positive = |t: &str| num(t).filter(|&n| n > 0);
+    s.tables = knob("ASGD_LSH_TABLES", tables, s.tables, positive);
     Some(s)
 }
 
@@ -352,6 +355,9 @@ mod tests {
         });
         rejects("ASGD_LSH_TABLES", "eight", || {
             parse_softmax(Some("sampled"), Some("eight"), None)
+        });
+        rejects("ASGD_LSH_TABLES", "\"0\"", || {
+            parse_softmax(Some("sampled"), Some("0"), None)
         });
         let flag = [("0", false), ("1", true)];
         rejects("ASGD_SPARSE_MERGE", "true", || {

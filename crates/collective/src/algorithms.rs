@@ -5,9 +5,10 @@
 //! a round overlap: max within a round, sum across rounds). Every walk hands
 //! the payload of each step to a [`Payload`], and there are exactly two: the
 //! recorder of [`crate::tiles`], which keeps the step list so the *real*
-//! weighted-sum arithmetic can be replayed tile by tile in the exact data
-//! flow of the algorithm (so floating-point summation order matches what the
-//! hardware collective would produce), and [`CostOnly`], which moves nothing
+//! weighted-sum arithmetic can be compiled into the exact data flow of the
+//! algorithm — one sum tree per segment, evaluated element by element, so
+//! floating-point summation order matches what the hardware collective
+//! would produce — and [`CostOnly`], which moves nothing
 //! and makes the same walk the cost schedule of a collective at any length
 //! (`sparse::dense_schedule`). The bill a collective presents and the
 //! arithmetic it performs therefore come from a single pass over the same
@@ -17,15 +18,15 @@
 //! alias the chunks read (the ring forwards chunk `i - s` while reading
 //! `i + 1 - s`), so applying the steps one after another in place is
 //! bit-identical to a fully simultaneous exchange. The step-at-a-time
-//! execution survives as `Arith`, the `#[cfg(test)]` oracle the tile replay
-//! is pinned against.
+//! execution survives as `Arith`, the `#[cfg(test)]` oracle the compiled
+//! plan is pinned against.
 
 use crate::hierarchical::InterNode;
-use crate::tiles::{allreduce_tiled, split_shares, tile_shares, InPlace};
+use crate::tiles::{allreduce_tiled, split_shares, tile_shares, InPlace, ReducePlan};
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::bf16::ReduceElem;
-use asgd_tensor::parallel::split_ranges;
+use asgd_tensor::parallel::split_range;
 use asgd_tensor::{FlatVec, Precision};
 use std::ops::Range;
 
@@ -180,7 +181,8 @@ fn allreduce_in_place<E: ReduceElem>(
             part.bufs.push(slice);
         }
     }
-    allreduce_tiled(&mut parts, len, weights, algo, inter, ctx, arrivals)
+    let plan = ReducePlan::compile(algo, ctx, len);
+    allreduce_tiled(&plan, parts, weights, inter, ctx, arrivals)
 }
 
 /// The data side of a collective step. The walks below own the step
@@ -219,14 +221,16 @@ pub(crate) fn walk<P: Payload>(
     if n < 2 {
         return (0.0, 0);
     }
-    let streams = match algo {
-        Algorithm::MultiStreamRing { partitions } => {
-            split_ranges(len, partitions.clamp(1, len.max(1)))
-        }
-        _ => std::iter::once(0..len).collect(),
+    // Stream `i` of `parts`; a zero-length multi-stream collective has none.
+    let parts = match algo {
+        Algorithm::MultiStreamRing { partitions } if len > 0 => partitions.clamp(1, len),
+        Algorithm::MultiStreamRing { .. } => 0,
+        _ => 1,
     };
     let mut total = (0.0f64, 0usize);
-    for (i, r) in streams.into_iter().enumerate() {
+    for i in 0..parts {
+        let r = split_range(len.max(1), parts, i);
+        let r = r.start..r.end.min(len);
         let (t, bytes) = match algo {
             Algorithm::Naive => naive(p, ctx, elem_bytes, r),
             Algorithm::Tree => tree(p, ctx, elem_bytes, r),
@@ -327,14 +331,18 @@ fn ring<P: Payload>(
     if range.is_empty() {
         return (0.0, 0);
     }
-    // Chunk the range into n near-equal pieces; `split_ranges` emits fewer
-    // when it is shorter than n, so pad with empty chunks to keep every
-    // logical chunk index addressable (timing charges only non-empty sends).
-    let mut chunks: Vec<Range<usize>> = split_ranges(range.len(), n)
-        .into_iter()
-        .map(|c| range.start + c.start..range.start + c.end)
-        .collect();
-    chunks.resize(n, range.end..range.end);
+    // Chunk the range into n near-equal pieces; a range shorter than n has
+    // one-element chunks and then empty ones, so every logical chunk index
+    // stays addressable (timing charges only non-empty sends).
+    let pieces = range.len().min(n);
+    let chunk = |j: usize| {
+        if j < pieces {
+            let c = split_range(range.len(), pieces, j);
+            range.start + c.start..range.start + c.end
+        } else {
+            range.end..range.end
+        }
+    };
     // Physical device playing logical role `i`.
     let dev = |i: usize| (i + rotate) % n;
 
@@ -348,7 +356,7 @@ fn ring<P: Payload>(
         for s in 0..n - 1 {
             let mut step_t = 0.0f64;
             for i in 0..n {
-                let c = chunks[(i + usize::from(gather) + n - s) % n].clone();
+                let c = chunk((i + usize::from(gather) + n - s) % n);
                 if c.is_empty() {
                     continue;
                 }
@@ -372,22 +380,37 @@ fn ring<P: Payload>(
 }
 
 /// The step-at-a-time arithmetic, in place on whole per-device buffers —
-/// what the collectives executed before the tile replay, kept as the oracle
-/// the replay is pinned against.
+/// what the collectives executed before the compiled plan, kept as the
+/// oracle its evaluation is pinned against.
 #[cfg(test)]
 pub(crate) struct Arith<'a, E> {
     pub(crate) bufs: Vec<&'a mut [E]>,
 }
 
+/// Borrows item `dst` mutably and item `src` immutably (`dst != src`).
+#[cfg(test)]
+fn pair<T>(items: &mut [T], dst: usize, src: usize) -> (&mut T, &T) {
+    assert_ne!(dst, src);
+    if dst < src {
+        let (lo, hi) = items.split_at_mut(src);
+        (&mut lo[dst], &hi[0])
+    } else {
+        let (lo, hi) = items.split_at_mut(dst);
+        (&mut hi[0], &lo[src])
+    }
+}
+
 #[cfg(test)]
 impl<E: ReduceElem> Payload for Arith<'_, E> {
     fn reduce(&mut self, dst: usize, src: usize, range: Range<usize>) {
-        let (d, s) = crate::tiles::pair(&mut self.bufs, dst, src);
-        E::add_slice(&mut d[range.clone()], &s[range]);
+        let (d, s) = pair(&mut self.bufs, dst, src);
+        for (d, &s) in d[range.clone()].iter_mut().zip(&s[range]) {
+            *d = d.plus(s);
+        }
     }
 
     fn copy(&mut self, dst: usize, src: usize, range: Range<usize>) {
-        let (d, s) = crate::tiles::pair(&mut self.bufs, dst, src);
+        let (d, s) = pair(&mut self.bufs, dst, src);
         d[range.clone()].copy_from_slice(&s[range]);
     }
 }

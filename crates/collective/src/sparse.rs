@@ -16,9 +16,9 @@
 //! [`crate::allreduce_flat`] computes over every replica's full flat buffer,
 //! and a replica's buffer is its delta over the shared base model (the
 //! payload of the last `SetModel`) — reconstructed whole by
-//! [`scatter_delta`], or tile by tile by [`Delta::overlay`] inside the tile
-//! pass ([`crate::tiles`]), which is how the trainer merges without ever
-//! holding a replica buffer. Either way every touched row sees the dense
+//! [`scatter_delta`], or run by run by [`Delta::run_at`], which tells the
+//! reduction ([`crate::tiles`]) where each of the replica's elements is read
+//! from — how the trainer merges without ever holding a replica buffer. Either way every touched row sees the dense
 //! path's exact summation order and untouched rows are the identical base
 //! bits in every replica (`base + 0·anything` never executes). The merged
 //! model is therefore **bit-identical** to the dense path at any
@@ -62,7 +62,6 @@ use crate::hierarchical::{broadcast_phase, reduce_phases, server_groups, InterNo
 use crate::timing::{AllReduceTiming, CollectiveContext};
 use asgd_gpusim::SimTime;
 use asgd_tensor::FlatVec;
-use std::ops::Range;
 
 /// Default union-density threshold above which the sparse schedule falls
 /// back to the dense one. At 0.5 the sparse path pays at most half the
@@ -237,9 +236,9 @@ pub fn scatter_delta(layout: &SparseLayout, rows: &[u32], payload: &FlatVec, bas
 }
 
 /// One replica's delta, checked against its layout once and ready to be
-/// overlaid tile by tile — [`scatter_delta`] restricted to an element range,
-/// which is what lets the merge reconstruct a replica's tile from the shared
-/// base without ever materializing its full flat buffer.
+/// read run by run — [`scatter_delta`] piece by piece, which is what lets
+/// the merge read a replica's elements from its rows and the shared base
+/// without ever materializing its full flat buffer.
 #[derive(Debug, Clone, Copy)]
 pub struct Delta<'a, E> {
     layout: &'a SparseLayout,
@@ -282,50 +281,52 @@ impl<'a, E: Copy> Delta<'a, E> {
         }
     }
 
-    /// Overwrites, in `tile` — the elements `range` of a flat buffer — every
-    /// element this delta carries; the rest of `tile` is left as it is.
-    pub fn overlay(&self, range: Range<usize>, tile: &mut [E]) {
-        debug_assert_eq!(tile.len(), range.len());
+    /// The run of flat elements from `at` that this delta carries, or does
+    /// not carry, in one piece: `(Some(values), end)` when it carries `at`
+    /// (`values` are its elements `at..end`, a row of `W₁`, `b₁`, a class's
+    /// `W₂` row or its `b₂` entry), `(None, end)` when the elements
+    /// `at..end` are all the base's (up to the next row it carries).
+    ///
+    /// # Panics
+    /// Panics when `at` is outside the layout.
+    pub fn run_at(&self, at: usize) -> (Option<&'a [E]>, usize) {
         let l = self.layout;
         let h = l.hidden;
-        let (a, b) = (range.start, range.end);
-        // `from` sits at flat index `at`: copy the part inside the tile.
-        let mut put = |at: usize, from: &[E]| {
-            let (lo, hi) = (at.max(a), (at + from.len()).min(b));
-            if lo < hi {
-                tile[lo - a..hi - a].copy_from_slice(&from[lo - at..hi - at]);
-            }
-        };
-        put(l.b1_off(), &self.payload[..h]);
-        let first = self.w1_rows.partition_point(|&r| (r as usize + 1) * h <= a);
-        for (j, &r) in self.w1_rows.iter().enumerate().skip(first) {
-            if r as usize * h >= b {
-                break;
-            }
-            put(r as usize * h, &self.payload[(1 + j) * h..(2 + j) * h]);
-        }
-
-        // Class row `j` carries its W2 row (`h` elements, contiguous in the
-        // flat layout like a W1 row) followed by its b2 entry.
-        let values = &self.payload[(1 + self.w1_rows.len()) * h..];
+        let (b1, w2, b2) = (l.b1_off(), l.w2_off(), l.b2_off());
+        assert!(at < l.param_len(), "element {at} outside the layout");
+        // Class row `j` sits at `off + j·(h + 1)`: its W2 row, then its b2.
+        let off = (1 + self.w1_rows.len()) * h;
         let class_of = |r: u32| r as usize - l.features;
-        // The classes `c_lo..c_hi` of this delta, as indices into `class_rows`.
-        let span = |c_lo: usize, c_hi: usize| {
-            self.class_rows.partition_point(|&r| class_of(r) < c_lo)
-                ..self.class_rows.partition_point(|&r| class_of(r) < c_hi)
+        // Carried: payload elements `p..p + (end - at)`. Otherwise the base
+        // runs to the next carried row's first element `next`.
+        let run = |found: Option<usize>, end: usize| match found {
+            Some(p) => (Some(&self.payload[p..p + (end - at)]), end),
+            None => (None, end),
         };
-        let (w2, b2) = (l.w2_off(), l.b2_off());
-        if a < b2 && w2 < b.min(b2) {
-            let (lo, hi) = (a.max(w2) - w2, b.min(b2) - w2);
-            for j in span(lo / h, hi.div_ceil(h)) {
-                let at = w2 + class_of(self.class_rows[j]) * h;
-                put(at, &values[j * (h + 1)..j * (h + 1) + h]);
+        if at < b1 {
+            let r = at / h;
+            let j = self.w1_rows.partition_point(|&x| (x as usize) < r);
+            match self.w1_rows.get(j) {
+                Some(&x) if x as usize == r => run(Some((1 + j) * h + at - r * h), (r + 1) * h),
+                next => run(None, next.map_or(b1, |&x| x as usize * h)),
             }
-        }
-        if b2 < b {
-            for j in span(a.max(b2) - b2, b - b2) {
-                let c = class_of(self.class_rows[j]);
-                tile[b2 + c - a] = values[j * (h + 1) + h];
+        } else if at < w2 {
+            run(Some(at - b1), w2)
+        } else {
+            let (c, in_w2) = if at < b2 {
+                ((at - w2) / h, true)
+            } else {
+                (at - b2, false)
+            };
+            let j = self.class_rows.partition_point(|&x| class_of(x) < c);
+            let found = self.class_rows.get(j).map(|&x| class_of(x));
+            match (found, in_w2) {
+                (Some(fc), true) if fc == c => {
+                    run(Some(off + j * (h + 1) + at - w2 - c * h), w2 + (c + 1) * h)
+                }
+                (fc, true) => run(None, fc.map_or(b2, |fc| w2 + fc * h)),
+                (Some(fc), false) if fc == c => run(Some(off + j * (h + 1) + h), at + 1),
+                (fc, false) => run(None, fc.map_or(l.param_len(), |fc| b2 + fc)),
             }
         }
     }
@@ -657,12 +658,14 @@ mod tests {
         }
     }
 
-    /// `base[range]` overlaid with the delta vs the same range of
-    /// `scatter_delta` over the whole base, for every tile of every length.
-    pub(super) fn assert_overlay_matches_scatter(l: &SparseLayout, rows: &[u32], bf16: bool) {
+    /// The runs a delta reports from every element on, against
+    /// `scatter_delta` over the whole base: each run is non-empty, stays
+    /// inside the layout, and holds exactly the scattered replica's
+    /// elements — the carried values where it says so, the base elsewhere.
+    pub(super) fn assert_runs_match_scatter(l: &SparseLayout, rows: &[u32], bf16: bool) {
         // Distinct streams (`random_flat` seeds with `seed | 1`, so 42 and
         // 43 would be one stream): every carried element differs from the
-        // base it overlays.
+        // base under it.
         let base = random_flat(l.param_len(), 42, bf16);
         let mut replica = random_flat(l.param_len(), 44, bf16);
         let mut delta = FlatVec::default();
@@ -678,13 +681,14 @@ mod tests {
         ) {
             let d = Delta::new(l, rows, E::slice(delta).unwrap());
             let (base, want) = (E::slice(base).unwrap(), E::slice(want).unwrap());
-            for tile_len in 1..=l.param_len() {
-                for a in (0..l.param_len()).step_by(tile_len) {
-                    let range = a..(a + tile_len).min(l.param_len());
-                    let mut tile = base[range.clone()].to_vec();
-                    d.overlay(range.clone(), &mut tile);
-                    assert_eq!(tile, want[range.clone()], "rows {rows:?} tile {range:?}");
-                }
+            for at in 0..l.param_len() {
+                let (values, end) = d.run_at(at);
+                assert!(
+                    at < end && end <= l.param_len(),
+                    "rows {rows:?} run {at}..{end}"
+                );
+                let got = values.unwrap_or(&base[at..end]);
+                assert_eq!(got, &want[at..end], "rows {rows:?} run {at}..{end}");
             }
         }
         if bf16 {
@@ -694,13 +698,12 @@ mod tests {
         }
     }
 
-    /// The sparse source of the tile pass: overlaying a delta on a tile of
-    /// the base is `scatter_delta` restricted to that tile — for the empty
-    /// set, every row, and every tile boundary: inside a W1 row or a W2
-    /// class row (tile lengths not a multiple of `hidden`), across the
-    /// W1/b1/W2/b2 seams.
+    /// The sparse source of the merge: a delta's runs are `scatter_delta`
+    /// piece by piece — for the empty set, every row, and runs starting
+    /// anywhere: inside a W1 row or a W2 class row, across the W1/b1/W2/b2
+    /// seams.
     #[test]
-    fn overlay_is_scatter_restricted_to_the_tile() {
+    fn runs_are_scatter_piece_by_piece() {
         let l = layout(); // 7 features, hidden 3, 5 classes
         let all: Vec<u32> = (0..l.num_rows() as u32).collect();
         for rows in [
@@ -713,7 +716,7 @@ mod tests {
             &all,
         ] {
             for bf16 in [false, true] {
-                assert_overlay_matches_scatter(&l, rows, bf16);
+                assert_runs_match_scatter(&l, rows, bf16);
             }
         }
     }
@@ -1093,10 +1096,10 @@ mod proptests {
             prop_assert_eq!(real.bytes_moved, bytes);
         }
 
-        /// Overlaying a delta tile by tile equals scattering it whole, over
-        /// random shapes, row sets and precisions (every tile length).
+        /// A delta's runs equal scattering it whole, over random shapes,
+        /// row sets and precisions (runs from every element).
         #[test]
-        fn overlay_matches_scatter_over_random_shapes(
+        fn runs_match_scatter_over_random_shapes(
             features in 1usize..12,
             hidden in 1usize..6,
             classes in 1usize..12,
@@ -1107,7 +1110,7 @@ mod proptests {
             let rows: Vec<u32> = (0..l.num_rows() as u32)
                 .filter(|r| row_mask & (1u64 << (r % 64)) != 0)
                 .collect();
-            super::tests::assert_overlay_matches_scatter(&l, &rows, bf16_sel == 1);
+            super::tests::assert_runs_match_scatter(&l, &rows, bf16_sel == 1);
         }
 
         /// Gather → scatter over a shared base reconstructs any replica

@@ -21,12 +21,13 @@ use std::sync::Arc;
 ///
 /// The scheduler owns two index buffers. Between syncs the *live* one is
 /// shared (`Arc`) with every live replica and the other sits idle; a sync
-/// rebuilds the idle buffer from the bytes the replicas are about to import
-/// and makes it live, and each replica adopts a share when it imports them,
-/// dropping its share of the previous buffer. A lost device's replica is
-/// dropped at eviction, so by the next sync the idle buffer is uniquely
-/// owned again and is rebuilt in place — steady-state syncs allocate
-/// nothing index-sized.
+/// brings the idle buffer up to the bytes the replicas are about to import
+/// — bit for bit a rebuild from them, rehashing only the classes the live
+/// buffer's margins cannot certify — and makes it live, and each replica
+/// adopts a share when it imports them, dropping its share of the previous
+/// buffer. A lost device's replica is dropped at eviction, so by the next
+/// sync the idle buffer is uniquely owned again and is updated in place —
+/// steady-state syncs allocate nothing.
 #[derive(Debug)]
 pub struct IndexArena {
     bufs: [Arc<LshIndex>; 2],
@@ -35,6 +36,11 @@ pub struct IndexArena {
     w2_offset: usize,
     classes: usize,
     neg_samples: usize,
+    /// What every sync is checked against in test and debug builds: a full
+    /// rebuild, in a buffer of its own so a warm sync allocates nothing
+    /// there either.
+    #[cfg(any(test, debug_assertions))]
+    oracle: LshIndex,
 }
 
 impl IndexArena {
@@ -46,6 +52,8 @@ impl IndexArena {
         first.rebuild(init.w2());
         let [_, _, w2, _] = c.block_ranges();
         Self {
+            #[cfg(any(test, debug_assertions))]
+            oracle: first.clone(),
             bufs: [Arc::new(first), Arc::new(index())],
             live: 0,
             w2_offset: w2.start,
@@ -70,18 +78,39 @@ impl IndexArena {
         Arc::strong_count(self.live()) - 1
     }
 
-    /// Rebuilds the idle buffer from `synced`'s `W₂` region, read in place
+    /// Brings the idle buffer up to `synced`'s `W₂` region, read in place
     /// (f32 verbatim, bf16 widened exactly — the bits a replica holds after
-    /// importing it), and makes it live.
+    /// importing it), and makes it live. `old` is the flat model the live
+    /// buffer last hashed, when the caller still has it (the momentum
+    /// memory right after an f32 merge under Algorithm 2 or plain
+    /// averaging): then only the classes the certificate does not cover are
+    /// rehashed ([`LshIndex::sync_flat`]); without it, every class is.
+    /// Returns the classes rehashed.
+    ///
+    /// Under `cfg!(any(test, debug_assertions))` every sync is checked
+    /// against a full rebuild from scratch: same signatures, same buckets.
     ///
     /// # Panics
     /// Panics if anything still holds a share of the idle buffer: every
     /// live replica adopts each sync, and a lost one is dropped.
-    pub fn sync(&mut self, synced: FlatRef<'_>) {
+    pub fn sync(&mut self, synced: FlatRef<'_>, old: Option<&[f32]>) -> usize {
+        let (live, idle) = match &mut self.bufs {
+            [a, b] if self.live == 0 => (&*a, b),
+            [a, b] => (&*b, a),
+        };
+        let idle = Arc::get_mut(idle).expect("every replica adopted the last sync");
+        let rehashed = idle.sync_flat(live, old, synced, self.w2_offset, self.classes);
+        #[cfg(any(test, debug_assertions))]
+        {
+            self.oracle
+                .rebuild_flat(synced, self.w2_offset, self.classes);
+            assert!(
+                *idle == self.oracle,
+                "the synced index left a full rebuild's"
+            );
+        }
         self.live = 1 - self.live;
-        Arc::get_mut(&mut self.bufs[self.live])
-            .expect("every replica adopted the last sync")
-            .rebuild_flat(synced, self.w2_offset, self.classes);
+        rehashed
     }
 }
 
@@ -107,7 +136,7 @@ mod tests {
         let mut seen = vec![first];
         for seed in 2..8 {
             let synced = Mlp::init(&config, seed);
-            arena.sync(FlatRef::F32(synced.as_flat()));
+            arena.sync(FlatRef::F32(synced.as_flat()), None);
             replica_share = arena.live().clone();
             seen.push(Arc::as_ptr(arena.live()));
         }
@@ -135,7 +164,7 @@ mod tests {
         let mut arena = IndexArena::new(&SampledSoftmax::defaults(8), &init);
         let _stale = arena.live().clone();
         let synced = FlatRef::F32(init.as_flat());
-        arena.sync(synced);
-        arena.sync(synced);
+        arena.sync(synced, None);
+        arena.sync(synced, None);
     }
 }

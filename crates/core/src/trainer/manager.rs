@@ -602,7 +602,7 @@ mod tests {
     /// The scheduler's model sync: the index rebuilt from exactly the buffer
     /// every replica then imports.
     fn sync(arena: &mut IndexArena, replicas: &mut [Replica], buf: &FlatVec) {
-        arena.sync(buf.view());
+        arena.sync(buf.view(), None);
         for r in replicas {
             r.set_model(buf.view(), Some(arena.live()));
         }
@@ -695,7 +695,7 @@ mod tests {
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
         let mut r = Replica::owned(0, model, &ds, Some(arena.sampler()));
-        arena.sync(target.view());
+        arena.sync(target.view(), None);
         r.blend(target.view(), 0.5, Some(arena.live()));
         r.collect_rows();
         let total = config.num_features + config.num_classes;
@@ -718,7 +718,7 @@ mod tests {
         let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
 
         // f32 target.
-        arena.sync(FlatRef::F32(target_model.as_flat()));
+        arena.sync(FlatRef::F32(target_model.as_flat()), None);
         synced.set_index(arena.live().clone());
         let mut reference = standalone(target_model.w2());
         for seed in [0u64, 42, 0xB00F] {
@@ -733,7 +733,7 @@ mod tests {
         // rebuild from the widened replica's dense W₂.
         let mut bf16_target = FlatVec::empty(Precision::Bf16);
         target_model.write_flat_buf(&mut bf16_target);
-        arena.sync(bf16_target.view());
+        arena.sync(bf16_target.view(), None);
         synced.set_index(arena.live().clone());
         let mut widened = model.clone();
         widened.read_flat_buf(&bf16_target);
@@ -930,7 +930,7 @@ mod tests {
                     let mut fresh = FlatVec::empty(precision);
                     Mlp::init(&config, 100 + step as u64).write_flat_buf(&mut fresh);
                     base = fresh;
-                    arena.sync(base.view());
+                    arena.sync(base.view(), None);
                     for r in pairs.iter_mut().flatten() {
                         r.set_model(base.view(), Some(arena.live()));
                     }

@@ -162,6 +162,16 @@ impl Mlp {
         &mut self.params
     }
 
+    /// Trades this model's parameter buffer for `other` (same length): a
+    /// pointer swap, no copy.
+    ///
+    /// # Panics
+    /// Panics when the lengths differ.
+    pub fn swap_flat(&mut self, other: &mut Vec<f32>) {
+        assert_eq!(other.len(), self.params.len(), "swap_flat length mismatch");
+        std::mem::swap(&mut self.params, other);
+    }
+
     /// The flat parameter buffer, by value.
     pub fn into_flat(self) -> Vec<f32> {
         self.params

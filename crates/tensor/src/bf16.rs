@@ -426,149 +426,32 @@ unsafe fn narrow_slice_avx2(src: &[f32], out: &mut [u16]) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused bf16 storage arithmetic: widen → one f32 op → narrow, one round
-// point per store. Slice kernels with AVX2 leaves and portable twins; the
-// f32 ops are single multiplies/adds (never an FMA-contractable pair), so
-// both paths and both build profiles agree bit for bit.
-// ---------------------------------------------------------------------------
-
-/// `dst[i] = narrow(widen(dst[i]) + widen(src[i]))` — the reduction step of
-/// the bf16 collective algorithms. Panics if lengths differ.
-pub fn add_assign_slice(dst: &mut [u16], src: &[u16]) {
-    assert_eq!(dst.len(), src.len(), "bf16 add_assign length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernels::avx2_fma_available() {
-        // SAFETY: AVX2 support was just verified; lengths match.
-        unsafe { add_assign_slice_avx2(dst, src) };
-        return;
-    }
-    add_assign_slice_portable(dst, src);
-}
-
-/// `buf[i] = narrow(widen(buf[i]) * a)` — the merge-weight pre-scale.
-pub fn scale_slice(a: f32, buf: &mut [u16]) {
-    #[cfg(target_arch = "x86_64")]
-    if crate::kernels::avx2_fma_available() {
-        // SAFETY: AVX2 support was just verified.
-        unsafe { scale_slice_avx2(a, buf) };
-        return;
-    }
-    scale_slice_portable(a, buf);
-}
-
-#[inline(always)]
-fn add_assign_slice_portable(dst: &mut [u16], src: &[u16]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = narrow(widen(*d) + widen(s));
-    }
-}
-
-#[inline(always)]
-fn scale_slice_portable(a: f32, buf: &mut [u16]) {
-    for v in buf.iter_mut() {
-        *v = narrow(widen(*v) * a);
-    }
-}
-
-/// AVX2 clone of [`add_assign_slice_portable`]: exact widens, one
-/// `_mm256_add_ps` (a lone `fadd`, nothing to contract), one vector narrow.
-///
-/// # Safety
-/// As [`widen_slice_avx2`]: AVX2 verified, `dst.len() == src.len()`.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2")]
-unsafe fn add_assign_slice_avx2(dst: &mut [u16], src: &[u16]) {
-    use std::arch::x86_64::*;
-    let n = dst.len();
-    let mut i = 0;
-    // 16-wide main loop: full 32-byte loads/stores, two independent
-    // widen→add→narrow chains per iteration, one shared pack.
-    while i + 16 <= n {
-        let d = _mm256_loadu_si256(dst.as_ptr().add(i) as *const __m256i);
-        let s = _mm256_loadu_si256(src.as_ptr().add(i) as *const __m256i);
-        let sum_lo = _mm256_add_ps(
-            widen_lanes_avx2(_mm256_castsi256_si128(d)),
-            widen_lanes_avx2(_mm256_castsi256_si128(s)),
-        );
-        let sum_hi = _mm256_add_ps(
-            widen_lanes_avx2(_mm256_extracti128_si256::<1>(d)),
-            widen_lanes_avx2(_mm256_extracti128_si256::<1>(s)),
-        );
-        let packed = pack16_avx2(narrow_lanes32_avx2(sum_lo), narrow_lanes32_avx2(sum_hi));
-        _mm256_storeu_si256(dst.as_mut_ptr().add(i) as *mut __m256i, packed);
-        i += 16;
-    }
-    while i + 8 <= n {
-        let d = widen_lanes_avx2(_mm_loadu_si128(dst.as_ptr().add(i) as *const __m128i));
-        let s = widen_lanes_avx2(_mm_loadu_si128(src.as_ptr().add(i) as *const __m128i));
-        let sum = _mm256_add_ps(d, s);
-        _mm_storeu_si128(
-            dst.as_mut_ptr().add(i) as *mut __m128i,
-            narrow_lanes_avx2(sum),
-        );
-        i += 8;
-    }
-    add_assign_slice_portable(&mut dst[i..], &src[i..]);
-}
-
-/// AVX2 clone of [`scale_slice_portable`].
-///
-/// # Safety
-/// Caller must have verified AVX2 support; every access at `i` is guarded
-/// by `i + width <= buf.len()`.
-#[cfg(target_arch = "x86_64")]
-#[inline(never)]
-#[target_feature(enable = "avx2")]
-unsafe fn scale_slice_avx2(a: f32, buf: &mut [u16]) {
-    use std::arch::x86_64::*;
-    let n = buf.len();
-    let av = _mm256_set1_ps(a);
-    let mut i = 0;
-    // 16-wide main loop (see `add_assign_slice_avx2`).
-    while i + 16 <= n {
-        let v = _mm256_loadu_si256(buf.as_ptr().add(i) as *const __m256i);
-        let lo = _mm256_mul_ps(widen_lanes_avx2(_mm256_castsi256_si128(v)), av);
-        let hi = _mm256_mul_ps(widen_lanes_avx2(_mm256_extracti128_si256::<1>(v)), av);
-        let packed = pack16_avx2(narrow_lanes32_avx2(lo), narrow_lanes32_avx2(hi));
-        _mm256_storeu_si256(buf.as_mut_ptr().add(i) as *mut __m256i, packed);
-        i += 16;
-    }
-    while i + 8 <= n {
-        let v = widen_lanes_avx2(_mm_loadu_si128(buf.as_ptr().add(i) as *const __m128i));
-        let scaled = _mm256_mul_ps(v, av);
-        _mm_storeu_si128(
-            buf.as_mut_ptr().add(i) as *mut __m128i,
-            narrow_lanes_avx2(scaled),
-        );
-        i += 8;
-    }
-    scale_slice_portable(a, &mut buf[i..]);
-}
-
-// ---------------------------------------------------------------------------
 // The element trait the collective algorithms are generic over.
 // ---------------------------------------------------------------------------
 
 /// A storage element the all-reduce algorithms can run on: f32 (the
 /// original path, bit-for-bit) or bf16 bits (`u16`, widening to f32 per
-/// the rounding contract above). Slice-level ops so each precision keeps
-/// its vectorized kernel; the f32 impls are the exact loop bodies the
-/// pre-generic code ran.
-pub trait ReduceElem: Copy + Send + Sync + std::fmt::Debug + PartialEq + 'static {
+/// the rounding contract above: widen → one f32 op → narrow, one round
+/// point per stored result). The element ops are single multiplies and
+/// adds — never an FMA-contractable pair — so every build and every
+/// vector width computes the same bits.
+pub trait ReduceElem:
+    crate::kernels::Widen + Copy + Send + Sync + std::fmt::Debug + PartialEq + 'static
+{
     /// Bytes per stored element — drives every byte/time accounting line.
     const BYTES: usize;
     /// The stored zero (all-zero bits in both encodings).
     const ZERO: Self;
-    /// `buf[i] = round(buf[i] * a)` (one round point per store).
-    fn scale_slice(a: f32, buf: &mut [Self]);
-    /// `dst[i] = round(dst[i] + src[i])` (one round point per store).
-    fn add_slice(dst: &mut [Self], src: &[Self]);
     /// `out[i] = round(src[i])`: f32 values into this storage type — a copy
     /// for f32, the one round point of [`narrow_slice`] for bf16.
     fn narrow_slice(src: &[f32], out: &mut [Self]);
-    /// The stored value as f32 (exact for both types).
-    fn widen(self) -> f32;
+    /// `round(x)`: one f32 value into this storage type — the element of
+    /// [`narrow_slice`](Self::narrow_slice).
+    fn round(x: f32) -> Self;
+    /// `round(self + other)`, operands in this order: a collective's add.
+    fn plus(self, other: Self) -> Self;
+    /// `round(self * a)`: a merge weight's pre-scale.
+    fn times(self, a: f32) -> Self;
     /// `Σ widen(x)²` in f64 ([`crate::kernels::sum_sq_lanes`]).
     fn sum_sq(xs: &[Self]) -> f64;
     /// `flat`'s elements, if it stores this type.
@@ -581,24 +464,20 @@ impl ReduceElem for f32 {
     const BYTES: usize = 4;
     const ZERO: f32 = 0.0;
     #[inline(always)]
-    fn scale_slice(a: f32, buf: &mut [f32]) {
-        for v in buf.iter_mut() {
-            *v *= a;
-        }
-    }
-    #[inline(always)]
-    fn add_slice(dst: &mut [f32], src: &[f32]) {
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
-    }
-    #[inline(always)]
     fn narrow_slice(src: &[f32], out: &mut [f32]) {
         out.copy_from_slice(src);
     }
     #[inline(always)]
-    fn widen(self) -> f32 {
-        self
+    fn round(x: f32) -> f32 {
+        x
+    }
+    #[inline(always)]
+    fn plus(self, other: f32) -> f32 {
+        self + other
+    }
+    #[inline(always)]
+    fn times(self, a: f32) -> f32 {
+        self * a
     }
     fn sum_sq(xs: &[f32]) -> f64 {
         crate::kernels::sum_sq_lanes(xs)
@@ -622,20 +501,20 @@ impl ReduceElem for u16 {
     const BYTES: usize = 2;
     const ZERO: u16 = 0;
     #[inline(always)]
-    fn scale_slice(a: f32, buf: &mut [u16]) {
-        scale_slice(a, buf);
-    }
-    #[inline(always)]
-    fn add_slice(dst: &mut [u16], src: &[u16]) {
-        add_assign_slice(dst, src);
-    }
-    #[inline(always)]
     fn narrow_slice(src: &[f32], out: &mut [u16]) {
         narrow_slice(src, out);
     }
     #[inline(always)]
-    fn widen(self) -> f32 {
-        widen(self)
+    fn round(x: f32) -> u16 {
+        narrow(x)
+    }
+    #[inline(always)]
+    fn plus(self, other: u16) -> u16 {
+        narrow(widen(self) + widen(other))
+    }
+    #[inline(always)]
+    fn times(self, a: f32) -> u16 {
+        narrow(widen(self) * a)
     }
     fn sum_sq(xs: &[u16]) -> f64 {
         crate::kernels::sum_sq_lanes(xs)

@@ -1833,6 +1833,11 @@ pub struct TopList {
     ids: [u32; TOPK_STREAM_MAX],
     len: usize,
     k: usize,
+    /// Candidates that reached [`TopList::offer`] — what a prefilter let
+    /// through, which the ids alone cannot show (a loose prefilter costs
+    /// time, never ids).
+    #[cfg(test)]
+    offered: usize,
 }
 
 impl TopList {
@@ -1844,12 +1849,18 @@ impl TopList {
             ids: [0; TOPK_STREAM_MAX],
             len: 0,
             k,
+            #[cfg(test)]
+            offered: 0,
         }
     }
 
     /// Offers one candidate. Ids must arrive in ascending order.
     #[inline(always)] // called once per logit by the strided walk
     pub fn offer(&mut self, v: f32, id: u32) {
+        #[cfg(test)]
+        {
+            self.offered += 1;
+        }
         // `!(v > last)` — not `v <= last` — so a NaN candidate is rejected
         // once the list is full, matching the select+sort fallback's order.
         #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -2317,6 +2328,66 @@ mod tests {
         l.offer(2.0, 7);
         l.offer(3.0, 9);
         assert_eq!(l.ids(), &[9, 7]);
+    }
+
+    /// A full list and runs that tie its threshold: only a run with a
+    /// value strictly above it is offered, so a prefilter that lets ties
+    /// through (`>=` for `>`) shows in the count of offered candidates.
+    #[test]
+    fn offer_run_offers_only_runs_above_the_threshold() {
+        let mut l = TopList::new(2);
+        l.offer_run(&[1.0, 1.0], 0);
+        assert_eq!(l.offered, 2);
+        let tie = [1.0f32; LANES];
+        let mut above = tie;
+        above[LANES - 1] = 2.0;
+        let mut below = tie;
+        below[0] = 0.5;
+        let mut nan = tie;
+        nan[3] = f32::NAN;
+        for run in [tie, below, nan] {
+            l.offer_run(&run, 10);
+            assert_eq!(l.offered, 2, "{run:?}");
+        }
+        l.offer_run(&above, 20);
+        assert_eq!(l.offered, 2 + LANES);
+        assert_eq!(l.ids(), &[20 + LANES as u32 - 1, 0]);
+    }
+
+    /// The AVX2 tile's select finisher, the same prefilter 16 lanes wide:
+    /// logits tying a full list's threshold are not offered, a tile with
+    /// one logit above it offers all 16.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn select_avx2_offers_only_tiles_above_the_threshold() {
+        use std::arch::x86_64::_mm256_loadu_ps;
+        if !avx2_fma_available() {
+            return;
+        }
+        let bias = [0.25f32; NR];
+        let mut lists = [TopList::new(2)];
+        lists[0].offer_run(&[1.25, 1.25], 0);
+        let select = |lists: &mut [TopList; 1], logits: [f32; NR]| {
+            // SAFETY: AVX2+FMA support was just verified; each load reads
+            // eight of the sixteen floats.
+            unsafe {
+                let acc0 = [_mm256_loadu_ps(logits.as_ptr())];
+                let acc1 = [_mm256_loadu_ps(logits.as_ptr().add(LANES))];
+                select_avx2::<1>(&acc0, &acc1, &bias, 0, lists);
+            }
+        };
+        // `1.0 + 0.25` ties the threshold `1.25` exactly.
+        let tie = [1.0f32; NR];
+        let mut nan = tie;
+        nan[9] = f32::NAN;
+        for logits in [tie, nan] {
+            select(&mut lists, logits);
+            assert_eq!(lists[0].offered, 2);
+        }
+        let mut above = tie;
+        above[NR - 1] = 2.0;
+        select(&mut lists, above);
+        assert_eq!(lists[0].offered, 2 + NR);
     }
 
     #[test]

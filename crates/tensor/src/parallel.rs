@@ -96,7 +96,7 @@ pub fn split_ranges(n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
 /// Range `i` of [`split_ranges`]`(n, parts)` for `1 <= parts <= n`,
 /// computed without building the list: the first `n % parts` ranges hold
 /// one element more than the rest.
-fn split_range(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
+pub fn split_range(n: usize, parts: usize, i: usize) -> std::ops::Range<usize> {
     let (base, rem) = (n / parts, n % parts);
     let start = i * base + i.min(rem);
     start..start + base + usize::from(i < rem)
@@ -141,6 +141,61 @@ where
             )
         };
         f(r.start, chunk);
+    });
+}
+
+/// [`par_chunks_mut`] over two buffers cut at the same rows: `a` holds
+/// `rows` rows of `a_row` elements, `b` as many of `b_row`, and
+/// `f(first_row, a_chunk, b_chunk)` gets the matching chunks of both.
+///
+/// # Panics
+/// Panics when `a.len() != rows * a_row` or `b.len() != rows * b_row`.
+pub fn par_chunks_mut2<A, B, F>(
+    a: &mut [A],
+    a_row: usize,
+    b: &mut [B],
+    b_row: usize,
+    rows: usize,
+    min_serial: usize,
+    f: F,
+) where
+    A: Send,
+    B: Send,
+    F: Fn(usize, &mut [A], &mut [B]) + Sync,
+{
+    assert_eq!(a.len(), rows * a_row, "par_chunks_mut2 shape mismatch");
+    assert_eq!(b.len(), rows * b_row, "par_chunks_mut2 shape mismatch");
+    if rows == 0 {
+        return;
+    }
+    let threads = num_threads();
+    if threads == 1 || rows < min_serial {
+        f(0, a, b);
+        return;
+    }
+    let region = crate::pool::POOL.enter(threads);
+    let parts = region.lanes().clamp(1, rows);
+    let (a_base, b_base) = (a.as_mut_ptr() as usize, b.as_mut_ptr() as usize);
+    region.run(parts, &|i| {
+        let r = split_range(rows, parts, i);
+        // SAFETY: as in `par_chunks_mut`, for each buffer: the `parts`
+        // ranges partition `0..rows` and each index runs exactly once, so
+        // the tasks carve disjoint row ranges out of `a` and out of `b`
+        // (lengths checked above), and `Region::run` joins every helper
+        // before it returns, so no chunk outlives the `&mut` borrows.
+        let (ca, cb) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(
+                    (a_base as *mut A).add(r.start * a_row),
+                    r.len() * a_row,
+                ),
+                std::slice::from_raw_parts_mut(
+                    (b_base as *mut B).add(r.start * b_row),
+                    r.len() * b_row,
+                ),
+            )
+        };
+        f(r.start, ca, cb);
     });
 }
 
