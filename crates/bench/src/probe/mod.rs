@@ -137,7 +137,7 @@ mod tests {
             assert_eq!(&probe.artifact, file, "gate {line}");
             rows += 1;
         }
-        assert_eq!(rows, 20, "ci.sh's gate table moved or changed shape");
+        assert_eq!(rows, 21, "ci.sh's gate table moved or changed shape");
         // Off the table: a disabled fault plan names itself too.
         let probe = declare("sparse_merge", &env, Knobs(&row("ASGD_FAULT_SEED=none"))).unwrap();
         assert_eq!(probe.artifact, "sparse_merge_probe_none.txt");
