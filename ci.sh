@@ -79,23 +79,22 @@ awk 'FNR == 1 { live = 1 }
     }
     END { exit bad }' crates/core/src/trainer/*.rs
 
-echo "== a sampled replica copies no model =="
-# A sampled replica is an overlay on the buffer it imported
-# (asgd_model::Overlay): a slot is filled per row a step selects, and an
-# import only forgets the slots, so nothing on its path copies a whole
-# model. In the replica (crates/core/src/trainer/manager.rs) a whole-model
-# import, blend or copy may sit only in a `Model::Owned` arm — dense-softmax
-# and CROSSBOW replicas own a model — and the overlay makes one only in
-# `materialize`, its copy for checks and tests. Each file is read up to its
-# first `#[cfg(test)]`.
-awk 'FNR == 1 { live = 1; arm = ""; skip = 0 }
+echo "== no replica copies a model =="
+# Every replica is an overlay on the buffer it imported (asgd_model::Overlay):
+# a slot is filled per row a step selects, an import forgets the slots (a
+# dense-softmax overlay refills its classes) and a CROSSBOW overlay, which
+# holds every row, copied once when it is built, blends its slots in place.
+# So no merge makes a replica import, blend or copy a whole model: in the
+# replica (crates/core/src/trainer/manager.rs) and the overlay
+# (crates/model/src/overlay.rs) no model-wide import, blend or export is
+# called, and only `materialize`, the overlay's copy for checks and tests,
+# builds an Mlp. Each file is read up to its first `#[cfg(test)]`, comments
+# skipped.
+awk 'FNR == 1 { live = 1; skip = 0 }
     /^#\[cfg\(test\)\]/ { live = 0 }
-    /^    (pub(\([a-z]+\))? )?fn / { arm = "" }
-    /Model::Owned/ { arm = "owned" }
-    /Model::Overlay/ { arm = "overlay" }
     /fn materialize/ { skip = 1 }
     skip && /^    }$/ { skip = 0; next }
-    live && !skip && arm != "owned" &&
+    live && !skip && !/^[[:space:]]*\/\// &&
         /(read_flat_buf|blend_from_flat_buf|write_flat_buf|to_flat|load_flat|Mlp::zeros|mlp\.clone\(\))/ {
         printf "%s:%d: %s\n", FILENAME, FNR, $0
         bad = 1
@@ -179,24 +178,26 @@ if [[ "${1:-}" != "quick" ]]; then
         ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- gate_differential_
     done
 
-    echo "== sampled replicas are overlays: differential, census, resume, release, 1 and 8 threads =="
-    # The differential runs random train / export / import / eviction
-    # sequences through pairs of replicas, one an overlay on the imported
-    # model, one owning a copy, and holds every loss, delta, gate estimate,
+    echo "== every replica is an overlay: differential, census, resume, release, 1 and 8 threads =="
+    # The differential runs random train / import / blend / eviction
+    # sequences through replicas of every kind — sampled, dense softmax,
+    # CROSSBOW with sampled and with dense steps — each beside a plain Mlp
+    # driven through its public steps, read_flat_buf and
+    # blend_from_flat_buf, and holds every loss, row set, gate estimate,
     # exact norm and materialized model equal bit for bit; the overlay's own
-    # tests pin its steps and its carried-lane norm. The census: one
-    # Trainer::run allocates the global model, its momentum memory and one
-    # model-sized buffer per owned (dense-softmax or CROSSBOW) replica, and
-    # no other — none for an overlay (at bf16 also the half-size payload);
-    # the final model and the resumable state share one; a replica's
-    # workspace holds nothing W2-sized (tests/model_buffers.rs's counting
-    # allocator), and a warm fused merge and a warm LSH sync allocate
-    # nothing at all. A sampled, sparse-merge run resumed twice from one
-    # snapshot gives the final model pinned before replicas were overlays.
-    # With the pool off and with more lanes than cores.
+    # tests pin its steps of every kind, its runs and its carried-lane norm.
+    # The census: one Trainer::run allocates the global model and its
+    # momentum memory and no other model-sized buffer, for sampled,
+    # dense-softmax, cluster and CROSSBOW runs (at bf16 also the half-size
+    # payload); the final model and the resumable state share one; a
+    # replica's workspace holds nothing W2-sized (tests/model_buffers.rs's
+    # counting allocator), and a warm fused merge and a warm LSH sync
+    # allocate nothing at all. A sampled, sparse-merge run resumed twice
+    # from one snapshot gives the final model pinned before replicas were
+    # overlays. With the pool off and with more lanes than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- \
-            overlay_replicas_are_owned_replicas_bit_for_bit
+            replicas_are_plain_models_bit_for_bit
         ASGD_THREADS="$t" cargo test -q --release -p asgd-model --lib -- overlay
         ASGD_THREADS="$t" cargo test -q --release --test model_buffers
         ASGD_THREADS="$t" cargo test -q --release --test checkpoint_resume -- sampled_sparse_resume
@@ -207,15 +208,17 @@ if [[ "${1:-}" != "quick" ]]; then
     # per segment and evaluated from where each replica's elements live:
     # against the step-at-a-time oracle (every algorithm, 1-9 devices, f32
     # and bf16, flat and two-level, segment boundaries anywhere, NaN
-    # payloads), from sparse deltas over random shapes against the
-    # step-by-step stage, and the fused pass against the stage it replaced.
+    # payloads), from overlays of every kind read in place over random
+    # shapes against the step-by-step stage over their materialized models,
+    # and the fused pass against the stage it replaced; a dense-softmax run
+    # with sparse_merge on is the run with it off, bit for bit.
     # The LSH sync keeps the signatures of every class its margin
     # certifies: a certified sync must be a full rebuild bit for bit (rows
     # scaled exactly, sign-flipped, zero, NaN/inf, subnormal, on a plane),
     # and every replica's imported model and index must match an explicit
     # rebuild through a device loss, an OOM fallback and a resume. The
     # top-k prefilters are pinned by the candidates they let through. The
-    # oracle, sparse-source and certificate proptests run each case through
+    # oracle, overlay-source and certificate proptests run each case through
     # the AVX2 leaves and again under force_portable. The bounds that keep
     # every per-task scratch on the stack are tested at their edges: a
     # collective over MAX_DEVICES devices, one device more (refused, and a
@@ -223,10 +226,11 @@ if [[ "${1:-}" != "quick" ]]; then
     # holds. With the pool off and with more lanes than cores.
     for t in 1 8; do
         ASGD_THREADS="$t" cargo test -q --release -p asgd-collective --lib -- \
-            tile_replay_matches_the_step_at_a_time_oracle compiled_trees runs_ \
+            tile_replay_matches_the_step_at_a_time_oracle compiled_trees \
             the_most_devices more_devices_than
         ASGD_THREADS="$t" cargo test -q --release -p asgd-core --lib -- \
-            sparse_sources_match fused_merge_matches every_replica_imports a_fleet_past
+            overlays_in_place_match fused_merge_matches every_replica_imports a_fleet_past
+        ASGD_THREADS="$t" cargo test -q --release --test sparse_merge -- dense_softmax
         ASGD_THREADS="$t" cargo test -q --release -p asgd-slide --lib -- \
             certified_syncs a_scaled_matrix the_widest_class
         ASGD_THREADS="$t" cargo test -q --release -p asgd-tensor --lib -- offers_only

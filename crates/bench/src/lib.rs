@@ -70,7 +70,7 @@ pub struct Env {
     /// `Some` = LSH-sampled softmax on the training hot path
     /// (`ASGD_SOFTMAX=sampled`), `None` = the exact dense output layer.
     pub sampled: Option<SampledSoftmax>,
-    /// `ASGD_SPARSE_MERGE=1`: keep sampled-softmax deltas sparse through
+    /// `ASGD_SPARSE_MERGE=1`: ship only the rows each replica holds through
     /// the merge stage (simulated-traffic accounting; bit-identical model).
     pub sparse_merge: bool,
 }

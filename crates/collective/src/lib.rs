@@ -47,8 +47,8 @@ pub use hierarchical::{
     hierarchical_allreduce_flat, hierarchical_allreduce_flat_serial, InterNode,
 };
 pub use sparse::{
-    dense_schedule, gather_delta, scatter_delta, sparse_merge_timing, union_rows, Delta,
-    SparseLayout, SparseMergePlan, SparseMergeTiming, DEFAULT_MAX_DENSITY,
+    dense_schedule, gather_delta, scatter_delta, sparse_merge_timing, union_rows, SparseLayout,
+    SparseMergePlan, SparseMergeTiming, DEFAULT_MAX_DENSITY,
 };
 pub use tiles::{
     allreduce_tiled, split_shares, tile_shares, ReducePlan, Shares, Src, TilePart, MAX_DEVICES,

@@ -15,12 +15,13 @@
 //! schedule*, never an arithmetic change. The weighted sum is what
 //! [`crate::allreduce_flat`] computes over every replica's full flat buffer,
 //! and a replica's buffer is its delta over the shared base model (the
-//! payload of the last `SetModel`) — reconstructed whole by
-//! [`scatter_delta`], or run by run by [`Delta::run_at`], which tells the
-//! reduction ([`crate::tiles`]) where each of the replica's elements is read
-//! from — how the trainer merges without ever holding a replica buffer. Either way every touched row sees the dense
-//! path's exact summation order and untouched rows are the identical base
-//! bits in every replica (`base + 0·anything` never executes). The merged
+//! payload of the last `SetModel`), reconstructed by [`scatter_delta`]:
+//! every touched row sees the dense path's exact summation order and
+//! untouched rows are the identical base bits in every replica
+//! (`base + 0·anything` never executes). [`gather_delta`] /
+//! [`scatter_delta`] are the wire format's reference; the trainer ships no
+//! delta: its reduction reads each replica where its rows live
+//! ([`crate::tiles`]), and this module times what the wire would carry. The merged
 //! model is therefore **bit-identical** to the dense path at any
 //! `ASGD_THREADS`, for both precisions, flat and hierarchical. What changes
 //! is the *simulated* schedule: bytes and time are charged for the id
@@ -232,103 +233,6 @@ pub fn scatter_delta(layout: &SparseLayout, rows: &[u32], payload: &FlatVec, bas
             });
         }
         _ => unreachable!("precision equality was just asserted"),
-    }
-}
-
-/// One replica's delta, checked against its layout once and ready to be
-/// read run by run — [`scatter_delta`] piece by piece, which is what lets
-/// the merge read a replica's elements from its rows and the shared base
-/// without ever materializing its full flat buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct Delta<'a, E> {
-    layout: &'a SparseLayout,
-    /// The touched W1 feature rows, ascending.
-    w1_rows: &'a [u32],
-    /// The touched classes (`row − features`), as rows, ascending.
-    class_rows: &'a [u32],
-    payload: &'a [E],
-}
-
-impl<'a, E: Copy> Delta<'a, E> {
-    /// Views `(rows, payload)` — the wire format of
-    /// [`SparseLayout::for_each_delta_index`] — as a delta over `layout`.
-    ///
-    /// # Panics
-    /// Panics when `rows` is not strictly ascending inside the layout or
-    /// `payload` is not the delta's length.
-    pub fn new(layout: &'a SparseLayout, rows: &'a [u32], payload: &'a [E]) -> Self {
-        assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "delta rows must be strictly ascending"
-        );
-        assert!(
-            rows.last()
-                .is_none_or(|&r| (r as usize) < layout.num_rows()),
-            "row outside layout"
-        );
-        assert_eq!(
-            payload.len(),
-            layout.delta_elems(rows),
-            "payload/rows length mismatch"
-        );
-        let (w1_rows, class_rows) =
-            rows.split_at(rows.partition_point(|&r| (r as usize) < layout.features));
-        Self {
-            layout,
-            w1_rows,
-            class_rows,
-            payload,
-        }
-    }
-
-    /// The run of flat elements from `at` that this delta carries, or does
-    /// not carry, in one piece: `(Some(values), end)` when it carries `at`
-    /// (`values` are its elements `at..end`, a row of `W₁`, `b₁`, a class's
-    /// `W₂` row or its `b₂` entry), `(None, end)` when the elements
-    /// `at..end` are all the base's (up to the next row it carries).
-    ///
-    /// # Panics
-    /// Panics when `at` is outside the layout.
-    pub fn run_at(&self, at: usize) -> (Option<&'a [E]>, usize) {
-        let l = self.layout;
-        let h = l.hidden;
-        let (b1, w2, b2) = (l.b1_off(), l.w2_off(), l.b2_off());
-        assert!(at < l.param_len(), "element {at} outside the layout");
-        // Class row `j` sits at `off + j·(h + 1)`: its W2 row, then its b2.
-        let off = (1 + self.w1_rows.len()) * h;
-        let class_of = |r: u32| r as usize - l.features;
-        // Carried: payload elements `p..p + (end - at)`. Otherwise the base
-        // runs to the next carried row's first element `next`.
-        let run = |found: Option<usize>, end: usize| match found {
-            Some(p) => (Some(&self.payload[p..p + (end - at)]), end),
-            None => (None, end),
-        };
-        if at < b1 {
-            let r = at / h;
-            let j = self.w1_rows.partition_point(|&x| (x as usize) < r);
-            match self.w1_rows.get(j) {
-                Some(&x) if x as usize == r => run(Some((1 + j) * h + at - r * h), (r + 1) * h),
-                next => run(None, next.map_or(b1, |&x| x as usize * h)),
-            }
-        } else if at < w2 {
-            run(Some(at - b1), w2)
-        } else {
-            let (c, in_w2) = if at < b2 {
-                ((at - w2) / h, true)
-            } else {
-                (at - b2, false)
-            };
-            let j = self.class_rows.partition_point(|&x| class_of(x) < c);
-            let found = self.class_rows.get(j).map(|&x| class_of(x));
-            match (found, in_w2) {
-                (Some(fc), true) if fc == c => {
-                    run(Some(off + j * (h + 1) + at - w2 - c * h), w2 + (c + 1) * h)
-                }
-                (fc, true) => run(None, fc.map_or(b2, |fc| w2 + fc * h)),
-                (Some(fc), false) if fc == c => run(Some(off + j * (h + 1) + h), at + 1),
-                (fc, false) => run(None, fc.map_or(l.param_len(), |fc| b2 + fc)),
-            }
-        }
     }
 }
 
@@ -655,69 +559,6 @@ mod tests {
             let mut rebuilt = base.clone();
             scatter_delta(&l, &rows, &delta, &mut rebuilt);
             assert_eq!(rebuilt, replica, "bf16={bf16}: reconstruction diverged");
-        }
-    }
-
-    /// The runs a delta reports from every element on, against
-    /// `scatter_delta` over the whole base: each run is non-empty, stays
-    /// inside the layout, and holds exactly the scattered replica's
-    /// elements — the carried values where it says so, the base elsewhere.
-    pub(super) fn assert_runs_match_scatter(l: &SparseLayout, rows: &[u32], bf16: bool) {
-        // Distinct streams (`random_flat` seeds with `seed | 1`, so 42 and
-        // 43 would be one stream): every carried element differs from the
-        // base under it.
-        let base = random_flat(l.param_len(), 42, bf16);
-        let mut replica = random_flat(l.param_len(), 44, bf16);
-        let mut delta = FlatVec::default();
-        gather_delta(l, rows, &replica, &mut delta);
-        replica = base.clone();
-        scatter_delta(l, rows, &delta, &mut replica);
-        fn check<E: asgd_tensor::bf16::ReduceElem>(
-            l: &SparseLayout,
-            rows: &[u32],
-            delta: &FlatVec,
-            base: &FlatVec,
-            want: &FlatVec,
-        ) {
-            let d = Delta::new(l, rows, E::slice(delta).unwrap());
-            let (base, want) = (E::slice(base).unwrap(), E::slice(want).unwrap());
-            for at in 0..l.param_len() {
-                let (values, end) = d.run_at(at);
-                assert!(
-                    at < end && end <= l.param_len(),
-                    "rows {rows:?} run {at}..{end}"
-                );
-                let got = values.unwrap_or(&base[at..end]);
-                assert_eq!(got, &want[at..end], "rows {rows:?} run {at}..{end}");
-            }
-        }
-        if bf16 {
-            check::<u16>(l, rows, &delta, &base, &replica);
-        } else {
-            check::<f32>(l, rows, &delta, &base, &replica);
-        }
-    }
-
-    /// The sparse source of the merge: a delta's runs are `scatter_delta`
-    /// piece by piece — for the empty set, every row, and runs starting
-    /// anywhere: inside a W1 row or a W2 class row, across the W1/b1/W2/b2
-    /// seams.
-    #[test]
-    fn runs_are_scatter_piece_by_piece() {
-        let l = layout(); // 7 features, hidden 3, 5 classes
-        let all: Vec<u32> = (0..l.num_rows() as u32).collect();
-        for rows in [
-            &[][..],
-            &[0, 6, 7, 11],
-            &[2, 3, 8, 10],
-            &[6],
-            &[7],
-            &[11],
-            &all,
-        ] {
-            for bf16 in [false, true] {
-                assert_runs_match_scatter(&l, rows, bf16);
-            }
         }
     }
 
@@ -1094,23 +935,6 @@ mod proptests {
             prop_assert_eq!(real.start, start);
             prop_assert_eq!(real.end, start + elapsed);
             prop_assert_eq!(real.bytes_moved, bytes);
-        }
-
-        /// A delta's runs equal scattering it whole, over random shapes,
-        /// row sets and precisions (runs from every element).
-        #[test]
-        fn runs_match_scatter_over_random_shapes(
-            features in 1usize..12,
-            hidden in 1usize..6,
-            classes in 1usize..12,
-            bf16_sel in 0usize..2,
-            row_mask in 0u64..u64::MAX,
-        ) {
-            let l = SparseLayout::new(features, hidden, classes);
-            let rows: Vec<u32> = (0..l.num_rows() as u32)
-                .filter(|r| row_mask & (1u64 << (r % 64)) != 0)
-                .collect();
-            super::tests::assert_runs_match_scatter(&l, &rows, bf16_sel == 1);
         }
 
         /// Gather → scatter over a shared base reconstructs any replica

@@ -3,9 +3,10 @@
 use crate::hyper::GpuHyper;
 use asgd_collective::{
     allreduce_tiled, split_shares, tile_shares, Algorithm, AllReduceTiming, CollectiveContext,
-    Delta, InterNode, ReducePlan, SparseLayout, Src, TilePart, MAX_DEVICES, TILE_ELEMS,
+    InterNode, ReducePlan, Src, TilePart, MAX_DEVICES, TILE_ELEMS,
 };
 use asgd_gpusim::SimTime;
+use asgd_model::Overlay;
 use asgd_tensor::bf16::ReduceElem;
 use asgd_tensor::kernels::SqLanes;
 use asgd_tensor::{FlatRef, FlatVec};
@@ -301,25 +302,18 @@ pub fn redistribute_global(global: &[f32], bufs: &mut [FlatVec]) {
 }
 
 /// What one [`FusedMerge`] reduces, one entry per live replica in device
-/// order.
+/// order. Either way each element is narrowed to the payload's precision as
+/// it is read: a copy at f32, and at bf16 the one round point an exported
+/// bf16 replica buffer would hold.
 #[derive(Clone, Copy)]
 pub enum MergeInput<'a> {
     /// Every replica's parameters in the flat layout, read where they live.
-    /// Each tile is narrowed to the payload's precision as it is loaded: a
-    /// copy at f32, and at bf16 the one round point an exported bf16 replica
-    /// buffer would hold.
     Dense(&'a [&'a [f32]]),
-    /// Each replica's `(rows, delta payload)` over `layout`. The base the
-    /// deltas apply to is the global model at the payload's precision —
-    /// bit for bit the last payload every replica imported — so no replica
-    /// buffer is read at all.
-    Sparse {
-        /// Row space of the deltas.
-        layout: &'a SparseLayout,
-        /// `(rows, delta payload)` per live replica, at the payload's
-        /// precision.
-        deltas: &'a [(&'a [u32], &'a FlatVec)],
-    },
+    /// Every replica as an overlay on the model it imported, which is the
+    /// global model at the payload's precision — bit for bit the last
+    /// payload every replica imported: each replica's rows are read from
+    /// its slots, the rest from the global model ([`Overlay::run_at`]).
+    Overlays(&'a [&'a Overlay]),
 }
 
 /// What a [`FusedMerge`] keeps from one merge to the next: the reduction
@@ -470,23 +464,16 @@ impl FusedMerge<'_> {
                 );
                 params.len()
             }
-            MergeInput::Sparse { deltas, .. } => deltas.len(),
+            MergeInput::Overlays(overlays) => {
+                assert!(
+                    overlays.iter().all(|o| o.config().param_len() == len),
+                    "replica size mismatch"
+                );
+                overlays.len()
+            }
         };
         assert_eq!(self.weights.len(), replicas, "weights/replicas mismatch");
         assert!(replicas <= MAX_DEVICES, "more than {MAX_DEVICES} replicas");
-        // Each sparse delta checked once, viewed from the stack.
-        let mut stack = [None; MAX_DEVICES];
-        let source = match input {
-            MergeInput::Dense(params) => Source::Dense(params),
-            MergeInput::Sparse { layout, deltas } => {
-                let views = &mut stack[..replicas];
-                for (v, &(rows, values)) in views.iter_mut().zip(deltas) {
-                    let values = E::slice(values).expect("mixed-precision merge");
-                    *v = Some(Delta::new(layout, rows, values));
-                }
-                Source::Sparse(views)
-            }
-        };
 
         let shares = tile_shares(len, self.pooled);
         let mut payloads = payload.map(|p| split_shares(p, &shares));
@@ -505,7 +492,7 @@ impl FusedMerge<'_> {
                 });
                 let part = MergePart {
                     start: share.start,
-                    source: &source,
+                    source: input,
                     payload: payloads.as_mut().map(|p| p.next().expect("one per share")),
                     global,
                     prev,
@@ -526,32 +513,13 @@ impl FusedMerge<'_> {
     }
 }
 
-/// Where the fused pass reads the replicas from (shared by all its tasks).
-enum Source<'a, E> {
-    /// Every replica's f32 parameters.
-    Dense(&'a [&'a [f32]]),
-    /// Every replica's delta over the global model, narrowed as it is read.
-    Sparse(&'a [Option<Delta<'a, E>>]),
-}
-
-/// Where a run of one replica's elements lives.
-#[derive(Clone, Copy)]
-enum Loc<'a, E> {
-    /// Its own f32 parameters (a dense merge).
-    Replica,
-    /// The global model, under a delta that does not carry the run.
-    Base,
-    /// A delta's values, the first one at element `at`.
-    Delta { at: usize, values: &'a [E] },
-}
-
 /// One task's share of the fused pass: the matching slices of the payload
 /// (bf16 merges only), the global model and its momentum memory, all
 /// starting at `start`, and — when asked for — one sum of squares per tile
 /// of the share, with the running sum of the tile being stored.
 struct MergePart<'a, E> {
     start: usize,
-    source: &'a Source<'a, E>,
+    source: MergeInput<'a>,
     payload: Option<&'a mut [E]>,
     global: &'a mut [f32],
     prev: &'a mut [f32],
@@ -561,35 +529,28 @@ struct MergePart<'a, E> {
 }
 
 impl<'a, E: ReduceElem> TilePart<E> for MergePart<'a, E> {
-    type Loc = Loc<'a, E>;
+    /// The replica's own values, the first one at the element given, or
+    /// `None` for the global model under an overlay.
+    type Loc = Option<(usize, &'a [f32])>;
 
     #[inline(always)]
-    fn locate(&self, d: usize, at: usize) -> (Loc<'a, E>, usize) {
+    fn locate(&self, d: usize, at: usize) -> (Self::Loc, usize) {
         let end = self.start + self.global.len();
         match self.source {
-            Source::Dense(_) => (Loc::Replica, end),
-            Source::Sparse(deltas) => {
-                // The base every replica imported at the last sync — the
-                // global model at the payload's precision — and each
-                // replica's own rows on top: what scattering its delta over
-                // a parked copy of that payload would reconstruct.
-                match deltas[d].expect("one delta per replica").run_at(at) {
-                    (Some(values), run_end) => (Loc::Delta { at, values }, run_end.min(end)),
-                    (None, run_end) => (Loc::Base, run_end.min(end)),
-                }
+            MergeInput::Dense(replicas) => (Some((0, replicas[d])), end),
+            MergeInput::Overlays(overlays) => {
+                let (values, run_end) = overlays[d].run_at(at, end);
+                (values.map(|v| (at, v)), run_end)
             }
         }
     }
 
     #[inline(always)]
-    fn read(&self, d: usize, loc: Loc<'a, E>, range: Range<usize>) -> Src<'_, E> {
-        match (loc, self.source) {
-            (Loc::Replica, Source::Dense(replicas)) => Src::Narrow(&replicas[d][range]),
-            (Loc::Delta { at, values }, _) => {
-                Src::Stored(&values[range.start - at..range.end - at])
-            }
-            _ => Src::Narrow(&self.global[range.start - self.start..range.end - self.start]),
-        }
+    fn read(&self, _: usize, loc: Self::Loc, range: Range<usize>) -> Src<'_, E> {
+        Src::Narrow(match loc {
+            Some((at, values)) => &values[range.start - at..range.end - at],
+            None => &self.global[range.start - self.start..range.end - self.start],
+        })
     }
 
     #[inline(always)]
@@ -748,11 +709,10 @@ mod tests {
     /// The fused pass against the stage it replaced — each replica exported
     /// at the storage precision, `allreduce_flat`, then
     /// `apply_global_update_flat` (or plain adoption), then
-    /// `redistribute_global` — from the f32 replicas read in place AND from
-    /// their sparse deltas over the last payload: same global, momentum
-    /// memory, payload (at f32, `global` itself) and timing, bit for bit,
-    /// for both precisions, both update rules, pooled and serial, and
-    /// survivor subsets of every size.
+    /// `redistribute_global` — from the f32 replicas read in place: same
+    /// global, momentum memory, payload (at f32, `global` itself) and
+    /// timing, bit for bit, for both precisions, both update rules, pooled
+    /// and serial, and survivor subsets of every size.
     /// At bf16 the dense pass narrows each replica tile as it loads it, and
     /// this is what pins that round point to the export's. Row sets include
     /// the empty set, every row, and random ones; the model spans many
@@ -760,7 +720,7 @@ mod tests {
     /// W2.
     #[test]
     fn fused_merge_matches_the_step_by_step_stage() {
-        use asgd_collective::{allreduce_flat, gather_delta, hierarchical_allreduce_flat};
+        use asgd_collective::{allreduce_flat, hierarchical_allreduce_flat, SparseLayout};
         use asgd_gpusim::{profile, ClusterTopology, Topology};
 
         let layout = SparseLayout::new(900, 16, 1_200);
@@ -821,17 +781,6 @@ mod tests {
                     .collect();
                 let param_refs: Vec<&[f32]> = params.iter().map(Vec::as_slice).collect();
                 let replicas: Vec<FlatVec> = params.iter().map(|r| export(precision, r)).collect();
-                let deltas: Vec<FlatVec> = row_sets
-                    .iter()
-                    .zip(&replicas)
-                    .map(|(rows, r)| {
-                        let mut d = FlatVec::empty(precision);
-                        gather_delta(&layout, rows, r, &mut d);
-                        d
-                    })
-                    .collect();
-                let delta_refs: Vec<(&[u32], &FlatVec)> =
-                    row_sets.iter().map(|r| r.as_slice()).zip(&deltas).collect();
 
                 for gamma in [Some(0.9), None] {
                     // The stage, one model-sized sweep per step.
@@ -903,15 +852,6 @@ mod tests {
                         assert_eq!(g, bits(&want_g), "dense global, {what}");
                         assert_eq!(p, bits(&want_p), "dense prev, {what}");
                         assert_eq!(payload, want[0], "dense payload, {what}");
-
-                        let (t, g, p, payload) = run(MergeInput::Sparse {
-                            layout: &layout,
-                            deltas: &delta_refs,
-                        });
-                        assert_eq!(t, want_t, "sparse timing, {what}");
-                        assert_eq!(g, bits(&want_g), "sparse global, {what}");
-                        assert_eq!(p, bits(&want_p), "sparse prev, {what}");
-                        assert_eq!(payload, want[0], "sparse payload, {what}");
                     }
                 }
             }
@@ -1006,28 +946,32 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use asgd_collective::{allreduce_flat, gather_delta};
+    use asgd_collective::allreduce_flat;
     use asgd_gpusim::{profile, Topology};
-    use asgd_tensor::{bf16, Precision};
+    use asgd_model::{MlpConfig, Workspace};
+    use asgd_sparse::CsrMatrix;
+    use asgd_tensor::Precision;
     use proptest::prelude::*;
 
     proptest! {
-        // Each case builds and merges a whole model twice (the stage and
-        // the fused pass), so this one runs fewer cases than the block
-        // below.
+        // Each case trains its replicas and merges a whole model three
+        // times (the stage and the fused pass twice), so this one runs
+        // fewer cases than the block below.
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// The fused pass reading sparse sources — each replica's rows from
-        /// its delta, the rest from the global model under it — equals the
-        /// step-by-step stage over the replicas' whole buffers, over random
-        /// shapes whose segment boundaries (any partition count, any device
-        /// count) fall inside `W₁` rows, class rows and across the
-        /// `W₁`/`b₁`/`W₂`/`b₂` seams; at both precisions, with and without
-        /// momentum, with device 0's weight exactly 1 (read unscaled) and
-        /// NaNs with payloads of their own in the deltas — through the
-        /// evaluator's AVX2 build and again through its portable one.
+        /// The fused pass reading overlays where their rows live — each
+        /// replica's slots, the global model under them — equals the
+        /// step-by-step stage over the replicas' materialized models, over
+        /// random shapes whose segment boundaries (any partition count, any
+        /// device count) fall inside `W₁` rows, class rows and across the
+        /// `W₁`/`b₁`/`W₂`/`b₂` seams; for overlays of every kind (sampled
+        /// steps; dense steps; every row, blended toward a target with NaNs
+        /// of payloads of their own), at both precisions, with and without
+        /// momentum, with device 0's weight exactly 1 (read unscaled) —
+        /// through the evaluator's AVX2 build and again through its
+        /// portable one.
         #[test]
-        fn sparse_sources_match_the_stage_over_random_shapes(
+        fn overlays_in_place_match_the_stage_over_random_shapes(
             features in 1usize..30,
             hidden in 1usize..9,
             classes in 1usize..30,
@@ -1038,8 +982,8 @@ mod proptests {
             momentum in 0usize..2,
             seed in 0u64..1000,
         ) {
-            let layout = SparseLayout::new(features, hidden, classes);
-            let len = layout.param_len();
+            let config = MlpConfig { num_features: features, hidden, num_classes: classes };
+            let len = config.param_len();
             let precision = if bf16_sel == 1 { Precision::Bf16 } else { Precision::F32 };
             let algo = match algo_idx {
                 0 => Algorithm::Naive,
@@ -1052,51 +996,70 @@ mod proptests {
                 st = st.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 st
             };
-            let value = |r: u64| {
-                let x = (r >> 40) as f32 / (1u64 << 23) as f32 - 1.0;
-                // The base and every replica hold stored values (exact at
-                // bf16), so a dense export reads the delta's bits.
-                match precision {
-                    Precision::F32 => x,
-                    Precision::Bf16 => bf16::widen(bf16::narrow(x)),
-                }
-            };
+            let value = |r: u64| (r >> 40) as f32 / (1u64 << 23) as f32 - 1.0;
             let global: Vec<f32> = (0..len).map(|_| value(next())).collect();
             let prev: Vec<f32> = (0..len).map(|_| value(next())).collect();
-            let rows: Vec<Vec<u32>> = (0..n)
-                .map(|_| (0..layout.num_rows() as u32).filter(|_| next() % 3 == 0).collect())
-                .collect();
-            let replicas: Vec<Vec<f32>> = rows
-                .iter()
-                .enumerate()
-                .map(|(d, rows)| {
-                    let mut r = global.clone();
-                    layout.for_each_delta_index(rows, |i| {
-                        r[i] = if (i + d) % 23 == 0 {
-                            f32::from_bits(0x7fc0_0000 | (d as u32 + 1) << 8 | i as u32 & 0xff)
-                        } else {
-                            value(next())
-                        };
-                    });
-                    r
-                })
-                .collect();
+            // The base every replica imported: the global model at the
+            // payload's precision.
             let export = |v: &[f32]| {
                 let mut out = vec![FlatVec::zeros(precision, len)];
                 redistribute_global(v, &mut out);
                 out.pop().unwrap()
             };
-            let exported: Vec<FlatVec> = replicas.iter().map(|r| export(r)).collect();
-            let deltas: Vec<FlatVec> = rows
-                .iter()
-                .zip(&exported)
-                .map(|(rows, r)| {
-                    let mut d = FlatVec::empty(precision);
-                    gather_delta(&layout, rows, r, &mut d);
-                    d
+            let base = export(&global);
+            let mut ws = Workspace::new(&config);
+            let overlays: Vec<Overlay> = (0..n)
+                .map(|d| {
+                    let mut o = match d % 3 {
+                        0 => Overlay::new(&config, base.view()),
+                        1 => Overlay::dense(&config, base.view()),
+                        _ => Overlay::whole(&config, base.view()),
+                    };
+                    for _ in 0..next() % 3 {
+                        let rows: Vec<(Vec<u32>, Vec<f32>)> = (0..1 + next() % 3)
+                            .map(|_| {
+                                let mut idx: Vec<u32> = (0..1 + next() % 4)
+                                    .map(|_| (next() % features as u64) as u32)
+                                    .collect();
+                                idx.sort_unstable();
+                                idx.dedup();
+                                let val = idx.iter().map(|_| value(next())).collect();
+                                (idx, val)
+                            })
+                            .collect();
+                        let labels: Vec<Vec<u32>> = rows
+                            .iter()
+                            .map(|_| vec![(next() % classes as u64) as u32])
+                            .collect();
+                        let mut cand: Vec<u32> = labels.iter().flatten().copied().collect();
+                        cand.extend((0..classes as u32).filter(|_| next() % 3 == 0));
+                        cand.sort_unstable();
+                        cand.dedup();
+                        let mut x = CsrMatrix::from_rows(features, &rows).unwrap();
+                        if d % 3 == 0 {
+                            o.train_batch_sampled_ws(base.view(), &mut x, &labels, &cand, 0.1, &mut ws);
+                        } else {
+                            o.train_batch_ws(base.view(), &mut x, &labels, 0.1, &mut ws);
+                        }
+                    }
+                    if d % 3 == 2 {
+                        let target: Vec<f32> = (0..len)
+                            .map(|i| if (i + d) % 23 == 0 {
+                                f32::from_bits(0x7fc0_0000 | (d as u32 + 1) << 8 | i as u32 & 0xff)
+                            } else {
+                                value(next())
+                            })
+                            .collect();
+                        o.blend(FlatRef::F32(&target), 0.5);
+                    }
+                    o
                 })
                 .collect();
-            let views: Vec<(&[u32], &FlatVec)> = rows.iter().map(Vec::as_slice).zip(&deltas).collect();
+            let views: Vec<&Overlay> = overlays.iter().collect();
+            let exported: Vec<FlatVec> = overlays
+                .iter()
+                .map(|o| export(o.materialize(base.view()).as_flat()))
+                .collect();
             let weights: Vec<f64> = (0..n).map(|d| 1.0 / (d + 1) as f64).collect();
             let arrivals = vec![SimTime::ZERO; n];
             let ctx = CollectiveContext::new(Topology::pcie(n), &profile::heterogeneous_server(n));
@@ -1133,7 +1096,7 @@ mod proptests {
                 let (mut g, mut p) = (global.clone(), prev.clone());
                 let mut payload = vec![0u16; len];
                 let bf16_payload = (precision == Precision::Bf16).then_some(&mut payload[..]);
-                let input = MergeInput::Sparse { layout: &layout, deltas: &views };
+                let input = MergeInput::Overlays(&views);
                 asgd_tensor::kernels::force_portable(portable);
                 let t = fused.run(&mut MergeScratch::default(), input, bf16_payload, &mut g, &mut p, None);
                 asgd_tensor::kernels::force_portable(false);

@@ -311,9 +311,9 @@ impl SchedulerState<'_> {
     }
 
     /// Evicts the replicas in `lost`, which the pool has already killed (so no
-    /// batch goes to one about to die): each one is dropped with its gather
-    /// slot, its accounting is zeroed and its untrained batches re-dispatched
-    /// to survivors. Returns their count.
+    /// batch goes to one about to die): each one is dropped with its place
+    /// in the merge's collective, its accounting is zeroed and its untrained
+    /// batches re-dispatched to survivors. Returns their count.
     fn evict(
         &mut self,
         lost: &[usize],
@@ -327,7 +327,10 @@ impl SchedulerState<'_> {
             let live = self.replicas.iter().position(|r| r.gpu == g);
             let live = live.expect("a device the pool just killed had a replica");
             self.replicas.remove(live);
-            self.deltas.remove(live);
+            // The survivors' collective keeps their links, profiles and
+            // server assignments.
+            let survivors: Vec<usize> = (0..=self.replicas.len()).filter(|&i| i != live).collect();
+            self.ctx = self.ctx.subset(&survivors);
             let untrained = std::mem::take(&mut self.work[g]);
             interval_updates[g] = 0;
             interval_samples[g] = 0;

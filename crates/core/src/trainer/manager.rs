@@ -11,85 +11,12 @@
 
 use crate::merging::NormEstimate;
 use asgd_data::XmlDataset;
-use asgd_model::{Mlp, MlpConfig, Overlay, Workspace};
+use asgd_model::{MlpConfig, Overlay, Workspace};
 use asgd_slide::{CandidateSampler, LshIndex};
 use asgd_sparse::CsrMatrix;
 use asgd_tensor::kernels::{sum_sq_lanes, Widen};
-use asgd_tensor::{FlatRef, FlatVec};
+use asgd_tensor::FlatRef;
 use std::sync::Arc;
-
-/// Tracks which sparse rows (W1 feature rows first, then output-class
-/// rows) an owned replica has dirtied since its last model sync — the rows
-/// the perturbation gate's norm estimate reads (an overlay's slots are its
-/// own record of them).
-///
-/// On the sampled-softmax path the set is *exact and free*: a training
-/// step writes precisely the batch's CSR feature columns into `W₁` and an
-/// update entry for **every** LSH candidate into `W₂`/`b₂` (even at zero
-/// gradient), so marking `x.indices()` plus the candidate set reproduces
-/// the touched-row set bit-for-bit. `b₁` updates densely every batch and
-/// rides along in the delta's dense block instead. A dense step marks its
-/// feature rows the same way; it writes every class row, which the
-/// set does not record.
-struct DirtyRows {
-    features: usize,
-    num_rows: usize,
-    bits: Vec<u64>,
-}
-
-impl DirtyRows {
-    fn new(features: usize, classes: usize) -> Self {
-        let num_rows = features + classes;
-        Self {
-            features,
-            num_rows,
-            bits: vec![0; num_rows.div_ceil(64)],
-        }
-    }
-
-    fn mark_features(&mut self, idx: &[u32]) {
-        for &f in idx {
-            let r = f as usize;
-            debug_assert!(r < self.features);
-            self.bits[r / 64] |= 1 << (r % 64);
-        }
-    }
-
-    fn mark_classes(&mut self, cand: &[u32]) {
-        let features = self.features;
-        for &c in cand {
-            let r = features + c as usize;
-            debug_assert!(r < self.num_rows);
-            self.bits[r / 64] |= 1 << (r % 64);
-        }
-    }
-
-    /// Everything dirty — a blend pulls every parameter toward the target,
-    /// so no sparsity survives it.
-    fn mark_all(&mut self) {
-        self.bits.fill(!0u64);
-    }
-
-    fn clear(&mut self) {
-        self.bits.fill(0);
-    }
-
-    /// Collects the dirty rows, sorted ascending, into a recycled buffer.
-    fn collect_into(&self, out: &mut Vec<u32>) {
-        out.clear();
-        for (w, &word) in self.bits.iter().enumerate() {
-            let mut b = word;
-            while b != 0 {
-                let r = w * 64 + b.trailing_zeros() as usize;
-                if r >= self.num_rows {
-                    break;
-                }
-                out.push(r as u32);
-                b &= b - 1;
-            }
-        }
-    }
-}
 
 /// `Σ base²` and `Σ cur²` (in `f64`) over a set of parameters, and how many.
 #[derive(Default)]
@@ -116,29 +43,10 @@ impl ChangedSq {
     }
 }
 
-/// Where a replica's parameters live.
-enum Model {
-    /// A whole model of its own, trained in place, and the rows it dirtied
-    /// since its last import: dense-softmax replicas (a dense step writes
-    /// every class row) and CROSSBOW's (the blend moves every parameter).
-    /// The dense merge reads it where it lives.
-    Owned {
-        mlp: Mlp,
-        dirty: DirtyRows,
-        /// Dense training touches every `W₂` row, so a dirty-row delta
-        /// after a dense batch would silently under-report; this turns one
-        /// into a loud failure instead of a wrong merge.
-        dense_trained: bool,
-    },
-    /// A sampled replica under a rule that redistributes one model: the
-    /// rows it changed since its import, over the import base it borrows
-    /// call by call ([`Overlay`]).
-    Overlay(Overlay),
-}
-
-/// One device's numeric state: the replica plus everything a training step
-/// reuses — a [`Workspace`] owned for the replica's lifetime, so
-/// steady-state steps re-allocate no activation/gradient buffer.
+/// One device's numeric state: the replica, an [`Overlay`] on the model it
+/// last imported, plus everything a training step reuses — a [`Workspace`]
+/// owned for the replica's lifetime, so steady-state steps re-allocate no
+/// activation/gradient buffer.
 ///
 /// With a `sampler`, training runs the LSH-sampled softmax. A replica never
 /// hashes: the scheduler builds one index per model-sync point (run start,
@@ -149,12 +57,11 @@ enum Model {
 ///
 /// Every method that reads parameters takes `base`, the buffer of the last
 /// [`Replica::set_model`] (or the start-up model the replica was built
-/// on): an overlay reads its untouched rows there, an owned model ignores
-/// it.
+/// on), where the overlay reads the rows it holds no slot for.
 pub(super) struct Replica<'a> {
     /// The device this replica trains on.
     pub(super) gpu: usize,
-    model: Model,
+    overlay: Overlay,
     dataset: &'a XmlDataset,
     ws: Workspace,
     sampler: Option<CandidateSampler>,
@@ -171,46 +78,19 @@ pub(super) struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
-    /// A replica that owns `mlp` (see [`Model::Owned`]).
-    pub(super) fn owned(
+    /// The replica of device `gpu`, trained as `overlay`, with the sampled
+    /// softmax iff it has a `sampler`.
+    pub(super) fn new(
         gpu: usize,
-        mlp: Mlp,
+        overlay: Overlay,
         dataset: &'a XmlDataset,
         sampler: Option<CandidateSampler>,
     ) -> Self {
-        let c = *mlp.config();
-        let model = Model::Owned {
-            mlp,
-            dirty: DirtyRows::new(c.num_features, c.num_classes),
-            dense_trained: false,
-        };
-        Self::with_model(gpu, &c, model, dataset, sampler)
-    }
-
-    /// A sampled replica that is an overlay on `base`, holding nothing of
-    /// its own yet (see [`Model::Overlay`]).
-    pub(super) fn overlay(
-        gpu: usize,
-        config: &MlpConfig,
-        base: FlatRef<'_>,
-        dataset: &'a XmlDataset,
-        sampler: CandidateSampler,
-    ) -> Self {
-        let model = Model::Overlay(Overlay::new(config, base));
-        Self::with_model(gpu, config, model, dataset, Some(sampler))
-    }
-
-    fn with_model(
-        gpu: usize,
-        c: &MlpConfig,
-        model: Model,
-        dataset: &'a XmlDataset,
-        sampler: Option<CandidateSampler>,
-    ) -> Self {
+        let c = *overlay.config();
         Replica {
             gpu,
-            ws: Workspace::new(c),
-            model,
+            ws: Workspace::new(&c),
+            overlay,
             dataset,
             sampler,
             rows: Vec::new(),
@@ -236,50 +116,23 @@ impl<'a> Replica<'a> {
         self.labels.clear();
         self.labels
             .extend(ids.iter().map(|&i| train.labels[i].as_slice()));
-        let (labels, ws, x) = (&self.labels, &mut self.ws, &mut self.x);
-        let out = match (&mut self.model, self.sampler.as_mut()) {
-            (Model::Overlay(o), Some(sampler)) => {
+        let (o, labels, ws, x) = (&mut self.overlay, &self.labels, &mut self.ws, &mut self.x);
+        let out = match self.sampler.as_mut() {
+            Some(sampler) => {
                 let cand = sampler.select(labels, sample_seed);
                 o.train_batch_sampled_ws(base, x, labels, cand, lr, ws)
             }
-            (Model::Overlay(_), None) => unreachable!("an overlay trains the sampled softmax"),
-            (
-                Model::Owned {
-                    mlp,
-                    dirty,
-                    dense_trained,
-                },
-                sampler,
-            ) => {
-                // A step writes exactly its features' `W₁` rows and, sampled,
-                // an update for every candidate class (even at zero
-                // gradient); a dense step writes every class row.
-                dirty.mark_features(x.indices());
-                match sampler {
-                    Some(sampler) => {
-                        let cand = sampler.select(labels, sample_seed);
-                        dirty.mark_classes(cand);
-                        mlp.train_batch_sampled_ws(x, labels, cand, lr, ws)
-                    }
-                    None => {
-                        *dense_trained = true;
-                        mlp.train_batch_ws(x, labels, lr, ws)
-                    }
-                }
-            }
+            None => o.train_batch_ws(base, x, labels, lr, ws),
         };
         out.loss
     }
 
-    /// Collects the rows changed since the last import, ascending — `W₁`
-    /// feature rows, then classes, in the sparse row space: what
-    /// [`Replica::gather_delta`] exports and [`Replica::norm_estimate`]
-    /// reads, until the next step or import.
+    /// Collects the rows the overlay holds, ascending — `W₁` feature rows,
+    /// then classes, in the sparse row space: a superset of the rows changed
+    /// since the last import, which [`Replica::norm_estimate`] reads and a
+    /// sparse merge ships, until the next step or import.
     pub(super) fn collect_rows(&mut self) {
-        match &self.model {
-            Model::Owned { dirty, .. } => dirty.collect_into(&mut self.rows),
-            Model::Overlay(o) => o.rows_into(&mut self.rows),
-        }
+        self.overlay.rows_into(&mut self.rows);
         self.rows_current = true;
     }
 
@@ -292,32 +145,16 @@ impl<'a> Replica<'a> {
         &self.rows
     }
 
-    /// What the sparse merge reads instead of the replica's parameters:
-    /// the delta payload over [`Replica::rows`] — the
-    /// `asgd_collective::sparse` wire format — written into `payload`.
-    pub(super) fn gather_delta(&self, payload: &mut FlatVec) {
-        let rows = self.rows();
-        match &self.model {
-            Model::Owned {
-                mlp, dense_trained, ..
-            } => {
-                assert!(
-                    !dense_trained,
-                    "sparse deltas require the sampled-softmax path \
-                     (dense training dirties every W2 class row)"
-                );
-                mlp.write_delta_buf(rows, payload);
-            }
-            Model::Overlay(o) => o.write_delta_buf(rows, payload),
-        }
+    /// The overlay, which the merge reads where its rows live.
+    pub(super) fn overlay(&self) -> &Overlay {
+        &self.overlay
     }
 
     /// Algorithm 2's regularization measure `Σw²`, estimated from the
     /// parameters this replica changed since it imported `base` (whose own
-    /// `Σx²` is `s_base`): `b₁`, the [`Replica::rows`] of `W₁`, and those
-    /// of `W₂` with their `b₂` entries — all of `W₂` and `b₂` on the dense
-    /// path. Every other parameter still holds its `base` value bit for
-    /// bit, so it cancels exactly.
+    /// `Σx²` is `s_base`): `b₁`, and the [`Replica::rows`] of `W₁` and of
+    /// `W₂` with their `b₂` entries. Every other parameter still holds its
+    /// `base` value bit for bit, so it cancels exactly.
     ///
     /// `base` must be the buffer of the last [`Replica::set_model`], not a
     /// blend target.
@@ -326,111 +163,51 @@ impl<'a> Replica<'a> {
             FlatRef::F32(b) => self.changed_sq(b),
             FlatRef::Bf16(b) => self.changed_sq(b),
         };
-        let len = self.param_len();
+        let len = self.overlay.config().param_len();
         NormEstimate::new(len, s_base, changed.count, changed.base, changed.cur)
     }
 
     fn changed_sq<E: Widen>(&self, base: &[E]) -> ChangedSq {
-        let c = *self.config();
+        let c: MlpConfig = *self.overlay.config();
         assert_eq!(base.len(), c.param_len(), "base/replica length");
         let (features, hidden) = (c.num_features, c.hidden);
         let [w1, b1, w2, b2] = c.block_ranges();
-        let row_range = |r: usize| {
-            if r < features {
-                w1.start + r * hidden..w1.start + (r + 1) * hidden
-            } else {
-                w2.start + (r - features) * hidden..w2.start + (r - features + 1) * hidden
-            }
-        };
         let mut sq = ChangedSq::default();
-        match &self.model {
-            Model::Owned { mlp, .. } => {
-                let cur = mlp.as_flat();
-                sq.run(&base[b1.clone()], &cur[b1]);
-                let dense = self.sampler.is_none();
-                if dense {
-                    sq.run(&base[w2.start..b2.end], &cur[w2.start..b2.end]);
-                }
-                for &r in self.rows() {
-                    let r = r as usize;
-                    if r < features {
-                        sq.run(&base[row_range(r)], &cur[row_range(r)]);
-                    } else if !dense {
-                        sq.run(&base[row_range(r)], &cur[row_range(r)]);
-                        let b = b2.start + r - features;
-                        sq.one(base[b], cur[b]);
-                    }
-                }
-            }
-            Model::Overlay(o) => {
-                sq.run(&base[b1], o.b1());
-                for &r in self.rows() {
-                    let r = r as usize;
-                    let (cur, cur_b2) = o.row(r);
-                    sq.run(&base[row_range(r)], cur);
-                    if let Some(cur_b2) = cur_b2 {
-                        sq.one(base[b2.start + r - features], cur_b2);
-                    }
-                }
+        sq.run(&base[b1], self.overlay.b1());
+        for &r in self.rows() {
+            let r = r as usize;
+            let (cur, cur_b2) = self.overlay.row(r);
+            let at = match cur_b2 {
+                None => w1.start + r * hidden,
+                Some(_) => w2.start + (r - features) * hidden,
+            };
+            sq.run(&base[at..at + hidden], cur);
+            if let Some(cur_b2) = cur_b2 {
+                sq.one(base[b2.start + r - features], cur_b2);
             }
         }
         sq
     }
 
-    /// The exact [`Mlp::l2_norm_per_param`] of the replica over `base`.
+    /// The exact `Mlp::l2_norm_per_param` of the replica over `base`.
     pub(super) fn l2_norm_per_param(&self, base: FlatRef<'_>) -> f64 {
-        match &self.model {
-            Model::Owned { mlp, .. } => mlp.l2_norm_per_param(),
-            Model::Overlay(o) => o.l2_norm_per_param(base),
-        }
+        self.overlay.l2_norm_per_param(base)
     }
 
-    fn config(&self) -> &MlpConfig {
-        match &self.model {
-            Model::Owned { mlp, .. } => mlp.config(),
-            Model::Overlay(o) => o.config(),
-        }
-    }
-
-    /// Parameters of the model the replica stands for.
-    pub(super) fn param_len(&self) -> usize {
-        self.config().param_len()
-    }
-
-    /// An owned replica's parameters, read in place by the dense merge.
-    ///
-    /// # Panics
-    /// Panics on an overlay, which the merge reads through its delta.
-    pub(super) fn owned_flat(&self) -> &[f32] {
-        match &self.model {
-            Model::Owned { mlp, .. } => mlp.as_flat(),
-            Model::Overlay(_) => panic!("an overlay replica merges through its delta"),
-        }
-    }
-
-    /// The whole model the replica stands for over `base`: an owned one
-    /// as it is, an overlay materialized — a model-sized copy, for checks.
+    /// The whole model the replica stands for over `base`, materialized — a
+    /// model-sized copy, for checks.
     #[cfg(test)]
-    pub(super) fn materialize(&self, base: FlatRef<'_>) -> Mlp {
-        match &self.model {
-            Model::Owned { mlp, .. } => mlp.clone(),
-            Model::Overlay(o) => o.materialize(base),
-        }
+    pub(super) fn materialize(&self, base: FlatRef<'_>) -> asgd_model::Mlp {
+        self.overlay.materialize(base)
     }
 
-    /// Replaces the replica with the flat model `buf` (the delta baseline:
+    /// Re-bases the replica on the flat model `buf` (the delta baseline:
     /// nothing has changed afterwards) and adopts `index`, hashed from
-    /// `buf`. An overlay forgets its rows and reads `buf` from then on, so
-    /// `buf` must not change until the next import.
+    /// `buf`. The overlay forgets the rows its steps gave it and reads `buf`
+    /// from then on, so `buf` must not change until the next import.
     pub(super) fn set_model(&mut self, buf: FlatRef<'_>, index: Option<&Arc<LshIndex>>) {
         self.rows_current = false;
-        match &mut self.model {
-            Model::Owned { mlp, dirty, .. } => {
-                mlp.read_flat_buf(buf);
-                dirty.clear();
-            }
-            Model::Overlay(o) => o.import(buf),
-        }
+        self.overlay.import(buf);
         self.adopt(index);
     }
 
@@ -439,14 +216,10 @@ impl<'a> Replica<'a> {
     /// candidate selection stays replica-independent.
     ///
     /// # Panics
-    /// Panics on an overlay: a blend moves every parameter.
+    /// Panics unless the overlay holds every row ([`Overlay::whole`]).
     pub(super) fn blend(&mut self, target: FlatRef<'_>, pull: f32, index: Option<&Arc<LshIndex>>) {
         self.rows_current = false;
-        let Model::Owned { mlp, dirty, .. } = &mut self.model else {
-            panic!("a blend moves every parameter: CROSSBOW replicas are owned");
-        };
-        mlp.blend_from_flat_buf(target, pull);
-        dirty.mark_all();
+        self.overlay.blend(target, pull);
         self.adopt(index);
     }
 
@@ -465,7 +238,8 @@ mod tests {
     use super::super::SampledSoftmax;
     use super::*;
     use asgd_data::{generate, DatasetSpec};
-    use asgd_tensor::Precision;
+    use asgd_model::Mlp;
+    use asgd_tensor::{FlatVec, Precision};
 
     fn setup() -> (XmlDataset, Mlp) {
         let ds = generate(&DatasetSpec::tiny("m"), 3);
@@ -477,39 +251,39 @@ mod tests {
         (ds, Mlp::init(&config, 1))
     }
 
-    /// An owned replica's model.
-    fn mlp<'r>(r: &'r Replica) -> &'r Mlp {
-        match &r.model {
-            Model::Owned { mlp, .. } => mlp,
-            Model::Overlay(_) => panic!("an overlay owns no model"),
-        }
+    /// `model` as a replica's base.
+    fn base_of(model: &Mlp) -> FlatRef<'_> {
+        FlatRef::F32(model.as_flat())
     }
 
-    /// An owned replica exported at `precision`.
-    fn gathered(r: &Replica, precision: Precision) -> FlatVec {
+    /// A dense-softmax replica on `model`.
+    fn dense<'a>(ds: &'a XmlDataset, model: &Mlp) -> Replica<'a> {
+        Replica::new(0, Overlay::dense(model.config(), base_of(model)), ds, None)
+    }
+
+    /// The model a replica stands for over `base`, exported at `precision`.
+    fn gathered(r: &Replica, base: FlatRef<'_>, precision: Precision) -> FlatVec {
         let mut buf = FlatVec::empty(precision);
-        mlp(r).write_flat_buf(&mut buf);
+        r.materialize(base).write_flat_buf(&mut buf);
         buf
     }
-
-    /// The base an owned replica's parameter reads ignore.
-    const NO_BASE: FlatRef<'static> = FlatRef::F32(&[]);
 
     #[test]
     fn replica_trains_and_reports() {
         let (ds, model) = setup();
-        let mut r = Replica::owned(0, model, &ds, None);
-        assert!(r.train(&[0, 1, 2], 0.1, 0, NO_BASE) > 0.0);
-        assert!(mlp(&r).l2_norm_per_param() > 0.0);
+        let mut r = dense(&ds, &model);
+        assert!(r.train(&[0, 1, 2], 0.1, 0, base_of(&model)) > 0.0);
+        assert!(r.l2_norm_per_param(base_of(&model)) > 0.0);
     }
 
     #[test]
     fn set_model_roundtrips_through_gather() {
         let (ds, model) = setup();
         let target = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
-        let mut r = Replica::owned(0, model, &ds, None);
+        let mut r = dense(&ds, &model);
+        r.train(&[0, 1, 2], 0.1, 0, base_of(&model));
         r.set_model(target.view(), None);
-        assert_eq!(gathered(&r, Precision::F32), target);
+        assert_eq!(gathered(&r, target.view(), Precision::F32), target);
     }
 
     /// A bf16 gather/redistribute cycle keeps the replica at exactly one
@@ -521,41 +295,26 @@ mod tests {
         let source = Mlp::init(model.config(), 99);
         let mut target = FlatVec::empty(Precision::Bf16);
         source.write_flat_buf(&mut target);
-        let mut r = Replica::owned(0, model, &ds, None);
+        let mut r = dense(&ds, &model);
         r.set_model(target.view(), None);
-        assert_eq!(gathered(&r, Precision::Bf16), target);
+        assert_eq!(gathered(&r, target.view(), Precision::Bf16), target);
     }
 
     #[test]
     fn blend_moves_halfway() {
         let (ds, model) = setup();
         let start = model.to_flat();
-        let mut r = Replica::owned(0, model, &ds, None);
+        let mut r = Replica::new(
+            0,
+            Overlay::whole(model.config(), base_of(&model)),
+            &ds,
+            None,
+        );
         r.blend(FlatRef::F32(&vec![0.0f32; start.len()]), 0.5, None);
-        let flat = gathered(&r, Precision::F32);
+        let flat = gathered(&r, base_of(&model), Precision::F32);
         for (i, want) in start.iter().enumerate() {
             assert!((flat.get_f32(i) - want * 0.5).abs() < 1e-6);
         }
-    }
-
-    /// What the dense merge reads is the replica itself: the parameters it
-    /// trained, in place, at the address they had before training — exactly
-    /// what a stand-alone model trained on the same batch holds.
-    #[test]
-    fn the_replica_trains_in_place() {
-        let (ds, model) = setup();
-        let mut twin = model.clone();
-        let mut tws = Workspace::new(twin.config());
-        let mut r = Replica::owned(0, model, &ds, None);
-        let ptr = mlp(&r).as_flat().as_ptr();
-        let ids = [0usize, 1, 2];
-        r.train(&ids, 0.1, 0, NO_BASE);
-        let moved = mlp(&r).as_flat().as_ptr() != ptr;
-        assert!(!moved, "training must not move the replica");
-        let x = ds.train.features.select_rows(&ids);
-        let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
-        twin.train_batch_ws(&x, &labels, 0.1, &mut tws);
-        assert_eq!(mlp(&r), &twin);
     }
 
     /// Every batch's feature rows land in the replica's one CSR buffer: a
@@ -563,15 +322,18 @@ mod tests {
     #[test]
     fn batches_reuse_one_csr_buffer() {
         let (ds, model) = setup();
-        let mut r = Replica::owned(0, model, &ds, None);
+        let mut r = dense(&ds, &model);
         let ptrs = |r: &Replica| (r.x.indices().as_ptr(), r.x.values().as_ptr());
         let big: Vec<usize> = (0..12).collect();
-        r.train(&big, 0.1, 0, NO_BASE);
+        r.train(&big, 0.1, 0, base_of(&model));
         let grown = ptrs(&r);
         for ids in [&big[..5], &big[7..], &big[..]] {
-            r.train(ids, 0.1, 0, NO_BASE);
+            r.train(ids, 0.1, 0, base_of(&model));
             assert_eq!(ptrs(&r), grown, "batch {ids:?} reallocated");
-            assert_eq!(r.x, ds.train.features.select_rows(ids));
+            // The overlay renamed the columns to its slots: the rows match
+            // the dataset's up to that renaming.
+            let want = ds.train.features.select_rows(ids);
+            assert_eq!((r.x.rows(), r.x.values()), (want.rows(), want.values()));
         }
     }
 
@@ -588,6 +350,12 @@ mod tests {
     /// start-up model.
     fn index_arena(model: &Mlp) -> IndexArena {
         IndexArena::new(&sampled_cfg(), model)
+    }
+
+    /// A sampled replica on `model`, sampling through `arena`.
+    fn sampled<'a>(g: usize, ds: &'a XmlDataset, model: &Mlp, arena: &IndexArena) -> Replica<'a> {
+        let o = Overlay::new(model.config(), base_of(model));
+        Replica::new(g, o, ds, Some(arena.sampler()))
     }
 
     /// A stand-alone sampler hashed from a class-major `W₂` — what every replica
@@ -619,10 +387,14 @@ mod tests {
         let synced = FlatVec::F32(Mlp::init(model.config(), 99).to_flat());
         let run = |model: Mlp| {
             let mut arena = index_arena(&model);
-            let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
+            let mut r = [sampled(0, &ds, &model, &arena)];
+            r[0].train(&[1, 3], 0.1, 0x5EED, base_of(&model));
             sync(&mut arena, &mut r, &synced);
-            let loss = r[0].train(&[0, 2, 4], 0.1, 0xB00F, NO_BASE);
-            (loss.to_bits(), gathered(&r[0], Precision::F32))
+            let loss = r[0].train(&[0, 2, 4], 0.1, 0xB00F, synced.view());
+            (
+                loss.to_bits(),
+                gathered(&r[0], synced.view(), Precision::F32),
+            )
         };
         // Different pre-sync replicas: the sync point must erase the
         // difference entirely.
@@ -632,76 +404,73 @@ mod tests {
         );
     }
 
-    /// The delta's core contract: after a sync and a sampled train step,
-    /// `gather_delta`'s `(rows, payload)` must (a) bit-match gathering the
-    /// same rows out of the dense `gather_model` buffer and (b) reconstruct
-    /// that dense buffer bit-exactly when scattered over the synced base —
-    /// the exactness the whole sparse merge path rests on.
+    /// What the merge and the gate read of a replica covers every change:
+    /// after a sync and a sampled train step, its rows are ascending and
+    /// scattering the materialized model's delta over them
+    /// (`gather_delta` / `scatter_delta`, the wire format's reference) onto
+    /// the synced base reconstructs that model bit for bit.
     #[test]
-    fn delta_reconstructs_the_replica_bit_exactly() {
+    fn rows_cover_every_change() {
         use asgd_collective::{gather_delta, scatter_delta, SparseLayout};
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
+        let mut r = [sampled(0, &ds, &model, &arena)];
         sync(&mut arena, &mut r, &synced);
         let r = &mut r[0];
-        r.train(&[0, 2, 4], 0.1, 0xB00F, NO_BASE);
-        let mut payload = FlatVec::empty(Precision::F32);
+        r.train(&[0, 2, 4], 0.1, 0xB00F, synced.view());
         r.collect_rows();
-        r.gather_delta(&mut payload);
-        let flat = gathered(r, Precision::F32);
+        let flat = gathered(r, synced.view(), Precision::F32);
         let rows = r.rows();
-        assert!(!rows.is_empty(), "a sampled batch must dirty some rows");
+        assert!(!rows.is_empty(), "a sampled batch must touch some rows");
         assert!(rows.windows(2).all(|w| w[0] < w[1]), "rows not ascending");
         let layout = SparseLayout::new(config.num_features, config.hidden, config.num_classes);
-        let mut expect = FlatVec::empty(Precision::F32);
-        gather_delta(&layout, rows, &flat, &mut expect);
-        assert_eq!(payload, expect, "delta payload != dense gather");
+        let mut payload = FlatVec::empty(Precision::F32);
+        gather_delta(&layout, rows, &flat, &mut payload);
         let mut base = synced.clone();
         scatter_delta(&layout, rows, &payload, &mut base);
         assert_eq!(base, flat, "scatter over base != replica");
     }
 
-    /// `set_model` is the delta baseline: a delta straight after a sync
-    /// reports no dirty rows and only the dense `b₁` block as payload.
+    /// `set_model` is the delta baseline: straight after a sync a sampled
+    /// replica holds no row, a dense one every class and no feature.
     #[test]
-    fn set_model_clears_the_dirty_set() {
+    fn set_model_clears_the_touched_rows() {
         let (ds, model) = setup();
         let config = *model.config();
         let synced = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = [Replica::owned(0, model, &ds, Some(arena.sampler()))];
-        r[0].train(&[0, 1], 0.1, 3, NO_BASE);
-        sync(&mut arena, &mut r, &synced);
-        let mut payload = FlatVec::empty(Precision::F32);
-        r[0].collect_rows();
-        r[0].gather_delta(&mut payload);
-        assert!(r[0].rows().is_empty(), "sync must clear the dirty set");
-        assert_eq!(payload.len(), config.hidden, "empty delta carries only b1");
-        let [_, b1, ..] = config.block_ranges();
-        for (k, i) in b1.enumerate() {
-            assert_eq!(payload.get_f32(k).to_bits(), synced.get_f32(i).to_bits());
+        let mut r = [sampled(0, &ds, &model, &arena), dense(&ds, &model)];
+        for r in &mut r {
+            r.train(&[0, 1], 0.1, 3, base_of(&model));
         }
+        sync(&mut arena, &mut r, &synced);
+        for r in &mut r {
+            r.collect_rows();
+        }
+        assert!(r[0].rows().is_empty(), "sync must forget the touched rows");
+        let classes: Vec<u32> = (0..config.num_classes as u32)
+            .map(|c| c + config.num_features as u32)
+            .collect();
+        assert_eq!(r[1].rows(), classes, "a dense replica holds every class");
     }
 
-    /// A blend pulls every parameter, so the following delta must cover
-    /// every row — no sparsity survives a CROSSBOW-style merge.
+    /// A blend pulls every parameter, so a CROSSBOW replica's rows are every
+    /// row — no sparsity survives a CROSSBOW-style merge.
     #[test]
-    fn blend_dirties_every_row() {
+    fn blend_keeps_every_row() {
         let (ds, model) = setup();
         let config = *model.config();
         let target = FlatVec::F32(Mlp::init(&config, 99).to_flat());
         let mut arena = index_arena(&model);
-        let mut r = Replica::owned(0, model, &ds, Some(arena.sampler()));
+        let o = Overlay::whole(&config, base_of(&model));
+        let mut r = Replica::new(0, o, &ds, Some(arena.sampler()));
         arena.sync(target.view(), None);
         r.blend(target.view(), 0.5, Some(arena.live()));
         r.collect_rows();
         let total = config.num_features + config.num_classes;
-        assert_eq!(r.rows().len(), total);
-        assert_eq!(r.rows().first(), Some(&0));
-        assert_eq!(r.rows().last(), Some(&((total - 1) as u32)));
+        assert_eq!(r.rows(), (0..total as u32).collect::<Vec<_>>());
     }
 
     /// The scheduler-side build hashes the `W₂` region of the flat buffer it
@@ -757,9 +526,7 @@ mod tests {
         let (ds, model) = setup();
         let n = 3;
         let mut arena = index_arena(&model);
-        let mut replicas: Vec<Replica> = (0..n)
-            .map(|g| Replica::owned(g, model.clone(), &ds, Some(arena.sampler())))
-            .collect();
+        let mut replicas: Vec<Replica> = (0..n).map(|g| sampled(g, &ds, &model, &arena)).collect();
         assert_eq!(arena.holders(), n);
         let labels: Vec<&[u32]> = vec![&[1, 5], &[9]];
         for (round, precision) in [Precision::F32, Precision::Bf16].into_iter().enumerate() {
@@ -774,7 +541,7 @@ mod tests {
                 "{precision:?}: the old buffer is back with the scheduler (+ this test)"
             );
             for r in &mut replicas {
-                let mut reference = standalone(mlp(r).w2());
+                let mut reference = standalone(r.materialize(synced.view()).w2());
                 let sampler = r.sampler.as_mut().unwrap();
                 assert!(Arc::ptr_eq(sampler.index(), arena.live()));
                 for seed in [0u64, 0xB00F] {
@@ -798,9 +565,7 @@ mod tests {
     fn only_live_replicas_hold_the_index_after_a_loss() {
         let (ds, model) = setup();
         let mut arena = index_arena(&model);
-        let mut replicas: Vec<Replica> = (0..3)
-            .map(|g| Replica::owned(g, model.clone(), &ds, Some(arena.sampler())))
-            .collect();
+        let mut replicas: Vec<Replica> = (0..3).map(|g| sampled(g, &ds, &model, &arena)).collect();
         let buf = |seed| FlatVec::F32(Mlp::init(model.config(), seed).to_flat());
         sync(&mut arena, &mut replicas, &buf(50));
 
@@ -820,12 +585,13 @@ mod tests {
         drop(lost);
         assert_eq!(arena.holders(), 2);
 
+        let last = buf(52);
         for seed in [51, 52] {
             sync(&mut arena, &mut replicas, &buf(seed));
             assert_eq!(arena.holders(), 2, "only survivors hold the index");
         }
         for r in &mut replicas {
-            let mut reference = standalone(mlp(r).w2());
+            let mut reference = standalone(r.materialize(last.view()).w2());
             let sampler = r.sampler.as_mut().unwrap();
             assert!(Arc::ptr_eq(sampler.index(), arena.live()));
             assert_eq!(
@@ -835,43 +601,135 @@ mod tests {
         }
     }
 
-    /// What one replica reports after a step of the differential: its
-    /// delta's `(rows, payload)` bits at `precision`, its gate estimate,
-    /// its exact norm and the whole model it stands for over `base`.
-    fn report(r: &mut Replica, base: FlatRef<'_>, precision: Precision) -> impl PartialEq {
+    /// How a reference replica trains and merges: which overlay the replica
+    /// under test is, and whether both sample candidates.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        /// Sampled softmax, imports ([`Overlay::new`]).
+        Sampled,
+        /// Dense softmax, imports ([`Overlay::dense`]).
+        Dense,
+        /// CROSSBOW blends, sampled or dense steps ([`Overlay::whole`]).
+        Crossbow { sampled: bool },
+    }
+
+    /// The reference a replica is held to: a plain [`Mlp`] driven through
+    /// its public steps, `read_flat_buf` and `blend_from_flat_buf`, and the
+    /// rows its steps touched since its last import.
+    struct Reference {
+        kind: Kind,
+        mlp: Mlp,
+        sampler: Option<CandidateSampler>,
+        ws: Workspace,
+        touched: Vec<bool>,
+    }
+
+    impl Reference {
+        fn train(&mut self, ds: &XmlDataset, ids: &[usize], lr: f32, seed: u64) -> f64 {
+            let x = ds.train.features.select_rows(ids);
+            let labels: Vec<&[u32]> = ids.iter().map(|&i| ds.train.labels[i].as_slice()).collect();
+            for &f in x.indices() {
+                self.touched[f as usize] = true;
+            }
+            let features = self.mlp.config().num_features;
+            match self.sampler.as_mut() {
+                Some(sampler) => {
+                    let cand = sampler.select(&labels, seed);
+                    for &c in cand {
+                        self.touched[features + c as usize] = true;
+                    }
+                    self.mlp
+                        .train_batch_sampled_ws(&x, &labels, cand, lr, &mut self.ws)
+                        .loss
+                }
+                None => self.mlp.train_batch_ws(&x, &labels, lr, &mut self.ws).loss,
+            }
+        }
+
+        /// The rows the replica must report: the touched ones, and every row
+        /// its kind holds in any case.
+        fn rows(&self) -> Vec<u32> {
+            let features = self.mlp.config().num_features;
+            (0..self.touched.len())
+                .filter(|&r| match self.kind {
+                    Kind::Sampled => self.touched[r],
+                    Kind::Dense => self.touched[r] || r >= features,
+                    Kind::Crossbow { .. } => true,
+                })
+                .map(|r| r as u32)
+                .collect()
+        }
+
+        /// The gate's estimate from the reference model, over the same
+        /// parameters and in the same order as [`Replica::norm_estimate`].
+        fn norm_estimate(&self, base: FlatRef<'_>, s_base: f64) -> NormEstimate {
+            let wide = {
+                let mut m = Mlp::zeros(self.mlp.config());
+                m.read_flat_buf(base);
+                m
+            };
+            let c = self.mlp.config();
+            let (base, cur) = (wide.as_flat(), self.mlp.as_flat());
+            let [w1, b1, w2, b2] = c.block_ranges();
+            let mut sq = ChangedSq::default();
+            sq.run(&base[b1.clone()], &cur[b1]);
+            for r in self.rows() {
+                let r = r as usize;
+                if r < c.num_features {
+                    let at = w1.start + r * c.hidden;
+                    sq.run(&base[at..at + c.hidden], &cur[at..at + c.hidden]);
+                } else {
+                    let cl = r - c.num_features;
+                    let at = w2.start + cl * c.hidden;
+                    sq.run(&base[at..at + c.hidden], &cur[at..at + c.hidden]);
+                    sq.one(base[b2.start + cl], cur[b2.start + cl]);
+                }
+            }
+            NormEstimate::new(c.param_len(), s_base, sq.count, sq.base, sq.cur)
+        }
+    }
+
+    /// What a replica and its reference report after an operation: the rows,
+    /// the gate estimate, the exact norm and the whole model.
+    type Report = (Vec<u32>, (u64, u64), u64, Vec<u32>);
+
+    fn bits(m: &Mlp) -> Vec<u32> {
+        m.as_flat().iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn report(r: &mut Replica, base: FlatRef<'_>) -> Report {
         r.collect_rows();
-        let mut payload = FlatVec::empty(precision);
-        r.gather_delta(&mut payload);
-        let payload_bits: Vec<u32> = (0..payload.len())
-            .map(|i| payload.get_f32(i).to_bits())
-            .collect();
         let est = r.norm_estimate(base, 12.5);
-        let model: Vec<u32> = r
-            .materialize(base)
-            .as_flat()
-            .iter()
-            .map(|x| x.to_bits())
-            .collect();
         (
             r.rows().to_vec(),
-            payload_bits,
             (est.sq.to_bits(), est.err.to_bits()),
             r.l2_norm_per_param(base).to_bits(),
-            model,
+            bits(&r.materialize(base)),
         )
     }
 
-    /// Overlay replicas against owned ones, bit for bit: pairs of replicas
-    /// built on one start-up model, one of each kind, run random sequences
-    /// of training steps (the same batch, rate and seed for both of a
-    /// pair), delta exports at f32 and bf16, imports of f32 and bf16 bases
-    /// and evictions, at 1, 2 and 8 threads, and at hidden 8 and 13 (so
-    /// rows are and are not whole lane rows). After every step both report
-    /// the same batch loss, delta rows and payload, `NormEstimate`, exact
-    /// norm and materialized model — and every thread count the same final
-    /// models.
+    fn reference_report(r: &Reference, base: FlatRef<'_>) -> Report {
+        let est = r.norm_estimate(base, 12.5);
+        (
+            r.rows(),
+            (est.sq.to_bits(), est.err.to_bits()),
+            r.mlp.l2_norm_per_param().to_bits(),
+            bits(&r.mlp),
+        )
+    }
+
+    /// Replicas against plain models, bit for bit: a replica of each kind —
+    /// sampled, dense, and CROSSBOW with sampled and with dense steps — and
+    /// a plain `Mlp` per replica, built on one start-up model, run random
+    /// sequences of training steps (the same batch, rate and seed for both
+    /// of a pair), imports of f32 and bf16 bases (CROSSBOW pairs blend
+    /// toward them) and evictions, at 1, 2 and 8 threads, and at hidden 8
+    /// and 13 (so rows are and are not whole lane rows). After every
+    /// operation both of every pair report the same batch loss, rows,
+    /// `NormEstimate`, exact norm and materialized model — and every thread
+    /// count the same final models.
     #[test]
-    fn overlay_replicas_are_owned_replicas_bit_for_bit() {
+    fn replicas_are_plain_models_bit_for_bit() {
         for hidden in [8, 13] {
             let mut finals = Vec::new();
             for threads in [1, 2, 8] {
@@ -895,12 +753,30 @@ mod tests {
         let start = Mlp::init(&config, 1);
         let mut arena = index_arena(&start);
         let mut base = FlatVec::F32(start.to_flat());
-        let mut pairs: Vec<[Replica; 2]> = (0..3)
-            .map(|g| {
-                [
-                    Replica::owned(g, start.clone(), &ds, Some(arena.sampler())),
-                    Replica::overlay(g, &config, base.view(), &ds, arena.sampler()),
-                ]
+        let kinds = [
+            Kind::Sampled,
+            Kind::Dense,
+            Kind::Crossbow { sampled: true },
+            Kind::Crossbow { sampled: false },
+        ];
+        let mut pairs: Vec<(Replica, Reference)> = kinds
+            .iter()
+            .enumerate()
+            .map(|(g, &kind)| {
+                let (overlay, sampled) = match kind {
+                    Kind::Sampled => (Overlay::new(&config, base.view()), true),
+                    Kind::Dense => (Overlay::dense(&config, base.view()), false),
+                    Kind::Crossbow { sampled } => (Overlay::whole(&config, base.view()), sampled),
+                };
+                let sampler = || sampled.then(|| arena.sampler());
+                let reference = Reference {
+                    kind,
+                    mlp: start.clone(),
+                    sampler: sampler(),
+                    ws: Workspace::new(&config),
+                    touched: vec![false; config.num_features + config.num_classes],
+                };
+                (Replica::new(g, overlay, &ds, sampler()), reference)
             })
             .collect();
         let mut state = seed;
@@ -919,50 +795,55 @@ mod tests {
                     let ids: Vec<usize> = (0..1 + next(12)).map(|_| next(ds.train.len())).collect();
                     let lr = 0.05 + next(10) as f32 * 0.02;
                     let sample_seed = next(1 << 20) as u64;
-                    let [owned, overlay] = &mut pairs[pair];
-                    let a = owned.train(&ids, lr, sample_seed, base.view());
-                    let b = overlay.train(&ids, lr, sample_seed, base.view());
+                    let (replica, reference) = &mut pairs[pair];
+                    let a = reference.train(&ds, &ids, lr, sample_seed);
+                    let b = replica.train(&ids, lr, sample_seed, base.view());
                     assert_eq!(a.to_bits(), b.to_bits(), "{what}: loss");
                 }
-                // Import a new base, at either precision.
+                // Sync a new model, at either precision: imported, or
+                // blended toward by the CROSSBOW pairs.
                 6 | 7 => {
                     let precision = [Precision::F32, Precision::Bf16][next(2)];
                     let mut fresh = FlatVec::empty(precision);
                     Mlp::init(&config, 100 + step as u64).write_flat_buf(&mut fresh);
                     base = fresh;
                     arena.sync(base.view(), None);
-                    for r in pairs.iter_mut().flatten() {
-                        r.set_model(base.view(), Some(arena.live()));
+                    let pull = 0.25 + next(3) as f32 * 0.25;
+                    for (replica, reference) in &mut pairs {
+                        let index = Some(arena.live());
+                        if let Some(s) = reference.sampler.as_mut() {
+                            s.set_index(Arc::clone(arena.live()));
+                        }
+                        if let Kind::Crossbow { .. } = reference.kind {
+                            replica.blend(base.view(), pull, index);
+                            reference.mlp.blend_from_flat_buf(base.view(), pull);
+                        } else {
+                            replica.set_model(base.view(), index);
+                            reference.mlp.read_flat_buf(base.view());
+                            reference.touched.fill(false);
+                        }
                     }
                 }
                 // Lose a device (never the last).
                 8 if pairs.len() > 1 => {
                     pairs.remove(next(pairs.len()));
-                    assert_eq!(arena.holders(), 2 * pairs.len(), "{what}: holders");
+                    let samplers = pairs.iter().filter(|p| p.1.sampler.is_some()).count();
+                    assert_eq!(arena.holders(), 2 * samplers, "{what}: holders");
                 }
                 _ => {}
             }
-            // Export every pair and compare.
-            let precision = [Precision::F32, Precision::Bf16][next(2)];
-            for [owned, overlay] in &mut pairs {
-                let gpu = owned.gpu;
-                let want = report(owned, base.view(), precision);
+            for (replica, reference) in &mut pairs {
+                let (gpu, kind) = (replica.gpu, reference.kind);
+                let want = reference_report(reference, base.view());
                 assert!(
-                    want == report(overlay, base.view(), precision),
-                    "{what}: gpu {gpu} at {precision:?}"
+                    want == report(replica, base.view()),
+                    "{what}: gpu {gpu}, {kind:?}"
                 );
             }
         }
         pairs
             .iter()
-            .map(|[_, overlay]| {
-                overlay
-                    .materialize(base.view())
-                    .as_flat()
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .collect()
-            })
+            .map(|(_, reference)| bits(&reference.mlp))
             .collect()
     }
 }

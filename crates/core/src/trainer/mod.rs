@@ -50,8 +50,8 @@ use asgd_model::workload::{
     epoch_kernels, lsh_rebuild_kernels, model_transfer_kernels_sized, overhead_delta_for,
     sampled_epoch_kernels,
 };
-use asgd_model::{eval, Mlp, MlpConfig};
-use asgd_tensor::{pages, FlatRef, FlatVec, Precision};
+use asgd_model::{eval, Mlp, MlpConfig, Overlay};
+use asgd_tensor::{pages, FlatRef, Precision};
 use chaos::ChaosStats;
 use manager::Replica;
 use std::sync::Arc;
@@ -269,14 +269,13 @@ pub struct RunConfig {
     /// single-server setup with the flat all-reduce.
     pub cluster: Option<ClusterConfig>,
     /// Sparse delta merge (`ASGD_SPARSE_MERGE=1`): replicas ship only the
-    /// rows they dirtied since the last sync (the sampled softmax's
-    /// candidate sets make the dirty set exact and free) and the merge
-    /// charges a union-sized schedule instead of a model-sized one.
-    /// Requires [`RunConfig::sampled_softmax`] and a `SetModel`-
-    /// redistributing merge rule (Normalized/Average) — anything else is a
-    /// [`ConfigError`]. Results are **bit-identical** to the dense merge —
-    /// the reduction arithmetic is unchanged, only the simulated wire
-    /// traffic shrinks (see `asgd_collective::sparse`).
+    /// rows they hold since the last sync — the rows their steps touched,
+    /// and on the dense softmax every class — and the merge charges a
+    /// union-sized schedule instead of a model-sized one. Requires a
+    /// `SetModel`-redistributing merge rule (Normalized/Average) — CROSSBOW
+    /// is a [`ConfigError`]. Results are **bit-identical** to the dense
+    /// merge — the reduction arithmetic is unchanged, only the simulated
+    /// wire traffic shrinks (see `asgd_collective::sparse`).
     pub sparse_merge: bool,
     /// Union-density threshold (`union elems / param_len`) above which a
     /// sparse merge falls back to the dense schedule (timing-only).
@@ -333,9 +332,6 @@ impl RunConfig {
         }
         if self.fault_plan.is_some() && spec.merge_interval != MergeInterval::MegaBatch {
             return Err(ConfigError::FaultPlanNeedsMegaBatchMerge);
-        }
-        if self.sparse_merge && self.sampled_softmax.is_none() {
-            return Err(ConfigError::SparseMergeNeedsSampledSoftmax);
         }
         if self.sparse_merge && matches!(spec.merge_rule, MergeRule::Crossbow { .. }) {
             return Err(ConfigError::SparseMergeUnderCrossbow);
@@ -398,9 +394,6 @@ pub enum ConfigError {
     /// `fault_plan` with [`MergeInterval::EveryRound`]: faults are scheduled
     /// against mega-batch dispatch ordinals.
     FaultPlanNeedsMegaBatchMerge,
-    /// `sparse_merge` without `sampled_softmax`: dense training dirties
-    /// every `W₂` column, so there is no sparse delta to ship.
-    SparseMergeNeedsSampledSoftmax,
     /// `sparse_merge` under [`MergeRule::Crossbow`]: the blend moves every
     /// parameter of every replica, so every row is dirty at every merge.
     SparseMergeUnderCrossbow,
@@ -452,9 +445,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroMegaBatchLimit => "the mega-batch limit must be at least 1",
             ConfigError::FaultPlanNeedsMegaBatchMerge => {
                 "fault injection requires merge-per-mega-batch"
-            }
-            ConfigError::SparseMergeNeedsSampledSoftmax => {
-                "sparse_merge requires sampled_softmax: dense training dirties every W2 class row"
             }
             ConfigError::SparseMergeUnderCrossbow => {
                 "sparse_merge cannot run under MergeRule::Crossbow: the blend dirties every row"
@@ -697,46 +687,32 @@ impl Trainer {
         launch_model.base_overhead_s *= cfg.overhead_scale;
         let per_server = cfg.cluster.map_or(n, |cl| cl.devices_per_server);
         let param_len = mconfig.param_len();
-        // A sampled replica under a rule that redistributes one model is an
-        // overlay on the start-up model and copies nothing. Every other
-        // replica is a copy of it: a fresh model-sized buffer is
-        // page-fault-bound (the first write of each page faults it in), so
-        // every one is allocated untouched with huge-page advice
-        // ([`pages::zeroed`]) and filled on `n` threads, while this one
-        // copies the momentum memory and (sampled mode) hashes the start-up
-        // `W₂` once for every replica.
-        let overlays = overlay_replicas(&self.spec, cfg);
-        let mut mlps: Vec<Mlp> = if overlays {
-            Vec::new()
-        } else {
-            (0..n).map(|_| Mlp::zeros(&mconfig)).collect()
-        };
+        // Every replica is an overlay on the start-up model: a sampled one
+        // holds the rows its steps touch, a dense-softmax one also every
+        // class, refilled at each import, and a CROSSBOW one — the blend
+        // moves every parameter — every row, copied here once. Each is
+        // built on this thread, which also copies the momentum memory (a
+        // fresh model-sized buffer is page-fault-bound, so it is allocated
+        // untouched with huge-page advice, [`pages::zeroed`]) and (sampled
+        // mode) hashes the start-up `W₂` once for every replica.
+        let build: fn(&MlpConfig, FlatRef<'_>) -> Overlay =
+            match (self.spec.merge_rule, cfg.sampled_softmax) {
+                (MergeRule::Crossbow { .. }, _) => Overlay::whole,
+                (_, Some(_)) => Overlay::new,
+                (_, None) => Overlay::dense,
+            };
+        let base = FlatRef::F32(global.as_flat());
+        let mut prev_global = pages::zeroed(param_len);
+        prev_global.copy_from_slice(resume.map_or(global.as_flat(), |r| &r.prev_global));
+        let lsh = cfg.sampled_softmax.map(|s| IndexArena::new(&s, &global));
         let reads_norm = matches!(self.spec.merge_rule, MergeRule::Normalized(_));
-        let (prev_global, lsh, base_sq) = std::thread::scope(|s| {
-            for mlp in &mut mlps {
-                s.spawn(|| mlp.read_flat_buf(FlatRef::F32(global.as_flat())));
-            }
-            let mut prev_global = pages::zeroed(param_len);
-            prev_global.copy_from_slice(resume.map_or(global.as_flat(), |r| &r.prev_global));
-            let lsh = cfg.sampled_softmax.map(|s| IndexArena::new(&s, &global));
-            let base_sq = reads_norm.then(|| import_sq(FlatRef::F32(global.as_flat())));
-            (prev_global, lsh, base_sq)
-        });
-        let sampler = || lsh.as_ref().map(IndexArena::sampler);
-        let replicas = if overlays {
-            let base = FlatRef::F32(global.as_flat());
-            (0..n)
-                .map(|g| {
-                    let sampler = sampler().expect("overlays train the sampled softmax");
-                    Replica::overlay(g, &mconfig, base, dataset, sampler)
-                })
-                .collect()
-        } else {
-            mlps.into_iter()
-                .enumerate()
-                .map(|(g, mlp)| Replica::owned(g, mlp, dataset, sampler()))
-                .collect()
-        };
+        let base_sq = reads_norm.then(|| import_sq(base));
+        let replicas = (0..n)
+            .map(|g| {
+                let sampler = lsh.as_ref().map(IndexArena::sampler);
+                Replica::new(g, build(&mconfig, base), dataset, sampler)
+            })
+            .collect();
         SchedulerState {
             spec: &self.spec,
             cfg,
@@ -769,7 +745,7 @@ impl Trainer {
             budget: MegaBatchBudget::new(cfg.mega_batch_size),
             hypers,
             replicas,
-            deltas: vec![FlatVec::empty(cfg.precision); n],
+            arrivals: Vec::with_capacity(n),
             work: vec![Vec::new(); n],
             payload: (cfg.precision == Precision::Bf16).then(|| pages::zeroed(param_len)),
             imported_payload: false,
@@ -810,6 +786,10 @@ struct SchedulerState<'a> {
     dataset: &'a XmlDataset,
     /// The simulated devices, server-major; every fault goes through it.
     pool: DevicePool,
+    /// Links and profiles of the live devices, in device order — in a
+    /// cluster with their original server assignments, so cross-server hops
+    /// still pay the inter-node link after partial losses. Rebuilt at
+    /// eviction.
     ctx: CollectiveContext,
     launch_model: LaunchModel,
     trace: TraceLog,
@@ -819,11 +799,8 @@ struct SchedulerState<'a> {
     /// The live replicas, in device order; a lost device's is dropped at
     /// eviction.
     replicas: Vec<Replica<'a>>,
-    /// For overlay replicas, one delta payload per live replica, same
-    /// order, recycled across merges: what the merge reads of each, dense
-    /// or sparse (the merge reads owned replicas themselves, and these stay
-    /// empty).
-    deltas: Vec<FlatVec>,
+    /// When each live replica reached the merge, refilled at every merge.
+    arrivals: Vec<SimTime>,
     /// Per device, the batches dispatched since the last merge in dispatch
     /// order: what its replica trains in the next phase, and what moves to
     /// survivors if the device is lost first.
@@ -853,9 +830,7 @@ struct SchedulerState<'a> {
     chaos: ChaosStats,
     /// Memory budget of the merge stage's pooled scratch.
     merge_memory: MemoryTracker,
-    /// Row space of the sparse wire format. The base a delta applies to is
-    /// never stored: it is `global` at the storage precision, the payload of
-    /// the last sync (and, before the first merge, the start-up model).
+    /// Row space of the sparse wire format, which a sparse merge times.
     sparse_layout: SparseLayout,
     /// Sparse-merge accounting (untouched unless `cfg.sparse_merge`).
     sparse_stats: SparseMergeStats,
@@ -869,14 +844,6 @@ struct SchedulerState<'a> {
     /// the gate's oracle checked the sides against.
     #[cfg(test)]
     gate_norms: Vec<Vec<f64>>,
-}
-
-/// Whether the replicas of `spec` under `cfg` are overlays on the model
-/// they import ([`asgd_model::Overlay`]): sampled-softmax replicas under a
-/// rule that redistributes one model. A dense step writes every class row
-/// and a CROSSBOW blend every parameter, so those replicas own a model.
-fn overlay_replicas(spec: &TrainerSpec, cfg: &RunConfig) -> bool {
-    cfg.sampled_softmax.is_some() && !matches!(spec.merge_rule, MergeRule::Crossbow { .. })
 }
 
 /// The buffer every live replica last imported: the bf16 `payload` once
@@ -1188,8 +1155,7 @@ impl SchedulerState<'_> {
     /// The training phase: every live replica, on a scoped thread of its
     /// own, trains its work list in order over the buffer it last imported,
     /// adding each batch loss to its device's `loss_sums` bucket, and
-    /// collects the rows it changed; an overlay then writes their delta,
-    /// which is what the merge reads of it. Under Algorithm 2 it then takes
+    /// collects the rows it changed. Under Algorithm 2 it then takes
     /// its side of the perturbation gate from the rows it changed
     /// ([`Replica::norm_estimate`]), sweeping its whole model
     /// ([`Replica::l2_norm_per_param`]) only when the estimate's error bound
@@ -1199,7 +1165,6 @@ impl SchedulerState<'_> {
     fn train_phase(&mut self, loss_sums: &mut [f64]) -> Vec<bool> {
         let lsh_seed = self.cfg.sampled_softmax.map_or(0, |s| s.seed);
         let param_len = self.mconfig.param_len();
-        let overlays = overlay_replicas(self.spec, self.cfg);
         let base = import_base(&self.payload, self.imported_payload, &self.global);
         let gate = match (self.spec.merge_rule, self.base_sq) {
             (MergeRule::Normalized(p), Some(s_base)) => Some((s_base, p.pert_thr)),
@@ -1212,9 +1177,7 @@ impl SchedulerState<'_> {
             .map(|r| (loss_sums[r.gpu], None))
             .collect();
         std::thread::scope(|s| {
-            for ((r, delta), (loss, below)) in
-                self.replicas.iter_mut().zip(&mut self.deltas).zip(&mut out)
-            {
+            for (r, (loss, below)) in self.replicas.iter_mut().zip(&mut out) {
                 let batches = &self.work[r.gpu];
                 let lr = self.hypers[r.gpu].lr as f32;
                 s.spawn(move || {
@@ -1222,9 +1185,6 @@ impl SchedulerState<'_> {
                         *loss += r.train(ids, lr, batch_sample_seed(ids, lsh_seed), base);
                     }
                     r.collect_rows();
-                    if overlays {
-                        r.gather_delta(delta);
-                    }
                     if let Some((s_base, thr)) = gate {
                         let estimate = r.norm_estimate(base, s_base);
                         *below = Some(
@@ -1251,34 +1211,34 @@ impl SchedulerState<'_> {
     /// weights, one fused reduce-update-payload pass, the import phase,
     /// advance clocks.
     ///
-    /// The stage is written once over `alive_idx`; the clean run is the case
-    /// where that is the whole fleet. After a device loss it merges only
-    /// survivors, renormalizes `α_i` over them (Σα = 1 by construction),
-    /// reduces over a survivor-sized collective context and redistributes to
-    /// survivors only; dead devices' clocks freeze and their weights are 0
-    /// in the record.
+    /// The stage is written once over the live devices; the clean run is
+    /// the case where that is the whole fleet. After a device loss it merges
+    /// only survivors, renormalizes `α_i` over them (Σα = 1 by
+    /// construction), reduces over the survivors' collective context and
+    /// redistributes to survivors only; dead devices' clocks freeze and
+    /// their weights are 0 in the record.
     ///
-    /// Model-sized buffers: the merge reads owned replicas where they live
-    /// and overlays through their `(rows, payload)` deltas, which the
-    /// sparse merge ships and a dense merge of overlays reduces the same
-    /// way (the arithmetic is one; only the simulated wire differs). Either
-    /// way [`FusedMerge`] streams the replicas once and leaves the new
-    /// `global`/`prev_global` — at bf16 also the narrowed payload in
-    /// [`Self::payload`] — which every live replica then imports from a
-    /// shared borrow: an owned replica copies it, an overlay only forgets
-    /// its rows. Steady-state merges allocate nothing model-sized.
+    /// Model-sized buffers: [`FusedMerge`] reads every replica where its
+    /// rows live — an overlay's slots, and the model it imported under them
+    /// — streams them once, and leaves the new `global`/`prev_global` — at
+    /// bf16 also the narrowed payload in [`Self::payload`] — which every
+    /// live replica then imports from a shared borrow: an overlay forgets
+    /// the rows its steps gave it (a dense-softmax one refills its classes),
+    /// a CROSSBOW one blends toward it. A sparse merge only changes what the
+    /// simulated wire carries. Steady-state merges allocate nothing
+    /// model-sized.
     fn merge(&mut self, below: &[bool], mega_index: usize) -> MergeDecision {
         let n = self.n();
-        let alive_idx: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
-        let k = alive_idx.len();
+        let k = self.replicas.len();
         assert!(k >= 1, "no surviving device to merge");
 
         // The merge sub-problem over the live replicas, in device order.
         let decision = match self.spec.merge_rule {
             MergeRule::Normalized(params) => {
                 assert_eq!(below.len(), k, "one gate side per live replica");
-                let live_hypers: Vec<GpuHyper> =
-                    alive_idx.iter().map(|&g| self.hypers[g].clone()).collect();
+                let live_hypers: Vec<GpuHyper> = (self.replicas.iter())
+                    .map(|r| self.hypers[r.gpu].clone())
+                    .collect();
                 let decision = merge_weights(&live_hypers, below.iter().all(|&b| b), &params);
                 if cfg!(any(test, debug_assertions)) {
                     // The oracle: every side is the exact norm's, and so is
@@ -1329,12 +1289,10 @@ impl SchedulerState<'_> {
             );
         }
 
-        // Survivors keep their link parameters, profiles and — in a cluster
-        // — their original server assignments, so cross-server hops still
-        // pay the inter-node link after partial losses.
-        let ctx = self.ctx.subset(&alive_idx);
-        let clock = |&g: &usize| self.pool.device(g).now();
-        let arrivals: Vec<SimTime> = alive_idx.iter().map(clock).collect();
+        self.arrivals.clear();
+        let pool = &self.pool;
+        self.arrivals
+            .extend(self.replicas.iter().map(|r| pool.device(r.gpu).now()));
         let inter = self.cfg.cluster.as_ref().map(|cl| cl.inter);
         // Algorithm 2's momentum update redistributes the new global model;
         // CROSSBOW adopts the average as it is and blends replicas toward it.
@@ -1350,76 +1308,55 @@ impl SchedulerState<'_> {
             gamma,
             algo: self.spec.allreduce,
             inter,
-            ctx: &ctx,
-            arrivals: &arrivals,
+            ctx: &self.ctx,
+            arrivals: &self.arrivals,
             pooled,
         };
         // Under Algorithm 2 the pass also sums the squares of what the
         // replicas import next: the next gate's base.
-        let timing = if overlay_replicas(self.spec, self.cfg) {
-            let deltas: Vec<(&[u32], &FlatVec)> = self
-                .replicas
-                .iter()
-                .map(Replica::rows)
-                .zip(&self.deltas)
-                .collect();
-            let dense = fused.run(
-                &mut self.merge_scratch,
-                MergeInput::Sparse {
-                    layout: &self.sparse_layout,
-                    deltas: &deltas,
-                },
-                self.payload.as_deref_mut(),
-                &mut self.global,
-                &mut self.prev_global,
-                self.base_sq.as_mut(),
-            );
-            // The arithmetic above is the dense collective's, element for
-            // element (the reduction contract), so sparsity only changes what
-            // the simulated wire carries; the dense timing is a dense
-            // merge's, and doubles as the density-threshold fallback.
-            if !self.cfg.sparse_merge {
-                dense
-            } else {
-                let row_sets: Vec<&[u32]> = deltas.iter().map(|d| d.0).collect();
-                let plan = SparseMergePlan {
-                    algo: self.spec.allreduce,
-                    inter,
-                    elem_bytes: self.cfg.precision.bytes(),
-                    max_density: self.cfg.sparse_max_density,
-                };
-                let s = sparse_merge_timing(
-                    &self.sparse_layout,
-                    &row_sets,
-                    &plan,
-                    &ctx,
-                    &arrivals,
-                    dense,
-                );
-                self.sparse_stats.merges += 1;
-                self.sparse_stats.fallbacks += u64::from(s.fell_back);
-                self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
-                self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
-                s.timing
-            }
+        let overlays: Vec<&Overlay> = self.replicas.iter().map(Replica::overlay).collect();
+        let dense = fused.run(
+            &mut self.merge_scratch,
+            MergeInput::Overlays(&overlays),
+            self.payload.as_deref_mut(),
+            &mut self.global,
+            &mut self.prev_global,
+            self.base_sq.as_mut(),
+        );
+        // The arithmetic above is the dense collective's, element for
+        // element (the reduction contract), so sparsity only changes what
+        // the simulated wire carries; the dense timing is a dense merge's,
+        // and doubles as the density-threshold fallback.
+        let timing = if !self.cfg.sparse_merge {
+            dense
         } else {
-            let replicas: Vec<&[f32]> = self.replicas.iter().map(Replica::owned_flat).collect();
-            fused.run(
-                &mut self.merge_scratch,
-                MergeInput::Dense(&replicas),
-                self.payload.as_deref_mut(),
-                &mut self.global,
-                &mut self.prev_global,
-                self.base_sq.as_mut(),
-            )
+            let row_sets: Vec<&[u32]> = self.replicas.iter().map(Replica::rows).collect();
+            let plan = SparseMergePlan {
+                algo: self.spec.allreduce,
+                inter,
+                elem_bytes: self.cfg.precision.bytes(),
+                max_density: self.cfg.sparse_max_density,
+            };
+            let s = sparse_merge_timing(
+                &self.sparse_layout,
+                &row_sets,
+                &plan,
+                &self.ctx,
+                &self.arrivals,
+                dense,
+            );
+            self.sparse_stats.merges += 1;
+            self.sparse_stats.fallbacks += u64::from(s.fell_back);
+            self.sparse_stats.sparse_bytes += s.timing.bytes_moved as u64;
+            self.sparse_stats.dense_bytes += dense.bytes_moved as u64;
+            s.timing
         };
         self.imported_payload = self.payload.is_some();
 
         // The import phase: one read-only payload — the bf16 buffer, or at
         // f32 `global` itself — synced once into the LSH index, then
         // imported (or blended toward) by every live replica on a scoped
-        // thread of its own, adopting that index: an owned replica copies
-        // it, an overlay forgets its rows and reads it from then on.
+        // thread of its own, adopting that index.
         let payload = match &self.payload {
             Some(p) => FlatRef::Bf16(p),
             None => FlatRef::F32(self.global.as_flat()),
@@ -1444,16 +1381,16 @@ impl SchedulerState<'_> {
             "exactly the live replicas hold the synced index"
         );
 
-        for &g in &alive_idx {
-            self.pool.device_mut(g).advance_to(timing.end);
+        for r in &self.replicas {
+            self.pool.device_mut(r.gpu).advance_to(timing.end);
         }
         // Sampled mode: every live device re-hashes the output neurons
         // against the freshly synced model.
         self.charge_lsh_rebuild();
         // Full-length weights for the record: dead slots carry weight 0.
         let mut weights = vec![0.0f64; n];
-        for (&g, &w) in alive_idx.iter().zip(&decision.weights) {
-            weights[g] = w;
+        for (r, &w) in self.replicas.iter().zip(&decision.weights) {
+            weights[r.gpu] = w;
         }
         let rounded: Vec<f64> = weights
             .iter()
@@ -1462,10 +1399,11 @@ impl SchedulerState<'_> {
         let who = if k == n {
             String::new()
         } else {
-            format!("survivors {alive_idx:?}, ")
+            let gpus: Vec<usize> = self.replicas.iter().map(|r| r.gpu).collect();
+            format!("survivors {gpus:?}, ")
         };
         self.trace.record(
-            DeviceId(alive_idx[0]),
+            DeviceId(self.replicas[0].gpu),
             timing.start,
             timing.end,
             format!(
@@ -1495,6 +1433,7 @@ mod tests {
     use asgd_collective::allreduce;
     use asgd_data::{generate, DatasetSpec};
     use asgd_gpusim::profile::{heterogeneous_server, homogeneous_server};
+    use asgd_tensor::FlatVec;
 
     fn quick_config() -> RunConfig {
         let mut c = RunConfig::paper_defaults(32, 4);
@@ -2048,16 +1987,13 @@ mod tests {
         }
     }
 
-    /// Sparse merge outside the sampled path or under Crossbow is a named
-    /// configuration error, not a run that silently stays dense.
+    /// Sparse merge under Crossbow is a named configuration error, not a
+    /// run that silently stays dense.
     #[test]
-    fn sparse_merge_gates_off_dense_softmax_and_crossbow() {
+    fn sparse_merge_gates_off_crossbow() {
         let mut cfg = quick_config();
         cfg.sparse_merge = true;
-        assert_eq!(
-            cfg.validate(&algorithms::adaptive_sgd(), 2),
-            Err(ConfigError::SparseMergeNeedsSampledSoftmax)
-        );
+        assert_eq!(cfg.validate(&algorithms::adaptive_sgd(), 2), Ok(()));
         cfg.sampled_softmax = Some(SampledSoftmax::defaults(12));
         assert_eq!(
             cfg.validate(&algorithms::crossbow_sma(), 2),
@@ -2135,9 +2071,7 @@ mod tests {
     /// f32 or bf16, the global model and its momentum memory trade the same
     /// two buffers (each merge writes the new model over the momentum
     /// memory, then swaps them), and the payload — a bf16 buffer, none at
-    /// f32 — keeps its address through 4 mega-batches. The sampled replicas are overlays, which every merge
-    /// reads through their deltas, dense or sparse: every delta slot is
-    /// written, and stays shorter than the model.
+    /// f32 — keeps its address through 4 mega-batches.
     #[test]
     fn merge_buffers_keep_their_addresses() {
         let sorted = |a: *const f32, b: *const f32| if a < b { (a, b) } else { (b, a) };
@@ -2168,10 +2102,6 @@ mod tests {
                     state.run_mega_batch(mega);
                     let what = format!("{precision:?}, sparse {sparse}, mega {mega}");
                     assert_eq!(buffers(&state), first, "{what}");
-                    for d in &state.deltas {
-                        assert!(d.len() < len, "a model-sized delta, {what}");
-                        assert!(!d.is_empty(), "an overlay merged without its delta, {what}");
-                    }
                 }
             }
         }
@@ -2384,7 +2314,7 @@ mod tests {
                     let s_base = state.base_sq.expect("Algorithm 2 sums its base");
                     for (i, r) in state.replicas.iter().enumerate() {
                         let at = format!("{what} at {precision:?}, merge {m}, replica {i}");
-                        let (est, len) = (r.norm_estimate(base, s_base), r.param_len());
+                        let (est, len) = (r.norm_estimate(base, s_base), state.mconfig.param_len());
                         let exact = r.l2_norm_per_param(base);
                         assert!(exact > 0.0 && exact.is_finite(), "{at}: norm {exact}");
                         assert_eq!(below[i], exact < 0.1, "{at}: the run's gate");

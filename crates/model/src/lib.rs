@@ -7,8 +7,8 @@
 //! initialized from a normal distribution scaled by the layer's unit count.
 //!
 //! * [`Mlp`] — parameters and the real forward/backward/update math.
-//! * [`Overlay`] — a sampled-softmax replica as the rows it changed over
-//!   a model it borrows, trained by the same kernels, bit for bit.
+//! * [`Overlay`] — a training replica as the rows it holds over a model it
+//!   borrows, trained by the same kernels, bit for bit.
 //! * [`workspace::Workspace`] — reusable training buffers; with one of
 //!   these, steady-state `train_batch_ws` steps allocate nothing.
 //! * [`gradients::Gradients`] — gradient buffers shaped like the model.

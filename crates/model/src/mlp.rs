@@ -61,12 +61,13 @@ pub struct TrainOutput {
     pub batch_nnz: usize,
 }
 
-/// The four parameter blocks a sampled step reads, wherever they live: an
+/// The four parameter blocks a step reads, wherever they live: an
 /// [`Mlp`]'s flat buffer, or a [`crate::Overlay`]'s slots. Row `r` of `w1`
 /// holds the weights the batch's column id `r` names and row `r` of `w2` /
 /// entry `r` of `b2` those the step's gather index `r` names — feature and
-/// class ids for a model, slot ids for an overlay. The kernels read a row
-/// the same way whichever it is, so the two give the same bits.
+/// class ids for a model, slot ids for an overlay; a dense step reads every
+/// class, so its `w2` / `b2` hold them all in class order. The kernels read
+/// a row the same way whichever it is, so the two give the same bits.
 pub(crate) struct Params<'a> {
     pub(crate) w1: MatRef<'a>,
     pub(crate) b1: &'a [f32],
@@ -255,18 +256,43 @@ impl Mlp {
     /// # Panics
     /// Panics when a row id falls outside `num_features + num_classes`.
     pub fn write_delta_buf(&self, rows: &[u32], out: &mut FlatVec) {
-        let c = &self.config;
-        let (w1, w2, b2) = (self.w1(), self.w2(), self.b2());
-        let row = |r: usize| {
-            if r < c.num_features {
-                (w1.row(r), None)
-            } else {
-                let cl = r - c.num_features;
-                assert!(cl < c.num_classes, "row {r} outside layout");
-                (w2.row(cl), Some(b2[cl]))
+        fn pack<E: Copy + Default>(
+            m: &Mlp,
+            rows: &[u32],
+            v: &mut Vec<E>,
+            narrow: impl Fn(f32) -> E,
+        ) {
+            let c = &m.config;
+            debug_assert!(
+                rows.windows(2).all(|w| w[0] < w[1]),
+                "delta rows must be strictly ascending"
+            );
+            // `b₁`, then `hidden` values per row and one `b₂` entry per class row.
+            let feature_rows = rows.partition_point(|&r| (r as usize) < c.num_features);
+            let need = c.hidden + rows.len() * c.hidden + (rows.len() - feature_rows);
+            // A payload that outgrows `v` gets a fresh allocation of exactly
+            // its size, which the pack writes whole.
+            if v.capacity() < need {
+                *v = pages::zeroed(need);
             }
-        };
-        write_delta(c, self.b1(), rows, row, out);
+            v.clear();
+            v.extend(m.b1().iter().map(|&x| narrow(x)));
+            for &r in rows {
+                let r = r as usize;
+                if r < c.num_features {
+                    v.extend(m.w1().row(r).iter().map(|&x| narrow(x)));
+                } else {
+                    let cl = r - c.num_features;
+                    assert!(cl < c.num_classes, "row {r} outside layout");
+                    v.extend(m.w2().row(cl).iter().map(|&x| narrow(x)));
+                    v.push(narrow(m.b2()[cl]));
+                }
+            }
+        }
+        match out {
+            FlatVec::F32(v) => pack(self, rows, v, |x| x),
+            FlatVec::Bf16(v) => pack(self, rows, v, bf16::narrow),
+        }
     }
 
     /// Imports a flat buffer of either precision — the read counterpart of
@@ -511,12 +537,7 @@ impl Mlp {
     /// GEMM/bias/ReLU sweeps, so results are bit-compatible — the fusion
     /// removes memory passes, not arithmetic.
     fn forward_into(&self, x: &CsrMatrix, h: &mut Matrix, probs: &mut Matrix) {
-        let batch = x.rows();
-        h.reshape_in_place(batch, self.config.hidden);
-        sops::spmm_bias_relu(x, self.w1(), self.b1(), h);
-        probs.reshape_in_place(batch, self.config.num_classes);
-        ops::gemm_bt_bias(h, self.w2(), self.b2(), probs);
-        numerics::softmax_rows_inplace(probs);
+        self.params().forward_into(x, h, probs);
     }
 
     /// Batched top-k inference through a reused [`Workspace`]: forwards the
@@ -627,49 +648,13 @@ impl Mlp {
         labels: &[L],
         ws: &mut Workspace,
     ) -> f64 {
-        let batch = x.rows();
-        assert_eq!(labels.len(), batch, "labels/batch mismatch");
-        assert!(batch > 0, "empty batch");
         assert_eq!(x.cols(), self.config.num_features, "input width");
         assert_eq!(
             ws.slot.len(),
             self.config.num_features,
             "workspace/model architecture mismatch"
         );
-        let Workspace {
-            h,
-            probs,
-            dh,
-            grads,
-            slot,
-            arena,
-            ..
-        } = ws;
-
-        // Forward into the workspace.
-        self.forward_into(x, h, probs);
-
-        let loss = loss_and_dlogits(probs, labels, |y| y as usize);
-
-        // Backward. ∇W₂, class-major, = dlogitsᵀ·h: element `(c, k)` is the
-        // ascending-row chain of `fma(dlogits[r][c], h[r][k], ·)`, which is
-        // `hᵀ·dlogits`'s `(k, c)` term for term (`fma` is symmetric in its
-        // factors); db2 = Σ_rows dlogits.
-        grads
-            .w2
-            .reshape_in_place(self.config.num_classes, self.config.hidden);
-        ops::gemm_tn(1.0, probs, h, 0.0, &mut grads.w2);
-        col_sums(probs, &mut grads.b2);
-        // dh = dlogits·W₂ᵀ, masked by ReLU: a unit-stride `i-k-j` GEMM over
-        // the class-major rows as they are stored, each dh element summing
-        // over classes in ascending order.
-        dh.reshape_in_place(batch, self.config.hidden);
-        ops::gemm(1.0, probs, self.w2(), 0.0, dh);
-        numerics::relu_backward_inplace(dh, h);
-        // dW1 = Xᵀ·dh ; db1 = Σ_rows dh.
-        sparse_weight_grad(x, dh, slot, arena, &mut grads.w1_updates);
-        col_sums(dh, &mut grads.b1);
-        loss
+        self.params().loss_and_gradients(x, labels, ws)
     }
 
     /// Allocating wrapper around [`Mlp::loss_and_gradients_ws`]: builds a
@@ -690,10 +675,7 @@ impl Mlp {
 
     /// Applies one SGD step: `θ ← θ − lr·∇θ`.
     pub fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
-        let mut p = self.params_mut();
-        p.apply_hidden_gradients(grads, lr);
-        ops::axpy(-lr, grads.w2.as_slice(), p.w2);
-        ops::axpy(-lr, &grads.b2, p.b2);
+        self.params_mut().apply_gradients(grads, lr);
     }
 
     /// One full SGD step on a batch (forward + backward + update) using
@@ -813,53 +795,69 @@ impl Mlp {
     }
 }
 
-/// The sparse-merge delta payload over `rows` (strictly ascending) into
-/// `out`, cleared and refilled in `out`'s precision, its allocation
-/// recycled: `b1`, then per row the `hidden` weights `row(r)` returns —
-/// for a class row followed by its `b₂` entry, which `row` returns with it.
-/// A payload that outgrows `out` gets a fresh allocation of exactly its
-/// size, which the pack writes whole ([`asgd_tensor::pages::zeroed`]).
-pub(crate) fn write_delta<'a>(
-    c: &MlpConfig,
-    b1: &[f32],
-    rows: &[u32],
-    row: impl Fn(usize) -> (&'a [f32], Option<f32>),
-    out: &mut FlatVec,
-) {
-    fn pack<'a, E: Copy + Default>(
-        c: &MlpConfig,
-        b1: &[f32],
-        rows: &[u32],
-        row: impl Fn(usize) -> (&'a [f32], Option<f32>),
-        v: &mut Vec<E>,
-        narrow: impl Fn(f32) -> E,
-    ) {
-        debug_assert!(
-            rows.windows(2).all(|w| w[0] < w[1]),
-            "delta rows must be strictly ascending"
-        );
-        // `b₁`, then `hidden` values per row and one `b₂` entry per class row.
-        let feature_rows = rows.partition_point(|&r| (r as usize) < c.num_features);
-        let need = c.hidden + rows.len() * c.hidden + (rows.len() - feature_rows);
-        if v.capacity() < need {
-            *v = pages::zeroed(need);
-        }
-        v.clear();
-        v.extend(b1.iter().map(|&x| narrow(x)));
-        for &r in rows {
-            let (w, b2) = row(r as usize);
-            v.extend(w.iter().map(|&x| narrow(x)));
-            v.extend(b2.map(&narrow));
-        }
-        debug_assert_eq!(v.len(), need, "delta length");
-    }
-    match out {
-        FlatVec::F32(v) => pack(c, b1, rows, row, v, |x| x),
-        FlatVec::Bf16(v) => pack(c, b1, rows, row, v, bf16::narrow),
-    }
-}
-
 impl Params<'_> {
+    /// The body of [`Mlp::forward_into`] over these parameters: `x`'s
+    /// column ids are rows of `w1`, and `w2` / `b2` hold every class in
+    /// class order.
+    fn forward_into(&self, x: &CsrMatrix, h: &mut Matrix, probs: &mut Matrix) {
+        let batch = x.rows();
+        h.reshape_in_place(batch, self.w1.cols());
+        sops::spmm_bias_relu(x, self.w1, self.b1, h);
+        probs.reshape_in_place(batch, self.w2.rows());
+        ops::gemm_bt_bias(h, self.w2, self.b2, probs);
+        numerics::softmax_rows_inplace(probs);
+    }
+
+    /// The body of [`Mlp::loss_and_gradients_ws`] over these parameters,
+    /// read as [`Params::forward_into`] reads them.
+    pub(crate) fn loss_and_gradients<L: AsRef<[u32]>>(
+        &self,
+        x: &CsrMatrix,
+        labels: &[L],
+        ws: &mut Workspace,
+    ) -> f64 {
+        let batch = x.rows();
+        assert_eq!(labels.len(), batch, "labels/batch mismatch");
+        assert!(batch > 0, "empty batch");
+        assert!(
+            ws.slot.len() >= x.cols(),
+            "workspace/model architecture mismatch"
+        );
+        let (hidden, classes) = (self.w1.cols(), self.w2.rows());
+        let Workspace {
+            h,
+            probs,
+            dh,
+            grads,
+            slot,
+            arena,
+            ..
+        } = ws;
+
+        // Forward into the workspace.
+        self.forward_into(x, h, probs);
+
+        let loss = loss_and_dlogits(probs, labels, |y| y as usize);
+
+        // Backward. ∇W₂, class-major, = dlogitsᵀ·h: element `(c, k)` is the
+        // ascending-row chain of `fma(dlogits[r][c], h[r][k], ·)`, which is
+        // `hᵀ·dlogits`'s `(k, c)` term for term (`fma` is symmetric in its
+        // factors); db2 = Σ_rows dlogits.
+        grads.w2.reshape_in_place(classes, hidden);
+        ops::gemm_tn(1.0, probs, h, 0.0, &mut grads.w2);
+        col_sums(probs, &mut grads.b2);
+        // dh = dlogits·W₂ᵀ, masked by ReLU: a unit-stride `i-k-j` GEMM over
+        // the class-major rows as they are stored, each dh element summing
+        // over classes in ascending order.
+        dh.reshape_in_place(batch, hidden);
+        ops::gemm(1.0, probs, self.w2, 0.0, dh);
+        numerics::relu_backward_inplace(dh, h);
+        // dW1 = Xᵀ·dh ; db1 = Σ_rows dh.
+        sparse_weight_grad(x, dh, slot, arena, &mut grads.w1_updates);
+        col_sums(dh, &mut grads.b1);
+        loss
+    }
+
     /// The body of [`Mlp::loss_and_gradients_sampled_ws`] over these
     /// parameters: `x`'s column ids are rows of `w1`, `cand` the candidate
     /// classes (sorted, deduplicated, every label among them) and `rows[i]`
@@ -948,6 +946,14 @@ impl ParamsMut<'_> {
             }
         }
         ops::axpy(-lr, &grads.b1, self.b1);
+    }
+
+    /// The body of [`Mlp::apply_gradients`]: `w2` / `b2` hold every class
+    /// in class order.
+    pub(crate) fn apply_gradients(&mut self, grads: &Gradients, lr: f32) {
+        self.apply_hidden_gradients(grads, lr);
+        ops::axpy(-lr, grads.w2.as_slice(), self.w2);
+        ops::axpy(-lr, &grads.b2, self.b2);
     }
 
     /// The body of [`Mlp::apply_gradients_sampled`]: `rows[i]` is the row

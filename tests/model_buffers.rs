@@ -2,15 +2,14 @@
 //!
 //! A counting global allocator tallies every allocation of at least one f32
 //! model (`param_len × 4` bytes) made while a run is in progress. A run
-//! holds exactly the global model and its momentum memory, and one more per
-//! replica that owns a model (DESIGN.md, "Model-sized buffers"): a
-//! dense-softmax or CROSSBOW replica does, a sampled replica is an overlay
-//! on the buffer it imported and holds only the rows it changed, which stay
-//! smaller than one model however many it touches. At f32 the
-//! redistribution payload is the global model itself, and the final model
-//! leaves the run as the resumable state's global model, one allocation
-//! shared by both. At bf16 the payload is the one extra buffer, half a
-//! model in size.
+//! holds exactly the global model and its momentum memory (DESIGN.md,
+//! "Model-sized buffers"): every replica is an overlay on the buffer it
+//! imported and holds only the rows it changed — a dense-softmax one also
+//! every class, a CROSSBOW one every row — in slot buffers of one block
+//! each, so none is as large as one model. At f32 the redistribution payload
+//! is the global model itself, and the final model leaves the run as the
+//! resumable state's global model, one allocation shared by both. At bf16
+//! the payload is the one extra buffer, half a model in size.
 //!
 //! A replica's `Workspace` holds no copy of `W₂` either: `W₂` is stored
 //! once, class-major, in the model, and a workspace at the sampled
@@ -23,18 +22,17 @@
 //! Every case runs inside one `#[test]` so no other test's allocations land
 //! in the count.
 
-use adaptive_sgd::collective::{
-    gather_delta, Algorithm, CollectiveContext, InterNode, SparseLayout,
-};
+use adaptive_sgd::collective::{Algorithm, CollectiveContext, InterNode};
 use adaptive_sgd::core::merging::{FusedMerge, MergeInput, MergeScratch};
 use adaptive_sgd::core::trainer::arena::IndexArena;
-use adaptive_sgd::core::trainer::{RunConfig, SampledSoftmax, Trainer};
+use adaptive_sgd::core::trainer::{RunConfig, SampledSoftmax, Trainer, TrainerSpec};
 use adaptive_sgd::core::{algorithms, ClusterConfig, RunResult};
 use adaptive_sgd::data::{generate, DatasetSpec, XmlDataset};
 use adaptive_sgd::gpusim::profile::heterogeneous_server;
 use adaptive_sgd::gpusim::{FaultPlan, SimTime, Topology};
-use adaptive_sgd::model::{Mlp, MlpConfig, Workspace};
-use adaptive_sgd::tensor::{FlatRef, FlatVec, Precision};
+use adaptive_sgd::model::{Mlp, MlpConfig, Overlay, Workspace};
+use adaptive_sgd::sparse::CsrMatrix;
+use adaptive_sgd::tensor::{FlatRef, Precision};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -115,14 +113,19 @@ fn config(precision: Precision) -> RunConfig {
 
 /// `(allocations ≥ one f32 model, allocations of exactly one bf16 model)`
 /// made by one run of `cfg` on `gpus` devices, and its result.
-fn census(ds: &XmlDataset, cfg: RunConfig, gpus: usize) -> (usize, usize, RunResult) {
+fn census(
+    ds: &XmlDataset,
+    spec: TrainerSpec,
+    cfg: RunConfig,
+    gpus: usize,
+) -> (usize, usize, RunResult) {
     let param_len = MlpConfig {
         num_features: ds.num_features,
         hidden: cfg.hidden,
         num_classes: ds.num_labels,
     }
     .param_len();
-    let trainer = Trainer::new(algorithms::adaptive_sgd(), heterogeneous_server(gpus), cfg);
+    let trainer = Trainer::new(spec, heterogeneous_server(gpus), cfg);
     AT_LEAST.store(0, Ordering::SeqCst);
     EXACTLY.store(0, Ordering::SeqCst);
     EXACT.store(param_len * 2, Ordering::SeqCst);
@@ -163,16 +166,44 @@ fn allocations(f: impl FnOnce()) -> usize {
     AT_LEAST.load(Ordering::SeqCst)
 }
 
-/// `[(allocations of a fused merge, of its LSH sync)]` of three merges of three sampled replicas' sparse deltas at f32, the way
-/// the trainer runs them: momentum update (which swaps the buffers), the
-/// index synced against the momentum memory.
+/// One sampled batch for replica `d` over `config`: its rows, labels and
+/// candidate classes (every label plus every 50th class).
+fn batch(config: &MlpConfig, d: usize) -> (CsrMatrix, Vec<Vec<u32>>, Vec<u32>) {
+    let (features, classes) = (config.num_features, config.num_classes);
+    let rows: Vec<(Vec<u32>, Vec<f32>)> = (0..8)
+        .map(|i| {
+            let mut idx: Vec<u32> = (0..5)
+                .map(|j| ((d * 7 + i * 13 + j * 101) % features) as u32)
+                .collect();
+            idx.sort_unstable();
+            idx.dedup();
+            let val = vec![1.0; idx.len()];
+            (idx, val)
+        })
+        .collect();
+    let labels: Vec<Vec<u32>> = (0..8)
+        .map(|i| vec![((d * 31 + i * 17) % classes) as u32])
+        .collect();
+    let mut cand: Vec<u32> = labels.iter().flatten().copied().collect();
+    cand.extend((0..classes as u32).step_by(50));
+    cand.sort_unstable();
+    cand.dedup();
+    let x = CsrMatrix::from_rows(features, &rows).expect("valid batch");
+    (x, labels, cand)
+}
+
+/// `[(allocations of a fused merge, of its LSH sync)]` of three merges of
+/// three sampled replicas at f32, the way the trainer runs them: each
+/// overlay trains a batch over the global model, the merge reads the
+/// overlays in place with a momentum update (which swaps the buffers), the
+/// index is synced against the momentum memory, and the overlays import
+/// the new model.
 fn warm_merge_census() -> Vec<(usize, usize)> {
     let config = MlpConfig {
         num_features: 3_000,
         hidden: 16,
         num_classes: 2_000,
     };
-    let layout = SparseLayout::new(config.num_features, config.hidden, config.num_classes);
     let base = Mlp::init(&config, 5);
     let mut global = base.as_flat().to_vec();
     let mut prev = global.clone();
@@ -188,32 +219,24 @@ fn warm_merge_census() -> Vec<(usize, usize)> {
         arrivals: &arrivals,
         pooled: true,
     };
-    let rows: Vec<Vec<u32>> = (0..k as u32)
-        .map(|d| {
-            (0..layout.num_rows() as u32)
-                .filter(|r| r % (5 + d) == 0)
-                .collect()
-        })
+    let mut overlays: Vec<Overlay> = (0..k)
+        .map(|_| Overlay::new(&config, FlatRef::F32(&global)))
         .collect();
-    let mut deltas = vec![FlatVec::empty(Precision::F32); k];
+    let mut ws = Workspace::new(&config);
     let mut scratch = MergeScratch::default();
     let mut arena = IndexArena::new(&SampledSoftmax::defaults(8), &base);
     let (mut sq, mut counts) = (0.0, Vec::new());
-    for merge in 0..3 {
-        for ((rows, delta), d) in rows.iter().zip(&mut deltas).zip(0..) {
-            let mut replica = global.clone();
-            layout.for_each_delta_index(rows, |i| replica[i] += 0.01 * (d + merge) as f32);
-            gather_delta(&layout, rows, &FlatVec::F32(replica), delta);
+    for _ in 0..3 {
+        for (d, o) in overlays.iter_mut().enumerate() {
+            o.import(FlatRef::F32(&global));
+            let (mut x, labels, cand) = batch(&config, d);
+            o.train_batch_sampled_ws(FlatRef::F32(&global), &mut x, &labels, &cand, 0.1, &mut ws);
         }
-        let views: Vec<(&[u32], &FlatVec)> = rows.iter().map(Vec::as_slice).zip(&deltas).collect();
-        let input = MergeInput::Sparse {
-            layout: &layout,
-            deltas: &views,
-        };
+        let views: Vec<&Overlay> = overlays.iter().collect();
         let merged = allocations(|| {
             fused.run(
                 &mut scratch,
-                input,
+                MergeInput::Overlays(&views),
                 None,
                 &mut global,
                 &mut prev,
@@ -264,18 +287,32 @@ fn a_run_allocates_each_model_sized_buffer_once() {
     });
     cluster.fault_plan = Some(FaultPlan::new().merge_oom(0).device_loss(1, 2, 3));
 
-    // (what, config, replicas, model-sized buffers, bf16 payloads)
-    for (what, cfg, n, models, bf16_payloads) in [
-        ("sampled + sparse merge, f32", sampled, 3, 2, 0),
-        ("sampled + sparse merge, bf16", sampled_bf16, 3, 2, 1),
-        ("dense, f32", dense, 3, 3 + 2, 0),
-        ("2x2 cluster with faults, bf16", cluster, 4, 4 + 2, 1),
+    // (what, algorithm, config, replicas, bf16 payloads)
+    let adaptive = algorithms::adaptive_sgd;
+    for (what, spec, cfg, n, bf16_payloads) in [
+        ("sampled + sparse merge, f32", adaptive(), sampled, 3, 0),
+        (
+            "sampled + sparse merge, bf16",
+            adaptive(),
+            sampled_bf16,
+            3,
+            1,
+        ),
+        ("dense, f32", adaptive(), dense.clone(), 3, 0),
+        ("2x2 cluster with faults, bf16", adaptive(), cluster, 4, 1),
+        (
+            "CROSSBOW, dense, f32",
+            algorithms::crossbow_sma(),
+            dense,
+            3,
+            0,
+        ),
     ] {
-        let (at_least, exactly, r) = census(&ds, cfg, n);
+        let (at_least, exactly, r) = census(&ds, spec, cfg, n);
         assert_eq!(r.records.len(), 3, "{what}: the run trained");
         assert_eq!(
-            at_least, models,
-            "{what}: the global model, its momentum memory and one buffer per owned replica"
+            at_least, 2,
+            "{what}: the global model and its momentum memory, and no replica"
         );
         assert_eq!(exactly, bf16_payloads, "{what}: bf16 payloads");
         let state = r

@@ -126,6 +126,20 @@ fn cluster_f32_is_bit_identical() {
     assert_sparse_equals_dense(cfg, 4);
 }
 
+/// A dense-softmax replica holds every class and the `W₁` rows its
+/// batches touched: with `sparse_merge` on, its run is the run with it off,
+/// bit for bit in the model and the records, flat at f32 and in a 2×2
+/// cluster at bf16.
+#[test]
+fn dense_softmax_is_bit_identical() {
+    let mut cfg = config(MEGAS);
+    cfg.sampled_softmax = None;
+    assert_sparse_equals_dense(cfg.clone(), 3);
+    cfg.precision = Precision::Bf16;
+    cfg.cluster = Some(cluster(2, 2));
+    assert_sparse_equals_dense(cfg, 4);
+}
+
 #[test]
 fn sparse_moves_fewer_bytes_when_labels_dwarf_candidates() {
     // The tiny spec's 40 labels make every candidate union near-dense; the
